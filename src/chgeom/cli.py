@@ -19,7 +19,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .construction import (
     orbit_second_fundamental_form,
     rigidity_form_check,
 )
-from .model import ModelParams, SolvableModel
+from .model import ModelParams, SolvableModel, rate
 from .spectral import HypersurfaceGerm, classify, eigen_structure_from_lambda3
 
 SWEEP_COLUMNS = (
@@ -79,9 +78,8 @@ def _cmd_construct(args) -> int:
     return 0 if ok else 1
 
 
-def _sweep_row(task) -> str:
-    r, params, spec, ode_step = task
-    s = math.sqrt(-params.c) / 2.0
+def _sweep_row(r, params, spec, ode_step) -> str:
+    s = rate(params.c)
     lam3 = s * math.tanh(s * r)
     es = eigen_structure_from_lambda3(
         lam3, params.c, n=params.n, k=spec.k
@@ -135,10 +133,11 @@ def _cmd_sweep(args) -> int:
     if args.r_min <= 0 or args.r_max < args.r_min or args.count < 1:
         print("error: need 0 < r-min <= r-max and count >= 1", file=sys.stderr)
         return 2
+    if args.jobs is not None and args.jobs < 1:
+        print("error: --jobs must be >= 1", file=sys.stderr)
+        return 2
     radii = np.linspace(args.r_min, args.r_max, args.count)
-    tasks = [(float(r), params, spec, args.ode_step) for r in radii]
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        rows = list(pool.map(_sweep_row, tasks))
+    rows = [_sweep_row(float(r), params, spec, args.ode_step) for r in radii]
     text = "\n".join([SWEEP_COLUMNS] + rows) + "\n"
     if args.output:
         with open(args.output, "w") as fh:
@@ -252,7 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-max", type=float, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--ode-step", type=float, default=1e-3)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument(
+        "--jobs", type=int, default=None,
+        help="accepted for compatibility; rows are computed in order",
+    )
     p.add_argument("--output", type=str, default=None)
     p.set_defaults(func=_cmd_sweep)
 

@@ -14,39 +14,33 @@ zeta'(0)=-lam v) the solution is
     zeta(t) = f(lam,c,t) B_v(t) + <v, J xi> g(lam,c,t) J gamma'(t),
 
 with B_v parallel transport of v, and f, g the scalar profiles below.
-Everything in this module is plain numpy on scalar/array inputs.
+The closed forms are plain numpy on scalar/array inputs; the ODE oracle
+integrates the same equation with the shared ``model.rk4`` stepper.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_ODE_STEP = 1e-4
+from .model import DEFAULT_ODE_STEP, rate, rk4
 
 
 class OutOfRangeEigenvalue(ValueError):
     """lambda_3 outside [0, sqrt(-c)/2) has no focal radius."""
 
 
-def _rate(c: float) -> float:
-    if c >= 0:
-        raise ValueError("closed-form Jacobi profiles need c < 0")
-    return math.sqrt(-c) / 2.0
-
-
 def f_function(lam, c: float, t):
     """Parallel-component profile: f(t) = cosh(st) - (lam/s) sinh(st)."""
-    s = _rate(c)
+    s = rate(c)
     lam = np.asarray(lam, dtype=float)
     t = np.asarray(t, dtype=float)
     return np.cosh(s * t) - (lam / s) * np.sinh(s * t)
 
 
 def f_derivative(lam, c: float, t):
-    s = _rate(c)
+    s = rate(c)
     lam = np.asarray(lam, dtype=float)
     t = np.asarray(t, dtype=float)
     return s * np.sinh(s * t) - lam * np.cosh(s * t)
@@ -55,7 +49,7 @@ def f_derivative(lam, c: float, t):
 def g_function(lam, c: float, t):
     """J gamma'-component profile:
     g(t) = (cosh(st) - 1)(1 + 2 cosh(st) - (lam/s) sinh(st))."""
-    s = _rate(c)
+    s = rate(c)
     lam = np.asarray(lam, dtype=float)
     t = np.asarray(t, dtype=float)
     ch, sh = np.cosh(s * t), np.sinh(s * t)
@@ -63,33 +57,13 @@ def g_function(lam, c: float, t):
 
 
 def g_derivative(lam, c: float, t):
-    s = _rate(c)
+    s = rate(c)
     lam = np.asarray(lam, dtype=float)
     t = np.asarray(t, dtype=float)
     ch, sh = np.cosh(s * t), np.sinh(s * t)
     return s * sh * (1.0 + 2.0 * ch - (lam / s) * sh) + (ch - 1.0) * (
         2.0 * s * sh - lam * ch
     )
-
-
-@dataclass(frozen=True)
-class JacobiCoefficients:
-    """Scalar profiles (f, g) for one shape eigenvalue lam at curvature c."""
-
-    lam: float
-    c: float
-
-    def f(self, t):
-        return f_function(self.lam, self.c, t)
-
-    def fprime(self, t):
-        return f_derivative(self.lam, self.c, t)
-
-    def g(self, t):
-        return g_function(self.lam, self.c, t)
-
-    def gprime(self, t):
-        return g_derivative(self.lam, self.c, t)
 
 
 def jacobi_closed(lam: float, jxi_component: float, c: float, t):
@@ -113,57 +87,40 @@ def jacobi_ode_oracle(
     is the geodesic's unit velocity w; modes may be batched on the first
     axis.  Returns (zeta(t), zeta'(t)).
     """
-    if step <= 0 or not math.isfinite(step):
-        raise ValueError(f"step must be positive, got {step!r}")
-    z = np.array(zeta0, dtype=float)
-    zp = np.array(zeta_prime0, dtype=float)
     w = np.asarray(velocity, dtype=float)
     jw = jmat @ w
     c = float(c)
 
-    def acc(zz):
-        comp = zz @ jw
-        return -(c / 4.0) * (zz + 3.0 * np.multiply.outer(comp, jw))
+    def rhs(z, zp):
+        comp = z @ jw
+        return zp, -(c / 4.0) * (z + 3.0 * np.multiply.outer(comp, jw))
 
-    if t == 0.0:
-        return z, zp
-    nsteps = max(1, int(round(abs(t) / step)))
-    h = t / nsteps
-    for _ in range(nsteps):
-        k1z, k1p = zp, acc(z)
-        k2z, k2p = zp + 0.5 * h * k1p, acc(z + 0.5 * h * k1z)
-        k3z, k3p = zp + 0.5 * h * k2p, acc(z + 0.5 * h * k2z)
-        k4z, k4p = zp + h * k3p, acc(z + h * k3z)
-        z = z + (h / 6.0) * (k1z + 2 * k2z + 2 * k3z + k4z)
-        zp = zp + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
-    return z, zp
+    return rk4(rhs, (zeta0, zeta_prime0), t, step)
+
+
+def _mode_matrix(f1, f2, g1, g2, b1, b2):
+    """2x2 blocks [[f1 + b1^2 g1, b1 b2 g2], [b1 b2 g1, f2 + b2^2 g2]]."""
+    out = np.empty(np.shape(f1) + (2, 2))
+    out[..., 0, 0] = f1 + b1 * b1 * g1
+    out[..., 0, 1] = b1 * b2 * g2
+    out[..., 1, 0] = b1 * b2 * g1
+    out[..., 1, 1] = f2 + b2 * b2 * g2
+    return out
 
 
 def focal_determinant_matrix(lam1, lam2, b1, b2, c: float, t):
     """2x2 matrix D(t) of the Jacobi modes spanned by the Hopf-projected
     eigenvectors u1, u2; columns are modes, rows the (u1, u2) components."""
-    t = np.asarray(t, dtype=float)
     f1, f2 = f_function(lam1, c, t), f_function(lam2, c, t)
     g1, g2 = g_function(lam1, c, t), g_function(lam2, c, t)
-    out = np.empty(t.shape + (2, 2))
-    out[..., 0, 0] = f1 + b1 * b1 * g1
-    out[..., 0, 1] = b1 * b2 * g2
-    out[..., 1, 0] = b1 * b2 * g1
-    out[..., 1, 1] = f2 + b2 * b2 * g2
-    return out
+    return _mode_matrix(f1, f2, g1, g2, b1, b2)
 
 
 def focal_determinant_matrix_derivative(lam1, lam2, b1, b2, c: float, t):
     """Exact t-derivative of focal_determinant_matrix (no differencing)."""
-    t = np.asarray(t, dtype=float)
     f1, f2 = f_derivative(lam1, c, t), f_derivative(lam2, c, t)
     g1, g2 = g_derivative(lam1, c, t), g_derivative(lam2, c, t)
-    out = np.empty(t.shape + (2, 2))
-    out[..., 0, 0] = f1 + b1 * b1 * g1
-    out[..., 0, 1] = b1 * b2 * g2
-    out[..., 1, 0] = b1 * b2 * g1
-    out[..., 1, 1] = f2 + b2 * b2 * g2
-    return out
+    return _mode_matrix(f1, f2, g1, g2, b1, b2)
 
 
 def focal_collapse_matrix_numeric(lam1, lam2, b1, b2, c: float, r):
@@ -176,7 +133,7 @@ def focal_collapse_matrix_numeric(lam1, lam2, b1, b2, c: float, r):
 def focal_collapse_matrix_closed(b1, b2, c: float):
     """Closed form of C at the focal radius:
     (sqrt(-c)/2) [[-2 b1 b2, b1^2-b2^2], [b1^2-b2^2, 2 b1 b2]]."""
-    s = _rate(c)
+    s = rate(c)
     off = b1 * b1 - b2 * b2
     return s * np.array([[-2.0 * b1 * b2, off], [off, 2.0 * b1 * b2]])
 
@@ -191,7 +148,7 @@ def focal_radius(lambda3: float, c: float) -> float:
     lambda_3 = 0 maps to r = 0; values outside [0, sqrt(-c)/2) raise
     OutOfRangeEigenvalue.
     """
-    s = _rate(c)
+    s = rate(c)
     if not (0.0 <= lambda3 < s):
         raise OutOfRangeEigenvalue(
             f"lambda3={lambda3!r} outside [0, {s!r}) for c={c!r}"
@@ -202,5 +159,5 @@ def focal_radius(lambda3: float, c: float) -> float:
 def special_radius(c: float) -> float:
     """The radius log(2+sqrt(3))/sqrt(-c) where the spectrum degenerates
     to three values (lambda_1 = 0 and lambda_2 = lambda_4)."""
-    s = _rate(c)
+    s = rate(c)
     return math.log(2.0 + math.sqrt(3.0)) / (2.0 * s)

@@ -34,6 +34,42 @@ DEFAULT_SEED = 20260814
 CURVATURE_TOLERANCE = 1e-10
 
 
+def rate(c: float) -> float:
+    """The rate s = sqrt(-c)/2 of CH^n(c), c < 0: the root-space weight
+    of the solvable model and the growth rate of the Jacobi profiles."""
+    if c >= 0:
+        raise ValueError(f"the rate sqrt(-c)/2 needs c < 0, got c={c!r}")
+    return math.sqrt(-c) / 2.0
+
+
+def rk4(rhs, state, t: float, step: float = DEFAULT_ODE_STEP):
+    """Fixed-step classical RK4 for y' = rhs(*y), y a tuple of arrays.
+
+    Takes max(1, round(|t|/step)) equal steps to reach time t (negative t
+    runs backwards) and returns the state at t as a tuple of new arrays.
+    """
+    if step <= 0 or not math.isfinite(step):
+        raise ValueError(f"step must be positive, got {step!r}")
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t!r}")
+    y = [np.array(part, dtype=float) for part in state]
+    if t == 0.0:
+        return tuple(y)
+    nsteps = max(1, int(round(abs(t) / step)))
+    h = t / nsteps
+    half, sixth = 0.5 * h, h / 6.0
+    for _ in range(nsteps):
+        k1 = rhs(*y)
+        k2 = rhs(*[yi + half * ki for yi, ki in zip(y, k1)])
+        k3 = rhs(*[yi + half * ki for yi, ki in zip(y, k2)])
+        k4 = rhs(*[yi + h * ki for yi, ki in zip(y, k3)])
+        y = [
+            yi + sixth * (a + 2 * b + 2 * c + d)
+            for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
+        ]
+    return tuple(y)
+
+
 class MismatchedBasePoints(ValueError):
     """Tangent vectors fed to a pointwise operation sit at different points."""
 
@@ -161,8 +197,8 @@ class SolvableModel:
     """CH^n(c) as a solvable Lie group with left-invariant geometry.
 
     Exposes exact Lie brackets, the Koszul connection table, curvature
-    both structurally and in closed form, the group law, and fixed-step
-    RK4 integrators for geodesics and parallel transport.
+    both structurally and in closed form, the group law, and geodesic
+    and parallel-transport integrators built on the shared ``rk4``.
     """
 
     def __init__(self, params: ModelParams):
@@ -177,7 +213,7 @@ class SolvableModel:
         self.dim = params.dim
         # a is the root-space weight: ad(B) = a*id on the paired block,
         # 2a*id on the center.
-        self.a = math.sqrt(-params.c) / 2.0
+        self.a = rate(params.c)
         self.jmat = standard_complex_structure(self.n)
         self.structure = self._structure_tensor()
         # koszul[i, j, k] = <nabla_{E_i} E_j, E_k> for the orthonormal
@@ -414,30 +450,9 @@ class SolvableModel:
         mdot = -np.einsum("...i,...rj,ijk->...rk", vel, mat, self.koszul)
         return cdot, vdot, mdot
 
-    @staticmethod
-    def _steps(t: float, step: float):
-        if step <= 0 or not math.isfinite(step):
-            raise ValueError(f"step must be positive, got {step!r}")
-        if not math.isfinite(t):
-            raise ValueError(f"time must be finite, got {t!r}")
-        nsteps = max(1, int(round(abs(t) / step)))
-        return nsteps, t / nsteps
-
     def integrate_geodesic(self, coords0, vel0, t: float, step: float = DEFAULT_ODE_STEP):
         """Batched RK4 geodesic flow; returns (coords(t), frame vel(t))."""
-        coords = np.array(coords0, dtype=float)
-        vel = np.array(vel0, dtype=float)
-        if t == 0.0:
-            return coords, vel
-        nsteps, h = self._steps(t, step)
-        for _ in range(nsteps):
-            k1c, k1v = self._geodesic_rhs(coords, vel)
-            k2c, k2v = self._geodesic_rhs(coords + 0.5 * h * k1c, vel + 0.5 * h * k1v)
-            k3c, k3v = self._geodesic_rhs(coords + 0.5 * h * k2c, vel + 0.5 * h * k2v)
-            k4c, k4v = self._geodesic_rhs(coords + h * k3c, vel + h * k3v)
-            coords = coords + (h / 6.0) * (k1c + 2 * k2c + 2 * k3c + k4c)
-            vel = vel + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        return coords, vel
+        return rk4(self._geodesic_rhs, (coords0, vel0), t, step)
 
     def geodesic(self, p: Point, v, t: float, step: float = DEFAULT_ODE_STEP):
         """Geodesic from p with initial frame velocity v, evaluated at t."""
@@ -448,27 +463,7 @@ class SolvableModel:
 
     def integrate_transport(self, coords0, vel0, mat0, t: float, step: float = DEFAULT_ODE_STEP):
         """RK4 transport of row-stacked vectors mat0 along a geodesic."""
-        coords = np.array(coords0, dtype=float)
-        vel = np.array(vel0, dtype=float)
-        mat = np.array(mat0, dtype=float)
-        if t == 0.0:
-            return coords, vel, mat
-        nsteps, h = self._steps(t, step)
-        for _ in range(nsteps):
-            k1 = self._transport_rhs(coords, vel, mat)
-            k2 = self._transport_rhs(
-                coords + 0.5 * h * k1[0], vel + 0.5 * h * k1[1], mat + 0.5 * h * k1[2]
-            )
-            k3 = self._transport_rhs(
-                coords + 0.5 * h * k2[0], vel + 0.5 * h * k2[1], mat + 0.5 * h * k2[2]
-            )
-            k4 = self._transport_rhs(
-                coords + h * k3[0], vel + h * k3[1], mat + h * k3[2]
-            )
-            coords = coords + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            vel = vel + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-            mat = mat + (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        return coords, vel, mat
+        return rk4(self._transport_rhs, (coords0, vel0, mat0), t, step)
 
     def parallel_transport(self, p: Point, v, w, t: float, step: float = DEFAULT_ODE_STEP):
         """Transport w (a vector or row-stack of vectors) along the geodesic

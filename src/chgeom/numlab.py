@@ -30,10 +30,10 @@ import numpy as np
 from .construction import SubmanifoldSpec
 from .model import ModelParams, Point, SolvableModel, ambient_curvature
 from .spectral import (
-    PROJECTION_TOLERANCE,
     HypersurfaceGerm,
     hopf_frame_extract,
     principal_decomposition,
+    totally_real_check,
 )
 
 DEFAULT_FD_STEP = 1e-3
@@ -408,9 +408,7 @@ class GermField:
         off = self._key(off)
         if off not in self._frames:
             germ = self.germ(off)
-            decomp = principal_decomposition(
-                germ, tol=self.grouping_tol, projection_tol=PROJECTION_TOLERANCE
-            )
+            decomp = principal_decomposition(germ, tol=self.grouping_tol)
             frame = hopf_frame_extract(germ, decomp)
             fields = {
                 "xi": germ.normal,
@@ -430,12 +428,7 @@ class GermField:
         smallest non-projected), lam4 when present."""
         fl = self.hopf_fields(())
         decomp = fl["decomp"]
-        hopf_idx = [
-            i
-            for i in range(decomp.g)
-            if decomp.jxi_components[i] > PROJECTION_TOLERANCE
-        ]
-        rest = [i for i in range(decomp.g) if i not in hopf_idx]
+        hopf_idx, rest = decomp.hopf_indices, decomp.non_hopf_indices
         out = {
             "lam1": float(decomp.eigenvalues[hopf_idx[0]]),
             "lam2": float(decomp.eigenvalues[hopf_idx[1]]),
@@ -634,15 +627,7 @@ def real_eigenspace_residual(field: GermField) -> float:
     """Projected eigenspaces must be totally real: max |<J v, w>| over
     pairs inside each eigenspace carrying structure-vector projection."""
     fl = field.hopf_fields(())
-    decomp, germ = fl["decomp"], fl["germ"]
-    worst = 0.0
-    for i in range(decomp.g):
-        if decomp.jxi_components[i] <= PROJECTION_TOLERANCE:
-            continue
-        amb = decomp.spaces[i] @ germ.tangent_basis
-        cross = amb @ germ.jmat.T @ amb.T
-        worst = max(worst, float(np.max(np.abs(cross))))
-    return worst
+    return max(totally_real_check(fl["germ"], fl["decomp"]).values(), default=0.0)
 
 
 def graded_connection_residuals(field: GermField) -> float:

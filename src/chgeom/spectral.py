@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jacobi
-from .model import ModelParams, SolvableModel, standard_complex_structure
+from .model import ModelParams, SolvableModel, rate, standard_complex_structure
 from .construction import build_submanifold
 
 GROUPING_TOLERANCE = 1e-7
@@ -112,15 +112,12 @@ def eigen_structure_from_lambda3(
             f"-c - 3*lambda3^2 = {-c - 3 * lambda3 ** 2} <= {-c} < 0: "
             "the catalog quadratic has no real roots for c > 0"
         )
-    s = math.sqrt(-c) / 2.0
+    s = rate(c)
     if not (0.0 <= lambda3 < s):
         raise jacobi.OutOfRangeEigenvalue(
             f"lambda3={lambda3!r} outside the catalog range [0, {s!r})"
         )
-    disc = -c - 3.0 * lambda3 * lambda3
-    root = math.sqrt(disc)
-    lam1 = 0.5 * (3.0 * lambda3 - root)
-    lam2 = 0.5 * (3.0 * lambda3 + root)
+    root, lam1, lam2 = _catalog_roots(lambda3, c)
     b1sq = -((-lambda3 + root) ** 3) / (2.0 * c * root)
     b2sq = -((lambda3 + root) ** 3) / (2.0 * c * root)
 
@@ -157,6 +154,12 @@ def eigen_structure_from_lambda3(
     )
     _validate_structure(es)
     return es
+
+
+def _catalog_roots(lambda3: float, c: float):
+    """(sqrt(-c - 3 lambda3^2), lambda1, lambda2) of the catalog quadratic."""
+    root = math.sqrt(-c - 3.0 * lambda3 * lambda3)
+    return root, 0.5 * (3.0 * lambda3 - root), 0.5 * (3.0 * lambda3 + root)
 
 
 def _validate_structure(es: EigenStructure):
@@ -292,7 +295,6 @@ class PrincipalDecomposition:
     multiplicities: tuple
     spaces: list
     jxi_components: np.ndarray
-    h: int
     tol_used: float
     gap_warning: bool
 
@@ -300,11 +302,28 @@ class PrincipalDecomposition:
     def g(self) -> int:
         return len(self.eigenvalues)
 
+    @property
+    def hopf_indices(self) -> list:
+        """Ascending indices of the spaces the structure vector projects
+        onto (projection norm above PROJECTION_TOLERANCE)."""
+        return [
+            i for i, b in enumerate(self.jxi_components) if b > PROJECTION_TOLERANCE
+        ]
+
+    @property
+    def non_hopf_indices(self) -> list:
+        """Ascending indices of the spaces orthogonal to the structure vector."""
+        hopf = self.hopf_indices
+        return [i for i in range(self.g) if i not in hopf]
+
+    @property
+    def h(self) -> int:
+        return len(self.hopf_indices)
+
 
 def principal_decomposition(
     germ: HypersurfaceGerm,
     tol: float = GROUPING_TOLERANCE,
-    projection_tol: float = PROJECTION_TOLERANCE,
 ) -> PrincipalDecomposition:
     """Eigen-decompose the shape operator and group nearby eigenvalues.
 
@@ -342,14 +361,11 @@ def principal_decomposition(
         block = evecs[:, lo:hi].T  # rows = coefficient vectors
         spaces.append(block)
         projections.append(float(np.linalg.norm(block @ jxi_coeff)))
-    projections = np.asarray(projections)
-    h = int(np.sum(projections > projection_tol))
     return PrincipalDecomposition(
         eigenvalues=np.asarray(values),
         multiplicities=tuple(mults),
         spaces=spaces,
-        jxi_components=projections,
-        h=h,
+        jxi_components=np.asarray(projections),
         tol_used=tol_eff,
         gap_warning=warn,
     )
@@ -377,8 +393,7 @@ def hopf_frame_extract(
         decomp = principal_decomposition(germ)
     if decomp.h != 2:
         raise ValueError(f"Hopf frame needs h = 2, got h = {decomp.h}")
-    idx = np.where(decomp.jxi_components > PROJECTION_TOLERANCE)[0]
-    i1, i2 = int(idx[0]), int(idx[1])  # ascending eigenvalues: lambda1 < lambda2
+    i1, i2 = decomp.hopf_indices  # ascending eigenvalues: lambda1 < lambda2
     jxi = germ.structure_vector()
     jxi_coeff = germ.tangent_basis @ jxi
 
@@ -433,11 +448,7 @@ def frame_identity_residuals(
     }
     # distance from A to each non-Hopf eigenspace; the catalog puts A in
     # the lambda_3 space (the smallest non-Hopf eigenvalue)
-    non_hopf = [
-        i
-        for i in range(decomp.g)
-        if decomp.jxi_components[i] <= PROJECTION_TOLERANCE
-    ]
+    non_hopf = decomp.non_hopf_indices
     if non_hopf:
         i3 = non_hopf[0]
         block = decomp.spaces[i3]
@@ -456,9 +467,7 @@ def totally_real_check(
     if decomp is None:
         decomp = principal_decomposition(germ)
     out = {}
-    for i in range(decomp.g):
-        if decomp.jxi_components[i] <= PROJECTION_TOLERANCE:
-            continue
+    for i in decomp.hopf_indices:
         amb = decomp.spaces[i] @ germ.tangent_basis  # rows ambient
         cross = amb @ germ.jmat.T @ amb.T
         out[float(decomp.eigenvalues[i])] = float(np.max(np.abs(cross)))
@@ -526,18 +535,14 @@ def classify(
     The result never depends on the input co-orientation.
     """
     n, c = germ.params.n, germ.params.c
-    s = math.sqrt(-c) / 2.0
+    s = rate(c)
 
     decomp = principal_decomposition(germ, tol=grouping_tol)
     if decomp.h != 2:
         reason = "hopf" if decomp.h <= 1 else f"h={decomp.h}"
         return _unclassified(decomp.g, decomp.h, {}, reason)
 
-    non_hopf_vals = [
-        decomp.eigenvalues[i]
-        for i in range(decomp.g)
-        if decomp.jxi_components[i] <= PROJECTION_TOLERANCE
-    ]
+    non_hopf_vals = [decomp.eigenvalues[i] for i in decomp.non_hopf_indices]
     if non_hopf_vals and min(non_hopf_vals) < -10.0 * decomp.tol_used:
         germ = germ.flipped()
         decomp = principal_decomposition(germ, tol=grouping_tol)
@@ -548,11 +553,8 @@ def classify(
     if g not in (3, 4):
         return _unclassified(g, h, {}, f"g={g}")
 
-    hopf_idx = [
-        i for i in range(g) if decomp.jxi_components[i] > PROJECTION_TOLERANCE
-    ]
-    rest_idx = [i for i in range(g) if i not in hopf_idx]
-    i1, i2 = hopf_idx
+    i1, i2 = decomp.hopf_indices
+    rest_idx = decomp.non_hopf_indices
     mult2 = decomp.multiplicities[i2]
     if decomp.multiplicities[i1] != 1:
         return _unclassified(g, h, {}, "multiplicities")
@@ -662,7 +664,7 @@ def catalog_germ(
     if (r is None) == (lambda3 is None):
         raise ValueError("give exactly one of r, lambda3")
     c = params.c
-    s = math.sqrt(-c) / 2.0
+    s = rate(c)
     if lambda3 is None:
         lambda3 = s * math.tanh(s * r)
     hint = "G3_K1" if k == 1 else None
@@ -826,6 +828,10 @@ def nonexistence_scan(
     for m in np.unique(idx[:, 2]) if idx.size else []:
         lam3_val = float(l3[m])
         if not (0.0 <= lam3_val < s):
+            continue
+        # next to sqrt(-c)/2 rounding can leave lambda1 == lambda3
+        _, lam1_val, lam2_val = _catalog_roots(lam3_val, c)
+        if not (lam1_val < lam3_val < lam2_val):
             continue
         es = eigen_structure_from_lambda3(lam3_val, c)
         res = constraint_residuals(es)

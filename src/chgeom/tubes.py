@@ -23,10 +23,9 @@ import numpy as np
 
 from . import jacobi
 from .construction import SubmanifoldSpec, orbit_second_fundamental_form
-from .model import Point, SolvableModel
+from .model import DEFAULT_ODE_STEP, Point, SolvableModel, rate
 from .spectral import EigenStructure, HypersurfaceGerm, eigen_structure_from_lambda3
 
-DEFAULT_ODE_STEP = 1e-4
 FOCAL_ZERO_TOLERANCE = 1e-9
 MAX_RADIUS = 10.0
 
@@ -130,11 +129,10 @@ def tube_shape_operator(
     asym = float(np.max(np.abs(s_par - s_par.T)))
     shape = 0.5 * (s_par + s_par.T)
 
-    vel = vel_r.vec if hasattr(vel_r, "vec") else vel_r
-    drift = float(np.linalg.norm(transport @ eta - vel))
+    drift = float(np.linalg.norm(transport @ eta - vel_r))
     germ = HypersurfaceGerm(
         params=spec.params,
-        normal=-vel,
+        normal=-vel_r,
         tangent_basis=moved_m0,
         shape=shape,
         jmat=model.jmat,
@@ -157,7 +155,7 @@ def tube_spectrum_closed(r: float, c: float, n: int, k: int) -> np.ndarray:
     """Catalog spectrum of the radius-r tube (ascending, with multiplicity):
     lambda_1, lambda_2 once, lambda_3 = (sqrt(-c)/2) tanh(r sqrt(-c)/2)
     with multiplicity 2n-2-k, lambda_4 = -c/(4 lambda_3) with k-1."""
-    s = math.sqrt(-c) / 2.0
+    s = rate(c)
     lam3 = s * math.tanh(s * r)
     hint = "G3_K1" if k == 1 else None
     es = eigen_structure_from_lambda3(lam3, c, branch_hint=hint, n=n, k=k)

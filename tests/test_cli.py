@@ -144,3 +144,24 @@ def test_no_command_exits_2():
 
 def test_unknown_command_exits_2():
     assert main(["frobnicate"]) == 2
+
+
+def test_sweep_rejects_zero_jobs(capsys):
+    code = main([
+        "sweep", "--n", "2", "--c", "-4", "--k", "1",
+        "--r-min", "0.5", "--r-max", "0.5", "--count", "1", "--jobs", "0",
+    ])
+    assert code == 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_nonexistence_lambda3_sample_at_catalog_edge(tmp_path):
+    # with 160 lambda3 samples, sample 106 is sqrt(-c)/2 in exact
+    # arithmetic and rounds to a value where lambda1 == lambda3
+    out_path = tmp_path / "curve.json"
+    code = main([
+        "nonexistence", "--c", "-3.4746401821558717",
+        "--grid", "160", "160", "160", "--output", str(out_path),
+    ])
+    assert code == 0
+    assert len(json.loads(out_path.read_text())["curve_points"]) > 0
