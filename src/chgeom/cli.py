@@ -78,7 +78,7 @@ def _cmd_construct(args) -> int:
     return 0 if ok else 1
 
 
-def _sweep_row(r, params, spec, ode_step) -> str:
+def _sweep_row(r, params, spec) -> str:
     s = rate(params.c)
     lam3 = s * math.tanh(s * r)
     es = eigen_structure_from_lambda3(
@@ -97,10 +97,7 @@ def _sweep_row(r, params, spec, ode_step) -> str:
     )
     det_d = float(np.linalg.det(dmat))
     det_expected = float(jacobi.sech(s * r) ** 3)
-    result = tubes.tube_shape_operator(
-        spec, spec.normal_basis[0], r, step=ode_step
-    )
-    outcome = classify(result.germ)
+    outcome = classify(tubes.tube_germ(spec, spec.normal_basis[0], r))
     status = outcome.branch if outcome.branch else (outcome.reason or "unknown")
     cells = [
         _fmt(r),
@@ -136,8 +133,14 @@ def _cmd_sweep(args) -> int:
     if args.jobs is not None and args.jobs < 1:
         print("error: --jobs must be >= 1", file=sys.stderr)
         return 2
+    if not (args.ode_step > 0 and math.isfinite(args.ode_step)):
+        print(
+            f"error: --ode-step must be positive, got {args.ode_step!r}",
+            file=sys.stderr,
+        )
+        return 2
     radii = np.linspace(args.r_min, args.r_max, args.count)
-    rows = [_sweep_row(float(r), params, spec, args.ode_step) for r in radii]
+    rows = [_sweep_row(float(r), params, spec) for r in radii]
     text = "\n".join([SWEEP_COLUMNS] + rows) + "\n"
     if args.output:
         with open(args.output, "w") as fh:
@@ -201,6 +204,9 @@ def _cmd_nonexistence(args) -> int:
         print(f"certificate              {report.certificate}")
     if args.c < 0:
         print(f"curve samples            {len(report.curve_points)}")
+        if report.max_refined_residual is None:
+            print("max refined residual     none")
+            return 1
         print(f"max refined residual     {report.max_refined_residual:.3e}")
         if args.output:
             with open(args.output, "w") as fh:
@@ -250,7 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-min", type=float, required=True)
     p.add_argument("--r-max", type=float, required=True)
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--ode-step", type=float, default=1e-3)
+    p.add_argument(
+        "--ode-step", type=float, default=1e-3,
+        help="accepted for compatibility; rows use the closed-form tube germ",
+    )
     p.add_argument(
         "--jobs", type=int, default=None,
         help="accepted for compatibility; rows are computed in order",

@@ -14,8 +14,10 @@ zeta'(0)=-lam v) the solution is
     zeta(t) = f(lam,c,t) B_v(t) + <v, J xi> g(lam,c,t) J gamma'(t),
 
 with B_v parallel transport of v, and f, g the scalar profiles below.
-The closed forms are plain numpy on scalar/array inputs; the ODE oracle
-integrates the same equation with the shared ``model.rk4`` stepper.
+The closed forms are plain numpy on scalar/array inputs.  For arbitrary
+initial data, ``jacobi_closed_propagator`` solves the equation exactly
+and ``jacobi_ode_oracle`` integrates it with the shared ``model.rk4``
+stepper.
 """
 
 from __future__ import annotations
@@ -96,6 +98,46 @@ def jacobi_ode_oracle(
         return zp, -(c / 4.0) * (z + 3.0 * np.multiply.outer(comp, jw))
 
     return rk4(rhs, (zeta0, zeta_prime0), t, step)
+
+
+def jacobi_closed_propagator(
+    zeta0,
+    zeta_prime0,
+    velocity,
+    c: float,
+    jmat: np.ndarray,
+    t: float,
+):
+    """Exact solution of the equation ``jacobi_ode_oracle`` integrates.
+
+    Off Jw the components grow at rate s = sqrt(-c)/2 and the Jw
+    component at rate 2s, each by
+
+        zeta(t) = cosh(rt) zeta(0) + (sinh(rt)/r) zeta'(0),
+        zeta'(t) = r sinh(rt) zeta(0) + cosh(rt) zeta'(0).
+
+    Same arguments and return value as the oracle, without the step;
+    ``velocity`` must be a unit vector.
+    """
+    w = np.asarray(velocity, dtype=float)
+    if abs(np.linalg.norm(w) - 1.0) > 1e-10:
+        raise ValueError("velocity must be a unit vector")
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t!r}")
+    jw = jmat @ w
+    s = rate(c)
+    z0 = np.asarray(zeta0, dtype=float)
+    zp0 = np.asarray(zeta_prime0, dtype=float)
+    a0, ap0 = z0 @ jw, zp0 @ jw  # Jw components
+    perp0 = z0 - np.multiply.outer(a0, jw)
+    perp_p0 = zp0 - np.multiply.outer(ap0, jw)
+    ch1, sh1 = math.cosh(s * t), math.sinh(s * t)
+    ch2, sh2 = math.cosh(2.0 * s * t), math.sinh(2.0 * s * t)
+    a = ch2 * a0 + (sh2 / (2.0 * s)) * ap0
+    ap = (2.0 * s * sh2) * a0 + ch2 * ap0
+    zeta = ch1 * perp0 + (sh1 / s) * perp_p0 + np.multiply.outer(a, jw)
+    zeta_prime = (s * sh1) * perp0 + ch1 * perp_p0 + np.multiply.outer(ap, jw)
+    return zeta, zeta_prime
 
 
 def _mode_matrix(f1, f2, g1, g2, b1, b2):

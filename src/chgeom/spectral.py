@@ -759,8 +759,15 @@ def nonexistence_scan(
     certificate -c - 3 lambda_3^2 <= -c < 0 (no real catalog roots) is
     reported alongside.  For c < 0, feasible cells are refined onto the
     exact catalog curve and the refined residuals (quadratic,
-    b-formulas, normalization) are reported.
+    b-formulas, normalization) are reported.  c must be finite and
+    nonzero, and every grid axis needs at least 2 samples.
     """
+    if c == 0 or not math.isfinite(c):
+        raise ValueError(f"the scan needs a finite nonzero c, got c={c!r}")
+    if min(grid_shape) < 2:
+        raise ValueError(
+            f"every grid axis needs >= 2 samples, got {tuple(grid_shape)}"
+        )
     scale = math.sqrt(abs(c))
     if lambda_bound is None:
         lambda_bound = 1.5 * scale
@@ -768,11 +775,7 @@ def nonexistence_scan(
     l1 = np.linspace(-lambda_bound, lambda_bound, n1)
     l2 = np.linspace(-lambda_bound, lambda_bound, n2)
     l3 = np.linspace(0.0, 0.75 * scale, n3)
-    spacing = max(
-        l1[1] - l1[0] if n1 > 1 else 0.0,
-        l2[1] - l2[0] if n2 > 1 else 0.0,
-        l3[1] - l3[0] if n3 > 1 else 0.0,
-    )
+    spacing = max(l1[1] - l1[0], l2[1] - l2[0], l3[1] - l3[0])
     if quad_tol is None:
         # one cell of slack: |grad quadratic| <= 12(L + L3) on the box
         quad_tol = 12.0 * (lambda_bound + 0.75 * scale) * spacing
@@ -824,7 +827,7 @@ def nonexistence_scan(
     idx = np.argwhere(feasible)
     refined = []
     max_res = 0.0
-    s = scale / 2.0
+    s = rate(c)
     for m in np.unique(idx[:, 2]) if idx.size else []:
         lam3_val = float(l3[m])
         if not (0.0 <= lam3_val < s):

@@ -12,6 +12,13 @@ matrix Jacobi data: modes start at (v, -S^W_eta v) for tangent v and at
 with respect to the inward normal -gamma'(r) (pointing back toward W),
 expressed in a parallel orthonormal frame.  The catalog eigenvalues
 emerge with multiplicities (1, 1, 2n-2-k, k-1).
+
+Two routes compute it.  ``tube_germ`` is the production route: the
+Jacobi equation has constant coefficients in a parallel frame, so the
+modes come from the closed-form ``jacobi.jacobi_closed_propagator`` and
+the germ is stated at the base point, with no ODE.  ``tube_shape_operator``
+is its oracle: it integrates the modes and the parallel transport by
+RK4 and returns the germ at the endpoint with the propagation data.
 """
 
 from __future__ import annotations
@@ -69,19 +76,13 @@ class TubeResult:
     velocity_drift: float  # |transported eta - gamma'(r)|
 
 
-def tube_shape_operator(
-    spec: SubmanifoldSpec,
-    eta: np.ndarray,
-    r: float,
-    step: float = DEFAULT_ODE_STEP,
-) -> TubeResult:
-    """Germ of the tube of radius r around the orbit, at exp_o(r eta).
+def _tube_modes(spec: SubmanifoldSpec, eta: np.ndarray, r: float):
+    """Checked arguments and the initial Jacobi data of a tube germ.
 
-    Uses the Jacobi-mode ODE (oracle form) for the shape operator and
-    parallel transport for the frame; the germ's normal is the inward
-    one, so the catalog eigenvalues come out positive.  r = 0 is allowed
-    only for k = 1 (the hypersurface itself); r must stay below
-    MAX_RADIUS to keep the exponential growth in double range.
+    Returns (model, eta, m0, zeta0, zeta_prime0): m0 is an orthonormal
+    basis of eta-perp (orbit tangent rows, then the normal complement of
+    eta); the modes start at (v, -S^W_eta v) for its tangent rows and at
+    (0, w) for its normal rows.
     """
     model = SolvableModel(spec.params)
     d = spec.params.dim
@@ -96,8 +97,6 @@ def tube_shape_operator(
     if r == 0.0 and spec.k != 1:
         raise ValueError("r = 0 is a focal singularity unless k = 1")
 
-    # orthonormal basis of eta-perp: orbit tangent rows, then the normal
-    # complement of eta
     if spec.k > 1:
         _, sv, vt = np.linalg.svd(coeffs[None, :])
         comp = vt[1:] @ spec.normal_basis
@@ -106,10 +105,62 @@ def tube_shape_operator(
     m0 = np.vstack([spec.tangent_basis, comp])  # (2n-1, d)
 
     s_w = submanifold_shape_operator(spec, eta)
-    n_tan = spec.tangent_basis.shape[0]
     zeta0 = np.vstack([spec.tangent_basis, np.zeros_like(comp)])
     zprime0 = np.vstack([-(s_w @ spec.tangent_basis.T).T, comp])
+    return model, eta, m0, zeta0, zprime0
 
+
+def _mode_shape(m0, zeta_r, zprime_r):
+    """Mode matrices in the frame m0, the symmetry defect of
+    zeta' zeta^{-1} and its symmetric part (the shape operator)."""
+    cm = m0 @ zeta_r.T  # (basis, modes) in the parallel frame
+    cpm = m0 @ zprime_r.T
+    s_par = cpm @ np.linalg.inv(cm)
+    asym = float(np.max(np.abs(s_par - s_par.T)))
+    return cm, cpm, asym, 0.5 * (s_par + s_par.T)
+
+
+def tube_germ(spec: SubmanifoldSpec, eta: np.ndarray, r: float) -> HypersurfaceGerm:
+    """Germ of the tube of radius r around the orbit, from the closed-form
+    Jacobi propagator.
+
+    Parallel transport along the normal geodesic is orthogonal and
+    commutes with J, so the germ is given at the base point (normal -eta,
+    tangent basis m0) instead of at exp_o(r eta): the two are congruent
+    and have the same classification.  Same arguments and checks as
+    ``tube_shape_operator``, whose germ this matches up to that congruence.
+    """
+    model, eta, m0, zeta0, zprime0 = _tube_modes(spec, eta, r)
+    zeta_r, zprime_r = jacobi.jacobi_closed_propagator(
+        zeta0, zprime0, eta, spec.params.c, model.jmat, r
+    )
+    shape = _mode_shape(m0, zeta_r, zprime_r)[3]
+    return HypersurfaceGerm(
+        params=spec.params,
+        normal=-eta,
+        tangent_basis=m0,
+        shape=shape,
+        jmat=model.jmat,
+    ).validate(tol=1e-6)
+
+
+def tube_shape_operator(
+    spec: SubmanifoldSpec,
+    eta: np.ndarray,
+    r: float,
+    step: float = DEFAULT_ODE_STEP,
+) -> TubeResult:
+    """Germ of the tube of radius r around the orbit, at exp_o(r eta),
+    integrated by RK4 (the oracle of ``tube_germ``).
+
+    Uses the Jacobi-mode ODE (oracle form) for the shape operator and
+    parallel transport for the frame; the germ's normal is the inward
+    one, so the catalog eigenvalues come out positive.  r = 0 is allowed
+    only for k = 1 (the hypersurface itself); r must stay below
+    MAX_RADIUS to keep the exponential growth in double range.
+    """
+    model, eta, m0, zeta0, zprime0 = _tube_modes(spec, eta, r)
+    d = spec.params.dim
     zeta_r, zprime_r = jacobi.jacobi_ode_oracle(
         zeta0, zprime0, eta, spec.params.c, model.jmat, r, step
     )
@@ -123,11 +174,7 @@ def tube_shape_operator(
     transport = moved[m0.shape[0] :].T  # columns = transported basis vectors
     endpoint = Point(coords_r)
 
-    cm = m0 @ zeta_r.T  # (basis, modes) in the parallel frame
-    cpm = m0 @ zprime_r.T
-    s_par = cpm @ np.linalg.inv(cm)
-    asym = float(np.max(np.abs(s_par - s_par.T)))
-    shape = 0.5 * (s_par + s_par.T)
+    cm, cpm, asym, shape = _mode_shape(m0, zeta_r, zprime_r)
 
     drift = float(np.linalg.norm(transport @ eta - vel_r))
     germ = HypersurfaceGerm(

@@ -1,16 +1,22 @@
 """The benchmark instruments chgeom from outside the package, by looking
 up attributes in module and class dictionaries and reading call
 arguments by name.  A renamed function or parameter would crash the
-benchmark; this test runs a traced one-radius sweep to catch that."""
+benchmark; these tests run traced calls to catch that."""
 
+import math
 from pathlib import Path
 
-from chgeom import cli, spectral
+import pytest
+
+from chgeom import ModelParams, cli, spectral, tubes
+from chgeom.construction import build_submanifold
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_instrumentation_traces_a_sweep(tmp_path, monkeypatch):
+@pytest.fixture
+def traced(monkeypatch):
+    """A span recorder with the benchmark's wrappers installed."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import spans
 
@@ -18,17 +24,33 @@ def test_instrumentation_traces_a_sweep(tmp_path, monkeypatch):
     instr = spans.Instrumentation(recorder)
     instr.install()
     try:
-        code = cli.main([
-            "sweep", "--n", "2", "--c", "-4", "--k", "1",
-            "--r-min", "0.5", "--r-max", "0.5", "--count", "1",
-            "--output", str(tmp_path / "sweep.csv"),
-        ])
+        yield recorder
     finally:
         instr.uninstall()
+    assert cli.classify is spectral.classify  # originals restored
+
+
+def test_instrumentation_traces_a_sweep(tmp_path, traced):
+    code = cli.main([
+        "sweep", "--n", "2", "--c", "-4", "--k", "1",
+        "--r-min", "0.5", "--r-max", "0.5", "--count", "1",
+        "--output", str(tmp_path / "sweep.csv"),
+    ])
     assert code == 0
-    totals = recorder.totals()
+    totals = traced.totals()
+    assert totals["spectral.classify"]["calls"] == 1
+    # sweep rows use the closed-form tube germ: no RK4 integration
+    assert "model.integrate_transport" not in totals
+    assert "jacobi.jacobi_ode_oracle" not in totals
+    assert "tubes.tube_shape_operator" not in totals
+
+
+def test_instrumentation_traces_the_tube_oracle(traced):
+    spec = build_submanifold(ModelParams(n=2, c=-4.0), 1, math.pi / 2)
+    tubes.tube_shape_operator(spec, spec.normal_basis[0], 0.5, step=1e-3)
+    totals = traced.totals()
     transport = totals["model.integrate_transport"]
     oracle = totals["jacobi.jacobi_ode_oracle"]
     assert transport["calls"] == 1 and transport["steps"] == 500
     assert oracle["calls"] == 1 and oracle["steps"] == 500
-    assert cli.classify is spectral.classify  # originals restored
+    assert totals["tubes.tube_shape_operator"]["calls"] == 1

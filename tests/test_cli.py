@@ -165,3 +165,40 @@ def test_nonexistence_lambda3_sample_at_catalog_edge(tmp_path):
     ])
     assert code == 0
     assert len(json.loads(out_path.read_text())["curve_points"]) > 0
+
+
+def test_sweep_rejects_bad_ode_step(capsys):
+    for step in ("0", "-1e-3", "nan", "inf"):
+        code = main([
+            "sweep", "--n", "2", "--c", "-4", "--k", "1",
+            "--r-min", "0.5", "--r-max", "0.5", "--count", "1",
+            "--ode-step", step,
+        ])
+        assert code == 2
+        assert "--ode-step" in capsys.readouterr().err
+
+
+def test_nonexistence_rejects_small_grid(capsys):
+    for grid in (["1", "1", "1"], ["0", "5", "5"], ["5", "5", "1"]):
+        assert main(["nonexistence", "--c", "-4", "--grid", *grid]) == 2
+        err = capsys.readouterr().err
+        assert "error" in err and "Traceback" not in err
+
+
+def test_nonexistence_without_refined_samples_fails(tmp_path, capsys):
+    out_path = tmp_path / "curve.json"
+    code = main([
+        "nonexistence", "--c", "-4", "--grid", "2", "2", "2",
+        "--output", str(out_path),
+    ])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "curve samples            0" in out
+    assert "max refined residual     none" in out
+    assert not out_path.exists()
+
+
+def test_nonexistence_rejects_degenerate_curvature(capsys):
+    for c in ("0", "nan", "inf", "-inf"):
+        assert main(["nonexistence", f"--c={c}", "--grid", "5", "5", "5"]) == 2
+        assert "error" in capsys.readouterr().err

@@ -1,0 +1,123 @@
+"""Dual-route tests of the closed-form tube germ: the exact Jacobi
+propagator against the RK4 oracle, the germ's spectrum against the
+catalog, and its classification against the integrated germ's."""
+
+import math
+
+import numpy as np
+import pytest
+
+from chgeom import (
+    ModelParams,
+    build_submanifold,
+    classify,
+    jacobi_closed,
+    jacobi_ode_oracle,
+    special_radius,
+    standard_complex_structure,
+    tube_shape_operator,
+    tube_spectrum_closed,
+)
+from chgeom.jacobi import jacobi_closed_propagator
+from chgeom.tubes import tube_germ
+
+CLOSED_VS_ODE_TOLERANCE = 1e-8
+SPECTRUM_RELATIVE_TOLERANCE = 1e-12
+
+
+def _random_modes(n, seed):
+    rng = np.random.default_rng(seed)
+    d = 2 * n
+    w = rng.normal(size=d)
+    w /= np.linalg.norm(w)
+    return w, rng.normal(size=(2, d - 1, d)), rng.normal(size=(2, d - 1, d))
+
+
+@pytest.mark.parametrize("n, c", [(2, -1.0), (3, -4.0), (4, -9.0)])
+def test_propagator_matches_ode_oracle(n, c):
+    jmat = standard_complex_structure(n)
+    w, zeta0, zp0 = _random_modes(n, seed=n)
+    # one oracle run at step 1e-4, continued from radius to radius
+    t, zeta, zp = 0.0, zeta0, zp0
+    for r in (0.05, special_radius(c), 1.5, 5.0):
+        zeta, zp = jacobi_ode_oracle(zeta, zp, w, c, jmat, r - t, step=1e-4)
+        t = r
+        want, want_p = jacobi_closed_propagator(zeta0, zp0, w, c, jmat, r)
+        assert want.shape == zeta0.shape and want_p.shape == zp0.shape
+        for got, ref in ((zeta, want), (zp, want_p)):
+            err = np.max(np.abs(got - ref))
+            assert err < CLOSED_VS_ODE_TOLERANCE * np.max(np.abs(ref)), (r, err)
+
+
+def test_propagator_reproduces_catalog_profiles():
+    """On eigen-mode data (v, -lam v) the propagator gives
+    f(t) v + <v, Jw> g(t) Jw, the closed profiles of the catalog."""
+    n, c = 3, -4.0
+    jmat = standard_complex_structure(n)
+    w, modes, _ = _random_modes(n, seed=7)
+    v = modes[0, 0] / np.linalg.norm(modes[0, 0])
+    jw = jmat @ w
+    for lam in (-0.3, 0.2, 0.9):
+        for t in (-0.4, 0.35, 1.4):
+            zeta, _ = jacobi_closed_propagator(v, -lam * v, w, c, jmat, t)
+            f, ag = jacobi_closed(lam, float(v @ jw), c, t)
+            assert np.max(np.abs(zeta - (f * v + ag * jw))) < 1e-13
+
+
+def test_propagator_rejects_bad_input():
+    jmat = standard_complex_structure(2)
+    w, zeta0, zp0 = _random_modes(2, seed=1)
+    with pytest.raises(ValueError):
+        jacobi_closed_propagator(zeta0, zp0, 2.0 * w, -4.0, jmat, 0.5)
+    for t in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            jacobi_closed_propagator(zeta0, zp0, w, -4.0, jmat, t)
+    with pytest.raises(ValueError):
+        jacobi_closed_propagator(zeta0, zp0, w, 0.0, jmat, 0.5)
+
+
+@pytest.mark.parametrize("c", [-1.0, -4.0, -9.0])
+def test_tube_germ_spectrum_matches_catalog(c):
+    rstar = special_radius(c)
+    radii = (1e-3, 0.05, 0.3, rstar - 1e-3, rstar, rstar + 1e-3, 1.5, 3.0, 8.0)
+    for n in range(2, 6):
+        for k in range(1, n):
+            spec = build_submanifold(ModelParams(n=n, c=c), k, math.pi / 2)
+            for r in radii:
+                germ = tube_germ(spec, spec.normal_basis[0], r)
+                got = np.sort(np.linalg.eigvalsh(germ.shape))
+                want = tube_spectrum_closed(r, c, n, k)
+                rel = np.max(np.abs(got - want)) / np.max(np.abs(want))
+                assert rel <= SPECTRUM_RELATIVE_TOLERANCE, (n, k, r, rel)
+
+
+def test_tube_germ_classifies_like_integrated_germ():
+    # the radii of the criterion-10 sweep
+    spec = build_submanifold(ModelParams(n=3, c=-4.0), 2, math.pi / 2)
+    eta = spec.normal_basis[0]
+    for r in np.linspace(0.2, 1.4, 7):
+        closed = classify(tube_germ(spec, eta, float(r)))
+        ode = classify(tube_shape_operator(spec, eta, float(r), step=1e-3).germ)
+        fields = ("model", "k", "branch", "g", "h")
+        assert [getattr(closed, f) for f in fields] == [
+            getattr(ode, f) for f in fields
+        ]
+        assert closed.model == "tube"
+
+
+def test_tube_germ_argument_checks():
+    spec = build_submanifold(ModelParams(n=3, c=-4.0), 2, math.pi / 2)
+    eta = spec.normal_basis[0]
+    for bad in (
+        lambda: tube_germ(spec, 2.0 * eta, 0.5),
+        lambda: tube_germ(spec, spec.tangent_basis[0], 0.5),
+        lambda: tube_germ(spec, eta, 0.0),  # focal for k = 2
+        lambda: tube_germ(spec, eta, 10.5),
+    ):
+        with pytest.raises(ValueError):
+            bad()
+    # r = 0 is allowed for k = 1: the orbit itself
+    spec1 = build_submanifold(ModelParams(n=3, c=-4.0), 1, math.pi / 2)
+    germ = tube_germ(spec1, spec1.normal_basis[0], 0.0)
+    evals = np.sort(np.linalg.eigvalsh(germ.shape))
+    assert np.allclose(evals, [-1.0, 0.0, 0.0, 0.0, 1.0], atol=1e-12)
