@@ -78,6 +78,15 @@ def _cmd_construct(args) -> int:
     return 0 if ok else 1
 
 
+def _reject_ode_step(step: float) -> bool:
+    """Report an --ode-step that is not positive and finite.  The option
+    is accepted for compatibility: no subcommand integrates with it."""
+    if step > 0 and math.isfinite(step):
+        return False
+    print(f"error: --ode-step must be positive, got {step!r}", file=sys.stderr)
+    return True
+
+
 def _sweep_row(r, params, spec) -> str:
     s = rate(params.c)
     lam3 = s * math.tanh(s * r)
@@ -133,11 +142,7 @@ def _cmd_sweep(args) -> int:
     if args.jobs is not None and args.jobs < 1:
         print("error: --jobs must be >= 1", file=sys.stderr)
         return 2
-    if not (args.ode_step > 0 and math.isfinite(args.ode_step)):
-        print(
-            f"error: --ode-step must be positive, got {args.ode_step!r}",
-            file=sys.stderr,
-        )
+    if _reject_ode_step(args.ode_step):
         return 2
     radii = np.linspace(args.r_min, args.r_max, args.count)
     rows = [_sweep_row(float(r), params, spec) for r in radii]
@@ -167,9 +172,11 @@ def _cmd_classify(args) -> int:
 
 def _cmd_residuals(args) -> int:
     params = ModelParams(n=args.n, c=args.c)
+    if _reject_ode_step(args.ode_step):
+        return 2
     try:
         spec = build_submanifold(params, args.k, math.pi / 2.0)
-        chart = numlab.tube_chart(spec, args.r, ode_step=args.ode_step)
+        chart = numlab.tube_chart(spec, args.r)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -279,7 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--fd-step", type=float, default=1e-3)
-    p.add_argument("--ode-step", type=float, default=1e-3)
+    p.add_argument(
+        "--ode-step", type=float, default=1e-3,
+        help="accepted for compatibility; the chart uses the closed-form "
+        "geodesic flow",
+    )
     p.add_argument("--tolerance", type=float, default=1e-3)
     p.set_defaults(func=_cmd_residuals)
 

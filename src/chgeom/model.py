@@ -37,9 +37,42 @@ CURVATURE_TOLERANCE = 1e-10
 def rate(c: float) -> float:
     """The rate s = sqrt(-c)/2 of CH^n(c), c < 0: the root-space weight
     of the solvable model and the growth rate of the Jacobi profiles."""
-    if c >= 0:
-        raise ValueError(f"the rate sqrt(-c)/2 needs c < 0, got c={c!r}")
+    if not (c < 0 and math.isfinite(c)):
+        raise ValueError(f"the rate sqrt(-c)/2 needs a finite c < 0, got c={c!r}")
     return math.sqrt(-c) / 2.0
+
+
+def _entire(x, cutoff: float, series, direct):
+    """An even entire function of x: its Taylor polynomial in x^2 (the
+    coefficients ``series``) where |x| < cutoff, else ``direct(x)``."""
+    x = np.asarray(x, dtype=float)
+    small = np.abs(x) < cutoff
+    safe = np.where(small, cutoff, x)
+    return np.where(
+        small, np.polynomial.polynomial.polyval(x * x, series), direct(safe)
+    )
+
+
+def _atanc(y):
+    """atan(y)/y."""
+    return _entire(y, 0.02, [(-1) ** k / (2 * k + 1) for k in range(5)],
+                   lambda y: np.arctan(y) / y)
+
+
+def _atan_defect(y):
+    """(atan(y) - y/(1+y^2))/y^3."""
+    return _entire(
+        y, 0.1, [(-1) ** k * (2 * k + 2) / (2 * k + 3) for k in range(9)],
+        lambda y: (np.arctan(y) - y / (1.0 + y * y)) / y**3,
+    )
+
+
+def _sine_defect(theta):
+    """(theta - sin(theta))/theta^3."""
+    return _entire(
+        theta, 0.1, [(-1) ** k / math.factorial(2 * k + 3) for k in range(5)],
+        lambda x: (x - np.sin(x)) / x**3,
+    )
 
 
 def rk4(rhs, state, t: float, step: float = DEFAULT_ODE_STEP):
@@ -197,8 +230,9 @@ class SolvableModel:
     """CH^n(c) as a solvable Lie group with left-invariant geometry.
 
     Exposes exact Lie brackets, the Koszul connection table, curvature
-    both structurally and in closed form, the group law, and geodesic
-    and parallel-transport integrators built on the shared ``rk4``.
+    both structurally and in closed form, the group law, the closed-form
+    geodesic flow, and geodesic and parallel-transport integrators built
+    on the shared ``rk4`` (the oracles of the closed form).
     """
 
     def __init__(self, params: ModelParams):
@@ -350,18 +384,25 @@ class SolvableModel:
     def _split(self, coords: np.ndarray):
         return coords[..., 0], coords[..., 1], coords[..., GALPHA_START:]
 
+    def group_product(self, coords1, coords2) -> np.ndarray:
+        """Group product of coordinate arrays, batched over leading axes."""
+        coords1 = np.asarray(coords1, dtype=float)
+        coords2 = np.asarray(coords2, dtype=float)
+        t1, z1, v1 = self._split(coords1)
+        t2, z2, v2 = self._split(coords2)
+        a = self.a
+        s = np.exp(-a * t2)
+        jg = self.jmat[GALPHA_START:, GALPHA_START:]
+        jv1 = np.einsum("ab,...b->...a", jg, v1)
+        out = np.empty(np.broadcast(coords1, coords2).shape)
+        out[..., 0] = t1 + t2
+        out[..., 1] = s * s * z1 + z2 + a * s * np.sum(jv1 * v2, axis=-1)
+        out[..., GALPHA_START:] = s[..., None] * v1 + v2
+        return out
+
     def group_multiply(self, p: Point, q: Point) -> Point:
         """Group product in global coordinates."""
-        t1, z1, v1 = self._split(p.coords)
-        t2, z2, v2 = self._split(q.coords)
-        a = self.a
-        s = math.exp(-a * t2)
-        jg = self.jmat[GALPHA_START:, GALPHA_START:]
-        out = np.empty(self.dim)
-        out[0] = t1 + t2
-        out[1] = s * s * z1 + z2 + a * s * np.dot(jg @ v1, v2)
-        out[GALPHA_START:] = s * v1 + v2
-        return Point(out)
+        return Point(self.group_product(p.coords, q.coords))
 
     def group_inverse(self, p: Point) -> Point:
         t, z, v = self._split(p.coords)
@@ -438,6 +479,93 @@ class SolvableModel:
         f = self.frame_matrix(np.asarray(coords, dtype=float))
         return np.linalg.inv(f @ np.swapaxes(f, -1, -2))
 
+    # -- geodesic flow ----------------------------------------------------
+
+    def geodesic_closed(self, coords0, vel0, t: float):
+        """Closed-form geodesic flow; returns (coords(t), frame vel(t)).
+
+        Same arguments as ``integrate_geodesic`` without the step, batched
+        over leading axes, any speed.  The geodesic from the identity with
+        unit velocity X = (b0, z0, u0) lies in the complex line
+        span{X, JX}.  With a the rate, w = tanh(a tau), R = w/(1 - b0 w),
+        y = z0 R, theta = 2 atan(y) and q = cosh(a tau)^2 ((1 - b0 w)^2
+        + z0^2 w^2) = exp(-2 a t(tau)), it reaches
+
+            t = -log(q)/(2a),
+            v = sqrt(q) I1 (S u0 + C J u0),
+            z = q (z0 I2 + a |u0|^2 I1^2 (theta - sin theta)/theta^2),
+
+        where S = sin(theta)/theta, C = (1 - cos theta)/theta,
+        atanc(y) = atan(y)/y, I1 = R atanc(y)/a and
+        I2 = (F + 2 b0 G + (b0^2 - 1) H)/a with
+        F = (R/(1 + y^2) + R atanc(y))/2, G = R^2/(2(1 + y^2)) and
+        H = R^3 (atan(y) - y/(1 + y^2))/(2 y^3).  Its frame velocity is
+        (-q'/(2aq), z0/q, q^{-1/2}(cos theta u0 + sin theta J u0)).  Every
+        quotient is entire and is evaluated by its series near 0.  Left
+        translation to coords0 is an isometry that keeps frame components.
+        """
+        if not math.isfinite(t):
+            raise ValueError(f"time must be finite, got {t!r}")
+        coords0 = np.asarray(coords0, dtype=float)
+        vel0 = np.asarray(vel0, dtype=float)
+        if t == 0.0:
+            return coords0.copy(), vel0.copy()
+        a = self.a
+        jg = self.jmat[GALPHA_START:, GALPHA_START:]
+        speed = np.linalg.norm(vel0, axis=-1)
+        moving = speed > 0
+        # a resting point follows the unit B geodesic for time 0
+        unit = np.where(
+            moving[..., None],
+            vel0 / np.where(moving, speed, 1.0)[..., None],
+            self.basis_vector(B_INDEX),
+        )
+        b0, z0, u0 = self._split(unit)
+        ju0 = np.einsum("ab,...b->...a", jg, u0)
+        mu2 = np.sum(u0 * u0, axis=-1)
+        x = a * speed * t
+        w = np.tanh(x)
+        # 1 - b0 w without cancellation as b0 -> 1 and w -> 1
+        e = np.exp(-2.0 * np.abs(x))
+        one_minus_w = np.where(x > 0, 2.0 * e / (1.0 + e), 1.0 - w)
+        one_minus_b0 = np.where(
+            b0 > 0, (z0 * z0 + mu2) / (1.0 + np.abs(b0)), 1.0 - b0
+        )
+        den = one_minus_b0 + b0 * one_minus_w
+        f = den * den + z0 * z0 * w * w
+        ch = np.cosh(x)
+        q = ch * ch * f
+        log_cosh = np.abs(x) + np.log1p(e) - math.log(2.0)
+        big_r = w / den
+        y = z0 * big_r
+        theta = 2.0 * np.arctan(y)
+        i1 = big_r * _atanc(y) / a
+        half = 0.5 / (1.0 + y * y)
+        i2 = (
+            0.5 * big_r * _atanc(y) + half * big_r
+            + 2.0 * b0 * half * big_r * big_r
+            + (b0 * b0 - 1.0) * 0.5 * big_r**3 * _atan_defect(y)
+        ) / a
+        sinc = np.sinc(theta / np.pi)  # sin(theta)/theta
+        cosc = 0.5 * theta * np.sinc(theta / (2.0 * np.pi)) ** 2
+        out = np.empty(np.broadcast(coords0, vel0).shape)
+        out[..., 0] = -(2.0 * log_cosh + np.log(f)) / (2.0 * a)
+        out[..., 1] = q * (
+            z0 * i2 + a * mu2 * i1 * i1 * theta * _sine_defect(theta)
+        )
+        out[..., GALPHA_START:] = (np.sqrt(q) * i1)[..., None] * (
+            sinc[..., None] * u0 + cosc[..., None] * ju0
+        )
+        vel = np.empty_like(out)
+        b0_minus_w = one_minus_w - one_minus_b0
+        vel[..., 0] = (den * b0_minus_w - z0 * z0 * w) / f
+        vel[..., 1] = z0 / q
+        vel[..., GALPHA_START:] = (
+            np.cos(theta)[..., None] * u0 + np.sin(theta)[..., None] * ju0
+        ) / np.sqrt(q)[..., None]
+        vel *= speed[..., None]
+        return self.group_product(coords0, out), vel
+
     # -- integrators -----------------------------------------------------
 
     def _geodesic_rhs(self, coords, vel):
@@ -451,7 +579,8 @@ class SolvableModel:
         return cdot, vdot, mdot
 
     def integrate_geodesic(self, coords0, vel0, t: float, step: float = DEFAULT_ODE_STEP):
-        """Batched RK4 geodesic flow; returns (coords(t), frame vel(t))."""
+        """Batched RK4 geodesic flow; returns (coords(t), frame vel(t)).
+        The oracle of ``geodesic_closed``."""
         return rk4(self._geodesic_rhs, (coords0, vel0), t, step)
 
     def geodesic(self, p: Point, v, t: float, step: float = DEFAULT_ODE_STEP):

@@ -14,9 +14,9 @@ no symbolic differentiation anywhere.  The residual routines check
 
 all of which converge at second order in the differencing step.
 
-Chart evaluations are the expensive part (each is a geodesic
-integration for tube charts), so a GermField pre-evaluates the whole
-offset lattice it will ever need in one batched call.
+Tube chart values are closed-form normal geodesics
+(``SolvableModel.geodesic_closed``); a GermField still pre-evaluates
+the whole offset lattice it will ever need in one batched call.
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ from .spectral import (
     principal_decomposition,
     totally_real_check,
 )
+from .tubes import MAX_RADIUS
 
 DEFAULT_FD_STEP = 1e-3
-DEFAULT_CHART_ODE_STEP = 1e-3
 NUMERIC_GROUPING_TOLERANCE = 1e-4
 
 
@@ -80,19 +80,17 @@ def _sphere_direction(spec: SubmanifoldSpec, theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def tube_chart(
-    spec: SubmanifoldSpec,
-    r: float,
-    ode_step: float = DEFAULT_CHART_ODE_STEP,
-) -> ChartImmersion:
-    """Radius-r tube around the orbit: parameters are (base subgroup
-    coordinates (t, z, w_1..w_{2n-2-k}), normal sphere angles (k-1)).
+def tube_chart(spec: SubmanifoldSpec, r: float) -> ChartImmersion:
+    """Radius-r tube around the orbit, 0 < r <= MAX_RADIUS: parameters
+    are (base subgroup coordinates (t, z, w_1..w_{2n-2-k}), normal sphere
+    angles (k-1)).
 
     Base points are exact group elements of the orbit subgroup; each
-    chart value integrates one normal geodesic, batched over requests.
+    chart value is the endpoint of one normal geodesic of length r, in
+    closed form (``SolvableModel.geodesic_closed``), batched over requests.
     """
-    if r <= 0:
-        raise ValueError("tube charts need r > 0")
+    if not (0.0 < r <= MAX_RADIUS):
+        raise ValueError(f"tube charts need 0 < r <= {MAX_RADIUS}, got {r!r}")
     params = spec.params
     model = SolvableModel(params)
     d = params.dim
@@ -110,7 +108,7 @@ def tube_chart(
         eta = _sphere_direction(spec, x[:, 2 + n_w :]) if k > 1 else np.tile(
             spec.normal_basis[0], (x.shape[0], 1)
         )
-        coords, _ = model.integrate_geodesic(base, eta, r, ode_step)
+        coords, _ = model.geodesic_closed(base, eta, r)
         return coords
 
     return ChartImmersion(

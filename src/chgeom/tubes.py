@@ -267,7 +267,11 @@ def focal_shape_check(
     and zero on the orthogonal complement, where eta^r is the arrival
     velocity at the orbit, B_JA the parallel transport of J A (A from
     the tube germ's Hopf frame), and S^r the orbit's shape operator in
-    the eta^r direction.  Only totally real normal spaces qualify."""
+    the eta^r direction.  Only totally real normal spaces qualify.
+
+    The forward leg is ``tube_shape_operator`` (RK4 at ``step``); the
+    return leg is the closed-form geodesic flow, so the distance residual
+    compares the two routes."""
     if abs(spec.phi - math.pi / 2.0) > 1e-12:
         raise ValueError("focal identities need a totally real normal space")
     if r <= 0.0:
@@ -299,10 +303,9 @@ def focal_shape_check(
     s_tan = t @ s_r @ t.T
     res3 = float(np.max(np.abs(s_tan @ proj)))
 
-    # the return geodesic from the tube point must land on the base point
-    coords_back, _ = model.integrate_geodesic(
-        tube.endpoint.coords, germ.normal, r, step
-    )
+    # the exact return geodesic from the RK4 tube point must land on the
+    # base point
+    coords_back, _ = model.geodesic_closed(tube.endpoint.coords, germ.normal, r)
     res4 = float(np.linalg.norm(coords_back - tube.base_point.coords))
 
     res0 = float(np.linalg.norm(eta_r + eta))

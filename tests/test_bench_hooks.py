@@ -45,6 +45,19 @@ def test_instrumentation_traces_a_sweep(tmp_path, traced):
     assert "tubes.tube_shape_operator" not in totals
 
 
+def test_instrumentation_traces_a_residuals_suite(traced, capsys):
+    code = cli.main([
+        "residuals", "--n", "2", "--c", "-4", "--k", "1", "--r", "0.3",
+    ])
+    assert code == 0
+    totals = traced.totals()
+    # the chart evaluates the closed-form geodesic flow: no RK4 steps
+    assert "model.integrate_geodesic" not in totals
+    mapper = totals["numlab.tube_chart.mapper"]
+    assert mapper["calls"] == 1 and mapper["points"] == 63  # L1 <= 3 in 3-D
+    assert totals["numlab.GermField.init"]["lattice_points"] == 63
+
+
 def test_instrumentation_traces_the_tube_oracle(traced):
     spec = build_submanifold(ModelParams(n=2, c=-4.0), 1, math.pi / 2)
     tubes.tube_shape_operator(spec, spec.normal_basis[0], 0.5, step=1e-3)

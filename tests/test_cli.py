@@ -178,6 +178,24 @@ def test_sweep_rejects_bad_ode_step(capsys):
         assert "--ode-step" in capsys.readouterr().err
 
 
+def test_residuals_rejects_bad_radius(capsys):
+    for r in ("nan", "inf", "30"):
+        code = main(["residuals", "--n", "2", "--c", "-4", "--k", "1", "--r", r])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "tube charts need 0 < r <= 10.0" in err and "Traceback" not in err
+
+
+def test_residuals_rejects_bad_ode_step(capsys):
+    for step in ("0", "nan"):
+        code = main([
+            "residuals", "--n", "2", "--c", "-4", "--k", "1", "--r", "0.3",
+            "--ode-step", step,
+        ])
+        assert code == 2
+        assert "--ode-step must be positive" in capsys.readouterr().err
+
+
 def test_nonexistence_rejects_small_grid(capsys):
     for grid in (["1", "1", "1"], ["0", "5", "5"], ["5", "5", "1"]):
         assert main(["nonexistence", "--c", "-4", "--grid", *grid]) == 2

@@ -1,6 +1,6 @@
 """Contract of the shared fixed-step RK4 stepper and of the three
 integrators built on it: geodesics, parallel transport and the Jacobi
-ODE oracle."""
+ODE oracle; the closed-form geodesic flow rejects the same times."""
 
 import math
 
@@ -37,6 +37,12 @@ BAD_TIMES = [math.inf, -math.inf, math.nan]
 def test_integrators_reject_bad_time_or_step(name, t, step):
     with pytest.raises(ValueError):
         INTEGRATORS[name](t, step)
+
+
+@pytest.mark.parametrize("t", BAD_TIMES)
+def test_closed_geodesic_rejects_bad_time(t):
+    with pytest.raises(ValueError, match="time must be finite"):
+        MODEL.geodesic_closed(np.zeros(4), W, t)
 
 
 def test_rk4_matches_exponential_both_directions():

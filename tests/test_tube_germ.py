@@ -19,6 +19,7 @@ from chgeom import (
     tube_spectrum_closed,
 )
 from chgeom.jacobi import jacobi_closed_propagator
+from chgeom.model import rate
 from chgeom.tubes import tube_germ
 
 CLOSED_VS_ODE_TOLERANCE = 1e-8
@@ -121,3 +122,18 @@ def test_tube_germ_argument_checks():
     germ = tube_germ(spec1, spec1.normal_basis[0], 0.0)
     evals = np.sort(np.linalg.eigvalsh(germ.shape))
     assert np.allclose(evals, [-1.0, 0.0, 0.0, 0.0, 1.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+def test_closed_forms_reject_non_finite_curvature(c):
+    jmat = standard_complex_structure(2)
+    w = np.eye(4)[2]
+    for call in (
+        lambda: rate(c),
+        lambda: jacobi_closed_propagator(
+            np.eye(4)[:3], np.zeros((3, 4)), w, c, jmat, 0.5
+        ),
+        lambda: tube_spectrum_closed(0.5, c, 3, 2),
+    ):
+        with pytest.raises(ValueError, match="needs a finite c < 0"):
+            call()
