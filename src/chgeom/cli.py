@@ -28,7 +28,7 @@ from .construction import (
     orbit_second_fundamental_form,
     rigidity_form_check,
 )
-from .model import ModelParams, SolvableModel, rate
+from .model import ModelParams, SolvableModel, check_positive, rate
 from .spectral import HypersurfaceGerm, classify, eigen_structure_from_lambda3
 
 SWEEP_COLUMNS = (
@@ -42,6 +42,7 @@ def _fmt(x) -> str:
 
 
 def _cmd_verify_model(args) -> int:
+    check_positive("--tolerance", args.tolerance)
     params = ModelParams(n=args.n, c=args.c)
     model = SolvableModel(params)
     report = model.verify_curvature(samples=args.samples, seed=args.seed)
@@ -76,15 +77,6 @@ def _cmd_construct(args) -> int:
     ok = report.passed
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
-
-
-def _reject_ode_step(step: float) -> bool:
-    """Report an --ode-step that is not positive and finite.  The option
-    is accepted for compatibility: no subcommand integrates with it."""
-    if step > 0 and math.isfinite(step):
-        return False
-    print(f"error: --ode-step must be positive, got {step!r}", file=sys.stderr)
-    return True
 
 
 def _sweep_row(r, params, spec) -> str:
@@ -142,8 +134,7 @@ def _cmd_sweep(args) -> int:
     if args.jobs is not None and args.jobs < 1:
         print("error: --jobs must be >= 1", file=sys.stderr)
         return 2
-    if _reject_ode_step(args.ode_step):
-        return 2
+    check_positive("--ode-step", args.ode_step)
     radii = np.linspace(args.r_min, args.r_max, args.count)
     rows = [_sweep_row(float(r), params, spec) for r in radii]
     text = "\n".join([SWEEP_COLUMNS] + rows) + "\n"
@@ -172,8 +163,8 @@ def _cmd_classify(args) -> int:
 
 def _cmd_residuals(args) -> int:
     params = ModelParams(n=args.n, c=args.c)
-    if _reject_ode_step(args.ode_step):
-        return 2
+    check_positive("--ode-step", args.ode_step)
+    check_positive("--tolerance", args.tolerance)
     try:
         spec = build_submanifold(params, args.k, math.pi / 2.0)
         chart = numlab.tube_chart(spec, args.r)

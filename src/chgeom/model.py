@@ -20,7 +20,7 @@ exp(t B) exp(v + z Z).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,6 +40,12 @@ def rate(c: float) -> float:
     if not (c < 0 and math.isfinite(c)):
         raise ValueError(f"the rate sqrt(-c)/2 needs a finite c < 0, got c={c!r}")
     return math.sqrt(-c) / 2.0
+
+
+def check_positive(name: str, value: float) -> None:
+    """Reject a step, tolerance or band that is not positive and finite."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _entire(x, cutoff: float, series, direct):
@@ -81,8 +87,7 @@ def rk4(rhs, state, t: float, step: float = DEFAULT_ODE_STEP):
     Takes max(1, round(|t|/step)) equal steps to reach time t (negative t
     runs backwards) and returns the state at t as a tuple of new arrays.
     """
-    if step <= 0 or not math.isfinite(step):
-        raise ValueError(f"step must be positive, got {step!r}")
+    check_positive("step", step)
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t!r}")
     y = [np.array(part, dtype=float) for part in state]
@@ -101,10 +106,6 @@ def rk4(rhs, state, t: float, step: float = DEFAULT_ODE_STEP):
             for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
         ]
     return tuple(y)
-
-
-class MismatchedBasePoints(ValueError):
-    """Tangent vectors fed to a pointwise operation sit at different points."""
 
 
 def standard_complex_structure(n: int) -> np.ndarray:
@@ -140,51 +141,6 @@ class ModelParams:
     @property
     def dim(self) -> int:
         return 2 * self.n
-
-
-@dataclass(frozen=True)
-class Point:
-    """A point of the group in global coordinates (t, z, v...)."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", np.asarray(self.coords, dtype=float))
-        if self.coords.ndim != 1:
-            raise ValueError("point coordinates must be a flat vector")
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """Frame components of a tangent vector at ``base``.
-
-    Components are taken with respect to the orthonormal left-invariant
-    frame, so the metric on components is the Euclidean dot product.
-    """
-
-    base: Point
-    vec: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "vec", np.asarray(self.vec, dtype=float))
-        if self.vec.ndim != 1 or self.vec.shape != self.base.coords.shape:
-            raise ValueError("tangent components must match the point dimension")
-
-
-def _as_components(x) -> np.ndarray:
-    if isinstance(x, TangentVector):
-        return x.vec
-    return np.asarray(x, dtype=float)
-
-
-def _common_base(*vectors):
-    bases = [v.base for v in vectors if isinstance(v, TangentVector)]
-    for b in bases[1:]:
-        if not np.allclose(b.coords, bases[0].coords, atol=1e-12):
-            raise MismatchedBasePoints(
-                "tangent vectors live at different base points"
-            )
-    return bases[0] if bases else None
 
 
 def ambient_curvature(x, y, z, c: float, jmat: np.ndarray) -> np.ndarray:
@@ -275,43 +231,35 @@ class SolvableModel:
 
     def bracket(self, x, y) -> np.ndarray:
         """Lie bracket of left-invariant fields, frame components."""
-        x, y = _as_components(x), _as_components(y)
         return np.einsum("i,j,ijk->k", x, y, self.structure)
 
-    def j_action(self, x):
-        """Apply the complex structure; preserves TangentVector bases."""
-        if isinstance(x, TangentVector):
-            return TangentVector(x.base, self.jmat @ x.vec)
+    def j_action(self, x) -> np.ndarray:
+        """Apply the complex structure to frame components."""
         return self.jmat @ np.asarray(x, dtype=float)
 
     def inner(self, x, y) -> float:
         """Left-invariant metric on frame components (Euclidean dot)."""
-        return float(np.dot(_as_components(x), _as_components(y)))
+        return float(np.dot(x, y))
 
     def koszul_connection(self, x, y) -> np.ndarray:
         """nabla_x y for left-invariant fields, frame components."""
-        x, y = _as_components(x), _as_components(y)
         return np.einsum("i,j,ijk->k", x, y, self.koszul)
 
     # -- curvature -------------------------------------------------------
 
     def curvature_from_koszul(self, x, y, z) -> np.ndarray:
         """R(x,y)z = nabla_x nabla_y z - nabla_y nabla_x z - nabla_[x,y] z."""
-        x, y, z = (_as_components(v) for v in (x, y, z))
         nc = self.koszul_connection
         return (
             nc(x, nc(y, z)) - nc(y, nc(x, z)) - nc(self.bracket(x, y), z)
         )
 
     def curvature_closed_form(self, x, y, z) -> np.ndarray:
-        """Closed-form complex-space-form curvature at a common point."""
-        _common_base(*(v for v in (x, y, z) if isinstance(v, TangentVector)))
-        x, y, z = (_as_components(v) for v in (x, y, z))
+        """Closed-form complex-space-form curvature, frame components."""
         return ambient_curvature(x, y, z, self.c, self.jmat)
 
     def sectional_curvature(self, x, y) -> float:
         """K(span(x,y)) via the structural curvature tensor."""
-        x, y = _as_components(x), _as_components(y)
         r = self.curvature_from_koszul(x, y, y)
         area = np.dot(x, x) * np.dot(y, y) - np.dot(x, y) ** 2
         if area < 1e-300:
@@ -328,6 +276,8 @@ class SolvableModel:
         Also checks holomorphic planes (K = c), totally real planes
         (K = c/4) and the pinching c <= K <= c/4.
         """
+        if samples < 1:
+            raise ValueError(f"samples must be >= 1, got {samples!r}")
         rng = np.random.default_rng(seed)
         d = self.dim
         max_residual = 0.0
@@ -373,9 +323,6 @@ class SolvableModel:
 
     # -- group structure -------------------------------------------------
 
-    def identity(self) -> Point:
-        return Point(np.zeros(self.dim))
-
     def basis_vector(self, i: int) -> np.ndarray:
         e = np.zeros(self.dim)
         e[i] = 1.0
@@ -400,19 +347,16 @@ class SolvableModel:
         out[..., GALPHA_START:] = s[..., None] * v1 + v2
         return out
 
-    def group_multiply(self, p: Point, q: Point) -> Point:
-        """Group product in global coordinates."""
-        return Point(self.group_product(p.coords, q.coords))
-
-    def group_inverse(self, p: Point) -> Point:
-        t, z, v = self._split(p.coords)
-        a = self.a
-        e = math.exp(a * t)
-        out = np.empty(self.dim)
-        out[0] = -t
-        out[1] = -e * e * z
-        out[GALPHA_START:] = -e * v
-        return Point(out)
+    def group_inverse(self, coords) -> np.ndarray:
+        """Group inverse of coordinate arrays, batched over leading axes."""
+        coords = np.asarray(coords, dtype=float)
+        t, z, v = self._split(coords)
+        e = np.exp(self.a * t)
+        out = np.empty(coords.shape)
+        out[..., 0] = -t
+        out[..., 1] = -e * e * z
+        out[..., GALPHA_START:] = -e[..., None] * v
+        return out
 
     def frame_matrix(self, coords: np.ndarray) -> np.ndarray:
         """Columns = coordinate components of the left-invariant frame.
@@ -469,10 +413,6 @@ class SolvableModel:
         jv = np.einsum("ab,...b->...a", jg, v)
         out[..., 1] = zd + 2.0 * a * td * z - a * np.sum(jv * u, axis=-1)
         return out
-
-    def left_translate_differential(self, p: Point, v) -> TangentVector:
-        """Push an algebra element to the frame at p (components unchanged)."""
-        return TangentVector(p, _as_components(v).copy())
 
     def metric_matrix(self, coords) -> np.ndarray:
         """Coordinate components of the metric at a point."""
@@ -583,25 +523,6 @@ class SolvableModel:
         The oracle of ``geodesic_closed``."""
         return rk4(self._geodesic_rhs, (coords0, vel0), t, step)
 
-    def geodesic(self, p: Point, v, t: float, step: float = DEFAULT_ODE_STEP):
-        """Geodesic from p with initial frame velocity v, evaluated at t."""
-        v = _as_components(v)
-        coords, vel = self.integrate_geodesic(p.coords, v, t, step)
-        endpoint = Point(coords)
-        return endpoint, TangentVector(endpoint, vel)
-
     def integrate_transport(self, coords0, vel0, mat0, t: float, step: float = DEFAULT_ODE_STEP):
         """RK4 transport of row-stacked vectors mat0 along a geodesic."""
         return rk4(self._transport_rhs, (coords0, vel0, mat0), t, step)
-
-    def parallel_transport(self, p: Point, v, w, t: float, step: float = DEFAULT_ODE_STEP):
-        """Transport w (a vector or row-stack of vectors) along the geodesic
-        from p with initial velocity v; returns (endpoint, velocity, moved w)."""
-        v = _as_components(v)
-        w = np.asarray(w, dtype=float)
-        single = w.ndim == 1
-        rows = w[None, :] if single else w
-        coords, vel, moved = self.integrate_transport(p.coords, v, rows, t, step)
-        endpoint = Point(coords)
-        out = moved[0] if single else moved
-        return endpoint, TangentVector(endpoint, vel), out

@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .construction import SubmanifoldSpec
-from .model import ModelParams, Point, SolvableModel, ambient_curvature
+from .model import ModelParams, SolvableModel, ambient_curvature, check_positive
 from .spectral import (
     HypersurfaceGerm,
     hopf_frame_extract,
@@ -120,7 +120,7 @@ def tube_chart(spec: SubmanifoldSpec, r: float) -> ChartImmersion:
 class NumericGeometry:
     """Induced data at one parameter point."""
 
-    point: Point
+    coords: np.ndarray  # (2n,) global coordinates of the image point
     tangents: np.ndarray  # (dom, 2n) frame components of coordinate tangents
     normal: np.ndarray  # (2n,) unit, oriented so that trace S >= 0 at center
     metric: np.ndarray  # (dom, dom)
@@ -160,8 +160,7 @@ class GermField:
         fd_step: float = DEFAULT_FD_STEP,
         grouping_tol: float = NUMERIC_GROUPING_TOLERANCE,
     ):
-        if fd_step <= 0:
-            raise ValueError("fd_step must be positive")
+        check_positive("fd_step", fd_step)
         self.chart = chart
         self.params = chart.params
         self.model = SolvableModel(chart.params)
@@ -339,7 +338,7 @@ class GermField:
         off = self._key(())
         sd = self.shape_data(off)
         return NumericGeometry(
-            point=Point(self.coords(off)),
+            coords=self.coords(off),
             tangents=self.tangents(off),
             normal=self.normal(off),
             metric=sd["metric"],

@@ -27,7 +27,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jacobi
-from .model import ModelParams, SolvableModel, rate, standard_complex_structure
+from .model import (
+    ModelParams,
+    SolvableModel,
+    check_positive,
+    rate,
+    standard_complex_structure,
+)
 from .construction import build_submanifold
 
 GROUPING_TOLERANCE = 1e-7
@@ -330,6 +336,7 @@ def principal_decomposition(
     Grouping tolerance is tol * (1 + max |eigenvalue|); a warning fires
     when some spectral gap is within a factor of two of the tolerance
     (the grouping is then ambiguous)."""
+    check_positive("tol", tol)
     sym = 0.5 * (germ.shape + germ.shape.T)
     evals, evecs = np.linalg.eigh(sym)
     scale = 1.0 + float(np.max(np.abs(evals))) if evals.size else 1.0
@@ -534,6 +541,8 @@ def classify(
     the radius, and reports the residuals of every catalog identity.
     The result never depends on the input co-orientation.
     """
+    check_positive("tol", tol)
+    check_positive("grouping_tol", grouping_tol)
     n, c = germ.params.n, germ.params.c
     s = rate(c)
 
@@ -764,6 +773,7 @@ def nonexistence_scan(
     """
     if c == 0 or not math.isfinite(c):
         raise ValueError(f"the scan needs a finite nonzero c, got c={c!r}")
+    check_positive("sum_band", sum_band)
     if min(grid_shape) < 2:
         raise ValueError(
             f"every grid axis needs >= 2 samples, got {tuple(grid_shape)}"

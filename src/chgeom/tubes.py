@@ -30,7 +30,7 @@ import numpy as np
 
 from . import jacobi
 from .construction import SubmanifoldSpec, orbit_second_fundamental_form
-from .model import DEFAULT_ODE_STEP, Point, SolvableModel, rate
+from .model import DEFAULT_ODE_STEP, SolvableModel, rate
 from .spectral import EigenStructure, HypersurfaceGerm, eigen_structure_from_lambda3
 
 FOCAL_ZERO_TOLERANCE = 1e-9
@@ -47,31 +47,13 @@ def submanifold_shape_operator(spec: SubmanifoldSpec, eta: np.ndarray) -> np.nda
     return t.T @ mat @ t
 
 
-def normal_direction(spec: SubmanifoldSpec, coeffs=None) -> np.ndarray:
-    """Unit normal at the base point; coeffs (len k) select a direction
-    inside the normal space, defaulting to the first basis normal."""
-    if coeffs is None:
-        return spec.normal_basis[0].copy()
-    coeffs = np.asarray(coeffs, dtype=float)
-    eta = coeffs @ spec.normal_basis
-    norm = np.linalg.norm(eta)
-    if norm < 1e-12:
-        raise ValueError("normal direction must be nonzero")
-    return eta / norm
-
-
 @dataclass
 class TubeResult:
     """Tube germ plus the propagation data that produced it."""
 
     germ: HypersurfaceGerm
-    base_point: Point
-    endpoint: Point
-    eta: np.ndarray
-    r: float
+    endpoint: np.ndarray  # coordinates of exp_o(r eta), o the identity
     transport: np.ndarray  # columns = transported frame vectors o -> endpoint
-    zeta: np.ndarray  # (2n-1, 2n-1) mode matrix at r, columns = modes
-    zeta_prime: np.ndarray
     asymmetry: float  # symmetry defect of zeta' zeta^{-1}
     velocity_drift: float  # |transported eta - gamma'(r)|
 
@@ -111,13 +93,13 @@ def _tube_modes(spec: SubmanifoldSpec, eta: np.ndarray, r: float):
 
 
 def _mode_shape(m0, zeta_r, zprime_r):
-    """Mode matrices in the frame m0, the symmetry defect of
-    zeta' zeta^{-1} and its symmetric part (the shape operator)."""
+    """Symmetry defect and symmetric part (the shape operator) of
+    zeta' zeta^{-1}, the modes taken in the frame m0."""
     cm = m0 @ zeta_r.T  # (basis, modes) in the parallel frame
     cpm = m0 @ zprime_r.T
     s_par = cpm @ np.linalg.inv(cm)
     asym = float(np.max(np.abs(s_par - s_par.T)))
-    return cm, cpm, asym, 0.5 * (s_par + s_par.T)
+    return asym, 0.5 * (s_par + s_par.T)
 
 
 def tube_germ(spec: SubmanifoldSpec, eta: np.ndarray, r: float) -> HypersurfaceGerm:
@@ -134,7 +116,7 @@ def tube_germ(spec: SubmanifoldSpec, eta: np.ndarray, r: float) -> HypersurfaceG
     zeta_r, zprime_r = jacobi.jacobi_closed_propagator(
         zeta0, zprime0, eta, spec.params.c, model.jmat, r
     )
-    shape = _mode_shape(m0, zeta_r, zprime_r)[3]
+    shape = _mode_shape(m0, zeta_r, zprime_r)[1]
     return HypersurfaceGerm(
         params=spec.params,
         normal=-eta,
@@ -165,16 +147,14 @@ def tube_shape_operator(
         zeta0, zprime0, eta, spec.params.c, model.jmat, r, step
     )
 
-    o = model.identity()
     stack = np.vstack([m0, np.eye(d)])
     coords_r, vel_r, moved = model.integrate_transport(
-        o.coords, eta, stack, r, step
+        np.zeros(d), eta, stack, r, step
     )
     moved_m0 = moved[: m0.shape[0]]
     transport = moved[m0.shape[0] :].T  # columns = transported basis vectors
-    endpoint = Point(coords_r)
 
-    cm, cpm, asym, shape = _mode_shape(m0, zeta_r, zprime_r)
+    asym, shape = _mode_shape(m0, zeta_r, zprime_r)
 
     drift = float(np.linalg.norm(transport @ eta - vel_r))
     germ = HypersurfaceGerm(
@@ -186,13 +166,8 @@ def tube_shape_operator(
     ).validate(tol=1e-6)
     return TubeResult(
         germ=germ,
-        base_point=o,
-        endpoint=endpoint,
-        eta=eta,
-        r=float(r),
+        endpoint=coords_r,
         transport=transport,
-        zeta=cm,
-        zeta_prime=cpm,
         asymmetry=asym,
         velocity_drift=drift,
     )
@@ -304,9 +279,9 @@ def focal_shape_check(
     res3 = float(np.max(np.abs(s_tan @ proj)))
 
     # the exact return geodesic from the RK4 tube point must land on the
-    # base point
-    coords_back, _ = model.geodesic_closed(tube.endpoint.coords, germ.normal, r)
-    res4 = float(np.linalg.norm(coords_back - tube.base_point.coords))
+    # base point, the identity
+    coords_back, _ = model.geodesic_closed(tube.endpoint, germ.normal, r)
+    res4 = float(np.linalg.norm(coords_back))
 
     res0 = float(np.linalg.norm(eta_r + eta))
     return FocalShapeReport(

@@ -3,6 +3,8 @@
 import json
 import math
 
+import pytest
+
 from chgeom import ModelParams, SubmanifoldSpec, catalog_germ
 from chgeom.cli import SWEEP_COLUMNS, main
 from chgeom.jacobi import special_radius
@@ -194,6 +196,73 @@ def test_residuals_rejects_bad_ode_step(capsys):
         ])
         assert code == 2
         assert "--ode-step must be positive" in capsys.readouterr().err
+
+
+BAD_POSITIVE_VALUES = ("nan", "inf", "0", "-1")
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_model_rejects_empty_sample(samples, capsys):
+    code = main([
+        "verify-model", "--n", "2", "--c", "-4", "--samples", samples,
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "samples must be >= 1" in captured.err
+    assert "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("value", BAD_POSITIVE_VALUES)
+@pytest.mark.parametrize("option", ["--tolerance", "--grouping-tol"])
+def test_classify_rejects_bad_tolerance(option, value, tmp_path, capsys):
+    # a catalog germ off the catalog by 0.11: unclassified at the default
+    # tolerance, and a NaN tolerance must not turn it into a tube label
+    germ = catalog_germ(ModelParams(n=3, c=-4.0), 2, r=0.7)
+    germ.shape[0][0] += 0.05
+    path = tmp_path / "germ.json"
+    path.write_text(germ.to_json())
+    assert main(["classify", "--input", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["model"] == "unclassified"
+    code = main(["classify", "--input", str(path), f"{option}={value}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "must be positive and finite" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("value", BAD_POSITIVE_VALUES)
+@pytest.mark.parametrize("command", [
+    ["residuals", "--n", "2", "--c", "-4", "--k", "1", "--r", "0.3"],
+    ["verify-model", "--n", "2", "--c", "-4", "--samples", "5"],
+])
+def test_tolerance_must_be_positive(command, value, capsys):
+    code = main(command + [f"--tolerance={value}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--tolerance must be positive and finite" in captured.err
+    assert "FAIL" not in captured.out
+
+
+@pytest.mark.parametrize("step", ["nan", "inf"])
+def test_residuals_rejects_bad_fd_step(step, capsys):
+    code = main([
+        "residuals", "--n", "2", "--c", "-4", "--k", "1", "--r", "0.3",
+        "--fd-step", step,
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "fd_step must be positive and finite" in err
+    assert "SVD" not in err
+
+
+@pytest.mark.parametrize("band", BAD_POSITIVE_VALUES)
+def test_nonexistence_rejects_bad_sum_band(band, capsys):
+    code = main([
+        "nonexistence", "--c", "-4", "--grid", "5", "5", "5",
+        f"--sum-band={band}",
+    ])
+    assert code == 2
+    assert "sum_band must be positive and finite" in capsys.readouterr().err
 
 
 def test_nonexistence_rejects_small_grid(capsys):

@@ -6,7 +6,7 @@ translation."""
 import numpy as np
 import pytest
 
-from chgeom import ModelParams, Point, SolvableModel
+from chgeom import ModelParams, SolvableModel
 
 # errors are compared with the size of the coordinates: at speed 2.5 the
 # center coordinate reaches ~5e4, where 1e-8 absolute is round-off
@@ -101,14 +101,15 @@ def test_single_point_matches_batch_row():
         assert np.max(np.abs(one_vel - vel[i])) < 1e-14
 
 
-def test_group_product_matches_group_multiply_row_by_row():
+def test_group_product_and_inverse_batch_row_by_row():
     model = SolvableModel(ModelParams(n=3, c=-9.0))
     rng = np.random.default_rng(11)
     p, q = rng.normal(size=(2, 5, 6))
     batch = model.group_product(p, q)
+    inverses = model.group_inverse(p)
     for i in range(5):
-        row = model.group_multiply(Point(p[i]), Point(q[i])).coords
-        assert np.array_equal(batch[i], row)
+        assert np.array_equal(batch[i], model.group_product(p[i], q[i]))
+        assert np.array_equal(inverses[i], model.group_inverse(p[i]))
     # one point against a batch broadcasts
     assert np.array_equal(
         model.group_product(p[0], q)[3], model.group_product(p[0], q[3])
@@ -118,6 +119,4 @@ def test_group_product_matches_group_multiply_row_by_row():
     left = model.group_product(model.group_product(p, q), r)
     right = model.group_product(p, model.group_product(q, r))
     assert np.max(np.abs(left - right)) < 1e-10 * (1.0 + np.max(np.abs(left)))
-    for i in range(5):
-        inv = model.group_inverse(Point(p[i])).coords
-        assert np.max(np.abs(model.group_product(p[i], inv))) < 1e-12
+    assert np.max(np.abs(model.group_product(p, inverses))) < 1e-12

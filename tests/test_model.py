@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from chgeom import (
-    MismatchedBasePoints,
     ModelParams,
-    Point,
     SolvableModel,
     ambient_curvature,
     standard_complex_structure,
@@ -193,23 +191,17 @@ def test_sectional_pinching():
 )
 def test_group_law(p, q, r):
     m = model(n=3, c=-4.0)
-    P, Q, R = Point(p), Point(q), Point(r)
-    assoc = (
-        m.group_multiply(m.group_multiply(P, Q), R).coords
-        - m.group_multiply(P, m.group_multiply(Q, R)).coords
+    assoc = m.group_product(m.group_product(p, q), r) - m.group_product(
+        p, m.group_product(q, r)
     )
     scale = 1.0 + np.max(np.abs(p)) * np.max(np.abs(q)) * np.max(np.abs(r))
     assert np.max(np.abs(assoc)) < GROUP_TOLERANCE * 100 * scale
-    inv = m.group_inverse(P)
-    assert np.allclose(
-        m.group_multiply(P, inv).coords, 0.0, atol=GROUP_TOLERANCE * 10
-    )
-    assert np.allclose(
-        m.group_multiply(inv, P).coords, 0.0, atol=GROUP_TOLERANCE * 10
-    )
-    ident = m.identity()
-    assert np.allclose(m.group_multiply(P, ident).coords, p)
-    assert np.allclose(m.group_multiply(ident, P).coords, p)
+    inv = m.group_inverse(p)
+    assert np.allclose(m.group_product(p, inv), 0.0, atol=GROUP_TOLERANCE * 10)
+    assert np.allclose(m.group_product(inv, p), 0.0, atol=GROUP_TOLERANCE * 10)
+    ident = np.zeros(6)
+    assert np.allclose(m.group_product(p, ident), p)
+    assert np.allclose(m.group_product(ident, p), p)
 
 
 def test_frame_matrix_matches_translated_curves():
@@ -217,14 +209,14 @@ def test_frame_matrix_matches_translated_curves():
     one-parameter coordinate lines (finite-difference oracle)."""
     m = model(n=3, c=-4.0)
     rng = np.random.default_rng(9)
-    p = Point(rng.normal(size=6) * 0.8)
-    F = m.frame_matrix(p.coords)
+    p = rng.normal(size=6) * 0.8
+    F = m.frame_matrix(p)
     h = 1e-5
     for i in range(6):
         step = np.zeros(6)
         step[i] = h
-        fwd = m.group_multiply(p, Point(step)).coords
-        bwd = m.group_multiply(p, Point(-step)).coords
+        fwd = m.group_product(p, step)
+        bwd = m.group_product(p, -step)
         col = (fwd - bwd) / (2 * h)
         assert np.max(np.abs(col - F[:, i])) < FRAME_FD_TOLERANCE
 
@@ -265,77 +257,70 @@ def test_metric_left_invariance():
 def test_geodesic_along_abelian_axis():
     # the one-parameter subgroup of the abelian factor is a unit geodesic
     m = model(n=3, c=-4.0)
-    pt, vel = m.geodesic(m.identity(), m.basis_vector(0), 1.3, step=1e-3)
+    pt, vel = m.integrate_geodesic(
+        np.zeros(6), m.basis_vector(0), 1.3, step=1e-3
+    )
     expected = np.zeros(6)
     expected[0] = 1.3
-    assert np.allclose(pt.coords, expected, atol=1e-10)
-    assert np.allclose(vel.vec, m.basis_vector(0), atol=1e-10)
+    assert np.allclose(pt, expected, atol=1e-10)
+    assert np.allclose(vel, m.basis_vector(0), atol=1e-10)
 
 
 def test_geodesic_speed_preserved():
     m = model(n=3, c=-4.0)
     rng = np.random.default_rng(18)
-    p = Point(rng.normal(size=6) * 0.5)
+    p = rng.normal(size=6) * 0.5
     v = rng.normal(size=6)
     v /= np.linalg.norm(v)
-    _, vel = m.geodesic(p, v, 2.0, step=1e-3)
-    assert abs(np.linalg.norm(vel.vec) - 1.0) < 1e-10
+    _, vel = m.integrate_geodesic(p, v, 2.0, step=1e-3)
+    assert abs(np.linalg.norm(vel) - 1.0) < 1e-10
 
 
 def test_geodesic_reversal():
     m = model(n=2, c=-1.0)
     rng = np.random.default_rng(4)
-    p = Point(rng.normal(size=4) * 0.5)
+    p = rng.normal(size=4) * 0.5
     v = rng.normal(size=4)
     v /= np.linalg.norm(v)
-    q, vq = m.geodesic(p, v, 1.1, step=1e-3)
-    back, _ = m.geodesic(q, -vq.vec, 1.1, step=1e-3)
-    assert np.max(np.abs(back.coords - p.coords)) < 1e-9
+    q, vq = m.integrate_geodesic(p, v, 1.1, step=1e-3)
+    back, _ = m.integrate_geodesic(q, -vq, 1.1, step=1e-3)
+    assert np.max(np.abs(back - p)) < 1e-9
 
 
 def test_geodesic_convergence_order():
     m = model(n=3, c=-4.0)
     rng = np.random.default_rng(77)
-    p = Point(rng.normal(size=6) * 0.3)
+    p = rng.normal(size=6) * 0.3
     v = rng.normal(size=6)
     v /= np.linalg.norm(v)
-    ref, _ = m.geodesic(p, v, 1.0, step=1e-4)
+    ref, _ = m.integrate_geodesic(p, v, 1.0, step=1e-4)
     e = []
     for h in (8e-3, 4e-3):
-        end, _ = m.geodesic(p, v, 1.0, step=h)
-        e.append(np.max(np.abs(end.coords - ref.coords)))
+        end, _ = m.integrate_geodesic(p, v, 1.0, step=h)
+        e.append(np.max(np.abs(end - ref)))
     order = math.log2(e[0] / e[1])
     assert order > ODE_ORDER_MIN
 
 
-def test_parallel_transport_isometry_and_j_invariance():
+def test_transport_isometry_and_j_invariance():
     m = model(n=3, c=-4.0)
     rng = np.random.default_rng(21)
-    p = Point(rng.normal(size=6) * 0.4)
+    p = rng.normal(size=6) * 0.4
     v = rng.normal(size=6)
     v /= np.linalg.norm(v)
     w1, w2 = rng.normal(size=(2, 6))
-    _, _, m1 = m.parallel_transport(p, v, w1, 1.5, step=1e-3)
-    _, _, m2 = m.parallel_transport(p, v, w2, 1.5, step=1e-3)
+    rows = np.stack([w1, w2, m.jmat @ w1])
+    _, _, (m1, m2, mj) = m.integrate_transport(p, v, rows, 1.5, step=1e-3)
     assert abs(m1 @ m2 - w1 @ w2) < 1e-10
     # the connection is complex-linear: transport commutes with J
-    _, _, mj = m.parallel_transport(p, v, m.jmat @ w1, 1.5, step=1e-3)
     assert np.max(np.abs(mj - m.jmat @ m1)) < 1e-10
 
 
 def test_transport_of_velocity_is_velocity():
     m = model(n=3, c=-4.0)
     rng = np.random.default_rng(23)
-    p = Point(rng.normal(size=6) * 0.4)
+    p = rng.normal(size=6) * 0.4
     v = rng.normal(size=6)
     v /= np.linalg.norm(v)
-    _, vel, moved = m.parallel_transport(p, v, v, 0.9, step=1e-3)
-    assert np.max(np.abs(moved - vel.vec)) < 1e-10
-
-
-def test_mismatched_base_points_rejected():
-    m = model(n=2, c=-4.0)
-    v = m.left_translate_differential(Point(np.zeros(4)), np.ones(4))
-    w = m.left_translate_differential(Point(np.ones(4)), np.ones(4))
-    with pytest.raises(MismatchedBasePoints):
-        m.curvature_closed_form(v, w, v)
+    _, vel, moved = m.integrate_transport(p, v, v[None, :], 0.9, step=1e-3)
+    assert np.max(np.abs(moved[0] - vel)) < 1e-10

@@ -205,13 +205,12 @@ def test_distance_to_base_orbit(tube_field):
     the chart's base points live)."""
     geo = tube_field.center_geometry()
     model = SolvableModel(tube_field.params)
-    start = geo.point
     # trace(S) >= 0 orients the numeric normal inward, toward the orbit
-    back, _ = model.geodesic(start, geo.normal, 0.7, step=1e-4)
+    back, _ = model.integrate_geodesic(geo.coords, geo.normal, 0.7, step=1e-4)
     # the orbit through the identity: v-part confined to the base rows
     params = ModelParams(n=3, c=-4.0)
     spec = build_submanifold(params, k=2, phi=np.pi / 2)
     w_rows = spec.tangent_basis[2:, 2:]
-    v = back.coords[2:]
+    v = back[2:]
     proj = w_rows.T @ (w_rows @ v)
     assert np.linalg.norm(v - proj) < 1e-6
