@@ -143,22 +143,35 @@ class ModelParams:
         return 2 * self.n
 
 
+def _row_dot(a, b):
+    """Dot product over the last axis, batched over leading axes; on
+    single vectors it rounds exactly as ``np.dot``."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
 def ambient_curvature(x, y, z, c: float, jmat: np.ndarray) -> np.ndarray:
     """Closed-form curvature R(x,y)z of a complex space form, any c != 0.
 
     R(X,Y)Z = (c/4)(<Y,Z>X - <X,Z>Y + <JY,Z>JX - <JX,Z>JY - 2<JX,Y>JZ).
-    Inputs are frame components; valid for either curvature sign.
+    Inputs are frame components, single vectors or row stacks; valid for
+    either curvature sign.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
-    jx, jy, jz = jmat @ x, jmat @ y, jmat @ z
+    jx, jy, jz = x @ jmat.T, y @ jmat.T, z @ jmat.T
+
+    def dot(a, b):
+        return _row_dot(a, b)[..., None]
+
     return (c / 4.0) * (
-        np.dot(y, z) * x
-        - np.dot(x, z) * y
-        + np.dot(jy, z) * jx
-        - np.dot(jx, z) * jy
-        - 2.0 * np.dot(jx, y) * jz
+        dot(y, z) * x
+        - dot(x, z) * y
+        + dot(jy, z) * jx
+        - dot(jx, z) * jy
+        - 2.0 * dot(jx, y) * jz
     )
 
 
@@ -171,7 +184,6 @@ class CurvatureReport:
     totally_real_error: float
     pinching_violation: float
     samples: int
-    worst_triple: tuple | None = None
 
     def passed(self, tol: float = CURVATURE_TOLERANCE) -> bool:
         return (
@@ -230,8 +242,9 @@ class SolvableModel:
         return cs
 
     def bracket(self, x, y) -> np.ndarray:
-        """Lie bracket of left-invariant fields, frame components."""
-        return np.einsum("i,j,ijk->k", x, y, self.structure)
+        """Lie bracket of left-invariant fields, frame components (single
+        vectors or row stacks)."""
+        return np.einsum("...i,...j,ijk->...k", x, y, self.structure)
 
     def j_action(self, x) -> np.ndarray:
         """Apply the complex structure to frame components."""
@@ -242,8 +255,9 @@ class SolvableModel:
         return float(np.dot(x, y))
 
     def koszul_connection(self, x, y) -> np.ndarray:
-        """nabla_x y for left-invariant fields, frame components."""
-        return np.einsum("i,j,ijk->k", x, y, self.koszul)
+        """nabla_x y for left-invariant fields, frame components (single
+        vectors or row stacks)."""
+        return np.einsum("...i,...j,ijk->...k", x, y, self.koszul)
 
     # -- curvature -------------------------------------------------------
 
@@ -258,13 +272,15 @@ class SolvableModel:
         """Closed-form complex-space-form curvature, frame components."""
         return ambient_curvature(x, y, z, self.c, self.jmat)
 
-    def sectional_curvature(self, x, y) -> float:
-        """K(span(x,y)) via the structural curvature tensor."""
+    def sectional_curvature(self, x, y):
+        """K(span(x,y)) via the structural curvature tensor; a float for
+        single vectors, an array of row-wise values for row stacks."""
         r = self.curvature_from_koszul(x, y, y)
-        area = np.dot(x, x) * np.dot(y, y) - np.dot(x, y) ** 2
-        if area < 1e-300:
+        area = _row_dot(x, x) * _row_dot(y, y) - _row_dot(x, y) ** 2
+        if np.any(area < 1e-300):
             raise ValueError("degenerate 2-plane")
-        return float(np.dot(r, x) / area)
+        k = _row_dot(r, x) / area
+        return float(k) if np.ndim(k) == 0 else k
 
     def verify_curvature(
         self,
@@ -280,45 +296,34 @@ class SolvableModel:
             raise ValueError(f"samples must be >= 1, got {samples!r}")
         rng = np.random.default_rng(seed)
         d = self.dim
-        max_residual = 0.0
-        worst = None
-        for _ in range(samples):
-            x, y, z = rng.standard_normal((3, d))
-            r1 = self.curvature_from_koszul(x, y, z)
-            r2 = self.curvature_closed_form(x, y, z)
-            res = float(np.max(np.abs(r1 - r2)))
-            if res > max_residual:
-                max_residual, worst = res, (x.copy(), y.copy(), z.copy())
+        # one (samples, 3, d) draw per check: the same stream as drawing
+        # the three rows of each sample in turn
+        x, y, z = np.moveaxis(rng.standard_normal((samples, 3, d)), 1, 0)
+        r1 = self.curvature_from_koszul(x, y, z)
+        r2 = self.curvature_closed_form(x, y, z)
+        max_residual = float(np.max(np.abs(r1 - r2)))
 
-        holo_err = 0.0
-        real_err = 0.0
-        pinch = 0.0
-        for _ in range(samples):
-            x = rng.standard_normal(d)
-            x /= np.linalg.norm(x)
-            holo_err = max(
-                holo_err, abs(self.sectional_curvature(x, self.jmat @ x) - self.c)
-            )
-            # totally real plane: orthonormalize y against x and Jx
-            y = rng.standard_normal(d)
-            jx = self.jmat @ x
-            y -= np.dot(y, x) * x + np.dot(y, jx) * jx
-            y /= np.linalg.norm(y)
-            real_err = max(
-                real_err, abs(self.sectional_curvature(x, y) - self.c / 4.0)
-            )
-            w = rng.standard_normal(d)
-            w -= np.dot(w, x) * x
-            w /= np.linalg.norm(w)
-            k = self.sectional_curvature(x, w)
-            pinch = max(pinch, self.c - k, k - self.c / 4.0, 0.0)
+        def normalize(v):
+            return v / np.sqrt(_row_dot(v, v))[:, None]
+
+        x, y, w = np.moveaxis(rng.standard_normal((samples, 3, d)), 1, 0)
+        x = normalize(x)
+        jx = x @ self.jmat.T
+        holo_err = np.max(np.abs(self.sectional_curvature(x, jx) - self.c))
+        # totally real plane: orthonormalize y against x and Jx
+        y = normalize(
+            y - (_row_dot(y, x)[:, None] * x + _row_dot(y, jx)[:, None] * jx)
+        )
+        real_err = np.max(np.abs(self.sectional_curvature(x, y) - self.c / 4.0))
+        w = normalize(w - _row_dot(w, x)[:, None] * x)
+        k = self.sectional_curvature(x, w)
+        pinch = max(np.max(self.c - k), np.max(k - self.c / 4.0), 0.0)
         return CurvatureReport(
             max_residual=max_residual,
             holomorphic_error=float(holo_err),
             totally_real_error=float(real_err),
             pinching_violation=float(pinch),
             samples=samples,
-            worst_triple=worst,
         )
 
     # -- group structure -------------------------------------------------

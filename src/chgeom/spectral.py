@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +41,9 @@ PROJECTION_TOLERANCE = 1e-6
 CLASSIFY_TOLERANCE = 1e-6
 CATALOG_SUM_TOLERANCE = 1e-12
 CATALOG_QUADRATIC_TOLERANCE = 1e-10
+# grid points per slab of nonexistence_scan (a slab is at least one
+# lambda_1 row)
+SCAN_SLAB_POINTS = 1 << 12
 
 
 class NoRealSolution(ValueError):
@@ -790,25 +793,29 @@ def nonexistence_scan(
         # one cell of slack: |grad quadratic| <= 12(L + L3) on the box
         quad_tol = 12.0 * (lambda_bound + 0.75 * scale) * spacing
 
-    lam1 = l1[:, None, None]
+    # the grid is evaluated in slabs of whole lambda_1 rows, so the
+    # temporaries stay at about SCAN_SLAB_POINTS cells whatever n1 is
     lam2 = l2[None, :, None]
     lam3 = l3[None, None, :]
-    ordered = lam1 < lam2 - 1e-12 * (1.0 + scale)
-
+    rows = max(1, SCAN_SLAB_POINTS // (n2 * n3))
+    count = 0
+    lam3_feasible = np.zeros(n3, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        b1sq, b2sq = hopf_projection_squares(lam1, lam2, lam3, c)
-        quad = catalog_quadratic(lam1, lam2, lam3, c)
-        bsum = b1sq + b2sq
-    feasible = (
-        ordered
-        & (b1sq > 0.0)
-        & (b1sq < 1.0)
-        & (b2sq > 0.0)
-        & (b2sq < 1.0)
-        & (np.abs(quad) <= quad_tol)
-        & (np.abs(bsum - 1.0) <= sum_band)
-    )
-    count = int(np.count_nonzero(feasible))
+        for start in range(0, n1, rows):
+            lam1 = l1[start:start + rows, None, None]
+            b1sq, b2sq = hopf_projection_squares(lam1, lam2, lam3, c)
+            quad = catalog_quadratic(lam1, lam2, lam3, c)
+            feasible = (
+                (lam1 < lam2 - 1e-12 * (1.0 + scale))
+                & (b1sq > 0.0)
+                & (b1sq < 1.0)
+                & (b2sq > 0.0)
+                & (b2sq < 1.0)
+                & (np.abs(quad) <= quad_tol)
+                & (np.abs(b1sq + b2sq - 1.0) <= sum_band)
+            )
+            count += int(np.count_nonzero(feasible))
+            lam3_feasible |= feasible.any(axis=(0, 1))
     total = int(n1) * int(n2) * int(n3)
 
     if c > 0:
@@ -834,11 +841,10 @@ def nonexistence_scan(
 
     # c < 0: refine feasible cells onto the exact catalog curve (one
     # refinement per distinct lambda_3 grid value)
-    idx = np.argwhere(feasible)
     refined = []
     max_res = 0.0
     s = rate(c)
-    for m in np.unique(idx[:, 2]) if idx.size else []:
+    for m in np.flatnonzero(lam3_feasible):
         lam3_val = float(l3[m])
         if not (0.0 <= lam3_val < s):
             continue

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from chgeom import ModelParams, SubmanifoldSpec, catalog_germ
+from chgeom import ModelParams, SubmanifoldSpec, catalog_germ, cli
 from chgeom.cli import SWEEP_COLUMNS, main
 from chgeom.jacobi import special_radius
 
@@ -289,3 +289,29 @@ def test_nonexistence_rejects_degenerate_curvature(capsys):
     for c in ("0", "nan", "inf", "-inf"):
         assert main(["nonexistence", f"--c={c}", "--grid", "5", "5", "5"]) == 2
         assert "error" in capsys.readouterr().err
+
+
+def test_parser_built_once_and_options_do_not_leak(tmp_path, capsys, monkeypatch):
+    builds = []
+    original = cli.build_parser
+
+    def counting_build_parser():
+        builds.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    monkeypatch.setattr(cli, "_PARSER", None)
+    germ = tmp_path / "germ.json"
+    germ.write_text(catalog_germ(ModelParams(n=3, c=-4.0), 2, r=0.7).to_json())
+    sweep = [
+        "sweep", "--n", "3", "--c", "-4", "--k", "2",
+        "--r-min", "0.2", "--r-max", "1.0", "--count", "3",
+    ]
+    assert main(["sweep", "--n", "3"]) == 2
+    assert main(["classify", "--input", str(germ)]) == 0
+    out_file = tmp_path / "s.csv"
+    assert main(sweep + ["--output", str(out_file)]) == 0
+    capsys.readouterr()
+    assert main(sweep) == 0
+    assert capsys.readouterr().out == out_file.read_text()
+    assert len(builds) <= 1

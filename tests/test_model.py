@@ -172,6 +172,63 @@ def test_verify_curvature_report():
     assert rep.pinching_violation == 0.0
 
 
+def _verify_curvature_per_sample(m, samples, seed):
+    """Reference for verify_curvature: one sample at a time through the
+    single-vector calls."""
+    rng = np.random.default_rng(seed)
+    d = m.dim
+    max_residual = 0.0
+    for _ in range(samples):
+        x, y, z = rng.standard_normal((3, d))
+        diff = m.curvature_from_koszul(x, y, z) - m.curvature_closed_form(x, y, z)
+        max_residual = max(max_residual, float(np.max(np.abs(diff))))
+    holo = real = pinch = 0.0
+    for _ in range(samples):
+        x = rng.standard_normal(d)
+        x /= np.linalg.norm(x)
+        jx = m.jmat @ x
+        holo = max(holo, abs(m.sectional_curvature(x, jx) - m.c))
+        y = rng.standard_normal(d)
+        y -= np.dot(y, x) * x + np.dot(y, jx) * jx
+        y /= np.linalg.norm(y)
+        real = max(real, abs(m.sectional_curvature(x, y) - m.c / 4.0))
+        w = rng.standard_normal(d)
+        w -= np.dot(w, x) * x
+        w /= np.linalg.norm(w)
+        k = m.sectional_curvature(x, w)
+        pinch = max(pinch, m.c - k, k - m.c / 4.0, 0.0)
+    return max_residual, holo, real, pinch
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_curvature_row_stacks_match_single_vectors(n):
+    # strong curvature puts the verify figures at ~1e-14..1e-13, so the
+    # 1e-15 bound below tells one draw of samples from another
+    m = model(n=n, c=-100.0)
+    rng = np.random.default_rng(100 + n)
+    x, y, z = rng.standard_normal((3, 40, 2 * n))
+
+    def closed_form(x, y, z):
+        return ambient_curvature(x, y, z, m.c, m.jmat)
+
+    for curvature in (m.curvature_from_koszul, closed_form):
+        rows = curvature(x, y, z)
+        assert rows.shape == x.shape
+        for i in range(x.shape[0]):
+            want = curvature(x[i], y[i], z[i])
+            assert np.all(np.abs(rows[i] - want) <= 1e-15 * (1.0 + np.abs(want)))
+    for s in (0, 1, 2):
+        rep = m.verify_curvature(samples=50, seed=s)
+        got = (
+            rep.max_residual,
+            rep.holomorphic_error,
+            rep.totally_real_error,
+            rep.pinching_violation,
+        )
+        want = _verify_curvature_per_sample(m, 50, s)
+        assert np.all(np.abs(np.subtract(got, want)) <= 1e-15)
+
+
 def test_sectional_pinching():
     # all sectional curvatures lie in [c, c/4]
     m = model(n=3, c=-4.0)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from chgeom import (
-    GermField,
     ModelParams,
     SolvableModel,
     build_submanifold,

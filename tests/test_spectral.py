@@ -3,7 +3,7 @@ frame identities, the classifier, and the feasibility scan."""
 
 import json
 import math
-import warnings
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from chgeom import (
-    EigenStructure,
     HypersurfaceGerm,
     ModelParams,
     NoRealSolution,
@@ -24,7 +23,6 @@ from chgeom import (
     focal_radius,
     frame_identity_residuals,
     hopf_frame_extract,
-    hopf_projection_squares,
     horosphere_germ,
     nonexistence_scan,
     principal_decomposition,
@@ -32,6 +30,7 @@ from chgeom import (
     standard_complex_structure,
     totally_real_check,
 )
+from chgeom import spectral
 
 CATALOG_TOLERANCE = 1e-12
 FRAME_TOLERANCE = 1e-12
@@ -306,3 +305,70 @@ def test_catalog_germ_radius_and_lambda3_agree():
     with pytest.raises(ValueError):
         catalog_germ(params, 2, r=0.7, lambda3=lam3)
     assert abs(focal_radius(lam3, -4.0) - 0.7) < 1e-12
+
+
+def _whole_grid_scan(c, grid_shape, quad_tol, sum_band=0.1):
+    """Reference for nonexistence_scan: the whole grid at once, then one
+    refinement per lambda_3 value that has a feasible cell."""
+    scale = math.sqrt(abs(c))
+    bound = 1.5 * scale
+    n1, n2, n3 = grid_shape
+    l1 = np.linspace(-bound, bound, n1)[:, None, None]
+    l2 = np.linspace(-bound, bound, n2)[None, :, None]
+    l3 = np.linspace(0.0, 0.75 * scale, n3)
+    lam3 = l3[None, None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b1sq, b2sq = spectral.hopf_projection_squares(l1, l2, lam3, c)
+        quad = catalog_quadratic(l1, l2, lam3, c)
+    feasible = (
+        (l1 < l2 - 1e-12 * (1.0 + scale))
+        & (b1sq > 0.0) & (b1sq < 1.0) & (b2sq > 0.0) & (b2sq < 1.0)
+        & (np.abs(quad) <= quad_tol)
+        & (np.abs(b1sq + b2sq - 1.0) <= sum_band)
+    )
+    count = int(np.count_nonzero(feasible))
+    if c > 0:
+        return count, None
+    refined = []
+    for m in np.unique(np.argwhere(feasible)[:, 2]):
+        lam3_val = float(l3[m])
+        if not 0.0 <= lam3_val < math.sqrt(-c) / 2.0:
+            continue
+        root = math.sqrt(-c - 3.0 * lam3_val * lam3_val)
+        if not 0.5 * (3.0 * lam3_val - root) < lam3_val < 0.5 * (3.0 * lam3_val + root):
+            continue
+        es = eigen_structure_from_lambda3(lam3_val, c)
+        refined.append((es.lambda3, es.lambda1, es.lambda2, es.b1sq, es.b2sq))
+    return count, np.asarray(refined) if refined else np.empty((0, 5))
+
+
+@pytest.mark.parametrize("c", [4.0, -1.0, -4.0, -3.4746401821558717])
+@pytest.mark.parametrize(
+    "grid", [(2, 2, 2), (7, 300, 11), (61, 40, 40), (60, 60, 60)]
+)
+def test_slab_scan_matches_whole_grid(c, grid):
+    rows = max(1, spectral.SCAN_SLAB_POINTS // (grid[1] * grid[2]))
+    if grid == (7, 300, 11):
+        assert rows == 1  # one lambda_1 row per slab
+    if grid == (61, 40, 40):
+        assert 1 < rows < 61 and 61 % rows  # a short last slab
+    rep = nonexistence_scan(c, grid_shape=grid)
+    count, curve = _whole_grid_scan(c, grid, rep.quad_tol)
+    assert rep.feasible_count == count
+    if c > 0:
+        assert rep.curve_points is None
+    else:
+        assert np.array_equal(rep.curve_points, curve)
+
+
+def test_slab_scan_memory_does_not_grow_with_lambda1_samples():
+    def peak(grid):
+        tracemalloc.start()
+        try:
+            nonexistence_scan(-1.0, grid_shape=grid)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small = peak((40, 40, 40))
+    assert peak((400, 40, 40)) <= 1.5 * small
