@@ -41,9 +41,6 @@ PROJECTION_TOLERANCE = 1e-6
 CLASSIFY_TOLERANCE = 1e-6
 CATALOG_SUM_TOLERANCE = 1e-12
 CATALOG_QUADRATIC_TOLERANCE = 1e-10
-# grid points per slab of nonexistence_scan (a slab is at least one
-# lambda_1 row)
-SCAN_SLAB_POINTS = 1 << 12
 
 
 class NoRealSolution(ValueError):
@@ -793,16 +790,15 @@ def nonexistence_scan(
         # one cell of slack: |grad quadratic| <= 12(L + L3) on the box
         quad_tol = 12.0 * (lambda_bound + 0.75 * scale) * spacing
 
-    # the grid is evaluated in slabs of whole lambda_1 rows, so the
-    # temporaries stay at about SCAN_SLAB_POINTS cells whatever n1 is
+    # the grid is evaluated one lambda_1 row (n2 * n3 cells) at a time,
+    # so the temporaries do not grow with n1
     lam2 = l2[None, :, None]
     lam3 = l3[None, None, :]
-    rows = max(1, SCAN_SLAB_POINTS // (n2 * n3))
     count = 0
     lam3_feasible = np.zeros(n3, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for start in range(0, n1, rows):
-            lam1 = l1[start:start + rows, None, None]
+        for i in range(n1):
+            lam1 = l1[i:i + 1, None, None]
             b1sq, b2sq = hopf_projection_squares(lam1, lam2, lam3, c)
             quad = catalog_quadratic(lam1, lam2, lam3, c)
             feasible = (

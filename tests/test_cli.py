@@ -314,4 +314,4 @@ def test_parser_built_once_and_options_do_not_leak(tmp_path, capsys, monkeypatch
     capsys.readouterr()
     assert main(sweep) == 0
     assert capsys.readouterr().out == out_file.read_text()
-    assert len(builds) <= 1
+    assert len(builds) == 1
