@@ -29,7 +29,7 @@ from .construction import (
     rigidity_form_check,
 )
 from .model import ModelParams, SolvableModel, check_positive, rate
-from .spectral import HypersurfaceGerm, classify, eigen_structure_from_lambda3
+from .spectral import HypersurfaceGerm, classify
 
 SWEEP_COLUMNS = (
     "r,lambda1,lambda2,lambda3,lambda4,mult1,mult2,mult3,mult4,"
@@ -81,18 +81,9 @@ def _cmd_construct(args) -> int:
 
 def _sweep_row(r, params, spec) -> str:
     s = rate(params.c)
-    lam3 = s * math.tanh(s * r)
-    es = eigen_structure_from_lambda3(
-        lam3, params.c, n=params.n, k=spec.k
-    )
-    mults = list(es.multiplicities)
-    lam4 = es.lambda4 if es.lambda4 is not None else float("nan")
-    if es.g == 3:
-        # merged top eigenvalue: its block joins lambda_2's
-        mults[1] += mults[3]
-        mults[3] = 0
-        lam4 = float("nan")
-    b1sq, b2sq = es.b1sq, es.b2sq
+    es = spectral.catalog_at_radius(r, params.c, params.n, spec.k)
+    # a g = 3 row has no lambda_4 block: nan with multiplicity 0
+    values, mults = zip(*es.blocks, *[(float("nan"), 0)] * (4 - es.g))
     dmat = jacobi.focal_determinant_matrix(
         es.lambda1, es.lambda2, es.b1, es.b2, params.c, r
     )
@@ -102,16 +93,10 @@ def _sweep_row(r, params, spec) -> str:
     status = outcome.branch if outcome.branch else (outcome.reason or "unknown")
     cells = [
         _fmt(r),
-        _fmt(es.lambda1),
-        _fmt(es.lambda2),
-        _fmt(es.lambda3),
-        _fmt(lam4),
-        str(mults[0]),
-        str(mults[1]),
-        str(mults[2]),
-        str(mults[3]),
-        _fmt(b1sq),
-        _fmt(b2sq),
+        *map(_fmt, values),
+        *map(str, mults),
+        _fmt(es.b1sq),
+        _fmt(es.b2sq),
         str(outcome.g if outcome.g else es.g),
         str(outcome.h),
         _fmt(det_d),

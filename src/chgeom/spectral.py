@@ -11,8 +11,12 @@ lambda_3 in [0, sqrt(-c)/2):
     b_i^2        = -((-1)^i lambda_3 + sqrt(-c-3 lambda_3^2))^3
                    / (2 c sqrt(-c - 3 lambda_3^2))
 
-with J xi = b_1 U_1 + b_2 U_2 the Hopf-frame decomposition.  The module
-provides the catalog, eigen-decomposition and grouping of measured shape
+with J xi = b_1 U_1 + b_2 U_2 the Hopf-frame decomposition.  The tube
+of radius r has lambda_3 = (sqrt(-c)/2) tanh(r sqrt(-c)/2): the catalog
+is keyed by lambda_3 (``eigen_structure_from_lambda3``, for measured
+eigenvalues) or by r (``catalog_at_radius``), and
+``EigenStructure.blocks`` is its one block layout.  The module provides
+the catalog, eigen-decomposition and grouping of measured shape
 operators, the Hopf frame with its structural identities, the germ
 classifier, and the curvature-sign nonexistence scan.
 """
@@ -84,11 +88,19 @@ class EigenStructure:
     k: int | None = None
 
     @property
-    def multiplicities(self):
-        """(1, 1, 2n-2-k, k-1); needs n and k."""
+    def blocks(self) -> tuple:
+        """(value, multiplicity) of each distinct principal curvature, in
+        the order lambda_1, lambda_2, lambda_3[, lambda_4]; needs n and k.
+
+        The multiplicities are (1, 1, 2n-2-k, k-1) on G4.  On a g = 3
+        branch the k-1 block joins lambda_2 (G3_KBIG, where lambda_4 =
+        lambda_2; G3_K1 has k = 1), which then has multiplicity k."""
         if self.n is None or self.k is None:
-            return None
-        return (1, 1, 2 * self.n - 2 - self.k, self.k - 1)
+            raise ValueError("blocks need an EigenStructure built with n and k")
+        n, k = self.n, self.k
+        blocks = ((self.lambda1, 1), (self.lambda2, 1 if self.g == 4 else k))
+        blocks += ((self.lambda3, 2 * n - 2 - k),)
+        return blocks + ((self.lambda4, k - 1),) if self.g == 4 else blocks
 
     @property
     def b1sq(self) -> float:
@@ -118,13 +130,52 @@ def eigen_structure_from_lambda3(
             f"-c - 3*lambda3^2 = {-c - 3 * lambda3 ** 2} <= {-c} < 0: "
             "the catalog quadratic has no real roots for c > 0"
         )
+    return _catalog_entry(lambda3, rate(c) - lambda3, c, branch_hint, n, k)
+
+
+def catalog_at_radius(r: float, c: float, n: int, k: int) -> EigenStructure:
+    """Catalog entry of the tube of radius r around W^{2n-k} (for k = 1,
+    the equidistant hypersurface at distance r), keyed by the radius.
+
+    lambda_3 = s tanh(sr) rounds to s from sr ~ 18.7 on, so the gap
+    s - lambda_3 = 2sq/(1+q) is taken from q = e^{-2sr}: the differences
+    that vanish as sr grows keep their relative precision up to
+    sr ~ 118, past which b_1^2 ~ 64 q^3 leaves the double range.
+    """
+    if not r >= 0.0:
+        raise ValueError(f"radius must be >= 0, got {r!r}")
     s = rate(c)
-    if not (0.0 <= lambda3 < s):
+    sr = s * r
+    q = math.exp(-2.0 * sr)
+    if q**3 < np.finfo(float).tiny:
+        raise ValueError(f"s*r = {sr!r}: b1^2 ~ 64 e^(-6sr) underflows past s*r ~ 118")
+    lambda3 = s * math.tanh(sr)
+    hint = "G3_K1" if k == 1 else None
+    return _catalog_entry(lambda3, 2.0 * s * q / (1.0 + q), c, hint, n, k)
+
+
+def _catalog_entry(lambda3, gap, c, branch_hint, n, k) -> EigenStructure:
+    """The catalog formulas at lambda_3, given with its gap s - lambda_3.
+
+    root - lambda_3 cancels as lambda_3 -> s, so once it falls below
+    root/2 it is formed from the gap as 4 gap (s + lambda_3)/(root +
+    lambda_3), since root^2 - lambda_3^2 = 4 (s - lambda_3)(s + lambda_3).
+    The ordering lambda_1 < lambda_3 < lambda_2 is checked on these
+    gaps: past sr ~ 18.7, lambda_1 and lambda_3 both round to s.
+    """
+    s = rate(c)
+    if not (0.0 <= lambda3 and gap > 0.0):
         raise jacobi.OutOfRangeEigenvalue(
             f"lambda3={lambda3!r} outside the catalog range [0, {s!r})"
         )
-    root, lam1, lam2 = _catalog_roots(lambda3, c)
-    b1sq = -((-lambda3 + root) ** 3) / (2.0 * c * root)
+    root = math.sqrt(-c - 3.0 * lambda3 * lambda3)
+    low = (  # root - lambda3
+        root - lambda3 if root >= 2.0 * lambda3
+        else 4.0 * gap * (s + lambda3) / (root + lambda3)
+    )
+    if not low > 0.0:
+        raise AssertionError("catalog ordering lambda1 < lambda3 < lambda2 failed")
+    b1sq = -(low**3) / (2.0 * c * root)
     b2sq = -((lambda3 + root) ** 3) / (2.0 * c * root)
 
     special = s / math.sqrt(3.0)
@@ -147,8 +198,8 @@ def eigen_structure_from_lambda3(
 
     es = EigenStructure(
         c=float(c),
-        lambda1=lam1,
-        lambda2=lam2,
+        lambda1=0.5 * (3.0 * lambda3 - root),
+        lambda2=0.5 * (3.0 * lambda3 + root),
         lambda3=float(lambda3),
         lambda4=lam4,
         b1=math.sqrt(b1sq),
@@ -158,24 +209,12 @@ def eigen_structure_from_lambda3(
         n=n,
         k=k,
     )
-    _validate_structure(es)
-    return es
-
-
-def _catalog_roots(lambda3: float, c: float):
-    """(sqrt(-c - 3 lambda3^2), lambda1, lambda2) of the catalog quadratic."""
-    root = math.sqrt(-c - 3.0 * lambda3 * lambda3)
-    return root, 0.5 * (3.0 * lambda3 - root), 0.5 * (3.0 * lambda3 + root)
-
-
-def _validate_structure(es: EigenStructure):
-    if not (es.lambda1 < es.lambda3 < es.lambda2):
-        raise AssertionError("catalog ordering lambda1 < lambda3 < lambda2 failed")
     if abs(es.b1sq + es.b2sq - 1.0) > CATALOG_SUM_TOLERANCE:
         raise AssertionError("catalog normalization b1^2 + b2^2 = 1 failed")
     quad = catalog_quadratic(es.lambda1, es.lambda2, es.lambda3, es.c)
     if abs(float(quad)) > CATALOG_QUADRATIC_TOLERANCE * (1.0 + abs(es.c)):
         raise AssertionError("catalog quadratic relation failed")
+    return es
 
 
 def constraint_residuals(es: EigenStructure) -> dict:
@@ -658,54 +697,35 @@ def classify(
 # reference germs
 
 
-def catalog_germ(
-    params: ModelParams,
-    k: int,
-    r: float | None = None,
-    lambda3: float | None = None,
-) -> HypersurfaceGerm:
-    """Synthetic catalog germ built directly from the closed forms.
+def catalog_germ(params: ModelParams, k: int, r: float) -> HypersurfaceGerm:
+    """Synthetic germ of the radius-r catalog tube (k = 1: equidistant
+    hypersurface), built directly from ``catalog_at_radius``.
 
     The normal is the first normal direction of the standard orbit
     construction; the frame realizes the structural identities with
-    A = B.  Exactly one of r, lambda3 must be given.
+    A = B.
     """
-    if (r is None) == (lambda3 is None):
-        raise ValueError("give exactly one of r, lambda3")
-    c = params.c
-    s = rate(c)
-    if lambda3 is None:
-        lambda3 = s * math.tanh(s * r)
-    hint = "G3_K1" if k == 1 else None
-    es = eigen_structure_from_lambda3(lambda3, c, branch_hint=hint, n=params.n, k=k)
-
+    es = catalog_at_radius(r, params.c, params.n, k)
     sub = build_submanifold(params, k, math.pi / 2.0)
-    d = params.dim
     jmat = standard_complex_structure(params.n)
     xi = sub.normal_basis[0]
     jxi = jmat @ xi
     zvec = sub.zvec
-    bvec = sub.tangent_basis[0]
     u1 = es.b2 * zvec + es.b1 * jxi
     u2 = -es.b1 * zvec + es.b2 * jxi
 
-    lam3_rows = [bvec] + [sub.pxi_unit[m] for m in range(1, k)] + list(
-        sub.tangent_basis[2 + k :]
-    )
-    lam4_rows = [sub.normal_basis[m] for m in range(1, k)]
-    rows = [u1, u2] + lam3_rows + lam4_rows
-    tangent = np.vstack(rows)
-    lam4 = es.lambda4 if es.lambda4 is not None else es.lambda2
-    diag = (
-        [es.lambda1, es.lambda2]
-        + [es.lambda3] * len(lam3_rows)
-        + [lam4] * len(lam4_rows)
-    )
+    lam3_rows = [sub.tangent_basis[0]] + [sub.pxi_unit[m] for m in range(1, k)]
+    lam3_rows += list(sub.tangent_basis[2 + k :])
+    normals = [sub.normal_basis[m] for m in range(1, k)]
+    # tangent rows in the order of es.blocks: the k-1 normals carry
+    # lambda_4, or lambda_2 where the two merge (g = 3)
+    rows = [u1, u2] + (lam3_rows + normals if es.g == 4 else normals + lam3_rows)
+    values, mults = zip(*es.blocks)
     germ = HypersurfaceGerm(
         params=params,
         normal=xi,
-        tangent_basis=tangent,
-        shape=np.diag(np.asarray(diag)),
+        tangent_basis=np.vstack(rows),
+        shape=np.diag(np.repeat(values, mults)),
         jmat=jmat,
     )
     return germ.validate()
@@ -843,10 +863,6 @@ def nonexistence_scan(
     for m in np.flatnonzero(lam3_feasible):
         lam3_val = float(l3[m])
         if not (0.0 <= lam3_val < s):
-            continue
-        # next to sqrt(-c)/2 rounding can leave lambda1 == lambda3
-        _, lam1_val, lam2_val = _catalog_roots(lam3_val, c)
-        if not (lam1_val < lam3_val < lam2_val):
             continue
         es = eigen_structure_from_lambda3(lam3_val, c)
         res = constraint_residuals(es)

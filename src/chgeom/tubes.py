@@ -30,11 +30,14 @@ import numpy as np
 
 from . import jacobi
 from .construction import SubmanifoldSpec, orbit_second_fundamental_form
-from .model import DEFAULT_ODE_STEP, SolvableModel, rate
-from .spectral import EigenStructure, HypersurfaceGerm, eigen_structure_from_lambda3
+from .model import DEFAULT_ODE_STEP, SolvableModel
+from .spectral import EigenStructure, HypersurfaceGerm, catalog_at_radius
 
 FOCAL_ZERO_TOLERANCE = 1e-9
 MAX_RADIUS = 10.0
+# bound on s*r (s = sqrt(-c)/2) for the Jacobi modes: past it the modes,
+# which grow like e^{2sr}, lose the conditioning of zeta'(r) zeta(r)^{-1}
+MAX_RATE_RADIUS = 20.0
 
 
 def submanifold_shape_operator(spec: SubmanifoldSpec, eta: np.ndarray) -> np.ndarray:
@@ -76,6 +79,11 @@ def _tube_modes(spec: SubmanifoldSpec, eta: np.ndarray, r: float):
         raise ValueError("eta must lie in the normal space of the orbit")
     if not (0.0 <= r <= MAX_RADIUS):
         raise ValueError(f"radius must lie in [0, {MAX_RADIUS}], got {r!r}")
+    if model.a * r > MAX_RATE_RADIUS:
+        raise ValueError(
+            f"s*r = {model.a * r!r} exceeds {MAX_RATE_RADIUS} (s = sqrt(-c)/2): "
+            "the tube's Jacobi modes are too ill-conditioned there"
+        )
     if r == 0.0 and spec.k != 1:
         raise ValueError("r = 0 is a focal singularity unless k = 1")
 
@@ -175,17 +183,9 @@ def tube_shape_operator(
 
 def tube_spectrum_closed(r: float, c: float, n: int, k: int) -> np.ndarray:
     """Catalog spectrum of the radius-r tube (ascending, with multiplicity):
-    lambda_1, lambda_2 once, lambda_3 = (sqrt(-c)/2) tanh(r sqrt(-c)/2)
-    with multiplicity 2n-2-k, lambda_4 = -c/(4 lambda_3) with k-1."""
-    s = rate(c)
-    lam3 = s * math.tanh(s * r)
-    hint = "G3_K1" if k == 1 else None
-    es = eigen_structure_from_lambda3(lam3, c, branch_hint=hint, n=n, k=k)
-    values = [es.lambda1, es.lambda2] + [es.lambda3] * (2 * n - 2 - k)
-    if k > 1:
-        lam4 = es.lambda4 if es.lambda4 is not None else es.lambda2
-        values += [lam4] * (k - 1)
-    return np.sort(np.asarray(values))
+    the blocks of ``catalog_at_radius`` expanded."""
+    values, mults = zip(*catalog_at_radius(r, c, n, k).blocks)
+    return np.sort(np.repeat(values, mults))
 
 
 def focal_rank(es: EigenStructure, r: float, zero_tol: float = FOCAL_ZERO_TOLERANCE):
@@ -195,20 +195,13 @@ def focal_rank(es: EigenStructure, r: float, zero_tol: float = FOCAL_ZERO_TOLERA
     f_3(r)^3 > 0); the remaining modes collapse exactly where their
     profile f vanishes, which happens at the focal radius of lambda_3
     and gives rank 2n - k there (2n - 1 elsewhere)."""
-    if es.n is None or es.k is None:
-        raise ValueError("focal_rank needs an EigenStructure built with n and k")
-    n, k, c = es.n, es.k, es.c
-    blocks = [(es.lambda3, 2 * n - 2 - k)]
-    if es.branch == "G4":
-        blocks.append((es.lambda4, k - 1))
-    elif es.branch == "G3_KBIG":
-        blocks.append((es.lambda2, k - 1))
-    rank = 2  # the Hopf 2x2 block
+    rank = 2  # the Hopf 2x2 block: one lambda_1 and one lambda_2 mode
     kernel = []
-    for lam, mult in blocks:
+    for i, (lam, mult) in enumerate(es.blocks):
+        mult -= 1 if i < 2 else 0
         if mult == 0:
             continue
-        fval = float(jacobi.f_function(lam, c, r))
+        fval = float(jacobi.f_function(lam, es.c, r))
         if abs(fval) <= zero_tol:
             kernel.append((lam, mult))
         else:

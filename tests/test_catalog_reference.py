@@ -1,0 +1,99 @@
+"""References for the radius-keyed catalog: an mpmath evaluation at 120
+digits over s*r in (0, 50], and a sympy proof in (s, q), q = e^{-2sr},
+of the identities ``catalog_at_radius`` relies on."""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+import sympy as sp
+
+from chgeom.spectral import catalog_at_radius
+
+RELATIVE_TOLERANCE = 1e-13
+# lambda_1 vanishes at the special radius; near it, bound it absolutely
+LAMBDA1_NEAR_ZERO = 1e-3
+LAMBDA1_ABSOLUTE = 1e-15
+
+# at s*r = 50, s - lambda_3 ~ 2s e^{-100}: 50 digits are too few
+REFERENCE_DIGITS = 120
+
+
+def _reference(r, c):
+    """(lambda1, lambda2, lambda3, lambda4, b1^2, b2^2, s) of the tube of
+    radius r, at REFERENCE_DIGITS digits (r and c taken as exact)."""
+    with mpmath.workdps(REFERENCE_DIGITS):
+        c = mpmath.mpf(c)
+        s = mpmath.sqrt(-c) / 2
+        lam3 = s * mpmath.tanh(s * mpmath.mpf(r))
+        root = mpmath.sqrt(-c - 3 * lam3**2)
+        return (
+            (3 * lam3 - root) / 2,
+            (3 * lam3 + root) / 2,
+            lam3,
+            -c / (4 * lam3),
+            -((root - lam3) ** 3) / (2 * c * root),
+            -((root + lam3) ** 3) / (2 * c * root),
+            s,
+        )
+
+
+@pytest.mark.parametrize("c", [-1.0, -4.0, -100.0, -1e4])
+def test_catalog_at_radius_matches_mpmath(c):
+    s = math.sqrt(-c) / 2
+    # plus s*r next to the special radius, where lambda_1 crosses zero
+    sr_star = math.log(2.0 + math.sqrt(3.0)) / 2.0
+    near = sr_star * (1.0 + np.array([-1e-4, -1e-7, 1e-7, 1e-4]))
+    rates = np.concatenate([np.geomspace(1e-9, 50.0, 60), np.linspace(0.5, 50.0, 40), near])
+    for sr in rates:
+        r = float(sr) / s
+        es = catalog_at_radius(r, c, 3, 2)
+        assert es.branch == "G4"
+        *want, s_ref = _reference(r, c)
+        got = (es.lambda1, es.lambda2, es.lambda3, es.lambda4, es.b1sq, es.b2sq)
+        names = ("lambda1", "lambda2", "lambda3", "lambda4", "b1sq", "b2sq")
+        for name, value, ref in zip(names, got, want):
+            err = abs(mpmath.mpf(value) - ref)
+            if name == "lambda1" and abs(ref) < LAMBDA1_NEAR_ZERO * s_ref:
+                assert err <= LAMBDA1_ABSOLUTE * s, (name, sr, float(err))
+            else:
+                assert err <= RELATIVE_TOLERANCE * abs(ref), (name, sr, float(err / abs(ref)))
+
+
+def test_catalog_at_radius_identities_symbolically():
+    """The route's rewrites hold as identities in s > 0, 0 < q < 1 (c =
+    -4s^2), with the root R = sqrt(-c - 3 lambda_3^2) reduced modulo its
+    defining equation, so no sample point is involved."""
+    s, q, r, R = sp.symbols("s q r R", positive=True)
+    c = -4 * s**2
+    lam3 = s * (1 - q) / (1 + q)
+    gap = 2 * s * q / (1 + q)
+    root_relation = R**2 - (-c - 3 * lam3**2)
+
+    relation = sp.expand(sp.numer(sp.together(root_relation)))
+
+    def vanishes(expr):
+        """expr == 0 on R^2 = -c - 3 lambda_3^2: its numerator's
+        remainder modulo that relation, as a polynomial in R, is zero."""
+        num = sp.expand(sp.numer(sp.together(expr)))
+        return sp.simplify(sp.rem(num, relation, R)) == 0
+
+    # lambda_3 = s tanh(sr) and s - lambda_3 = 2sq/(1+q) at q = e^{-2sr}
+    tanh_form = (s * sp.tanh(s * r)).rewrite(sp.exp)
+    assert sp.simplify(lam3.subs(q, sp.exp(-2 * s * r)) - tanh_form) == 0
+    assert sp.simplify(s - lam3 - gap) == 0
+    # root - lambda_3 = 4 (s - lambda_3)(s + lambda_3)/(root + lambda_3)
+    low = 4 * gap * (s + lam3) / (R + lam3)
+    assert vanishes(low - (R - lam3))
+    # the catalog in the route's form: b1^2 + b2^2 = 1 and the quadratic
+    b1sq = -(low**3) / (2 * c * R)
+    b2sq = -((lam3 + R) ** 3) / (2 * c * R)
+    assert vanishes(b1sq + b2sq - 1)
+    lam1, lam2 = lam3 - low / 2, (3 * lam3 + R) / 2
+    assert vanishes(c - 4 * lam1 * lam2 + 8 * (lam1 + lam2) * lam3 - 12 * lam3**2)
+    # lambda_4 = -c/(4 lambda_3) is the normal modes' s coth(sr)
+    lam4 = -c / (4 * lam3)
+    assert sp.simplify(lam4 - s * (1 + q) / (1 - q)) == 0
+    coth_form = (s * sp.coth(s * r)).rewrite(sp.exp)
+    assert sp.simplify(lam4.subs(q, sp.exp(-2 * s * r)) - coth_form) == 0

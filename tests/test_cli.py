@@ -77,6 +77,30 @@ def test_sweep_special_radius_row(tmp_path):
     assert abs(float(row["detD"]) - float(row["detD_expected"])) < 1e-10
 
 
+def test_sweep_at_strong_curvature(tmp_path, capsys):
+    """At c = -100, tanh(s r) rounds to 1 from s*r ~ 19; the sweep keys
+    the catalog by r, so every row up to s*r = 20 has finite cells."""
+    base = [
+        "sweep", "--n", "3", "--c", "-100", "--k", "2",
+        "--r-min", "0.5", "--count", "8",
+    ]
+    out = tmp_path / "s.csv"
+    assert main(base + ["--r-max", "4.0", "--output", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    header = lines[0].split(",")
+    assert len(lines) == 9
+    for line in lines[1:]:
+        row = {key: float(v) for key, v in zip(header, line.split(",")[:11])}
+        for key in ("lambda1", "lambda2", "lambda3", "b1sq", "b2sq"):
+            assert math.isfinite(row[key]), (key, line)
+        assert row["lambda1"] <= row["lambda3"] < row["lambda2"]
+    # s*r = 50 at r = 10: past the tube germ's bound, an error and exit 2
+    capsys.readouterr()
+    assert main(base + ["--r-max", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_sweep_rejects_bad_range(capsys):
     code = main([
         "sweep", "--n", "3", "--c", "-4", "--k", "2",

@@ -111,9 +111,16 @@ def test_trace_and_product_identities():
 
 def test_multiplicities():
     es = eigen_structure_from_lambda3(0.4, -4.0, n=3, k=2)
-    assert es.multiplicities == (1, 1, 2, 1)
+    assert es.blocks == (
+        (es.lambda1, 1), (es.lambda2, 1), (es.lambda3, 2), (es.lambda4, 1)
+    )
     es = eigen_structure_from_lambda3(0.0, -4.0, branch_hint="G3_K1", n=4, k=1)
-    assert es.multiplicities == (1, 1, 5, 0)
+    assert es.blocks == ((es.lambda1, 1), (es.lambda2, 1), (es.lambda3, 5))
+    # merged branch: the k-1 block joins lambda_2
+    es = eigen_structure_from_lambda3(1 / math.sqrt(3), -4.0, n=4, k=3)
+    assert es.blocks == ((es.lambda1, 1), (es.lambda2, 3), (es.lambda3, 3))
+    with pytest.raises(ValueError, match="n and k"):
+        eigen_structure_from_lambda3(0.4, -4.0).blocks
 
 
 def test_principal_decomposition_groups():
@@ -294,17 +301,53 @@ def test_horosphere_germ_spectrum():
         assert np.allclose(evals, expected, atol=1e-12)
 
 
-def test_catalog_germ_radius_and_lambda3_agree():
-    params = ModelParams(n=3, c=-4.0)
-    lam3 = math.tanh(0.7)
-    g1 = catalog_germ(params, 2, r=0.7)
-    g2 = catalog_germ(params, 2, lambda3=lam3)
-    assert np.allclose(g1.shape, g2.shape, atol=1e-12)
-    with pytest.raises(ValueError):
-        catalog_germ(params, 2)
-    with pytest.raises(ValueError):
-        catalog_germ(params, 2, r=0.7, lambda3=lam3)
-    assert abs(focal_radius(lam3, -4.0) - 0.7) < 1e-12
+def test_catalog_at_radius_matches_lambda3_route():
+    """At moderate s*r both catalog entries agree: the radius route is
+    the lambda_3 route at lambda_3 = s tanh(sr), with the same branch."""
+    for c in (-1.0, -4.0, -9.0):
+        s = math.sqrt(-c) / 2
+        for n, k in ((2, 1), (3, 2), (4, 3)):
+            for r in (1e-6, 0.1, 0.7, special_radius(c), 2.0, 4.0):
+                got = spectral.catalog_at_radius(r, c, n, k)
+                hint = "G3_K1" if k == 1 else None
+                want = eigen_structure_from_lambda3(
+                    s * math.tanh(s * r), c, branch_hint=hint, n=n, k=k
+                )
+                assert (got.branch, got.g) == (want.branch, want.g)
+                for (v, m), (w, mw) in zip(got.blocks, want.blocks):
+                    assert m == mw and abs(v - w) <= 1e-12 * (1 + abs(w))
+                assert abs(got.b1sq - want.b1sq) <= 1e-12
+                assert abs(focal_radius(got.lambda3, c) - r) <= 1e-9
+
+
+def test_catalog_at_radius_at_strong_curvature():
+    """At c = -100 every radius of (0, MAX_RADIUS] has a catalog entry,
+    including those where tanh(sr) rounds to 1 (sr >= ~19)."""
+    c = -100.0
+    s = math.sqrt(-c) / 2
+    for n in range(2, 6):
+        for k in range(1, n):
+            for r in np.geomspace(1e-9, 10.0, 73):
+                es = spectral.catalog_at_radius(float(r), c, n, k)
+                assert es.lambda1 <= es.lambda3 < es.lambda2
+                assert 0.0 <= es.lambda3 <= s
+                assert 0.0 < es.b1sq < 1.0 and 0.0 < es.b2sq <= 1.0
+                assert sum(m for _, m in es.blocks) == 2 * n - 1
+
+
+def test_catalog_at_radius_rejects_bad_radii():
+    with pytest.raises(ValueError, match="radius"):
+        spectral.catalog_at_radius(-0.1, -4.0, 3, 2)
+    with pytest.raises(ValueError, match="radius"):
+        spectral.catalog_at_radius(math.nan, -4.0, 3, 2)
+    # b1^2 ~ 64 e^{-6sr} underflows past s*r ~ 118: the error names s*r
+    es = spectral.catalog_at_radius(110.0, -4.0, 3, 2)
+    assert es.b1sq >= np.finfo(float).tiny
+    for r in (120.0, 400.0, math.inf):
+        with pytest.raises(ValueError, match=f"s\\*r = {r!r}"):
+            spectral.catalog_at_radius(r, -4.0, 3, 2)
+    with pytest.raises(ValueError, match="G3_K1 requires k = 1"):
+        spectral.catalog_at_radius(0.0, -4.0, 3, 2)  # focal for k = 2
 
 
 def _whole_grid_scan(c, grid_shape, quad_tol, sum_band=0.1):
@@ -333,9 +376,6 @@ def _whole_grid_scan(c, grid_shape, quad_tol, sum_band=0.1):
     for m in np.unique(np.argwhere(feasible)[:, 2]):
         lam3_val = float(l3[m])
         if not 0.0 <= lam3_val < math.sqrt(-c) / 2.0:
-            continue
-        root = math.sqrt(-c - 3.0 * lam3_val * lam3_val)
-        if not 0.5 * (3.0 * lam3_val - root) < lam3_val < 0.5 * (3.0 * lam3_val + root):
             continue
         es = eigen_structure_from_lambda3(lam3_val, c)
         refined.append((es.lambda3, es.lambda1, es.lambda2, es.b1sq, es.b2sq))

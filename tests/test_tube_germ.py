@@ -20,7 +20,7 @@ from chgeom import (
 )
 from chgeom.jacobi import jacobi_closed_propagator
 from chgeom.model import rate
-from chgeom.tubes import tube_germ
+from chgeom.tubes import MAX_RADIUS, MAX_RATE_RADIUS, tube_germ
 
 CLOSED_VS_ODE_TOLERANCE = 1e-8
 SPECTRUM_RELATIVE_TOLERANCE = 1e-12
@@ -137,3 +137,34 @@ def test_closed_forms_reject_non_finite_curvature(c):
     ):
         with pytest.raises(ValueError, match="needs a finite c < 0"):
             call()
+
+
+def test_tube_routes_reject_large_rate_radius():
+    """Past s*r = MAX_RATE_RADIUS the modes lose their conditioning
+    (at c = -100 the spectrum error grows from 2e-16 at s*r = 20 to 11
+    at 40), so both routes refuse instead of returning a wrong germ."""
+    c = -100.0
+    s = rate(c)
+    spec = build_submanifold(ModelParams(n=3, c=c), 2, math.pi / 2)
+    eta = spec.normal_basis[0]
+    r_ok = MAX_RATE_RADIUS / s
+    want = tube_spectrum_closed(r_ok, c, 3, 2)
+    got = np.sort(np.linalg.eigvalsh(tube_germ(spec, eta, r_ok).shape))
+    assert np.max(np.abs(got - want)) <= SPECTRUM_RELATIVE_TOLERANCE * np.max(np.abs(want))
+    r_bad = 1.01 * r_ok
+    assert r_bad <= MAX_RADIUS
+    for route in (tube_germ, tube_shape_operator):
+        with pytest.raises(ValueError, match=f"exceeds {MAX_RATE_RADIUS}"):
+            route(spec, eta, r_bad)
+
+
+@pytest.mark.parametrize(
+    "n, k, phi", [(4, 2, math.pi / 3), (4, 2, 1.0), (5, 4, math.pi / 4)]
+)
+def test_non_totally_real_tubes_stay_unclassified(n, k, phi):
+    """Tubes around W^{2n-k}_phi with phi < pi/2 have h = 3: they are the
+    neighbours of the catalog, not members, and must not get a label."""
+    spec = build_submanifold(ModelParams(n=n, c=-4.0), k, phi)
+    for r in (0.3, 0.7, 1.5):
+        res = classify(tube_germ(spec, spec.normal_basis[0], r))
+        assert (res.model, res.reason, res.h) == ("unclassified", "h=3", 3)
