@@ -15,14 +15,18 @@ no symbolic differentiation anywhere.  The residual routines check
 all of which converge at second order in the differencing step.
 
 Tube chart values are closed-form normal geodesics
-(``SolvableModel.geodesic_closed``); a GermField still pre-evaluates
-the whole offset lattice it will ever need in one batched call.
+(``SolvableModel.geodesic_closed``), evaluated on the whole offset
+lattice in one batched call.  A GermField orients its normal by one
+rule and builds one frame-field table (``FrameFields``): U_1, U_2, A,
+the aligned eigenspace complements and every nabla_{X_a} X_b at the
+center, which the four frame-identity suites read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -144,13 +148,34 @@ def _lattice(dim: int, radius: int = 3):
     return sorted(current)
 
 
+@dataclass(frozen=True)
+class FrameFields:
+    """Principal-curvature frame fields around the center of a GermField.
+
+    fields[a] maps each L1 <= 1 stencil offset to the ambient frame
+    components of X_a.  X_0, X_1, X_2 are U_1, U_2, A; the rest complete
+    the lambda_3-eigenspace (orthogonally to A) and span the other
+    non-projected eigenspaces.  At the center X_a equals centers[a] and
+    has principal curvature eigenvalues[a], so eigenvalues[:3] are
+    (lambda_1, lambda_2, lambda_3); nabla[a, b] = nabla_{X_a} X_b there.
+    """
+
+    fields: tuple  # dicts offset -> (2n,)
+    centers: tuple  # (2n,) each
+    eigenvalues: tuple
+    b1: float
+    b2: float
+    nabla: np.ndarray  # (F, F, 2n)
+
+
 class GermField:
     """All finite-difference data of a chart around a center point.
 
     Evaluates the chart once on the full offset lattice, then assembles
     tangent frames, normals, shape operators, Christoffel symbols,
     intrinsic curvature and (when the center germ has two projected
-    eigenvalues) the canonical principal-curvature frame fields.
+    eigenvalues) the principal-curvature frame fields with their
+    connection table, each once and on first use.
     """
 
     def __init__(
@@ -176,11 +201,10 @@ class GermField:
         coords = chart.mapper(pts)
         self._coords = {off: coords[i] for i, off in enumerate(offsets)}
         self._tangents = {}
-        self._normals = {}
+        self._aligned_normals = {}
         self._sdata = {}
         self._germs = {}
         self._frames = {}
-        self._center_normal_ref = None
 
     # -- raw fields ------------------------------------------------------
 
@@ -216,79 +240,57 @@ class GermField:
         return self._tangents[off]
 
     def normal(self, off=()) -> np.ndarray:
-        """Unit normal; center oriented so trace S >= 0, neighbors
-        aligned with the center."""
-        off = self._key(off)
-        center = (0,) * self.dom
-        if off != center:
-            self.normal(center)
-            return self._normal_for(off)
-        if center not in self._normals:
-            t = self.tangents(center)
-            _, _, vt = np.linalg.svd(t, full_matrices=True)
-            nrm = vt[-1]
-            self._center_normal_ref = nrm
-            raw = self._shape_raw(center, nrm)
-            if np.trace(raw["second_fundamental"]) < 0:
-                nrm = -nrm
-                # neighbor normals cached during the trace probe carry
-                # the old sign; drop them so they re-align
-                self._normals.clear()
-            self._center_normal_ref = nrm
-            self._normals[center] = nrm
-        return self._normals[center]
+        """Unit normal: the SVD normal at off, aligned with the one at the
+        center, times the one sign that makes trace S >= 0 at the center."""
+        return self._orientation * self._aligned_normal(off)
 
-    def _shape_raw(self, off, nrm) -> dict:
-        """Shape data with an explicitly given normal (no caching)."""
+    def _aligned_normal(self, off) -> np.ndarray:
+        off = self._key(off)
+        if off not in self._aligned_normals:
+            _, _, vt = np.linalg.svd(self.tangents(off), full_matrices=True)
+            nrm = vt[-1]
+            if any(off) and float(nrm @ self._aligned_normal(())) < 0:
+                nrm = -nrm
+            self._aligned_normals[off] = nrm
+        return self._aligned_normals[off]
+
+    @cached_property
+    def _orientation(self) -> float:
+        center = self._key(())
+        s_amb = self._s_ambient(center, self._aligned_normal)
+        ii = s_amb @ self.tangents(center).T
+        return -1.0 if np.trace(ii) < 0 else 1.0
+
+    def _s_ambient(self, off, normal) -> np.ndarray:
+        """Rows S(d_i) = -(nabla-bar_{d_i} normal) at off, for a normal
+        field given as a function of the offset."""
         t = self.tangents(off)
-        dn = np.empty_like(t)
-        for i in range(self.dom):
-            npl = self._normal_for(self._shift(off, i, 1))
-            nmi = self._normal_for(self._shift(off, i, -1))
-            dn[i] = (npl - nmi) / (2.0 * self.h)
+        nrm = normal(off)
         s_amb = np.empty_like(t)
         for i in range(self.dom):
-            s_amb[i] = -(dn[i] + self.model.koszul_connection(t[i], nrm))
-        ii = s_amb @ t.T  # <S d_i, d_j>
-        return {"s_ambient": s_amb, "second_fundamental": ii}
-
-    def _normal_for(self, off):
-        """Normal at an offset, aligned to the center reference."""
-        off = self._key(off)
-        if off in self._normals:
-            return self._normals[off]
-        t = self.tangents(off)
-        _, _, vt = np.linalg.svd(t, full_matrices=True)
-        nrm = vt[-1]
-        ref = self._center_normal_ref
-        if ref is None:
-            ref = self.normal(())  # force center orientation first
-        if float(nrm @ ref) < 0:
-            nrm = -nrm
-        self._normals[off] = nrm
-        return nrm
+            npl = normal(self._shift(off, i, 1))
+            nmi = normal(self._shift(off, i, -1))
+            dn = (npl - nmi) / (2.0 * self.h)
+            s_amb[i] = -(dn + self.model.koszul_connection(t[i], nrm))
+        return s_amb
 
     def shape_data(self, off=()) -> dict:
-        """Ambient images S(d_i), the scalar form <S d_i, d_j>, and the
-        coordinate matrix of S at an offset."""
+        """Ambient images S(d_i), the scalar form <S d_i, d_j>, the metric
+        and the coordinate matrix of S at an offset."""
         off = self._key(off)
         if off not in self._sdata:
-            nrm = self.normal(off) if off == (0,) * self.dom else self._normal_for(off)
-            raw = self._shape_raw(off, nrm)
             t = self.tangents(off)
+            s_amb = self._s_ambient(off, self.normal)
+            ii = s_amb @ t.T
             g = t @ t.T
             ginv = np.linalg.inv(g)
-            s_coord = ginv @ raw["second_fundamental"]  # S^j_i as [j, i]? see below
-            # rows of s_amb are S(d_i); coefficients: S(d_i) = sum_j C[i,j] d_j
-            coeff = raw["s_ambient"] @ t.T @ ginv
-            raw.update(
-                {
-                    "metric": g,
-                    "inv_metric": ginv,
-                    "coeff": coeff,  # C[i, j]: S(d_i) = C[i,j] d_j
-                }
-            )
-            self._sdata[off] = raw
+            self._sdata[off] = {
+                "s_ambient": s_amb,
+                "second_fundamental": ii,  # <S d_i, d_j>
+                "metric": g,
+                "inv_metric": ginv,
+                "coeff": ii @ ginv,  # C[i, j]: S(d_i) = C[i,j] d_j
+            }
         return self._sdata[off]
 
     def germ(self, off=()) -> HypersurfaceGerm:
@@ -305,10 +307,9 @@ class GermField:
             rinv = np.linalg.inv(rmat)
             s_orth = rinv.T @ (sd["s_ambient"] @ q)
             s_orth = 0.5 * (s_orth + s_orth.T)
-            nrm = self.normal(off) if off == (0,) * self.dom else self._normal_for(off)
             self._germs[off] = HypersurfaceGerm(
                 params=self.params,
-                normal=nrm,
+                normal=self.normal(off),
                 tangent_basis=q.T,
                 shape=s_orth,
                 jmat=self.model.jmat,
@@ -399,47 +400,18 @@ class GermField:
 
     # -- eigenframe fields -------------------------------------------------
 
-    def hopf_fields(self, off=()) -> dict:
-        """Canonical frame (xi, U1, U2, A) plus aligned eigenspace bases
-        at an offset (ambient frame components)."""
+    def hopf_frame(self, off=()):
+        """(principal decomposition, Hopf frame) of the germ at an offset."""
         off = self._key(off)
         if off not in self._frames:
             germ = self.germ(off)
             decomp = principal_decomposition(germ, tol=self.grouping_tol)
-            frame = hopf_frame_extract(germ, decomp)
-            fields = {
-                "xi": germ.normal,
-                "u1": frame.u1,
-                "u2": frame.u2,
-                "a": frame.a_vec,
-                "b1": frame.b1,
-                "b2": frame.b2,
-                "decomp": decomp,
-                "germ": germ,
-            }
-            self._frames[off] = fields
+            self._frames[off] = decomp, hopf_frame_extract(germ, decomp)
         return self._frames[off]
 
-    def eigenvalue_fields(self) -> dict:
-        """Center eigenvalues keyed by role: lam1, lam2, lam3 (the
-        smallest non-projected), lam4 when present."""
-        fl = self.hopf_fields(())
-        decomp = fl["decomp"]
-        hopf_idx, rest = decomp.hopf_indices, decomp.non_hopf_indices
-        out = {
-            "lam1": float(decomp.eigenvalues[hopf_idx[0]]),
-            "lam2": float(decomp.eigenvalues[hopf_idx[1]]),
-            "hopf_idx": hopf_idx,
-            "rest_idx": rest,
-        }
-        if rest:
-            out["lam3"] = float(min(decomp.eigenvalues[i] for i in rest))
-        return out
-
     def _ambient_space(self, off, group_index) -> np.ndarray:
-        fl = self.hopf_fields(off)
-        decomp = fl["decomp"]
-        return decomp.spaces[group_index] @ fl["germ"].tangent_basis
+        decomp, _ = self.hopf_frame(off)
+        return decomp.spaces[group_index] @ self.germ(off).tangent_basis
 
     @staticmethod
     def _loewdin(rows: np.ndarray) -> np.ndarray:
@@ -451,22 +423,62 @@ class GermField:
         offset, project onto the eigenspace nearest the given eigenvalue
         and re-orthonormalize.  Returns a dict offset -> rows."""
         out = {}
-        for off in self._stencil_l1(1):
-            fl = self.hopf_fields(off)
-            decomp = fl["decomp"]
+        for off in self._stencil_l1():
+            decomp, _ = self.hopf_frame(off)
             i = int(np.argmin(np.abs(decomp.eigenvalues - eigenvalue)))
             amb = self._ambient_space(off, i)
             proj = center_rows @ amb.T @ amb
             out[off] = self._loewdin(proj)
         return out
 
-    def _stencil_l1(self, radius=1):
+    def _stencil_l1(self):
         zero = (0,) * self.dom
         outs = [zero]
         for i in range(self.dom):
             for s in (1, -1):
                 outs.append(self._shift(zero, i, s))
         return outs
+
+    @cached_property
+    def frame_fields(self) -> FrameFields:
+        """U_1, U_2, A and the aligned eigenspace complements, with the
+        table of their tangential derivatives at the center."""
+        decomp, frame = self.hopf_frame(())
+        stencil = self._stencil_l1()
+        frames = [self.hopf_frame(off)[1] for off in stencil]
+        fields = [
+            {off: getattr(fr, name) for off, fr in zip(stencil, frames)}
+            for name in ("u1", "u2", "a_vec")
+        ]
+        lam = [float(v) for v in decomp.eigenvalues]
+        rest = decomp.non_hopf_indices
+        i3 = min(rest, key=lambda i: lam[i])
+        eigenvalues = [lam[i] for i in decomp.hopf_indices[:2]] + [lam[i3]]
+        # the lambda_3-space minus A, then the other non-projected spaces
+        amb3 = self._ambient_space((), i3)
+        raw3 = amb3 - np.outer(amb3 @ frame.a_vec, frame.a_vec)
+        _, sv, vt = np.linalg.svd(raw3, full_matrices=False)
+        spaces = [(i3, vt[sv > 0.5])]
+        spaces += [(i, self._ambient_space((), i)) for i in rest if i != i3]
+        for i, rows in spaces:
+            if not rows.shape[0]:
+                continue
+            aligned = self.aligned_space_field(rows, lam[i])
+            for m in range(rows.shape[0]):
+                fields.append({off: basis[m] for off, basis in aligned.items()})
+                eigenvalues.append(lam[i])
+        centers = tuple(f[stencil[0]] for f in fields)
+        nabla = np.array(
+            [[self.tangential_derivative(y, x) for y in fields] for x in centers]
+        )
+        return FrameFields(
+            fields=tuple(fields),
+            centers=centers,
+            eigenvalues=tuple(eigenvalues),
+            b1=frame.b1,
+            b2=frame.b2,
+            nabla=nabla,
+        )
 
     # -- derivative helpers ------------------------------------------------
 
@@ -508,23 +520,11 @@ class GermField:
 
     def field_from_function(self, fn) -> dict:
         """Evaluate fn(offset) on the L1<=1 stencil."""
-        return {off: fn(off) for off in self._stencil_l1(1)}
+        return {off: fn(off) for off in self._stencil_l1()}
 
 
 # ---------------------------------------------------------------------------
 # residual suites
-
-
-def germ_field(
-    chart: ChartImmersion, x0, fd_step: float = DEFAULT_FD_STEP, **kw
-) -> GermField:
-    return GermField(chart, x0, fd_step, **kw)
-
-
-def numeric_geometry(
-    chart: ChartImmersion, x0, fd_step: float = DEFAULT_FD_STEP
-) -> NumericGeometry:
-    return GermField(chart, x0, fd_step).center_geometry()
 
 
 def gauss_codazzi_residuals(field: GermField, shape_scale: float = 1.0) -> dict:
@@ -570,84 +570,31 @@ def gauss_codazzi_residuals(field: GermField, shape_scale: float = 1.0) -> dict:
     }
 
 
-def _field_set(field: GermField) -> dict:
-    """Canonical fields U1, U2, A plus aligned complements, with their
-    eigenvalue labels at the center."""
-    ev = field.eigenvalue_fields()
-    fl = field.hopf_fields(())
-    decomp = fl["decomp"]
-
-    def canonical(name):
-        return {off: field.hopf_fields(off)[name] for off in field._stencil_l1(1)}
-
-    out = {
-        "fields": {
-            "u1": (ev["lam1"], canonical("u1")),
-            "u2": (ev["lam2"], canonical("u2")),
-            "a": (ev["lam3"], canonical("a")),
-        },
-        "ev": ev,
-        "b1": fl["b1"],
-        "b2": fl["b2"],
-        "fl": fl,
-    }
-    # aligned complement fields: lambda_3-space minus A, lambda_4-space
-    rest = ev["rest_idx"]
-    lam_of = {i: float(decomp.eigenvalues[i]) for i in rest}
-    i3 = min(rest, key=lambda i: lam_of[i])
-    amb3 = field._ambient_space((0,) * field.dom, i3)
-    a0 = fl["a"]
-    raw3 = amb3 - np.outer(amb3 @ a0, a0)
-    _, sv, vt = np.linalg.svd(raw3, full_matrices=False)
-    comp3 = vt[sv > 0.5]
-    if comp3.shape[0]:
-        aligned = field.aligned_space_field(comp3, lam_of[i3])
-        for m in range(comp3.shape[0]):
-            out["fields"][f"w3_{m}"] = (
-                lam_of[i3],
-                {off: rows[m] for off, rows in aligned.items()},
-            )
-    for i in rest:
-        if i == i3:
-            continue
-        amb = field._ambient_space((0,) * field.dom, i)
-        aligned = field.aligned_space_field(amb, lam_of[i])
-        for m in range(amb.shape[0]):
-            out["fields"][f"w4_{m}"] = (
-                lam_of[i],
-                {off: rows[m] for off, rows in aligned.items()},
-            )
-    return out
-
-
 def real_eigenspace_residual(field: GermField) -> float:
     """Projected eigenspaces must be totally real: max |<J v, w>| over
     pairs inside each eigenspace carrying structure-vector projection."""
-    fl = field.hopf_fields(())
-    return max(totally_real_check(fl["germ"], fl["decomp"]).values(), default=0.0)
+    decomp, _ = field.hopf_frame(())
+    return max(totally_real_check(field.germ(), decomp).values(), default=0.0)
 
 
 def graded_connection_residuals(field: GermField) -> float:
     """For X, Y in the alpha-eigenspace and Z in a different one:
     <nabla_X Y, Z> = c/(4(alpha-beta)) (<JY,Z><X,Jxi> + <JX,Y><Z,Jxi>
     + 2<JX,Z><Y,Jxi>)."""
-    data = _field_set(field)
+    ff = field.frame_fields
     c = field.params.c
     jmat = field.model.jmat
-    fl = data["fl"]
-    jxi0 = jmat @ fl["xi"]
+    jxi0 = jmat @ field.normal()
     worst = 0.0
-    items = list(data["fields"].items())
-    for _, (alpha, xf) in items:
-        for _, (alpha2, yf) in items:
+    frame = list(enumerate(zip(ff.eigenvalues, ff.centers)))
+    for a, (alpha, x0) in frame:
+        for b, (alpha2, y0) in frame:
             if abs(alpha2 - alpha) > 1e-6:
                 continue
-            for _, (beta, zf) in items:
+            for _, (beta, z0) in frame:
                 if abs(beta - alpha) <= 1e-6:
                     continue
-                zero = (0,) * field.dom
-                x0, y0, z0 = xf[zero], yf[zero], zf[zero]
-                lhs = field.tangential_derivative(yf, x0) @ z0
+                lhs = ff.nabla[a, b] @ z0
                 rhs = (c / (4.0 * (alpha - beta))) * (
                     (jmat @ y0) @ z0 * (x0 @ jxi0)
                     + (jmat @ x0) @ y0 * (z0 @ jxi0)
@@ -660,24 +607,21 @@ def graded_connection_residuals(field: GermField) -> float:
 def graded_curvature_residuals(field: GermField) -> float:
     """<Rbar(X,Y)Z, xi> = (beta-gamma)<nabla_X Y, Z>
     - (alpha-gamma)<nabla_Y X, Z> over eigen-field triples, alpha != beta."""
-    data = _field_set(field)
+    ff = field.frame_fields
     jmat = field.model.jmat
-    fl = data["fl"]
-    xi0 = fl["xi"]
+    xi0 = field.normal()
     c = field.params.c
     worst = 0.0
-    items = list(data["fields"].items())
-    zero = (0,) * field.dom
-    for _, (alpha, xf) in items:
-        for _, (beta, yf) in items:
+    frame = list(enumerate(zip(ff.eigenvalues, ff.centers)))
+    for a, (alpha, x0) in frame:
+        for b, (beta, y0) in frame:
             if abs(beta - alpha) <= 1e-6:
                 continue
-            for _, (gamma, zf) in items:
-                x0, y0, z0 = xf[zero], yf[zero], zf[zero]
+            for _, (gamma, z0) in frame:
                 lhs = ambient_curvature(x0, y0, z0, c, jmat) @ xi0
-                rhs = (beta - gamma) * (
-                    field.tangential_derivative(yf, x0) @ z0
-                ) - (alpha - gamma) * (field.tangential_derivative(xf, y0) @ z0)
+                rhs = (beta - gamma) * (ff.nabla[a, b] @ z0) - (alpha - gamma) * (
+                    ff.nabla[b, a] @ z0
+                )
                 worst = max(worst, abs(float(lhs - rhs)))
     return worst
 
@@ -685,40 +629,27 @@ def graded_curvature_residuals(field: GermField) -> float:
 def unit_pair_gauss_residual(field: GermField) -> float:
     """Scalar Gauss identity for unit eigen-fields X in T_alpha, Y in
     T_beta (alpha != beta); all derivative terms by central differences."""
-    data = _field_set(field)
+    ff = field.frame_fields
     jmat = field.model.jmat
     c = field.params.c
-    zero = (0,) * field.dom
-    xi_field = {off: field.hopf_fields(off)["xi"] for off in field._stencil_l1(1)}
+    stencil = field._stencil_l1()
+    jxi = {off: jmat @ field.normal(off) for off in stencil}
     worst = 0.0
-    items = list(data["fields"].items())
-    for xi_name, (alpha, xf) in items:
-        for yi_name, (beta, yf) in items:
+    frame = list(enumerate(zip(ff.eigenvalues, ff.fields)))
+    for a, (alpha, xf) in frame:
+        for b, (beta, yf) in frame:
             if abs(beta - alpha) <= 1e-6:
                 continue
-            x0, y0 = xf[zero], yf[zero]
+            x0, y0 = ff.centers[a], ff.centers[b]
+            jxy = {off: float((jmat @ xf[off]) @ yf[off]) for off in stencil}
+            yjxi = {off: float(yf[off] @ jxi[off]) for off in stencil}
+            xjxi = {off: float(xf[off] @ jxi[off]) for off in stencil}
+            nab_xy, nab_yx = ff.nabla[a, b], ff.nabla[b, a]
+            nab_xx, nab_yy = ff.nabla[a, a], ff.nabla[b, b]
 
-            def sc_jxy(off):
-                return float((jmat @ xf[off]) @ yf[off])
-
-            def sc_yjxi(off):
-                return float(yf[off] @ (jmat @ xi_field[off]))
-
-            def sc_xjxi(off):
-                return float(xf[off] @ (jmat @ xi_field[off]))
-
-            jxy = {off: sc_jxy(off) for off in field._stencil_l1(1)}
-            yjxi = {off: sc_yjxi(off) for off in field._stencil_l1(1)}
-            xjxi = {off: sc_xjxi(off) for off in field._stencil_l1(1)}
-
-            nab_xy = field.tangential_derivative(yf, x0)
-            nab_yx = field.tangential_derivative(xf, y0)
-            nab_xx = field.tangential_derivative(xf, x0)
-            nab_yy = field.tangential_derivative(yf, y0)
-
-            jxy0 = jxy[zero]
-            xjxi0 = xjxi[zero]
-            yjxi0 = yjxi[zero]
+            jxy0 = jxy[stencil[0]]
+            xjxi0 = xjxi[stencil[0]]
+            yjxi0 = yjxi[stencil[0]]
             term1 = (beta - alpha) * (
                 -c
                 - 4.0 * alpha * beta
@@ -757,41 +688,29 @@ def frame_connection_residuals(field: GermField) -> dict:
                         + (l_j - l3)(l_i - 3 c b_i^2/(4(l3-l_i))) ] U_j
       nabla_A A       = 0
     """
-    data = _field_set(field)
-    ev = data["ev"]
-    l1, l2, l3 = ev["lam1"], ev["lam2"], ev["lam3"]
-    b1, b2 = data["b1"], data["b2"]
+    ff = field.frame_fields
+    lam, l3 = ff.eigenvalues[:2], ff.eigenvalues[2]
+    b1, b2 = ff.b1, ff.b2
+    bsq = (b1 * b1, b2 * b2)
     c = field.params.c
-    zero = (0,) * field.dom
-    u1f = data["fields"]["u1"][1]
-    u2f = data["fields"]["u2"][1]
-    af = data["fields"]["a"][1]
-    u10, u20, a0 = u1f[zero], u2f[zero], af[zero]
-
-    lam = {1: l1, 2: l2}
-    bsq = {1: b1 * b1, 2: b2 * b2}
-    uf = {1: u1f, 2: u2f}
-    u0 = {1: u10, 2: u20}
-    sign = {1: -1.0, 2: 1.0}  # (-1)^i
+    u0, a0 = ff.centers[:2], ff.centers[2]
+    nab = ff.nabla  # fields 0, 1, 2 are U_1, U_2, A
+    sign = (-1.0, 1.0)  # (-1)^i for i = 1, 2
 
     res = {}
-    for i, j in ((1, 2), (2, 1)):
+    for i, j in ((0, 1), (1, 0)):
+        ui, uj = f"u{i + 1}", f"u{j + 1}"
         gamma_i = 3.0 * c * b1 * b2 / (4.0 * (l3 - lam[i]))
         delta_i = lam[i] - 3.0 * c * bsq[i] / (4.0 * (l3 - lam[i]))
-        lhs = field.tangential_derivative(uf[i], u0[i])
-        res[f"u{i}_u{i}"] = float(np.linalg.norm(lhs - sign[j] * gamma_i * a0))
-        lhs = field.tangential_derivative(uf[j], u0[i])
-        res[f"u{i}_u{j}"] = float(np.linalg.norm(lhs - sign[j] * delta_i * a0))
-        lhs = field.tangential_derivative(af, u0[i])
+        res[f"{ui}_{ui}"] = float(np.linalg.norm(nab[i, i] - sign[j] * gamma_i * a0))
+        res[f"{ui}_{uj}"] = float(np.linalg.norm(nab[i, j] - sign[j] * delta_i * a0))
         rhs = sign[i] * (gamma_i * u0[i] + delta_i * u0[j])
-        res[f"u{i}_a"] = float(np.linalg.norm(lhs - rhs))
+        res[f"{ui}_a"] = float(np.linalg.norm(nab[i, 2] - rhs))
         coeff = (sign[j] / (lam[i] - lam[j])) * (
             c * (2.0 * bsq[j] - bsq[i]) / 4.0 + (lam[j] - l3) * delta_i
         )
-        lhs = field.tangential_derivative(uf[i], a0)
-        res[f"a_u{i}"] = float(np.linalg.norm(lhs - coeff * u0[j]))
-    lhs = field.tangential_derivative(af, a0)
-    res["a_a"] = float(np.linalg.norm(lhs))
+        res[f"a_{ui}"] = float(np.linalg.norm(nab[2, i] - coeff * u0[j]))
+    res["a_a"] = float(np.linalg.norm(nab[2, 2]))
     return res
 
 

@@ -63,9 +63,7 @@ def catalog_quadratic(lam1, lam2, lam3, c):
 
 def hopf_projection_squares(lam1, lam2, lam3, c):
     """b_i^2 = 4 (lam_j - 2 lam_3)(lam_i - lam_3)^2 / (c (lam_i - lam_j))."""
-    lam1 = np.asarray(lam1, dtype=float)
-    lam2 = np.asarray(lam2, dtype=float)
-    lam3 = np.asarray(lam3, dtype=float)
+    lam1, lam2, lam3 = np.asarray(lam1), np.asarray(lam2), np.asarray(lam3)
     b1 = 4.0 * (lam2 - 2.0 * lam3) * (lam1 - lam3) ** 2 / (c * (lam1 - lam2))
     b2 = 4.0 * (lam1 - 2.0 * lam3) * (lam2 - lam3) ** 2 / (c * (lam2 - lam1))
     return b1, b2

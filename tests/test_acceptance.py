@@ -26,7 +26,6 @@ from chgeom import (
     frame_connection_residuals,
     frame_identity_residuals,
     gauss_codazzi_residuals,
-    germ_field,
     graded_connection_residuals,
     graded_curvature_residuals,
     hopf_frame_extract,
@@ -43,6 +42,7 @@ from chgeom import (
     unit_pair_gauss_residual,
 )
 from chgeom.cli import main as cli_main
+from chgeom.numlab import GermField
 
 CURVATURE_TOLERANCE = 1e-10
 RIGIDITY_TOLERANCE = 1e-12
@@ -295,7 +295,7 @@ def test_criterion_9_finite_difference_laboratory():
     spec = build_submanifold(params, 2, math.pi / 2)
     chart = tube_chart(spec, r=0.7)
     x0 = np.array([0.05, -0.08, 0.11, 0.02, -0.04])
-    fields = {h: germ_field(chart, x0, fd_step=h) for h in (1e-3, 5e-4)}
+    fields = {h: GermField(chart, x0, fd_step=h) for h in (1e-3, 5e-4)}
     field = fields[1e-3]
     values = dict(gauss_codazzi_residuals(field))
     values["real_eigenspace"] = real_eigenspace_residual(field)

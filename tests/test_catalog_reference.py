@@ -1,6 +1,8 @@
 """References for the radius-keyed catalog: an mpmath evaluation at 120
 digits over s*r in (0, 50], and a sympy proof in (s, q), q = e^{-2sr},
-of the identities ``catalog_at_radius`` relies on."""
+of the identities ``catalog_at_radius`` relies on, of the
+``hopf_projection_squares`` formulas on the catalog curve, and of
+C^2 = (-c/4) I for the closed focal collapse matrix."""
 
 import math
 
@@ -9,7 +11,9 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from chgeom.spectral import catalog_at_radius
+from chgeom import jacobi
+from chgeom.jacobi import focal_collapse_matrix_closed
+from chgeom.spectral import catalog_at_radius, hopf_projection_squares
 
 RELATIVE_TOLERANCE = 1e-13
 # lambda_1 vanishes at the special radius; near it, bound it absolutely
@@ -61,6 +65,25 @@ def test_catalog_at_radius_matches_mpmath(c):
                 assert err <= RELATIVE_TOLERANCE * abs(ref), (name, sr, float(err / abs(ref)))
 
 
+def _exact(expr):
+    """expr with its float constants (small integers in the formulas)
+    replaced by the rationals they represent exactly."""
+    return expr.xreplace({f: sp.Rational(f) for f in expr.atoms(sp.Float)})
+
+
+def test_focal_collapse_matrix_squares_symbolically(monkeypatch):
+    """C = s [[-2 b1 b2, b1^2 - b2^2], [b1^2 - b2^2, 2 b1 b2]] squares to
+    (-c/4) I whenever b1^2 + b2^2 = 1, for every c = -4 s^2 < 0."""
+    s, b1, b2 = sp.symbols("s b1 b2", positive=True)
+    c = -4 * s**2
+    monkeypatch.setattr(jacobi, "rate", lambda c: sp.sqrt(-c) / 2)
+    cmat = focal_collapse_matrix_closed(b1, b2, c)
+    square = cmat @ cmat - (-c / 4) * np.eye(2, dtype=object)
+    for entry in square.ravel():
+        num = sp.expand(_exact(sp.sympify(entry)))
+        assert sp.rem(num, b1**2 + b2**2 - 1, b1) == 0
+
+
 def test_catalog_at_radius_identities_symbolically():
     """The route's rewrites hold as identities in s > 0, 0 < q < 1 (c =
     -4s^2), with the root R = sqrt(-c - 3 lambda_3^2) reduced modulo its
@@ -92,6 +115,10 @@ def test_catalog_at_radius_identities_symbolically():
     assert vanishes(b1sq + b2sq - 1)
     lam1, lam2 = lam3 - low / 2, (3 * lam3 + R) / 2
     assert vanishes(c - 4 * lam1 * lam2 + 8 * (lam1 + lam2) * lam3 - 12 * lam3**2)
+    # hopf_projection_squares, which the scans evaluate off the curve,
+    # gives these same b_i^2 on it
+    for got, want in zip(hopf_projection_squares(lam1, lam2, lam3, c), (b1sq, b2sq)):
+        assert vanishes(_exact(got) - want)
     # lambda_4 = -c/(4 lambda_3) is the normal modes' s coth(sr)
     lam4 = -c / (4 * lam3)
     assert sp.simplify(lam4 - s * (1 + q) / (1 - q)) == 0

@@ -13,16 +13,15 @@ from chgeom import (
     convergence_order,
     frame_connection_residuals,
     gauss_codazzi_residuals,
-    germ_field,
     graded_connection_residuals,
     graded_curvature_residuals,
     horosphere_chart,
-    numeric_geometry,
     real_eigenspace_residual,
     tube_chart,
     tube_spectrum_closed,
     unit_pair_gauss_residual,
 )
+from chgeom.numlab import GermField
 
 EXACT_CHART_TOLERANCE = 1e-10
 SPECTRUM_TOLERANCE = 1e-5
@@ -41,17 +40,19 @@ def tube_field():
     params = ModelParams(n=3, c=-4.0)
     spec = build_submanifold(params, k=2, phi=np.pi / 2)
     chart = tube_chart(spec, r=0.7)
-    return germ_field(chart, TUBE_X0)
+    return GermField(chart, TUBE_X0)
 
 
 @pytest.fixture(scope="module")
 def horo_field():
     chart = horosphere_chart(ModelParams(n=2, c=-4.0))
-    return germ_field(chart, np.array([0.02, -0.03, 0.05]))
+    return GermField(chart, np.array([0.02, -0.03, 0.05]))
 
 
 def test_horosphere_geometry_is_exact(horo_field):
     geo = horo_field.center_geometry()
+    assert geo.tangents.shape == (3, 4)
+    assert geo.second_fundamental.shape == (3, 3)
     evals = np.sort(np.linalg.eigvalsh(geo.germ.shape))
     assert np.allclose(evals, [1.0, 1.0, 2.0], atol=EXACT_CHART_TOLERANCE)
     res = gauss_codazzi_residuals(horo_field)
@@ -93,7 +94,7 @@ def test_equidistant_chart_classifies():
     params = ModelParams(n=2, c=-4.0)
     spec = build_submanifold(params, k=1, phi=np.pi / 2)
     chart = tube_chart(spec, r=0.3)
-    field = germ_field(chart, np.zeros(chart.domain_dim))
+    field = GermField(chart, np.zeros(chart.domain_dim))
     res = classify(field.germ(), tol=1e-4, grouping_tol=1e-5)
     assert res.model == "equidistant"
     assert res.k == 1
@@ -146,7 +147,7 @@ def test_residuals_converge_under_halving():
     params = ModelParams(n=3, c=-4.0)
     spec = build_submanifold(params, k=2, phi=np.pi / 2)
     chart = tube_chart(spec, r=0.7)
-    fields = {h: germ_field(chart, TUBE_X0, fd_step=h) for h in (1e-3, 5e-4)}
+    fields = {h: GermField(chart, TUBE_X0, fd_step=h) for h in (1e-3, 5e-4)}
     for key in ("gauss", "codazzi"):
         order = convergence_order(
             lambda h, key=key: gauss_codazzi_residuals(fields[h])[key]
@@ -170,11 +171,59 @@ def test_germ_field_caches_offsets(tube_field):
     assert tube_field.coords(far).shape == (tube_field.params.dim,)
 
 
-def test_numeric_geometry_wrapper():
-    chart = horosphere_chart(ModelParams(n=2, c=-4.0))
-    geo = numeric_geometry(chart, np.zeros(3))
-    assert geo.tangents.shape == (3, 4)
-    assert geo.second_fundamental.shape == (3, 3)
+FRAME_SUITES = (
+    graded_connection_residuals,
+    graded_curvature_residuals,
+    unit_pair_gauss_residual,
+    frame_connection_residuals,
+)
+
+
+def test_frame_table_is_built_once(monkeypatch):
+    """The four frame suites read one table of nabla_{X_a} X_b: each pair
+    of frame fields is differentiated at most once per GermField."""
+    calls = []
+    original = GermField.tangential_derivative
+
+    def counting(self, field, direction):
+        calls.append(1)
+        return original(self, field, direction)
+
+    monkeypatch.setattr(GermField, "tangential_derivative", counting)
+    params = ModelParams(n=3, c=-4.0)
+    chart = tube_chart(build_submanifold(params, k=2, phi=np.pi / 2), r=0.7)
+    field = GermField(chart, TUBE_X0)
+    first = [suite(field) for suite in FRAME_SUITES]
+    built = len(calls)
+    # 5^2 pairs of U_1, U_2, A, one lambda_3 and one lambda_4 field
+    assert built <= 25
+    assert len(field.frame_fields.fields) == 5
+    # a second pass reads the same table
+    assert [suite(field) for suite in FRAME_SUITES] == first
+    assert len(calls) == built
+
+
+@pytest.mark.parametrize(
+    "n, k, r, flipped", [(2, 1, 0.3, False), (3, 2, 0.7, True)]
+)
+def test_normal_orientation(n, k, r, flipped):
+    """trace S >= 0 at the center and every L1 <= 1 neighbour normal is
+    aligned with the center one, whether or not the first SVD normal
+    had to be turned around (at x0 = 0 it must be on the n=3 k=2 tube,
+    and not on the n=2 k=1 one)."""
+    spec = build_submanifold(ModelParams(n=n, c=-4.0), k=k, phi=np.pi / 2)
+    chart = tube_chart(spec, r=r)
+    field = GermField(chart, np.zeros(chart.domain_dim))
+    center = field.normal()
+    assert np.trace(field.center_geometry().shape_coord) >= 0
+    for i in range(field.dom):
+        for s in (1, -1):
+            off = [0] * field.dom
+            off[i] = s
+            assert float(field.normal(off) @ center) > 0
+    # the orientation branch: the SVD normal at the center, turned or not
+    _, _, vt = np.linalg.svd(field.tangents(), full_matrices=True)
+    assert (float(vt[-1] @ center) < 0) == flipped
 
 
 def test_field_derivative_helpers(tube_field):

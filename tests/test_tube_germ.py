@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
 from chgeom import (
     ModelParams,
@@ -24,6 +26,8 @@ from chgeom.tubes import MAX_RADIUS, MAX_RATE_RADIUS, tube_germ
 
 CLOSED_VS_ODE_TOLERANCE = 1e-8
 SPECTRUM_RELATIVE_TOLERANCE = 1e-12
+ROUNDTRIP_RADIUS_TOLERANCE = 1e-6
+RK4_SPECTRUM_RELATIVE_TOLERANCE = 1e-10
 
 
 def _random_modes(n, seed):
@@ -90,6 +94,56 @@ def test_tube_germ_spectrum_matches_catalog(c):
                 want = tube_spectrum_closed(r, c, n, k)
                 rel = np.max(np.abs(got - want)) / np.max(np.abs(want))
                 assert rel <= SPECTRUM_RELATIVE_TOLERANCE, (n, k, r, rel)
+
+
+def _unit_normal(spec, coeffs):
+    """The unit vector of the orbit's normal space with the given
+    coefficients in its normal basis (for k = 1 that is +-xi)."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    return (coeffs / np.linalg.norm(coeffs)) @ spec.normal_basis
+
+
+@seed(17)
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(2, 6),
+    c=st.floats(-9.0, -0.25),
+    sr=st.floats(0.05, 4.0),
+    data=st.data(),
+)
+def test_spectrum_is_constant_over_the_unit_normal_sphere(n, c, sr, data):
+    """The tube has the catalog's constant principal curvatures at every
+    unit normal eta of the orbit, not only at normal_basis[0]."""
+    k = data.draw(st.integers(1, n - 1), label="k")
+    coeffs = data.draw(
+        st.lists(st.floats(-1.0, 1.0), min_size=k, max_size=k).filter(
+            lambda v: np.linalg.norm(v) > 0.1
+        ),
+        label="eta coefficients",
+    )
+    r = sr / rate(c)
+    assume(r <= MAX_RADIUS)
+    spec = build_submanifold(ModelParams(n=n, c=c), k, math.pi / 2)
+    germ = tube_germ(spec, _unit_normal(spec, coeffs), r)
+    got = np.sort(np.linalg.eigvalsh(germ.shape))
+    want = tube_spectrum_closed(r, c, n, k)
+    rel = np.max(np.abs(got - want)) / np.max(np.abs(want))
+    assert rel <= SPECTRUM_RELATIVE_TOLERANCE, (n, k, r, rel)
+    res = classify(germ)
+    assert (res.model, res.k) == ("tube" if k >= 2 else "equidistant", k)
+    assert abs(res.r - r) < ROUNDTRIP_RADIUS_TOLERANCE
+
+
+def test_integrated_spectrum_at_a_random_normal():
+    """The RK4 route agrees with the catalog away from normal_basis[0]."""
+    n, k, c, r = 4, 3, -4.0, 0.7
+    spec = build_submanifold(ModelParams(n=n, c=c), k, math.pi / 2)
+    eta = _unit_normal(spec, np.random.default_rng(3).normal(size=k))
+    germ = tube_shape_operator(spec, eta, r, step=1e-3).germ
+    got = np.sort(np.linalg.eigvalsh(germ.shape))
+    want = tube_spectrum_closed(r, c, n, k)
+    rel = np.max(np.abs(got - want)) / np.max(np.abs(want))
+    assert rel <= RK4_SPECTRUM_RELATIVE_TOLERANCE, rel
 
 
 def test_tube_germ_classifies_like_integrated_germ():
