@@ -51,8 +51,6 @@ def horo_field():
 
 def test_horosphere_geometry_is_exact(horo_field):
     geo = horo_field.center_geometry()
-    assert geo.tangents.shape == (3, 4)
-    assert geo.second_fundamental.shape == (3, 3)
     evals = np.sort(np.linalg.eigvalsh(geo.germ.shape))
     assert np.allclose(evals, [1.0, 1.0, 2.0], atol=EXACT_CHART_TOLERANCE)
     res = gauss_codazzi_residuals(horo_field)
@@ -224,6 +222,14 @@ def test_normal_orientation(n, k, r, flipped):
     # the orientation branch: the SVD normal at the center, turned or not
     _, _, vt = np.linalg.svd(field.tangents(), full_matrices=True)
     assert (float(vt[-1] @ center) < 0) == flipped
+
+
+def test_numeric_geometry_wrapper():
+    # the induced geometry of a chart at a point, straight from GermField
+    chart = horosphere_chart(ModelParams(n=2, c=-4.0))
+    geo = GermField(chart, np.zeros(3)).center_geometry()
+    assert geo.tangents.shape == (3, 4)
+    assert geo.second_fundamental.shape == (3, 3)
 
 
 def test_field_derivative_helpers(tube_field):
