@@ -204,6 +204,8 @@ class GermField:
         self._aligned_normals = {}
         self._sdata = {}
         self._germs = {}
+        self._christoffels = {}
+        self._decomps = {}
         self._frames = {}
 
     # -- raw fields ------------------------------------------------------
@@ -322,6 +324,11 @@ class GermField:
         """Gamma[i, j, k]: nabla_{d_i} d_j = Gamma[i,j,k] d_k, from the
         tangential part of the ambient derivative."""
         off = self._key(off)
+        if off not in self._christoffels:
+            self._christoffels[off] = self._christoffel_symbols(off)
+        return self._christoffels[off]
+
+    def _christoffel_symbols(self, off) -> np.ndarray:
         sd = self.shape_data(off)
         t = self.tangents(off)
         ginv = sd["inv_metric"]
@@ -400,18 +407,27 @@ class GermField:
 
     # -- eigenframe fields -------------------------------------------------
 
+    def decomposition(self, off=()):
+        """Principal decomposition of the germ at an offset."""
+        off = self._key(off)
+        if off not in self._decomps:
+            self._decomps[off] = principal_decomposition(
+                self.germ(off), tol=self.grouping_tol
+            )
+        return self._decomps[off]
+
     def hopf_frame(self, off=()):
-        """(principal decomposition, Hopf frame) of the germ at an offset."""
+        """(principal decomposition, Hopf frame) of the germ at an offset;
+        needs h = 2 there."""
         off = self._key(off)
         if off not in self._frames:
-            germ = self.germ(off)
-            decomp = principal_decomposition(germ, tol=self.grouping_tol)
-            self._frames[off] = decomp, hopf_frame_extract(germ, decomp)
+            decomp = self.decomposition(off)
+            self._frames[off] = decomp, hopf_frame_extract(self.germ(off), decomp)
         return self._frames[off]
 
     def _ambient_space(self, off, group_index) -> np.ndarray:
-        decomp, _ = self.hopf_frame(off)
-        return decomp.spaces[group_index] @ self.germ(off).tangent_basis
+        space = self.decomposition(off).spaces[group_index]
+        return space @ self.germ(off).tangent_basis
 
     @staticmethod
     def _loewdin(rows: np.ndarray) -> np.ndarray:
@@ -424,7 +440,7 @@ class GermField:
         and re-orthonormalize.  Returns a dict offset -> rows."""
         out = {}
         for off in self._stencil_l1():
-            decomp, _ = self.hopf_frame(off)
+            decomp = self.decomposition(off)
             i = int(np.argmin(np.abs(decomp.eigenvalues - eigenvalue)))
             amb = self._ambient_space(off, i)
             proj = center_rows @ amb.T @ amb
@@ -573,8 +589,10 @@ def gauss_codazzi_residuals(field: GermField, shape_scale: float = 1.0) -> dict:
 def real_eigenspace_residual(field: GermField) -> float:
     """Projected eigenspaces must be totally real: max |<J v, w>| over
     pairs inside each eigenspace carrying structure-vector projection."""
-    decomp, _ = field.hopf_frame(())
-    return max(totally_real_check(field.germ(), decomp).values(), default=0.0)
+    return max(
+        totally_real_check(field.germ(), field.decomposition()).values(),
+        default=0.0,
+    )
 
 
 def graded_connection_residuals(field: GermField) -> float:

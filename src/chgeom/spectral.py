@@ -27,6 +27,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -236,6 +237,12 @@ def constraint_residuals(es: EigenStructure) -> dict:
 # germs
 
 
+def _allclose(a, b, atol: float) -> bool:
+    """np.allclose(a, b, atol=atol) on finite input (its default rtol is
+    1e-5), without its per-call overhead."""
+    return bool(np.all(np.abs(a - b) <= atol + 1e-5 * np.abs(b)))
+
+
 @dataclass(frozen=True)
 class HypersurfaceGerm:
     """Pointwise hypersurface data in frame components.
@@ -261,14 +268,22 @@ class HypersurfaceGerm:
 
     def validate(self, tol: float = 1e-8):
         d = self.params.dim
+        for name, arr in (
+            ("normal", self.normal),
+            ("tangent_basis", self.tangent_basis),
+            ("shape", self.shape),
+            ("J", self.jmat),
+        ):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"germ {name} has a non-finite entry")
         frame = np.vstack([self.normal, self.tangent_basis])
         if frame.shape != (d, d):
             raise ValueError("germ frame has wrong dimensions")
-        if not np.allclose(frame @ frame.T, np.eye(d), atol=tol):
+        if not _allclose(frame @ frame.T, np.eye(d), tol):
             raise ValueError("normal + tangent basis is not orthonormal")
-        if not np.allclose(self.shape, self.shape.T, atol=tol):
+        if not _allclose(self.shape, self.shape.T, tol):
             raise ValueError("shape operator matrix is not symmetric")
-        if not np.allclose(self.jmat @ self.jmat, -np.eye(d), atol=tol):
+        if not _allclose(self.jmat @ self.jmat, -np.eye(d), tol):
             raise ValueError("complex structure does not square to -id")
         return self
 
@@ -345,7 +360,7 @@ class PrincipalDecomposition:
     def g(self) -> int:
         return len(self.eigenvalues)
 
-    @property
+    @cached_property
     def hopf_indices(self) -> list:
         """Ascending indices of the spaces the structure vector projects
         onto (projection norm above PROJECTION_TOLERANCE)."""
@@ -400,11 +415,14 @@ def principal_decomposition(
     jxi_coeff = germ.tangent_basis @ jxi
     values, mults, spaces, projections = [], [], [], []
     for lo, hi in groups:
-        values.append(float(np.mean(evals[lo:hi])))
+        # the sum over the count and sqrt(v . v) are np.mean's and
+        # np.linalg.norm's own formulas, without their per-call overhead
+        values.append(float(evals[lo:hi].sum() / (hi - lo)))
         mults.append(hi - lo)
         block = evecs[:, lo:hi].T  # rows = coefficient vectors
         spaces.append(block)
-        projections.append(float(np.linalg.norm(block @ jxi_coeff)))
+        proj = block @ jxi_coeff
+        projections.append(math.sqrt(proj.dot(proj)))
     return PrincipalDecomposition(
         eigenvalues=np.asarray(values),
         multiplicities=tuple(mults),
@@ -787,7 +805,8 @@ def nonexistence_scan(
     reported alongside.  For c < 0, feasible cells are refined onto the
     exact catalog curve and the refined residuals (quadratic,
     b-formulas, normalization) are reported.  c must be finite and
-    nonzero, and every grid axis needs at least 2 samples.
+    nonzero, every grid axis needs at least 2 samples, and a given
+    lambda_bound must be positive and finite.
     """
     if c == 0 or not math.isfinite(c):
         raise ValueError(f"the scan needs a finite nonzero c, got c={c!r}")
@@ -799,6 +818,7 @@ def nonexistence_scan(
     scale = math.sqrt(abs(c))
     if lambda_bound is None:
         lambda_bound = 1.5 * scale
+    check_positive("lambda_bound", lambda_bound)
     n1, n2, n3 = grid_shape
     l1 = np.linspace(-lambda_bound, lambda_bound, n1)
     l2 = np.linspace(-lambda_bound, lambda_bound, n2)
@@ -808,28 +828,38 @@ def nonexistence_scan(
         # one cell of slack: |grad quadratic| <= 12(L + L3) on the box
         quad_tol = 12.0 * (lambda_bound + 0.75 * scale) * spacing
 
-    # the grid is evaluated one lambda_1 row (n2 * n3 cells) at a time,
-    # so the temporaries do not grow with n1
-    lam2 = l2[None, :, None]
-    lam3 = l3[None, None, :]
+    # the grid is evaluated one lambda_1 row at a time, so the
+    # temporaries do not grow with n1.  Each row covers only the
+    # lambda_1 < lambda_2 half of its lambda_2 axis (the slice starts one
+    # index before the first lambda_2 above lambda_1, and the exact
+    # ordering mask still applies on it), and b^2 is computed only on
+    # the cells that pass the quadratic: the elementwise formulas are
+    # unchanged, so every cell gets the same verdict as on the full grid.
+    ordered = l2 - 1e-12 * (1.0 + scale)
+    lam3 = l3[None, :]
     count = 0
     lam3_feasible = np.zeros(n3, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         for i in range(n1):
-            lam1 = l1[i:i + 1, None, None]
-            b1sq, b2sq = hopf_projection_squares(lam1, lam2, lam3, c)
+            lam1 = l1[i:i + 1, None]
+            start = max(int(np.searchsorted(l2, l1[i], side="right")) - 1, 0)
+            lam2 = l2[start:, None]
             quad = catalog_quadratic(lam1, lam2, lam3, c)
+            rows, cols = np.nonzero(
+                (lam1 < ordered[start:, None]) & (np.abs(quad) <= quad_tol)
+            )
+            b1sq, b2sq = hopf_projection_squares(
+                lam1[0], lam2[rows, 0], l3[cols], c
+            )
             feasible = (
-                (lam1 < lam2 - 1e-12 * (1.0 + scale))
-                & (b1sq > 0.0)
+                (b1sq > 0.0)
                 & (b1sq < 1.0)
                 & (b2sq > 0.0)
                 & (b2sq < 1.0)
-                & (np.abs(quad) <= quad_tol)
                 & (np.abs(b1sq + b2sq - 1.0) <= sum_band)
             )
             count += int(np.count_nonzero(feasible))
-            lam3_feasible |= feasible.any(axis=(0, 1))
+            lam3_feasible[cols[feasible]] = True
     total = int(n1) * int(n2) * int(n3)
 
     if c > 0:

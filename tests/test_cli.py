@@ -130,6 +130,20 @@ def test_classify_malformed_input(tmp_path, capsys):
     assert main(["classify", "--input", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize("field", ["normal", "tangent_basis", "shape", "J"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_classify_rejects_non_finite_entries(field, value, tmp_path, capsys):
+    data = catalog_germ(ModelParams(n=3, c=-4.0), 2, r=0.7).to_json_dict()
+    row = data[field][0] if field != "normal" else data[field]
+    row[0] = value
+    path = tmp_path / "germ.json"
+    path.write_text(json.dumps(data))  # written as NaN / Infinity
+    assert main(["classify", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "non-finite" in captured.err
+    assert captured.out == ""
+
+
 def test_residuals_suite(capsys):
     code = main([
         "residuals", "--n", "2", "--c", "-4", "--k", "1", "--r", "0.3",

@@ -120,6 +120,13 @@ def test_real_eigenspace_residual(tube_field):
     assert real_eigenspace_residual(tube_field) < LEMMA_TOLERANCE
 
 
+def test_real_eigenspace_residual_on_a_hopf_field(horo_field):
+    # the horosphere has h = 1: no Hopf frame, but a totally real check
+    res = real_eigenspace_residual(horo_field)
+    assert isinstance(res, float) and np.isfinite(res)
+    assert res < EXACT_CHART_TOLERANCE
+
+
 def test_graded_connection_residuals(tube_field):
     assert graded_connection_residuals(tube_field) < LEMMA_TOLERANCE
 
@@ -199,6 +206,25 @@ def test_frame_table_is_built_once(monkeypatch):
     # a second pass reads the same table
     assert [suite(field) for suite in FRAME_SUITES] == first
     assert len(calls) == built
+
+
+def test_christoffels_are_computed_once_per_offset(monkeypatch):
+    calls = []
+    original = GermField._christoffel_symbols
+
+    def counting(self, off):
+        calls.append(off)
+        return original(self, off)
+
+    monkeypatch.setattr(GermField, "_christoffel_symbols", counting)
+    params = ModelParams(n=3, c=-4.0)
+    chart = tube_chart(build_submanifold(params, k=2, phi=np.pi / 2), r=0.7)
+    field = GermField(chart, TUBE_X0)
+    first = gauss_codazzi_residuals(field)
+    # the center and its 2 * dom neighbors, each once
+    assert len(calls) == len(set(calls)) == 2 * field.dom + 1
+    assert gauss_codazzi_residuals(field) == first
+    assert len(calls) == 2 * field.dom + 1
 
 
 @pytest.mark.parametrize(

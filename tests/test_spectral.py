@@ -350,11 +350,12 @@ def test_catalog_at_radius_rejects_bad_radii():
         spectral.catalog_at_radius(0.0, -4.0, 3, 2)  # focal for k = 2
 
 
-def _whole_grid_scan(c, grid_shape, quad_tol, sum_band=0.1):
+def _whole_grid_scan(c, grid_shape, quad_tol, sum_band=0.1, bound=None):
     """Reference for nonexistence_scan: the whole grid at once, then one
     refinement per lambda_3 value that has a feasible cell."""
     scale = math.sqrt(abs(c))
-    bound = 1.5 * scale
+    if bound is None:
+        bound = 1.5 * scale
     n1, n2, n3 = grid_shape
     l1 = np.linspace(-bound, bound, n1)[:, None, None]
     l2 = np.linspace(-bound, bound, n2)[None, :, None]
@@ -382,9 +383,12 @@ def _whole_grid_scan(c, grid_shape, quad_tol, sum_band=0.1):
     return count, np.asarray(refined) if refined else np.empty((0, 5))
 
 
-@pytest.mark.parametrize("c", [4.0, -1.0, -4.0, -3.4746401821558717])
 @pytest.mark.parametrize(
-    "grid", [(2, 2, 2), (7, 300, 11), (61, 40, 40), (60, 60, 60)]
+    "c", [4.0, 1e4, -0.01, -1.0, -4.0, -3.4746401821558717, -100.0]
+)
+@pytest.mark.parametrize(
+    # n1 == n2 puts grid points on the lambda_1 = lambda_2 diagonal
+    "grid", [(2, 2, 2), (7, 300, 11), (61, 40, 40), (60, 60, 60), (33, 33, 17)]
 )
 def test_slab_scan_matches_whole_grid(c, grid):
     rep = nonexistence_scan(c, grid_shape=grid)
@@ -394,6 +398,69 @@ def test_slab_scan_matches_whole_grid(c, grid):
         assert rep.curve_points is None
     else:
         assert np.array_equal(rep.curve_points, curve)
+
+
+@pytest.mark.parametrize("c", [3.1, -3.1])
+@pytest.mark.parametrize("bound_frac", [0.2, 4.0])
+def test_scan_with_lambda_bound_matches_whole_grid(c, bound_frac):
+    bound = bound_frac * math.sqrt(abs(c))
+    grid = (41, 37, 23)
+    rep = nonexistence_scan(c, grid_shape=grid, lambda_bound=bound)
+    count, curve = _whole_grid_scan(c, grid, rep.quad_tol, bound=bound)
+    assert rep.feasible_count == count
+    if c < 0:
+        assert np.array_equal(rep.curve_points, curve)
+
+
+@pytest.mark.parametrize("c", [3.1, -3.1])
+def test_scan_computes_b_squares_only_where_the_quadratic_holds(c, monkeypatch):
+    seen = []
+    original = spectral.hopf_projection_squares
+
+    def counting(lam1, lam2, lam3, c):
+        b1sq, b2sq = original(lam1, lam2, lam3, c)
+        seen.append(b1sq.size)
+        return b1sq, b2sq
+
+    monkeypatch.setattr(spectral, "hopf_projection_squares", counting)
+    grid = (165, 165, 165)
+    rep = nonexistence_scan(c, grid_shape=grid)
+    assert (rep.feasible_count > 0) == (c < 0)
+    assert sum(seen) <= 0.15 * math.prod(grid)
+
+
+@pytest.mark.parametrize("bound", [0.0, -1.0, math.nan, math.inf])
+def test_scan_rejects_bad_lambda_bound(bound):
+    with pytest.raises(ValueError, match="lambda_bound"):
+        nonexistence_scan(-4.0, grid_shape=(5, 5, 5), lambda_bound=bound)
+
+
+_finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@seed(20261018)
+@given(
+    b=st.lists(_finite, min_size=1, max_size=12),
+    atol=st.floats(0.0, 1.0, allow_nan=False),
+    data=st.data(),
+)
+def test_allclose_helper_matches_numpy(b, atol, data):
+    b = np.asarray(b)
+    bound = atol + 1e-5 * np.abs(b)
+    # offsets on, just inside and just outside atol + rtol |b|, or random
+    kinds = data.draw(st.lists(
+        st.sampled_from(["at", "in", "out", "neg", "free"]),
+        min_size=b.size, max_size=b.size,
+    ))
+    free = np.asarray(data.draw(st.lists(_finite, min_size=b.size, max_size=b.size)))
+    delta = np.select(
+        [np.asarray(kinds) == k for k in ("at", "in", "out", "neg")],
+        [bound, np.nextafter(bound, 0.0), np.nextafter(bound, np.inf), -bound],
+        free,
+    )
+    for a in (b + delta, b - delta):
+        assert spectral._allclose(a, b, atol) == np.allclose(a, b, atol=atol)
 
 
 def test_slab_scan_memory_does_not_grow_with_lambda1_samples():
