@@ -16,23 +16,29 @@ all of which converge at second order in the differencing step.
 
 Tube chart values are closed-form normal geodesics
 (``SolvableModel.geodesic_closed``), evaluated on the whole offset
-lattice in one batched call.  A GermField orients its normal by one
-rule and builds one frame-field table (``FrameFields``): U_1, U_2, A,
-the aligned eigenspace complements and every nabla_{X_a} X_b at the
-center, which the four frame-identity suites read.
+lattice in one batched call.  A GermField keeps that lattice as one
+coordinate array in sorted offset order, with a table of each row's
++-e_i neighbours, and computes every derived quantity as a stacked
+array in one numpy pass: tangents and normals on the L1 <= 2 ball,
+shape data and Christoffel symbols on the L1 <= 1 stencil, and one
+frame-field table (``FrameFields``: U_1, U_2, A, the aligned eigenspace
+complements and every nabla_{X_a} X_b at the center), which the four
+frame-identity suites read as vector expressions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .construction import SubmanifoldSpec
-from .model import ModelParams, SolvableModel, ambient_curvature, check_positive
+from .model import (
+    ModelParams, SolvableModel, _row_dot, ambient_curvature, check_positive,
+)
 from .spectral import (
     HypersurfaceGerm,
     hopf_frame_extract,
@@ -43,6 +49,9 @@ from .tubes import MAX_RADIUS
 
 DEFAULT_FD_STEP = 1e-3
 NUMERIC_GROUPING_TOLERANCE = 1e-4
+# second derivatives of the chart (the normal's derivative, Christoffel
+# symbols' derivative) reach three steps from the center
+LATTICE_RADIUS = 3
 
 
 @dataclass
@@ -133,35 +142,63 @@ class NumericGeometry:
     germ: HypersurfaceGerm
 
 
-def _lattice(dim: int, radius: int = 3):
-    """All integer offsets of L1 norm <= radius (grown by unit steps)."""
-    current = {(0,) * dim}
-    for _ in range(radius):
-        grown = set(current)
-        for off in current:
-            for i in range(dim):
-                for s in (1, -1):
-                    o = list(off)
-                    o[i] += s
-                    grown.add(tuple(o))
-        current = grown
-    return sorted(current)
+@lru_cache(maxsize=None)
+def _lattice(dim: int, radius: int = LATTICE_RADIUS) -> np.ndarray:
+    """All integer offsets of L1 norm <= radius: read-only (M, dim) rows
+    in lexicographic order."""
+    if dim == 0:
+        return np.zeros((1, 0), dtype=np.int64)
+    blocks = []
+    for v in range(-radius, radius + 1):
+        rest = _lattice(dim - 1, radius - abs(v))
+        blocks.append(np.column_stack([np.full(len(rest), v), rest]))
+    out = np.concatenate(blocks)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _rank_table(dim: int, radius: int) -> np.ndarray:
+    """below[d, r, v + radius]: how many offsets of L1 norm <= r in
+    d + 1 dimensions have a first coordinate below v."""
+    size = np.array([
+        [sum(2**j * math.comb(d, j) * math.comb(r, j) for j in range(r + 1))
+         for r in range(radius + 1)]
+        for d in range(dim)
+    ])  # size[d, r]: offsets of L1 norm <= r in d dimensions
+    left = np.arange(radius + 1)[:, None] - np.abs(np.arange(-radius, radius + 1))
+    counts = np.where(left >= 0, size[:, np.maximum(left, 0)], 0)
+    below = np.cumsum(counts, axis=-1) - counts
+    below.setflags(write=False)
+    return below
+
+
+def _lattice_rank(off: np.ndarray, radius: int = LATTICE_RADIUS) -> np.ndarray:
+    """Row in ``_lattice`` of each offset (last axis) of L1 norm <= radius:
+    summed over the axes, the lattice offsets that agree with it before
+    that axis and are smaller on it."""
+    dim = off.shape[-1]
+    mag = np.abs(off)
+    left = radius - (np.cumsum(mag, axis=-1) - mag)  # L1 budget at each axis
+    table = _rank_table(dim, radius)
+    return table[dim - 1 - np.arange(dim), left, off + radius].sum(axis=-1)
 
 
 @dataclass(frozen=True)
 class FrameFields:
     """Principal-curvature frame fields around the center of a GermField.
 
-    fields[a] maps each L1 <= 1 stencil offset to the ambient frame
-    components of X_a.  X_0, X_1, X_2 are U_1, U_2, A; the rest complete
-    the lambda_3-eigenspace (orthogonally to A) and span the other
-    non-projected eigenspaces.  At the center X_a equals centers[a] and
-    has principal curvature eigenvalues[a], so eigenvalues[:3] are
-    (lambda_1, lambda_2, lambda_3); nabla[a, b] = nabla_{X_a} X_b there.
+    fields[a, s] holds the ambient frame components of X_a at stencil
+    row s (the GermField's L1 <= 1 stencil order).  X_0, X_1, X_2 are
+    U_1, U_2, A; the rest complete the lambda_3-eigenspace (orthogonally
+    to A) and span the other non-projected eigenspaces.  At the center
+    X_a equals centers[a] and has principal curvature eigenvalues[a], so
+    eigenvalues[:3] are (lambda_1, lambda_2, lambda_3); nabla[a, b] =
+    nabla_{X_a} X_b there.
     """
 
-    fields: tuple  # dicts offset -> (2n,)
-    centers: tuple  # (2n,) each
+    fields: np.ndarray  # (F, 2 dom + 1, 2n)
+    centers: np.ndarray  # (F, 2n)
     eigenvalues: tuple
     b1: float
     b2: float
@@ -171,11 +208,15 @@ class FrameFields:
 class GermField:
     """All finite-difference data of a chart around a center point.
 
-    Evaluates the chart once on the full offset lattice, then assembles
-    tangent frames, normals, shape operators, Christoffel symbols,
-    intrinsic curvature and (when the center germ has two projected
-    eigenvalues) the principal-curvature frame fields with their
-    connection table, each once and on first use.
+    Evaluates the chart once on the L1 <= 3 offset lattice, kept as one
+    (M, 2n) coordinate array in sorted offset order with a table of the
+    +-e_i neighbours of every L1 <= 2 row.  Tangents and normals are
+    stacked over the L1 <= 2 ball; shape data, Christoffel symbols and
+    germs over the stencil (rows: center, +e_0, -e_0, +e_1, ...).  Each
+    stack, and (when the center germ has two projected eigenvalues) the
+    principal-curvature frame fields with their connection table, is
+    built in one batched pass on first use.  Accessors take any integer
+    offset sequence; the default is the center.
     """
 
     def __init__(
@@ -196,175 +237,183 @@ class GermField:
         self.grouping_tol = grouping_tol
         self.dom = chart.domain_dim
 
-        offsets = _lattice(self.dom, 3)
-        pts = self.x0[None, :] + self.h * np.asarray(offsets, dtype=float)
-        coords = chart.mapper(pts)
-        self._coords = {off: coords[i] for i, off in enumerate(offsets)}
-        self._tangents = {}
-        self._aligned_normals = {}
-        self._sdata = {}
-        self._germs = {}
-        self._christoffels = {}
-        self._decomps = {}
-        self._frames = {}
+        offsets = _lattice(self.dom)
+        self._coords = chart.mapper(self.x0[None, :] + self.h * offsets)
+        l1 = np.abs(offsets).sum(axis=1)
+        self._ball2 = np.flatnonzero(l1 <= 2)
+        # _nbr[p, i] = lattice rows of L1 <= 2 row p shifted by +e_i, -e_i
+        unit = np.eye(self.dom, dtype=np.int64)
+        steps = np.stack([unit, -unit], axis=1)
+        self._nbr = _lattice_rank(offsets[self._ball2][:, None, None] + steps)
+        # _pos[b, row]: position of a lattice row in the L1 <= b stack
+        self._pos = np.full((LATTICE_RADIUS + 1, len(offsets)), -1)
+        self._pos[3] = np.arange(len(offsets))
+        self._pos[2, self._ball2] = np.arange(len(self._ball2))
+        center = self._pos[2, _lattice_rank(np.zeros(self.dom, dtype=np.int64))]
+        self._stencil = np.r_[center, self._pos[2, self._nbr[center]].ravel()]
+        self._pos[1, self._ball2[self._stencil]] = np.arange(len(self._stencil))
+
+    # -- offsets ---------------------------------------------------------
+
+    def _row(self, off, ball: int) -> int:
+        """Row of an integer offset (empty: the center) in the stack kept
+        on the L1 <= ball part of the lattice (3: the whole lattice)."""
+        arr = np.asarray(off)
+        if arr.size == 0:
+            arr = np.zeros(self.dom, dtype=np.int64)
+        if arr.shape != (self.dom,):
+            raise ValueError("offset has wrong dimension")
+        ints = arr.astype(np.int64)
+        if not np.array_equal(ints, arr):
+            raise ValueError(f"offset {arr.tolist()} is not an integer offset")
+        if int(np.abs(ints).sum()) > ball:
+            part = "" if ball == LATTICE_RADIUS else f"L1 <= {ball} ball of the "
+            raise ValueError(
+                f"offset {tuple(ints.tolist())} is outside the {part}"
+                f"L1 <= {LATTICE_RADIUS} offset lattice"
+            )
+        return int(self._pos[ball, _lattice_rank(ints)])
+
+    def _stencil_diff(self, values: np.ndarray) -> np.ndarray:
+        """Central differences (d/dx_i, i < dom) of a stack over the
+        stencil (its axis 0)."""
+        return (values[1::2] - values[2::2]) / (2.0 * self.h)
 
     # -- raw fields ------------------------------------------------------
 
     def coords(self, off=()) -> np.ndarray:
-        off = self._key(off)
-        return self._coords[off]
-
-    def _key(self, off):
-        off = tuple(off) if off else (0,) * self.dom
-        if len(off) != self.dom:
-            raise ValueError("offset has wrong dimension")
-        return off
-
-    @staticmethod
-    def _shift(off, i, s):
-        o = list(off)
-        o[i] += s
-        return tuple(o)
+        return self._coords[self._row(off, 3)]
 
     def tangents(self, off=()) -> np.ndarray:
         """Frame components of the coordinate tangent vectors at off."""
-        off = self._key(off)
-        if off not in self._tangents:
-            c0 = self._coords[off]
-            rows = np.empty((self.dom, c0.shape[0]))
-            for i in range(self.dom):
-                cp = self._coords[self._shift(off, i, 1)]
-                cm = self._coords[self._shift(off, i, -1)]
-                rows[i] = (cp - cm) / (2.0 * self.h)
-            self._tangents[off] = self.model.coordinate_to_frame_velocity(
-                c0, rows
-            )
-        return self._tangents[off]
+        return self._tangents[self._row(off, 2)]
 
     def normal(self, off=()) -> np.ndarray:
         """Unit normal: the SVD normal at off, aligned with the one at the
         center, times the one sign that makes trace S >= 0 at the center."""
-        return self._orientation * self._aligned_normal(off)
-
-    def _aligned_normal(self, off) -> np.ndarray:
-        off = self._key(off)
-        if off not in self._aligned_normals:
-            _, _, vt = np.linalg.svd(self.tangents(off), full_matrices=True)
-            nrm = vt[-1]
-            if any(off) and float(nrm @ self._aligned_normal(())) < 0:
-                nrm = -nrm
-            self._aligned_normals[off] = nrm
-        return self._aligned_normals[off]
-
-    @cached_property
-    def _orientation(self) -> float:
-        center = self._key(())
-        s_amb = self._s_ambient(center, self._aligned_normal)
-        ii = s_amb @ self.tangents(center).T
-        return -1.0 if np.trace(ii) < 0 else 1.0
-
-    def _s_ambient(self, off, normal) -> np.ndarray:
-        """Rows S(d_i) = -(nabla-bar_{d_i} normal) at off, for a normal
-        field given as a function of the offset."""
-        t = self.tangents(off)
-        nrm = normal(off)
-        s_amb = np.empty_like(t)
-        for i in range(self.dom):
-            npl = normal(self._shift(off, i, 1))
-            nmi = normal(self._shift(off, i, -1))
-            dn = (npl - nmi) / (2.0 * self.h)
-            s_amb[i] = -(dn + self.model.koszul_connection(t[i], nrm))
-        return s_amb
-
-    def shape_data(self, off=()) -> dict:
-        """Ambient images S(d_i), the scalar form <S d_i, d_j>, the metric
-        and the coordinate matrix of S at an offset."""
-        off = self._key(off)
-        if off not in self._sdata:
-            t = self.tangents(off)
-            s_amb = self._s_ambient(off, self.normal)
-            ii = s_amb @ t.T
-            g = t @ t.T
-            ginv = np.linalg.inv(g)
-            self._sdata[off] = {
-                "s_ambient": s_amb,
-                "second_fundamental": ii,  # <S d_i, d_j>
-                "metric": g,
-                "inv_metric": ginv,
-                "coeff": ii @ ginv,  # C[i, j]: S(d_i) = C[i,j] d_j
-            }
-        return self._sdata[off]
+        return self._normals[self._row(off, 2)]
 
     def germ(self, off=()) -> HypersurfaceGerm:
-        """Orthonormalized germ at an offset (QR of the tangents)."""
-        off = self._key(off)
-        if off not in self._germs:
-            t = self.tangents(off)
-            sd = self.shape_data(off)
-            q, rmat = np.linalg.qr(t.T)
-            signs = np.sign(np.diag(rmat))
-            signs[signs == 0] = 1.0
-            q = q * signs[None, :]
-            rmat = rmat * signs[:, None]
-            rinv = np.linalg.inv(rmat)
-            s_orth = rinv.T @ (sd["s_ambient"] @ q)
-            s_orth = 0.5 * (s_orth + s_orth.T)
-            self._germs[off] = HypersurfaceGerm(
+        """Orthonormalized germ at a stencil offset (QR of the tangents)."""
+        return self._germs[self._row(off, 1)]
+
+    def christoffels(self, off=()) -> np.ndarray:
+        """Gamma[i, j, k]: nabla_{d_i} d_j = Gamma[i,j,k] d_k at a stencil
+        offset."""
+        return self._christoffels[self._row(off, 1)]
+
+    def decomposition(self, off=()):
+        """Principal decomposition of the germ at a stencil offset."""
+        return self._decompositions[self._row(off, 1)]
+
+    @cached_property
+    def _tangents(self) -> np.ndarray:
+        """(B2, dom, 2n) coordinate tangents on the L1 <= 2 ball."""
+        c = self._coords
+        rows = (c[self._nbr[..., 0]] - c[self._nbr[..., 1]]) / (2.0 * self.h)
+        return self.model.coordinate_to_frame_velocity(
+            c[self._ball2][:, None, :], rows
+        )
+
+    @cached_property
+    def _normals(self) -> np.ndarray:
+        """(B2, 2n) unit normals on the L1 <= 2 ball (see ``normal``)."""
+        nrm = np.linalg.svd(self._tangents, full_matrices=True)[2][:, -1]
+        center = self._stencil[0]
+        nrm = np.where((nrm @ nrm[center] < 0)[:, None], -nrm, nrm)
+        s_amb = self._s_ambient(nrm, self._stencil[:1])[0]
+        ii = s_amb @ self._tangents[center].T
+        return -nrm if np.trace(ii) < 0 else nrm
+
+    def _s_ambient(self, normals: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Rows S(d_i) = -(nabla-bar_{d_i} normal) at L1 <= 1 rows of the
+        L1 <= 2 stack, for normals given on that stack."""
+        nbr = self._pos[2, self._nbr[rows]]
+        dn = (normals[nbr[..., 0]] - normals[nbr[..., 1]]) / (2.0 * self.h)
+        t = self._tangents[rows]
+        return -(dn + self.model.koszul_connection(t, normals[rows][:, None, :]))
+
+    @cached_property
+    def _shape(self) -> dict:
+        """Stencil stacks of the ambient images S(d_i), the scalar form
+        <S d_i, d_j>, the metric, its inverse and the coordinate matrix of
+        S (C[i, j]: S(d_i) = C[i,j] d_j)."""
+        t = self._tangents[self._stencil]
+        tt = np.swapaxes(t, 1, 2)
+        s_amb = self._s_ambient(self._normals, self._stencil)
+        ii = s_amb @ tt
+        g = t @ tt
+        ginv = np.linalg.inv(g)
+        return {
+            "s_ambient": s_amb,
+            "second_fundamental": ii,
+            "metric": g,
+            "inv_metric": ginv,
+            "coeff": ii @ ginv,
+        }
+
+    @cached_property
+    def _germs(self) -> tuple:
+        """Orthonormalized germs on the stencil (QR of the tangents)."""
+        t = self._tangents[self._stencil]
+        q, rmat = np.linalg.qr(np.swapaxes(t, 1, 2))
+        signs = np.sign(np.diagonal(rmat, axis1=1, axis2=2)).copy()
+        signs[signs == 0] = 1.0
+        q = q * signs[:, None, :]
+        rmat = rmat * signs[:, :, None]
+        rinv = np.linalg.inv(rmat)
+        s_orth = np.swapaxes(rinv, 1, 2) @ (self._shape["s_ambient"] @ q)
+        s_orth = 0.5 * (s_orth + np.swapaxes(s_orth, 1, 2))
+        return tuple(
+            HypersurfaceGerm(
                 params=self.params,
-                normal=self.normal(off),
-                tangent_basis=q.T,
-                shape=s_orth,
+                normal=self._normals[row],
+                tangent_basis=qs.T,
+                shape=shape,
                 jmat=self.model.jmat,
             )
-        return self._germs[off]
+            for row, qs, shape in zip(self._stencil, q, s_orth)
+        )
+
+    @cached_property
+    def _decompositions(self) -> list:
+        return [principal_decomposition(g, tol=self.grouping_tol) for g in self._germs]
 
     # -- connection and curvature ----------------------------------------
 
-    def christoffels(self, off=()) -> np.ndarray:
-        """Gamma[i, j, k]: nabla_{d_i} d_j = Gamma[i,j,k] d_k, from the
-        tangential part of the ambient derivative."""
-        off = self._key(off)
-        if off not in self._christoffels:
-            self._christoffels[off] = self._christoffel_symbols(off)
-        return self._christoffels[off]
+    @cached_property
+    def _christoffels(self) -> np.ndarray:
+        return self._christoffel_table()
 
-    def _christoffel_symbols(self, off) -> np.ndarray:
-        sd = self.shape_data(off)
-        t = self.tangents(off)
-        ginv = sd["inv_metric"]
-        gam = np.empty((self.dom, self.dom, self.dom))
-        for i in range(self.dom):
-            tp = self.tangents(self._shift(off, i, 1))
-            tm = self.tangents(self._shift(off, i, -1))
-            dt = (tp - tm) / (2.0 * self.h)
-            for j in range(self.dom):
-                nab = dt[j] + self.model.koszul_connection(t[i], t[j])
-                gam[i, j] = ginv @ (t @ nab)
-        return 0.5 * (gam + np.swapaxes(gam, 0, 1))
+    def _christoffel_table(self) -> np.ndarray:
+        """Gamma[s, i, j, k] at stencil row s, from the tangential part of
+        the ambient derivative of the coordinate tangents."""
+        tan = self._tangents
+        t = tan[self._stencil]
+        nbr = self._pos[2, self._nbr[self._stencil]]
+        dt = (tan[nbr[..., 0]] - tan[nbr[..., 1]]) / (2.0 * self.h)
+        nab = dt + self.model.koszul_connection(t[:, :, None], t[:, None, :])
+        ginv = self._shape["inv_metric"][:, None, None]
+        gam = (ginv @ (t[:, None, None] @ nab[..., None]))[..., 0]
+        return 0.5 * (gam + np.swapaxes(gam, 1, 2))
 
     def center_geometry(self) -> NumericGeometry:
-        off = self._key(())
-        sd = self.shape_data(off)
+        sd = self._shape
         return NumericGeometry(
-            coords=self.coords(off),
-            tangents=self.tangents(off),
-            normal=self.normal(off),
-            metric=sd["metric"],
-            shape_coord=sd["coeff"],
-            second_fundamental=sd["second_fundamental"],
-            germ=self.germ(off),
+            coords=self.coords(),
+            tangents=self.tangents(),
+            normal=self.normal(),
+            metric=sd["metric"][0],
+            shape_coord=sd["coeff"][0],
+            second_fundamental=sd["second_fundamental"][0],
+            germ=self.germ(),
         )
 
     def intrinsic_curvature(self) -> np.ndarray:
         """R[i, j, k, m] = <R(d_i, d_j) d_k, d_m> at the center, from the
         Christoffel field of the induced metric."""
-        center = self._key(())
-        gam0 = self.christoffels(center)
-        dgam = np.empty((self.dom,) + gam0.shape)
-        for i in range(self.dom):
-            gp = self.christoffels(self._shift(center, i, 1))
-            gm = self.christoffels(self._shift(center, i, -1))
-            dgam[i] = (gp - gm) / (2.0 * self.h)
+        gam0 = self._christoffels[0]
+        dgam = self._stencil_diff(self._christoffels)
         # R(d_i,d_j)d_k = d_i(G_jk) - d_j(G_ik) + G_i(G_jk) - G_j(G_ik)
         rup = (
             dgam
@@ -372,12 +421,11 @@ class GermField:
             + np.einsum("jkm,iml->ijkl", gam0, gam0)
             - np.einsum("ikm,jml->ijkl", gam0, gam0)
         )
-        g = self.shape_data(center)["metric"]
-        return np.einsum("ijkl,lm->ijkm", rup, g)
+        return np.einsum("ijkl,lm->ijkm", rup, self._shape["metric"][0])
 
     def ambient_curvature_tangent(self) -> np.ndarray:
         """Rbar[i, j, k, m] = <Rbar(d_i, d_j) d_k, d_m> (exact closed form)."""
-        t = self.tangents(self._key(()))
+        t = self.tangents()
         g = t @ t.T
         p = t @ self.model.jmat.T @ t.T  # p[i,j] = <J d_i, d_j>
         c = self.params.c
@@ -391,9 +439,8 @@ class GermField:
 
     def ambient_curvature_normal(self) -> np.ndarray:
         """Rbar[i, j, k] = <Rbar(d_i, d_j) d_k, normal> (exact)."""
-        off = self._key(())
-        t = self.tangents(off)
-        nrm = self.normal(off)
+        t = self.tangents()
+        nrm = self.normal()
         p = t @ self.model.jmat.T @ t.T
         q = t @ (self.model.jmat @ nrm)  # q[i] = <d_i, J xi> = -<J d_i, xi>
         c = self.params.c
@@ -407,136 +454,106 @@ class GermField:
 
     # -- eigenframe fields -------------------------------------------------
 
-    def decomposition(self, off=()):
-        """Principal decomposition of the germ at an offset."""
-        off = self._key(off)
-        if off not in self._decomps:
-            self._decomps[off] = principal_decomposition(
-                self.germ(off), tol=self.grouping_tol
-            )
-        return self._decomps[off]
+    def _ambient_space(self, row: int, group_index: int) -> np.ndarray:
+        space = self._decompositions[row].spaces[group_index]
+        return space @ self._germs[row].tangent_basis
 
-    def hopf_frame(self, off=()):
-        """(principal decomposition, Hopf frame) of the germ at an offset;
-        needs h = 2 there."""
-        off = self._key(off)
-        if off not in self._frames:
-            decomp = self.decomposition(off)
-            self._frames[off] = decomp, hopf_frame_extract(self.germ(off), decomp)
-        return self._frames[off]
-
-    def _ambient_space(self, off, group_index) -> np.ndarray:
-        space = self.decomposition(off).spaces[group_index]
-        return space @ self.germ(off).tangent_basis
-
-    @staticmethod
-    def _loewdin(rows: np.ndarray) -> np.ndarray:
-        u, _, vt = np.linalg.svd(rows, full_matrices=False)
-        return u @ vt
-
-    def aligned_space_field(self, center_rows: np.ndarray, eigenvalue: float):
-        """Field of orthonormal bases tracking center_rows: at each stencil
-        offset, project onto the eigenspace nearest the given eigenvalue
-        and re-orthonormalize.  Returns a dict offset -> rows."""
-        out = {}
-        for off in self._stencil_l1():
-            decomp = self.decomposition(off)
+    def _aligned_space_field(self, center_rows, eigenvalue) -> np.ndarray:
+        """Orthonormal bases tracking center_rows, stacked over the
+        stencil: at each row, the projection onto the eigenspace nearest
+        the given eigenvalue, re-orthonormalized (Loewdin)."""
+        proj = []
+        for row, decomp in enumerate(self._decompositions):
             i = int(np.argmin(np.abs(decomp.eigenvalues - eigenvalue)))
-            amb = self._ambient_space(off, i)
-            proj = center_rows @ amb.T @ amb
-            out[off] = self._loewdin(proj)
-        return out
-
-    def _stencil_l1(self):
-        zero = (0,) * self.dom
-        outs = [zero]
-        for i in range(self.dom):
-            for s in (1, -1):
-                outs.append(self._shift(zero, i, s))
-        return outs
+            amb = self._ambient_space(row, i)
+            proj.append(center_rows @ amb.T @ amb)
+        u, _, vt = np.linalg.svd(np.stack(proj), full_matrices=False)
+        return u @ vt
 
     @cached_property
     def frame_fields(self) -> FrameFields:
         """U_1, U_2, A and the aligned eigenspace complements, with the
         table of their tangential derivatives at the center."""
-        decomp, frame = self.hopf_frame(())
-        stencil = self._stencil_l1()
-        frames = [self.hopf_frame(off)[1] for off in stencil]
-        fields = [
-            {off: getattr(fr, name) for off, fr in zip(stencil, frames)}
-            for name in ("u1", "u2", "a_vec")
-        ]
+        decomps = self._decompositions
+        decomp = decomps[0]
         lam = [float(v) for v in decomp.eigenvalues]
         rest = decomp.non_hopf_indices
+        if decomp.h != 2 or not rest:
+            lack = (
+                "no non-projected lambda_3 eigenspace" if decomp.h == 2
+                else f"h = {decomp.h} projected eigenspaces, not 2"
+            )
+            groups = ", ".join(f"{v:.6g}" for v in lam)
+            raise ValueError(
+                "the frame suites cannot run: at grouping tolerance "
+                f"{self.grouping_tol:g} the center germ has {lack} "
+                f"({decomp.g} eigenvalue groups: {groups})"
+            )
+        frames = [hopf_frame_extract(g, d) for g, d in zip(self._germs, decomps)]
+        frame = frames[0]
+        fields = [
+            np.array([getattr(fr, name) for fr in frames])
+            for name in ("u1", "u2", "a_vec")
+        ]
         i3 = min(rest, key=lambda i: lam[i])
         eigenvalues = [lam[i] for i in decomp.hopf_indices[:2]] + [lam[i3]]
         # the lambda_3-space minus A, then the other non-projected spaces
-        amb3 = self._ambient_space((), i3)
+        amb3 = self._ambient_space(0, i3)
         raw3 = amb3 - np.outer(amb3 @ frame.a_vec, frame.a_vec)
         _, sv, vt = np.linalg.svd(raw3, full_matrices=False)
         spaces = [(i3, vt[sv > 0.5])]
-        spaces += [(i, self._ambient_space((), i)) for i in rest if i != i3]
+        spaces += [(i, self._ambient_space(0, i)) for i in rest if i != i3]
         for i, rows in spaces:
-            if not rows.shape[0]:
-                continue
-            aligned = self.aligned_space_field(rows, lam[i])
-            for m in range(rows.shape[0]):
-                fields.append({off: basis[m] for off, basis in aligned.items()})
-                eigenvalues.append(lam[i])
-        centers = tuple(f[stencil[0]] for f in fields)
-        nabla = np.array(
-            [[self.tangential_derivative(y, x) for y in fields] for x in centers]
-        )
+            if rows.shape[0]:
+                aligned = self._aligned_space_field(rows, lam[i])
+                fields.extend(np.swapaxes(aligned, 0, 1))
+                eigenvalues += [lam[i]] * rows.shape[0]
+        fields = np.stack(fields)
         return FrameFields(
-            fields=tuple(fields),
-            centers=centers,
+            fields=fields,
+            centers=fields[:, 0],
             eigenvalues=tuple(eigenvalues),
             b1=frame.b1,
             b2=frame.b2,
-            nabla=nabla,
+            nabla=self._nabla_table(fields),
         )
+
+    def _nabla_table(self, fields: np.ndarray) -> np.ndarray:
+        """nabla[a, b] = nabla_{X_a} X_b at the center for stencil fields
+        (F, S, 2n): the tangential part of the ambient derivative."""
+        x0 = fields[:, 0]
+        comp = self._coord_components(x0)
+        dval = np.zeros((len(fields),) + x0.shape)
+        for i in range(self.dom):
+            diff = fields[:, 1 + 2 * i] - fields[:, 2 + 2 * i]
+            dval += comp[:, i, None, None] * diff / (2.0 * self.h)
+        nab = dval + self.model.koszul_connection(x0[:, None], x0[None, :])
+        nrm = self.normal()
+        return nab - _row_dot(nab, nrm)[..., None] * nrm
 
     # -- derivative helpers ------------------------------------------------
 
-    def scalar_derivative(self, values: dict, direction: np.ndarray) -> float:
-        """Directional derivative of a scalar field given on the L1<=1
-        stencil along an ambient tangent vector."""
+    def _coord_components(self, ambient_vecs) -> np.ndarray:
+        """Coordinate components (last axis) of ambient tangent vectors."""
+        vecs = np.asarray(ambient_vecs, dtype=float)[..., None]
+        return (self._shape["inv_metric"][0] @ (self.tangents() @ vecs))[..., 0]
+
+    def scalar_derivative(self, values, direction):
+        """Directional derivative of scalar fields given on the stencil
+        (last axis of values) along ambient tangent vectors at the center
+        (last axis of direction), broadcast over leading axes."""
+        values = np.asarray(values, dtype=float)
         comp = self._coord_components(direction)
-        zero = (0,) * self.dom
         total = 0.0
         for i in range(self.dom):
-            vp = values[self._shift(zero, i, 1)]
-            vm = values[self._shift(zero, i, -1)]
-            total += comp[i] * (vp - vm) / (2.0 * self.h)
-        return float(total)
+            diff = values[..., 1 + 2 * i] - values[..., 2 + 2 * i]
+            total = total + comp[..., i] * diff / (2.0 * self.h)
+        return total
 
-    def _coord_components(self, ambient_vec: np.ndarray) -> np.ndarray:
-        sd = self.shape_data(())
-        t = self.tangents(())
-        return sd["inv_metric"] @ (t @ np.asarray(ambient_vec, dtype=float))
-
-    def ambient_derivative(self, field: dict, direction: np.ndarray) -> np.ndarray:
-        """nabla-bar of a vector field (ambient frame components given on
-        the L1<=1 stencil) along a tangent direction at the center."""
-        comp = self._coord_components(direction)
-        zero = (0,) * self.dom
-        d = self.params.dim
-        dval = np.zeros(d)
-        for i in range(self.dom):
-            vp = field[self._shift(zero, i, 1)]
-            vm = field[self._shift(zero, i, -1)]
-            dval += comp[i] * (vp - vm) / (2.0 * self.h)
-        return dval + self.model.koszul_connection(direction, field[zero])
-
-    def tangential_derivative(self, field: dict, direction: np.ndarray):
-        """Intrinsic nabla: tangential part of the ambient derivative."""
-        nab = self.ambient_derivative(field, direction)
-        nrm = self.normal(())
-        return nab - (nab @ nrm) * nrm
-
-    def field_from_function(self, fn) -> dict:
-        """Evaluate fn(offset) on the L1<=1 stencil."""
-        return {off: fn(off) for off in self._stencil_l1()}
+    def field_from_function(self, fn) -> np.ndarray:
+        """Evaluate fn(offset tuple) on the stencil rows."""
+        offsets = _lattice(self.dom)[self._ball2[self._stencil]]
+        return np.array([fn(tuple(off.tolist())) for off in offsets])
 
 
 # ---------------------------------------------------------------------------
@@ -547,12 +564,11 @@ def gauss_codazzi_residuals(field: GermField, shape_scale: float = 1.0) -> dict:
     """Max-norm residuals of the Gauss and Codazzi equations on the
     coordinate frame; shape_scale != 1 fakes a miscalibrated shape
     operator (the residuals must then jump, linearly in the offset)."""
-    center = (0,) * field.dom
     rbar_t = field.ambient_curvature_tangent()
     rbar_n = field.ambient_curvature_normal()
     r_int = field.intrinsic_curvature()
-    sd = field.shape_data(center)
-    ii = shape_scale * sd["second_fundamental"]
+    sd = field._shape
+    ii = shape_scale * sd["second_fundamental"][0]
 
     gauss = rbar_t - (
         r_int
@@ -560,25 +576,16 @@ def gauss_codazzi_residuals(field: GermField, shape_scale: float = 1.0) -> dict:
         + np.einsum("ik,jm->ijkm", ii, ii)
     )
 
-    gam = field.christoffels(center)
-    coeff = {center: shape_scale * sd["coeff"]}
-    for i in range(field.dom):
-        for s in (1, -1):
-            off = field._shift(center, i, s)
-            coeff[off] = shape_scale * field.shape_data(off)["coeff"]
-    dco = np.empty((field.dom, field.dom, field.dom))
-    for i in range(field.dom):
-        cp = coeff[field._shift(center, i, 1)]
-        cm = coeff[field._shift(center, i, -1)]
-        dco[i] = (cp - cm) / (2.0 * field.h)
+    gam = field.christoffels()
+    coeff = shape_scale * sd["coeff"]
+    dco = field._stencil_diff(coeff)
     # (nabla_i S)(d_j) = d_i(C[j,:]) + C[j,m] G[i,m,:] - G[i,j,m] C[m,:]
     nab_s = (
         dco
-        + np.einsum("jm,iml->ijl", coeff[center], gam)
-        - np.einsum("ijm,ml->ijl", gam, coeff[center])
+        + np.einsum("jm,iml->ijl", coeff[0], gam)
+        - np.einsum("ijm,ml->ijl", gam, coeff[0])
     )
-    g = sd["metric"]
-    nab_s_low = np.einsum("ijl,lk->ijk", nab_s, g)
+    nab_s_low = np.einsum("ijl,lk->ijk", nab_s, sd["metric"][0])
     codazzi = rbar_n - (nab_s_low - nab_s_low.transpose(1, 0, 2))
     return {
         "gauss": float(np.max(np.abs(gauss))),
@@ -595,53 +602,51 @@ def real_eigenspace_residual(field: GermField) -> float:
     )
 
 
+def _worst(values) -> float:
+    """max |values|, or 0 for none."""
+    return float(np.max(np.abs(values), initial=0.0))
+
+
+def _eigen_pairs(ff: FrameFields):
+    """Eigenvalues as an array and the table close[a, b]: X_a and X_b
+    share an eigenvalue (to 1e-6)."""
+    lam = np.asarray(ff.eigenvalues)
+    return lam, np.abs(lam[None, :] - lam[:, None]) <= 1e-6
+
+
 def graded_connection_residuals(field: GermField) -> float:
     """For X, Y in the alpha-eigenspace and Z in a different one:
     <nabla_X Y, Z> = c/(4(alpha-beta)) (<JY,Z><X,Jxi> + <JX,Y><Z,Jxi>
     + 2<JX,Z><Y,Jxi>)."""
     ff = field.frame_fields
     c = field.params.c
-    jmat = field.model.jmat
-    jxi0 = jmat @ field.normal()
-    worst = 0.0
-    frame = list(enumerate(zip(ff.eigenvalues, ff.centers)))
-    for a, (alpha, x0) in frame:
-        for b, (alpha2, y0) in frame:
-            if abs(alpha2 - alpha) > 1e-6:
-                continue
-            for _, (beta, z0) in frame:
-                if abs(beta - alpha) <= 1e-6:
-                    continue
-                lhs = ff.nabla[a, b] @ z0
-                rhs = (c / (4.0 * (alpha - beta))) * (
-                    (jmat @ y0) @ z0 * (x0 @ jxi0)
-                    + (jmat @ x0) @ y0 * (z0 @ jxi0)
-                    + 2.0 * (jmat @ x0) @ z0 * (y0 @ jxi0)
-                )
-                worst = max(worst, abs(float(lhs - rhs)))
-    return worst
+    x = ff.centers
+    jx = x @ field.model.jmat.T  # J is a signed permutation: exact
+    xjxi = _row_dot(x, field.model.jmat @ field.normal())
+    lam, close = _eigen_pairs(ff)
+    a, b, z = np.nonzero(close[:, :, None] & ~close[:, None, :])
+    lhs = _row_dot(ff.nabla[a, b], x[z])
+    rhs = (c / (4.0 * (lam[a] - lam[z]))) * (
+        _row_dot(jx[b], x[z]) * xjxi[a]
+        + _row_dot(jx[a], x[b]) * xjxi[z]
+        + _row_dot(2.0 * jx[a], x[z]) * xjxi[b]
+    )
+    return _worst(lhs - rhs)
 
 
 def graded_curvature_residuals(field: GermField) -> float:
     """<Rbar(X,Y)Z, xi> = (beta-gamma)<nabla_X Y, Z>
     - (alpha-gamma)<nabla_Y X, Z> over eigen-field triples, alpha != beta."""
     ff = field.frame_fields
-    jmat = field.model.jmat
-    xi0 = field.normal()
-    c = field.params.c
-    worst = 0.0
-    frame = list(enumerate(zip(ff.eigenvalues, ff.centers)))
-    for a, (alpha, x0) in frame:
-        for b, (beta, y0) in frame:
-            if abs(beta - alpha) <= 1e-6:
-                continue
-            for _, (gamma, z0) in frame:
-                lhs = ambient_curvature(x0, y0, z0, c, jmat) @ xi0
-                rhs = (beta - gamma) * (ff.nabla[a, b] @ z0) - (alpha - gamma) * (
-                    ff.nabla[b, a] @ z0
-                )
-                worst = max(worst, abs(float(lhs - rhs)))
-    return worst
+    x = ff.centers
+    lam, close = _eigen_pairs(ff)
+    a, b, z = np.nonzero(np.repeat(~close[:, :, None], len(x), axis=2))
+    rbar = ambient_curvature(x[a], x[b], x[z], field.params.c, field.model.jmat)
+    lhs = _row_dot(rbar, field.normal())
+    nab_xy_z = _row_dot(ff.nabla[a, b], x[z])
+    nab_yx_z = _row_dot(ff.nabla[b, a], x[z])
+    rhs = (lam[b] - lam[z]) * nab_xy_z - (lam[a] - lam[z]) * nab_yx_z
+    return _worst(lhs - rhs)
 
 
 def unit_pair_gauss_residual(field: GermField) -> float:
@@ -650,49 +655,43 @@ def unit_pair_gauss_residual(field: GermField) -> float:
     ff = field.frame_fields
     jmat = field.model.jmat
     c = field.params.c
-    stencil = field._stencil_l1()
-    jxi = {off: jmat @ field.normal(off) for off in stencil}
-    worst = 0.0
-    frame = list(enumerate(zip(ff.eigenvalues, ff.fields)))
-    for a, (alpha, xf) in frame:
-        for b, (beta, yf) in frame:
-            if abs(beta - alpha) <= 1e-6:
-                continue
-            x0, y0 = ff.centers[a], ff.centers[b]
-            jxy = {off: float((jmat @ xf[off]) @ yf[off]) for off in stencil}
-            yjxi = {off: float(yf[off] @ jxi[off]) for off in stencil}
-            xjxi = {off: float(xf[off] @ jxi[off]) for off in stencil}
-            nab_xy, nab_yx = ff.nabla[a, b], ff.nabla[b, a]
-            nab_xx, nab_yy = ff.nabla[a, a], ff.nabla[b, b]
+    lam, close = _eigen_pairs(ff)
+    a, b = np.nonzero(~close)
+    alpha, beta = lam[a], lam[b]
+    jfields = ff.fields @ jmat.T
+    jxi = field._normals[field._stencil] @ jmat.T
+    # stencil values of <JX, Y>, <X, J xi> and <Y, J xi>
+    jxy = _row_dot(jfields[a], ff.fields[b])
+    fjxi = _row_dot(ff.fields, jxi)
+    xjxi, yjxi = fjxi[a], fjxi[b]
+    x0, y0 = ff.centers[a], ff.centers[b]
+    jx0, jy0 = jfields[a, 0], jfields[b, 0]
+    nab = ff.nabla
+    nab_xy, nab_yx = nab[a, b], nab[b, a]
+    nab_xx, nab_yy = nab[a, a], nab[b, b]
 
-            jxy0 = jxy[stencil[0]]
-            xjxi0 = xjxi[stencil[0]]
-            yjxi0 = yjxi[stencil[0]]
-            term1 = (beta - alpha) * (
-                -c
-                - 4.0 * alpha * beta
-                - 2.0 * c * jxy0 * jxy0
-                + 8.0 * float(nab_xy @ nab_yx)
-                - 4.0 * float(nab_xx @ nab_yy)
-            )
-            term2 = -4.0 * c * jxy0 * (
-                field.scalar_derivative(yjxi, x0)
-                + field.scalar_derivative(xjxi, y0)
-            )
-            jy0 = jmat @ y0
-            jx0 = jmat @ x0
-            term3 = -c * xjxi0 * (
-                3.0 * field.scalar_derivative(jxy, y0)
-                + float(nab_yx @ jy0)
-                - 2.0 * float(nab_xy @ jy0)
-            )
-            term4 = -c * yjxi0 * (
-                3.0 * field.scalar_derivative(jxy, x0)
-                - float(nab_xy @ jx0)
-                + 2.0 * float(nab_yx @ jx0)
-            )
-            worst = max(worst, abs(term1 + term2 + term3 + term4))
-    return worst
+    jxy0, xjxi0, yjxi0 = jxy[:, 0], xjxi[:, 0], yjxi[:, 0]
+    term1 = (beta - alpha) * (
+        -c
+        - 4.0 * alpha * beta
+        - 2.0 * c * jxy0 * jxy0
+        + 8.0 * _row_dot(nab_xy, nab_yx)
+        - 4.0 * _row_dot(nab_xx, nab_yy)
+    )
+    term2 = -4.0 * c * jxy0 * (
+        field.scalar_derivative(yjxi, x0) + field.scalar_derivative(xjxi, y0)
+    )
+    term3 = -c * xjxi0 * (
+        3.0 * field.scalar_derivative(jxy, y0)
+        + _row_dot(nab_yx, jy0)
+        - 2.0 * _row_dot(nab_xy, jy0)
+    )
+    term4 = -c * yjxi0 * (
+        3.0 * field.scalar_derivative(jxy, x0)
+        - _row_dot(nab_xy, jx0)
+        + 2.0 * _row_dot(nab_yx, jx0)
+    )
+    return _worst(term1 + term2 + term3 + term4)
 
 
 def frame_connection_residuals(field: GermField) -> dict:

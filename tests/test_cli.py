@@ -156,6 +156,35 @@ def test_residuals_suite(capsys):
     assert {"gauss", "codazzi", "unit_pair_gauss"} <= names
 
 
+@pytest.mark.parametrize("r, lack, groups", [
+    # lambda_1, lambda_3 and lambda_4 merge into one projected group
+    ("5.0", "no non-projected lambda_3 eigenspace", "0.999909, 2"),
+    # ... which at r = 6 falls below the projection threshold
+    ("6.0", "h = 1 projected eigenspaces, not 2", "0.999988, 2"),
+])
+def test_residuals_without_frame_fields_exit_2(r, lack, groups, capsys):
+    code = main(["residuals", "--n", "3", "--c", "-4", "--k", "2", "--r", r])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.splitlines()[-1] == (
+        "error: the frame suites cannot run: at grouping tolerance 0.0001 "
+        f"the center germ has {lack} (2 eigenvalue groups: {groups})"
+    )
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("extra", [
+    ["--c", "-4", "--r", "0.5", "--fd-step", "1e-300"],  # degenerate tangents
+    ["--c", "-400", "--r", "2.0"],
+])
+def test_residuals_singular_inputs_exit_2(extra, capsys):
+    code = main(["residuals", "--n", "3", "--k", "2", *extra])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: Singular matrix\n"
+    assert captured.out == ""
+
+
 def test_nonexistence_positive(capsys):
     code = main(["nonexistence", "--c", "4", "--grid", "30", "30", "30"])
     out = capsys.readouterr().out

@@ -2,6 +2,8 @@
 charts, Gauss/Codazzi residuals, the graded frame identities, and
 convergence under step halving."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from chgeom import (
     tube_spectrum_closed,
     unit_pair_gauss_residual,
 )
-from chgeom.numlab import GermField
+from chgeom.numlab import GermField, _lattice, _lattice_rank
 
 EXACT_CHART_TOLERANCE = 1e-10
 SPECTRUM_TOLERANCE = 1e-5
@@ -185,46 +187,112 @@ FRAME_SUITES = (
 
 
 def test_frame_table_is_built_once(monkeypatch):
-    """The four frame suites read one table of nabla_{X_a} X_b: each pair
-    of frame fields is differentiated at most once per GermField."""
-    calls = []
-    original = GermField.tangential_derivative
+    """The four frame suites read one table of nabla_{X_a} X_b, built in
+    one batched pass per GermField."""
+    tables = []
+    original = GermField._nabla_table
 
-    def counting(self, field, direction):
-        calls.append(1)
-        return original(self, field, direction)
+    def counting(self, fields):
+        table = original(self, fields)
+        tables.append(table.shape)
+        return table
 
-    monkeypatch.setattr(GermField, "tangential_derivative", counting)
+    monkeypatch.setattr(GermField, "_nabla_table", counting)
     params = ModelParams(n=3, c=-4.0)
     chart = tube_chart(build_submanifold(params, k=2, phi=np.pi / 2), r=0.7)
     field = GermField(chart, TUBE_X0)
     first = [suite(field) for suite in FRAME_SUITES]
-    built = len(calls)
-    # 5^2 pairs of U_1, U_2, A, one lambda_3 and one lambda_4 field
-    assert built <= 25
+    # 5 x 5 pairs of U_1, U_2, A, one lambda_3 and one lambda_4 field
+    assert tables == [(5, 5, params.dim)]
     assert len(field.frame_fields.fields) == 5
     # a second pass reads the same table
     assert [suite(field) for suite in FRAME_SUITES] == first
-    assert len(calls) == built
+    assert len(tables) == 1
 
 
 def test_christoffels_are_computed_once_per_offset(monkeypatch):
-    calls = []
-    original = GermField._christoffel_symbols
+    """One batched Christoffel pass per GermField covers the center and
+    its 2 * dom neighbours; a second Gauss/Codazzi call builds nothing."""
+    tables = []
+    original = GermField._christoffel_table
 
-    def counting(self, off):
-        calls.append(off)
-        return original(self, off)
+    def counting(self):
+        table = original(self)
+        tables.append(table.shape)
+        return table
 
-    monkeypatch.setattr(GermField, "_christoffel_symbols", counting)
+    monkeypatch.setattr(GermField, "_christoffel_table", counting)
     params = ModelParams(n=3, c=-4.0)
     chart = tube_chart(build_submanifold(params, k=2, phi=np.pi / 2), r=0.7)
     field = GermField(chart, TUBE_X0)
     first = gauss_codazzi_residuals(field)
-    # the center and its 2 * dom neighbors, each once
-    assert len(calls) == len(set(calls)) == 2 * field.dom + 1
+    dom = field.dom
+    assert tables == [(2 * dom + 1, dom, dom, dom)]
     assert gauss_codazzi_residuals(field) == first
-    assert len(calls) == 2 * field.dom + 1
+    assert len(tables) == 1
+
+
+def test_offsets_may_be_any_integer_sequence(tube_field):
+    off = (1, 0, -1, 0, 0)
+    for same in ([1, 0, -1, 0, 0], np.array(off), np.array(off, dtype=np.int32)):
+        np.testing.assert_array_equal(tube_field.coords(same), tube_field.coords(off))
+        np.testing.assert_array_equal(tube_field.normal(same), tube_field.normal(off))
+    unit = np.array([1, 0, 0, 0, 0])
+    np.testing.assert_array_equal(
+        tube_field.tangents(unit), tube_field.tangents((1, 0, 0, 0, 0))
+    )
+    assert tube_field.germ(unit) is tube_field.germ((1, 0, 0, 0, 0))
+    np.testing.assert_array_equal(
+        tube_field.christoffels(np.zeros(5, dtype=int)), tube_field.christoffels()
+    )
+
+
+@pytest.mark.parametrize(
+    "accessor, off, where",
+    [
+        ("coords", (4, 0, 0, 0, 0), "outside the L1 <= 3 offset lattice"),
+        ("coords", (2, -1, 0, 0, 1), "outside the L1 <= 3 offset lattice"),
+        ("tangents", (3, 0, 0, 0, 0), "outside the L1 <= 2 ball of the L1 <= 3"),
+        ("normal", (0, 1, 1, 1, 0), "outside the L1 <= 2 ball of the L1 <= 3"),
+        ("germ", (1, 1, 0, 0, 0), "outside the L1 <= 1 ball of the L1 <= 3"),
+        ("christoffels", (0, 0, 0, 0, -2), "outside the L1 <= 1 ball"),
+        ("decomposition", (0, 2, 0, 0, 0), "outside the L1 <= 1 ball"),
+    ],
+)
+def test_offsets_outside_the_lattice_are_rejected(tube_field, accessor, off, where):
+    with pytest.raises(ValueError, match=where):
+        getattr(tube_field, accessor)(off)
+    with pytest.raises(ValueError, match="wrong dimension"):
+        getattr(tube_field, accessor)((0, 0))
+    with pytest.raises(ValueError, match="not an integer offset"):
+        getattr(tube_field, accessor)((0.5, 0, 0, 0, 0))
+
+
+def test_lattice_rows_and_neighbours_agree_with_offsets(tube_field):
+    """The sorted lattice, its rank function and the +-e_i table."""
+    for dim in (1, 3, 5, 7):
+        offsets = _lattice(dim)
+        assert [tuple(o) for o in offsets.tolist()] == sorted(
+            {tuple(o) for o in offsets.tolist()}
+        )
+        # every offset of L1 norm <= 3, once
+        assert np.abs(offsets).sum(axis=1).max() == 3
+        assert len(offsets) == sum(
+            2**j * math.comb(dim, j) * math.comb(3, j) for j in range(4)
+        )
+        rows = _lattice_rank(offsets)
+        np.testing.assert_array_equal(rows, np.arange(len(offsets)))
+    offsets = _lattice(tube_field.dom)
+    ball2 = offsets[tube_field._ball2]
+    assert np.all(np.abs(ball2).sum(axis=1) <= 2)
+    steps = offsets[tube_field._nbr] - ball2[:, None, None, :]
+    unit = np.eye(tube_field.dom, dtype=int)
+    assert (steps[:, :, 0] == unit).all() and (steps[:, :, 1] == -unit).all()
+    # stencil rows: the center, then +e_0, -e_0, +e_1, ...
+    stencil = ball2[tube_field._stencil]
+    assert not stencil[0].any()
+    pairs = np.stack([unit, -unit], axis=1).reshape(-1, tube_field.dom)
+    np.testing.assert_array_equal(stencil[1:], pairs)
 
 
 @pytest.mark.parametrize(
