@@ -28,7 +28,15 @@ from .construction import (
     orbit_second_fundamental_form,
     rigidity_form_check,
 )
-from .model import ModelParams, SolvableModel, check_positive, rate
+from .model import (
+    CURVATURE_TOLERANCE,
+    DEFAULT_SAMPLES,
+    DEFAULT_SEED,
+    ModelParams,
+    SolvableModel,
+    check_positive,
+    rate,
+)
 from .spectral import HypersurfaceGerm, classify
 
 SWEEP_COLUMNS = (
@@ -219,9 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-model", help="dual-route curvature check")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--c", type=float, required=True)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=20260814)
-    p.add_argument("--tolerance", type=float, default=1e-10)
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--tolerance", type=float, default=CURVATURE_TOLERANCE)
     p.set_defaults(func=_cmd_verify_model)
 
     p = sub.add_parser("construct", help="build a ruled minimal submanifold")
@@ -252,8 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify a germ from JSON")
     p.add_argument("--input", type=str, required=True)
-    p.add_argument("--tolerance", type=float, default=1e-6)
-    p.add_argument("--grouping-tol", type=float, default=1e-7)
+    p.add_argument("--tolerance", type=float, default=spectral.CLASSIFY_TOLERANCE)
+    p.add_argument("--grouping-tol", type=float, default=spectral.GROUPING_TOLERANCE)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("residuals", help="finite-difference identity suite")
@@ -261,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--r", type=float, required=True)
-    p.add_argument("--fd-step", type=float, default=1e-3)
+    p.add_argument("--fd-step", type=float, default=numlab.DEFAULT_FD_STEP)
     p.add_argument(
         "--ode-step", type=float, default=1e-3,
         help="accepted for compatibility; the chart uses the closed-form "

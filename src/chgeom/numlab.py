@@ -495,7 +495,7 @@ class GermField:
             np.array([getattr(fr, name) for fr in frames])
             for name in ("u1", "u2", "a_vec")
         ]
-        i3 = min(rest, key=lambda i: lam[i])
+        i3 = rest[0]
         eigenvalues = [lam[i] for i in decomp.hopf_indices[:2]] + [lam[i3]]
         # the lambda_3-space minus A, then the other non-projected spaces
         amb3 = self._ambient_space(0, i3)

@@ -117,12 +117,14 @@ def eigen_structure_from_lambda3(
     n: int | None = None,
     k: int | None = None,
 ) -> EigenStructure:
-    """Closed-form catalog entry at lambda_3.
+    """Closed-form catalog entry at lambda_3 (n and k, if given, fix
+    ``blocks``); c > 0 raises NoRealSolution.
 
-    Branches: lambda_3 = 0 -> G3_K1 (the ruled hypersurface itself);
-    lambda_3 = sqrt(-c)/(2 sqrt(3)) -> G3_KBIG (lambda_4 merges into
-    lambda_2); otherwise G4 unless branch_hint forces G3_K1 (equidistant
-    hypersurfaces, k = 1, share their spectrum shape with tubes).
+    The branch follows from lambda_3: 0 -> G3_K1 (the ruled hypersurface
+    itself); sqrt(-c)/(2 sqrt(3)) -> G3_KBIG (lambda_4 merges into
+    lambda_2, at the radius r*); otherwise G4.  branch_hint="G3_K1"
+    forces G3_K1 at any lambda_3: the equidistant hypersurfaces (k = 1)
+    have no lambda_4.  No other hint is accepted.
     """
     if c > 0:
         raise NoRealSolution(
@@ -177,20 +179,15 @@ def _catalog_entry(lambda3, gap, c, branch_hint, n, k) -> EigenStructure:
     b1sq = -(low**3) / (2.0 * c * root)
     b2sq = -((lambda3 + root) ** 3) / (2.0 * c * root)
 
-    special = s / math.sqrt(3.0)
-    if branch_hint is not None and branch_hint not in ("G3_K1", "G3_KBIG", "G4"):
+    if branch_hint not in (None, "G3_K1"):
         raise ValueError(f"unknown branch hint {branch_hint!r}")
-    if branch_hint == "G3_K1" or (branch_hint is None and lambda3 == 0.0):
+    if branch_hint == "G3_K1" or lambda3 == 0.0:
         branch, g, lam4 = "G3_K1", 3, None
         k = 1 if k is None else k
         if k != 1:
             raise ValueError("branch G3_K1 requires k = 1")
-    elif abs(lambda3 - special) <= 1e-12 * (1.0 + s):
+    elif abs(lambda3 - s / math.sqrt(3.0)) <= 1e-12 * (1.0 + s):
         branch, g, lam4 = "G3_KBIG", 3, None
-        if branch_hint == "G4":
-            raise ValueError("g = 4 is impossible at the special eigenvalue")
-    elif lambda3 == 0.0:  # hint G3_KBIG/G4 at zero is inconsistent
-        raise ValueError("lambda3 = 0 only occurs on branch G3_K1")
     else:
         branch, g = "G4", 4
         lam4 = -c / (4.0 * lambda3)
@@ -448,11 +445,10 @@ class HopfFrame:
 
 
 def hopf_frame_extract(
-    germ: HypersurfaceGerm, decomp: PrincipalDecomposition | None = None
+    germ: HypersurfaceGerm, decomp: PrincipalDecomposition
 ) -> HopfFrame:
-    """Extract the two-projection frame; requires h = 2."""
-    if decomp is None:
-        decomp = principal_decomposition(germ)
+    """Extract the two-projection frame of the germ's decomposition;
+    requires h = 2."""
     if decomp.h != 2:
         raise ValueError(f"Hopf frame needs h = 2, got h = {decomp.h}")
     i1, i2 = decomp.hopf_indices  # ascending eigenvalues: lambda1 < lambda2
@@ -483,13 +479,11 @@ def hopf_frame_extract(
 def frame_identity_residuals(
     germ: HypersurfaceGerm,
     frame: HopfFrame,
-    decomp: PrincipalDecomposition | None = None,
+    decomp: PrincipalDecomposition,
 ) -> dict:
     """Residuals of the structural frame identities:
     J xi = b1 U1 + b2 U2, <J U1, U2> = 0, J U2 = b1 A - b2 xi,
     J A = b2 U1 - b1 U2, A in the lambda_3 eigenspace."""
-    if decomp is None:
-        decomp = principal_decomposition(germ)
     jmat, xi = germ.jmat, germ.normal
     res = {
         "jxi_decomposition": float(
@@ -522,12 +516,10 @@ def frame_identity_residuals(
 
 
 def totally_real_check(
-    germ: HypersurfaceGerm, decomp: PrincipalDecomposition | None = None
+    germ: HypersurfaceGerm, decomp: PrincipalDecomposition
 ) -> dict:
     """max |<J v, w>| over pairs inside each eigenspace that carries a
     structure-vector projection (those spaces must be totally real)."""
-    if decomp is None:
-        decomp = principal_decomposition(germ)
     out = {}
     for i in decomp.hopf_indices:
         amb = decomp.spaces[i] @ germ.tangent_basis  # rows ambient
@@ -591,23 +583,30 @@ def classify(
 ) -> ClassificationResult:
     """Match a germ against the constant-principal-curvature catalog.
 
-    Orientation-normalizes the germ (non-Hopf eigenvalues >= 0), splits
-    on (g, multiplicity of lambda_2) to find the branch, recovers k and
-    the radius, and reports the residuals of every catalog identity.
-    The result never depends on the input co-orientation.
+    The germ needs h = 2 projected eigenspaces (else "hopf" or "h=N").
+    It is flipped when its smallest non-Hopf eigenvalue is negative, so
+    lambda_3 >= 0 (an h != 2 flip gives "orientation"), and needs g = 3
+    or 4 groups (else "g=N").  At c > 0 the catalog has no real solution
+    and the NoRealSolution message is the reason.  The groups are read
+    in catalog order lambda_1 < lambda_2 (the Hopf spaces), lambda_3 <
+    lambda_4, and k = 2n - 2 - mult(lambda_3).  The catalog entry is
+    built at (lambda_3, k), or at sqrt(-c)/(2 sqrt(3)) with the radius
+    r* when g = 3 and k >= 2; a catalog error gives its message.  The
+    germ's multiplicities must equal the entry's ``blocks`` and k <= n-1
+    (else "multiplicities"), and every catalog and frame identity must
+    hold to tol (else "residuals", with the residuals reported).
     """
     check_positive("tol", tol)
     check_positive("grouping_tol", grouping_tol)
     n, c = germ.params.n, germ.params.c
-    s = rate(c)
 
     decomp = principal_decomposition(germ, tol=grouping_tol)
     if decomp.h != 2:
         reason = "hopf" if decomp.h <= 1 else f"h={decomp.h}"
         return _unclassified(decomp.g, decomp.h, {}, reason)
 
-    non_hopf_vals = [decomp.eigenvalues[i] for i in decomp.non_hopf_indices]
-    if non_hopf_vals and min(non_hopf_vals) < -10.0 * decomp.tol_used:
+    rest = decomp.non_hopf_indices  # ascending: rest[0] is lambda_3
+    if rest and decomp.eigenvalues[rest[0]] < 0.0:
         germ = germ.flipped()
         decomp = principal_decomposition(germ, tol=grouping_tol)
         if decomp.h != 2:
@@ -617,56 +616,26 @@ def classify(
     if g not in (3, 4):
         return _unclassified(g, h, {}, f"g={g}")
 
-    i1, i2 = decomp.hopf_indices
-    rest_idx = decomp.non_hopf_indices
-    mult2 = decomp.multiplicities[i2]
-    if decomp.multiplicities[i1] != 1:
-        return _unclassified(g, h, {}, "multiplicities")
-
-    lam3_measured = float(min(decomp.eigenvalues[i] for i in rest_idx))
-    lam3_hat = min(max(lam3_measured, 0.0), s * (1.0 - 1e-15))
-
-    if g == 4:
-        if mult2 != 1:
-            return _unclassified(g, h, {}, "multiplicities")
-        i3, i4 = (
-            (rest_idx[0], rest_idx[1])
-            if decomp.eigenvalues[rest_idx[0]] < decomp.eigenvalues[rest_idx[1]]
-            else (rest_idx[1], rest_idx[0])
-        )
-        k = decomp.multiplicities[i4] + 1
-        branch = "G4"
-        if decomp.multiplicities[i3] != 2 * n - 2 - k:
-            return _unclassified(g, h, {}, "multiplicities")
-        try:
-            r = jacobi.focal_radius(lam3_hat, c)
-        except jacobi.OutOfRangeEigenvalue:
-            return _unclassified(g, h, {}, "lambda3 out of range")
-    else:
-        if mult2 >= 2:
-            branch = "G3_KBIG"
-            k = mult2
-            r = jacobi.special_radius(c)
-        else:
-            branch = "G3_K1"
-            k = 1
-            try:
-                r = jacobi.focal_radius(lam3_hat, c)
-            except jacobi.OutOfRangeEigenvalue:
-                return _unclassified(g, h, {}, "lambda3 out of range")
-        if decomp.multiplicities[rest_idx[0]] != 2 * n - 2 - k:
-            return _unclassified(g, h, {}, "multiplicities")
-
+    # the measured groups in catalog order: the Hopf spaces lambda_1 <
+    # lambda_2, then lambda_3 < lambda_4; k is read off lambda_3's block
+    order = decomp.hopf_indices + decomp.non_hopf_indices
+    lam = [float(decomp.eigenvalues[i]) for i in order]
+    mults = tuple(decomp.multiplicities[i] for i in order)
+    k = 2 * n - 2 - mults[2]
+    special = g == 3 and k >= 2  # lambda_4 = lambda_2: the radius r*
+    lam3 = lam[2]
+    if c < 0:  # for c > 0 the catalog entry raises NoRealSolution
+        s = rate(c)
+        lam3 = s / math.sqrt(3.0) if special else min(max(lam3, 0.0), s * (1.0 - 1e-15))
     try:
         es = eigen_structure_from_lambda3(
-            lam3_hat if branch != "G3_KBIG" else s / math.sqrt(3.0),
-            c,
-            branch_hint=branch,
-            n=n,
-            k=k,
+            lam3, c, branch_hint="G3_K1" if k == 1 else None, n=n, k=k
         )
-    except (NoRealSolution, jacobi.OutOfRangeEigenvalue, ValueError) as exc:
+    except ValueError as exc:
         return _unclassified(g, h, {}, str(exc))
+    if k >= n or mults != tuple(m for _, m in es.blocks):
+        return _unclassified(g, h, {}, "multiplicities")
+    r = jacobi.special_radius(c) if special else jacobi.focal_radius(lam3, c)
 
     frame = hopf_frame_extract(germ, decomp)
     residuals = frame_identity_residuals(germ, frame, decomp)
@@ -674,37 +643,27 @@ def classify(
         {
             "lambda1_catalog": abs(frame.lambda1 - es.lambda1),
             "lambda2_catalog": abs(frame.lambda2 - es.lambda2),
-            "lambda3_catalog": abs(lam3_measured - es.lambda3),
+            "lambda3_catalog": abs(lam[2] - es.lambda3),
             "b1_catalog": abs(frame.b1**2 - es.b1sq),
             "b2_catalog": abs(frame.b2**2 - es.b2sq),
             "quadratic": abs(
-                float(
-                    catalog_quadratic(
-                        frame.lambda1, frame.lambda2, lam3_measured, c
-                    )
-                )
+                float(catalog_quadratic(frame.lambda1, frame.lambda2, lam[2], c))
             ),
         }
     )
-    if branch == "G4":
-        lam4_measured = float(decomp.eigenvalues[i4])
-        residuals["lambda4_catalog"] = abs(lam4_measured - es.lambda4)
-    tr = totally_real_check(germ, decomp)
-    if tr:
-        residuals["totally_real"] = max(tr.values())
+    if es.g == 4:
+        residuals["lambda4_catalog"] = abs(lam[3] - es.lambda4)
+    residuals["totally_real"] = max(totally_real_check(germ, decomp).values())
 
-    worst = max(residuals.values())
-    if worst > tol:
-        out = _unclassified(g, h, residuals, "residuals")
-        return out
-    model = "tube" if k >= 2 else "equidistant"
+    if max(residuals.values()) > tol:
+        return _unclassified(g, h, residuals, "residuals")
     return ClassificationResult(
-        model=model,
+        model="tube" if k >= 2 else "equidistant",
         g=g,
         h=h,
         k=k,
         r=float(r),
-        branch=branch,
+        branch=es.branch,
         residuals=residuals,
     )
 

@@ -31,7 +31,13 @@ import numpy as np
 from . import jacobi
 from .construction import SubmanifoldSpec, orbit_second_fundamental_form
 from .model import DEFAULT_ODE_STEP, SolvableModel
-from .spectral import EigenStructure, HypersurfaceGerm, catalog_at_radius
+from .spectral import (
+    EigenStructure,
+    HypersurfaceGerm,
+    catalog_at_radius,
+    hopf_frame_extract,
+    principal_decomposition,
+)
 
 FOCAL_ZERO_TOLERANCE = 1e-9
 MAX_RADIUS = 10.0
@@ -244,13 +250,11 @@ def focal_shape_check(
         raise ValueError("focal identities need a totally real normal space")
     if r <= 0.0:
         raise ValueError("the focal check needs r > 0")
-    from .spectral import hopf_frame_extract  # local: avoid cycles at import
-
     model = SolvableModel(spec.params)
     a = model.a
     tube = tube_shape_operator(spec, eta, r, step)
     germ = tube.germ
-    frame = hopf_frame_extract(germ)
+    frame = hopf_frame_extract(germ, principal_decomposition(germ))
     p_mat = tube.transport  # columns: transported frame vectors o -> q
 
     # transport back q -> o is the transpose (transport is orthogonal)

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from chgeom import ModelParams, SubmanifoldSpec, catalog_germ, cli
+from chgeom import ModelParams, SubmanifoldSpec, catalog_germ, cli, model, numlab, spectral
 from chgeom.cli import SWEEP_COLUMNS, main
 from chgeom.jacobi import special_radius
 
@@ -120,6 +120,35 @@ def test_classify_germ_file(tmp_path, capsys):
     assert payload["model"] == "tube"
     assert payload["k"] == 2
     assert abs(payload["r"] - 0.7) < 1e-9
+
+
+def test_classify_positive_curvature_germ(tmp_path, capsys):
+    """An h = 2 germ in CP^n(c), c > 0, is valid input: classify exits 0
+    and says why the catalog has no such hypersurface."""
+    data = catalog_germ(ModelParams(n=3, c=-4.0), 2, r=0.7).to_json_dict()
+    data["c"] = 4.0
+    path = tmp_path / "germ.json"
+    path.write_text(json.dumps(data))
+    assert main(["classify", "--input", str(path)]) == 0
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["model"] == "unclassified"
+    assert "no real roots for c > 0" in payload["reason"]
+    assert captured.err == ""
+
+
+def test_parser_defaults_are_the_library_constants():
+    parse = cli.build_parser().parse_args
+    args = parse(["verify-model", "--n", "2", "--c", "-4"])
+    assert (args.samples, args.seed, args.tolerance) == (
+        model.DEFAULT_SAMPLES, model.DEFAULT_SEED, model.CURVATURE_TOLERANCE
+    )
+    args = parse(["classify", "--input", "germ.json"])
+    assert (args.tolerance, args.grouping_tol) == (
+        spectral.CLASSIFY_TOLERANCE, spectral.GROUPING_TOLERANCE
+    )
+    args = parse(["residuals", "--n", "3", "--c", "-4", "--k", "2", "--r", "0.7"])
+    assert args.fd_step == numlab.DEFAULT_FD_STEP
 
 
 def test_classify_malformed_input(tmp_path, capsys):

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from chgeom import (
@@ -474,3 +474,96 @@ def test_slab_scan_memory_does_not_grow_with_lambda1_samples():
 
     small = peak((40, 40, 40))
     assert peak((400, 40, 40)) <= 1.5 * small
+
+
+@seed(411)
+@settings(deadline=None, max_examples=300)
+@given(
+    nk=st.integers(2, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+    c_exp=st.floats(-2.0, 4.0),
+    r_exp=st.floats(-9.0, 1.0, exclude_min=True),
+    flip=st.booleans(),
+)
+# a flipped k = 1 germ whose lambda_3 ~ -s^2 r lies inside the grouping
+# tolerance: it must not come back at r = 0
+@example(nk=(3, 1), c_exp=0.0, r_exp=math.log10(2.3115314835221083e-06), flip=True)
+def test_classify_never_mislabels_a_catalog_germ(nk, c_exp, r_exp, flip):
+    """A catalog germ over c in [-1e4, -1e-2], r in (1e-9, 10] and either
+    co-orientation classifies back to its (model, k) with |dr| < 1e-6, or
+    comes out unclassified: never a confident wrong label."""
+    (n, k), c, r = nk, -(10.0**c_exp), 10.0**r_exp
+    assume(math.sqrt(-c) / 2 * r < 118.0)  # past that b1^2 underflows
+    germ = catalog_germ(ModelParams(n=n, c=c), k, r=r)
+    res = classify(germ.flipped() if flip else germ)
+    if res.model != "unclassified":
+        assert res.model == ("tube" if k >= 2 else "equidistant")
+        assert res.k == k and abs(res.r - r) < 1e-6
+
+
+def test_classify_roundtrip_beyond_n4():
+    """Every k of n = 5..8 at three curvatures and six radii (r* among
+    them), in both co-orientations: 792 germs."""
+    count = 0
+    for c in (-1.0, -4.0, -9.0):
+        for n in range(5, 9):
+            for k in range(1, n):
+                for r in (0.05, 0.3, 0.7, special_radius(c), 1.5, 2.5):
+                    germ = catalog_germ(ModelParams(n=n, c=c), k, r=r)
+                    for g in (germ, germ.flipped()):
+                        res = classify(g)
+                        assert res.reason is None, (n, k, c, r, res.reason)
+                        assert res.model == ("tube" if k >= 2 else "equidistant")
+                        assert res.k == k
+                        assert abs(res.r - r) < CLASSIFY_RADIUS_TOLERANCE
+                        count += 1
+    assert count == 792
+
+
+@pytest.mark.parametrize("keep", [2, 3], ids=["A-in-lambda3", "A-in-lambda4"])
+@pytest.mark.parametrize("n,k", [(3, 2), (4, 3), (5, 4)])
+def test_classify_rejects_layout_with_k_at_least_n(n, k, keep):
+    """lambda_3 of multiplicity 1 reads as k = 2n - 3 >= n, which no
+    tube W^{2n-k} has (k <= n - 1): the layout is not in the catalog,
+    whichever tangent row keeps lambda_3."""
+    germ = catalog_germ(ModelParams(n=n, c=-4.0), k, r=0.7)
+    values = np.diag(germ.shape).copy()
+    lam3, lam4 = values[2], values[-1]
+    values[2:] = lam4
+    values[keep] = lam3
+    bad = HypersurfaceGerm(
+        params=germ.params,
+        normal=germ.normal,
+        tangent_basis=germ.tangent_basis,
+        shape=np.diag(values),
+        jmat=germ.jmat,
+    )
+    res = classify(bad)
+    assert (res.model, res.g, res.reason) == ("unclassified", 4, "multiplicities")
+
+
+def test_catalog_branch_hint_accepts_only_g3_k1():
+    for hint in ("G4", "G3_KBIG", "g4"):
+        with pytest.raises(ValueError, match="unknown branch hint"):
+            eigen_structure_from_lambda3(0.4, -4.0, branch_hint=hint)
+
+
+def _at_positive_curvature(germ, c):
+    """The same frame and shape, read in CP^n(c)."""
+    return HypersurfaceGerm(
+        params=ModelParams(n=germ.params.n, c=c),
+        normal=germ.normal,
+        tangent_basis=germ.tangent_basis,
+        shape=germ.shape,
+        jmat=germ.jmat,
+    ).validate()
+
+
+def test_classify_positive_curvature():
+    """c > 0: an h = 2 germ is unclassified with the NoRealSolution
+    message (no such hypersurface in CP^n); a Hopf germ stays "hopf"."""
+    germ = _at_positive_curvature(catalog_germ(ModelParams(n=3, c=-4.0), 2, r=0.7), 4.0)
+    res = classify(germ)
+    assert (res.model, res.g, res.h, res.k, res.r) == ("unclassified", 4, 2, None, None)
+    assert res.reason.endswith("the catalog quadratic has no real roots for c > 0")
+    hopf = _at_positive_curvature(horosphere_germ(ModelParams(n=3, c=-4.0)), 4.0)
+    assert classify(hopf).reason == "hopf"
