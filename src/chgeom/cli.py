@@ -66,11 +66,7 @@ def _cmd_verify_model(args) -> int:
 def _cmd_construct(args) -> int:
     params = ModelParams(n=args.n, c=args.c)
     phi = args.phi if args.phi is not None else math.pi / 2.0
-    try:
-        spec = build_submanifold(params, args.k, phi)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = build_submanifold(params, args.k, phi)
     form = orbit_second_fundamental_form(spec)
     report = rigidity_form_check(form, spec)
     print(f"angle                    {phi!r}")
@@ -116,17 +112,11 @@ def _sweep_row(r, params, spec) -> str:
 
 def _cmd_sweep(args) -> int:
     params = ModelParams(n=args.n, c=args.c)
-    try:
-        spec = build_submanifold(params, args.k, math.pi / 2.0)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = build_submanifold(params, args.k, math.pi / 2.0)
     if args.r_min <= 0 or args.r_max < args.r_min or args.count < 1:
-        print("error: need 0 < r-min <= r-max and count >= 1", file=sys.stderr)
-        return 2
+        raise ValueError("need 0 < r-min <= r-max and count >= 1")
     if args.jobs is not None and args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 2
+        raise ValueError("--jobs must be >= 1")
     check_positive("--ode-step", args.ode_step)
     radii = np.linspace(args.r_min, args.r_max, args.count)
     rows = [_sweep_row(float(r), params, spec) for r in radii]
@@ -145,8 +135,7 @@ def _cmd_classify(args) -> int:
             payload = json.load(fh)
         germ = HypersurfaceGerm.from_json_dict(payload)
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"error: malformed germ input: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"malformed germ input: {exc}") from exc
     result = classify(
         germ, tol=args.tolerance, grouping_tol=args.grouping_tol
     )
@@ -156,14 +145,9 @@ def _cmd_classify(args) -> int:
 
 def _cmd_residuals(args) -> int:
     params = ModelParams(n=args.n, c=args.c)
-    check_positive("--ode-step", args.ode_step)
     check_positive("--tolerance", args.tolerance)
-    try:
-        spec = build_submanifold(params, args.k, math.pi / 2.0)
-        chart = numlab.tube_chart(spec, args.r)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = build_submanifold(params, args.k, math.pi / 2.0)
+    chart = numlab.tube_chart(spec, args.r)
     x0 = np.zeros(chart.domain_dim)
     field = numlab.GermField(chart, x0, fd_step=args.fd_step)
     values = dict(numlab.gauss_codazzi_residuals(field))
@@ -270,11 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--fd-step", type=float, default=numlab.DEFAULT_FD_STEP)
-    p.add_argument(
-        "--ode-step", type=float, default=1e-3,
-        help="accepted for compatibility; the chart uses the closed-form "
-        "geodesic flow",
-    )
     p.add_argument("--tolerance", type=float, default=1e-3)
     p.set_defaults(func=_cmd_residuals)
 

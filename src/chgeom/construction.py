@@ -24,6 +24,7 @@ from .model import (
     Z_INDEX,
     ModelParams,
     SolvableModel,
+    rate,
     standard_complex_structure,
 )
 
@@ -167,7 +168,7 @@ class SubmanifoldSpec:
         )
 
 
-def _orthonormal_complement(rows: np.ndarray, d: int, within: np.ndarray) -> np.ndarray:
+def _orthonormal_complement(rows: np.ndarray, within: np.ndarray) -> np.ndarray:
     """Orthonormal basis of (span within) minus (span rows), deterministic."""
     # project the candidate directions off the known rows, then SVD
     if rows.size:
@@ -183,25 +184,23 @@ def build_submanifold(params: ModelParams, k: int, phi: float) -> SubmanifoldSpe
     """Assemble the orbit data: normal space, tangent subalgebra basis and
     the paired unit projections of J on the normals."""
     sub = constant_kahler_angle_subspace(params, k, phi)
-    n, d = params.n, params.dim
-    jmat = standard_complex_structure(n)
+    d = params.dim
     wperp = sub.basis
     sphi = math.sin(phi)
 
-    pxi = np.empty_like(wperp)
-    for m in range(k):
-        jrow = jmat @ wperp[m]
-        tang = jrow - wperp.T @ (wperp @ jrow)
-        norm = np.linalg.norm(tang)
-        if abs(norm - sphi) > 1e-10:
-            raise AssertionError(
-                f"tangential projection norm {norm} != sin(phi) {sphi}"
-            )
-        pxi[m] = tang / norm
+    # tangential parts of J xi_m, one row per normal; their norm is sin(phi)
+    jrows = wperp @ standard_complex_structure(params.n).T
+    tang = jrows - (jrows @ wperp.T) @ wperp
+    norms = np.linalg.norm(tang, axis=1)
+    if np.max(np.abs(norms - sphi)) > 1e-10:
+        raise AssertionError(
+            f"tangential projection norms {norms} != sin(phi) {sphi}"
+        )
+    pxi = tang / norms[:, None]
 
     galpha = np.zeros((d - 2, d))
     galpha[:, GALPHA_START:] = np.eye(d - 2)
-    rest = _orthonormal_complement(np.vstack([wperp, pxi]), d, galpha)
+    rest = _orthonormal_complement(np.vstack([wperp, pxi]), galpha)
     if rest.shape[0] != d - 2 - 2 * k:
         raise AssertionError("root-space complement has unexpected dimension")
 
@@ -225,14 +224,10 @@ def build_submanifold(params: ModelParams, k: int, phi: float) -> SubmanifoldSpe
 
 def _check_subalgebra(spec: SubmanifoldSpec):
     """The tangent space at the base point must close under the bracket."""
-    model = SolvableModel(spec.params)
     t = spec.tangent_basis
-    proj = t.T @ t
-    for i in range(t.shape[0]):
-        for j in range(i + 1, t.shape[0]):
-            br = model.bracket(t[i], t[j])
-            if np.linalg.norm(br - proj @ br) > CLOSURE_TOLERANCE:
-                raise AssertionError("tangent space does not close under bracket")
+    br = SolvableModel(spec.params).bracket(t[:, None], t[None, :])
+    if np.max(np.linalg.norm(br - br @ (t.T @ t), axis=-1)) > CLOSURE_TOLERANCE:
+        raise AssertionError("tangent space does not close under bracket")
 
 
 @dataclass(frozen=True)
@@ -241,7 +236,6 @@ class SecondFundamentalForm:
     the submanifold object."""
 
     matrices: np.ndarray  # (k, 2n-k, 2n-k)
-    normal_basis: np.ndarray
 
     @property
     def trace_vector(self) -> np.ndarray:
@@ -252,18 +246,13 @@ class SecondFundamentalForm:
 def orbit_second_fundamental_form(spec: SubmanifoldSpec) -> SecondFundamentalForm:
     """Second fundamental form of the orbit at the base point, computed
     from the exact Koszul table (normal part of nabla on tangent fields)."""
-    model = SolvableModel(spec.params)
     t = spec.tangent_basis
-    m = t.shape[0]
-    k = spec.k
-    mats = np.zeros((k, m, m))
-    for i in range(m):
-        for j in range(m):
-            nab = model.koszul_connection(t[i], t[j])
-            mats[:, i, j] = spec.normal_basis @ nab
+    # nab[i, j] = nabla_{t_i} t_j over every ordered pair of tangent rows
+    nab = SolvableModel(spec.params).koszul_connection(t[:, None], t[None, :])
+    mats = np.einsum("ijd,md->mij", nab, spec.normal_basis)
     if np.max(np.abs(mats - np.swapaxes(mats, 1, 2))) > 1e-12:
         raise AssertionError("second fundamental form is not symmetric")
-    return SecondFundamentalForm(matrices=mats, normal_basis=spec.normal_basis)
+    return SecondFundamentalForm(matrices=mats)
 
 
 @dataclass(frozen=True)
@@ -280,14 +269,11 @@ def rigidity_form_check(
 ) -> RigidityReport:
     """Compare II against the trivial symmetric extension of
     II(Z, u_m) = sin(phi) (sqrt(-c)/2) xi_m (all other entries zero)."""
-    model = SolvableModel(spec.params)
     t = spec.tangent_basis
-    amp = math.sin(spec.phi) * model.a
+    amp = math.sin(spec.phi) * rate(spec.params.c)
     zc = t @ spec.zvec  # <t_i, Z>
-    expected = np.zeros_like(iiform.matrices)
-    for m in range(spec.k):
-        uc = t @ spec.pxi_unit[m]
-        expected[m] = amp * (np.outer(zc, uc) + np.outer(uc, zc))
+    uc = spec.pxi_unit @ t.T  # uc[m, i] = <t_i, u_m>
+    expected = amp * (zc[:, None] * uc[:, None, :] + uc[:, :, None] * zc)
     residual = float(np.max(np.abs(iiform.matrices - expected)))
     trace = float(np.linalg.norm(iiform.trace_vector))
     return RigidityReport(

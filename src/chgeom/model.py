@@ -131,7 +131,11 @@ class ModelParams:
     c: float
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 2:
+        try:
+            integral = int(self.n) == self.n
+        except (OverflowError, TypeError, ValueError):
+            integral = False
+        if not integral or self.n < 2:
             raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
         if self.c == 0 or not math.isfinite(self.c):
             raise ValueError(f"c must be a nonzero finite real, got {self.c!r}")

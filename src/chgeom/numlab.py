@@ -224,7 +224,6 @@ class GermField:
         chart: ChartImmersion,
         x0,
         fd_step: float = DEFAULT_FD_STEP,
-        grouping_tol: float = NUMERIC_GROUPING_TOLERANCE,
     ):
         check_positive("fd_step", fd_step)
         self.chart = chart
@@ -234,7 +233,6 @@ class GermField:
         if self.x0.shape != (chart.domain_dim,):
             raise ValueError("center point has wrong dimension")
         self.h = float(fd_step)
-        self.grouping_tol = grouping_tol
         self.dom = chart.domain_dim
 
         offsets = _lattice(self.dom)
@@ -377,7 +375,10 @@ class GermField:
 
     @cached_property
     def _decompositions(self) -> list:
-        return [principal_decomposition(g, tol=self.grouping_tol) for g in self._germs]
+        return [
+            principal_decomposition(g, tol=NUMERIC_GROUPING_TOLERANCE)
+            for g in self._germs
+        ]
 
     # -- connection and curvature ----------------------------------------
 
@@ -486,7 +487,7 @@ class GermField:
             groups = ", ".join(f"{v:.6g}" for v in lam)
             raise ValueError(
                 "the frame suites cannot run: at grouping tolerance "
-                f"{self.grouping_tol:g} the center germ has {lack} "
+                f"{NUMERIC_GROUPING_TOLERANCE:g} the center germ has {lack} "
                 f"({decomp.g} eigenvalue groups: {groups})"
             )
         frames = [hopf_frame_extract(g, d) for g, d in zip(self._germs, decomps)]

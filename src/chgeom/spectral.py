@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -314,7 +313,7 @@ class HypersurfaceGerm:
     @staticmethod
     def from_json_dict(data: dict) -> "HypersurfaceGerm":
         try:
-            params = ModelParams(n=int(data["n"]), c=float(data["c"]))
+            params = ModelParams(n=data["n"], c=float(data["c"]))
             germ = HypersurfaceGerm(
                 params=params,
                 normal=np.asarray(data["normal"], dtype=float),
@@ -350,7 +349,6 @@ class PrincipalDecomposition:
     multiplicities: tuple
     spaces: list
     jxi_components: np.ndarray
-    tol_used: float
     gap_warning: bool
 
     @property
@@ -382,31 +380,22 @@ def principal_decomposition(
 ) -> PrincipalDecomposition:
     """Eigen-decompose the shape operator and group nearby eigenvalues.
 
-    Grouping tolerance is tol * (1 + max |eigenvalue|); a warning fires
-    when some spectral gap is within a factor of two of the tolerance
-    (the grouping is then ambiguous)."""
+    Adjacent eigenvalues share a group when their gap is at most
+    tol * (1 + max(|lambda_i|, |lambda_{i+1}|)), a threshold taken from
+    the two values it separates, so a large eigenvalue elsewhere in the
+    spectrum does not merge the small ones.  ``gap_warning`` is set when
+    some gap lies within a factor of two of its threshold (the grouping
+    is then ambiguous)."""
     check_positive("tol", tol)
     sym = 0.5 * (germ.shape + germ.shape.T)
     evals, evecs = np.linalg.eigh(sym)
-    scale = 1.0 + float(np.max(np.abs(evals))) if evals.size else 1.0
-    tol_eff = tol * scale
-
     gaps = np.diff(evals)
-    warn = bool(np.any((gaps > 0.5 * tol_eff) & (gaps < 2.0 * tol_eff)))
-    if warn:
-        warnings.warn(
-            "spectral gap within a factor of 2 of the grouping tolerance; "
-            "eigenvalue grouping may be unstable",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-
-    groups = []
-    start = 0
-    for i in range(1, len(evals) + 1):
-        if i == len(evals) or evals[i] - evals[i - 1] > tol_eff:
-            groups.append((start, i))
-            start = i
+    size = np.abs(evals)
+    threshold = tol * (1.0 + np.maximum(size[:-1], size[1:]))
+    warn = bool(np.any((gaps > 0.5 * threshold) & (gaps < 2.0 * threshold)))
+    # group boundaries: 0, every gap above its threshold, and the end
+    cuts = [0, *(np.flatnonzero(gaps > threshold) + 1).tolist(), len(evals)]
+    groups = zip(cuts[:-1], cuts[1:])
 
     jxi = germ.structure_vector()
     jxi_coeff = germ.tangent_basis @ jxi
@@ -425,7 +414,6 @@ def principal_decomposition(
         multiplicities=tuple(mults),
         spaces=spaces,
         jxi_components=np.asarray(projections),
-        tol_used=tol_eff,
         gap_warning=warn,
     )
 

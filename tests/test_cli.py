@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -159,6 +160,43 @@ def test_classify_malformed_input(tmp_path, capsys):
     assert main(["classify", "--input", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize("n_text", ["2.5", "1e400"])
+def test_classify_rejects_malformed_dimension(n_text, tmp_path, capsys):
+    """A non-integral n is not truncated, and one that overflows int() is
+    malformed input, not a traceback."""
+    text = catalog_germ(ModelParams(n=2, c=-4.0), 1, r=0.7).to_json()
+    path = tmp_path / "germ.json"
+    path.write_text(text.replace('"n": 2', f'"n": {n_text}', 1))
+    assert main(["classify", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: malformed germ input: ")
+    assert "n must be an integer >= 2" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command, code", [
+    # a small-r k = 2 germ whose lambda_1/lambda_3 gap sat near the
+    # spectrum-wide grouping tolerance
+    (["classify"], 0),
+    (["residuals", "--n", "3", "--c", "-4", "--k", "2", "--r", "5.0"], 2),
+    (["sweep", "--n", "2", "--c", "-100", "--k", "1", "--r-min", "0.001",
+      "--r-max", "2.0", "--count", "8"], 0),
+])
+def test_near_tolerance_gaps_raise_no_warning(command, code, tmp_path, capsys):
+    """A spectral gap close to the grouping tolerance is reported in the
+    decomposition, never as a Python warning on stderr."""
+    if command == ["classify"]:
+        germ = catalog_germ(ModelParams(n=3, c=-4.0), 2, r=1.5e-7)
+        path = tmp_path / "germ.json"
+        path.write_text(germ.to_json())
+        command = ["classify", "--input", str(path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(command) == code
+    err = capsys.readouterr().err
+    assert all(line.startswith("error: ") for line in err.splitlines())
+
+
 @pytest.mark.parametrize("field", ["normal", "tangent_basis", "shape", "J"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_classify_rejects_non_finite_entries(field, value, tmp_path, capsys):
@@ -282,16 +320,6 @@ def test_residuals_rejects_bad_radius(capsys):
         assert code == 2
         err = capsys.readouterr().err
         assert "tube charts need 0 < r <= 10.0" in err and "Traceback" not in err
-
-
-def test_residuals_rejects_bad_ode_step(capsys):
-    for step in ("0", "nan"):
-        code = main([
-            "residuals", "--n", "2", "--c", "-4", "--k", "1", "--r", "0.3",
-            "--ode-step", step,
-        ])
-        assert code == 2
-        assert "--ode-step must be positive" in capsys.readouterr().err
 
 
 BAD_POSITIVE_VALUES = ("nan", "inf", "0", "-1")

@@ -97,7 +97,7 @@ def test_build_submanifold_shapes():
 def test_second_fundamental_form_closed_form():
     """II(Z, u_m) = sin(phi) (sqrt(-c)/2) xi_m on unit directions, all
     other entries vanish, and the trace is zero (minimal)."""
-    for n in (2, 3, 4):
+    for n in range(2, 9):
         params = ModelParams(n=n, c=-4.0)
         for k in range(1, n):
             for phi in PHI_GRID:

@@ -4,6 +4,7 @@ frame identities, the classifier, and the feasibility scan."""
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -146,8 +147,10 @@ def test_principal_decomposition_gap_warning():
         shape=shape,
         jmat=standard_complex_structure(2),
     )
-    with pytest.warns(RuntimeWarning):
-        principal_decomposition(germ, tol=1e-7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        decomp = principal_decomposition(germ, tol=1e-7)
+    assert decomp.gap_warning
 
 
 def test_hopf_frame_identities_on_catalog_germs():
@@ -498,6 +501,28 @@ def test_classify_never_mislabels_a_catalog_germ(nk, c_exp, r_exp, flip):
     if res.model != "unclassified":
         assert res.model == ("tube" if k >= 2 else "equidistant")
         assert res.k == k and abs(res.r - r) < 1e-6
+
+
+@seed(412)
+@settings(deadline=None, max_examples=300)
+@given(
+    n=st.integers(2, 8),
+    k=st.integers(1, 7),
+    c=st.floats(-2.0, 4.0).map(lambda e: -(10.0**e)),
+    r=st.floats(-9.0, 2.0).map(lambda e: 10.0**e),
+    flip=st.booleans(),
+)
+# lambda_4 ~ 1/r made the spectrum-wide grouping tolerance O(1) here
+@example(n=4, c=-1.0, k=2, r=1.2697887689688497e-08, flip=False)
+def test_classify_decides_small_radius_germs(n, k, c, r, flip):
+    """Below s*r = 5 every catalog germ, down to r = 1e-9 and in either
+    co-orientation, classifies back to its (model, k) with |dr| < 1e-6:
+    each spectral gap is judged against the eigenvalues it separates."""
+    assume(k < n and math.sqrt(-c) / 2 * r <= 5.0)
+    germ = catalog_germ(ModelParams(n=n, c=c), k, r=r)
+    res = classify(germ.flipped() if flip else germ)
+    assert res.model == ("tube" if k >= 2 else "equidistant"), res.reason
+    assert res.k == k and abs(res.r - r) < 1e-6
 
 
 def test_classify_roundtrip_beyond_n4():
