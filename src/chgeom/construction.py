@@ -157,15 +157,32 @@ class SubmanifoldSpec:
 
     @staticmethod
     def from_json_dict(data: dict) -> "SubmanifoldSpec":
-        params = ModelParams(n=int(data["n"]), c=float(data["c"]))
-        return SubmanifoldSpec(
-            params=params,
-            k=int(data["k"]),
-            phi=float(data["phi"]),
-            normal_basis=np.asarray(data["normal_basis"], dtype=float),
-            tangent_basis=np.asarray(data["tangent_basis"], dtype=float),
-            pxi_unit=np.asarray(data["pxi_unit"], dtype=float),
-        )
+        """Inverse of ``to_json_dict``.  n, c, k and phi must pass the
+        ``ModelParams`` and ``build_submanifold`` checks, and the arrays
+        must have shapes (k, 2n), (2n-k, 2n) and (k, 2n); otherwise
+        ValueError, naming the field."""
+        try:
+            params = ModelParams(n=data["n"], c=float(data["c"]))
+            k, phi = data["k"], float(data["phi"])
+            _validate_k_phi(params.n, k, phi)
+            k = int(k)
+            arrays = {
+                name: np.asarray(data[name], dtype=float)
+                for name in ("normal_basis", "tangent_basis", "pxi_unit")
+            }
+        except (KeyError, TypeError, OverflowError) as exc:
+            raise ValueError(f"malformed submanifold spec: {exc!r}") from exc
+        d = params.dim
+        shapes = {
+            "normal_basis": (k, d), "tangent_basis": (d - k, d), "pxi_unit": (k, d),
+        }
+        for name, shape in shapes.items():
+            if arrays[name].shape != shape:
+                raise ValueError(
+                    f"{name} has shape {arrays[name].shape}, expected {shape} "
+                    f"for n={params.n}, k={k}"
+                )
+        return SubmanifoldSpec(params=params, k=k, phi=phi, **arrays)
 
 
 def _orthonormal_complement(rows: np.ndarray, within: np.ndarray) -> np.ndarray:

@@ -368,29 +368,14 @@ class SolvableModel:
         return out
 
     def frame_matrix(self, coords: np.ndarray) -> np.ndarray:
-        """Columns = coordinate components of the left-invariant frame.
+        """Columns = coordinate components of the left-invariant frame:
+        ``frame_to_coordinate_velocity`` of each frame vector.
 
         Supports batched coords of shape (..., 2n); returns (..., 2n, 2n).
         """
-        coords = np.asarray(coords, dtype=float)
-        t, z, v = self._split(coords)
-        a = self.a
-        d = self.dim
-        shape = coords.shape[:-1]
-        mat = np.zeros(shape + (d, d))
-        jg = self.jmat[GALPHA_START:, GALPHA_START:]
-        jv = np.einsum("ab,...b->...a", jg, v)
-        # column 0: frame B = (1, -2a z, -a v)
-        mat[..., 0, 0] = 1.0
-        mat[..., 1, 0] = -2.0 * a * z
-        mat[..., GALPHA_START:, 0] = -a * v
-        # column 1: frame Z = (0, 1, 0)
-        mat[..., 1, 1] = 1.0
-        # column u: frame E_u = (0, a <Jv, E_u>, E_u)
-        for u in range(GALPHA_START, d):
-            mat[..., 1, u] = a * jv[..., u - GALPHA_START]
-            mat[..., u, u] = 1.0
-        return mat
+        coords = np.asarray(coords, dtype=float)[..., None, :]
+        rows = self.frame_to_coordinate_velocity(coords, np.eye(self.dim))
+        return np.swapaxes(rows, -1, -2)
 
     def frame_to_coordinate_velocity(self, coords, vel) -> np.ndarray:
         """Coordinate velocity of a curve with frame velocity ``vel``."""

@@ -61,7 +61,6 @@ class ChartImmersion:
     params: ModelParams
     domain_dim: int
     mapper: Callable[[np.ndarray], np.ndarray]  # (N, dom) -> (N, 2n)
-    label: str = ""
 
 
 def horosphere_chart(params: ModelParams) -> ChartImmersion:
@@ -76,9 +75,7 @@ def horosphere_chart(params: ModelParams) -> ChartImmersion:
         out[:, 2:] = x[:, 1:]
         return out
 
-    return ChartImmersion(
-        params=params, domain_dim=d - 1, mapper=mapper, label="horosphere"
-    )
+    return ChartImmersion(params=params, domain_dim=d - 1, mapper=mapper)
 
 
 def _sphere_direction(spec: SubmanifoldSpec, theta: np.ndarray) -> np.ndarray:
@@ -124,9 +121,7 @@ def tube_chart(spec: SubmanifoldSpec, r: float) -> ChartImmersion:
         coords, _ = model.geodesic_closed(base, eta, r)
         return coords
 
-    return ChartImmersion(
-        params=params, domain_dim=dom, mapper=mapper, label=f"tube(r={r})"
-    )
+    return ChartImmersion(params=params, domain_dim=dom, mapper=mapper)
 
 
 @dataclass
@@ -193,13 +188,15 @@ class FrameFields:
     U_1, U_2, A; the rest complete the lambda_3-eigenspace (orthogonally
     to A) and span the other non-projected eigenspaces.  At the center
     X_a equals centers[a] and has principal curvature eigenvalues[a], so
-    eigenvalues[:3] are (lambda_1, lambda_2, lambda_3); nabla[a, b] =
+    eigenvalues[:3] are (lambda_1, lambda_2, lambda_3); groups[a] is the
+    index of X_a's eigenspace in the center decomposition; nabla[a, b] =
     nabla_{X_a} X_b there.
     """
 
     fields: np.ndarray  # (F, 2 dom + 1, 2n)
     centers: np.ndarray  # (F, 2n)
     eigenvalues: tuple
+    groups: tuple
     b1: float
     b2: float
     nabla: np.ndarray  # (F, F, 2n)
@@ -455,19 +452,15 @@ class GermField:
 
     # -- eigenframe fields -------------------------------------------------
 
-    def _ambient_space(self, row: int, group_index: int) -> np.ndarray:
-        space = self._decompositions[row].spaces[group_index]
-        return space @ self._germs[row].tangent_basis
-
     def _aligned_space_field(self, center_rows, eigenvalue) -> np.ndarray:
         """Orthonormal bases tracking center_rows, stacked over the
         stencil: at each row, the projection onto the eigenspace nearest
         the given eigenvalue, re-orthonormalized (Loewdin)."""
         proj = []
-        for row, decomp in enumerate(self._decompositions):
+        for decomp in self._decompositions:
             i = int(np.argmin(np.abs(decomp.eigenvalues - eigenvalue)))
-            amb = self._ambient_space(row, i)
-            proj.append(center_rows @ amb.T @ amb)
+            space = decomp.spaces[i]
+            proj.append(center_rows @ space.T @ space)
         u, _, vt = np.linalg.svd(np.stack(proj), full_matrices=False)
         return u @ vt
 
@@ -497,23 +490,24 @@ class GermField:
             for name in ("u1", "u2", "a_vec")
         ]
         i3 = rest[0]
-        eigenvalues = [lam[i] for i in decomp.hopf_indices[:2]] + [lam[i3]]
+        groups = [*decomp.hopf_indices, i3]
         # the lambda_3-space minus A, then the other non-projected spaces
-        amb3 = self._ambient_space(0, i3)
+        amb3 = decomp.spaces[i3]
         raw3 = amb3 - np.outer(amb3 @ frame.a_vec, frame.a_vec)
         _, sv, vt = np.linalg.svd(raw3, full_matrices=False)
         spaces = [(i3, vt[sv > 0.5])]
-        spaces += [(i, self._ambient_space(0, i)) for i in rest if i != i3]
+        spaces += [(i, decomp.spaces[i]) for i in rest if i != i3]
         for i, rows in spaces:
             if rows.shape[0]:
                 aligned = self._aligned_space_field(rows, lam[i])
                 fields.extend(np.swapaxes(aligned, 0, 1))
-                eigenvalues += [lam[i]] * rows.shape[0]
+                groups += [i] * rows.shape[0]
         fields = np.stack(fields)
         return FrameFields(
             fields=fields,
             centers=fields[:, 0],
-            eigenvalues=tuple(eigenvalues),
+            eigenvalues=tuple(lam[i] for i in groups),
+            groups=tuple(groups),
             b1=frame.b1,
             b2=frame.b2,
             nabla=self._nabla_table(fields),
@@ -610,9 +604,9 @@ def _worst(values) -> float:
 
 def _eigen_pairs(ff: FrameFields):
     """Eigenvalues as an array and the table close[a, b]: X_a and X_b
-    share an eigenvalue (to 1e-6)."""
-    lam = np.asarray(ff.eigenvalues)
-    return lam, np.abs(lam[None, :] - lam[:, None]) <= 1e-6
+    lie in the same eigenspace of the center decomposition."""
+    groups = np.asarray(ff.groups)
+    return np.asarray(ff.eigenvalues), groups[None, :] == groups[:, None]
 
 
 def graded_connection_residuals(field: GermField) -> float:

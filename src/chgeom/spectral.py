@@ -340,9 +340,10 @@ class HypersurfaceGerm:
 class PrincipalDecomposition:
     """Grouped spectrum of a germ's shape operator.
 
-    eigenvalues: distinct values ascending; spaces[i]: (mult_i, 2n-1)
-    coefficient rows in the germ's tangent basis; jxi_components[i]:
-    norm of the structure vector's projection onto the i-th space.
+    eigenvalues: distinct values ascending; spaces[i]: (mult_i, 2n)
+    orthonormal ambient rows spanning the i-th eigenspace (frame
+    components, like the germ's tangent basis); jxi_components[i]: norm
+    of the structure vector's projection onto the i-th space.
     """
 
     eigenvalues: np.ndarray
@@ -373,6 +374,18 @@ class PrincipalDecomposition:
     def h(self) -> int:
         return len(self.hopf_indices)
 
+    def flipped(self) -> "PrincipalDecomposition":
+        """The decomposition of the flipped germ (``HypersurfaceGerm.flipped``):
+        its shape is -S, so the eigenvalues are negated and the groups,
+        still ascending, come in reverse order; J xi only changes sign."""
+        return PrincipalDecomposition(
+            eigenvalues=-self.eigenvalues[::-1],
+            multiplicities=self.multiplicities[::-1],
+            spaces=self.spaces[::-1],
+            jxi_components=self.jxi_components[::-1],
+            gap_warning=self.gap_warning,
+        )
+
 
 def principal_decomposition(
     germ: HypersurfaceGerm,
@@ -385,7 +398,8 @@ def principal_decomposition(
     the two values it separates, so a large eigenvalue elsewhere in the
     spectrum does not merge the small ones.  ``gap_warning`` is set when
     some gap lies within a factor of two of its threshold (the grouping
-    is then ambiguous)."""
+    is then ambiguous).  This is the one place where eigenvectors are
+    taken from tangent-basis coefficients to ambient rows."""
     check_positive("tol", tol)
     sym = 0.5 * (germ.shape + germ.shape.T)
     evals, evecs = np.linalg.eigh(sym)
@@ -397,18 +411,16 @@ def principal_decomposition(
     cuts = [0, *(np.flatnonzero(gaps > threshold) + 1).tolist(), len(evals)]
     groups = zip(cuts[:-1], cuts[1:])
 
-    jxi = germ.structure_vector()
-    jxi_coeff = germ.tangent_basis @ jxi
+    ambient = evecs.T @ germ.tangent_basis  # rows: ambient eigenvectors
+    jxi = ambient @ germ.structure_vector()
     values, mults, spaces, projections = [], [], [], []
     for lo, hi in groups:
         # the sum over the count and sqrt(v . v) are np.mean's and
         # np.linalg.norm's own formulas, without their per-call overhead
         values.append(float(evals[lo:hi].sum() / (hi - lo)))
         mults.append(hi - lo)
-        block = evecs[:, lo:hi].T  # rows = coefficient vectors
-        spaces.append(block)
-        proj = block @ jxi_coeff
-        projections.append(math.sqrt(proj.dot(proj)))
+        spaces.append(ambient[lo:hi])
+        projections.append(math.sqrt(jxi[lo:hi].dot(jxi[lo:hi])))
     return PrincipalDecomposition(
         eigenvalues=np.asarray(values),
         multiplicities=tuple(mults),
@@ -436,22 +448,15 @@ def hopf_frame_extract(
     germ: HypersurfaceGerm, decomp: PrincipalDecomposition
 ) -> HopfFrame:
     """Extract the two-projection frame of the germ's decomposition;
-    requires h = 2."""
+    requires h = 2.  b_i are the decomposition's projection norms and
+    U_i = P_i(J xi) / b_i."""
     if decomp.h != 2:
         raise ValueError(f"Hopf frame needs h = 2, got h = {decomp.h}")
     i1, i2 = decomp.hopf_indices  # ascending eigenvalues: lambda1 < lambda2
     jxi = germ.structure_vector()
-    jxi_coeff = germ.tangent_basis @ jxi
-
-    def unit_projection(i):
-        block = decomp.spaces[i]
-        coeff = block.T @ (block @ jxi_coeff)
-        amb = germ.tangent_basis.T @ coeff
-        norm = np.linalg.norm(amb)
-        return amb / norm, float(norm)
-
-    u1, b1 = unit_projection(i1)
-    u2, b2 = unit_projection(i2)
+    b1, b2 = float(decomp.jxi_components[i1]), float(decomp.jxi_components[i2])
+    u1 = decomp.spaces[i1].T @ (decomp.spaces[i1] @ jxi) / b1
+    u2 = decomp.spaces[i2].T @ (decomp.spaces[i2] @ jxi) / b2
     a_vec = -(germ.jmat @ u1 + b1 * germ.normal) / b2
     return HopfFrame(
         u1=u1,
@@ -494,11 +499,9 @@ def frame_identity_residuals(
     # the lambda_3 space (the smallest non-Hopf eigenvalue)
     non_hopf = decomp.non_hopf_indices
     if non_hopf:
-        i3 = non_hopf[0]
-        block = decomp.spaces[i3]
-        coeff_a = germ.tangent_basis @ frame.a_vec
+        space = decomp.spaces[non_hopf[0]]
         res["a_in_lambda3_space"] = float(
-            np.linalg.norm(coeff_a - block.T @ (block @ coeff_a))
+            np.linalg.norm(frame.a_vec - space.T @ (space @ frame.a_vec))
         )
     return res
 
@@ -510,8 +513,8 @@ def totally_real_check(
     structure-vector projection (those spaces must be totally real)."""
     out = {}
     for i in decomp.hopf_indices:
-        amb = decomp.spaces[i] @ germ.tangent_basis  # rows ambient
-        cross = amb @ germ.jmat.T @ amb.T
+        space = decomp.spaces[i]
+        cross = space @ germ.jmat.T @ space.T
         out[float(decomp.eigenvalues[i])] = float(np.max(np.abs(cross)))
     return out
 
@@ -573,16 +576,17 @@ def classify(
 
     The germ needs h = 2 projected eigenspaces (else "hopf" or "h=N").
     It is flipped when its smallest non-Hopf eigenvalue is negative, so
-    lambda_3 >= 0 (an h != 2 flip gives "orientation"), and needs g = 3
-    or 4 groups (else "g=N").  At c > 0 the catalog has no real solution
-    and the NoRealSolution message is the reason.  The groups are read
-    in catalog order lambda_1 < lambda_2 (the Hopf spaces), lambda_3 <
-    lambda_4, and k = 2n - 2 - mult(lambda_3).  The catalog entry is
-    built at (lambda_3, k), or at sqrt(-c)/(2 sqrt(3)) with the radius
-    r* when g = 3 and k >= 2; a catalog error gives its message.  The
-    germ's multiplicities must equal the entry's ``blocks`` and k <= n-1
-    (else "multiplicities"), and every catalog and frame identity must
-    hold to tol (else "residuals", with the residuals reported).
+    lambda_3 >= 0 (the flip negates the one decomposition, so h stays
+    2), and needs g = 3 or 4 groups (else "g=N").  At c > 0 the catalog
+    has no real solution and the NoRealSolution message is the reason.
+    The groups are read in catalog order lambda_1 < lambda_2 (the Hopf
+    spaces), lambda_3 < lambda_4, and k = 2n - 2 - mult(lambda_3).  The
+    catalog entry is built at (lambda_3, k), or at sqrt(-c)/(2 sqrt(3))
+    with the radius r* when g = 3 and k >= 2; a catalog error gives its
+    message.  The germ's multiplicities must equal the entry's
+    ``blocks`` and k <= n-1 (else "multiplicities"), and every catalog
+    and frame identity must hold to tol (else "residuals", with the
+    residuals reported).
     """
     check_positive("tol", tol)
     check_positive("grouping_tol", grouping_tol)
@@ -590,15 +594,13 @@ def classify(
 
     decomp = principal_decomposition(germ, tol=grouping_tol)
     if decomp.h != 2:
-        reason = "hopf" if decomp.h <= 1 else f"h={decomp.h}"
-        return _unclassified(decomp.g, decomp.h, {}, reason)
+        return _unclassified(
+            decomp.g, decomp.h, {}, "hopf" if decomp.h <= 1 else f"h={decomp.h}"
+        )
 
     rest = decomp.non_hopf_indices  # ascending: rest[0] is lambda_3
     if rest and decomp.eigenvalues[rest[0]] < 0.0:
-        germ = germ.flipped()
-        decomp = principal_decomposition(germ, tol=grouping_tol)
-        if decomp.h != 2:
-            return _unclassified(decomp.g, decomp.h, {}, "orientation")
+        germ, decomp = germ.flipped(), decomp.flipped()
 
     g, h = decomp.g, decomp.h
     if g not in (3, 4):
@@ -736,7 +738,6 @@ def nonexistence_scan(
     c: float,
     grid_shape: tuple = (100, 100, 100),
     lambda_bound: float | None = None,
-    quad_tol: float | None = None,
     sum_band: float = 0.1,
 ) -> ScanReport:
     """Grid scan of (lambda_1, lambda_2, lambda_3), lambda_1 < lambda_2,
@@ -744,12 +745,12 @@ def nonexistence_scan(
 
     A cell is feasible when the sign conditions hold exactly (both b^2
     formulas in the open interval (0,1)) and the equalities hold up to
-    one-cell slack: |quadratic| <= quad_tol (default: grid spacing times
-    a gradient bound) and |b1^2+b2^2-1| <= sum_band.  For c > 0 the
-    count is zero for *any* slack: positivity of the b^2 formulas forces
-    lambda_2 < 2 lambda_3 < lambda_1, contradicting the ordering; the
-    certificate -c - 3 lambda_3^2 <= -c < 0 (no real catalog roots) is
-    reported alongside.  For c < 0, feasible cells are refined onto the
+    one-cell slack: |quadratic| <= quad_tol (the grid spacing times a
+    gradient bound, reported) and |b1^2+b2^2-1| <= sum_band.  For c > 0
+    the count is zero for *any* slack: positivity of the b^2 formulas
+    forces lambda_2 < 2 lambda_3 < lambda_1, contradicting the ordering;
+    the certificate -c - 3 lambda_3^2 <= -c < 0 (no real catalog roots)
+    is reported alongside.  For c < 0, feasible cells are refined onto the
     exact catalog curve and the refined residuals (quadratic,
     b-formulas, normalization) are reported.  c must be finite and
     nonzero, every grid axis needs at least 2 samples, and a given
@@ -771,9 +772,8 @@ def nonexistence_scan(
     l2 = np.linspace(-lambda_bound, lambda_bound, n2)
     l3 = np.linspace(0.0, 0.75 * scale, n3)
     spacing = max(l1[1] - l1[0], l2[1] - l2[0], l3[1] - l3[0])
-    if quad_tol is None:
-        # one cell of slack: |grad quadratic| <= 12(L + L3) on the box
-        quad_tol = 12.0 * (lambda_bound + 0.75 * scale) * spacing
+    # one cell of slack: |grad quadratic| <= 12(L + L3) on the box
+    quad_tol = 12.0 * (lambda_bound + 0.75 * scale) * spacing
 
     # the grid is evaluated one lambda_1 row at a time, so the
     # temporaries do not grow with n1.  Each row covers only the

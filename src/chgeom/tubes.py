@@ -194,13 +194,14 @@ def tube_spectrum_closed(r: float, c: float, n: int, k: int) -> np.ndarray:
     return np.sort(np.repeat(values, mults))
 
 
-def focal_rank(es: EigenStructure, r: float, zero_tol: float = FOCAL_ZERO_TOLERANCE):
+def focal_rank(es: EigenStructure, r: float):
     """Rank of the focal map at radius r for a catalog germ.
 
     The Hopf-projected 2x2 block never degenerates (its determinant is
     f_3(r)^3 > 0); the remaining modes collapse exactly where their
     profile f vanishes, which happens at the focal radius of lambda_3
-    and gives rank 2n - k there (2n - 1 elsewhere)."""
+    and gives rank 2n - k there (2n - 1 elsewhere); f counts as zero
+    within FOCAL_ZERO_TOLERANCE."""
     rank = 2  # the Hopf 2x2 block: one lambda_1 and one lambda_2 mode
     kernel = []
     for i, (lam, mult) in enumerate(es.blocks):
@@ -208,7 +209,7 @@ def focal_rank(es: EigenStructure, r: float, zero_tol: float = FOCAL_ZERO_TOLERA
         if mult == 0:
             continue
         fval = float(jacobi.f_function(lam, es.c, r))
-        if abs(fval) <= zero_tol:
+        if abs(fval) <= FOCAL_ZERO_TOLERANCE:
             kernel.append((lam, mult))
         else:
             rank += mult

@@ -174,3 +174,29 @@ def test_submanifold_spec_json_roundtrip():
     assert np.allclose(back.tangent_basis, spec.tangent_basis)
     assert np.allclose(back.normal_basis, spec.normal_basis)
     assert np.allclose(back.pxi_unit, spec.pxi_unit)
+
+
+def _spec_record(**changes) -> dict:
+    data = build_submanifold(ModelParams(n=3, c=-4.0), 2, math.pi / 2).to_json_dict()
+    return {**data, **changes}
+
+
+@pytest.mark.parametrize(
+    "changes,match",
+    [
+        ({"n": 3.7}, "n must be an integer"),
+        ({"k": 1.5}, "k must be a positive integer"),
+        ({"k": 0}, "k must be a positive integer"),
+        ({"k": 3}, "exceeds n-1"),
+        ({"k": None}, "malformed submanifold spec"),
+        ({"n": 4, "k": 2}, "normal_basis has shape"),
+        ({"tangent_basis": _spec_record()["tangent_basis"][:-1]}, "tangent_basis has shape"),
+        ({"pxi_unit": _spec_record()["pxi_unit"][:1]}, "pxi_unit has shape"),
+        ({"phi": 0.0}, "phi must lie"),
+    ],
+    ids=["n-not-integer", "k-not-integer", "k-zero", "k-too-large", "k-missing",
+         "n-disagrees-with-arrays", "tangent-rows", "pxi-rows", "phi-zero"],
+)
+def test_submanifold_spec_json_rejects_malformed_records(changes, match):
+    with pytest.raises(ValueError, match=match):
+        SubmanifoldSpec.from_json_dict(_spec_record(**changes))

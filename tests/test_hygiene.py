@@ -1,7 +1,9 @@
 """Source hygiene: no module in the package or the tests imports a name it
-never uses (an unused root import keeps a name in ``chgeom.__all__``)."""
+never uses (an unused root import keeps a name in ``chgeom.__all__``), and
+README's list of classifier reasons matches the reasons the code returns."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,3 +54,60 @@ def test_no_unused_imports():
         for line, name in unused_imports(ast.parse(path.read_text()))
     ]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def _string_literals(node: ast.AST) -> set:
+    """Every string literal in an expression; an f-string reads each of
+    its fields as N (f"h={h}" -> "h=N")."""
+    if isinstance(node, ast.JoinedStr):
+        return {
+            "".join(v.value if isinstance(v, ast.Constant) else "N" for v in node.values)
+        }
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return {node.value}
+    return set().union(*(_string_literals(child) for child in ast.iter_child_nodes(node)))
+
+
+def unclassified_reasons(tree: ast.Module) -> set:
+    """The fixed reasons of the ``_unclassified`` calls in a module: the
+    string literals of their reason argument (a computed message, such
+    as ``str(exc)``, gives none)."""
+    reasons = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_unclassified":
+            args = node.args[3:] + [kw.value for kw in node.keywords if kw.arg == "reason"]
+            for arg in args:
+                reasons |= _string_literals(arg)
+    return reasons
+
+
+def readme_reasons(text: str) -> set:
+    """The reasons named as reason `X` in README's "How `classify`
+    decides" list."""
+    section = text.split("How `classify` decides", 1)[1].split("\n\n", 2)[1]
+    return set(re.findall(r"reason `([^`]+)`", section))
+
+
+def test_reason_scans_read_literals_and_readme_entries():
+    tree = ast.parse(
+        "def classify(g, h, exc):\n"
+        "    _unclassified(g, h, {}, 'hopf' if h <= 1 else f'h={h}')\n"
+        "    _unclassified(g, h, {}, str(exc))\n"
+        "    _unclassified(g, h, {}, reason='orientation')\n"
+        "    other(g, h, {}, 'not a reason')\n"
+    )
+    assert unclassified_reasons(tree) == {"hopf", "h=N", "orientation"}
+    readme = (
+        "How `classify` decides, with the `reason`:\n\n"
+        "- Otherwise it gives reason `hopf` or reason `h=N`.\n"
+        "- The reason is the `NoRealSolution` message.\n\n"
+        "Later: reason `elsewhere`.\n"
+    )
+    assert readme_reasons(readme) == {"hopf", "h=N"}
+
+
+def test_readme_lists_every_classify_reason():
+    spectral = ROOT / "src" / "chgeom" / "spectral.py"
+    code = unclassified_reasons(ast.parse(spectral.read_text()))
+    docs = readme_reasons((ROOT / "README.md").read_text())
+    assert code == docs, f"only in spectral.py: {code - docs}; only in README: {docs - code}"

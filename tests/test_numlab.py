@@ -23,7 +23,7 @@ from chgeom import (
     tube_spectrum_closed,
     unit_pair_gauss_residual,
 )
-from chgeom.numlab import GermField, _lattice, _lattice_rank
+from chgeom.numlab import GermField, _eigen_pairs, _lattice, _lattice_rank
 
 EXACT_CHART_TOLERANCE = 1e-10
 SPECTRUM_TOLERANCE = 1e-5
@@ -184,6 +184,20 @@ FRAME_SUITES = (
     unit_pair_gauss_residual,
     frame_connection_residuals,
 )
+
+
+def test_frame_fields_carry_their_decomposition_groups(tube_field):
+    """Each frame field names its group in the center decomposition, and
+    comparing those labels gives the table that comparing eigenvalues to
+    1e-6 gives (distinct groups lie more than the grouping tolerance
+    apart)."""
+    ff = tube_field.frame_fields
+    decomp = tube_field.decomposition()
+    assert ff.groups[:2] == tuple(decomp.hopf_indices)
+    assert ff.groups[2] == decomp.non_hopf_indices[0]
+    assert ff.eigenvalues == tuple(float(decomp.eigenvalues[i]) for i in ff.groups)
+    lam, close = _eigen_pairs(ff)
+    assert np.array_equal(close, np.abs(lam[None, :] - lam[:, None]) <= 1e-6)
 
 
 def test_frame_table_is_built_once(monkeypatch):

@@ -32,6 +32,8 @@ from chgeom import (
     totally_real_check,
 )
 from chgeom import spectral
+from chgeom.construction import build_submanifold
+from chgeom.tubes import tube_germ
 
 CATALOG_TOLERANCE = 1e-12
 FRAME_TOLERANCE = 1e-12
@@ -196,6 +198,76 @@ def test_classify_orientation_flip_invariance():
     res_f = classify(flipped)
     assert res_f.k == res.k and abs(res_f.r - res.r) < 1e-12
     assert res_f.branch == res.branch
+
+
+@seed(413)
+@settings(deadline=None, max_examples=200)
+@given(
+    nk=st.integers(2, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+    c_exp=st.floats(-2.0, 4.0),
+    r_exp=st.floats(-3.0, 1.0),
+    flip=st.booleans(),
+    rotation_seed=st.integers(0, 2**32 - 1),
+)
+def test_flipped_decomposition_matches_decomposition_of_flipped_germ(
+    nk, c_exp, r_exp, flip, rotation_seed
+):
+    """Negating the one decomposition gives the decomposition of the
+    flipped germ: same groups and Hopf spaces, eigenvalues and eigenspace
+    projectors to round-off (the tangent basis is rotated, so the shape
+    is not diagonal)."""
+    (n, k), c, r = nk, -(10.0**c_exp), 10.0**r_exp
+    assume(math.sqrt(-c) / 2 * r <= 5.0)
+    germ = catalog_germ(ModelParams(n=n, c=c), k, r=r)
+    rng = np.random.default_rng(rotation_seed)
+    q, _ = np.linalg.qr(rng.normal(size=(2 * n - 1, 2 * n - 1)))
+    germ = HypersurfaceGerm(
+        params=germ.params,
+        normal=germ.normal,
+        tangent_basis=q.T @ germ.tangent_basis,
+        shape=q.T @ germ.shape @ q,
+        jmat=germ.jmat,
+    )
+    if flip:
+        germ = germ.flipped()
+    negated = principal_decomposition(germ).flipped()
+    direct = principal_decomposition(germ.flipped())
+    assert negated.multiplicities == direct.multiplicities
+    assert negated.hopf_indices == direct.hopf_indices
+    lam = direct.eigenvalues
+    assert np.all(np.abs(negated.eigenvalues - lam) <= 1e-12 * (1.0 + np.abs(lam)))
+    for a, b in zip(negated.spaces, direct.spaces):
+        assert np.max(np.abs(a.T @ a - b.T @ b)) <= 1e-10
+
+
+def test_classify_decomposes_a_flipped_germ_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return principal_decomposition(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "principal_decomposition", counted)
+    for k in (1, 2):
+        germ = catalog_germ(ModelParams(n=3, c=-4.0), k, r=0.7).flipped()
+        calls.clear()
+        res = classify(germ)
+        assert res.k == k and abs(res.r - 0.7) < CLASSIFY_RADIUS_TOLERANCE
+        assert len(calls) == 1
+
+
+def test_hopf_frame_reads_the_decomposition_projections():
+    """b_1, b_2 are the decomposition's projection norms, bit for bit,
+    also on a germ whose shape is not diagonal."""
+    spec = build_submanifold(ModelParams(n=4, c=-4.0), 3, math.pi / 2.0)
+    germs = [tube_germ(spec, spec.normal_basis[0], 0.7)]
+    germs += [catalog_germ(ModelParams(n=3, c=-4.0), k, r=0.4) for k in (1, 2)]
+    for germ in germs + [g.flipped() for g in germs]:
+        decomp = principal_decomposition(germ)
+        frame = hopf_frame_extract(germ, decomp)
+        i1, i2 = decomp.hopf_indices
+        assert frame.b1 == decomp.jxi_components[i1]
+        assert frame.b2 == decomp.jxi_components[i2]
 
 
 def test_classify_basis_rotation_invariance():
