@@ -24,8 +24,8 @@ from .model import (
     Z_INDEX,
     ModelParams,
     SolvableModel,
+    j_action,
     rate,
-    standard_complex_structure,
 )
 
 RIGIDITY_TOLERANCE = 1e-10
@@ -43,14 +43,19 @@ class DimensionTooLarge(ValueError):
     """The normal space must fit into the paired root space: k <= n-1."""
 
 
+def is_totally_real(phi: float) -> bool:
+    """phi is pi/2 (a totally real subspace) to RIGHT_ANGLE_TOLERANCE."""
+    return abs(phi - math.pi / 2.0) <= RIGHT_ANGLE_TOLERANCE
+
+
 def _validate_k_phi(n: int, k: int, phi: float):
     if int(k) != k or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
     if k > n - 1:
         raise DimensionTooLarge(f"k={k} exceeds n-1={n - 1}")
-    if not (0.0 < phi <= math.pi / 2.0 + 1e-12):
+    if not (0.0 < phi <= math.pi / 2.0 or is_totally_real(phi)):
         raise ValueError(f"phi must lie in (0, pi/2], got {phi!r}")
-    if abs(phi - math.pi / 2.0) > RIGHT_ANGLE_TOLERANCE and k % 2 == 1:
+    if not is_totally_real(phi) and k % 2 == 1:
         raise OddDimensionNonReal(
             f"k={k} odd requires phi = pi/2 (totally real normal space)"
         )
@@ -92,7 +97,7 @@ def constant_kahler_angle_subspace(
     def je(m):
         return 2 * m + 1
 
-    if abs(phi - math.pi / 2.0) <= RIGHT_ANGLE_TOLERANCE:
+    if is_totally_real(phi):
         for row in range(k):
             basis[row, e(row + 1)] = 1.0
     else:
@@ -118,9 +123,7 @@ def kahler_angle(v, subspace) -> float:
     coeffs = rows @ v
     if np.linalg.norm(v - rows.T @ coeffs) > SPAN_TOLERANCE * norm:
         raise ValueError("vector does not lie in the given subspace")
-    n = v.shape[0] // 2
-    jmat = standard_complex_structure(n)
-    proj = rows @ (jmat @ v)
+    proj = rows @ j_action(v)
     cosine = np.linalg.norm(proj) / norm
     return float(math.acos(min(1.0, max(0.0, cosine))))
 
@@ -158,31 +161,34 @@ class SubmanifoldSpec:
     @staticmethod
     def from_json_dict(data: dict) -> "SubmanifoldSpec":
         """Inverse of ``to_json_dict``.  n, c, k and phi must pass the
-        ``ModelParams`` and ``build_submanifold`` checks, and the arrays
-        must have shapes (k, 2n), (2n-k, 2n) and (k, 2n); otherwise
+        ``ModelParams`` and ``build_submanifold`` checks, and each array
+        must be the one ``build_submanifold`` rebuilds from them: the
+        same shape, and the same entries to SPAN_TOLERANCE.  Otherwise
         ValueError, naming the field."""
         try:
             params = ModelParams(n=data["n"], c=float(data["c"]))
             k, phi = data["k"], float(data["phi"])
             _validate_k_phi(params.n, k, phi)
-            k = int(k)
             arrays = {
                 name: np.asarray(data[name], dtype=float)
                 for name in ("normal_basis", "tangent_basis", "pxi_unit")
             }
         except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed submanifold spec: {exc!r}") from exc
-        d = params.dim
-        shapes = {
-            "normal_basis": (k, d), "tangent_basis": (d - k, d), "pxi_unit": (k, d),
-        }
-        for name, shape in shapes.items():
-            if arrays[name].shape != shape:
+        spec = build_submanifold(params, int(k), phi)
+        for name, given in arrays.items():
+            want = getattr(spec, name)
+            if given.shape != want.shape:
                 raise ValueError(
-                    f"{name} has shape {arrays[name].shape}, expected {shape} "
-                    f"for n={params.n}, k={k}"
+                    f"{name} has shape {given.shape}, expected {want.shape} "
+                    f"for n={params.n}, k={spec.k}"
                 )
-        return SubmanifoldSpec(params=params, k=k, phi=phi, **arrays)
+            if not np.all(np.abs(given - want) <= SPAN_TOLERANCE):
+                raise ValueError(
+                    f"{name} is not the {name} of the orbit with "
+                    f"n={params.n}, k={spec.k}, phi={phi!r}"
+                )
+        return spec
 
 
 def _orthonormal_complement(rows: np.ndarray, within: np.ndarray) -> np.ndarray:
@@ -206,7 +212,7 @@ def build_submanifold(params: ModelParams, k: int, phi: float) -> SubmanifoldSpe
     sphi = math.sin(phi)
 
     # tangential parts of J xi_m, one row per normal; their norm is sin(phi)
-    jrows = wperp @ standard_complex_structure(params.n).T
+    jrows = j_action(wperp)
     tang = jrows - (jrows @ wperp.T) @ wperp
     norms = np.linalg.norm(tang, axis=1)
     if np.max(np.abs(norms - sphi)) > 1e-10:
@@ -302,10 +308,8 @@ def maximal_holomorphic_subspace(spec: SubmanifoldSpec) -> np.ndarray:
     """Orthonormal rows spanning T intersect JT at the base point (the
     ruling directions: II vanishes on this subspace)."""
     t = spec.tangent_basis
-    d = t.shape[1]
-    jmat = standard_complex_structure(d // 2)
     proj = t.T @ t
-    m = (np.eye(d) - proj) @ jmat @ t.T  # columns indexed by tangent basis
+    m = (np.eye(t.shape[1]) - proj) @ j_action(t).T  # column j: (1 - P) J t_j
     _, s, vt = np.linalg.svd(m, full_matrices=True)
     null = vt[int(np.sum(s > 1e-10)) :]
     return null @ t

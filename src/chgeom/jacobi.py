@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .model import DEFAULT_ODE_STEP, rate, rk4
+from .model import DEFAULT_ODE_STEP, j_action, rate, rk4
 
 
 class OutOfRangeEigenvalue(ValueError):
@@ -78,7 +78,6 @@ def jacobi_ode_oracle(
     zeta_prime0,
     velocity,
     c: float,
-    jmat: np.ndarray,
     t: float,
     step: float = DEFAULT_ODE_STEP,
 ):
@@ -89,8 +88,7 @@ def jacobi_ode_oracle(
     is the geodesic's unit velocity w; modes may be batched on the first
     axis.  Returns (zeta(t), zeta'(t)).
     """
-    w = np.asarray(velocity, dtype=float)
-    jw = jmat @ w
+    jw = j_action(velocity)
     c = float(c)
 
     def rhs(z, zp):
@@ -105,7 +103,6 @@ def jacobi_closed_propagator(
     zeta_prime0,
     velocity,
     c: float,
-    jmat: np.ndarray,
     t: float,
 ):
     """Exact solution of the equation ``jacobi_ode_oracle`` integrates.
@@ -124,7 +121,7 @@ def jacobi_closed_propagator(
         raise ValueError("velocity must be a unit vector")
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t!r}")
-    jw = jmat @ w
+    jw = j_action(w)
     s = rate(c)
     z0 = np.asarray(zeta0, dtype=float)
     zp0 = np.asarray(zeta_prime0, dtype=float)

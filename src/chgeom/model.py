@@ -19,6 +19,7 @@ exp(t B) exp(v + z Z).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -108,14 +109,29 @@ def rk4(rhs, state, t: float, step: float = DEFAULT_ODE_STEP):
     return tuple(y)
 
 
+@functools.lru_cache(maxsize=None)
+def _j_transpose(d: int) -> np.ndarray:
+    """J^T on d frame components, read-only: x @ J^T applies J to rows x."""
+    jt = np.zeros((d, d))
+    even = np.arange(0, d, 2)
+    jt[even, even + 1] = 1.0  # (Jx)[2m+1] = x[2m]
+    jt[even + 1, even] = -1.0  # (Jx)[2m] = -x[2m+1]
+    jt.flags.writeable = False
+    return jt
+
+
+def j_action(x) -> np.ndarray:
+    """The complex structure J on the last axis of frame components,
+    batched: (Jx)[2m] = -x[2m+1], (Jx)[2m+1] = x[2m] (JB = Z, Je_i paired);
+    GALPHA_START is even, so root-space slices follow the same rule.  J is
+    a signed permutation, so the result is exact."""
+    x = np.asarray(x, dtype=float)
+    return x @ _j_transpose(x.shape[-1])
+
+
 def standard_complex_structure(n: int) -> np.ndarray:
-    """Matrix of J in the left-invariant frame: JB=Z, JZ=-B, Je_i pairs."""
-    d = 2 * n
-    j = np.zeros((d, d))
-    for i in range(0, d, 2):
-        j[i + 1, i] = 1.0
-        j[i, i + 1] = -1.0
-    return j
+    """Matrix of J in the left-invariant frame (columns J e_i)."""
+    return _j_transpose(2 * n).T.copy()
 
 
 @dataclass(frozen=True)
@@ -155,7 +171,7 @@ def _row_dot(a, b):
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def ambient_curvature(x, y, z, c: float, jmat: np.ndarray) -> np.ndarray:
+def ambient_curvature(x, y, z, c: float) -> np.ndarray:
     """Closed-form curvature R(x,y)z of a complex space form, any c != 0.
 
     R(X,Y)Z = (c/4)(<Y,Z>X - <X,Z>Y + <JY,Z>JX - <JX,Z>JY - 2<JX,Y>JZ).
@@ -165,7 +181,7 @@ def ambient_curvature(x, y, z, c: float, jmat: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
-    jx, jy, jz = x @ jmat.T, y @ jmat.T, z @ jmat.T
+    jx, jy, jz = j_action(x), j_action(y), j_action(z)
 
     def dot(a, b):
         return _row_dot(a, b)[..., None]
@@ -220,7 +236,6 @@ class SolvableModel:
         # a is the root-space weight: ad(B) = a*id on the paired block,
         # 2a*id on the center.
         self.a = rate(params.c)
-        self.jmat = standard_complex_structure(self.n)
         self.structure = self._structure_tensor()
         # koszul[i, j, k] = <nabla_{E_i} E_j, E_k> for the orthonormal
         # left-invariant frame.
@@ -240,19 +255,16 @@ class SolvableModel:
         for u in range(GALPHA_START, d):
             cs[B_INDEX, u, u] = a
             cs[u, B_INDEX, u] = -a
-        jg = self.jmat[GALPHA_START:, GALPHA_START:]
         # [U, V] = 2a <JU, V> Z on the paired block
-        cs[GALPHA_START:, GALPHA_START:, Z_INDEX] = 2.0 * a * jg.T
+        cs[GALPHA_START:, GALPHA_START:, Z_INDEX] = 2.0 * a * j_action(
+            np.eye(d - GALPHA_START)
+        )
         return cs
 
     def bracket(self, x, y) -> np.ndarray:
         """Lie bracket of left-invariant fields, frame components (single
         vectors or row stacks)."""
         return np.einsum("...i,...j,ijk->...k", x, y, self.structure)
-
-    def j_action(self, x) -> np.ndarray:
-        """Apply the complex structure to frame components."""
-        return self.jmat @ np.asarray(x, dtype=float)
 
     def inner(self, x, y) -> float:
         """Left-invariant metric on frame components (Euclidean dot)."""
@@ -271,10 +283,6 @@ class SolvableModel:
         return (
             nc(x, nc(y, z)) - nc(y, nc(x, z)) - nc(self.bracket(x, y), z)
         )
-
-    def curvature_closed_form(self, x, y, z) -> np.ndarray:
-        """Closed-form complex-space-form curvature, frame components."""
-        return ambient_curvature(x, y, z, self.c, self.jmat)
 
     def sectional_curvature(self, x, y):
         """K(span(x,y)) via the structural curvature tensor; a float for
@@ -304,7 +312,7 @@ class SolvableModel:
         # the three rows of each sample in turn
         x, y, z = np.moveaxis(rng.standard_normal((samples, 3, d)), 1, 0)
         r1 = self.curvature_from_koszul(x, y, z)
-        r2 = self.curvature_closed_form(x, y, z)
+        r2 = ambient_curvature(x, y, z, self.c)
         max_residual = float(np.max(np.abs(r1 - r2)))
 
         def normalize(v):
@@ -312,7 +320,7 @@ class SolvableModel:
 
         x, y, w = np.moveaxis(rng.standard_normal((samples, 3, d)), 1, 0)
         x = normalize(x)
-        jx = x @ self.jmat.T
+        jx = j_action(x)
         holo_err = np.max(np.abs(self.sectional_curvature(x, jx) - self.c))
         # totally real plane: orthonormalize y against x and Jx
         y = normalize(
@@ -348,8 +356,7 @@ class SolvableModel:
         t2, z2, v2 = self._split(coords2)
         a = self.a
         s = np.exp(-a * t2)
-        jg = self.jmat[GALPHA_START:, GALPHA_START:]
-        jv1 = np.einsum("ab,...b->...a", jg, v1)
+        jv1 = j_action(v1)
         out = np.empty(np.broadcast(coords1, coords2).shape)
         out[..., 0] = t1 + t2
         out[..., 1] = s * s * z1 + z2 + a * s * np.sum(jv1 * v2, axis=-1)
@@ -384,8 +391,7 @@ class SolvableModel:
         t, z, v = self._split(coords)
         beta, zeta, u = self._split(vel)
         a = self.a
-        jg = self.jmat[GALPHA_START:, GALPHA_START:]
-        jv = np.einsum("ab,...b->...a", jg, v)
+        jv = j_action(v)
         out = np.empty(np.broadcast(coords, vel).shape)
         out[..., 0] = beta
         out[..., 1] = zeta - 2.0 * a * beta * z + a * np.sum(jv * u, axis=-1)
@@ -399,12 +405,11 @@ class SolvableModel:
         t, z, v = self._split(coords)
         td, zd, vd = self._split(cdot)
         a = self.a
-        jg = self.jmat[GALPHA_START:, GALPHA_START:]
         out = np.empty(np.broadcast(coords, cdot).shape)
         out[..., 0] = td
         u = vd + a * td[..., None] * v
         out[..., GALPHA_START:] = u
-        jv = np.einsum("ab,...b->...a", jg, v)
+        jv = j_action(v)
         out[..., 1] = zd + 2.0 * a * td * z - a * np.sum(jv * u, axis=-1)
         return out
 
@@ -445,7 +450,6 @@ class SolvableModel:
         if t == 0.0:
             return coords0.copy(), vel0.copy()
         a = self.a
-        jg = self.jmat[GALPHA_START:, GALPHA_START:]
         speed = np.linalg.norm(vel0, axis=-1)
         moving = speed > 0
         # a resting point follows the unit B geodesic for time 0
@@ -455,7 +459,7 @@ class SolvableModel:
             self.basis_vector(B_INDEX),
         )
         b0, z0, u0 = self._split(unit)
-        ju0 = np.einsum("ab,...b->...a", jg, u0)
+        ju0 = j_action(u0)
         mu2 = np.sum(u0 * u0, axis=-1)
         x = a * speed * t
         w = np.tanh(x)

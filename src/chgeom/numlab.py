@@ -38,6 +38,7 @@ import numpy as np
 from .construction import SubmanifoldSpec
 from .model import (
     ModelParams, SolvableModel, _row_dot, ambient_curvature, check_positive,
+    j_action,
 )
 from .spectral import (
     HypersurfaceGerm,
@@ -365,7 +366,6 @@ class GermField:
                 normal=self._normals[row],
                 tangent_basis=qs.T,
                 shape=shape,
-                jmat=self.model.jmat,
             )
             for row, qs, shape in zip(self._stencil, q, s_orth)
         )
@@ -425,7 +425,7 @@ class GermField:
         """Rbar[i, j, k, m] = <Rbar(d_i, d_j) d_k, d_m> (exact closed form)."""
         t = self.tangents()
         g = t @ t.T
-        p = t @ self.model.jmat.T @ t.T  # p[i,j] = <J d_i, d_j>
+        p = j_action(t) @ t.T  # p[i,j] = <J d_i, d_j>
         c = self.params.c
         return (c / 4.0) * (
             np.einsum("jk,im->ijkm", g, g)
@@ -439,8 +439,8 @@ class GermField:
         """Rbar[i, j, k] = <Rbar(d_i, d_j) d_k, normal> (exact)."""
         t = self.tangents()
         nrm = self.normal()
-        p = t @ self.model.jmat.T @ t.T
-        q = t @ (self.model.jmat @ nrm)  # q[i] = <d_i, J xi> = -<J d_i, xi>
+        p = j_action(t) @ t.T
+        q = t @ j_action(nrm)  # q[i] = <d_i, J xi> = -<J d_i, xi>
         c = self.params.c
         # <Rbar(X,Y)Z, xi> = c/4 (<JY,Z>< JX,xi> - <JX,Z><JY,xi> - 2<JX,Y><JZ,xi>)
         # and <J d_i, xi> = -q[i]
@@ -616,8 +616,8 @@ def graded_connection_residuals(field: GermField) -> float:
     ff = field.frame_fields
     c = field.params.c
     x = ff.centers
-    jx = x @ field.model.jmat.T  # J is a signed permutation: exact
-    xjxi = _row_dot(x, field.model.jmat @ field.normal())
+    jx = j_action(x)
+    xjxi = _row_dot(x, j_action(field.normal()))
     lam, close = _eigen_pairs(ff)
     a, b, z = np.nonzero(close[:, :, None] & ~close[:, None, :])
     lhs = _row_dot(ff.nabla[a, b], x[z])
@@ -636,7 +636,7 @@ def graded_curvature_residuals(field: GermField) -> float:
     x = ff.centers
     lam, close = _eigen_pairs(ff)
     a, b, z = np.nonzero(np.repeat(~close[:, :, None], len(x), axis=2))
-    rbar = ambient_curvature(x[a], x[b], x[z], field.params.c, field.model.jmat)
+    rbar = ambient_curvature(x[a], x[b], x[z], field.params.c)
     lhs = _row_dot(rbar, field.normal())
     nab_xy_z = _row_dot(ff.nabla[a, b], x[z])
     nab_yx_z = _row_dot(ff.nabla[b, a], x[z])
@@ -648,13 +648,12 @@ def unit_pair_gauss_residual(field: GermField) -> float:
     """Scalar Gauss identity for unit eigen-fields X in T_alpha, Y in
     T_beta (alpha != beta); all derivative terms by central differences."""
     ff = field.frame_fields
-    jmat = field.model.jmat
     c = field.params.c
     lam, close = _eigen_pairs(ff)
     a, b = np.nonzero(~close)
     alpha, beta = lam[a], lam[b]
-    jfields = ff.fields @ jmat.T
-    jxi = field._normals[field._stencil] @ jmat.T
+    jfields = j_action(ff.fields)
+    jxi = j_action(field._normals[field._stencil])
     # stencil values of <JX, Y>, <X, J xi> and <Y, J xi>
     jxy = _row_dot(jfields[a], ff.fields[b])
     fjxi = _row_dot(ff.fields, jxi)

@@ -33,8 +33,8 @@ import numpy as np
 from . import jacobi
 from .model import (
     ModelParams,
-    SolvableModel,
     check_positive,
+    j_action,
     rate,
     standard_complex_structure,
 )
@@ -243,16 +243,15 @@ def _allclose(a, b, atol: float) -> bool:
 class HypersurfaceGerm:
     """Pointwise hypersurface data in frame components.
 
-    tangent_basis rows are orthonormal, orthogonal to the unit normal;
-    shape holds <S t_i, t_j>; jmat is the ambient complex structure in
-    the same frame.
+    The unit normal (2n,) and tangent_basis rows (2n-1, 2n) are
+    orthonormal; shape (2n-1, 2n-1) holds <S t_i, t_j>.  J is the
+    model's ``j_action``: a germ does not carry one.
     """
 
     params: ModelParams
     normal: np.ndarray
     tangent_basis: np.ndarray
     shape: np.ndarray
-    jmat: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "normal", np.asarray(self.normal, dtype=float))
@@ -260,27 +259,26 @@ class HypersurfaceGerm:
             self, "tangent_basis", np.asarray(self.tangent_basis, dtype=float)
         )
         object.__setattr__(self, "shape", np.asarray(self.shape, dtype=float))
-        object.__setattr__(self, "jmat", np.asarray(self.jmat, dtype=float))
 
     def validate(self, tol: float = 1e-8):
         d = self.params.dim
-        for name, arr in (
-            ("normal", self.normal),
-            ("tangent_basis", self.tangent_basis),
-            ("shape", self.shape),
-            ("J", self.jmat),
+        for name, arr, shape in (
+            ("normal", self.normal, (d,)),
+            ("tangent_basis", self.tangent_basis, (d - 1, d)),
+            ("shape", self.shape, (d - 1, d - 1)),
         ):
+            if arr.shape != shape:
+                raise ValueError(
+                    f"germ {name} has shape {arr.shape}, expected {shape} "
+                    f"for n={self.params.n}"
+                )
             if not np.isfinite(arr).all():
                 raise ValueError(f"germ {name} has a non-finite entry")
         frame = np.vstack([self.normal, self.tangent_basis])
-        if frame.shape != (d, d):
-            raise ValueError("germ frame has wrong dimensions")
         if not _allclose(frame @ frame.T, np.eye(d), tol):
             raise ValueError("normal + tangent basis is not orthonormal")
         if not _allclose(self.shape, self.shape.T, tol):
             raise ValueError("shape operator matrix is not symmetric")
-        if not _allclose(self.jmat @ self.jmat, -np.eye(d), tol):
-            raise ValueError("complex structure does not square to -id")
         return self
 
     def flipped(self) -> "HypersurfaceGerm":
@@ -290,12 +288,11 @@ class HypersurfaceGerm:
             normal=-self.normal,
             tangent_basis=self.tangent_basis,
             shape=-self.shape,
-            jmat=self.jmat,
         )
 
     def structure_vector(self) -> np.ndarray:
         """J xi in frame components (always tangent)."""
-        return self.jmat @ self.normal
+        return j_action(self.normal)
 
     def to_json_dict(self) -> dict:
         return {
@@ -304,7 +301,6 @@ class HypersurfaceGerm:
             "normal": self.normal.tolist(),
             "tangent_basis": self.tangent_basis.tolist(),
             "shape": self.shape.tolist(),
-            "J": self.jmat.tolist(),
         }
 
     def to_json(self) -> str:
@@ -312,6 +308,9 @@ class HypersurfaceGerm:
 
     @staticmethod
     def from_json_dict(data: dict) -> "HypersurfaceGerm":
+        """Inverse of ``to_json_dict``, validated to 1e-6.  A record may
+        still carry the complex structure as a matrix "J", as files
+        written by earlier versions do; it must be the model's."""
         try:
             params = ModelParams(n=data["n"], c=float(data["c"]))
             germ = HypersurfaceGerm(
@@ -319,21 +318,20 @@ class HypersurfaceGerm:
                 normal=np.asarray(data["normal"], dtype=float),
                 tangent_basis=np.asarray(data["tangent_basis"], dtype=float),
                 shape=np.asarray(data["shape"], dtype=float),
-                jmat=np.asarray(data["J"], dtype=float),
             )
+            given_j = np.asarray(data["J"], dtype=float) if "J" in data else None
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed germ record: {exc}") from exc
-        return germ.validate(tol=1e-6)
-
-    @staticmethod
-    def from_json(text: str) -> "HypersurfaceGerm":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed germ JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ValueError("malformed germ JSON: expected an object")
-        return HypersurfaceGerm.from_json_dict(data)
+        germ.validate(tol=1e-6)
+        if given_j is not None:
+            if not np.isfinite(given_j).all():
+                raise ValueError("germ J has a non-finite entry")
+            want = standard_complex_structure(params.n)
+            if given_j.shape != want.shape or not _allclose(given_j, want, 1e-6):
+                raise ValueError(
+                    f"germ J is not the model's complex structure for n={params.n}"
+                )
+        return germ
 
 
 @dataclass
@@ -457,7 +455,7 @@ def hopf_frame_extract(
     b1, b2 = float(decomp.jxi_components[i1]), float(decomp.jxi_components[i2])
     u1 = decomp.spaces[i1].T @ (decomp.spaces[i1] @ jxi) / b1
     u2 = decomp.spaces[i2].T @ (decomp.spaces[i2] @ jxi) / b2
-    a_vec = -(germ.jmat @ u1 + b1 * germ.normal) / b2
+    a_vec = -(j_action(u1) + b1 * germ.normal) / b2
     return HopfFrame(
         u1=u1,
         u2=u2,
@@ -477,20 +475,20 @@ def frame_identity_residuals(
     """Residuals of the structural frame identities:
     J xi = b1 U1 + b2 U2, <J U1, U2> = 0, J U2 = b1 A - b2 xi,
     J A = b2 U1 - b1 U2, A in the lambda_3 eigenspace."""
-    jmat, xi = germ.jmat, germ.normal
+    xi = germ.normal
     res = {
         "jxi_decomposition": float(
-            np.linalg.norm(jmat @ xi - frame.b1 * frame.u1 - frame.b2 * frame.u2)
+            np.linalg.norm(j_action(xi) - frame.b1 * frame.u1 - frame.b2 * frame.u2)
         ),
-        "ju1_orthogonality": abs(float((jmat @ frame.u1) @ frame.u2)),
+        "ju1_orthogonality": abs(float(j_action(frame.u1) @ frame.u2)),
         "ju2_identity": float(
             np.linalg.norm(
-                jmat @ frame.u2 - (frame.b1 * frame.a_vec - frame.b2 * xi)
+                j_action(frame.u2) - (frame.b1 * frame.a_vec - frame.b2 * xi)
             )
         ),
         "ja_identity": float(
             np.linalg.norm(
-                jmat @ frame.a_vec - (frame.b2 * frame.u1 - frame.b1 * frame.u2)
+                j_action(frame.a_vec) - (frame.b2 * frame.u1 - frame.b1 * frame.u2)
             )
         ),
         "b_sum": abs(frame.b1**2 + frame.b2**2 - 1.0),
@@ -514,7 +512,7 @@ def totally_real_check(
     out = {}
     for i in decomp.hopf_indices:
         space = decomp.spaces[i]
-        cross = space @ germ.jmat.T @ space.T
+        cross = j_action(space) @ space.T
         out[float(decomp.eigenvalues[i])] = float(np.max(np.abs(cross)))
     return out
 
@@ -672,9 +670,8 @@ def catalog_germ(params: ModelParams, k: int, r: float) -> HypersurfaceGerm:
     """
     es = catalog_at_radius(r, params.c, params.n, k)
     sub = build_submanifold(params, k, math.pi / 2.0)
-    jmat = standard_complex_structure(params.n)
     xi = sub.normal_basis[0]
-    jxi = jmat @ xi
+    jxi = j_action(xi)
     zvec = sub.zvec
     u1 = es.b2 * zvec + es.b1 * jxi
     u2 = -es.b1 * zvec + es.b2 * jxi
@@ -691,7 +688,6 @@ def catalog_germ(params: ModelParams, k: int, r: float) -> HypersurfaceGerm:
         normal=xi,
         tangent_basis=np.vstack(rows),
         shape=np.diag(np.repeat(values, mults)),
-        jmat=jmat,
     )
     return germ.validate()
 
@@ -700,17 +696,12 @@ def horosphere_germ(params: ModelParams) -> HypersurfaceGerm:
     """Germ of the nilpotent-factor orbit: a Hopf hypersurface with
     principal curvatures sqrt(-c)/2 (multiplicity 2n-2) and sqrt(-c),
     normal along the abelian direction."""
-    model = SolvableModel(params)
-    d = params.dim
-    xi = model.basis_vector(0)
-    tangent = np.eye(d)[1:]
-    diag = np.array([2.0 * model.a] + [model.a] * (d - 2))
+    a, frame = rate(params.c), np.eye(params.dim)
     return HypersurfaceGerm(
         params=params,
-        normal=xi,
-        tangent_basis=tangent,
-        shape=np.diag(diag),
-        jmat=model.jmat,
+        normal=frame[0],
+        tangent_basis=frame[1:],
+        shape=np.diag([2.0 * a] + [a] * (params.dim - 2)),
     ).validate()
 
 

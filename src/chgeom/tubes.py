@@ -23,14 +23,15 @@ RK4 and returns the germ at the endpoint with the propagation data.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import jacobi
-from .construction import SubmanifoldSpec, orbit_second_fundamental_form
-from .model import DEFAULT_ODE_STEP, SolvableModel
+from .construction import (
+    SubmanifoldSpec, is_totally_real, orbit_second_fundamental_form,
+)
+from .model import DEFAULT_ODE_STEP, SolvableModel, j_action, rate
 from .spectral import (
     EigenStructure,
     HypersurfaceGerm,
@@ -70,12 +71,12 @@ class TubeResult:
 def _tube_modes(spec: SubmanifoldSpec, eta: np.ndarray, r: float):
     """Checked arguments and the initial Jacobi data of a tube germ.
 
-    Returns (model, eta, m0, zeta0, zeta_prime0): m0 is an orthonormal
+    Returns (eta, m0, zeta0, zeta_prime0): m0 is an orthonormal
     basis of eta-perp (orbit tangent rows, then the normal complement of
     eta); the modes start at (v, -S^W_eta v) for its tangent rows and at
     (0, w) for its normal rows.
     """
-    model = SolvableModel(spec.params)
+    s = rate(spec.params.c)
     d = spec.params.dim
     eta = np.asarray(eta, dtype=float)
     if abs(np.linalg.norm(eta) - 1.0) > 1e-10:
@@ -85,9 +86,9 @@ def _tube_modes(spec: SubmanifoldSpec, eta: np.ndarray, r: float):
         raise ValueError("eta must lie in the normal space of the orbit")
     if not (0.0 <= r <= MAX_RADIUS):
         raise ValueError(f"radius must lie in [0, {MAX_RADIUS}], got {r!r}")
-    if model.a * r > MAX_RATE_RADIUS:
+    if s * r > MAX_RATE_RADIUS:
         raise ValueError(
-            f"s*r = {model.a * r!r} exceeds {MAX_RATE_RADIUS} (s = sqrt(-c)/2): "
+            f"s*r = {s * r!r} exceeds {MAX_RATE_RADIUS} (s = sqrt(-c)/2): "
             "the tube's Jacobi modes are too ill-conditioned there"
         )
     if r == 0.0 and spec.k != 1:
@@ -103,7 +104,7 @@ def _tube_modes(spec: SubmanifoldSpec, eta: np.ndarray, r: float):
     s_w = submanifold_shape_operator(spec, eta)
     zeta0 = np.vstack([spec.tangent_basis, np.zeros_like(comp)])
     zprime0 = np.vstack([-(s_w @ spec.tangent_basis.T).T, comp])
-    return model, eta, m0, zeta0, zprime0
+    return eta, m0, zeta0, zprime0
 
 
 def _mode_shape(m0, zeta_r, zprime_r):
@@ -126,9 +127,9 @@ def tube_germ(spec: SubmanifoldSpec, eta: np.ndarray, r: float) -> HypersurfaceG
     and have the same classification.  Same arguments and checks as
     ``tube_shape_operator``, whose germ this matches up to that congruence.
     """
-    model, eta, m0, zeta0, zprime0 = _tube_modes(spec, eta, r)
+    eta, m0, zeta0, zprime0 = _tube_modes(spec, eta, r)
     zeta_r, zprime_r = jacobi.jacobi_closed_propagator(
-        zeta0, zprime0, eta, spec.params.c, model.jmat, r
+        zeta0, zprime0, eta, spec.params.c, r
     )
     shape = _mode_shape(m0, zeta_r, zprime_r)[1]
     return HypersurfaceGerm(
@@ -136,7 +137,6 @@ def tube_germ(spec: SubmanifoldSpec, eta: np.ndarray, r: float) -> HypersurfaceG
         normal=-eta,
         tangent_basis=m0,
         shape=shape,
-        jmat=model.jmat,
     ).validate(tol=1e-6)
 
 
@@ -155,10 +155,11 @@ def tube_shape_operator(
     only for k = 1 (the hypersurface itself); r must stay below
     MAX_RADIUS to keep the exponential growth in double range.
     """
-    model, eta, m0, zeta0, zprime0 = _tube_modes(spec, eta, r)
+    eta, m0, zeta0, zprime0 = _tube_modes(spec, eta, r)
+    model = SolvableModel(spec.params)
     d = spec.params.dim
     zeta_r, zprime_r = jacobi.jacobi_ode_oracle(
-        zeta0, zprime0, eta, spec.params.c, model.jmat, r, step
+        zeta0, zprime0, eta, spec.params.c, r, step
     )
 
     stack = np.vstack([m0, np.eye(d)])
@@ -176,7 +177,6 @@ def tube_shape_operator(
         normal=-vel_r,
         tangent_basis=moved_m0,
         shape=shape,
-        jmat=model.jmat,
     ).validate(tol=1e-6)
     return TubeResult(
         germ=germ,
@@ -247,7 +247,7 @@ def focal_shape_check(
     The forward leg is ``tube_shape_operator`` (RK4 at ``step``); the
     return leg is the closed-form geodesic flow, so the distance residual
     compares the two routes."""
-    if abs(spec.phi - math.pi / 2.0) > 1e-12:
+    if not is_totally_real(spec.phi):
         raise ValueError("focal identities need a totally real normal space")
     if r <= 0.0:
         raise ValueError("the focal check needs r > 0")
@@ -260,8 +260,8 @@ def focal_shape_check(
 
     # transport back q -> o is the transpose (transport is orthogonal)
     eta_r = p_mat.T @ germ.normal  # arrival velocity of the return geodesic
-    b_ja = p_mat.T @ (germ.jmat @ frame.a_vec)
-    j_eta_r = model.jmat @ eta_r
+    b_ja = p_mat.T @ j_action(frame.a_vec)
+    j_eta_r = j_action(eta_r)
 
     s_r = submanifold_shape_operator(spec, eta_r)
     res1 = float(np.linalg.norm(s_r @ j_eta_r + a * b_ja))

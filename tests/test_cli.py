@@ -4,6 +4,7 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from chgeom import ModelParams, SubmanifoldSpec, catalog_germ, cli, model, numlab, spectral
@@ -201,6 +202,8 @@ def test_near_tolerance_gaps_raise_no_warning(command, code, tmp_path, capsys):
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_classify_rejects_non_finite_entries(field, value, tmp_path, capsys):
     data = catalog_germ(ModelParams(n=3, c=-4.0), 2, r=0.7).to_json_dict()
+    if field == "J":  # a record in the older layout, which carried J
+        data["J"] = model.standard_complex_structure(3).tolist()
     row = data[field][0] if field != "normal" else data[field]
     row[0] = value
     path = tmp_path / "germ.json"
@@ -209,6 +212,69 @@ def test_classify_rejects_non_finite_entries(field, value, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "non-finite" in captured.err
     assert captured.out == ""
+
+
+def _classify_record(data, tmp_path, capsys):
+    path = tmp_path / "germ.json"
+    path.write_text(json.dumps(data))
+    code = main(["classify", "--input", str(path)])
+    return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("shape, want", [
+    ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "(3, 3)"),
+    (1.0, "()"),
+])
+def test_classify_rejects_misshapen_shape(shape, want, tmp_path, capsys):
+    """An n=3 record needs a 5x5 shape; a valid 3x3 matrix or a scalar is
+    malformed input, reported with the field and both shapes."""
+    data = catalog_germ(ModelParams(n=3, c=-4.0), 2, r=0.7).to_json_dict()
+    data["shape"] = shape
+    code, captured = _classify_record(data, tmp_path, capsys)
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        f"error: malformed germ input: germ shape has shape {want}, "
+        "expected (5, 5) for n=3\n"
+    )
+
+
+def _conjugated_complex_structure(n, kind):
+    """P J P^-1, which squares to -1 but is not the model's J: P a shear
+    (the result is not skew) or a random rotation."""
+    j = model.standard_complex_structure(n)
+    if kind == "non-skew":
+        p = np.eye(2 * n)
+        p[0, 2] = 0.5
+    else:
+        p, _ = np.linalg.qr(np.random.default_rng(n).normal(size=(2 * n, 2 * n)))
+    return p @ j @ np.linalg.inv(p)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["non-skew", "rotated"])
+def test_classify_rejects_a_foreign_complex_structure(kind, n, tmp_path, capsys):
+    jmat = _conjugated_complex_structure(n, kind)
+    assert np.allclose(jmat @ jmat, -np.eye(2 * n), atol=1e-12)
+    data = catalog_germ(ModelParams(n=n, c=-4.0), n - 1, r=0.7).to_json_dict()
+    data["J"] = jmat.tolist()
+    code, captured = _classify_record(data, tmp_path, capsys)
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        "error: malformed germ input: germ J is not the model's complex "
+        f"structure for n={n}\n"
+    )
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (3, 2), (4, 3)])
+def test_classify_reads_a_legacy_record_with_the_model_j(n, k, tmp_path, capsys):
+    germ = catalog_germ(ModelParams(n=n, c=-4.0), k, r=0.7)
+    data = germ.to_json_dict()
+    assert "J" not in data
+    plain = _classify_record(data, tmp_path, capsys)
+    data["J"] = model.standard_complex_structure(n).tolist()
+    legacy = _classify_record(data, tmp_path, capsys)
+    assert plain[0] == legacy[0] == 0
+    assert legacy[1].out == plain[1].out and legacy[1].err == plain[1].err == ""
 
 
 def test_residuals_suite(capsys):

@@ -13,17 +13,42 @@ from chgeom import (
     SubmanifoldSpec,
     build_submanifold,
     constant_kahler_angle_subspace,
+    focal_shape_check,
     kahler_angle,
     maximal_holomorphic_subspace,
     orbit_second_fundamental_form,
     rigidity_form_check,
 )
+from chgeom.construction import RIGHT_ANGLE_TOLERANCE, is_totally_real
 
 ANGLE_TOLERANCE = 1e-12
 FORM_TOLERANCE = 1e-12
 SPAN_TOLERANCE = 1e-9
 
 PHI_GRID = (math.pi / 2, math.pi / 3, 1.0, 0.3)
+
+
+def test_one_totally_real_predicate():
+    """The angle checks of the subspace, the orbit and the focal identities
+    all read pi/2 through is_totally_real."""
+    params = ModelParams(n=3, c=-4.0)
+    near = math.pi / 2 + 0.5 * RIGHT_ANGLE_TOLERANCE
+    below = math.pi / 2 - 2.0 * RIGHT_ANGLE_TOLERANCE
+    above = math.pi / 2 + 2.0 * RIGHT_ANGLE_TOLERANCE
+    assert is_totally_real(near) and not is_totally_real(below)
+    assert not is_totally_real(above)
+    right = build_submanifold(params, 1, math.pi / 2)
+    assert np.array_equal(build_submanifold(params, 1, near).normal_basis, right.normal_basis)
+    with pytest.raises(OddDimensionNonReal):
+        build_submanifold(params, 1, below)
+    with pytest.raises(ValueError, match="phi must lie"):
+        build_submanifold(params, 1, above)
+    spec = build_submanifold(params, 2, below)
+    with pytest.raises(ValueError, match="totally real normal space"):
+        focal_shape_check(spec, spec.normal_basis[0], 0.5)
+    spec = build_submanifold(params, 2, near)
+    report = focal_shape_check(spec, spec.normal_basis[0], 0.5, step=1e-2)
+    assert report.eta_return_residual < 1e-6
 
 
 def test_subspace_validation_errors():
@@ -193,9 +218,13 @@ def _spec_record(**changes) -> dict:
         ({"tangent_basis": _spec_record()["tangent_basis"][:-1]}, "tangent_basis has shape"),
         ({"pxi_unit": _spec_record()["pxi_unit"][:1]}, "pxi_unit has shape"),
         ({"phi": 0.0}, "phi must lie"),
+        ({"normal_basis": (2.0 * np.array(_spec_record()["normal_basis"])).tolist()},
+         "normal_basis is not the normal_basis of the orbit"),
+        ({"phi": 1.0}, "normal_basis is not the normal_basis of the orbit"),
     ],
     ids=["n-not-integer", "k-not-integer", "k-zero", "k-too-large", "k-missing",
-         "n-disagrees-with-arrays", "tangent-rows", "pxi-rows", "phi-zero"],
+         "n-disagrees-with-arrays", "tangent-rows", "pxi-rows", "phi-zero",
+         "normal-rows-scaled", "phi-disagrees-with-arrays"],
 )
 def test_submanifold_spec_json_rejects_malformed_records(changes, match):
     with pytest.raises(ValueError, match=match):

@@ -1,6 +1,8 @@
 """Source hygiene: no module in the package or the tests imports a name it
-never uses (an unused root import keeps a name in ``chgeom.__all__``), and
-README's list of classifier reasons matches the reasons the code returns."""
+never uses (an unused root import keeps a name in ``chgeom.__all__``),
+README's list of classifier reasons matches the reasons the code returns,
+and no package module passes or stores J as a matrix (``model.j_action``
+applies it)."""
 
 import ast
 import re
@@ -111,3 +113,40 @@ def test_readme_lists_every_classify_reason():
     code = unclassified_reasons(ast.parse(spectral.read_text()))
     docs = readme_reasons((ROOT / "README.md").read_text())
     assert code == docs, f"only in spectral.py: {code - docs}; only in README: {docs - code}"
+
+
+def names_called(tree: ast.Module, name: str) -> list:
+    """Lines where ``name`` is a parameter, keyword argument, attribute
+    or variable name."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.keyword)):
+            bound = node.arg
+        elif isinstance(node, ast.Attribute):
+            bound = node.attr
+        elif isinstance(node, ast.Name):
+            bound = node.id
+        else:
+            continue
+        if bound == name:
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_name_scan_finds_parameters_attributes_and_names():
+    tree = ast.parse(
+        "def f(x, jmat):\n"
+        "    jmat = self.jmat\n"
+        "    g(jmat=x)\n"
+        "    return 'jmat'\n"
+    )
+    assert names_called(tree, "jmat") == [1, 2, 2, 3]
+
+
+def test_no_module_carries_a_j_matrix():
+    found = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in sorted((ROOT / "src" / "chgeom").glob("*.py"))
+        for line in names_called(ast.parse(path.read_text()), "jmat")
+    ]
+    assert not found, "apply J with model.j_action, not a matrix:\n" + "\n".join(found)

@@ -25,12 +25,12 @@ from chgeom import (
     focal_shape_check,
     g_derivative,
     g_function,
+    j_action,
     jacobi,
     jacobi_closed,
     jacobi_ode_oracle,
     sech,
     special_radius,
-    standard_complex_structure,
     tube_shape_operator,
     tube_spectrum_closed,
 )
@@ -79,7 +79,6 @@ def test_profile_satisfies_oscillator_equation(lam, c, t):
 
 def test_closed_profiles_match_ode_oracle():
     n, c = 3, -4.0
-    jmat = standard_complex_structure(n)
     w = np.zeros(2 * n)
     w[0] = 1.0  # geodesic velocity: abelian direction; J w is the center
     for lam in (-0.3, 0.2, 0.9):
@@ -89,7 +88,7 @@ def test_closed_profiles_match_ode_oracle():
             zeta0[0, 2] = 1.0  # root direction
             zeta0[1, 1] = 1.0  # center direction = J w
             zp0 = -lam * zeta0
-            zt, zpt = jacobi_ode_oracle(zeta0, zp0, w, c, jmat, t, step=1e-4)
+            zt, zpt = jacobi_ode_oracle(zeta0, zp0, w, c, t, step=1e-4)
             f, _ = jacobi_closed(lam, 0.0, c, t)
             assert abs(zt[0, 2] - f) < CLOSED_VS_ODE_TOLERANCE
             assert abs(zpt[0, 2] - f_derivative(lam, c, t)) < CLOSED_VS_ODE_TOLERANCE
@@ -102,16 +101,15 @@ def test_oracle_mixed_mode_decomposes():
     """A mode with partial J-velocity component splits into the f-profile
     on the orthogonal part plus (f+g) on the J-velocity part."""
     n, c = 2, -1.0
-    jmat = standard_complex_structure(n)
     w = np.zeros(2 * n)
     w[0] = 1.0
-    jw = jmat @ w
+    jw = j_action(w)
     perp = np.zeros(2 * n)
     perp[2] = 1.0
     alpha = 0.6
     v = alpha * jw + math.sqrt(1 - alpha * alpha) * perp
     lam, t = 0.4, 1.2
-    zt, _ = jacobi_ode_oracle(v[None, :], -lam * v[None, :], w, c, jmat, t, 1e-4)
+    zt, _ = jacobi_ode_oracle(v[None, :], -lam * v[None, :], w, c, t, 1e-4)
     f, ag = jacobi_closed(lam, alpha, c, t)
     expected = f * v + ag * jw
     assert np.max(np.abs(zt[0] - expected)) < CLOSED_VS_ODE_TOLERANCE

@@ -13,8 +13,10 @@ from chgeom import (
     ModelParams,
     SolvableModel,
     ambient_curvature,
+    j_action,
     standard_complex_structure,
 )
+from chgeom.model import GALPHA_START
 
 CURVATURE_TOLERANCE = 1e-10
 ALGEBRA_TOLERANCE = 1e-13
@@ -47,6 +49,30 @@ def test_complex_structure_squares_to_minus_identity():
         b = np.zeros(2 * n)
         b[0] = 1.0
         assert j[1, 0] == 1.0 and (j @ b)[1] == 1.0
+
+
+@seed(14)
+@settings(deadline=None, max_examples=80)
+@given(
+    n=st.integers(2, 8),
+    lead=st.lists(st.integers(1, 3), max_size=2),
+    data=st.data(),
+)
+def test_j_action_is_the_standard_complex_structure(n, lead, data):
+    """j_action on batched frame components is the matrix J exactly, squares
+    to -1, and on root slices agrees with J's root block."""
+    x = data.draw(arrays(
+        np.float64, (*lead, 2 * n),
+        elements=st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0]),
+    ))
+    j = standard_complex_structure(n)
+    jx = j_action(x)
+    assert jx.shape == x.shape
+    assert np.array_equal(jx, x @ j.T)
+    assert np.array_equal(j_action(jx), -x)
+    v = x[..., GALPHA_START:]
+    jg = j[GALPHA_START:, GALPHA_START:]
+    assert np.array_equal(j_action(v), np.einsum("ab,...b->...a", jg, v))
 
 
 def test_bracket_table():
@@ -112,7 +138,7 @@ def test_koszul_table():
     )
     # nabla_Z U = -a J U on the root block
     assert np.allclose(
-        m.koszul_connection(Z, e1), -a * m.j_action(e1), atol=ALGEBRA_TOLERANCE
+        m.koszul_connection(Z, e1), -a * j_action(e1), atol=ALGEBRA_TOLERANCE
     )
 
 
@@ -157,7 +183,7 @@ def test_curvature_dual_route_agreement():
             for _ in range(50):
                 x, y, z = rng.normal(size=(3, 2 * n))
                 diff = m.curvature_from_koszul(x, y, z) - ambient_curvature(
-                    x, y, z, c, m.jmat
+                    x, y, z, c
                )
                 worst = max(worst, float(np.max(np.abs(diff))))
             assert worst < CURVATURE_TOLERANCE
@@ -180,13 +206,13 @@ def _verify_curvature_per_sample(m, samples, seed):
     max_residual = 0.0
     for _ in range(samples):
         x, y, z = rng.standard_normal((3, d))
-        diff = m.curvature_from_koszul(x, y, z) - m.curvature_closed_form(x, y, z)
+        diff = m.curvature_from_koszul(x, y, z) - ambient_curvature(x, y, z, m.c)
         max_residual = max(max_residual, float(np.max(np.abs(diff))))
     holo = real = pinch = 0.0
     for _ in range(samples):
         x = rng.standard_normal(d)
         x /= np.linalg.norm(x)
-        jx = m.jmat @ x
+        jx = j_action(x)
         holo = max(holo, abs(m.sectional_curvature(x, jx) - m.c))
         y = rng.standard_normal(d)
         y -= np.dot(y, x) * x + np.dot(y, jx) * jx
@@ -209,7 +235,7 @@ def test_curvature_row_stacks_match_single_vectors(n):
     x, y, z = rng.standard_normal((3, 40, 2 * n))
 
     def closed_form(x, y, z):
-        return ambient_curvature(x, y, z, m.c, m.jmat)
+        return ambient_curvature(x, y, z, m.c)
 
     for curvature in (m.curvature_from_koszul, closed_form):
         rows = curvature(x, y, z)
@@ -366,11 +392,11 @@ def test_transport_isometry_and_j_invariance():
     v = rng.normal(size=6)
     v /= np.linalg.norm(v)
     w1, w2 = rng.normal(size=(2, 6))
-    rows = np.stack([w1, w2, m.jmat @ w1])
+    rows = np.stack([w1, w2, j_action(w1)])
     _, _, (m1, m2, mj) = m.integrate_transport(p, v, rows, 1.5, step=1e-3)
     assert abs(m1 @ m2 - w1 @ w2) < 1e-10
     # the connection is complex-linear: transport commutes with J
-    assert np.max(np.abs(mj - m.jmat @ m1)) < 1e-10
+    assert np.max(np.abs(mj - j_action(m1))) < 1e-10
 
 
 def test_transport_of_velocity_is_velocity():

@@ -21,7 +21,7 @@ INTEGRATORS = {
         np.zeros(4), W, np.eye(4), t, step
     ),
     "jacobi_ode_oracle": lambda t, step: jacobi_ode_oracle(
-        np.eye(4)[:3], np.zeros((3, 4)), W, -4.0, MODEL.jmat, t, step
+        np.eye(4)[:3], np.zeros((3, 4)), W, -4.0, t, step
     ),
 }
 BAD_STEPS = [0.0, -1.0, math.nan]

@@ -28,7 +28,6 @@ from chgeom import (
     nonexistence_scan,
     principal_decomposition,
     special_radius,
-    standard_complex_structure,
     totally_real_check,
 )
 from chgeom import spectral
@@ -147,7 +146,6 @@ def test_principal_decomposition_gap_warning():
         normal=basis[0],
         tangent_basis=basis[1:],
         shape=shape,
-        jmat=standard_complex_structure(2),
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -226,7 +224,6 @@ def test_flipped_decomposition_matches_decomposition_of_flipped_germ(
         normal=germ.normal,
         tangent_basis=q.T @ germ.tangent_basis,
         shape=q.T @ germ.shape @ q,
-        jmat=germ.jmat,
     )
     if flip:
         germ = germ.flipped()
@@ -280,7 +277,6 @@ def test_classify_basis_rotation_invariance():
         normal=germ.normal,
         tangent_basis=q.T @ germ.tangent_basis,
         shape=q.T @ germ.shape @ q,
-        jmat=germ.jmat,
     )
     res = classify(rotated)
     assert res.k == 2 and abs(res.r - 0.7) < CLASSIFY_RADIUS_TOLERANCE
@@ -305,7 +301,6 @@ def test_classify_rejects_wrong_multiplicity():
         normal=germ.normal,
         tangent_basis=germ.tangent_basis,
         shape=evecs @ np.diag(evals) @ evecs.T,
-        jmat=germ.jmat,
     )
     res = classify(bad)
     assert res.model == "unclassified"
@@ -320,7 +315,6 @@ def test_classify_residuals_catch_drift():
         normal=germ.normal,
         tangent_basis=germ.tangent_basis,
         shape=shape,
-        jmat=germ.jmat,
     )
     res = classify(bad)
     assert res.model == "unclassified"
@@ -329,7 +323,7 @@ def test_classify_residuals_catch_drift():
 
 def test_germ_json_roundtrip():
     germ = catalog_germ(ModelParams(n=3, c=-4.0), 2, r=0.7)
-    back = HypersurfaceGerm.from_json(germ.to_json())
+    back = HypersurfaceGerm.from_json_dict(json.loads(germ.to_json()))
     assert back.params == germ.params
     assert np.allclose(back.shape, germ.shape)
     assert np.allclose(back.tangent_basis, germ.tangent_basis)
@@ -632,7 +626,6 @@ def test_classify_rejects_layout_with_k_at_least_n(n, k, keep):
         normal=germ.normal,
         tangent_basis=germ.tangent_basis,
         shape=np.diag(values),
-        jmat=germ.jmat,
     )
     res = classify(bad)
     assert (res.model, res.g, res.reason) == ("unclassified", 4, "multiplicities")
@@ -651,7 +644,6 @@ def _at_positive_curvature(germ, c):
         normal=germ.normal,
         tangent_basis=germ.tangent_basis,
         shape=germ.shape,
-        jmat=germ.jmat,
     ).validate()
 
 

@@ -13,10 +13,10 @@ from chgeom import (
     ModelParams,
     build_submanifold,
     classify,
+    j_action,
     jacobi_closed,
     jacobi_ode_oracle,
     special_radius,
-    standard_complex_structure,
     tube_shape_operator,
     tube_spectrum_closed,
 )
@@ -40,14 +40,13 @@ def _random_modes(n, seed):
 
 @pytest.mark.parametrize("n, c", [(2, -1.0), (3, -4.0), (4, -9.0)])
 def test_propagator_matches_ode_oracle(n, c):
-    jmat = standard_complex_structure(n)
     w, zeta0, zp0 = _random_modes(n, seed=n)
     # one oracle run at step 1e-4, continued from radius to radius
     t, zeta, zp = 0.0, zeta0, zp0
     for r in (0.05, special_radius(c), 1.5, 5.0):
-        zeta, zp = jacobi_ode_oracle(zeta, zp, w, c, jmat, r - t, step=1e-4)
+        zeta, zp = jacobi_ode_oracle(zeta, zp, w, c, r - t, step=1e-4)
         t = r
-        want, want_p = jacobi_closed_propagator(zeta0, zp0, w, c, jmat, r)
+        want, want_p = jacobi_closed_propagator(zeta0, zp0, w, c, r)
         assert want.shape == zeta0.shape and want_p.shape == zp0.shape
         for got, ref in ((zeta, want), (zp, want_p)):
             err = np.max(np.abs(got - ref))
@@ -58,27 +57,25 @@ def test_propagator_reproduces_catalog_profiles():
     """On eigen-mode data (v, -lam v) the propagator gives
     f(t) v + <v, Jw> g(t) Jw, the closed profiles of the catalog."""
     n, c = 3, -4.0
-    jmat = standard_complex_structure(n)
     w, modes, _ = _random_modes(n, seed=7)
     v = modes[0, 0] / np.linalg.norm(modes[0, 0])
-    jw = jmat @ w
+    jw = j_action(w)
     for lam in (-0.3, 0.2, 0.9):
         for t in (-0.4, 0.35, 1.4):
-            zeta, _ = jacobi_closed_propagator(v, -lam * v, w, c, jmat, t)
+            zeta, _ = jacobi_closed_propagator(v, -lam * v, w, c, t)
             f, ag = jacobi_closed(lam, float(v @ jw), c, t)
             assert np.max(np.abs(zeta - (f * v + ag * jw))) < 1e-13
 
 
 def test_propagator_rejects_bad_input():
-    jmat = standard_complex_structure(2)
     w, zeta0, zp0 = _random_modes(2, seed=1)
     with pytest.raises(ValueError):
-        jacobi_closed_propagator(zeta0, zp0, 2.0 * w, -4.0, jmat, 0.5)
+        jacobi_closed_propagator(zeta0, zp0, 2.0 * w, -4.0, 0.5)
     for t in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError):
-            jacobi_closed_propagator(zeta0, zp0, w, -4.0, jmat, t)
+            jacobi_closed_propagator(zeta0, zp0, w, -4.0, t)
     with pytest.raises(ValueError):
-        jacobi_closed_propagator(zeta0, zp0, w, 0.0, jmat, 0.5)
+        jacobi_closed_propagator(zeta0, zp0, w, 0.0, 0.5)
 
 
 @pytest.mark.parametrize("c", [-1.0, -4.0, -9.0])
@@ -180,12 +177,11 @@ def test_tube_germ_argument_checks():
 
 @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
 def test_closed_forms_reject_non_finite_curvature(c):
-    jmat = standard_complex_structure(2)
     w = np.eye(4)[2]
     for call in (
         lambda: rate(c),
         lambda: jacobi_closed_propagator(
-            np.eye(4)[:3], np.zeros((3, 4)), w, c, jmat, 0.5
+            np.eye(4)[:3], np.zeros((3, 4)), w, c, 0.5
         ),
         lambda: tube_spectrum_closed(0.5, c, 3, 2),
     ):
