@@ -55,6 +55,12 @@ NUMERIC_GROUPING_TOLERANCE = 1e-4
 LATTICE_RADIUS = 3
 
 
+class FrameFieldsUnavailable(ValueError):
+    """The center germ's spectrum has no canonical frame at the numeric
+    grouping tolerance, so the frame suites cannot run (a valid input,
+    such as a large tube radius, not a malformed one)."""
+
+
 @dataclass
 class ChartImmersion:
     """Batched immersion of a parameter box into group coordinates."""
@@ -478,7 +484,7 @@ class GermField:
                 else f"h = {decomp.h} projected eigenspaces, not 2"
             )
             groups = ", ".join(f"{v:.6g}" for v in lam)
-            raise ValueError(
+            raise FrameFieldsUnavailable(
                 "the frame suites cannot run: at grouping tolerance "
                 f"{NUMERIC_GROUPING_TOLERANCE:g} the center germ has {lack} "
                 f"({decomp.g} eigenvalue groups: {groups})"

@@ -312,7 +312,10 @@ class HypersurfaceGerm:
         still carry the complex structure as a matrix "J", as files
         written by earlier versions do; it must be the model's."""
         try:
-            params = ModelParams(n=data["n"], c=float(data["c"]))
+            c = data["c"]
+            if isinstance(c, bool) or not isinstance(c, (int, float)):
+                raise ValueError(f"germ c must be a JSON number, got {c!r}")
+            params = ModelParams(n=data["n"], c=float(c))
             germ = HypersurfaceGerm(
                 params=params,
                 normal=np.asarray(data["normal"], dtype=float),
@@ -725,6 +728,58 @@ class ScanReport:
     max_refined_residual: float | None
 
 
+def _lambda2_bands(lam1, l2, l3, c, reach):
+    """First lambda_2 index and length of the band of each (lambda_1,
+    lambda_3) pair, for lam1 (rows) x l3: the ascending l2 samples where
+    |catalog quadratic| <= reach, among those above lambda_1.
+
+    For fixed (lambda_1, lambda_3) the quadratic is affine in lambda_2,
+    ``(c + 8 l1 l3 - 12 l3^2) + (8 l3 - 4 l1) l2``, so the band is one
+    index interval, whose ends two searchsorted calls give.  Where an end
+    is undefined (0/0 at a zero slope, or an overflowing box) the band is
+    the whole row, which is never too small.
+    """
+    lam1 = lam1[:, None]
+    base = c + 8.0 * lam1 * l3 - 12.0 * l3**2
+    slope = 8.0 * l3 - 4.0 * lam1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lo = (-reach - base) / slope
+        hi = (reach - base) / slope
+    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+    undefined = np.isnan(lo)
+    lo[undefined], hi[undefined] = -np.inf, np.inf
+    above = np.searchsorted(l2, lam1, side="right")
+    first = np.maximum(np.searchsorted(l2, lo, side="left"), above).ravel()
+    return first, np.maximum(np.searchsorted(l2, hi, side="right").ravel() - first, 0)
+
+
+def _band_cells(l1, l2, l3, c, reach, cap):
+    """Yield the cells of the ``_lambda2_bands`` bands as (lambda_1,
+    lambda_2, lambda_3, lambda_3 index) arrays of at most ``cap`` >= n2
+    cells, gathered across lambda_1 rows.  The bands are computed for
+    ``cap // n3`` rows at a time, so no array grows with the number of
+    lambda_1 samples."""
+    n3 = l3.size
+    step = max(1, cap // n3)
+    for i0 in range(0, l1.size, step):
+        lam1 = l1[i0:i0 + step]
+        first, counts = _lambda2_bands(lam1, l2, l3, c, reach)
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        # greedy batches of whole bands, each band at most n2 <= cap cells
+        p0 = 0
+        while p0 < counts.size:
+            p1 = max(int(np.searchsorted(ends, starts[p0] + cap, side="right")), p0 + 1)
+            if ends[p1 - 1] > starts[p0]:
+                pairs = np.arange(p0, p1)
+                cnt = counts[p0:p1]
+                j = np.repeat(first[p0:p1] - (starts[p0:p1] - starts[p0]), cnt)
+                j += np.arange(j.size)
+                m = np.repeat(pairs % n3, cnt)
+                yield np.repeat(lam1[pairs // n3], cnt), l2[j], l3[m], m
+            p0 = p1
+
+
 def nonexistence_scan(
     c: float,
     grid_shape: tuple = (100, 100, 100),
@@ -746,6 +801,13 @@ def nonexistence_scan(
     b-formulas, normalization) are reported.  c must be finite and
     nonzero, every grid axis needs at least 2 samples, and a given
     lambda_bound must be positive and finite.
+
+    The formulas are evaluated only on the cells that can pass the
+    quadratic: for fixed (lambda_1, lambda_3) it is affine in lambda_2,
+    so those cells form one lambda_2 band per pair (``_lambda2_bands``),
+    about 5 % of the grid at the default box.  Every other cell fails
+    |quadratic| <= quad_tol, so the count and the refined curve are
+    those of the whole grid.
     """
     if c == 0 or not math.isfinite(c):
         raise ValueError(f"the scan needs a finite nonzero c, got c={c!r}")
@@ -766,28 +828,26 @@ def nonexistence_scan(
     # one cell of slack: |grad quadratic| <= 12(L + L3) on the box
     quad_tol = 12.0 * (lambda_bound + 0.75 * scale) * spacing
 
-    # the grid is evaluated one lambda_1 row at a time, so the
-    # temporaries do not grow with n1.  Each row covers only the
-    # lambda_1 < lambda_2 half of its lambda_2 axis (the slice starts one
-    # index before the first lambda_2 above lambda_1, and the exact
-    # ordering mask still applies on it), and b^2 is computed only on
-    # the cells that pass the quadratic: the elementwise formulas are
-    # unchanged, so every cell gets the same verdict as on the full grid.
-    ordered = l2 - 1e-12 * (1.0 + scale)
-    lam3 = l3[None, :]
+    # The bands are widened by a rounding margin, 1e-9 of the largest
+    # magnitude (``size``) the quadratic's terms reach on the box, far
+    # above its float error, so they hold every cell that passes.  The
+    # candidates then meet the exact ordering mask and the unchanged
+    # elementwise quadratic, b^2 and sum_band tests, so every cell gets
+    # the same verdict as on the full grid.  A batch holds at most
+    # n2*n3/8 cells, across lambda_1 rows: its temporaries stay below one
+    # lambda_1 row's worth of the full quadratic and do not grow with n1.
+    size = abs(c) + 12.0 * (lambda_bound + l3[-1]) ** 2
+    reach = quad_tol + 1e-9 * (1.0 + size)
+    cap = max(n2 * n3 // 8, n2)
+    gap = 1e-12 * (1.0 + scale)
     count = 0
     lam3_feasible = np.zeros(n3, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(n1):
-            lam1 = l1[i:i + 1, None]
-            start = max(int(np.searchsorted(l2, l1[i], side="right")) - 1, 0)
-            lam2 = l2[start:, None]
+        for lam1, lam2, lam3, m in _band_cells(l1, l2, l3, c, reach, cap):
             quad = catalog_quadratic(lam1, lam2, lam3, c)
-            rows, cols = np.nonzero(
-                (lam1 < ordered[start:, None]) & (np.abs(quad) <= quad_tol)
-            )
+            keep = np.flatnonzero((lam1 < lam2 - gap) & (np.abs(quad) <= quad_tol))
             b1sq, b2sq = hopf_projection_squares(
-                lam1[0], lam2[rows, 0], l3[cols], c
+                lam1[keep], lam2[keep], lam3[keep], c
             )
             feasible = (
                 (b1sq > 0.0)
@@ -797,7 +857,7 @@ def nonexistence_scan(
                 & (np.abs(b1sq + b2sq - 1.0) <= sum_band)
             )
             count += int(np.count_nonzero(feasible))
-            lam3_feasible[cols[feasible]] = True
+            lam3_feasible[m[keep[feasible]]] = True
     total = int(n1) * int(n2) * int(n3)
 
     if c > 0:

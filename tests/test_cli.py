@@ -175,11 +175,24 @@ def test_classify_rejects_malformed_dimension(n_text, tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("c_value", [True, "-4"])
+def test_classify_rejects_a_non_number_curvature(c_value, tmp_path, capsys):
+    """c must be a JSON number: a bool is not read as 1.0, nor a string
+    as -4."""
+    data = catalog_germ(ModelParams(n=3, c=-4.0), 2, r=0.7).to_json_dict()
+    data["c"] = c_value
+    code, captured = _classify_record(data, tmp_path, capsys)
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        f"error: malformed germ input: germ c must be a JSON number, got {c_value!r}\n"
+    )
+
+
 @pytest.mark.parametrize("command, code", [
     # a small-r k = 2 germ whose lambda_1/lambda_3 gap sat near the
     # spectrum-wide grouping tolerance
     (["classify"], 0),
-    (["residuals", "--n", "3", "--c", "-4", "--k", "2", "--r", "5.0"], 2),
+    (["residuals", "--n", "3", "--c", "-4", "--k", "2", "--r", "5.0"], 1),
     (["sweep", "--n", "2", "--c", "-100", "--k", "1", "--r-min", "0.001",
       "--r-max", "2.0", "--count", "8"], 0),
 ])
@@ -296,14 +309,27 @@ def test_residuals_suite(capsys):
     ("6.0", "h = 1 projected eigenspaces, not 2", "0.999988, 2"),
 ])
 def test_residuals_without_frame_fields_exit_2(r, lack, groups, capsys):
+    """A valid large radius whose frame suites cannot run is indeterminate
+    (exit 1), not malformed input: the suites that ran are printed, then
+    one INDETERMINATE line per frame suite and the reason."""
     code = main(["residuals", "--n", "3", "--c", "-4", "--k", "2", "--r", r])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.splitlines()[-1] == (
-        "error: the frame suites cannot run: at grouping tolerance 0.0001 "
-        f"the center germ has {lack} (2 eigenvalue groups: {groups})"
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert [line.split()[0] for line in lines[:3]] == [
+        "gauss", "codazzi", "real_eigenspace",
+    ]
+    assert all(line.split()[-1] in ("PASS", "FAIL") for line in lines[:3])
+    assert lines[3:-1] == [
+        f"{name:20s} -          INDETERMINATE"
+        for name in ("graded_connection", "graded_curvature",
+                     "unit_pair_gauss", "frame_connection")
+    ]
+    assert lines[-1] == (
+        "indeterminate: the frame suites cannot run: at grouping tolerance "
+        f"0.0001 the center germ has {lack} (2 eigenvalue groups: {groups})"
     )
-    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("extra", [

@@ -498,6 +498,68 @@ def test_scan_computes_b_squares_only_where_the_quadratic_holds(c, monkeypatch):
     assert sum(seen) <= 0.15 * math.prod(grid)
 
 
+@pytest.mark.parametrize("c", [3.1, -3.1, -100.0])
+@pytest.mark.parametrize("sum_band", [1e-6, 10.0])
+# the slope 8 lambda_3 - 4 lambda_1 of the quadratic in lambda_2 is zero
+# on grid points in each grid: an odd n1 gives lambda_1 = 0 = 2 l3[0],
+# and the corner gives lambda_1 = 1.5 sqrt|c| = 2 l3[-1]
+@pytest.mark.parametrize("grid", [(61, 40, 40), (33, 33, 17), (60, 60, 60)])
+def test_band_scan_matches_whole_grid_across_sum_bands(c, sum_band, grid):
+    rep = nonexistence_scan(c, grid_shape=grid, sum_band=sum_band)
+    count, curve = _whole_grid_scan(c, grid, rep.quad_tol, sum_band=sum_band)
+    assert rep.feasible_count == count
+    if c < 0:
+        assert np.array_equal(rep.curve_points, curve)
+
+
+@pytest.mark.parametrize("c", [3.1, -3.1, -100.0])
+@pytest.mark.parametrize("grid", [(61, 40, 40), (33, 33, 17), (60, 60, 60)])
+def test_band_scan_passes_every_quadratic_cell_to_the_b_squares(c, grid, monkeypatch):
+    """The lambda_2 bands lose no cell: b^2 is computed on exactly the
+    ordered cells of the whole grid with |quadratic| <= quad_tol."""
+    seen = []
+    original = spectral.hopf_projection_squares
+
+    def recording(lam1, lam2, lam3, c):
+        if np.ndim(lam2):  # the scan's cells, not the refinement's scalars
+            seen.append(np.stack(np.broadcast_arrays(lam1, lam2, lam3), axis=-1))
+        return original(lam1, lam2, lam3, c)
+
+    monkeypatch.setattr(spectral, "hopf_projection_squares", recording)
+    rep = nonexistence_scan(c, grid_shape=grid)
+    scale = math.sqrt(abs(c))
+    n1, n2, n3 = grid
+    l1, l2, l3 = np.meshgrid(
+        np.linspace(-1.5 * scale, 1.5 * scale, n1),
+        np.linspace(-1.5 * scale, 1.5 * scale, n2),
+        np.linspace(0.0, 0.75 * scale, n3),
+        indexing="ij",
+    )
+    passing = (l1 < l2 - 1e-12 * (1.0 + scale)) & (
+        np.abs(catalog_quadratic(l1, l2, l3, c)) <= rep.quad_tol
+    )
+    want = np.stack([l1[passing], l2[passing], l3[passing]], axis=-1)
+    got = np.concatenate(seen)
+    assert np.array_equal(got[np.lexsort(got.T)], want[np.lexsort(want.T)])
+
+
+@pytest.mark.parametrize("c", [3.1, -3.1])
+def test_scan_evaluates_the_quadratic_only_inside_its_band(c, monkeypatch):
+    seen = []
+    original = spectral.catalog_quadratic
+
+    def counting(lam1, lam2, lam3, c):
+        quad = original(lam1, lam2, lam3, c)
+        seen.append(np.size(quad))
+        return quad
+
+    monkeypatch.setattr(spectral, "catalog_quadratic", counting)
+    grid = (165, 165, 165)
+    rep = nonexistence_scan(c, grid_shape=grid)
+    assert (rep.feasible_count > 0) == (c < 0)
+    assert sum(seen) <= 0.10 * math.prod(grid)
+
+
 @pytest.mark.parametrize("bound", [0.0, -1.0, math.nan, math.inf])
 def test_scan_rejects_bad_lambda_bound(bound):
     with pytest.raises(ValueError, match="lambda_bound"):
