@@ -116,6 +116,9 @@ def _sweep_row(r, params, spec) -> str:
 
 def _cmd_sweep(args) -> int:
     params = ModelParams(n=args.n, c=args.c)
+    for option, value in (("--r-min", args.r_min), ("--r-max", args.r_max)):
+        if not math.isfinite(value):
+            raise ValueError(f"{option} must be a finite radius, got {value!r}")
     spec = build_submanifold(params, args.k, math.pi / 2.0)
     if args.r_min <= 0 or args.r_max < args.r_min or args.count < 1:
         raise ValueError("need 0 < r-min <= r-max and count >= 1")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -146,6 +147,13 @@ class SubmanifoldSpec:
     @property
     def zvec(self) -> np.ndarray:
         return self.tangent_basis[1]
+
+    @cached_property
+    def second_fundamental_form(self) -> "SecondFundamentalForm":
+        """The orbit's ``orbit_second_fundamental_form``, computed on first
+        use and then kept with the spec, which is immutable: every tube
+        germ of one spec reads the same form."""
+        return orbit_second_fundamental_form(self)
 
     def to_json_dict(self) -> dict:
         return {

@@ -171,6 +171,38 @@ def _row_dot(a, b):
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
+class _BilinearTable:
+    """x, y -> sum_ij x_i y_j table[i, j, :] on the last axis, broadcast
+    over the leading ones, for a sparse (d, d, d) table.
+
+    For finite x and y the result is the three-operand
+    ``np.einsum("...i,...j,ijk->...k")`` bit for bit, at the cost of the
+    table's nonzero terms instead of d^3 per row.  That einsum adds the
+    terms (x_i y_j) table[i, j, k] to 0.0 one by one, in the row-major
+    order of (i, j), and a zero term changes no such sum.  Here the
+    nonzero terms of each output k stand in that order in row k of a
+    (d, width) plan, padded with zero terms, and a running sum along the
+    rows adds them in turn; the final + 0.0 turns the -0.0 that a run
+    of -0.0 terms leaves into einsum's 0.0.
+    """
+
+    def __init__(self, table: np.ndarray):
+        k, i, j = np.nonzero(table.transpose(2, 0, 1))  # by k, then (i, j)
+        slot = np.arange(k.size) - np.searchsorted(k, k)
+        shape = (table.shape[2], int(slot.max()) + 1)
+        self.i, self.j = np.zeros(shape, dtype=int), np.zeros(shape, dtype=int)
+        self.values = np.zeros(shape)
+        self.i[k, slot], self.j[k, slot], self.values[k, slot] = i, j, table[i, j, k]
+
+    def __call__(self, x, y) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        terms = (x[..., self.i] * y[..., self.j]) * self.values
+        # a C-ordered result, as einsum gives: later row-wise products
+        # (matmul) may round differently on other layouts
+        return np.add(np.cumsum(terms, axis=-1)[..., -1], 0.0, order="C")
+
+
 def ambient_curvature(x, y, z, c: float) -> np.ndarray:
     """Closed-form curvature R(x,y)z of a complex space form, any c != 0.
 
@@ -261,10 +293,18 @@ class SolvableModel:
         )
         return cs
 
+    @functools.cached_property
+    def _bracket(self) -> _BilinearTable:
+        return _BilinearTable(self.structure)
+
+    @functools.cached_property
+    def _nabla(self) -> _BilinearTable:
+        return _BilinearTable(self.koszul)
+
     def bracket(self, x, y) -> np.ndarray:
         """Lie bracket of left-invariant fields, frame components (single
         vectors or row stacks)."""
-        return np.einsum("...i,...j,ijk->...k", x, y, self.structure)
+        return self._bracket(x, y)
 
     def inner(self, x, y) -> float:
         """Left-invariant metric on frame components (Euclidean dot)."""
@@ -273,7 +313,7 @@ class SolvableModel:
     def koszul_connection(self, x, y) -> np.ndarray:
         """nabla_x y for left-invariant fields, frame components (single
         vectors or row stacks)."""
-        return np.einsum("...i,...j,ijk->...k", x, y, self.koszul)
+        return self._nabla(x, y)
 
     # -- curvature -------------------------------------------------------
 

@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,8 +56,9 @@ class NoRealSolution(ValueError):
 
 
 def catalog_quadratic(lam1, lam2, lam3, c):
-    """Residual of c - 4 l1 l2 + 8 (l1 + l2) l3 - 12 l3^2 = 0."""
-    return c - 4.0 * np.asarray(lam1) * lam2 + 8.0 * (np.asarray(lam1) + lam2) * lam3 - 12.0 * np.asarray(lam3) ** 2
+    """Residual of c - 4 l1 l2 + 8 (l1 + l2) l3 - 12 l3^2 = 0, on floats
+    or numpy arrays (a float for float arguments)."""
+    return c - 4.0 * lam1 * lam2 + 8.0 * (lam1 + lam2) * lam3 - 12.0 * (lam3 * lam3)
 
 
 def hopf_projection_squares(lam1, lam2, lam3, c):
@@ -207,7 +207,7 @@ def _catalog_entry(lambda3, gap, c, branch_hint, n, k) -> EigenStructure:
     if abs(es.b1sq + es.b2sq - 1.0) > CATALOG_SUM_TOLERANCE:
         raise AssertionError("catalog normalization b1^2 + b2^2 = 1 failed")
     quad = catalog_quadratic(es.lambda1, es.lambda2, es.lambda3, es.c)
-    if abs(float(quad)) > CATALOG_QUADRATIC_TOLERANCE * (1.0 + abs(es.c)):
+    if abs(quad) > CATALOG_QUADRATIC_TOLERANCE * (1.0 + abs(es.c)):
         raise AssertionError("catalog quadratic relation failed")
     return es
 
@@ -218,7 +218,7 @@ def constraint_residuals(es: EigenStructure) -> dict:
         es.lambda1, es.lambda2, es.lambda3, es.c
     )
     out = {
-        "quadratic": abs(float(catalog_quadratic(es.lambda1, es.lambda2, es.lambda3, es.c))),
+        "quadratic": abs(catalog_quadratic(es.lambda1, es.lambda2, es.lambda3, es.c)),
         "b1_formula": abs(es.b1sq - float(b1_alt)),
         "b2_formula": abs(es.b2sq - float(b2_alt)),
         "b_sum": abs(es.b1sq + es.b2sq - 1.0),
@@ -236,7 +236,26 @@ def constraint_residuals(es: EigenStructure) -> dict:
 def _allclose(a, b, atol: float) -> bool:
     """np.allclose(a, b, atol=atol) on finite input (its default rtol is
     1e-5), without its per-call overhead."""
-    return bool(np.all(np.abs(a - b) <= atol + 1e-5 * np.abs(b)))
+    dev = a - b
+    np.abs(dev, out=dev)
+    bound = np.abs(b)
+    bound *= 1e-5
+    bound += atol
+    return bool((dev <= bound).all())
+
+
+def _orthonormal(frame: np.ndarray, atol: float) -> bool:
+    """``_allclose(frame @ frame.T, identity, atol)`` from one Gram
+    product: |G_ii - 1| <= atol + 1e-5 on the diagonal, |G_ij| <= atol
+    off it (the same bounds and the same arithmetic)."""
+    dev = frame @ frame.T
+    diagonal = dev.reshape(-1)[:: dev.shape[0] + 1]  # a view of the diagonal
+    diagonal -= 1.0
+    np.abs(dev, out=dev)
+    if not diagonal.max() <= atol + 1e-5:
+        return False
+    diagonal[:] = 0.0
+    return bool(dev.max() <= atol)
 
 
 @dataclass(frozen=True)
@@ -261,21 +280,31 @@ class HypersurfaceGerm:
         object.__setattr__(self, "shape", np.asarray(self.shape, dtype=float))
 
     def validate(self, tol: float = 1e-8):
+        """Check the shapes, finiteness, orthonormality of normal and
+        tangent basis, and symmetry of the shape matrix, to tol; returns
+        the germ.  The arrays are checked in the order normal,
+        tangent_basis, shape, each for its shape and then its entries."""
         d = self.params.dim
-        for name, arr, shape in (
+        arrays = (
             ("normal", self.normal, (d,)),
             ("tangent_basis", self.tangent_basis, (d - 1, d)),
             ("shape", self.shape, (d - 1, d - 1)),
-        ):
-            if arr.shape != shape:
-                raise ValueError(
-                    f"germ {name} has shape {arr.shape}, expected {shape} "
-                    f"for n={self.params.n}"
-                )
-            if not np.isfinite(arr).all():
-                raise ValueError(f"germ {name} has a non-finite entry")
-        frame = np.vstack([self.normal, self.tangent_basis])
-        if not _allclose(frame @ frame.T, np.eye(d), tol):
+        )
+        frame = None
+        if all(arr.shape == shape for _, arr, shape in arrays):
+            frame = np.concatenate((self.normal[None], self.tangent_basis))
+            if not (np.isfinite(frame).all() and np.isfinite(self.shape).all()):
+                frame = None
+        if frame is None:  # the first array at fault names the error
+            for name, arr, shape in arrays:
+                if arr.shape != shape:
+                    raise ValueError(
+                        f"germ {name} has shape {arr.shape}, expected {shape} "
+                        f"for n={self.params.n}"
+                    )
+                if not np.isfinite(arr).all():
+                    raise ValueError(f"germ {name} has a non-finite entry")
+        if not _orthonormal(frame, tol):
             raise ValueError("normal + tangent basis is not orthonormal")
         if not _allclose(self.shape, self.shape.T, tol):
             raise ValueError("shape operator matrix is not symmetric")
@@ -343,8 +372,10 @@ class PrincipalDecomposition:
 
     eigenvalues: distinct values ascending; spaces[i]: (mult_i, 2n)
     orthonormal ambient rows spanning the i-th eigenspace (frame
-    components, like the germ's tangent basis); jxi_components[i]: norm
-    of the structure vector's projection onto the i-th space.
+    components, like the germ's tangent basis); jxi_coefficients[i]:
+    (mult_i,) coefficients of the structure vector J xi on the rows of
+    spaces[i]; jxi_components[i]: their norm, the length of J xi's
+    projection onto the i-th space.
     """
 
     eigenvalues: np.ndarray
@@ -352,24 +383,20 @@ class PrincipalDecomposition:
     spaces: list
     jxi_components: np.ndarray
     gap_warning: bool
+    jxi_coefficients: list
+    # ascending indices of the spaces the structure vector projects onto
+    # (projection norm above PROJECTION_TOLERANCE), and of the others
+    hopf_indices: list = field(init=False)
+    non_hopf_indices: list = field(init=False)
+
+    def __post_init__(self):
+        carries = [b > PROJECTION_TOLERANCE for b in self.jxi_components.tolist()]
+        self.hopf_indices = [i for i, yes in enumerate(carries) if yes]
+        self.non_hopf_indices = [i for i, yes in enumerate(carries) if not yes]
 
     @property
     def g(self) -> int:
         return len(self.eigenvalues)
-
-    @cached_property
-    def hopf_indices(self) -> list:
-        """Ascending indices of the spaces the structure vector projects
-        onto (projection norm above PROJECTION_TOLERANCE)."""
-        return [
-            i for i, b in enumerate(self.jxi_components) if b > PROJECTION_TOLERANCE
-        ]
-
-    @property
-    def non_hopf_indices(self) -> list:
-        """Ascending indices of the spaces orthogonal to the structure vector."""
-        hopf = self.hopf_indices
-        return [i for i in range(self.g) if i not in hopf]
 
     @property
     def h(self) -> int:
@@ -385,6 +412,7 @@ class PrincipalDecomposition:
             spaces=self.spaces[::-1],
             jxi_components=self.jxi_components[::-1],
             gap_warning=self.gap_warning,
+            jxi_coefficients=[-coeffs for coeffs in reversed(self.jxi_coefficients)],
         )
 
 
@@ -392,42 +420,49 @@ def principal_decomposition(
     germ: HypersurfaceGerm,
     tol: float = GROUPING_TOLERANCE,
 ) -> PrincipalDecomposition:
-    """Eigen-decompose the shape operator and group nearby eigenvalues.
+    """Eigen-decompose the shape operator and group nearby eigenvalues,
+    in one pass.
 
+    One ``eigh`` gives the eigenvalues and the tangent-basis
+    coefficients of the eigenvectors; one product takes all eigenvectors
+    to ambient rows (the one place where that happens), and one more
+    gives the coefficients of J xi on them, which the Hopf frame reads.
     Adjacent eigenvalues share a group when their gap is at most
     tol * (1 + max(|lambda_i|, |lambda_{i+1}|)), a threshold taken from
     the two values it separates, so a large eigenvalue elsewhere in the
     spectrum does not merge the small ones.  ``gap_warning`` is set when
     some gap lies within a factor of two of its threshold (the grouping
-    is then ambiguous).  This is the one place where eigenvectors are
-    taken from tangent-basis coefficients to ambient rows."""
+    is then ambiguous).  The grouping runs over the eigenvalues as
+    Python floats; a group's value is numpy's sum of its eigenvalues
+    over their count, as ``np.mean`` rounds it."""
     check_positive("tol", tol)
-    sym = 0.5 * (germ.shape + germ.shape.T)
-    evals, evecs = np.linalg.eigh(sym)
-    gaps = np.diff(evals)
-    size = np.abs(evals)
-    threshold = tol * (1.0 + np.maximum(size[:-1], size[1:]))
-    warn = bool(np.any((gaps > 0.5 * threshold) & (gaps < 2.0 * threshold)))
-    # group boundaries: 0, every gap above its threshold, and the end
-    cuts = [0, *(np.flatnonzero(gaps > threshold) + 1).tolist(), len(evals)]
-    groups = zip(cuts[:-1], cuts[1:])
-
+    shape = germ.shape
+    evals, evecs = np.linalg.eigh(0.5 * (shape + shape.T))
     ambient = evecs.T @ germ.tangent_basis  # rows: ambient eigenvectors
-    jxi = ambient @ germ.structure_vector()
-    values, mults, spaces, projections = [], [], [], []
-    for lo, hi in groups:
-        # the sum over the count and sqrt(v . v) are np.mean's and
-        # np.linalg.norm's own formulas, without their per-call overhead
-        values.append(float(evals[lo:hi].sum() / (hi - lo)))
-        mults.append(hi - lo)
-        spaces.append(ambient[lo:hi])
-        projections.append(math.sqrt(jxi[lo:hi].dot(jxi[lo:hi])))
+    coeffs = ambient @ germ.structure_vector()
+    values = evals.tolist()
+    # group boundaries: 0, every gap above its threshold, and the end
+    cuts, warn = [0], False
+    for i in range(1, len(values)):
+        lo, hi = values[i - 1], values[i]
+        gap = hi - lo
+        threshold = tol * (1.0 + max(abs(lo), abs(hi)))
+        if gap > threshold:
+            cuts.append(i)
+        warn = warn or 0.5 * threshold < gap < 2.0 * threshold
+    groups = list(zip(cuts, cuts[1:] + [len(values)]))
     return PrincipalDecomposition(
-        eigenvalues=np.asarray(values),
-        multiplicities=tuple(mults),
-        spaces=spaces,
-        jxi_components=np.asarray(projections),
+        # a group's sum over its count is np.mean's own formula, without
+        # its per-call overhead; a single value is its own mean
+        eigenvalues=np.array([
+            values[lo] if hi - lo == 1 else float(evals[lo:hi].sum() / (hi - lo))
+            for lo, hi in groups
+        ]),
+        multiplicities=tuple(hi - lo for lo, hi in groups),
+        spaces=[ambient[lo:hi] for lo, hi in groups],
+        jxi_components=np.sqrt(np.add.reduceat(coeffs * coeffs, cuts)),
         gap_warning=warn,
+        jxi_coefficients=[coeffs[lo:hi] for lo, hi in groups],
     )
 
 
@@ -450,23 +485,25 @@ def hopf_frame_extract(
 ) -> HopfFrame:
     """Extract the two-projection frame of the germ's decomposition;
     requires h = 2.  b_i are the decomposition's projection norms and
-    U_i = P_i(J xi) / b_i."""
+    U_i = P_i(J xi) / b_i, built from the coefficients of J xi that the
+    decomposition stores on the rows of each space (J xi is not
+    projected again)."""
     if decomp.h != 2:
         raise ValueError(f"Hopf frame needs h = 2, got h = {decomp.h}")
     i1, i2 = decomp.hopf_indices  # ascending eigenvalues: lambda1 < lambda2
-    jxi = germ.structure_vector()
-    b1, b2 = float(decomp.jxi_components[i1]), float(decomp.jxi_components[i2])
-    u1 = decomp.spaces[i1].T @ (decomp.spaces[i1] @ jxi) / b1
-    u2 = decomp.spaces[i2].T @ (decomp.spaces[i2] @ jxi) / b2
-    a_vec = -(j_action(u1) + b1 * germ.normal) / b2
+    b = decomp.jxi_components.tolist()
+    values = decomp.eigenvalues.tolist()
+    u1 = decomp.jxi_coefficients[i1] @ decomp.spaces[i1] / b[i1]
+    u2 = decomp.jxi_coefficients[i2] @ decomp.spaces[i2] / b[i2]
+    a_vec = -(j_action(u1) + b[i1] * germ.normal) / b[i2]
     return HopfFrame(
         u1=u1,
         u2=u2,
         a_vec=a_vec,
-        b1=b1,
-        b2=b2,
-        lambda1=float(decomp.eigenvalues[i1]),
-        lambda2=float(decomp.eigenvalues[i2]),
+        b1=b[i1],
+        b2=b[i2],
+        lambda1=values[i1],
+        lambda2=values[i2],
     )
 
 
@@ -477,33 +514,37 @@ def frame_identity_residuals(
 ) -> dict:
     """Residuals of the structural frame identities:
     J xi = b1 U1 + b2 U2, <J U1, U2> = 0, J U2 = b1 A - b2 xi,
-    J A = b2 U1 - b1 U2, A in the lambda_3 eigenspace."""
-    xi = germ.normal
-    res = {
-        "jxi_decomposition": float(
-            np.linalg.norm(j_action(xi) - frame.b1 * frame.u1 - frame.b2 * frame.u2)
-        ),
-        "ju1_orthogonality": abs(float(j_action(frame.u1) @ frame.u2)),
-        "ju2_identity": float(
-            np.linalg.norm(
-                j_action(frame.u2) - (frame.b1 * frame.a_vec - frame.b2 * xi)
-            )
-        ),
-        "ja_identity": float(
-            np.linalg.norm(
-                j_action(frame.a_vec) - (frame.b2 * frame.u1 - frame.b1 * frame.u2)
-            )
-        ),
-        "b_sum": abs(frame.b1**2 + frame.b2**2 - 1.0),
-    }
+    J A = b2 U1 - b1 U2, A in the lambda_3 eigenspace.
+
+    J is applied once, to the stacked (xi, U1, U2, A), and the vector
+    defects are normed in one row-wise reduction."""
+    xi, u1, u2, a_vec = germ.normal, frame.u1, frame.u2, frame.a_vec
+    b1, b2 = frame.b1, frame.b2
+    rows = np.array((xi, u1, u2, a_vec))
+    j_rows = j_action(rows)
+    # rows 0, 2, 3: J xi - (b1 U1 + b2 U2), J U2 - (b1 A - b2 xi) and
+    # J A - (b2 U1 - b1 U2); row 1 is J U1, which is tested on its own
+    mix = np.array(
+        ((0.0, b1, b2, 0.0), (0.0, 0.0, 0.0, 0.0), (-b2, 0.0, 0.0, b1), (0.0, b2, -b1, 0.0))
+    )
+    defects = j_rows - mix @ rows
     # distance from A to each non-Hopf eigenspace; the catalog puts A in
-    # the lambda_3 space (the smallest non-Hopf eigenvalue)
+    # the lambda_3 space (the smallest non-Hopf eigenvalue); it takes
+    # row 1, so one reduction norms every defect
     non_hopf = decomp.non_hopf_indices
     if non_hopf:
         space = decomp.spaces[non_hopf[0]]
-        res["a_in_lambda3_space"] = float(
-            np.linalg.norm(frame.a_vec - space.T @ (space @ frame.a_vec))
-        )
+        defects[1] = a_vec - (space @ a_vec) @ space
+    norms = np.sqrt((defects * defects).sum(axis=1)).tolist()
+    res = {
+        "jxi_decomposition": norms[0],
+        "ju1_orthogonality": abs(float(j_rows[1] @ u2)),
+        "ju2_identity": norms[2],
+        "ja_identity": norms[3],
+        "b_sum": abs(b1**2 + b2**2 - 1.0),
+    }
+    if non_hopf:
+        res["a_in_lambda3_space"] = norms[1]
     return res
 
 
@@ -511,12 +552,19 @@ def totally_real_check(
     germ: HypersurfaceGerm, decomp: PrincipalDecomposition
 ) -> dict:
     """max |<J v, w>| over pairs inside each eigenspace that carries a
-    structure-vector projection (those spaces must be totally real)."""
-    out = {}
-    for i in decomp.hopf_indices:
-        space = decomp.spaces[i]
-        cross = j_action(space) @ space.T
-        out[float(decomp.eigenvalues[i])] = float(np.max(np.abs(cross)))
+    structure-vector projection (those spaces must be totally real); J
+    is applied once, to the stacked rows of those spaces."""
+    hopf = decomp.hopf_indices
+    if not hopf:
+        return {}
+    rows = np.concatenate([decomp.spaces[i] for i in hopf])
+    cross = np.abs(j_action(rows) @ rows.T)  # the spaces' blocks on its diagonal
+    values = decomp.eigenvalues.tolist()
+    out, start = {}, 0
+    for i in hopf:
+        stop = start + decomp.multiplicities[i]
+        out[values[i]] = float(cross[start:stop, start:stop].max())
+        start = stop
     return out
 
 
@@ -610,7 +658,8 @@ def classify(
     # the measured groups in catalog order: the Hopf spaces lambda_1 <
     # lambda_2, then lambda_3 < lambda_4; k is read off lambda_3's block
     order = decomp.hopf_indices + decomp.non_hopf_indices
-    lam = [float(decomp.eigenvalues[i]) for i in order]
+    values = decomp.eigenvalues.tolist()
+    lam = [values[i] for i in order]
     mults = tuple(decomp.multiplicities[i] for i in order)
     k = 2 * n - 2 - mults[2]
     special = g == 3 and k >= 2  # lambda_4 = lambda_2: the radius r*
@@ -637,9 +686,7 @@ def classify(
             "lambda3_catalog": abs(lam[2] - es.lambda3),
             "b1_catalog": abs(frame.b1**2 - es.b1sq),
             "b2_catalog": abs(frame.b2**2 - es.b2sq),
-            "quadratic": abs(
-                float(catalog_quadratic(frame.lambda1, frame.lambda2, lam[2], c))
-            ),
+            "quadratic": abs(catalog_quadratic(frame.lambda1, frame.lambda2, lam[2], c)),
         }
     )
     if es.g == 4:

@@ -414,6 +414,21 @@ def test_residuals_rejects_bad_radius(capsys):
         assert "tube charts need 0 < r <= 10.0" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("option", ["--r-min", "--r-max"])
+def test_sweep_rejects_bad_radius(option, value, capsys):
+    radii = {"--r-min": "0.5", "--r-max": "1.0", option: value}
+    # "--r-min=-inf": argparse reads a separate "-inf" as an option
+    argv = ["sweep", "--n", "3", "--c", "-4", "--k", "2", "--count", "3"]
+    argv += [f"{name}={radius}" for name, radius in radii.items()]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2 and not caught
+    assert f"{option} must be a finite radius" in err and "Traceback" not in err
+
+
 BAD_POSITIVE_VALUES = ("nan", "inf", "0", "-1")
 
 

@@ -407,3 +407,41 @@ def test_transport_of_velocity_is_velocity():
     v /= np.linalg.norm(v)
     _, vel, moved = m.integrate_transport(p, v, v[None, :], 0.9, step=1e-3)
     assert np.max(np.abs(moved[0] - vel)) < 1e-10
+
+
+@seed(16)
+@settings(deadline=None, max_examples=120)
+@given(
+    n=st.integers(2, 8),
+    c=st.floats(0.01, 100.0),
+    layout=st.sampled_from(["vector", "rows", "pairs", "stacked-pairs", "one-to-many"]),
+    scale=st.integers(-6, 6),
+    zeros=st.booleans(),
+    data=st.data(),
+)
+def test_bilinear_tables_match_the_einsum_bit_for_bit(n, c, layout, scale, zeros, data):
+    """``bracket`` and ``koszul_connection`` add only the table's nonzero
+    terms, and in the order of the three-operand einsum they replace: on
+    finite input every bit of the result and its shape are the einsum's,
+    for the broadcast layouts the package uses."""
+    m = model(n=n, c=-c)
+    d = 2 * n
+    shapes = {
+        "vector": ((d,), (d,)),
+        "rows": ((9, d), (9, d)),
+        "pairs": ((5, 1, d), (1, 5, d)),
+        "stacked-pairs": ((3, 4, 1, d), (3, 1, 4, d)),
+        "one-to-many": ((6, 4, d), (6, 1, d)),
+    }[layout]
+    seed_ = data.draw(st.integers(0, 2**31))
+    rng = np.random.default_rng(seed_)
+    x = rng.standard_normal(shapes[0]) * 10.0**scale
+    y = rng.standard_normal(shapes[1])
+    if zeros:  # exact zeros and negative zeros among the products
+        x[..., ::2] = -0.0
+        y = -np.abs(y)
+    for table, contract in ((m.structure, m.bracket), (m.koszul, m.koszul_connection)):
+        want = np.einsum("...i,...j,ijk->...k", x, y, table)
+        got = contract(x, y)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

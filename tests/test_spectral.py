@@ -594,6 +594,90 @@ def test_allclose_helper_matches_numpy(b, atol, data):
         assert spectral._allclose(a, b, atol) == np.allclose(a, b, atol=atol)
 
 
+@settings(max_examples=200, deadline=None)
+@seed(20261019)
+@given(
+    d=st.integers(2, 12),
+    atol=st.floats(0.0, 1e-3, allow_nan=False),
+    data=st.data(),
+)
+def test_orthonormal_helper_matches_allclose_to_identity(d, atol, data):
+    """``_orthonormal`` gives the verdict of ``_allclose(G, I, atol)`` on
+    the Gram matrix G, with Gram entries placed on, just inside and just
+    outside each bound."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    frame, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    for _ in range(4):
+        row, col = rng.integers(0, d, size=2)
+        bound = atol + (1e-5 if row == col else 0.0)
+        kind = data.draw(st.sampled_from(["at", "in", "out", "far"]))
+        target = {
+            "at": bound,
+            "in": np.nextafter(bound, 0.0),
+            "out": np.nextafter(bound, 1.0),
+            "far": 10.0 * bound + 1e-9,
+        }[kind]
+        # scale one row so that one Gram deviation lands on the target
+        trial = frame.copy()
+        if row == col:
+            trial[row] *= math.sqrt(1.0 + target)
+        else:
+            trial[row] = trial[row] + target * trial[col]
+        gram = trial @ trial.T
+        want = spectral._allclose(gram, np.eye(d), atol)
+        assert spectral._orthonormal(trial, atol) == want
+
+
+@st.composite
+def _catalog_cases(draw):
+    n = draw(st.integers(2, 6))
+    k = draw(st.integers(1, n - 1))
+    c = -(10.0 ** draw(st.floats(-1.0, 2.0)))
+    s = math.sqrt(-c) / 2.0
+    # below s*r ~ 1e-3 a rotated germ fails lambda4_catalog: its shape
+    # has norm ~ 1/r, and lambda_4 = -c/(4 lambda_3) magnifies eigh's
+    # absolute error in lambda_3 past the tolerance
+    r = draw(st.floats(1e-2, 5.0)) / s
+    return n, k, c, r, draw(st.booleans())
+
+
+@seed(20261020)
+@settings(deadline=None, max_examples=150)
+@given(case=_catalog_cases(), data=st.data())
+@example(case=(4, 2, -4.0, special_radius(-4.0), False), data=None)
+@example(case=(5, 3, -1.0, special_radius(-1.0), True), data=None)
+def test_classify_does_not_depend_on_the_tangent_frame(case, data):
+    """Replacing the tangent basis T by Q T and the shape S by Q S Q^T,
+    for a random orthogonal Q, describes the same hypersurface: classify
+    gives the same labels, r to 1e-9 and frame residuals below 1e-9.
+    Degenerate eigenspaces make the eigenvectors that eigh returns
+    arbitrary, so this checks that the Hopf frame and its identities
+    depend only on the eigenspaces."""
+    n, k, c, r, flip = case
+    germ = catalog_germ(ModelParams(n=n, c=c), k, r=r)
+    germ = germ.flipped() if flip else germ
+    seed_ = data.draw(st.integers(0, 2**31)) if data is not None else 7
+    q, _ = np.linalg.qr(np.random.default_rng(seed_).standard_normal((2 * n - 1,) * 2))
+    rotated = HypersurfaceGerm(
+        params=germ.params,
+        normal=germ.normal,
+        tangent_basis=q @ germ.tangent_basis,
+        shape=q @ germ.shape @ q.T,
+    ).validate()
+    want, got = classify(germ), classify(rotated)
+    labels = ("model", "g", "h", "k", "branch", "reason")
+    assert [getattr(got, a) for a in labels] == [getattr(want, a) for a in labels]
+    if want.r is not None:
+        assert abs(got.r - want.r) <= 1e-9
+    frame_keys = (
+        "jxi_decomposition", "ju1_orthogonality", "ju2_identity",
+        "ja_identity", "b_sum", "a_in_lambda3_space", "totally_real",
+    )
+    for key in frame_keys:
+        if key in got.residuals:
+            assert got.residuals[key] < 1e-9, key
+
+
 def test_slab_scan_memory_does_not_grow_with_lambda1_samples():
     def peak(grid):
         tracemalloc.start()
