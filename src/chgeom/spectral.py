@@ -235,13 +235,9 @@ def constraint_residuals(es: EigenStructure) -> dict:
 
 def _allclose(a, b, atol: float) -> bool:
     """np.allclose(a, b, atol=atol) on finite input (its default rtol is
-    1e-5), without its per-call overhead."""
-    dev = a - b
-    np.abs(dev, out=dev)
-    bound = np.abs(b)
-    bound *= 1e-5
-    bound += atol
-    return bool((dev <= bound).all())
+    1e-5), without its per-call overhead (the ``.all()`` method also
+    skips ``np.all``'s dispatch, about a fifth of the call)."""
+    return bool((np.abs(a - b) <= atol + 1e-5 * np.abs(b)).all())
 
 
 def _orthonormal(frame: np.ndarray, atol: float) -> bool:
@@ -285,25 +281,19 @@ class HypersurfaceGerm:
         the germ.  The arrays are checked in the order normal,
         tangent_basis, shape, each for its shape and then its entries."""
         d = self.params.dim
-        arrays = (
+        for name, arr, shape in (
             ("normal", self.normal, (d,)),
             ("tangent_basis", self.tangent_basis, (d - 1, d)),
             ("shape", self.shape, (d - 1, d - 1)),
-        )
-        frame = None
-        if all(arr.shape == shape for _, arr, shape in arrays):
-            frame = np.concatenate((self.normal[None], self.tangent_basis))
-            if not (np.isfinite(frame).all() and np.isfinite(self.shape).all()):
-                frame = None
-        if frame is None:  # the first array at fault names the error
-            for name, arr, shape in arrays:
-                if arr.shape != shape:
-                    raise ValueError(
-                        f"germ {name} has shape {arr.shape}, expected {shape} "
-                        f"for n={self.params.n}"
-                    )
-                if not np.isfinite(arr).all():
-                    raise ValueError(f"germ {name} has a non-finite entry")
+        ):
+            if arr.shape != shape:
+                raise ValueError(
+                    f"germ {name} has shape {arr.shape}, expected {shape} "
+                    f"for n={self.params.n}"
+                )
+            if not np.isfinite(arr).all():
+                raise ValueError(f"germ {name} has a non-finite entry")
+        frame = np.concatenate((self.normal[None], self.tangent_basis))
         if not _orthonormal(frame, tol):
             raise ValueError("normal + tangent basis is not orthonormal")
         if not _allclose(self.shape, self.shape.T, tol):
@@ -374,23 +364,27 @@ class PrincipalDecomposition:
     orthonormal ambient rows spanning the i-th eigenspace (frame
     components, like the germ's tangent basis); jxi_coefficients[i]:
     (mult_i,) coefficients of the structure vector J xi on the rows of
-    spaces[i]; jxi_components[i]: their norm, the length of J xi's
-    projection onto the i-th space.
+    spaces[i].  The rest is derived from these at construction:
+    jxi_components[i], the norm of jxi_coefficients[i] (the length of
+    J xi's projection onto the i-th space), and the Hopf indices.
     """
 
     eigenvalues: np.ndarray
     multiplicities: tuple
     spaces: list
-    jxi_components: np.ndarray
-    gap_warning: bool
     jxi_coefficients: list
+    gap_warning: bool
+    jxi_components: np.ndarray = field(init=False)
     # ascending indices of the spaces the structure vector projects onto
     # (projection norm above PROJECTION_TOLERANCE), and of the others
     hopf_indices: list = field(init=False)
     non_hopf_indices: list = field(init=False)
 
     def __post_init__(self):
-        carries = [b > PROJECTION_TOLERANCE for b in self.jxi_components.tolist()]
+        # sqrt(v . v) is np.linalg.norm's own formula
+        norms = [math.sqrt(v.dot(v)) for v in self.jxi_coefficients]
+        self.jxi_components = np.array(norms)
+        carries = [b > PROJECTION_TOLERANCE for b in norms]
         self.hopf_indices = [i for i, yes in enumerate(carries) if yes]
         self.non_hopf_indices = [i for i, yes in enumerate(carries) if not yes]
 
@@ -410,9 +404,8 @@ class PrincipalDecomposition:
             eigenvalues=-self.eigenvalues[::-1],
             multiplicities=self.multiplicities[::-1],
             spaces=self.spaces[::-1],
-            jxi_components=self.jxi_components[::-1],
-            gap_warning=self.gap_warning,
             jxi_coefficients=[-coeffs for coeffs in reversed(self.jxi_coefficients)],
+            gap_warning=self.gap_warning,
         )
 
 
@@ -460,9 +453,8 @@ def principal_decomposition(
         ]),
         multiplicities=tuple(hi - lo for lo, hi in groups),
         spaces=[ambient[lo:hi] for lo, hi in groups],
-        jxi_components=np.sqrt(np.add.reduceat(coeffs * coeffs, cuts)),
-        gap_warning=warn,
         jxi_coefficients=[coeffs[lo:hi] for lo, hi in groups],
+        gap_warning=warn,
     )
 
 

@@ -15,6 +15,14 @@ r* +- 1e-12 among them, and s*r > 5.4 at c = -4 and -100, where the
 classifier says "hopf" today); the horosphere germs; and tube germs at
 seeded random unit normals.
 
+The bit-for-bit assertions also pin the floating-point build the file
+was recorded with: numpy 2.4 on x86-64 with OpenBLAS 0.3.31
+(DYNAMIC_ARCH, Haswell kernels).  Another BLAS/LAPACK build or CPU
+kernel may round ``eigh`` and ``matmul`` differently in the last bits;
+a mismatch in r, an eigenvalue or a sweep digit with every label equal
+is then a platform difference to confirm before it is read as a
+regression.
+
 ``python tests/test_classify_golden.py`` rewrites the data file from
 the code it runs against: do that only on a commit whose outputs the
 file is meant to pin.
