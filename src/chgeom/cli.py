@@ -11,7 +11,8 @@ Subcommands:
   nonexistence    feasibility scan of the eigenvalue constraints
 
 Exit codes: 0 success, 1 verification failure or an indeterminate check
-(a valid input the check cannot decide), 2 usage or malformed input.
+(a valid input the check cannot decide), 2 usage or malformed input,
+including an ``--output`` path that cannot be written.
 """
 
 from __future__ import annotations
@@ -24,11 +25,7 @@ import sys
 import numpy as np
 
 from . import jacobi, numlab, spectral, tubes
-from .construction import (
-    build_submanifold,
-    orbit_second_fundamental_form,
-    rigidity_form_check,
-)
+from .construction import build_submanifold, rigidity_form_check
 from .model import (
     CURVATURE_TOLERANCE,
     DEFAULT_SAMPLES,
@@ -71,8 +68,7 @@ def _cmd_construct(args) -> int:
     params = ModelParams(n=args.n, c=args.c)
     phi = args.phi if args.phi is not None else math.pi / 2.0
     spec = build_submanifold(params, args.k, phi)
-    form = orbit_second_fundamental_form(spec)
-    report = rigidity_form_check(form, spec)
+    report = rigidity_form_check(spec.second_fundamental_form, spec)
     print(f"angle                    {phi!r}")
     print(f"submanifold dimension    {spec.tangent_basis.shape[0]}")
     print(f"normal dimension         {spec.normal_basis.shape[0]}")
@@ -304,7 +300,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # OSError: an --output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

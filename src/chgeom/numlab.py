@@ -17,13 +17,15 @@ all of which converge at second order in the differencing step.
 Tube chart values are closed-form normal geodesics
 (``SolvableModel.geodesic_closed``), evaluated on the whole offset
 lattice in one batched call.  A GermField keeps that lattice as one
-coordinate array in sorted offset order, with a table of each row's
-+-e_i neighbours, and computes every derived quantity as a stacked
-array in one numpy pass: tangents and normals on the L1 <= 2 ball,
-shape data and Christoffel symbols on the L1 <= 1 stencil, and one
-frame-field table (``FrameFields``: U_1, U_2, A, the aligned eigenspace
-complements and every nabla_{X_a} X_b at the center), which the four
-frame-identity suites read as vector expressions.
+coordinate array in sorted offset order and reads it through one fixed
+layout per domain dimension (``_layout``: the L1 <= 2 rows, their +-e_i
+neighbours and the stencil).  Every central difference goes through one
+rule, and every derived quantity is a stacked array built in one numpy
+pass: tangents and normals on the L1 <= 2 ball, shape data and
+Christoffel symbols on the L1 <= 1 stencil, and one frame-field table
+(``FrameFields``: U_1, U_2, A, the aligned eigenspace complements and
+every nabla_{X_a} X_b at the center), which the four frame-identity
+suites read as vector expressions.  The accessors return center values.
 """
 
 from __future__ import annotations
@@ -160,30 +162,33 @@ def _lattice(dim: int, radius: int = LATTICE_RADIUS) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _rank_table(dim: int, radius: int) -> np.ndarray:
-    """below[d, r, v + radius]: how many offsets of L1 norm <= r in
-    d + 1 dimensions have a first coordinate below v."""
-    size = np.array([
-        [sum(2**j * math.comb(d, j) * math.comb(r, j) for j in range(r + 1))
-         for r in range(radius + 1)]
-        for d in range(dim)
-    ])  # size[d, r]: offsets of L1 norm <= r in d dimensions
-    left = np.arange(radius + 1)[:, None] - np.abs(np.arange(-radius, radius + 1))
-    counts = np.where(left >= 0, size[:, np.maximum(left, 0)], 0)
-    below = np.cumsum(counts, axis=-1) - counts
-    below.setflags(write=False)
-    return below
+def _layout(dim: int) -> tuple:
+    """Index tables of the ``_lattice(dim)`` rows:
 
-
-def _lattice_rank(off: np.ndarray, radius: int = LATTICE_RADIUS) -> np.ndarray:
-    """Row in ``_lattice`` of each offset (last axis) of L1 norm <= radius:
-    summed over the axes, the lattice offsets that agree with it before
-    that axis and are smaller on it."""
-    dim = off.shape[-1]
-    mag = np.abs(off)
-    left = radius - (np.cumsum(mag, axis=-1) - mag)  # L1 budget at each axis
-    table = _rank_table(dim, radius)
-    return table[dim - 1 - np.arange(dim), left, off + radius].sum(axis=-1)
+      ball2        (B2,) lattice rows of the L1 <= 2 ball, in lattice order
+      nbr          (B2, dim, 2) lattice rows of ball2[p] + e_i and - e_i
+      stencil      (2 dim + 1,) ball positions of the center, +e_0, -e_0,
+                   +e_1, ...
+      stencil_nbr  (2 dim + 1, dim, 2) ball positions of stencil[s] +- e_i
+      center_nbr   (dim, 2) stencil positions of the center +- e_i
+    """
+    offsets = _lattice(dim)
+    row = {off: i for i, off in enumerate(map(tuple, offsets.tolist()))}
+    ball2 = np.flatnonzero(np.abs(offsets).sum(axis=1) <= 2)
+    unit = np.eye(dim, dtype=np.int64)
+    shifted = offsets[ball2][:, None, None] + np.stack([unit, -unit], axis=1)
+    nbr = np.array(
+        [row[tuple(off)] for off in shifted.reshape(-1, dim).tolist()]
+    ).reshape(shifted.shape[:-1])
+    ball_pos = np.full(len(offsets), -1)
+    ball_pos[ball2] = np.arange(len(ball2))
+    center = ball_pos[row[(0,) * dim]]
+    stencil = np.r_[center, ball_pos[nbr[center]].ravel()]
+    center_nbr = np.arange(1, 2 * dim + 1).reshape(dim, 2)
+    tables = (ball2, nbr, stencil, ball_pos[nbr[stencil]], center_nbr)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 @dataclass(frozen=True)
@@ -213,14 +218,13 @@ class GermField:
     """All finite-difference data of a chart around a center point.
 
     Evaluates the chart once on the L1 <= 3 offset lattice, kept as one
-    (M, 2n) coordinate array in sorted offset order with a table of the
-    +-e_i neighbours of every L1 <= 2 row.  Tangents and normals are
-    stacked over the L1 <= 2 ball; shape data, Christoffel symbols and
-    germs over the stencil (rows: center, +e_0, -e_0, +e_1, ...).  Each
-    stack, and (when the center germ has two projected eigenvalues) the
-    principal-curvature frame fields with their connection table, is
-    built in one batched pass on first use.  Accessors take any integer
-    offset sequence; the default is the center.
+    (M, 2n) coordinate array in sorted offset order and read through the
+    index tables of ``_layout``.  Tangents and normals are stacked over
+    the L1 <= 2 ball; shape data, Christoffel symbols and germs over the
+    stencil (rows: center, +e_0, -e_0, +e_1, ...).  Each stack, and (when
+    the center germ has two projected eigenvalues) the principal-curvature
+    frame fields with their connection table, is built in one batched
+    pass on first use.  The accessors return the center values.
     """
 
     def __init__(
@@ -238,100 +242,72 @@ class GermField:
             raise ValueError("center point has wrong dimension")
         self.h = float(fd_step)
         self.dom = chart.domain_dim
+        (
+            self._ball2, self._nbr, self._stencil, self._stencil_nbr,
+            self._center_nbr,
+        ) = _layout(self.dom)
+        self._center = self._stencil[0]  # ball position of the center
+        self._coords = chart.mapper(self.x0[None, :] + self.h * _lattice(self.dom))
 
-        offsets = _lattice(self.dom)
-        self._coords = chart.mapper(self.x0[None, :] + self.h * offsets)
-        l1 = np.abs(offsets).sum(axis=1)
-        self._ball2 = np.flatnonzero(l1 <= 2)
-        # _nbr[p, i] = lattice rows of L1 <= 2 row p shifted by +e_i, -e_i
-        unit = np.eye(self.dom, dtype=np.int64)
-        steps = np.stack([unit, -unit], axis=1)
-        self._nbr = _lattice_rank(offsets[self._ball2][:, None, None] + steps)
-        # _pos[b, row]: position of a lattice row in the L1 <= b stack
-        self._pos = np.full((LATTICE_RADIUS + 1, len(offsets)), -1)
-        self._pos[3] = np.arange(len(offsets))
-        self._pos[2, self._ball2] = np.arange(len(self._ball2))
-        center = self._pos[2, _lattice_rank(np.zeros(self.dom, dtype=np.int64))]
-        self._stencil = np.r_[center, self._pos[2, self._nbr[center]].ravel()]
-        self._pos[1, self._ball2[self._stencil]] = np.arange(len(self._stencil))
+    def _difference(self, values: np.ndarray, nbr: np.ndarray) -> np.ndarray:
+        """Central differences of a stack (its axis 0) at the rows whose
+        +e_i and -e_i neighbours are nbr[..., i, 0] and nbr[..., i, 1]."""
+        return (values[nbr[..., 0]] - values[nbr[..., 1]]) / (2.0 * self.h)
 
-    # -- offsets ---------------------------------------------------------
+    # -- center values ---------------------------------------------------
 
-    def _row(self, off, ball: int) -> int:
-        """Row of an integer offset (empty: the center) in the stack kept
-        on the L1 <= ball part of the lattice (3: the whole lattice)."""
-        arr = np.asarray(off)
-        if arr.size == 0:
-            arr = np.zeros(self.dom, dtype=np.int64)
-        if arr.shape != (self.dom,):
-            raise ValueError("offset has wrong dimension")
-        ints = arr.astype(np.int64)
-        if not np.array_equal(ints, arr):
-            raise ValueError(f"offset {arr.tolist()} is not an integer offset")
-        if int(np.abs(ints).sum()) > ball:
-            part = "" if ball == LATTICE_RADIUS else f"L1 <= {ball} ball of the "
-            raise ValueError(
-                f"offset {tuple(ints.tolist())} is outside the {part}"
-                f"L1 <= {LATTICE_RADIUS} offset lattice"
-            )
-        return int(self._pos[ball, _lattice_rank(ints)])
+    def coords(self) -> np.ndarray:
+        return self._coords[self._ball2[self._center]]
 
-    def _stencil_diff(self, values: np.ndarray) -> np.ndarray:
-        """Central differences (d/dx_i, i < dom) of a stack over the
-        stencil (its axis 0)."""
-        return (values[1::2] - values[2::2]) / (2.0 * self.h)
+    def tangents(self) -> np.ndarray:
+        """Frame components of the coordinate tangent vectors."""
+        return self._tangents[self._center]
 
-    # -- raw fields ------------------------------------------------------
+    def normal(self) -> np.ndarray:
+        """Unit normal: the SVD normal, times the one sign that makes
+        trace S >= 0 (see ``_normals``)."""
+        return self._normals[self._center]
 
-    def coords(self, off=()) -> np.ndarray:
-        return self._coords[self._row(off, 3)]
+    def germ(self) -> HypersurfaceGerm:
+        """Orthonormalized germ (QR of the tangents)."""
+        return self._germs[0]
 
-    def tangents(self, off=()) -> np.ndarray:
-        """Frame components of the coordinate tangent vectors at off."""
-        return self._tangents[self._row(off, 2)]
+    def christoffels(self) -> np.ndarray:
+        """Gamma[i, j, k]: nabla_{d_i} d_j = Gamma[i,j,k] d_k."""
+        return self._christoffels[0]
 
-    def normal(self, off=()) -> np.ndarray:
-        """Unit normal: the SVD normal at off, aligned with the one at the
-        center, times the one sign that makes trace S >= 0 at the center."""
-        return self._normals[self._row(off, 2)]
+    def decomposition(self):
+        """Principal decomposition of the germ."""
+        return self._decompositions[0]
 
-    def germ(self, off=()) -> HypersurfaceGerm:
-        """Orthonormalized germ at a stencil offset (QR of the tangents)."""
-        return self._germs[self._row(off, 1)]
-
-    def christoffels(self, off=()) -> np.ndarray:
-        """Gamma[i, j, k]: nabla_{d_i} d_j = Gamma[i,j,k] d_k at a stencil
-        offset."""
-        return self._christoffels[self._row(off, 1)]
-
-    def decomposition(self, off=()):
-        """Principal decomposition of the germ at a stencil offset."""
-        return self._decompositions[self._row(off, 1)]
+    # -- stacks ----------------------------------------------------------
 
     @cached_property
     def _tangents(self) -> np.ndarray:
         """(B2, dom, 2n) coordinate tangents on the L1 <= 2 ball."""
         c = self._coords
-        rows = (c[self._nbr[..., 0]] - c[self._nbr[..., 1]]) / (2.0 * self.h)
+        rows = self._difference(c, self._nbr)
         return self.model.coordinate_to_frame_velocity(
             c[self._ball2][:, None, :], rows
         )
 
     @cached_property
     def _normals(self) -> np.ndarray:
-        """(B2, 2n) unit normals on the L1 <= 2 ball (see ``normal``)."""
+        """(B2, 2n) unit normals on the L1 <= 2 ball: SVD normals aligned
+        with the center one, times the one sign that makes trace S >= 0 at
+        the center."""
         nrm = np.linalg.svd(self._tangents, full_matrices=True)[2][:, -1]
-        center = self._stencil[0]
+        center = self._center
         nrm = np.where((nrm @ nrm[center] < 0)[:, None], -nrm, nrm)
-        s_amb = self._s_ambient(nrm, self._stencil[:1])[0]
+        s_amb = self._s_ambient(nrm, stop=1)[0]
         ii = s_amb @ self._tangents[center].T
         return -nrm if np.trace(ii) < 0 else nrm
 
-    def _s_ambient(self, normals: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Rows S(d_i) = -(nabla-bar_{d_i} normal) at L1 <= 1 rows of the
-        L1 <= 2 stack, for normals given on that stack."""
-        nbr = self._pos[2, self._nbr[rows]]
-        dn = (normals[nbr[..., 0]] - normals[nbr[..., 1]]) / (2.0 * self.h)
+    def _s_ambient(self, normals: np.ndarray, stop=None) -> np.ndarray:
+        """Rows S(d_i) = -(nabla-bar_{d_i} normal) at the stencil rows
+        before ``stop`` (None: all), for normals on the L1 <= 2 ball."""
+        rows = self._stencil[:stop]
+        dn = self._difference(normals, self._stencil_nbr[:stop])
         t = self._tangents[rows]
         return -(dn + self.model.koszul_connection(t, normals[rows][:, None, :]))
 
@@ -342,7 +318,7 @@ class GermField:
         S (C[i, j]: S(d_i) = C[i,j] d_j)."""
         t = self._tangents[self._stencil]
         tt = np.swapaxes(t, 1, 2)
-        s_amb = self._s_ambient(self._normals, self._stencil)
+        s_amb = self._s_ambient(self._normals)
         ii = s_amb @ tt
         g = t @ tt
         ginv = np.linalg.inv(g)
@@ -387,15 +363,10 @@ class GermField:
 
     @cached_property
     def _christoffels(self) -> np.ndarray:
-        return self._christoffel_table()
-
-    def _christoffel_table(self) -> np.ndarray:
         """Gamma[s, i, j, k] at stencil row s, from the tangential part of
         the ambient derivative of the coordinate tangents."""
-        tan = self._tangents
-        t = tan[self._stencil]
-        nbr = self._pos[2, self._nbr[self._stencil]]
-        dt = (tan[nbr[..., 0]] - tan[nbr[..., 1]]) / (2.0 * self.h)
+        t = self._tangents[self._stencil]
+        dt = self._difference(self._tangents, self._stencil_nbr)
         nab = dt + self.model.koszul_connection(t[:, :, None], t[:, None, :])
         ginv = self._shape["inv_metric"][:, None, None]
         gam = (ginv @ (t[:, None, None] @ nab[..., None]))[..., 0]
@@ -417,7 +388,7 @@ class GermField:
         """R[i, j, k, m] = <R(d_i, d_j) d_k, d_m> at the center, from the
         Christoffel field of the induced metric."""
         gam0 = self._christoffels[0]
-        dgam = self._stencil_diff(self._christoffels)
+        dgam = self._difference(self._christoffels, self._center_nbr)
         # R(d_i,d_j)d_k = d_i(G_jk) - d_j(G_ik) + G_i(G_jk) - G_j(G_ik)
         rup = (
             dgam
@@ -523,11 +494,9 @@ class GermField:
         """nabla[a, b] = nabla_{X_a} X_b at the center for stencil fields
         (F, S, 2n): the tangential part of the ambient derivative."""
         x0 = fields[:, 0]
-        comp = self._coord_components(x0)
-        dval = np.zeros((len(fields),) + x0.shape)
-        for i in range(self.dom):
-            diff = fields[:, 1 + 2 * i] - fields[:, 2 + 2 * i]
-            dval += comp[:, i, None, None] * diff / (2.0 * self.h)
+        dval = self.scalar_derivative(
+            np.moveaxis(fields, 1, -1)[None], x0[:, None, None]
+        )
         nab = dval + self.model.koszul_connection(x0[:, None], x0[None, :])
         nrm = self.normal()
         return nab - _row_dot(nab, nrm)[..., None] * nrm
@@ -543,18 +512,10 @@ class GermField:
         """Directional derivative of scalar fields given on the stencil
         (last axis of values) along ambient tangent vectors at the center
         (last axis of direction), broadcast over leading axes."""
-        values = np.asarray(values, dtype=float)
-        comp = self._coord_components(direction)
-        total = 0.0
-        for i in range(self.dom):
-            diff = values[..., 1 + 2 * i] - values[..., 2 + 2 * i]
-            total = total + comp[..., i] * diff / (2.0 * self.h)
-        return total
-
-    def field_from_function(self, fn) -> np.ndarray:
-        """Evaluate fn(offset tuple) on the stencil rows."""
-        offsets = _lattice(self.dom)[self._ball2[self._stencil]]
-        return np.array([fn(tuple(off.tolist())) for off in offsets])
+        stack = np.moveaxis(np.asarray(values, dtype=float), -1, 0)
+        diff = self._difference(stack, self._center_nbr)  # (dom, ...)
+        comp = np.moveaxis(self._coord_components(direction), -1, 0)
+        return (comp * diff).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +540,7 @@ def gauss_codazzi_residuals(field: GermField, shape_scale: float = 1.0) -> dict:
 
     gam = field.christoffels()
     coeff = shape_scale * sd["coeff"]
-    dco = field._stencil_diff(coeff)
+    dco = field._difference(coeff, field._center_nbr)
     # (nabla_i S)(d_j) = d_i(C[j,:]) + C[j,m] G[i,m,:] - G[i,j,m] C[m,:]
     nab_s = (
         dco

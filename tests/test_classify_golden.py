@@ -17,11 +17,17 @@ seeded random unit normals.
 
 The bit-for-bit assertions also pin the floating-point build the file
 was recorded with: numpy 2.4 on x86-64 with OpenBLAS 0.3.31
-(DYNAMIC_ARCH, Haswell kernels).  Another BLAS/LAPACK build or CPU
-kernel may round ``eigh`` and ``matmul`` differently in the last bits;
-a mismatch in r, an eigenvalue or a sweep digit with every label equal
-is then a platform difference to confirm before it is read as a
-regression.
+(DYNAMIC_ARCH), whose runtime dispatch chose the SkylakeX (AVX-512)
+kernels.  On the same build forced to another core
+(``OPENBLAS_CORETYPE=Haswell`` or ``=Zen``, both of which run the
+Haswell kernels, as a CPU without AVX-512 does), ``eigh`` and
+``matmul`` round differently in the last bits:
+``test_classify_matches_golden`` and every
+``test_numlab_golden.py::test_residuals_match_golden_values`` case
+fail, while the sweep-bytes tests and the two coverage tests still
+pass.  A mismatch in r, an eigenvalue or a sweep digit with every label
+equal is then a platform difference to confirm (CI prints the core
+with ``OPENBLAS_VERBOSE=2``) before it is read as a regression.
 
 ``python tests/test_classify_golden.py`` rewrites the data file from
 the code it runs against: do that only on a commit whose outputs the

@@ -366,6 +366,27 @@ def test_nonexistence_negative_writes_curve(tmp_path, capsys):
     assert len(row) == 5 and all(math.isfinite(v) for v in row)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--n", "3", "--c", "-4", "--k", "2"],
+        ["sweep", "--n", "3", "--c", "-4", "--k", "2",
+         "--r-min", "0.2", "--r-max", "0.4", "--count", "2"],
+        ["nonexistence", "--c", "-4", "--grid", "40", "40", "40"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+    """An --output path that cannot be written is bad input: one error
+    line and exit 2, not a traceback."""
+    path = tmp_path / "missing" / "x.json"
+    assert main(argv + ["--output", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+    assert not path.exists()
+
+
 def test_no_command_exits_2():
     assert main([]) == 2
 

@@ -3,6 +3,7 @@ charts, Gauss/Codazzi residuals, the graded frame identities, and
 convergence under step halving."""
 
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from chgeom import (
     tube_spectrum_closed,
     unit_pair_gauss_residual,
 )
-from chgeom.numlab import GermField, _eigen_pairs, _lattice, _lattice_rank
+from chgeom.numlab import GermField, _eigen_pairs, _layout, _lattice
 
 EXACT_CHART_TOLERANCE = 1e-10
 SPECTRUM_TOLERANCE = 1e-5
@@ -169,13 +170,13 @@ def test_convergence_order_helper():
 
 def test_germ_field_caches_offsets(tube_field):
     center = tube_field.germ()
-    off = (1,) + (0,) * (tube_field.dom - 1)
-    neighbor = tube_field.germ(off)
+    neighbor = tube_field._normals[tube_field._stencil[1]]  # +e_0
     # neighbor normals stay aligned with the center orientation
-    assert float(neighbor.normal @ center.normal) > 0.9
+    assert float(neighbor @ center.normal) > 0.9
     # the cached lattice covers the L1 <= 3 ball needed by second derivatives
     far = (2, 1) + (0,) * (tube_field.dom - 2)
-    assert tube_field.coords(far).shape == (tube_field.params.dim,)
+    row = _lattice(tube_field.dom).tolist().index(list(far))
+    assert tube_field._coords[row].shape == (tube_field.params.dim,)
 
 
 FRAME_SUITES = (
@@ -228,14 +229,16 @@ def test_christoffels_are_computed_once_per_offset(monkeypatch):
     """One batched Christoffel pass per GermField covers the center and
     its 2 * dom neighbours; a second Gauss/Codazzi call builds nothing."""
     tables = []
-    original = GermField._christoffel_table
+    original = GermField.__dict__["_christoffels"].func
 
     def counting(self):
         table = original(self)
         tables.append(table.shape)
         return table
 
-    monkeypatch.setattr(GermField, "_christoffel_table", counting)
+    prop = cached_property(counting)
+    prop.__set_name__(GermField, "_christoffels")
+    monkeypatch.setattr(GermField, "_christoffels", prop)
     params = ModelParams(n=3, c=-4.0)
     chart = tube_chart(build_submanifold(params, k=2, phi=np.pi / 2), r=0.7)
     field = GermField(chart, TUBE_X0)
@@ -246,67 +249,32 @@ def test_christoffels_are_computed_once_per_offset(monkeypatch):
     assert len(tables) == 1
 
 
-def test_offsets_may_be_any_integer_sequence(tube_field):
-    off = (1, 0, -1, 0, 0)
-    for same in ([1, 0, -1, 0, 0], np.array(off), np.array(off, dtype=np.int32)):
-        np.testing.assert_array_equal(tube_field.coords(same), tube_field.coords(off))
-        np.testing.assert_array_equal(tube_field.normal(same), tube_field.normal(off))
-    unit = np.array([1, 0, 0, 0, 0])
-    np.testing.assert_array_equal(
-        tube_field.tangents(unit), tube_field.tangents((1, 0, 0, 0, 0))
-    )
-    assert tube_field.germ(unit) is tube_field.germ((1, 0, 0, 0, 0))
-    np.testing.assert_array_equal(
-        tube_field.christoffels(np.zeros(5, dtype=int)), tube_field.christoffels()
-    )
-
-
-@pytest.mark.parametrize(
-    "accessor, off, where",
-    [
-        ("coords", (4, 0, 0, 0, 0), "outside the L1 <= 3 offset lattice"),
-        ("coords", (2, -1, 0, 0, 1), "outside the L1 <= 3 offset lattice"),
-        ("tangents", (3, 0, 0, 0, 0), "outside the L1 <= 2 ball of the L1 <= 3"),
-        ("normal", (0, 1, 1, 1, 0), "outside the L1 <= 2 ball of the L1 <= 3"),
-        ("germ", (1, 1, 0, 0, 0), "outside the L1 <= 1 ball of the L1 <= 3"),
-        ("christoffels", (0, 0, 0, 0, -2), "outside the L1 <= 1 ball"),
-        ("decomposition", (0, 2, 0, 0, 0), "outside the L1 <= 1 ball"),
-    ],
-)
-def test_offsets_outside_the_lattice_are_rejected(tube_field, accessor, off, where):
-    with pytest.raises(ValueError, match=where):
-        getattr(tube_field, accessor)(off)
-    with pytest.raises(ValueError, match="wrong dimension"):
-        getattr(tube_field, accessor)((0, 0))
-    with pytest.raises(ValueError, match="not an integer offset"):
-        getattr(tube_field, accessor)((0.5, 0, 0, 0, 0))
-
-
-def test_lattice_rows_and_neighbours_agree_with_offsets(tube_field):
-    """The sorted lattice, its rank function and the +-e_i table."""
-    for dim in (1, 3, 5, 7):
+def test_lattice_rows_and_neighbours_agree_with_offsets():
+    """The sorted lattice and the index tables of its layout."""
+    for dim in range(1, 9):
         offsets = _lattice(dim)
         assert [tuple(o) for o in offsets.tolist()] == sorted(
             {tuple(o) for o in offsets.tolist()}
         )
         # every offset of L1 norm <= 3, once
-        assert np.abs(offsets).sum(axis=1).max() == 3
+        l1 = np.abs(offsets).sum(axis=1)
+        assert l1.max() == 3
         assert len(offsets) == sum(
             2**j * math.comb(dim, j) * math.comb(3, j) for j in range(4)
         )
-        rows = _lattice_rank(offsets)
-        np.testing.assert_array_equal(rows, np.arange(len(offsets)))
-    offsets = _lattice(tube_field.dom)
-    ball2 = offsets[tube_field._ball2]
-    assert np.all(np.abs(ball2).sum(axis=1) <= 2)
-    steps = offsets[tube_field._nbr] - ball2[:, None, None, :]
-    unit = np.eye(tube_field.dom, dtype=int)
-    assert (steps[:, :, 0] == unit).all() and (steps[:, :, 1] == -unit).all()
-    # stencil rows: the center, then +e_0, -e_0, +e_1, ...
-    stencil = ball2[tube_field._stencil]
-    assert not stencil[0].any()
-    pairs = np.stack([unit, -unit], axis=1).reshape(-1, tube_field.dom)
-    np.testing.assert_array_equal(stencil[1:], pairs)
+        ball2, nbr, stencil, stencil_nbr, center_nbr = _layout(dim)
+        np.testing.assert_array_equal(ball2, np.flatnonzero(l1 <= 2))
+        steps = offsets[nbr] - offsets[ball2][:, None, None, :]
+        unit = np.eye(dim, dtype=int)
+        assert (steps[:, :, 0] == unit).all() and (steps[:, :, 1] == -unit).all()
+        # stencil rows: the center, then +e_0, -e_0, +e_1, ...
+        rows = offsets[ball2[stencil]]
+        assert not rows[0].any()
+        pairs = np.stack([unit, -unit], axis=1).reshape(-1, dim)
+        np.testing.assert_array_equal(rows[1:], pairs)
+        # the stencil's neighbours, as ball positions and stencil positions
+        np.testing.assert_array_equal(ball2[stencil_nbr], nbr[stencil])
+        np.testing.assert_array_equal(stencil[center_nbr], stencil_nbr[0])
 
 
 @pytest.mark.parametrize(
@@ -322,11 +290,8 @@ def test_normal_orientation(n, k, r, flipped):
     field = GermField(chart, np.zeros(chart.domain_dim))
     center = field.normal()
     assert np.trace(field.center_geometry().shape_coord) >= 0
-    for i in range(field.dom):
-        for s in (1, -1):
-            off = [0] * field.dom
-            off[i] = s
-            assert float(field.normal(off) @ center) > 0
+    for neighbor in field._normals[field._stencil[1:]]:
+        assert float(neighbor @ center) > 0
     # the orientation branch: the SVD normal at the center, turned or not
     _, _, vt = np.linalg.svd(field.tangents(), full_matrices=True)
     assert (float(vt[-1] @ center) < 0) == flipped
@@ -342,15 +307,11 @@ def test_numeric_geometry_wrapper():
 
 def test_field_derivative_helpers(tube_field):
     # scalar derivative of a coordinate function recovers the direction
-    values = tube_field.field_from_function(
-        lambda off: float(np.sum(tube_field.coords(off)))
-    )
-    direction = tube_field.tangents(())[0]  # first coordinate tangent
+    coords = tube_field._coords[tube_field._ball2[tube_field._stencil]]
+    values = coords.sum(axis=1)
+    direction = tube_field.tangents()[0]  # first coordinate tangent
     d = tube_field.scalar_derivative(values, direction)
-    dcoords = float(
-        np.sum(tube_field.coords((1, 0, 0, 0, 0)))
-        - np.sum(tube_field.coords((-1, 0, 0, 0, 0)))
-    ) / (2 * tube_field.h)
+    dcoords = float(np.sum(coords[1]) - np.sum(coords[2])) / (2 * tube_field.h)
     assert abs(d - dcoords) < 1e-9
 
 

@@ -4,6 +4,12 @@ Recorded with the per-offset GermField that preceded the lattice-array
 one, as the repr of every value: the batched Gauss and Codazzi route must
 reproduce them bit for bit, every other value to 1e-12 absolute.  A
 horosphere field has h = 1, so it has no frame suites.
+
+The bit-for-bit values also pin the floating-point build: numpy 2.4 on
+x86-64 with OpenBLAS 0.3.31 (DYNAMIC_ARCH) running its SkylakeX
+(AVX-512) kernels.  With the Haswell kernels (``OPENBLAS_CORETYPE=
+Haswell`` or ``=Zen``, or a CPU without AVX-512) every case below fails
+on a last-bit difference in ``gauss``; see ``test_classify_golden.py``.
 """
 
 import numpy as np

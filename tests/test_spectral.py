@@ -678,6 +678,36 @@ def test_classify_does_not_depend_on_the_tangent_frame(case, data):
             assert got.residuals[key] < 1e-9, key
 
 
+@pytest.mark.parametrize(
+    "r",
+    [
+        1e-3,
+        pytest.param(1e-4, marks=pytest.mark.xfail(
+            strict=True,
+            reason="lambda_4 = -c/(4 lambda_3) magnifies eigh's absolute "
+            "error in lambda_3 (~eps/r) to ~eps/r^3, past the absolute "
+            "classify tolerance: every frame reads 'residuals'",
+        )),
+    ],
+)
+def test_classify_small_radius_germ_in_a_rotated_frame(r):
+    """A catalog germ given in a rotated tangent frame (T -> QT,
+    S -> QSQ^T) at small radius is still the tube around W^4 of radius r,
+    for each of 20 seeded orthogonal Q."""
+    germ = catalog_germ(ModelParams(n=3, c=-1.0), 2, r=r)
+    for seed_ in range(20):
+        q, _ = np.linalg.qr(np.random.default_rng(seed_).standard_normal((5, 5)))
+        rotated = HypersurfaceGerm(
+            params=germ.params,
+            normal=germ.normal,
+            tangent_basis=q @ germ.tangent_basis,
+            shape=q @ germ.shape @ q.T,
+        ).validate()
+        res = classify(rotated)
+        assert (res.model, res.k, res.reason) == ("tube", 2, None), seed_
+        assert abs(res.r - r) <= CLASSIFY_RADIUS_TOLERANCE, seed_
+
+
 def test_slab_scan_memory_does_not_grow_with_lambda1_samples():
     def peak(grid):
         tracemalloc.start()
