@@ -191,27 +191,20 @@ def _cmd_nonexistence(args) -> int:
     print(f"feasible points          {report.feasible_count}")
     if report.certificate:
         print(f"certificate              {report.certificate}")
+    curve = []
     if args.c < 0:
         print(f"curve samples            {len(report.curve_points)}")
         if report.max_refined_residual is None:
             print("max refined residual     none")
             return 1
         print(f"max refined residual     {report.max_refined_residual:.3e}")
-        if args.output:
-            with open(args.output, "w") as fh:
-                json.dump(
-                    {
-                        "c": args.c,
-                        "curve_points": [
-                            list(map(float, row)) for row in report.curve_points
-                        ],
-                    },
-                    fh,
-                    indent=2,
-                )
-            print(f"wrote {args.output}")
-        return 0
-    return 0 if report.feasible_count == 0 else 1
+        curve = [list(map(float, row)) for row in report.curve_points]
+    if args.output:
+        with open(args.output, "w") as fh:
+            json.dump({"c": args.c, "curve_points": curve}, fh, indent=2)
+        print(f"wrote {args.output}")
+    # c > 0 has no catalog solution, so a feasible cell there is a failure
+    return 1 if args.c > 0 and report.feasible_count else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

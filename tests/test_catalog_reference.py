@@ -1,8 +1,9 @@
 """References for the radius-keyed catalog: an mpmath evaluation at 120
 digits over s*r in (0, 50], and a sympy proof in (s, q), q = e^{-2sr},
 of the identities ``catalog_at_radius`` relies on, of the
-``hopf_projection_squares`` formulas on the catalog curve, and of
-C^2 = (-c/4) I for the closed focal collapse matrix."""
+``hopf_projection_squares`` formulas on the catalog curve, of
+C^2 = (-c/4) I for the closed focal collapse matrix, and of the sign
+claim behind the c > 0 scan's certificate."""
 
 import math
 
@@ -13,7 +14,7 @@ import sympy as sp
 
 from chgeom import jacobi
 from chgeom.jacobi import focal_collapse_matrix_closed
-from chgeom.spectral import catalog_at_radius, hopf_projection_squares
+from chgeom.spectral import catalog_at_radius, hopf_projection_squares, nonexistence_scan
 
 RELATIVE_TOLERANCE = 1e-13
 # lambda_1 vanishes at the special radius; near it, bound it absolutely
@@ -115,8 +116,8 @@ def test_catalog_at_radius_identities_symbolically():
     assert vanishes(b1sq + b2sq - 1)
     lam1, lam2 = lam3 - low / 2, (3 * lam3 + R) / 2
     assert vanishes(c - 4 * lam1 * lam2 + 8 * (lam1 + lam2) * lam3 - 12 * lam3**2)
-    # hopf_projection_squares, which the scans evaluate off the curve,
-    # gives these same b_i^2 on it
+    # hopf_projection_squares, whose one formula hopf_projection_square
+    # the scans evaluate off the curve, gives these same b_i^2 on it
     for got, want in zip(hopf_projection_squares(lam1, lam2, lam3, c), (b1sq, b2sq)):
         assert vanishes(_exact(got) - want)
     # lambda_4 = -c/(4 lambda_3) is the normal modes' s coth(sr)
@@ -124,3 +125,32 @@ def test_catalog_at_radius_identities_symbolically():
     assert sp.simplify(lam4 - s * (1 + q) / (1 - q)) == 0
     coth_form = (s * sp.coth(s * r)).rewrite(sp.exp)
     assert sp.simplify(lam4.subs(q, sp.exp(-2 * s * r)) - coth_form) == 0
+
+
+def test_positive_curvature_certificate_symbolically():
+    """The claim of the c > 0 scan's certificate holds for every real
+    lambda_1 < lambda_2, every real lambda_3 and every c > 0, not only on
+    the scanned box: b_1^2 > 0 forces lambda_2 < 2 lambda_3 and b_2^2 > 0
+    forces lambda_1 > 2 lambda_3, which together contradict
+    lambda_1 < lambda_2.  Each b_i^2 of ``hopf_projection_squares`` is
+    lambda_j - 2 lambda_3 times a factor of fixed sign: b_1^2 > 0 needs
+    the factor of b_1^2, which is <= 0, to be nonzero, and then
+    lambda_2 - 2 lambda_3 < 0; likewise b_2^2 > 0 needs
+    lambda_1 - 2 lambda_3 > 0."""
+    lam1, lam3 = sp.symbols("lambda1 lambda3", real=True)
+    c, d = sp.symbols("c d", positive=True)
+    lam2 = lam1 + d  # every lambda_1 < lambda_2
+    b1sq, b2sq = (_exact(b) for b in hopf_projection_squares(lam1, lam2, lam3, c))
+    f1 = -4 * (lam1 - lam3) ** 2 / (c * d)
+    f2 = 4 * (lam2 - lam3) ** 2 / (c * d)
+    assert sp.simplify(b1sq - (lam2 - 2 * lam3) * f1) == 0
+    assert sp.simplify(b2sq - (lam1 - 2 * lam3) * f2) == 0
+    assert f1.is_nonpositive and f2.is_nonnegative
+    # lambda_1 - 2 lambda_3 > 0 > lambda_2 - 2 lambda_3 needs lambda_1 > lambda_2
+    assert sp.simplify((lam1 - 2 * lam3) - (lam2 - 2 * lam3) + d) == 0
+    # the certificate the scan reports states this claim
+    certificate = nonexistence_scan(4.0, grid_shape=(2, 2, 2)).certificate
+    assert certificate.startswith(
+        "b1^2 > 0 needs lambda2 < 2*lambda3 and b2^2 > 0 needs "
+        "lambda1 > 2*lambda3, contradicting lambda1 < lambda2"
+    )

@@ -352,6 +352,17 @@ def test_nonexistence_positive(capsys):
     assert "certificate" in out
 
 
+def test_nonexistence_positive_writes_empty_curve(tmp_path, capsys):
+    out_path = tmp_path / "curve.json"
+    code = main([
+        "nonexistence", "--c", "4", "--grid", "20", "20", "20",
+        "--output", str(out_path),
+    ])
+    assert code == 0
+    assert capsys.readouterr().out.endswith(f"wrote {out_path}\n")
+    assert json.loads(out_path.read_text()) == {"c": 4.0, "curve_points": []}
+
+
 def test_nonexistence_negative_writes_curve(tmp_path, capsys):
     out_path = tmp_path / "curve.json"
     code = main([
@@ -373,6 +384,10 @@ def test_nonexistence_negative_writes_curve(tmp_path, capsys):
         ["sweep", "--n", "3", "--c", "-4", "--k", "2",
          "--r-min", "0.2", "--r-max", "0.4", "--count", "2"],
         ["nonexistence", "--c", "-4", "--grid", "40", "40", "40"],
+        pytest.param(
+            ["nonexistence", "--c", "4", "--grid", "20", "20", "20"],
+            id="nonexistence-positive",
+        ),
     ],
     ids=lambda argv: argv[0],
 )

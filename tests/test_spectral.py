@@ -484,17 +484,19 @@ def test_scan_with_lambda_bound_matches_whole_grid(c, bound_frac):
 @pytest.mark.parametrize("c", [3.1, -3.1])
 def test_scan_computes_b_squares_only_where_the_quadratic_holds(c, monkeypatch):
     seen = []
-    original = spectral.hopf_projection_squares
+    original = spectral.hopf_projection_square
 
-    def counting(lam1, lam2, lam3, c):
-        b1sq, b2sq = original(lam1, lam2, lam3, c)
-        seen.append(b1sq.size)
-        return b1sq, b2sq
+    def counting(lam_i, lam_j, lam3, c):
+        bsq = original(lam_i, lam_j, lam3, c)
+        if np.ndim(bsq):  # the scan's cells, not the refinement's scalars
+            seen.append(bsq.size)
+        return bsq
 
-    monkeypatch.setattr(spectral, "hopf_projection_squares", counting)
+    monkeypatch.setattr(spectral, "hopf_projection_square", counting)
     grid = (165, 165, 165)
     rep = nonexistence_scan(c, grid_shape=grid)
     assert (rep.feasible_count > 0) == (c < 0)
+    assert sum(seen) > 0
     assert sum(seen) <= 0.15 * math.prod(grid)
 
 
@@ -515,17 +517,22 @@ def test_band_scan_matches_whole_grid_across_sum_bands(c, sum_band, grid):
 @pytest.mark.parametrize("c", [3.1, -3.1, -100.0])
 @pytest.mark.parametrize("grid", [(61, 40, 40), (33, 33, 17), (60, 60, 60)])
 def test_band_scan_passes_every_quadratic_cell_to_the_b_squares(c, grid, monkeypatch):
-    """The lambda_2 bands lose no cell: b^2 is computed on exactly the
-    ordered cells of the whole grid with |quadratic| <= quad_tol."""
-    seen = []
-    original = spectral.hopf_projection_squares
+    """The lambda_2 bands lose no cell: b_2^2 is computed on exactly the
+    ordered cells of the whole grid with |quadratic| <= quad_tol, and
+    b_1^2 on exactly those of them where b_2^2 lies in (0, 1)."""
+    seen = {"b1": [], "b2": []}
+    original = spectral.hopf_projection_square
 
-    def recording(lam1, lam2, lam3, c):
-        if np.ndim(lam2):  # the scan's cells, not the refinement's scalars
-            seen.append(np.stack(np.broadcast_arrays(lam1, lam2, lam3), axis=-1))
-        return original(lam1, lam2, lam3, c)
+    def recording(lam_i, lam_j, lam3, c):
+        if np.ndim(lam_j):  # the scan's cells, not the refinement's scalars
+            # b_1^2 is f(lambda_1, lambda_2), b_2^2 is f(lambda_2, lambda_1),
+            # and every scanned cell has lambda_1 < lambda_2
+            first = bool(np.all(lam_i < lam_j))
+            cells = (lam_i, lam_j) if first else (lam_j, lam_i)
+            seen["b1" if first else "b2"].append(np.stack([*cells, lam3], axis=-1))
+        return original(lam_i, lam_j, lam3, c)
 
-    monkeypatch.setattr(spectral, "hopf_projection_squares", recording)
+    monkeypatch.setattr(spectral, "hopf_projection_square", recording)
     rep = nonexistence_scan(c, grid_shape=grid)
     scale = math.sqrt(abs(c))
     n1, n2, n3 = grid
@@ -538,9 +545,14 @@ def test_band_scan_passes_every_quadratic_cell_to_the_b_squares(c, grid, monkeyp
     passing = (l1 < l2 - 1e-12 * (1.0 + scale)) & (
         np.abs(catalog_quadratic(l1, l2, l3, c)) <= rep.quad_tol
     )
-    want = np.stack([l1[passing], l2[passing], l3[passing]], axis=-1)
-    got = np.concatenate(seen)
-    assert np.array_equal(got[np.lexsort(got.T)], want[np.lexsort(want.T)])
+    b2sq = original(l2[passing], l1[passing], l3[passing], c)
+    b2_open = (b2sq > 0.0) & (b2sq < 1.0)
+    want = {"b2": np.stack([l1[passing], l2[passing], l3[passing]], axis=-1)}
+    want["b1"] = want["b2"][b2_open]
+    assert seen["b2"] and (seen["b1"] or not b2_open.any())
+    for key, cells in want.items():
+        got = np.concatenate(seen[key]) if seen[key] else np.empty((0, 3))
+        assert np.array_equal(got[np.lexsort(got.T)], cells[np.lexsort(cells.T)]), key
 
 
 @pytest.mark.parametrize("c", [3.1, -3.1])
@@ -558,6 +570,60 @@ def test_scan_evaluates_the_quadratic_only_inside_its_band(c, monkeypatch):
     rep = nonexistence_scan(c, grid_shape=grid)
     assert (rep.feasible_count > 0) == (c < 0)
     assert sum(seen) <= 0.10 * math.prod(grid)
+
+
+@pytest.mark.parametrize("c", [4.0, -4.0])
+def test_scan_batches_skinny_grids_in_cells(c, monkeypatch):
+    """Batches are sized in cells, not lambda_1 rows: a grid with 4 cells
+    per row does not call the quadratic once per row."""
+    calls = []
+    original = spectral.catalog_quadratic
+
+    def counting(lam1, lam2, lam3, c):
+        calls.append(np.size(lam1))
+        return original(lam1, lam2, lam3, c)
+
+    monkeypatch.setattr(spectral, "catalog_quadratic", counting)
+    nonexistence_scan(c, grid_shape=(20000, 2, 2))
+    assert 0 < len(calls) < 100
+
+
+def test_band_start_is_the_scans_ordering_test():
+    """Each band starts at the first lambda_2 with lambda_1 < lambda_2 - gap,
+    the scan's ordering test, also where lambda_1 equals lambda_2 - gap."""
+    l2 = np.array([0.0, 1.0, 2.0, 3.0])
+    gap = 0.5
+    lam1 = l2 - gap
+    first, counts = spectral._lambda2_bands(lam1, l2, np.array([0.0]), 1.0, math.inf, gap)
+    assert first.tolist() == [1, 2, 3, 4]
+    assert counts.tolist() == [3, 2, 1, 0]
+
+
+_scan_shapes = st.one_of(
+    st.tuples(st.integers(2, 40), st.integers(2, 40), st.integers(2, 40)),
+    st.tuples(st.integers(2, 3000), st.integers(2, 6), st.integers(2, 6)),
+)
+
+
+@seed(20261021)
+@settings(deadline=None, max_examples=80)
+@given(
+    sign=st.sampled_from([1.0, -1.0]),
+    c_exp=st.floats(-2.0, 4.0),
+    bound_frac=st.one_of(st.none(), st.floats(0.05, 5.0)),
+    sum_band=st.floats(1e-6, 10.0),
+    grid=_scan_shapes,
+)
+def test_scan_matches_whole_grid_on_random_boxes(sign, c_exp, bound_frac, sum_band, grid):
+    c = sign * 10.0**c_exp
+    bound = None if bound_frac is None else bound_frac * math.sqrt(abs(c))
+    rep = nonexistence_scan(c, grid_shape=grid, lambda_bound=bound, sum_band=sum_band)
+    count, curve = _whole_grid_scan(c, grid, rep.quad_tol, sum_band=sum_band, bound=bound)
+    assert rep.feasible_count == count
+    if c > 0:
+        assert rep.curve_points is None
+    else:
+        assert np.array_equal(rep.curve_points, curve)
 
 
 @pytest.mark.parametrize("bound", [0.0, -1.0, math.nan, math.inf])
@@ -719,6 +785,18 @@ def test_slab_scan_memory_does_not_grow_with_lambda1_samples():
 
     small = peak((40, 40, 40))
     assert peak((400, 40, 40)) <= 1.5 * small
+
+
+def test_skinny_scan_memory_does_not_grow_with_lambda1_samples():
+    def peak(grid):
+        tracemalloc.start()
+        try:
+            nonexistence_scan(-1.0, grid_shape=grid)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak((20000, 2, 2)) <= 1.5 * peak((2000, 2, 2))
 
 
 @seed(411)
