@@ -68,7 +68,7 @@ def _cmd_construct(args) -> int:
     params = ModelParams(n=args.n, c=args.c)
     phi = args.phi if args.phi is not None else math.pi / 2.0
     spec = build_submanifold(params, args.k, phi)
-    report = rigidity_form_check(spec.second_fundamental_form, spec)
+    report = rigidity_form_check(spec)
     print(f"angle                    {phi!r}")
     print(f"submanifold dimension    {spec.tangent_basis.shape[0]}")
     print(f"normal dimension         {spec.normal_basis.shape[0]}")

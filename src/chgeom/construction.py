@@ -5,8 +5,9 @@ serves as the normal space at the base point; the orthogonal complement
 together with the abelian and center directions spans a subalgebra, and
 its orbit through the identity is a (2n-k)-dimensional minimal
 submanifold ruled by totally geodesic complex hyperbolic subspaces.
-The module builds the subspaces, the orbit data, its second fundamental
-form from the exact Koszul table, and checks the rigidity normal form
+The module builds the subspace rows, the orbit data, its second
+fundamental form from the exact Koszul table (plain arrays, kept on the
+immutable ``SubmanifoldSpec``), and checks the rigidity normal form
     II(Z, u) = sin(phi) (sqrt(-c)/2) xi
 for xi a unit normal and u the unit tangential projection of J xi.
 """
@@ -49,9 +50,12 @@ def is_totally_real(phi: float) -> bool:
     return abs(phi - math.pi / 2.0) <= RIGHT_ANGLE_TOLERANCE
 
 
-def _validate_k_phi(n: int, k: int, phi: float):
-    if int(k) != k or k < 1:
+def _validate_k_phi(n: int, k, phi: float) -> int:
+    """k as an int (an integral float counts, as n does in ``ModelParams``;
+    a bool does not), after the checks on k and phi."""
+    if isinstance(k, bool) or int(k) != k or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
+    k = int(k)
     if k > n - 1:
         raise DimensionTooLarge(f"k={k} exceeds n-1={n - 1}")
     if not (0.0 < phi <= math.pi / 2.0 or is_totally_real(phi)):
@@ -60,63 +64,34 @@ def _validate_k_phi(n: int, k: int, phi: float):
         raise OddDimensionNonReal(
             f"k={k} odd requires phi = pi/2 (totally real normal space)"
         )
+    return k
 
 
-@dataclass(frozen=True)
-class KahlerAngleSubspace:
-    """Orthonormal rows spanning a constant-angle subspace of the paired
-    root space (all rows supported on the root-space indices)."""
-
-    n: int
-    k: int
-    phi: float
-    basis: np.ndarray  # (k, 2n)
-
-    def __post_init__(self):
-        object.__setattr__(self, "basis", np.asarray(self.basis, dtype=float))
-        gram = self.basis @ self.basis.T
-        if not np.allclose(gram, np.eye(self.k), atol=1e-10):
-            raise ValueError("subspace basis rows must be orthonormal")
-        if np.max(np.abs(self.basis[:, :GALPHA_START])) > 1e-12:
-            raise ValueError("subspace must lie in the paired root space")
-
-
-def constant_kahler_angle_subspace(
-    params: ModelParams, k: int, phi: float
-) -> KahlerAngleSubspace:
-    """Canonical k-dimensional subspace of the root space with constant
-    Kaehler angle phi; phi = pi/2 gives a totally real subspace, smaller
-    angles pair the root directions two at a time (k must be even)."""
-    n = params.n
-    _validate_k_phi(n, k, phi)
-    d = 2 * n
-    basis = np.zeros((k, d))
-
-    def e(m):  # m = 1..n-1
-        return 2 * m
-
-    def je(m):
-        return 2 * m + 1
-
+def constant_kahler_angle_subspace(params: ModelParams, k: int, phi: float) -> np.ndarray:
+    """Orthonormal (k, 2n) rows spanning the canonical k-dimensional
+    subspace of the root space with constant Kaehler angle phi.  With the
+    root directions e_m at index 2m and J e_m at 2m + 1 (m = 1..n-1),
+    phi = pi/2 gives the totally real e_1..e_k; smaller angles pair the
+    directions two at a time (k must be even): e_{2p+1} and
+    cos(phi) J e_{2p+1} + sin(phi) e_{2p+2}."""
+    k = _validate_k_phi(params.n, k, phi)
+    rows = np.zeros((k, params.dim))
     if is_totally_real(phi):
-        for row in range(k):
-            basis[row, e(row + 1)] = 1.0
+        rows[np.arange(k), 2 * np.arange(1, k + 1)] = 1.0
     else:
-        cphi, sphi = math.cos(phi), math.sin(phi)
-        for pair in range(k // 2):
-            m1, m2 = 2 * pair + 1, 2 * pair + 2
-            basis[2 * pair, e(m1)] = 1.0
-            basis[2 * pair + 1, je(m1)] = cphi
-            basis[2 * pair + 1, e(m2)] = sphi
-    return KahlerAngleSubspace(n=n, k=k, phi=float(phi), basis=basis)
+        pair = np.arange(k // 2)
+        rows[2 * pair, 4 * pair + 2] = 1.0
+        rows[2 * pair + 1, 4 * pair + 3] = math.cos(phi)
+        rows[2 * pair + 1, 4 * pair + 4] = math.sin(phi)
+    return rows
 
 
-def kahler_angle(v, subspace) -> float:
-    """Kaehler angle of a nonzero v inside the subspace: the angle between
-    J v and the subspace itself.  Raises if v is not in the span."""
-    rows = subspace.basis if isinstance(subspace, KahlerAngleSubspace) else np.asarray(
-        subspace, dtype=float
-    )
+def kahler_angle(v, rows) -> float:
+    """Kaehler angle of a nonzero v inside the span of the orthonormal
+    rows: the angle between J v and that span, read as atan2 of the parts
+    of J v off and on the span (acos of the second alone loses half the
+    digits near 0).  Raises if v is not in the span."""
+    rows = np.asarray(rows, dtype=float)
     v = np.asarray(v, dtype=float)
     norm = np.linalg.norm(v)
     if norm < 1e-12:
@@ -124,9 +99,9 @@ def kahler_angle(v, subspace) -> float:
     coeffs = rows @ v
     if np.linalg.norm(v - rows.T @ coeffs) > SPAN_TOLERANCE * norm:
         raise ValueError("vector does not lie in the given subspace")
-    proj = rows @ j_action(v)
-    cosine = np.linalg.norm(proj) / norm
-    return float(math.acos(min(1.0, max(0.0, cosine))))
+    jv = j_action(v)
+    proj = rows @ jv
+    return float(math.atan2(np.linalg.norm(jv - rows.T @ proj), np.linalg.norm(proj)))
 
 
 @dataclass(frozen=True)
@@ -142,14 +117,18 @@ class SubmanifoldSpec:
     phi: float
     normal_basis: np.ndarray  # (k, 2n) rows = wperp
     tangent_basis: np.ndarray  # (2n-k, 2n) rows
-    pxi_unit: np.ndarray  # (k, 2n) rows
 
     @property
     def zvec(self) -> np.ndarray:
         return self.tangent_basis[1]
 
+    @property
+    def pxi_unit(self) -> np.ndarray:
+        """The (k, 2n) rows u_1..u_k of the tangent basis."""
+        return self.tangent_basis[2 : 2 + self.k]
+
     @cached_property
-    def second_fundamental_form(self) -> "SecondFundamentalForm":
+    def second_fundamental_form(self) -> np.ndarray:
         """The orbit's ``orbit_second_fundamental_form``, computed on first
         use and then kept with the spec, which is immutable: every tube
         germ of one spec reads the same form."""
@@ -168,55 +147,49 @@ class SubmanifoldSpec:
 
     @staticmethod
     def from_json_dict(data: dict) -> "SubmanifoldSpec":
-        """Inverse of ``to_json_dict``.  n, c, k and phi must pass the
-        ``ModelParams`` and ``build_submanifold`` checks, and each array
-        must be the one ``build_submanifold`` rebuilds from them: the
-        same shape, and the same entries to SPAN_TOLERANCE.  Otherwise
-        ValueError, naming the field."""
+        """Inverse of ``to_json_dict``.  c and phi must be JSON numbers
+        (not bools), and n, c, k and phi must pass the ``ModelParams`` and
+        ``build_submanifold`` checks; each array must be the one
+        ``build_submanifold`` rebuilds from them: the same shape, and the
+        same entries to SPAN_TOLERANCE.  Otherwise ValueError, naming the
+        field."""
         try:
+            for name in ("c", "phi"):
+                value = data[name]
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise ValueError(f"spec {name} must be a JSON number, got {value!r}")
             params = ModelParams(n=data["n"], c=float(data["c"]))
-            k, phi = data["k"], float(data["phi"])
-            _validate_k_phi(params.n, k, phi)
+            phi = float(data["phi"])
+            k = _validate_k_phi(params.n, data["k"], phi)
             arrays = {
                 name: np.asarray(data[name], dtype=float)
                 for name in ("normal_basis", "tangent_basis", "pxi_unit")
             }
         except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed submanifold spec: {exc!r}") from exc
-        spec = build_submanifold(params, int(k), phi)
+        spec = build_submanifold(params, k, phi)
         for name, given in arrays.items():
             want = getattr(spec, name)
             if given.shape != want.shape:
                 raise ValueError(
                     f"{name} has shape {given.shape}, expected {want.shape} "
-                    f"for n={params.n}, k={spec.k}"
+                    f"for n={params.n}, k={k}"
                 )
             if not np.all(np.abs(given - want) <= SPAN_TOLERANCE):
                 raise ValueError(
                     f"{name} is not the {name} of the orbit with "
-                    f"n={params.n}, k={spec.k}, phi={phi!r}"
+                    f"n={params.n}, k={k}, phi={phi!r}"
                 )
         return spec
 
 
-def _orthonormal_complement(rows: np.ndarray, within: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of (span within) minus (span rows), deterministic."""
-    # project the candidate directions off the known rows, then SVD
-    if rows.size:
-        resid = within - (within @ rows.T) @ rows
-    else:
-        resid = within.copy()
-    u, s, vt = np.linalg.svd(resid, full_matrices=False)
-    keep = s > 1e-9
-    return vt[keep]
-
-
 def build_submanifold(params: ModelParams, k: int, phi: float) -> SubmanifoldSpec:
-    """Assemble the orbit data: normal space, tangent subalgebra basis and
-    the paired unit projections of J on the normals."""
-    sub = constant_kahler_angle_subspace(params, k, phi)
-    d = params.dim
-    wperp = sub.basis
+    """Assemble the orbit data: the normal rows xi_m, then the tangent
+    subalgebra rows B, Z, the unit tangential projections u_m of J xi_m,
+    and the rest of the root space."""
+    wperp = constant_kahler_angle_subspace(params, k, phi)
+    k, d = wperp.shape
+    eye = np.eye(d)
     sphi = math.sin(phi)
 
     # tangential parts of J xi_m, one row per normal; their norm is sin(phi)
@@ -229,25 +202,18 @@ def build_submanifold(params: ModelParams, k: int, phi: float) -> SubmanifoldSpe
         )
     pxi = tang / norms[:, None]
 
-    galpha = np.zeros((d - 2, d))
-    galpha[:, GALPHA_START:] = np.eye(d - 2)
-    rest = _orthonormal_complement(np.vstack([wperp, pxi]), galpha)
+    # the root-space rows orthogonal to wperp and pxi: project the root
+    # directions off them, then an SVD picks a deterministic basis
+    known = np.vstack([wperp, pxi])
+    galpha = eye[GALPHA_START:]
+    _, sv, vt = np.linalg.svd(galpha - (galpha @ known.T) @ known, full_matrices=False)
+    rest = vt[sv > 1e-9]
     if rest.shape[0] != d - 2 - 2 * k:
         raise AssertionError("root-space complement has unexpected dimension")
 
-    tangent = np.zeros((d - k, d))
-    tangent[0, B_INDEX] = 1.0
-    tangent[1, Z_INDEX] = 1.0
-    tangent[2 : 2 + k] = pxi
-    tangent[2 + k :] = rest
-
+    tangent = np.vstack([eye[[B_INDEX, Z_INDEX]], pxi, rest])
     spec = SubmanifoldSpec(
-        params=params,
-        k=k,
-        phi=float(phi),
-        normal_basis=wperp,
-        tangent_basis=tangent,
-        pxi_unit=pxi,
+        params=params, k=k, phi=float(phi), normal_basis=wperp, tangent_basis=tangent
     )
     _check_subalgebra(spec)
     return spec
@@ -261,29 +227,18 @@ def _check_subalgebra(spec: SubmanifoldSpec):
         raise AssertionError("tangent space does not close under bracket")
 
 
-@dataclass(frozen=True)
-class SecondFundamentalForm:
-    """Matrices[m][i, j] = <II(t_i, t_j), xi_m> in the bases carried by
-    the submanifold object."""
-
-    matrices: np.ndarray  # (k, 2n-k, 2n-k)
-
-    @property
-    def trace_vector(self) -> np.ndarray:
-        """Normal components of trace II (zero for a minimal orbit)."""
-        return np.einsum("mii->m", self.matrices)
-
-
-def orbit_second_fundamental_form(spec: SubmanifoldSpec) -> SecondFundamentalForm:
-    """Second fundamental form of the orbit at the base point, computed
-    from the exact Koszul table (normal part of nabla on tangent fields)."""
+def orbit_second_fundamental_form(spec: SubmanifoldSpec) -> np.ndarray:
+    """Second fundamental form of the orbit at the base point, from the
+    exact Koszul table (normal part of nabla on tangent fields): the
+    (k, 2n-k, 2n-k) array whose [m, i, j] entry is <II(t_i, t_j), xi_m>
+    for the spec's tangent rows t_i and normal rows xi_m."""
     t = spec.tangent_basis
     # nab[i, j] = nabla_{t_i} t_j over every ordered pair of tangent rows
     nab = SolvableModel(spec.params).koszul_connection(t[:, None], t[None, :])
     mats = np.einsum("ijd,md->mij", nab, spec.normal_basis)
     if np.max(np.abs(mats - np.swapaxes(mats, 1, 2))) > 1e-12:
         raise AssertionError("second fundamental form is not symmetric")
-    return SecondFundamentalForm(matrices=mats)
+    return mats
 
 
 @dataclass(frozen=True)
@@ -294,19 +249,19 @@ class RigidityReport:
 
 
 def rigidity_form_check(
-    iiform: SecondFundamentalForm,
-    spec: SubmanifoldSpec,
-    tol: float = RIGIDITY_TOLERANCE,
+    spec: SubmanifoldSpec, tol: float = RIGIDITY_TOLERANCE
 ) -> RigidityReport:
-    """Compare II against the trivial symmetric extension of
-    II(Z, u_m) = sin(phi) (sqrt(-c)/2) xi_m (all other entries zero)."""
+    """Compare the spec's II against the trivial symmetric extension of
+    II(Z, u_m) = sin(phi) (sqrt(-c)/2) xi_m (all other entries zero), and
+    report the norm of its trace (zero for a minimal orbit)."""
+    form = spec.second_fundamental_form
     t = spec.tangent_basis
     amp = math.sin(spec.phi) * rate(spec.params.c)
     zc = t @ spec.zvec  # <t_i, Z>
     uc = spec.pxi_unit @ t.T  # uc[m, i] = <t_i, u_m>
     expected = amp * (zc[:, None] * uc[:, None, :] + uc[:, :, None] * zc)
-    residual = float(np.max(np.abs(iiform.matrices - expected)))
-    trace = float(np.linalg.norm(iiform.trace_vector))
+    residual = float(np.max(np.abs(form - expected)))
+    trace = float(np.linalg.norm(np.einsum("mii->m", form)))
     return RigidityReport(
         passed=residual <= tol, max_residual=residual, trace_norm=trace
     )

@@ -725,17 +725,19 @@ def catalog_germ(params: ModelParams, k: int, r: float) -> HypersurfaceGerm:
     u1 = es.b2 * zvec + es.b1 * jxi
     u2 = -es.b1 * zvec + es.b2 * jxi
 
-    lam3_rows = [sub.tangent_basis[0]] + [sub.pxi_unit[m] for m in range(1, k)]
-    lam3_rows += list(sub.tangent_basis[2 + k :])
-    normals = [sub.normal_basis[m] for m in range(1, k)]
+    # lambda_3 rows: every orbit tangent row but Z and u_1 (B, u_2..u_k,
+    # the rest of the root space)
+    t = sub.tangent_basis
+    lam3_rows = np.vstack([t[:1], t[3:]])
+    normals = sub.normal_basis[1:]
     # tangent rows in the order of es.blocks: the k-1 normals carry
     # lambda_4, or lambda_2 where the two merge (g = 3)
-    rows = [u1, u2] + (lam3_rows + normals if es.g == 4 else normals + lam3_rows)
+    blocks = (lam3_rows, normals) if es.g == 4 else (normals, lam3_rows)
     values, mults = zip(*es.blocks)
     germ = HypersurfaceGerm(
         params=params,
         normal=xi,
-        tangent_basis=np.vstack(rows),
+        tangent_basis=np.vstack([u1, u2, *blocks]),
         shape=np.diag(np.repeat(values, mults)),
     )
     return germ.validate()
@@ -919,41 +921,30 @@ def nonexistence_scan(
             lam3_feasible[np.searchsorted(l3, lam3[keep[feasible]])] = True
     total = int(n1) * int(n2) * int(n3)
 
+    certificate = max_disc = curve = max_res = None
     if c > 0:
-        disc = -c - 3.0 * l3**2
         certificate = (
             "b1^2 > 0 needs lambda2 < 2*lambda3 and b2^2 > 0 needs "
             "lambda1 > 2*lambda3, contradicting lambda1 < lambda2; "
             f"also -c - 3*lambda3^2 <= {-c} < 0 leaves the catalog "
             "quadratic without real roots"
         )
-        return ScanReport(
-            c=c,
-            grid_shape=tuple(grid_shape),
-            total_points=total,
-            feasible_count=count,
-            quad_tol=quad_tol,
-            sum_band=sum_band,
-            certificate=certificate,
-            max_discriminant=float(np.max(disc)),
-            curve_points=None,
-            max_refined_residual=None,
-        )
-
-    # c < 0: refine feasible cells onto the exact catalog curve (one
-    # refinement per distinct lambda_3 grid value)
-    refined = []
-    max_res = 0.0
-    s = rate(c)
-    for m in np.flatnonzero(lam3_feasible):
-        lam3_val = float(l3[m])
-        if not (0.0 <= lam3_val < s):
-            continue
-        es = eigen_structure_from_lambda3(lam3_val, c)
-        res = constraint_residuals(es)
-        max_res = max(max_res, max(res.values()))
-        refined.append((es.lambda3, es.lambda1, es.lambda2, es.b1sq, es.b2sq))
-    curve = np.asarray(refined) if refined else np.empty((0, 5))
+        max_disc = float(np.max(-c - 3.0 * l3**2))
+    else:
+        # refine feasible cells onto the exact catalog curve (one
+        # refinement per distinct lambda_3 grid value)
+        refined = []
+        worst = 0.0
+        s = rate(c)
+        for m in np.flatnonzero(lam3_feasible):
+            lam3_val = float(l3[m])
+            if not (0.0 <= lam3_val < s):
+                continue
+            es = eigen_structure_from_lambda3(lam3_val, c)
+            worst = max(worst, max(constraint_residuals(es).values()))
+            refined.append((es.lambda3, es.lambda1, es.lambda2, es.b1sq, es.b2sq))
+        curve = np.asarray(refined) if refined else np.empty((0, 5))
+        max_res = worst if refined else None
     return ScanReport(
         c=c,
         grid_shape=tuple(grid_shape),
@@ -961,8 +952,8 @@ def nonexistence_scan(
         feasible_count=count,
         quad_tol=quad_tol,
         sum_band=sum_band,
-        certificate=None,
-        max_discriminant=None,
+        certificate=certificate,
+        max_discriminant=max_disc,
         curve_points=curve,
-        max_refined_residual=max_res if refined else None,
+        max_refined_residual=max_res,
     )

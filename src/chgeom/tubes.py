@@ -62,7 +62,7 @@ def submanifold_shape_operator(spec: SubmanifoldSpec, eta: np.ndarray) -> np.nda
     tangent space), assembled from the spec's second fundamental form
     (computed once per spec)."""
     coeffs = spec.normal_basis @ np.asarray(eta, dtype=float)
-    mat = np.einsum("m,mij->ij", coeffs, spec.second_fundamental_form.matrices)
+    mat = np.einsum("m,mij->ij", coeffs, spec.second_fundamental_form)
     t = spec.tangent_basis
     return t.T @ mat @ t
 

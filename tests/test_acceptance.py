@@ -30,7 +30,6 @@ from chgeom import (
     graded_curvature_residuals,
     hopf_frame_extract,
     nonexistence_scan,
-    orbit_second_fundamental_form,
     principal_decomposition,
     real_eigenspace_residual,
     rigidity_form_check,
@@ -99,8 +98,7 @@ def test_criterion_2_ruled_minimal_rigidity():
                 phis.append(math.pi / 3)
             for phi in phis:
                 spec = build_submanifold(params, k, phi)
-                form = orbit_second_fundamental_form(spec)
-                rep = rigidity_form_check(form, spec)
+                rep = rigidity_form_check(spec)
                 worst_res = max(worst_res, rep.max_residual)
                 worst_trace = max(worst_trace, rep.trace_norm)
                 cases += 1

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from chgeom import (
     DimensionTooLarge,
@@ -20,6 +22,7 @@ from chgeom import (
     rigidity_form_check,
 )
 from chgeom.construction import RIGHT_ANGLE_TOLERANCE, is_totally_real
+from chgeom.model import GALPHA_START
 
 ANGLE_TOLERANCE = 1e-12
 FORM_TOLERANCE = 1e-12
@@ -68,12 +71,12 @@ def test_subspace_validation_errors():
 def test_right_angle_subspace_is_totally_real():
     params = ModelParams(n=4, c=-4.0)
     for k in (1, 2, 3):
-        sub = constant_kahler_angle_subspace(params, k, math.pi / 2)
-        assert sub.basis.shape == (k, 8)
+        rows = constant_kahler_angle_subspace(params, k, math.pi / 2)
+        assert rows.shape == (k, 8)
         # J maps the subspace into its orthogonal complement
-        for row in sub.basis:
+        for row in rows:
             jv = params_j(params) @ row
-            assert np.max(np.abs(sub.basis @ jv)) < ANGLE_TOLERANCE
+            assert np.max(np.abs(rows @ jv)) < ANGLE_TOLERANCE
 
 
 def params_j(params):
@@ -89,20 +92,45 @@ def test_kahler_angle_is_constant_on_subspace():
         if k % 2 == 1 and phi < math.pi / 2:
             continue
         params = ModelParams(n=n, c=-4.0)
-        sub = constant_kahler_angle_subspace(params, k, phi)
+        rows = constant_kahler_angle_subspace(params, k, phi)
         for _ in range(10):
             coeff = rng.normal(size=k)
-            v = coeff @ sub.basis
-            assert abs(kahler_angle(v, sub) - phi) < 1e-10
+            v = coeff @ rows
+            assert abs(kahler_angle(v, rows) - phi) < 1e-10
+
+
+@st.composite
+def _n_k_phi(draw):
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(1, n - 1))
+    if k % 2 == 1:
+        return n, k, math.pi / 2
+    return n, k, draw(st.floats(0.0, math.pi / 2, exclude_min=True))
+
+
+@seed(19)
+@settings(deadline=None, max_examples=150)
+@given(case=_n_k_phi(), coeff_seed=st.integers(0, 2**32 - 1))
+def test_subspace_rows_have_the_constant_angle(case, coeff_seed):
+    """The rows are orthonormal, vanish on B and Z, and every unit
+    combination of them has Kaehler angle phi."""
+    n, k, phi = case
+    rows = constant_kahler_angle_subspace(ModelParams(n=n, c=-4.0), k, phi)
+    assert rows.shape == (k, 2 * n)
+    assert np.max(np.abs(rows @ rows.T - np.eye(k))) <= 1e-12
+    assert not np.any(rows[:, :GALPHA_START])
+    coeffs = np.random.default_rng(coeff_seed).normal(size=(8, k))
+    for v in coeffs @ rows:
+        assert abs(kahler_angle(v / np.linalg.norm(v), rows) - phi) <= 1e-10
 
 
 def test_kahler_angle_rejects_vectors_outside_span():
     params = ModelParams(n=3, c=-4.0)
-    sub = constant_kahler_angle_subspace(params, 2, math.pi / 2)
+    rows = constant_kahler_angle_subspace(params, 2, math.pi / 2)
     stray = np.zeros(6)
     stray[0] = 1.0  # abelian direction, not in the root space
     with pytest.raises(ValueError):
-        kahler_angle(stray, sub)
+        kahler_angle(stray, rows)
 
 
 def test_build_submanifold_shapes():
@@ -119,6 +147,18 @@ def test_build_submanifold_shapes():
                 assert np.max(np.abs(tn @ tn.T - np.eye(2 * n))) < 1e-12
 
 
+def test_build_submanifold_reads_k_as_model_params_reads_n():
+    """An integral float k is that integer; a bool is not a dimension."""
+    params = ModelParams(n=3, c=-4.0)
+    spec = build_submanifold(params, 2.0, math.pi / 2)
+    assert type(spec.k) is int and spec.k == 2
+    assert np.array_equal(
+        spec.tangent_basis, build_submanifold(params, 2, math.pi / 2).tangent_basis
+    )
+    with pytest.raises(ValueError, match="k must be a positive integer"):
+        build_submanifold(params, True, math.pi / 2)
+
+
 def test_second_fundamental_form_closed_form():
     """II(Z, u_m) = sin(phi) (sqrt(-c)/2) xi_m on unit directions, all
     other entries vanish, and the trace is zero (minimal)."""
@@ -129,8 +169,10 @@ def test_second_fundamental_form_closed_form():
                 if k % 2 == 1 and phi < math.pi / 2:
                     continue
                 spec = build_submanifold(params, k, phi)
-                form = orbit_second_fundamental_form(spec)
-                report = rigidity_form_check(form, spec)
+                assert np.array_equal(
+                    orbit_second_fundamental_form(spec), spec.second_fundamental_form
+                )
+                report = rigidity_form_check(spec)
                 assert report.passed
                 assert report.max_residual < FORM_TOLERANCE
                 assert report.trace_norm < FORM_TOLERANCE
@@ -146,7 +188,7 @@ def test_second_fundamental_form_k1_entries():
     zc = t @ spec.zvec
     uc = t @ spec.pxi_unit[0]
     expected = np.outer(zc, uc) + np.outer(uc, zc)
-    assert np.max(np.abs(form.matrices[0] - expected)) < FORM_TOLERANCE
+    assert np.max(np.abs(form[0] - expected)) < FORM_TOLERANCE
 
 
 def test_second_fundamental_form_angle_amplitude():
@@ -154,7 +196,7 @@ def test_second_fundamental_form_angle_amplitude():
     params = ModelParams(n=3, c=-4.0)
     spec = build_submanifold(params, 2, math.pi / 3)
     form = orbit_second_fundamental_form(spec)
-    peak = max(np.max(np.abs(mat)) for mat in form.matrices)
+    peak = np.max(np.abs(form))
     assert abs(peak - math.sqrt(3) / 2) < FORM_TOLERANCE
 
 
@@ -162,7 +204,7 @@ def test_form_scales_with_curvature():
     params = ModelParams(n=3, c=-1.0)  # a = 1/2
     spec = build_submanifold(params, 2, math.pi / 2)
     form = orbit_second_fundamental_form(spec)
-    peak = max(np.max(np.abs(mat)) for mat in form.matrices)
+    peak = np.max(np.abs(form))
     assert abs(peak - 0.5) < FORM_TOLERANCE
 
 
@@ -184,7 +226,7 @@ def test_ruled_by_holomorphic_subspace():
         # ruled: the second fundamental form vanishes on the complex part
         form = orbit_second_fundamental_form(spec)
         coeff = holo @ t.T  # holo rows in the tangent basis
-        for mat in form.matrices:
+        for mat in form:
             assert np.max(np.abs(coeff @ mat @ coeff.T)) < FORM_TOLERANCE
 
 
@@ -214,6 +256,11 @@ def _spec_record(**changes) -> dict:
         ({"k": 0}, "k must be a positive integer"),
         ({"k": 3}, "exceeds n-1"),
         ({"k": None}, "malformed submanifold spec"),
+        ({"k": True}, "k must be a positive integer"),
+        ({"c": "-4"}, "spec c must be a JSON number"),
+        ({"c": True}, "spec c must be a JSON number"),
+        ({"phi": "1.5707963267948966"}, "spec phi must be a JSON number"),
+        ({"phi": True}, "spec phi must be a JSON number"),
         ({"n": 4, "k": 2}, "normal_basis has shape"),
         ({"tangent_basis": _spec_record()["tangent_basis"][:-1]}, "tangent_basis has shape"),
         ({"pxi_unit": _spec_record()["pxi_unit"][:1]}, "pxi_unit has shape"),
@@ -223,6 +270,7 @@ def _spec_record(**changes) -> dict:
         ({"phi": 1.0}, "normal_basis is not the normal_basis of the orbit"),
     ],
     ids=["n-not-integer", "k-not-integer", "k-zero", "k-too-large", "k-missing",
+         "k-bool", "c-string", "c-bool", "phi-string", "phi-bool",
          "n-disagrees-with-arrays", "tangent-rows", "pxi-rows", "phi-zero",
          "normal-rows-scaled", "phi-disagrees-with-arrays"],
 )
