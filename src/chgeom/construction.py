@@ -241,30 +241,21 @@ def orbit_second_fundamental_form(spec: SubmanifoldSpec) -> np.ndarray:
     return mats
 
 
-@dataclass(frozen=True)
-class RigidityReport:
-    passed: bool
-    max_residual: float
-    trace_norm: float
-
-
-def rigidity_form_check(
-    spec: SubmanifoldSpec, tol: float = RIGIDITY_TOLERANCE
-) -> RigidityReport:
+def rigidity_form_check(spec: SubmanifoldSpec) -> dict:
     """Compare the spec's II against the trivial symmetric extension of
-    II(Z, u_m) = sin(phi) (sqrt(-c)/2) xi_m (all other entries zero), and
-    report the norm of its trace (zero for a minimal orbit)."""
+    II(Z, u_m) = sin(phi) (sqrt(-c)/2) xi_m (all other entries zero).
+    Returns the largest entry deviation as ``shape_form`` and the norm of
+    the trace of II (zero for a minimal orbit) as ``trace``."""
     form = spec.second_fundamental_form
     t = spec.tangent_basis
     amp = math.sin(spec.phi) * rate(spec.params.c)
     zc = t @ spec.zvec  # <t_i, Z>
     uc = spec.pxi_unit @ t.T  # uc[m, i] = <t_i, u_m>
     expected = amp * (zc[:, None] * uc[:, None, :] + uc[:, :, None] * zc)
-    residual = float(np.max(np.abs(form - expected)))
-    trace = float(np.linalg.norm(np.einsum("mii->m", form)))
-    return RigidityReport(
-        passed=residual <= tol, max_residual=residual, trace_norm=trace
-    )
+    return {
+        "shape_form": float(np.max(np.abs(form - expected))),
+        "trace": float(np.linalg.norm(np.einsum("mii->m", form))),
+    }
 
 
 def maximal_holomorphic_subspace(spec: SubmanifoldSpec) -> np.ndarray:

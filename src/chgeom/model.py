@@ -227,25 +227,6 @@ def ambient_curvature(x, y, z, c: float) -> np.ndarray:
     )
 
 
-@dataclass
-class CurvatureReport:
-    """Summary of the structural-vs-closed-form curvature comparison."""
-
-    max_residual: float
-    holomorphic_error: float
-    totally_real_error: float
-    pinching_violation: float
-    samples: int
-
-    def passed(self, tol: float = CURVATURE_TOLERANCE) -> bool:
-        return (
-            self.max_residual < tol
-            and self.holomorphic_error < tol
-            and self.totally_real_error < tol
-            and self.pinching_violation < tol
-        )
-
-
 class SolvableModel:
     """CH^n(c) as a solvable Lie group with left-invariant geometry.
 
@@ -338,11 +319,13 @@ class SolvableModel:
         self,
         samples: int = DEFAULT_SAMPLES,
         seed: int = DEFAULT_SEED,
-    ) -> CurvatureReport:
+    ) -> dict:
         """Compare structural and closed-form curvature on random triples.
 
         Also checks holomorphic planes (K = c), totally real planes
-        (K = c/4) and the pinching c <= K <= c/4.
+        (K = c/4) and the pinching c <= K <= c/4.  Returns the largest
+        deviation of each, keyed ``curvature``, ``holomorphic``,
+        ``totally_real`` and ``pinching``.
         """
         if samples < 1:
             raise ValueError(f"samples must be >= 1, got {samples!r}")
@@ -353,7 +336,7 @@ class SolvableModel:
         x, y, z = np.moveaxis(rng.standard_normal((samples, 3, d)), 1, 0)
         r1 = self.curvature_from_koszul(x, y, z)
         r2 = ambient_curvature(x, y, z, self.c)
-        max_residual = float(np.max(np.abs(r1 - r2)))
+        curvature = float(np.max(np.abs(r1 - r2)))
 
         def normalize(v):
             return v / np.sqrt(_row_dot(v, v))[:, None]
@@ -370,13 +353,12 @@ class SolvableModel:
         w = normalize(w - _row_dot(w, x)[:, None] * x)
         k = self.sectional_curvature(x, w)
         pinch = max(np.max(self.c - k), np.max(k - self.c / 4.0), 0.0)
-        return CurvatureReport(
-            max_residual=max_residual,
-            holomorphic_error=float(holo_err),
-            totally_real_error=float(real_err),
-            pinching_violation=float(pinch),
-            samples=samples,
-        )
+        return {
+            "curvature": curvature,
+            "holomorphic": float(holo_err),
+            "totally_real": float(real_err),
+            "pinching": float(pinch),
+        }
 
     # -- group structure -------------------------------------------------
 

@@ -247,20 +247,6 @@ def _allclose(a, b, atol: float) -> bool:
     return bool((np.abs(a - b) <= atol + 1e-5 * np.abs(b)).all())
 
 
-def _orthonormal(frame: np.ndarray, atol: float) -> bool:
-    """``_allclose(frame @ frame.T, identity, atol)`` from one Gram
-    product: |G_ii - 1| <= atol + 1e-5 on the diagonal, |G_ij| <= atol
-    off it (the same bounds and the same arithmetic)."""
-    dev = frame @ frame.T
-    diagonal = dev.reshape(-1)[:: dev.shape[0] + 1]  # a view of the diagonal
-    diagonal -= 1.0
-    np.abs(dev, out=dev)
-    if not diagonal.max() <= atol + 1e-5:
-        return False
-    diagonal[:] = 0.0
-    return bool(dev.max() <= atol)
-
-
 @dataclass(frozen=True)
 class HypersurfaceGerm:
     """Pointwise hypersurface data in frame components.
@@ -301,7 +287,7 @@ class HypersurfaceGerm:
             if not np.isfinite(arr).all():
                 raise ValueError(f"germ {name} has a non-finite entry")
         frame = np.concatenate((self.normal[None], self.tangent_basis))
-        if not _orthonormal(frame, tol):
+        if not _allclose(frame @ frame.T, np.eye(len(frame)), tol):
             raise ValueError("normal + tangent basis is not orthonormal")
         if not _allclose(self.shape, self.shape.T, tol):
             raise ValueError("shape operator matrix is not symmetric")

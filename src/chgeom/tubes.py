@@ -232,23 +232,12 @@ def focal_rank(es: EigenStructure, r: float):
     return rank, kernel
 
 
-@dataclass
-class FocalShapeReport:
-    """Residuals of the focal shape-operator identities at the base point."""
-
-    eta_return_residual: float
-    ju_pair_residual: float
-    bja_pair_residual: float
-    complement_residual: float
-    distance_residual: float
-
-
 def focal_shape_check(
     spec: SubmanifoldSpec,
     eta: np.ndarray,
     r: float,
     step: float = DEFAULT_ODE_STEP,
-) -> FocalShapeReport:
+) -> dict:
     """Propagate the tube germ back to the orbit and verify the collapsed
     shape-operator identities:
 
@@ -262,7 +251,9 @@ def focal_shape_check(
 
     The forward leg is ``tube_shape_operator`` (RK4 at ``step``); the
     return leg is the closed-form geodesic flow, so the distance residual
-    compares the two routes."""
+    compares the two routes.  Returns the residuals keyed
+    ``eta_return`` (eta^r + eta), ``ju_pair`` and ``bja_pair`` (the two
+    identities), ``complement`` and ``distance``."""
     if not is_totally_real(spec.phi):
         raise ValueError("focal identities need a totally real normal space")
     if r <= 0.0:
@@ -280,28 +271,17 @@ def focal_shape_check(
     j_eta_r = j_action(eta_r)
 
     s_r = submanifold_shape_operator(spec, eta_r)
-    res1 = float(np.linalg.norm(s_r @ j_eta_r + a * b_ja))
-    res2 = float(np.linalg.norm(s_r @ b_ja + a * j_eta_r))
-
-    # complement inside the orbit tangent space
+    # the complement of the pair inside the orbit tangent space
     t = spec.tangent_basis
-    pair = np.vstack([j_eta_r, b_ja])
-    pair_coeff = t @ pair.T  # tangent-space coefficients of the pair
-    q, _ = np.linalg.qr(pair_coeff)
+    q, _ = np.linalg.qr(t @ np.vstack([j_eta_r, b_ja]).T)
     proj = np.eye(t.shape[0]) - q @ q.T
-    s_tan = t @ s_r @ t.T
-    res3 = float(np.max(np.abs(s_tan @ proj)))
-
     # the exact return geodesic from the RK4 tube point must land on the
     # base point, the identity
     coords_back, _ = model.geodesic_closed(tube.endpoint, germ.normal, r)
-    res4 = float(np.linalg.norm(coords_back))
-
-    res0 = float(np.linalg.norm(eta_r + eta))
-    return FocalShapeReport(
-        eta_return_residual=res0,
-        ju_pair_residual=res1,
-        bja_pair_residual=res2,
-        complement_residual=res3,
-        distance_residual=res4,
-    )
+    return {
+        "eta_return": float(np.linalg.norm(eta_r + eta)),
+        "ju_pair": float(np.linalg.norm(s_r @ j_eta_r + a * b_ja)),
+        "bja_pair": float(np.linalg.norm(s_r @ b_ja + a * j_eta_r)),
+        "complement": float(np.max(np.abs(t @ s_r @ t.T @ proj))),
+        "distance": float(np.linalg.norm(coords_back)),
+    }

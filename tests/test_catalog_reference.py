@@ -2,8 +2,9 @@
 digits over s*r in (0, 50], and a sympy proof in (s, q), q = e^{-2sr},
 of the identities ``catalog_at_radius`` relies on, of the
 ``hopf_projection_squares`` formulas on the catalog curve, of
-C^2 = (-c/4) I for the closed focal collapse matrix, and of the sign
-claim behind the c > 0 scan's certificate."""
+C^2 = (-c/4) I for the closed focal collapse matrix, of
+det D(r) = sech^3(sr) for the focal mode matrix (in u = e^{sr}), and of
+the sign claim behind the c > 0 scan's certificate."""
 
 import math
 
@@ -125,6 +126,46 @@ def test_catalog_at_radius_identities_symbolically():
     assert sp.simplify(lam4 - s * (1 + q) / (1 - q)) == 0
     coth_form = (s * sp.coth(s * r)).rewrite(sp.exp)
     assert sp.simplify(lam4.subs(q, sp.exp(-2 * s * r)) - coth_form) == 0
+
+
+def test_focal_determinant_is_sech_cubed_symbolically():
+    """det D(r) = sech^3(sr) on the catalog curve, as an identity in
+    s > 0, u = e^{sr} > 1 (c = -4s^2), with the root R = sqrt(-c - 3
+    lambda_3^2) reduced modulo its defining equation.  D is the mode
+    matrix [[f1 + b1^2 g1, b1 b2 g2], [b1 b2 g1, f2 + b2^2 g2]] of
+    ``focal_determinant_matrix``, with the f and g profiles of the
+    ``jacobi`` docstrings at lambda_1, lambda_2 and the catalog's b_i^2."""
+    s, u, R = sp.symbols("s u R", positive=True)
+    f1, f2, g1, g2, b1, b2 = sp.symbols("f1 f2 g1 g2 b1 b2")
+    c = -4 * s**2
+    # b1 and b2 enter the determinant only through b1^2 and b2^2
+    mode = sp.Matrix([[f1 + b1**2 * g1, b1 * b2 * g2], [b1 * b2 * g1, f2 + b2**2 * g2]])
+    det = sp.expand(mode.det())
+    assert det == f1 * f2 + b2**2 * f1 * g2 + b1**2 * f2 * g1
+    ch, sh = (u + 1 / u) / 2, (u - 1 / u) / 2
+
+    def f(lam):
+        return ch - (lam / s) * sh
+
+    def g(lam):
+        return (ch - 1) * (1 + 2 * ch - (lam / s) * sh)
+
+    lam3 = s * (u**2 - 1) / (u**2 + 1)  # s tanh(sr)
+    lam1, lam2 = (3 * lam3 - R) / 2, (3 * lam3 + R) / 2
+    b1sq = -((R - lam3) ** 3) / (2 * c * R)
+    b2sq = -((R + lam3) ** 3) / (2 * c * R)
+    det_d = det.subs({f1: f(lam1), f2: f(lam2), g1: g(lam1), g2: g(lam2)})
+    det_d = det_d.subs({b1**2: b1sq, b2**2: b2sq})
+    sech_cubed = (2 * u / (u**2 + 1)) ** 3
+    relation = sp.expand(sp.numer(sp.together(R**2 - (-c - 3 * lam3**2))))
+    num = sp.expand(sp.numer(sp.together(det_d - sech_cubed)))
+    assert sp.rem(num, relation, R) == 0
+    # the transcribed profiles are the code's: one numeric radius
+    cf, r = -4.0, 0.7
+    es = catalog_at_radius(r, cf, 3, 2)
+    at = {s: 1, u: math.exp(r), R: math.sqrt(-cf - 3 * es.lambda3**2)}
+    dmat = jacobi.focal_determinant_matrix(es.lambda1, es.lambda2, es.b1, es.b2, cf, r)
+    assert abs(float(det_d.subs(at)) - np.linalg.det(dmat)) < 1e-12
 
 
 def test_positive_curvature_certificate_symbolically():

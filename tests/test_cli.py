@@ -40,6 +40,31 @@ def test_construct_rejects_large_k(capsys):
     assert "error" in capsys.readouterr().err
 
 
+CURVATURE_RESIDUALS = ("curvature", "holomorphic", "totally_real", "pinching")
+
+
+@pytest.mark.parametrize("key", CURVATURE_RESIDUALS)
+def test_verify_model_fails_on_a_nan_residual(key, monkeypatch, capsys):
+    # max(...) skips a NaN that is not first, so each residual is tried
+    def verify_curvature(self, samples, seed):
+        return {name: math.nan if name == key else 0.0 for name in CURVATURE_RESIDUALS}
+
+    monkeypatch.setattr(model.SolvableModel, "verify_curvature", verify_curvature)
+    code = main(["verify-model", "--n", "2", "--c", "-4"])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "FAIL"
+
+
+def test_construct_fails_on_a_nan_shape_form(monkeypatch, capsys):
+    def rigidity_form_check(spec):
+        return {"shape_form": math.nan, "trace": 0.0}
+
+    monkeypatch.setattr(cli, "rigidity_form_check", rigidity_form_check)
+    code = main(["construct", "--n", "3", "--c", "-4", "--k", "2"])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "FAIL"
+
+
 def test_sweep_deterministic(tmp_path):
     args = [
         "sweep", "--n", "3", "--c", "-4", "--k", "2",

@@ -21,7 +21,7 @@ from chgeom import (
     orbit_second_fundamental_form,
     rigidity_form_check,
 )
-from chgeom.construction import RIGHT_ANGLE_TOLERANCE, is_totally_real
+from chgeom.construction import RIGHT_ANGLE_TOLERANCE, RIGIDITY_TOLERANCE, is_totally_real
 from chgeom.model import GALPHA_START
 
 ANGLE_TOLERANCE = 1e-12
@@ -51,7 +51,7 @@ def test_one_totally_real_predicate():
         focal_shape_check(spec, spec.normal_basis[0], 0.5)
     spec = build_submanifold(params, 2, near)
     report = focal_shape_check(spec, spec.normal_basis[0], 0.5, step=1e-2)
-    assert report.eta_return_residual < 1e-6
+    assert report["eta_return"] < 1e-6
 
 
 def test_subspace_validation_errors():
@@ -173,9 +173,10 @@ def test_second_fundamental_form_closed_form():
                     orbit_second_fundamental_form(spec), spec.second_fundamental_form
                 )
                 report = rigidity_form_check(spec)
-                assert report.passed
-                assert report.max_residual < FORM_TOLERANCE
-                assert report.trace_norm < FORM_TOLERANCE
+                assert list(report) == ["shape_form", "trace"]
+                assert report["shape_form"] <= RIGIDITY_TOLERANCE
+                assert report["shape_form"] < FORM_TOLERANCE
+                assert report["trace"] < FORM_TOLERANCE
 
 
 def test_second_fundamental_form_k1_entries():

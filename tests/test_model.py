@@ -191,11 +191,11 @@ def test_curvature_dual_route_agreement():
 
 def test_verify_curvature_report():
     rep = model(n=3, c=-4.0).verify_curvature(samples=100, seed=3)
-    assert rep.passed(CURVATURE_TOLERANCE)
-    assert rep.max_residual < CURVATURE_TOLERANCE
-    assert rep.holomorphic_error < CURVATURE_TOLERANCE
-    assert rep.totally_real_error < CURVATURE_TOLERANCE
-    assert rep.pinching_violation == 0.0
+    assert list(rep) == ["curvature", "holomorphic", "totally_real", "pinching"]
+    assert rep["curvature"] < CURVATURE_TOLERANCE
+    assert rep["holomorphic"] < CURVATURE_TOLERANCE
+    assert rep["totally_real"] < CURVATURE_TOLERANCE
+    assert rep["pinching"] == 0.0
 
 
 def _verify_curvature_per_sample(m, samples, seed):
@@ -244,13 +244,7 @@ def test_curvature_row_stacks_match_single_vectors(n):
             want = curvature(x[i], y[i], z[i])
             assert np.all(np.abs(rows[i] - want) <= 1e-15 * (1.0 + np.abs(want)))
     for s in (0, 1, 2):
-        rep = m.verify_curvature(samples=50, seed=s)
-        got = (
-            rep.max_residual,
-            rep.holomorphic_error,
-            rep.totally_real_error,
-            rep.pinching_violation,
-        )
+        got = tuple(m.verify_curvature(samples=50, seed=s).values())
         want = _verify_curvature_per_sample(m, 50, s)
         assert np.all(np.abs(np.subtract(got, want)) <= 1e-15)
 

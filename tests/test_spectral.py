@@ -660,40 +660,6 @@ def test_allclose_helper_matches_numpy(b, atol, data):
         assert spectral._allclose(a, b, atol) == np.allclose(a, b, atol=atol)
 
 
-@settings(max_examples=200, deadline=None)
-@seed(20261019)
-@given(
-    d=st.integers(2, 12),
-    atol=st.floats(0.0, 1e-3, allow_nan=False),
-    data=st.data(),
-)
-def test_orthonormal_helper_matches_allclose_to_identity(d, atol, data):
-    """``_orthonormal`` gives the verdict of ``_allclose(G, I, atol)`` on
-    the Gram matrix G, with Gram entries placed on, just inside and just
-    outside each bound."""
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
-    frame, _ = np.linalg.qr(rng.standard_normal((d, d)))
-    for _ in range(4):
-        row, col = rng.integers(0, d, size=2)
-        bound = atol + (1e-5 if row == col else 0.0)
-        kind = data.draw(st.sampled_from(["at", "in", "out", "far"]))
-        target = {
-            "at": bound,
-            "in": np.nextafter(bound, 0.0),
-            "out": np.nextafter(bound, 1.0),
-            "far": 10.0 * bound + 1e-9,
-        }[kind]
-        # scale one row so that one Gram deviation lands on the target
-        trial = frame.copy()
-        if row == col:
-            trial[row] *= math.sqrt(1.0 + target)
-        else:
-            trial[row] = trial[row] + target * trial[col]
-        gram = trial @ trial.T
-        want = spectral._allclose(gram, np.eye(d), atol)
-        assert spectral._orthonormal(trial, atol) == want
-
-
 @st.composite
 def _catalog_cases(draw):
     n = draw(st.integers(2, 6))
