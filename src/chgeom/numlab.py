@@ -199,18 +199,15 @@ class FrameFields:
     row s (the GermField's L1 <= 1 stencil order).  X_0, X_1, X_2 are
     U_1, U_2, A; the rest complete the lambda_3-eigenspace (orthogonally
     to A) and span the other non-projected eigenspaces.  At the center
-    X_a equals centers[a] and has principal curvature eigenvalues[a], so
+    (stencil row 0) X_a has principal curvature eigenvalues[a], so
     eigenvalues[:3] are (lambda_1, lambda_2, lambda_3); groups[a] is the
     index of X_a's eigenspace in the center decomposition; nabla[a, b] =
     nabla_{X_a} X_b there.
     """
 
     fields: np.ndarray  # (F, 2 dom + 1, 2n)
-    centers: np.ndarray  # (F, 2n)
     eigenvalues: tuple
     groups: tuple
-    b1: float
-    b2: float
     nabla: np.ndarray  # (F, F, 2n)
 
 
@@ -460,17 +457,14 @@ class GermField:
                 f"{NUMERIC_GROUPING_TOLERANCE:g} the center germ has {lack} "
                 f"({decomp.g} eigenvalue groups: {groups})"
             )
-        frames = [hopf_frame_extract(g, d) for g, d in zip(self._germs, decomps)]
-        frame = frames[0]
-        fields = [
-            np.array([getattr(fr, name) for fr in frames])
-            for name in ("u1", "u2", "a_vec")
-        ]
+        # U_1, U_2 and A, each stacked over the stencil
+        fields = list(np.stack([hopf_frame_extract(d) for d in decomps], axis=1))
+        a_vec = fields[2][0]
         i3 = rest[0]
         groups = [*decomp.hopf_indices, i3]
         # the lambda_3-space minus A, then the other non-projected spaces
         amb3 = decomp.spaces[i3]
-        raw3 = amb3 - np.outer(amb3 @ frame.a_vec, frame.a_vec)
+        raw3 = amb3 - np.outer(amb3 @ a_vec, a_vec)
         _, sv, vt = np.linalg.svd(raw3, full_matrices=False)
         spaces = [(i3, vt[sv > 0.5])]
         spaces += [(i, decomp.spaces[i]) for i in rest if i != i3]
@@ -482,11 +476,8 @@ class GermField:
         fields = np.stack(fields)
         return FrameFields(
             fields=fields,
-            centers=fields[:, 0],
             eigenvalues=tuple(lam[i] for i in groups),
             groups=tuple(groups),
-            b1=frame.b1,
-            b2=frame.b2,
             nabla=self._nabla_table(fields),
         )
 
@@ -559,7 +550,7 @@ def real_eigenspace_residual(field: GermField) -> float:
     """Projected eigenspaces must be totally real: max |<J v, w>| over
     pairs inside each eigenspace carrying structure-vector projection."""
     return max(
-        totally_real_check(field.germ(), field.decomposition()).values(),
+        totally_real_check(field.decomposition()).values(),
         default=0.0,
     )
 
@@ -582,7 +573,7 @@ def graded_connection_residuals(field: GermField) -> float:
     + 2<JX,Z><Y,Jxi>)."""
     ff = field.frame_fields
     c = field.params.c
-    x = ff.centers
+    x = ff.fields[:, 0]
     jx = j_action(x)
     xjxi = _row_dot(x, j_action(field.normal()))
     lam, close = _eigen_pairs(ff)
@@ -600,7 +591,7 @@ def graded_curvature_residuals(field: GermField) -> float:
     """<Rbar(X,Y)Z, xi> = (beta-gamma)<nabla_X Y, Z>
     - (alpha-gamma)<nabla_Y X, Z> over eigen-field triples, alpha != beta."""
     ff = field.frame_fields
-    x = ff.centers
+    x = ff.fields[:, 0]
     lam, close = _eigen_pairs(ff)
     a, b, z = np.nonzero(np.repeat(~close[:, :, None], len(x), axis=2))
     rbar = ambient_curvature(x[a], x[b], x[z], field.params.c)
@@ -625,7 +616,7 @@ def unit_pair_gauss_residual(field: GermField) -> float:
     jxy = _row_dot(jfields[a], ff.fields[b])
     fjxi = _row_dot(ff.fields, jxi)
     xjxi, yjxi = fjxi[a], fjxi[b]
-    x0, y0 = ff.centers[a], ff.centers[b]
+    x0, y0 = ff.fields[a, 0], ff.fields[b, 0]
     jx0, jy0 = jfields[a, 0], jfields[b, 0]
     nab = ff.nabla
     nab_xy, nab_yx = nab[a, b], nab[b, a]
@@ -668,10 +659,11 @@ def frame_connection_residuals(field: GermField) -> dict:
     """
     ff = field.frame_fields
     lam, l3 = ff.eigenvalues[:2], ff.eigenvalues[2]
-    b1, b2 = ff.b1, ff.b2
+    decomp = field.decomposition()
+    b1, b2 = decomp.jxi_components[decomp.hopf_indices].tolist()
     bsq = (b1 * b1, b2 * b2)
     c = field.params.c
-    u0, a0 = ff.centers[:2], ff.centers[2]
+    u0, a0 = ff.fields[:2, 0], ff.fields[2, 0]
     nab = ff.nabla  # fields 0, 1, 2 are U_1, U_2, A
     sign = (-1.0, 1.0)  # (-1)^i for i = 1, 2
 

@@ -302,10 +302,6 @@ class HypersurfaceGerm:
             shape=-self.shape,
         )
 
-    def structure_vector(self) -> np.ndarray:
-        """J xi in frame components (always tangent)."""
-        return j_action(self.normal)
-
     def to_json_dict(self) -> dict:
         return {
             "n": self.params.n,
@@ -353,15 +349,17 @@ class HypersurfaceGerm:
 class PrincipalDecomposition:
     """Grouped spectrum of a germ's shape operator.
 
-    eigenvalues: distinct values ascending; spaces[i]: (mult_i, 2n)
-    orthonormal ambient rows spanning the i-th eigenspace (frame
-    components, like the germ's tangent basis); jxi_coefficients[i]:
-    (mult_i,) coefficients of the structure vector J xi on the rows of
-    spaces[i].  The rest is derived from these at construction:
-    jxi_components[i], the norm of jxi_coefficients[i] (the length of
-    J xi's projection onto the i-th space), and the Hopf indices.
+    normal: the germ's unit normal xi; eigenvalues: distinct values
+    ascending; spaces[i]: (mult_i, 2n) orthonormal ambient rows spanning
+    the i-th eigenspace (frame components, like the germ's tangent
+    basis); jxi_coefficients[i]: (mult_i,) coefficients of the structure
+    vector J xi on the rows of spaces[i].  The rest is derived from these
+    at construction: jxi_components[i], the norm of jxi_coefficients[i]
+    (the length of J xi's projection onto the i-th space), and the Hopf
+    indices.
     """
 
+    normal: np.ndarray
     eigenvalues: np.ndarray
     multiplicities: tuple
     spaces: list
@@ -392,8 +390,9 @@ class PrincipalDecomposition:
     def flipped(self) -> "PrincipalDecomposition":
         """The decomposition of the flipped germ (``HypersurfaceGerm.flipped``):
         its shape is -S, so the eigenvalues are negated and the groups,
-        still ascending, come in reverse order; J xi only changes sign."""
+        still ascending, come in reverse order; xi and J xi change sign."""
         return PrincipalDecomposition(
+            normal=-self.normal,
             eigenvalues=-self.eigenvalues[::-1],
             multiplicities=self.multiplicities[::-1],
             spaces=self.spaces[::-1],
@@ -425,7 +424,7 @@ def principal_decomposition(
     shape = germ.shape
     evals, evecs = np.linalg.eigh(0.5 * (shape + shape.T))
     ambient = evecs.T @ germ.tangent_basis  # rows: ambient eigenvectors
-    coeffs = ambient @ germ.structure_vector()
+    coeffs = ambient @ j_action(germ.normal)
     values = evals.tolist()
     # group boundaries: 0, every gap above its threshold, and the end
     cuts, warn = [0], False
@@ -438,6 +437,7 @@ def principal_decomposition(
         warn = warn or 0.5 * threshold < gap < 2.0 * threshold
     groups = list(zip(cuts, cuts[1:] + [len(values)]))
     return PrincipalDecomposition(
+        normal=germ.normal,
         # a group's sum over its count is np.mean's own formula, without
         # its per-call overhead; a single value is its own mean
         eigenvalues=np.array([
@@ -451,61 +451,32 @@ def principal_decomposition(
     )
 
 
-@dataclass
-class HopfFrame:
-    """Unit vectors U_1, U_2 (normalized structure-vector projections),
-    the derived vector A = -(J U_1 + b_1 xi)/b_2, and b_1, b_2 > 0."""
-
-    u1: np.ndarray
-    u2: np.ndarray
-    a_vec: np.ndarray
-    b1: float
-    b2: float
-    lambda1: float
-    lambda2: float
-
-
-def hopf_frame_extract(
-    germ: HypersurfaceGerm, decomp: PrincipalDecomposition
-) -> HopfFrame:
-    """Extract the two-projection frame of the germ's decomposition;
-    requires h = 2.  b_i are the decomposition's projection norms and
-    U_i = P_i(J xi) / b_i, built from the coefficients of J xi that the
-    decomposition stores on the rows of each space (J xi is not
-    projected again)."""
+def hopf_frame_extract(decomp: PrincipalDecomposition) -> np.ndarray:
+    """The (3, 2n) rows (U_1, U_2, A) of the decomposition's two-projection
+    frame; requires h = 2.  With b_i the decomposition's projection norms,
+    U_i = P_i(J xi) / b_i is built from the coefficients of J xi that it
+    stores on the rows of each space (J xi is not projected again), and
+    A = -(J U_1 + b_1 xi) / b_2."""
     if decomp.h != 2:
         raise ValueError(f"Hopf frame needs h = 2, got h = {decomp.h}")
     i1, i2 = decomp.hopf_indices  # ascending eigenvalues: lambda1 < lambda2
     b = decomp.jxi_components.tolist()
-    values = decomp.eigenvalues.tolist()
     u1 = decomp.jxi_coefficients[i1] @ decomp.spaces[i1] / b[i1]
     u2 = decomp.jxi_coefficients[i2] @ decomp.spaces[i2] / b[i2]
-    a_vec = -(j_action(u1) + b[i1] * germ.normal) / b[i2]
-    return HopfFrame(
-        u1=u1,
-        u2=u2,
-        a_vec=a_vec,
-        b1=b[i1],
-        b2=b[i2],
-        lambda1=values[i1],
-        lambda2=values[i2],
-    )
+    a_vec = -(j_action(u1) + b[i1] * decomp.normal) / b[i2]
+    return np.array((u1, u2, a_vec))
 
 
-def frame_identity_residuals(
-    germ: HypersurfaceGerm,
-    frame: HopfFrame,
-    decomp: PrincipalDecomposition,
-) -> dict:
+def frame_identity_residuals(decomp: PrincipalDecomposition) -> dict:
     """Residuals of the structural frame identities:
     J xi = b1 U1 + b2 U2, <J U1, U2> = 0, J U2 = b1 A - b2 xi,
     J A = b2 U1 - b1 U2, A in the lambda_3 eigenspace.
 
     J is applied once, to the stacked (xi, U1, U2, A), and the vector
     defects are normed in one row-wise reduction."""
-    xi, u1, u2, a_vec = germ.normal, frame.u1, frame.u2, frame.a_vec
-    b1, b2 = frame.b1, frame.b2
-    rows = np.array((xi, u1, u2, a_vec))
+    b1, b2 = decomp.jxi_components[decomp.hopf_indices].tolist()
+    rows = np.concatenate((decomp.normal[None], hopf_frame_extract(decomp)))
+    u2, a_vec = rows[2], rows[3]
     j_rows = j_action(rows)
     # rows 0, 2, 3: J xi - (b1 U1 + b2 U2), J U2 - (b1 A - b2 xi) and
     # J A - (b2 U1 - b1 U2); row 1 is J U1, which is tested on its own
@@ -533,9 +504,7 @@ def frame_identity_residuals(
     return res
 
 
-def totally_real_check(
-    germ: HypersurfaceGerm, decomp: PrincipalDecomposition
-) -> dict:
+def totally_real_check(decomp: PrincipalDecomposition) -> dict:
     """max |<J v, w>| over pairs inside each eigenspace that carries a
     structure-vector projection (those spaces must be totally real); J
     is applied once, to the stacked rows of those spaces."""
@@ -609,10 +578,11 @@ def classify(
     """Match a germ against the constant-principal-curvature catalog.
 
     The germ needs h = 2 projected eigenspaces (else "hopf" or "h=N").
-    It is flipped when its smallest non-Hopf eigenvalue is negative, so
-    lambda_3 >= 0 (the flip negates the one decomposition, so h stays
-    2), and needs g = 3 or 4 groups (else "g=N").  At c > 0 the catalog
-    has no real solution and the NoRealSolution message is the reason.
+    Its decomposition is flipped when the smallest non-Hopf eigenvalue
+    is negative, so lambda_3 >= 0 (the flip negates the one
+    decomposition, xi with it, so h stays 2), and needs g = 3 or 4
+    groups (else "g=N").  At c > 0 the catalog has no real solution and
+    the NoRealSolution message is the reason.
     The groups are read in catalog order lambda_1 < lambda_2 (the Hopf
     spaces), lambda_3 < lambda_4, and k = 2n - 2 - mult(lambda_3).  The
     catalog entry is built at (lambda_3, k), or at sqrt(-c)/(2 sqrt(3))
@@ -634,7 +604,7 @@ def classify(
 
     rest = decomp.non_hopf_indices  # ascending: rest[0] is lambda_3
     if rest and decomp.eigenvalues[rest[0]] < 0.0:
-        germ, decomp = germ.flipped(), decomp.flipped()
+        decomp = decomp.flipped()
 
     g, h = decomp.g, decomp.h
     if g not in (3, 4):
@@ -662,21 +632,21 @@ def classify(
         return _unclassified(g, h, {}, "multiplicities")
     r = jacobi.special_radius(c) if special else jacobi.focal_radius(lam3, c)
 
-    frame = hopf_frame_extract(germ, decomp)
-    residuals = frame_identity_residuals(germ, frame, decomp)
+    b1, b2 = decomp.jxi_components[decomp.hopf_indices].tolist()
+    residuals = frame_identity_residuals(decomp)
     residuals.update(
         {
-            "lambda1_catalog": abs(frame.lambda1 - es.lambda1),
-            "lambda2_catalog": abs(frame.lambda2 - es.lambda2),
+            "lambda1_catalog": abs(lam[0] - es.lambda1),
+            "lambda2_catalog": abs(lam[1] - es.lambda2),
             "lambda3_catalog": abs(lam[2] - es.lambda3),
-            "b1_catalog": abs(frame.b1**2 - es.b1sq),
-            "b2_catalog": abs(frame.b2**2 - es.b2sq),
-            "quadratic": abs(catalog_quadratic(frame.lambda1, frame.lambda2, lam[2], c)),
+            "b1_catalog": abs(b1**2 - es.b1sq),
+            "b2_catalog": abs(b2**2 - es.b2sq),
+            "quadratic": abs(catalog_quadratic(lam[0], lam[1], lam[2], c)),
         }
     )
     if es.g == 4:
         residuals["lambda4_catalog"] = abs(lam[3] - es.lambda4)
-    residuals["totally_real"] = max(totally_real_check(germ, decomp).values())
+    residuals["totally_real"] = max(totally_real_check(decomp).values())
 
     if max(residuals.values()) > tol:
         return _unclassified(g, h, residuals, "residuals")

@@ -262,12 +262,12 @@ def focal_shape_check(
     a = model.a
     tube = tube_shape_operator(spec, eta, r, step)
     germ = tube.germ
-    frame = hopf_frame_extract(germ, principal_decomposition(germ))
+    a_vec = hopf_frame_extract(principal_decomposition(germ))[2]
     p_mat = tube.transport  # columns: transported frame vectors o -> q
 
     # transport back q -> o is the transpose (transport is orthogonal)
     eta_r = p_mat.T @ germ.normal  # arrival velocity of the return geodesic
-    b_ja = p_mat.T @ j_action(frame.a_vec)
+    b_ja = p_mat.T @ j_action(a_vec)
     j_eta_r = j_action(eta_r)
 
     s_r = submanifold_shape_operator(spec, eta_r)

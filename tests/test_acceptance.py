@@ -28,7 +28,6 @@ from chgeom import (
     gauss_codazzi_residuals,
     graded_connection_residuals,
     graded_curvature_residuals,
-    hopf_frame_extract,
     nonexistence_scan,
     principal_decomposition,
     real_eigenspace_residual,
@@ -267,9 +266,7 @@ def test_criterion_8_classifier_roundtrip():
         res = classify(germ)
         assert res.k == k and res.model in ("tube", "equidistant")
         worst_dr = max(worst_dr, abs(res.r - r))
-        decomp = principal_decomposition(germ)
-        frame = hopf_frame_extract(germ, decomp)
-        fres = frame_identity_residuals(germ, frame, decomp)
+        fres = frame_identity_residuals(principal_decomposition(germ))
         worst_frame = max(worst_frame, max(fres.values()))
         es = eigen_structure_from_lambda3(math.tanh(r), -4.0)
         worst_b = max(

@@ -1,8 +1,8 @@
 """Source hygiene: no module in the package or the tests imports a name it
-never uses (an unused root import keeps a name in ``chgeom.__all__``),
-README's list of classifier reasons matches the reasons the code returns,
-and no package module passes or stores J as a matrix (``model.j_action``
-applies it)."""
+never uses (an unused root import keeps a name in ``chgeom.__all__``), no
+package function takes a parameter it never reads, README's list of
+classifier reasons matches the reasons the code returns, and no package
+module passes or stores J as a matrix (``model.j_action`` applies it)."""
 
 import ast
 import re
@@ -56,6 +56,57 @@ def test_no_unused_imports():
         for line, name in unused_imports(ast.parse(path.read_text()))
     ]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def unused_parameters(tree: ast.Module) -> list:
+    """(line, function, parameter) for every parameter of a function or
+    lambda that its body never reads; ``self``, ``cls`` and names that
+    start with ``_`` are exempt."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [p for p in (args.vararg, args.kwarg) if p is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            sub.id
+            for stmt in body
+            for sub in ast.walk(stmt)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+        }
+        name = getattr(node, "name", "<lambda>")
+        found += [
+            (node.lineno, name, p.arg)
+            for p in params
+            if p.arg not in read and p.arg not in ("self", "cls") and not p.arg.startswith("_")
+        ]
+    return found
+
+
+def test_unused_parameter_scan_flags_unread_names():
+    tree = ast.parse(
+        "def f(self, x, y, _z, *args, w=1, **kw):\n"
+        "    y = x\n"
+        "    return lambda v, u: g(lambda: kw, v, w)\n"
+        "class C:\n"
+        "    def m(cls, a):\n"
+        "        def inner():\n"
+        "            return a\n"
+    )
+    assert unused_parameters(tree) == [
+        (1, "f", "y"), (1, "f", "args"), (3, "<lambda>", "u"),
+    ]
+
+
+def test_no_unused_parameters():
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {func}({param})"
+        for path in sorted((ROOT / "src" / "chgeom").glob("*.py"))
+        for line, func, param in unused_parameters(ast.parse(path.read_text()))
+    ]
+    assert not found, "parameters never read:\n" + "\n".join(found)
 
 
 def _string_literals(node: ast.AST) -> set:

@@ -161,10 +161,9 @@ def test_hopf_frame_identities_on_catalog_germs():
         r = float(rng.uniform(0.1, 1.5))
         germ = catalog_germ(ModelParams(n=n, c=-4.0), k, r=r)
         decomp = principal_decomposition(germ)
-        frame = hopf_frame_extract(germ, decomp)
-        res = frame_identity_residuals(germ, frame, decomp)
+        res = frame_identity_residuals(decomp)
         assert max(res.values()) < FRAME_TOLERANCE
-        real = totally_real_check(germ, decomp)
+        real = totally_real_check(decomp)
         assert max(real.values()) < FRAME_TOLERANCE
 
 
@@ -253,18 +252,20 @@ def test_classify_decomposes_a_flipped_germ_once(monkeypatch):
         assert len(calls) == 1
 
 
-def test_hopf_frame_reads_the_decomposition_projections():
-    """b_1, b_2 are the decomposition's projection norms, bit for bit,
-    also on a germ whose shape is not diagonal."""
+def test_flipped_decomposition_gives_the_flipped_germs_frame_bit_for_bit():
+    """Negating the decomposition (xi with it) gives the Hopf frame rows,
+    the frame identities and the totally-real check of the flipped germ's
+    own decomposition, bit for bit, also on a germ whose shape is not
+    diagonal; so ``classify`` flips the decomposition only."""
     spec = build_submanifold(ModelParams(n=4, c=-4.0), 3, math.pi / 2.0)
     germs = [tube_germ(spec, spec.normal_basis[0], 0.7)]
     germs += [catalog_germ(ModelParams(n=3, c=-4.0), k, r=0.4) for k in (1, 2)]
     for germ in germs + [g.flipped() for g in germs]:
-        decomp = principal_decomposition(germ)
-        frame = hopf_frame_extract(germ, decomp)
-        i1, i2 = decomp.hopf_indices
-        assert frame.b1 == decomp.jxi_components[i1]
-        assert frame.b2 == decomp.jxi_components[i2]
+        negated = principal_decomposition(germ).flipped()
+        direct = principal_decomposition(germ.flipped())
+        assert np.array_equal(hopf_frame_extract(negated), hopf_frame_extract(direct))
+        assert frame_identity_residuals(negated) == frame_identity_residuals(direct)
+        assert totally_real_check(negated) == totally_real_check(direct)
 
 
 def test_classify_basis_rotation_invariance():
