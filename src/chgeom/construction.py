@@ -5,9 +5,11 @@ serves as the normal space at the base point; the orthogonal complement
 together with the abelian and center directions spans a subalgebra, and
 its orbit through the identity is a (2n-k)-dimensional minimal
 submanifold ruled by totally geodesic complex hyperbolic subspaces.
-The module builds the subspace rows, the orbit data, its second
+The module writes the subspace rows and the orbit frame down in closed
+form, with sin(phi) and cos(phi) as entries, so the frame is orthonormal
+to rounding for every phi in (0, pi/2].  It computes the second
 fundamental form from the exact Koszul table (plain arrays, kept on the
-immutable ``SubmanifoldSpec``), and checks the rigidity normal form
+immutable ``SubmanifoldSpec``) and checks the rigidity normal form
     II(Z, u) = sin(phi) (sqrt(-c)/2) xi
 for xi a unit normal and u the unit tangential projection of J xi.
 """
@@ -22,7 +24,6 @@ import numpy as np
 
 from .model import (
     B_INDEX,
-    GALPHA_START,
     Z_INDEX,
     ModelParams,
     SolvableModel,
@@ -87,15 +88,18 @@ def constant_kahler_angle_subspace(params: ModelParams, k: int, phi: float) -> n
 
 
 def kahler_angle(v, rows) -> float:
-    """Kaehler angle of a nonzero v inside the span of the orthonormal
-    rows: the angle between J v and that span, read as atan2 of the parts
-    of J v off and on the span (acos of the second alone loses half the
-    digits near 0).  Raises if v is not in the span."""
+    """Kaehler angle of a finite nonzero v, of any scale, inside the span
+    of the orthonormal rows: the angle between J v and that span, read as
+    atan2 of the parts of J v off and on the span (acos of the second
+    alone loses half the digits near 0).  Raises if v is not in the span."""
     rows = np.asarray(rows, dtype=float)
     v = np.asarray(v, dtype=float)
+    scale = np.max(np.abs(v))
+    if not 0.0 < scale < math.inf:
+        raise ValueError("cannot take the Kaehler angle of the zero vector or a non-finite one")
+    # the angle does not depend on scale; a largest entry of 1 keeps every norm finite
+    v = v / scale
     norm = np.linalg.norm(v)
-    if norm < 1e-12:
-        raise ValueError("cannot take the Kaehler angle of the zero vector")
     coeffs = rows @ v
     if np.linalg.norm(v - rows.T @ coeffs) > SPAN_TOLERANCE * norm:
         raise ValueError("vector does not lie in the given subspace")
@@ -186,32 +190,24 @@ class SubmanifoldSpec:
 def build_submanifold(params: ModelParams, k: int, phi: float) -> SubmanifoldSpec:
     """Assemble the orbit data: the normal rows xi_m, then the tangent
     subalgebra rows B, Z, the unit tangential projections u_m of J xi_m,
-    and the rest of the root space."""
+    and the rest of the root space, each row in closed form (root
+    directions named as in ``constant_kahler_angle_subspace``).  phi = pi/2
+    gives u_m = J xi_m = J e_m; a pair xi = e_{2p+1}, xi' = cos(phi)
+    J e_{2p+1} + sin(phi) e_{2p+2} gives u = sin(phi) J e_{2p+1} -
+    cos(phi) e_{2p+2} and u' = J e_{2p+2}; the rest is e_m, J e_m for
+    m = k+1..n-1."""
     wperp = constant_kahler_angle_subspace(params, k, phi)
     k, d = wperp.shape
     eye = np.eye(d)
-    sphi = math.sin(phi)
-
-    # tangential parts of J xi_m, one row per normal; their norm is sin(phi)
-    jrows = j_action(wperp)
-    tang = jrows - (jrows @ wperp.T) @ wperp
-    norms = np.linalg.norm(tang, axis=1)
-    if np.max(np.abs(norms - sphi)) > 1e-10:
-        raise AssertionError(
-            f"tangential projection norms {norms} != sin(phi) {sphi}"
-        )
-    pxi = tang / norms[:, None]
-
-    # the root-space rows orthogonal to wperp and pxi: project the root
-    # directions off them, then an SVD picks a deterministic basis
-    known = np.vstack([wperp, pxi])
-    galpha = eye[GALPHA_START:]
-    _, sv, vt = np.linalg.svd(galpha - (galpha @ known.T) @ known, full_matrices=False)
-    rest = vt[sv > 1e-9]
-    if rest.shape[0] != d - 2 - 2 * k:
-        raise AssertionError("root-space complement has unexpected dimension")
-
-    tangent = np.vstack([eye[[B_INDEX, Z_INDEX]], pxi, rest])
+    if is_totally_real(phi):
+        pxi = j_action(wperp)
+    else:
+        pxi = np.zeros((k, d))
+        pair = np.arange(k // 2)
+        pxi[2 * pair, 4 * pair + 3] = math.sin(phi)
+        pxi[2 * pair, 4 * pair + 4] = -math.cos(phi)
+        pxi[2 * pair + 1, 4 * pair + 5] = 1.0
+    tangent = np.vstack([eye[[B_INDEX, Z_INDEX]], pxi, eye[2 * k + 2 :]])
     spec = SubmanifoldSpec(
         params=params, k=k, phi=float(phi), normal_basis=wperp, tangent_basis=tangent
     )
@@ -260,10 +256,8 @@ def rigidity_form_check(spec: SubmanifoldSpec) -> dict:
 
 def maximal_holomorphic_subspace(spec: SubmanifoldSpec) -> np.ndarray:
     """Orthonormal rows spanning T intersect JT at the base point (the
-    ruling directions: II vanishes on this subspace)."""
+    ruling directions: II vanishes on this subspace): the tangent rows B,
+    Z and the rest of the root space, which J maps pairwise to each other;
+    J u_m has a normal part of length sin(phi) > 0."""
     t = spec.tangent_basis
-    proj = t.T @ t
-    m = (np.eye(t.shape[1]) - proj) @ j_action(t).T  # column j: (1 - P) J t_j
-    _, s, vt = np.linalg.svd(m, full_matrices=True)
-    null = vt[int(np.sum(s > 1e-10)) :]
-    return null @ t
+    return np.vstack([t[:2], t[2 + spec.k :]])

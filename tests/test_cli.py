@@ -40,18 +40,26 @@ def test_construct_rejects_large_k(capsys):
     assert "error" in capsys.readouterr().err
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="build_submanifold normalizes u_m from J xi_m minus its normal "
-    "part, a cancellation that leaves an error ~eps/sin(phi); the root-space "
-    "complement or the orbit form's symmetry check then raises (ROADMAP item 4)",
-)
 @pytest.mark.parametrize("phi", ["1e-6", "1e-8", "1e-9"])
 def test_construct_accepts_a_small_kahler_angle(phi, capsys):
     code = main(["construct", "--n", "3", "--c", "-4", "--k", "2", "--phi", phi])
     assert code == 0
     assert capsys.readouterr().out.splitlines()[-1] == "PASS"
+
+
+@pytest.mark.parametrize("n,k", [(3, 2), (5, 4), (8, 6), (6, 2)])
+def test_construct_passes_on_a_quarter_decade_angle_grid(n, k, tmp_path, capsys):
+    """phi = 10^(e/4), e = -64..0: every run passes, and the frame it
+    writes (normal rows over tangent rows) is orthonormal to 2 eps."""
+    path = tmp_path / "spec.json"
+    for e in range(-64, 1):
+        phi = 10.0 ** (e / 4)
+        argv = ["construct", "--n", str(n), "--c", "-4", "--k", str(k), "--phi", repr(phi)]
+        assert main(argv + ["--output", str(path)]) == 0, phi
+        assert capsys.readouterr().out.splitlines()[-1] == "PASS", phi
+        data = json.loads(path.read_text())
+        frame = np.array(data["normal_basis"] + data["tangent_basis"])
+        assert np.max(np.abs(frame @ frame.T - np.eye(2 * n))) <= 4.4e-16, phi
 
 
 CURVATURE_RESIDUALS = ("curvature", "holomorphic", "totally_real", "pinching")

@@ -22,7 +22,7 @@ from chgeom import (
     rigidity_form_check,
 )
 from chgeom.construction import RIGHT_ANGLE_TOLERANCE, RIGIDITY_TOLERANCE, is_totally_real
-from chgeom.model import GALPHA_START
+from chgeom.model import GALPHA_START, j_action
 
 ANGLE_TOLERANCE = 1e-12
 FORM_TOLERANCE = 1e-12
@@ -100,12 +100,12 @@ def test_kahler_angle_is_constant_on_subspace():
 
 
 @st.composite
-def _n_k_phi(draw):
+def _n_k_phi(draw, phi_min=0.0):
     n = draw(st.integers(2, 8))
     k = draw(st.integers(1, n - 1))
     if k % 2 == 1:
         return n, k, math.pi / 2
-    return n, k, draw(st.floats(0.0, math.pi / 2, exclude_min=True))
+    return n, k, draw(st.floats(phi_min, math.pi / 2, exclude_min=phi_min == 0.0))
 
 
 @seed(19)
@@ -131,6 +131,41 @@ def test_kahler_angle_rejects_vectors_outside_span():
     stray[0] = 1.0  # abelian direction, not in the root space
     with pytest.raises(ValueError):
         kahler_angle(stray, rows)
+
+
+def test_kahler_angle_does_not_depend_on_scale():
+    params = ModelParams(n=3, c=-4.0)
+    rows = constant_kahler_angle_subspace(params, 2, 1.0)
+    v = rows[0] + 2.0 * rows[1]
+    for scale in (1e-13, 1e13, 1e-300, 1e300):
+        assert abs(kahler_angle(scale * v, rows) - 1.0) <= 1e-12
+    for entry in (0.0, math.inf, math.nan):
+        bad = np.where(v != 0.0, entry, 0.0)
+        with pytest.raises(ValueError, match="zero vector or a non-finite one"):
+            kahler_angle(bad, rows)
+
+
+def _projected_j_rows(wperp):
+    """u_m as normalised tangential parts of J xi_m: J xi_m minus its
+    component in the span of the normal rows, divided by its norm."""
+    jrows = j_action(wperp)
+    tang = jrows - (jrows @ wperp.T) @ wperp
+    return tang / np.linalg.norm(tang, axis=1)[:, None]
+
+
+@seed(23)
+@settings(deadline=None, max_examples=150)
+@given(case=_n_k_phi(phi_min=1e-3))
+def test_closed_form_rows_match_the_projected_j_rows(case):
+    """Each closed-form u_m equals the normalised tangential part of
+    J xi_m, the derivation that the closed form replaced.  That
+    derivation forms sin(phi) by cancellation, so its own error is below
+    eps / sin(phi): the bound is 1e-13 down to phi ~ 4.4e-3 and
+    2 eps / sin(phi) below."""
+    n, k, phi = case
+    spec = build_submanifold(ModelParams(n=n, c=-4.0), k, phi)
+    bound = max(1e-13, 2.0 * np.finfo(float).eps / math.sin(phi))
+    assert np.max(np.abs(spec.pxi_unit - _projected_j_rows(spec.normal_basis))) <= bound
 
 
 def test_build_submanifold_shapes():
@@ -209,26 +244,42 @@ def test_form_scales_with_curvature():
     assert abs(peak - 0.5) < FORM_TOLERANCE
 
 
+def _svd_holomorphic_span(t):
+    """Rows spanning T intersect JT as the null space of (1 - P) J
+    restricted to the tangent rows t."""
+    m = (np.eye(t.shape[1]) - t.T @ t) @ j_action(t).T
+    _, s, vt = np.linalg.svd(m, full_matrices=True)
+    return vt[int(np.sum(s > 1e-10)) :] @ t
+
+
 def test_ruled_by_holomorphic_subspace():
     """The maximal complex subspace of the tangent space has dimension
-    2(n-k)+... = dim - k, and II vanishes on it."""
-    for n, k in ((3, 1), (3, 2), (4, 2)):
+    2(n-k), spans the SVD null space of (1 - P) J on T, and II vanishes
+    on it."""
+    for n in range(2, 9):
         params = ModelParams(n=n, c=-4.0)
-        spec = build_submanifold(params, k, math.pi / 2)
-        holo = maximal_holomorphic_subspace(spec)
-        assert holo.shape[0] == 2 * n - 2 * k
         jmat = params_j(params)
-        # closed under J within the tangent span
-        t = spec.tangent_basis
-        for row in holo:
-            jrow = jmat @ row
-            recon = (jrow @ t.T) @ t
-            assert np.max(np.abs(recon - jrow)) < SPAN_TOLERANCE
-        # ruled: the second fundamental form vanishes on the complex part
-        form = orbit_second_fundamental_form(spec)
-        coeff = holo @ t.T  # holo rows in the tangent basis
-        for mat in form:
-            assert np.max(np.abs(coeff @ mat @ coeff.T)) < FORM_TOLERANCE
+        for k in range(1, n):
+            for phi in PHI_GRID:
+                if k % 2 == 1 and phi < math.pi / 2:
+                    continue
+                spec = build_submanifold(params, k, phi)
+                holo = maximal_holomorphic_subspace(spec)
+                assert holo.shape[0] == 2 * n - 2 * k
+                assert np.max(np.abs(holo @ holo.T - np.eye(holo.shape[0]))) < 1e-15
+                ref = _svd_holomorphic_span(spec.tangent_basis)
+                assert np.max(np.abs(holo.T @ holo - ref.T @ ref)) < 1e-12
+                # closed under J within the tangent span
+                t = spec.tangent_basis
+                for row in holo:
+                    jrow = jmat @ row
+                    recon = (jrow @ t.T) @ t
+                    assert np.max(np.abs(recon - jrow)) < SPAN_TOLERANCE
+                # ruled: the second fundamental form vanishes on the complex part
+                form = orbit_second_fundamental_form(spec)
+                coeff = holo @ t.T  # holo rows in the tangent basis
+                for mat in form:
+                    assert np.max(np.abs(coeff @ mat @ coeff.T)) < FORM_TOLERANCE
 
 
 def test_submanifold_spec_json_roundtrip():

@@ -1,13 +1,16 @@
 """Golden outputs of the orbit construction W^{2n-k}_phi.
 
 ``data/construction_golden.json`` holds, for every case below, what the
-orbit layer gave when it still kept its subspace and second fundamental
-form in wrapper records (``KahlerAngleSubspace``,
-``SecondFundamentalForm``): the stdout and exit code of ``chgeom
-construct``, a sha256 of the bytes it writes with ``--output``, and a
-sha256 of the shape matrix and tangent rows of ``tube_germ`` at
-r in {0.3, 0.7, 1.5}, along the first normal row and along the
-normalised sum of the normal rows.  Every case must keep them.
+orbit layer gives with its frame written in closed form: the stdout and
+exit code of ``chgeom construct``, a sha256 of the bytes it writes with
+``--output``, and a sha256 of the shape matrix and tangent rows of
+``tube_germ`` at r in {0.3, 0.7, 1.5}, along the first normal row and
+along the normalised sum of the normal rows.  Every case must keep them.
+The file was re-recorded when the frame stopped coming from a projection
+and an SVD; against the outputs of that older frame, every phi = pi/2
+case kept its stdout and its arrays as numbers (only the signs of zeros
+moved), and every phi < pi/2 case kept its normal rows bit for bit and
+its stdout up to the shape-form residual figure.
 
 The cases are n = 2..7, every k = 1..n-1, c in {-1, -4, -100} and
 phi = pi/2, plus phi in {pi/3, 0.4} for even k.  The ``--output``
@@ -16,11 +19,10 @@ path appears in stdout; it is written as ``OUTPUT`` here.
 The digests are bit for bit, so they pin the floating-point build the
 file was recorded with: numpy 2.4 on x86-64 with OpenBLAS 0.3.31
 (DYNAMIC_ARCH), whose runtime dispatch chose the SkylakeX (AVX-512)
-kernels.  The SVD of the root-space complement and the tube germ's
-matrix products round with those kernels; on another core a digest
-mismatch with equal stdout is a platform difference to confirm (CI
-prints the core with ``OPENBLAS_VERBOSE=2``) before it is read as a
-regression.
+kernels.  The tube germ's matrix products round with those kernels; on
+another core a digest mismatch with equal stdout is a platform
+difference to confirm (CI prints the core with ``OPENBLAS_VERBOSE=2``)
+before it is read as a regression.
 
 ``PYTHONPATH=src python tests/test_construction_golden.py`` rewrites the
 data file from the code it runs against: do that only on a commit whose
