@@ -6,12 +6,12 @@ together with the abelian and center directions spans a subalgebra, and
 its orbit through the identity is a (2n-k)-dimensional minimal
 submanifold ruled by totally geodesic complex hyperbolic subspaces.
 The module writes the subspace rows and the orbit frame down in closed
-form, with sin(phi) and cos(phi) as entries, so the frame is orthonormal
-to rounding for every phi in (0, pi/2].  It computes the second
-fundamental form from the exact Koszul table (plain arrays, kept on the
-immutable ``SubmanifoldSpec``) and checks the rigidity normal form
+form, with sin(phi) and cos(phi) as entries, checks at build time that
+the frame is orthonormal, and keeps the second fundamental form on the
+immutable ``SubmanifoldSpec`` in the closed rigidity normal form
     II(Z, u) = sin(phi) (sqrt(-c)/2) xi
-for xi a unit normal and u the unit tangential projection of J xi.
+for xi a unit normal and u the unit tangential projection of J xi, all
+other entries zero.  The exact Koszul table is its oracle.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .model import (
 
 RIGIDITY_TOLERANCE = 1e-10
 SPAN_TOLERANCE = 1e-9
-CLOSURE_TOLERANCE = 1e-12
+FRAME_TOLERANCE = 1e-12
 RIGHT_ANGLE_TOLERANCE = 1e-12
 
 
@@ -133,10 +133,14 @@ class SubmanifoldSpec:
 
     @cached_property
     def second_fundamental_form(self) -> np.ndarray:
-        """The orbit's ``orbit_second_fundamental_form``, computed on first
-        use and then kept with the spec, which is immutable: every tube
-        germ of one spec reads the same form."""
-        return orbit_second_fundamental_form(self)
+        """<II(t_i, t_j), xi_m> as a (k, 2n-k, 2n-k) array [m, i, j] in
+        closed form: II(Z, u_m) = sin(phi) (sqrt(-c)/2) xi_m, symmetric,
+        zero elsewhere; built on first use and kept with the spec."""
+        t = self.tangent_basis
+        amp = math.sin(self.phi) * rate(self.params.c)
+        zc = t @ self.zvec  # <t_i, Z>
+        uc = self.pxi_unit @ t.T  # uc[m, i] = <t_i, u_m>
+        return amp * (zc[:, None] * uc[:, None, :] + uc[:, :, None] * zc)
 
     def to_json_dict(self) -> dict:
         return {
@@ -195,7 +199,8 @@ def build_submanifold(params: ModelParams, k: int, phi: float) -> SubmanifoldSpe
     gives u_m = J xi_m = J e_m; a pair xi = e_{2p+1}, xi' = cos(phi)
     J e_{2p+1} + sin(phi) e_{2p+2} gives u = sin(phi) J e_{2p+1} -
     cos(phi) e_{2p+2} and u' = J e_{2p+2}; the rest is e_m, J e_m for
-    m = k+1..n-1."""
+    m = k+1..n-1.  The stacked (normal; tangent) rows must be orthonormal
+    to FRAME_TOLERANCE, or AssertionError."""
     wperp = constant_kahler_angle_subspace(params, k, phi)
     k, d = wperp.shape
     eye = np.eye(d)
@@ -208,26 +213,19 @@ def build_submanifold(params: ModelParams, k: int, phi: float) -> SubmanifoldSpe
         pxi[2 * pair, 4 * pair + 4] = -math.cos(phi)
         pxi[2 * pair + 1, 4 * pair + 5] = 1.0
     tangent = np.vstack([eye[[B_INDEX, Z_INDEX]], pxi, eye[2 * k + 2 :]])
-    spec = SubmanifoldSpec(
+    frame = np.vstack([wperp, tangent])
+    if np.max(np.abs(frame @ frame.T - eye)) > FRAME_TOLERANCE:
+        raise AssertionError("normal and tangent rows are not orthonormal")
+    return SubmanifoldSpec(
         params=params, k=k, phi=float(phi), normal_basis=wperp, tangent_basis=tangent
     )
-    _check_subalgebra(spec)
-    return spec
-
-
-def _check_subalgebra(spec: SubmanifoldSpec):
-    """The tangent space at the base point must close under the bracket."""
-    t = spec.tangent_basis
-    br = SolvableModel(spec.params).bracket(t[:, None], t[None, :])
-    if np.max(np.linalg.norm(br - br @ (t.T @ t), axis=-1)) > CLOSURE_TOLERANCE:
-        raise AssertionError("tangent space does not close under bracket")
 
 
 def orbit_second_fundamental_form(spec: SubmanifoldSpec) -> np.ndarray:
-    """Second fundamental form of the orbit at the base point, from the
-    exact Koszul table (normal part of nabla on tangent fields): the
-    (k, 2n-k, 2n-k) array whose [m, i, j] entry is <II(t_i, t_j), xi_m>
-    for the spec's tangent rows t_i and normal rows xi_m."""
+    """The orbit's second fundamental form at the base point from the
+    exact Koszul table (normal part of nabla on tangent fields), the
+    oracle of ``SubmanifoldSpec.second_fundamental_form``: the same
+    (k, 2n-k, 2n-k) array, computed without the closed form."""
     t = spec.tangent_basis
     # nab[i, j] = nabla_{t_i} t_j over every ordered pair of tangent rows
     nab = SolvableModel(spec.params).koszul_connection(t[:, None], t[None, :])
@@ -238,18 +236,13 @@ def orbit_second_fundamental_form(spec: SubmanifoldSpec) -> np.ndarray:
 
 
 def rigidity_form_check(spec: SubmanifoldSpec) -> dict:
-    """Compare the spec's II against the trivial symmetric extension of
-    II(Z, u_m) = sin(phi) (sqrt(-c)/2) xi_m (all other entries zero).
-    Returns the largest entry deviation as ``shape_form`` and the norm of
-    the trace of II (zero for a minimal orbit) as ``trace``."""
-    form = spec.second_fundamental_form
-    t = spec.tangent_basis
-    amp = math.sin(spec.phi) * rate(spec.params.c)
-    zc = t @ spec.zvec  # <t_i, Z>
-    uc = spec.pxi_unit @ t.T  # uc[m, i] = <t_i, u_m>
-    expected = amp * (zc[:, None] * uc[:, None, :] + uc[:, :, None] * zc)
+    """Compare the Koszul-table form ``orbit_second_fundamental_form``
+    with the closed form ``spec.second_fundamental_form``.  Returns the
+    largest entry deviation as ``shape_form`` and the norm of the trace
+    of the Koszul form (zero for a minimal orbit) as ``trace``."""
+    form = orbit_second_fundamental_form(spec)
     return {
-        "shape_form": float(np.max(np.abs(form - expected))),
+        "shape_form": float(np.max(np.abs(form - spec.second_fundamental_form))),
         "trace": float(np.linalg.norm(np.einsum("mii->m", form))),
     }
 

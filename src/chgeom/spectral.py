@@ -168,7 +168,9 @@ def _catalog_entry(lambda3, gap, c, branch_hint, n, k) -> EigenStructure:
     root/2 it is formed from the gap as 4 gap (s + lambda_3)/(root +
     lambda_3), since root^2 - lambda_3^2 = 4 (s - lambda_3)(s + lambda_3).
     The ordering lambda_1 < lambda_3 < lambda_2 is checked on these
-    gaps: past sr ~ 18.7, lambda_1 and lambda_3 both round to s.
+    gaps: past sr ~ 18.7, lambda_1 and lambda_3 both round to s.  A c
+    with 2 c root outside the normal double range (|c| below ~5e-206 or
+    above ~2e205) raises ValueError, since the b_i^2 are quotients by it.
     """
     s = rate(c)
     if not (0.0 <= lambda3 and gap > 0.0):
@@ -176,14 +178,19 @@ def _catalog_entry(lambda3, gap, c, branch_hint, n, k) -> EigenStructure:
             f"lambda3={lambda3!r} outside the catalog range [0, {s!r})"
         )
     root = math.sqrt(-c - 3.0 * lambda3 * lambda3)
+    denom = 2.0 * c * root
+    if not np.finfo(float).tiny <= abs(denom) <= np.finfo(float).max:
+        raise ValueError(
+            f"c = {c!r} is out of range: 2 c root = {denom!r} is not a normal double"
+        )
     low = (  # root - lambda3
         root - lambda3 if root >= 2.0 * lambda3
         else 4.0 * gap * (s + lambda3) / (root + lambda3)
     )
     if not low > 0.0:
         raise AssertionError("catalog ordering lambda1 < lambda3 < lambda2 failed")
-    b1sq = -(low**3) / (2.0 * c * root)
-    b2sq = -((lambda3 + root) ** 3) / (2.0 * c * root)
+    b1sq = -(low**3) / denom
+    b2sq = -((lambda3 + root) ** 3) / denom
 
     if branch_hint not in (None, "G3_K1"):
         raise ValueError(f"unknown branch hint {branch_hint!r}")

@@ -21,10 +21,9 @@ is its oracle: it integrates the modes and the parallel transport by
 RK4 and returns the germ at the endpoint with the propagation data.
 
 Both start from the orbit's shape operator S^W_eta, which they read off
-``SubmanifoldSpec.second_fundamental_form``: the Koszul-table form is
-computed once per spec, on first use, so a radius sweep over one orbit
-computes it once, and a path that never builds a tube germ (the
-finite-difference charts of ``numlab``) never computes it.
+``SubmanifoldSpec.second_fundamental_form``, the closed rigidity normal
+form II(Z, u_m) = sin(phi) (sqrt(-c)/2) xi_m: no Lie-algebra table is
+built on the way to a tube germ.
 """
 
 from __future__ import annotations
@@ -59,8 +58,8 @@ orbit_second_fundamental_form = construction.orbit_second_fundamental_form
 
 def submanifold_shape_operator(spec: SubmanifoldSpec, eta: np.ndarray) -> np.ndarray:
     """Ambient matrix of the orbit's shape operator S^W_eta (zero off the
-    tangent space), assembled from the spec's second fundamental form
-    (computed once per spec)."""
+    tangent space), assembled from the spec's closed-form second
+    fundamental form."""
     coeffs = spec.normal_basis @ np.asarray(eta, dtype=float)
     mat = np.einsum("m,mij->ij", coeffs, spec.second_fundamental_form)
     t = spec.tangent_basis
@@ -134,11 +133,10 @@ def tube_germ(spec: SubmanifoldSpec, eta: np.ndarray, r: float) -> HypersurfaceG
     Jacobi propagator.
 
     In order: the argument checks and initial modes of ``_tube_modes``
-    (S^W_eta from the spec's second fundamental form, which the first
-    germ of a spec computes and later ones reuse), the closed-form
-    propagation to r, and the symmetrised zeta' zeta^{-1}.  Parallel
-    transport along the normal geodesic is orthogonal and commutes with
-    J, so the germ is given at the base point (normal -eta, tangent
+    (S^W_eta from the spec's closed-form second fundamental form), the
+    closed-form propagation to r, and the symmetrised zeta' zeta^{-1}.
+    Parallel transport along the normal geodesic is orthogonal and
+    commutes with J, so the germ is given at the base point (normal -eta, tangent
     basis m0) instead of at exp_o(r eta): the two are congruent and have
     the same classification.  Same arguments and checks as
     ``tube_shape_operator``, whose germ this matches up to that congruence.

@@ -87,6 +87,64 @@ def test_construct_fails_on_a_nan_shape_form(monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "FAIL"
 
 
+@pytest.mark.parametrize("command, builds", [
+    # criterion 10's sweep
+    (["sweep", "--n", "3", "--c", "-4", "--k", "2",
+      "--r-min", "0.2", "--r-max", "1.4", "--count", "7"], 0),
+    (["classify"], 0),
+    (["construct", "--n", "4", "--c", "-4", "--k", "2", "--phi", "1.0"], 1),
+    (["residuals", "--n", "3", "--c", "-4", "--k", "2", "--r", "0.7"], 2),
+], ids=["sweep", "classify", "construct", "residuals"])
+def test_solvable_model_builds_per_command(command, builds, monkeypatch, tmp_path, capsys):
+    """sweep and classify read closed forms only and build no Lie-algebra
+    table; construct builds one, for the Koszul route it compares with the
+    closed-form II, and residuals two, in the finite-difference lab."""
+    if command == ["classify"]:
+        path = tmp_path / "germ.json"
+        path.write_text(catalog_germ(ModelParams(n=3, c=-4.0), 2, r=0.7).to_json())
+        command = ["classify", "--input", str(path)]
+    init = model.SolvableModel.__init__
+    built = []
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(model.SolvableModel, "__init__", counted)
+    assert main(command) == 0
+    assert len(built) == builds
+
+
+# |c| too small or too large for 2 c sqrt(-c - 3 lambda3^2) to be a
+# normal double
+EXTREME_CURVATURES = (-1e-250, -1e-300, -1e-310, -5e-324, -1e250, -1e300)
+
+
+@pytest.mark.parametrize("c", EXTREME_CURVATURES)
+def test_sweep_rejects_a_curvature_out_of_range(c, capsys):
+    # radii with s r far below the catalog's bound at either end
+    r_min, r_max = ("0.5", "1") if abs(c) < 1.0 else ("1e-160", "1e-155")
+    code = main([
+        "sweep", "--n", "3", f"--c={c!r}", "--k", "2",
+        "--r-min", r_min, "--r-max", r_max, "--count", "2",
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: c = {c!r} is out of range")
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("c", EXTREME_CURVATURES)
+def test_classify_names_a_curvature_out_of_range(c, tmp_path, capsys):
+    data = catalog_germ(ModelParams(n=3, c=-4.0), 2, r=0.7).to_json_dict()
+    code, captured = _classify_record({**data, "c": c}, tmp_path, capsys)
+    assert code == 0 and captured.err == ""
+    result = json.loads(captured.out)
+    assert result["model"] == "unclassified"
+    assert result["reason"].startswith(f"c = {c!r} is out of range")
+
+
 def test_sweep_deterministic(tmp_path):
     args = [
         "sweep", "--n", "3", "--c", "-4", "--k", "2",

