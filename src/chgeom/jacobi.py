@@ -33,39 +33,50 @@ class OutOfRangeEigenvalue(ValueError):
     """lambda_3 outside [0, sqrt(-c)/2) has no focal radius."""
 
 
+def _f(lam, s, ch, sh):
+    """f from s and the cosh(st), sinh(st) of its time."""
+    return ch - (lam / s) * sh
+
+
+def _f_prime(lam, s, ch, sh):
+    return s * sh - lam * ch
+
+
+def _g(lam, s, ch, sh):
+    """g from s and the cosh(st), sinh(st) of its time."""
+    return (ch - 1.0) * (1.0 + 2.0 * ch - (lam / s) * sh)
+
+
+def _g_prime(lam, s, ch, sh):
+    return s * sh * (1.0 + 2.0 * ch - (lam / s) * sh) + (ch - 1.0) * (
+        2.0 * s * sh - lam * ch
+    )
+
+
+def _hyperbolic(c: float, t):
+    """s = sqrt(-c)/2 and cosh(st), sinh(st), on a scalar or array t."""
+    s = rate(c)
+    st = s * np.asarray(t, dtype=float)
+    return s, np.cosh(st), np.sinh(st)
+
+
 def f_function(lam, c: float, t):
     """Parallel-component profile: f(t) = cosh(st) - (lam/s) sinh(st)."""
-    s = rate(c)
-    lam = np.asarray(lam, dtype=float)
-    t = np.asarray(t, dtype=float)
-    return np.cosh(s * t) - (lam / s) * np.sinh(s * t)
+    return _f(np.asarray(lam, dtype=float), *_hyperbolic(c, t))
 
 
 def f_derivative(lam, c: float, t):
-    s = rate(c)
-    lam = np.asarray(lam, dtype=float)
-    t = np.asarray(t, dtype=float)
-    return s * np.sinh(s * t) - lam * np.cosh(s * t)
+    return _f_prime(np.asarray(lam, dtype=float), *_hyperbolic(c, t))
 
 
 def g_function(lam, c: float, t):
     """J gamma'-component profile:
     g(t) = (cosh(st) - 1)(1 + 2 cosh(st) - (lam/s) sinh(st))."""
-    s = rate(c)
-    lam = np.asarray(lam, dtype=float)
-    t = np.asarray(t, dtype=float)
-    ch, sh = np.cosh(s * t), np.sinh(s * t)
-    return (ch - 1.0) * (1.0 + 2.0 * ch - (lam / s) * sh)
+    return _g(np.asarray(lam, dtype=float), *_hyperbolic(c, t))
 
 
 def g_derivative(lam, c: float, t):
-    s = rate(c)
-    lam = np.asarray(lam, dtype=float)
-    t = np.asarray(t, dtype=float)
-    ch, sh = np.cosh(s * t), np.sinh(s * t)
-    return s * sh * (1.0 + 2.0 * ch - (lam / s) * sh) + (ch - 1.0) * (
-        2.0 * s * sh - lam * ch
-    )
+    return _g_prime(np.asarray(lam, dtype=float), *_hyperbolic(c, t))
 
 
 def jacobi_closed(lam: float, jxi_component: float, c: float, t):
@@ -103,7 +114,7 @@ def jacobi_closed_propagator(
     zeta_prime0,
     velocity,
     c: float,
-    t: float,
+    t,
 ):
     """Exact solution of the equation ``jacobi_ode_oracle`` integrates.
 
@@ -114,13 +125,21 @@ def jacobi_closed_propagator(
         zeta'(t) = r sinh(rt) zeta(0) + cosh(rt) zeta'(0).
 
     Same arguments and return value as the oracle, without the step;
-    ``velocity`` must be a unit vector.
+    ``velocity`` must be a unit vector.  ``t`` may also be a sequence of
+    times: the initial data are split along Jw once, and the returned
+    arrays gain a leading time axis, each slice the bits of the call at
+    that one time.  The hyperbolic functions stay ``math.cosh`` and
+    ``math.sinh`` per time, since ``np.cosh`` over an array can differ
+    from them in the last bit.
     """
     w = np.asarray(velocity, dtype=float)
     if abs(np.linalg.norm(w) - 1.0) > 1e-10:
         raise ValueError("velocity must be a unit vector")
-    if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {t!r}")
+    scalar = np.ndim(t) == 0
+    times = (t,) if scalar else t
+    for time in times:
+        if not math.isfinite(time):
+            raise ValueError(f"time must be finite, got {time!r}")
     jw = j_action(w)
     s = rate(c)
     z0 = np.asarray(zeta0, dtype=float)
@@ -128,13 +147,18 @@ def jacobi_closed_propagator(
     a0, ap0 = z0 @ jw, zp0 @ jw  # Jw components
     perp0 = z0 - np.multiply.outer(a0, jw)
     perp_p0 = zp0 - np.multiply.outer(ap0, jw)
-    ch1, sh1 = math.cosh(s * t), math.sinh(s * t)
-    ch2, sh2 = math.cosh(2.0 * s * t), math.sinh(2.0 * s * t)
-    a = ch2 * a0 + (sh2 / (2.0 * s)) * ap0
-    ap = (2.0 * s * sh2) * a0 + ch2 * ap0
-    zeta = ch1 * perp0 + (sh1 / s) * perp_p0 + np.multiply.outer(a, jw)
-    zeta_prime = (s * sh1) * perp0 + ch1 * perp_p0 + np.multiply.outer(ap, jw)
-    return zeta, zeta_prime
+    zeta, zeta_prime = [], []
+    for time in times:
+        ch1, sh1 = math.cosh(s * time), math.sinh(s * time)
+        ch2, sh2 = math.cosh(2.0 * s * time), math.sinh(2.0 * s * time)
+        a = ch2 * a0 + (sh2 / (2.0 * s)) * ap0
+        ap = (2.0 * s * sh2) * a0 + ch2 * ap0
+        zeta.append(ch1 * perp0 + (sh1 / s) * perp_p0 + np.multiply.outer(a, jw))
+        zeta_prime.append((s * sh1) * perp0 + ch1 * perp_p0 + np.multiply.outer(ap, jw))
+    if scalar:
+        return zeta[0], zeta_prime[0]
+    shape = (len(times), *z0.shape)
+    return np.reshape(zeta, shape), np.reshape(zeta_prime, shape)
 
 
 def _mode_matrix(f1, f2, g1, g2, b1, b2):
@@ -149,16 +173,21 @@ def _mode_matrix(f1, f2, g1, g2, b1, b2):
 
 def focal_determinant_matrix(lam1, lam2, b1, b2, c: float, t):
     """2x2 matrix D(t) of the Jacobi modes spanned by the Hopf-projected
-    eigenvectors u1, u2; columns are modes, rows the (u1, u2) components."""
-    f1, f2 = f_function(lam1, c, t), f_function(lam2, c, t)
-    g1, g2 = g_function(lam1, c, t), g_function(lam2, c, t)
+    eigenvectors u1, u2; columns are modes, rows the (u1, u2) components.
+    cosh(st) and sinh(st) are taken once for the four profiles."""
+    hyp = _hyperbolic(c, t)
+    lam1, lam2 = np.asarray(lam1, dtype=float), np.asarray(lam2, dtype=float)
+    f1, f2 = _f(lam1, *hyp), _f(lam2, *hyp)
+    g1, g2 = _g(lam1, *hyp), _g(lam2, *hyp)
     return _mode_matrix(f1, f2, g1, g2, b1, b2)
 
 
 def focal_determinant_matrix_derivative(lam1, lam2, b1, b2, c: float, t):
     """Exact t-derivative of focal_determinant_matrix (no differencing)."""
-    f1, f2 = f_derivative(lam1, c, t), f_derivative(lam2, c, t)
-    g1, g2 = g_derivative(lam1, c, t), g_derivative(lam2, c, t)
+    hyp = _hyperbolic(c, t)
+    lam1, lam2 = np.asarray(lam1, dtype=float), np.asarray(lam2, dtype=float)
+    f1, f2 = _f_prime(lam1, *hyp), _f_prime(lam2, *hyp)
+    g1, g2 = _g_prime(lam1, *hyp), _g_prime(lam2, *hyp)
     return _mode_matrix(f1, f2, g1, g2, b1, b2)
 
 

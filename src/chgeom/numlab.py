@@ -63,6 +63,12 @@ class FrameFieldsUnavailable(ValueError):
     such as a large tube radius, not a malformed one)."""
 
 
+class DegenerateChart(ValueError):
+    """The chart's coordinate tangents are linearly dependent on the
+    stencil at this radius and step (their metric is singular), so no
+    suite can run (a valid input, such as a tiny radius or step)."""
+
+
 @dataclass
 class ChartImmersion:
     """Batched immersion of a parameter box into group coordinates."""
@@ -318,7 +324,13 @@ class GermField:
         s_amb = self._s_ambient(self._normals)
         ii = s_amb @ tt
         g = t @ tt
-        ginv = np.linalg.inv(g)
+        try:
+            ginv = np.linalg.inv(g)
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateChart(
+                "no suite can run: the chart's coordinate tangents are "
+                f"linearly dependent at fd-step {self.h:g} (singular metric)"
+            ) from exc
         return {
             "s_ambient": s_amb,
             "second_fundamental": ii,
@@ -456,6 +468,13 @@ class GermField:
                 "the frame suites cannot run: at grouping tolerance "
                 f"{NUMERIC_GROUPING_TOLERANCE:g} the center germ has {lack} "
                 f"({decomp.g} eigenvalue groups: {groups})"
+            )
+        off = [d.h for d in decomps if d.h != 2]
+        if off:
+            raise FrameFieldsUnavailable(
+                "the frame suites cannot run: at grouping tolerance "
+                f"{NUMERIC_GROUPING_TOLERANCE:g} a stencil neighbour of the "
+                f"center germ has h = {off[0]} projected eigenspaces, not 2"
             )
         # U_1, U_2 and A, each stacked over the stencil
         fields = list(np.stack([hopf_frame_extract(d) for d in decomps], axis=1))

@@ -44,6 +44,9 @@ PROJECTION_TOLERANCE = 1e-6
 CLASSIFY_TOLERANCE = 1e-6
 CATALOG_SUM_TOLERANCE = 1e-12
 CATALOG_QUADRATIC_TOLERANCE = 1e-10
+# the normal double range, read once
+_TINY = float(np.finfo(float).tiny)
+_HUGE = float(np.finfo(float).max)
 
 
 class NoRealSolution(ValueError):
@@ -154,7 +157,7 @@ def catalog_at_radius(r: float, c: float, n: int, k: int) -> EigenStructure:
     s = rate(c)
     sr = s * r
     q = math.exp(-2.0 * sr)
-    if q**3 < np.finfo(float).tiny:
+    if q**3 < _TINY:
         raise ValueError(f"s*r = {sr!r}: b1^2 ~ 64 e^(-6sr) underflows past s*r ~ 118")
     lambda3 = s * math.tanh(sr)
     hint = "G3_K1" if k == 1 else None
@@ -179,7 +182,7 @@ def _catalog_entry(lambda3, gap, c, branch_hint, n, k) -> EigenStructure:
         )
     root = math.sqrt(-c - 3.0 * lambda3 * lambda3)
     denom = 2.0 * c * root
-    if not np.finfo(float).tiny <= abs(denom) <= np.finfo(float).max:
+    if not _TINY <= abs(denom) <= _HUGE:
         raise ValueError(
             f"c = {c!r} is out of range: 2 c root = {denom!r} is not a normal double"
         )
@@ -254,6 +257,36 @@ def _allclose(a, b, atol: float) -> bool:
     return bool((np.abs(a - b) <= atol + 1e-5 * np.abs(b)).all())
 
 
+def _check_array(name: str, arr: np.ndarray, shape: tuple, n: int) -> None:
+    if arr.shape != shape:
+        raise ValueError(
+            f"germ {name} has shape {arr.shape}, expected {shape} for n={n}"
+        )
+    if not np.isfinite(arr).all():
+        raise ValueError(f"germ {name} has a non-finite entry")
+
+
+def check_germ_frame(params: ModelParams, normal, tangent_basis, tol: float) -> None:
+    """Check a germ's unit normal (2n,) and tangent rows (2n-1, 2n): the
+    shape and finiteness of each, in that order, then that together they
+    are orthonormal to tol."""
+    d = params.dim
+    _check_array("normal", normal, (d,), params.n)
+    _check_array("tangent_basis", tangent_basis, (d - 1, d), params.n)
+    frame = np.concatenate((normal[None], tangent_basis))
+    if not _allclose(frame @ frame.T, np.eye(d), tol):
+        raise ValueError("normal + tangent basis is not orthonormal")
+
+
+def check_germ_shape(params: ModelParams, shape, tol: float) -> None:
+    """Check a germ's shape matrix (2n-1, 2n-1): its shape, finiteness and
+    symmetry to tol."""
+    d = params.dim
+    _check_array("shape", shape, (d - 1, d - 1), params.n)
+    if not _allclose(shape, shape.T, tol):
+        raise ValueError("shape operator matrix is not symmetric")
+
+
 @dataclass(frozen=True)
 class HypersurfaceGerm:
     """Pointwise hypersurface data in frame components.
@@ -276,28 +309,10 @@ class HypersurfaceGerm:
         object.__setattr__(self, "shape", np.asarray(self.shape, dtype=float))
 
     def validate(self, tol: float = 1e-8):
-        """Check the shapes, finiteness, orthonormality of normal and
-        tangent basis, and symmetry of the shape matrix, to tol; returns
-        the germ.  The arrays are checked in the order normal,
-        tangent_basis, shape, each for its shape and then its entries."""
-        d = self.params.dim
-        for name, arr, shape in (
-            ("normal", self.normal, (d,)),
-            ("tangent_basis", self.tangent_basis, (d - 1, d)),
-            ("shape", self.shape, (d - 1, d - 1)),
-        ):
-            if arr.shape != shape:
-                raise ValueError(
-                    f"germ {name} has shape {arr.shape}, expected {shape} "
-                    f"for n={self.params.n}"
-                )
-            if not np.isfinite(arr).all():
-                raise ValueError(f"germ {name} has a non-finite entry")
-        frame = np.concatenate((self.normal[None], self.tangent_basis))
-        if not _allclose(frame @ frame.T, np.eye(len(frame)), tol):
-            raise ValueError("normal + tangent basis is not orthonormal")
-        if not _allclose(self.shape, self.shape.T, tol):
-            raise ValueError("shape operator matrix is not symmetric")
+        """Check the germ's frame (``check_germ_frame``) and then its shape
+        matrix (``check_germ_shape``), to tol; returns the germ."""
+        check_germ_frame(self.params, self.normal, self.tangent_basis, tol)
+        check_germ_shape(self.params, self.shape, tol)
         return self
 
     def flipped(self) -> "HypersurfaceGerm":
@@ -818,7 +833,9 @@ def nonexistence_scan(
     exact catalog curve and the refined residuals (quadratic,
     b-formulas, normalization) are reported.  c must be finite and
     nonzero, every grid axis needs at least 2 samples, and a given
-    lambda_bound must be positive and finite.
+    lambda_bound must be positive and finite.  The b^2 formulas must stay
+    finite on the whole box, else ValueError: at the default
+    lambda_bound, |c| up to about 2.06e204.
 
     The formulas are evaluated only on the ordered cells that can pass
     the quadratic: for fixed (lambda_1, lambda_3) it is affine in
@@ -841,6 +858,20 @@ def nonexistence_scan(
     if lambda_bound is None:
         lambda_bound = 1.5 * scale
     check_positive("lambda_bound", lambda_bound)
+    # the largest magnitudes the b^2 formulas reach on the box, lambda_3
+    # up to 0.75 scale: the numerator 4 (l_j - 2 l_3)(l_i - l_3)^2 and the
+    # denominator c (l_i - l_j)
+    lam3_top = 0.75 * scale
+    spread = lambda_bound + lam3_top
+    peak = max(
+        4.0 * (spread + lam3_top) * spread * spread,
+        2.0 * abs(c) * lambda_bound,
+    )
+    if not peak <= _HUGE:
+        raise ValueError(
+            f"c = {c!r} is out of range: the scan's b^2 products overflow "
+            "on its box (|c| <= 2.06e204 at the default lambda_bound)"
+        )
     n1, n2, n3 = grid_shape
     l1 = np.linspace(-lambda_bound, lambda_bound, n1)
     l2 = np.linspace(-lambda_bound, lambda_bound, n2)

@@ -13,12 +13,14 @@ with respect to the inward normal -gamma'(r) (pointing back toward W),
 expressed in a parallel orthonormal frame.  The catalog eigenvalues
 emerge with multiplicities (1, 1, 2n-2-k, k-1).
 
-Two routes compute it.  ``tube_germ`` is the production route: the
+Two routes compute it.  ``tube_germs`` is the production route: the
 Jacobi equation has constant coefficients in a parallel frame, so the
 modes come from the closed-form ``jacobi.jacobi_closed_propagator`` and
-the germ is stated at the base point, with no ODE.  ``tube_shape_operator``
-is its oracle: it integrates the modes and the parallel transport by
-RK4 and returns the germ at the endpoint with the propagation data.
+the germ is stated at the base point, with no ODE.  It takes a grid of
+radii and does the radius-independent work once; ``tube_germ`` is its
+one-radius call.  ``tube_shape_operator`` is the oracle: it integrates
+the modes and the parallel transport by RK4 and returns the germ at the
+endpoint with the propagation data.
 
 Both start from the orbit's shape operator S^W_eta, which they read off
 ``SubmanifoldSpec.second_fundamental_form``, the closed rigidity normal
@@ -40,6 +42,8 @@ from .spectral import (
     EigenStructure,
     HypersurfaceGerm,
     catalog_at_radius,
+    check_germ_frame,
+    check_germ_shape,
     hopf_frame_extract,
     principal_decomposition,
 )
@@ -77,13 +81,14 @@ class TubeResult:
     velocity_drift: float  # |transported eta - gamma'(r)|
 
 
-def _tube_modes(spec: SubmanifoldSpec, eta: np.ndarray, r: float):
-    """Checked arguments and the initial Jacobi data of a tube germ.
+def _tube_modes(spec: SubmanifoldSpec, eta: np.ndarray, radii):
+    """Checked arguments and the initial Jacobi data of the tube germs of
+    a grid of radii.
 
-    Returns (eta, m0, zeta0, zeta_prime0): m0 is an orthonormal
-    basis of eta-perp (orbit tangent rows, then the normal complement of
-    eta); the modes start at (v, -S^W_eta v) for its tangent rows and at
-    (0, w) for its normal rows.
+    Checks eta, then each radius in order.  Returns (eta, m0, zeta0,
+    zeta_prime0): m0 is an orthonormal basis of eta-perp (orbit tangent
+    rows, then the normal complement of eta); the modes start at
+    (v, -S^W_eta v) for its tangent rows and at (0, w) for its normal rows.
     """
     s = rate(spec.params.c)
     d = spec.params.dim
@@ -95,15 +100,16 @@ def _tube_modes(spec: SubmanifoldSpec, eta: np.ndarray, r: float):
     off = eta - coeffs @ spec.normal_basis
     if math.sqrt(off @ off) > 1e-10:
         raise ValueError("eta must lie in the normal space of the orbit")
-    if not (0.0 <= r <= MAX_RADIUS):
-        raise ValueError(f"radius must lie in [0, {MAX_RADIUS}], got {r!r}")
-    if s * r > MAX_RATE_RADIUS:
-        raise ValueError(
-            f"s*r = {s * r!r} exceeds {MAX_RATE_RADIUS} (s = sqrt(-c)/2): "
-            "the tube's Jacobi modes are too ill-conditioned there"
-        )
-    if r == 0.0 and spec.k != 1:
-        raise ValueError("r = 0 is a focal singularity unless k = 1")
+    for r in radii:
+        if not (0.0 <= r <= MAX_RADIUS):
+            raise ValueError(f"radius must lie in [0, {MAX_RADIUS}], got {r!r}")
+        if s * r > MAX_RATE_RADIUS:
+            raise ValueError(
+                f"s*r = {s * r!r} exceeds {MAX_RATE_RADIUS} (s = sqrt(-c)/2): "
+                "the tube's Jacobi modes are too ill-conditioned there"
+            )
+        if r == 0.0 and spec.k != 1:
+            raise ValueError("r = 0 is a focal singularity unless k = 1")
 
     if spec.k > 1:
         _, sv, vt = np.linalg.svd(coeffs[None, :])
@@ -128,30 +134,44 @@ def _mode_shape(m0, zeta_r, zprime_r):
     return asym, 0.5 * (s_par + s_par.T)
 
 
-def tube_germ(spec: SubmanifoldSpec, eta: np.ndarray, r: float) -> HypersurfaceGerm:
-    """Germ of the tube of radius r around the orbit, from the closed-form
-    Jacobi propagator.
+def tube_germs(spec: SubmanifoldSpec, eta: np.ndarray, radii) -> list[HypersurfaceGerm]:
+    """Germs of the tubes of the given radii around the orbit, from the
+    closed-form Jacobi propagator, in the order of ``radii``.
 
-    In order: the argument checks and initial modes of ``_tube_modes``
-    (S^W_eta from the spec's closed-form second fundamental form), the
-    closed-form propagation to r, and the symmetrised zeta' zeta^{-1}.
-    Parallel transport along the normal geodesic is orthogonal and
-    commutes with J, so the germ is given at the base point (normal -eta, tangent
-    basis m0) instead of at exp_o(r eta): the two are congruent and have
-    the same classification.  Same arguments and checks as
-    ``tube_shape_operator``, whose germ this matches up to that congruence.
+    The work that does not depend on the radius is done once for the
+    grid: the argument checks and initial modes of ``_tube_modes`` (S^W_eta
+    from the spec's closed-form second fundamental form), the Jw split of
+    the propagation, and the frame check of (-eta, m0).  Per radius come
+    the propagated modes, the symmetrised zeta' zeta^{-1} and its check
+    (finite, symmetric to 1e-6).  Parallel transport along the normal
+    geodesic is orthogonal and commutes with J, so each germ is given at
+    the base point (normal -eta, tangent basis m0) instead of at
+    exp_o(r eta): the two are congruent and have the same classification.
+    The germs share one normal and one tangent-basis array.  A bad radius
+    raises the error ``tube_germ`` raises at it.
     """
-    eta, m0, zeta0, zprime0 = _tube_modes(spec, eta, r)
-    zeta_r, zprime_r = jacobi.jacobi_closed_propagator(
-        zeta0, zprime0, eta, spec.params.c, r
+    eta, m0, zeta0, zprime0 = _tube_modes(spec, eta, radii)
+    zetas, zprimes = jacobi.jacobi_closed_propagator(
+        zeta0, zprime0, eta, spec.params.c, radii
     )
-    shape = _mode_shape(m0, zeta_r, zprime_r)[1]
-    return HypersurfaceGerm(
-        params=spec.params,
-        normal=-eta,
-        tangent_basis=m0,
-        shape=shape,
-    ).validate(tol=1e-6)
+    params, normal = spec.params, -eta
+    check_germ_frame(params, normal, m0, 1e-6)
+    germs = []
+    for zeta_r, zprime_r in zip(zetas, zprimes):
+        shape = _mode_shape(m0, zeta_r, zprime_r)[1]
+        check_germ_shape(params, shape, 1e-6)
+        germs.append(
+            HypersurfaceGerm(params=params, normal=normal, tangent_basis=m0, shape=shape)
+        )
+    return germs
+
+
+def tube_germ(spec: SubmanifoldSpec, eta: np.ndarray, r: float) -> HypersurfaceGerm:
+    """Germ of the tube of radius r around the orbit: ``tube_germs`` at
+    one radius.  Same arguments and checks as ``tube_shape_operator``,
+    whose germ this matches up to the congruence that moves it to the
+    base point."""
+    return tube_germs(spec, eta, (r,))[0]
 
 
 def tube_shape_operator(
@@ -169,7 +189,7 @@ def tube_shape_operator(
     only for k = 1 (the hypersurface itself); r must stay below
     MAX_RADIUS to keep the exponential growth in double range.
     """
-    eta, m0, zeta0, zprime0 = _tube_modes(spec, eta, r)
+    eta, m0, zeta0, zprime0 = _tube_modes(spec, eta, (r,))
     model = SolvableModel(spec.params)
     d = spec.params.dim
     zeta_r, zprime_r = jacobi.jacobi_ode_oracle(

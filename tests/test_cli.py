@@ -2,12 +2,13 @@
 
 import json
 import math
+import os
 import warnings
 
 import numpy as np
 import pytest
 
-from chgeom import ModelParams, SubmanifoldSpec, catalog_germ, cli, model, numlab, spectral
+from chgeom import ModelParams, SubmanifoldSpec, catalog_germ, cli, model, numlab, spectral, tubes
 from chgeom.cli import SWEEP_COLUMNS, main
 from chgeom.jacobi import special_radius
 
@@ -440,13 +441,42 @@ def test_residuals_without_frame_fields_exit_2(r, lack, groups, capsys):
 @pytest.mark.parametrize("extra", [
     ["--c", "-4", "--r", "0.5", "--fd-step", "1e-300"],  # degenerate tangents
     ["--c", "-400", "--r", "2.0"],
+    ["--c", "-4", "--r", "1e-300"],
 ])
-def test_residuals_singular_inputs_exit_2(extra, capsys):
+def test_residuals_singular_inputs_are_indeterminate(extra, capsys):
+    """A valid input whose chart metric is singular runs no suite: one
+    INDETERMINATE line per suite, the reason, exit 1 and no numpy
+    message."""
     code = main(["residuals", "--n", "3", "--k", "2", *extra])
     captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err == "error: Singular matrix\n"
-    assert captured.out == ""
+    assert code == 1
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert lines[:-1] == [
+        f"{name:20s} -          INDETERMINATE" for name in cli.RESIDUAL_SUITES
+    ]
+    assert lines[-1].startswith(
+        "indeterminate: no suite can run: the chart's coordinate tangents "
+        "are linearly dependent"
+    )
+
+
+def test_residuals_degenerate_stencil_neighbour_is_indeterminate(capsys):
+    """At r = 1e-100 the center germ has two projected eigenspaces but a
+    stencil neighbour has one: the frame suites are indeterminate."""
+    code = main(["residuals", "--n", "3", "--c", "-4", "--k", "2", "--r", "1e-100"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert [line.split()[0] for line in lines[:3]] == [
+        "gauss", "codazzi", "real_eigenspace",
+    ]
+    assert lines[3:-1] == [
+        f"{name:20s} -          INDETERMINATE" for name in cli.RESIDUAL_SUITES[3:]
+    ]
+    assert lines[-1].startswith("indeterminate: the frame suites cannot run: ")
+    assert "a stencil neighbour of the center germ has h = 1" in lines[-1]
 
 
 def test_nonexistence_positive(capsys):
@@ -661,6 +691,70 @@ def test_nonexistence_rejects_degenerate_curvature(capsys):
     for c in ("0", "nan", "inf", "-inf"):
         assert main(["nonexistence", f"--c={c}", "--grid", "5", "5", "5"]) == 2
         assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("c", [-1e210, 1e210, -1e250, 1e250, -1e300, 1e300])
+def test_nonexistence_rejects_a_curvature_whose_products_overflow(c, capsys):
+    """Past |c| ~ 2.06e204 the b^2 products overflow on the default box:
+    one error line and exit 2, with no numpy warning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["nonexistence", f"--c={c!r}", "--grid", "30", "30", "30"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: c = {c!r} is out of range")
+    assert len(captured.err.splitlines()) == 1
+    assert "Warning" not in captured.err
+
+
+@pytest.mark.parametrize("c, tail", [
+    (-1e200, [
+        "feasible points          220",
+        "curve samples            20",
+        "max refined residual     6.799e+184",
+    ]),
+    (1e200, ["feasible points          0"]),
+])
+def test_nonexistence_keeps_its_output_below_the_overflow(c, tail, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["nonexistence", f"--c={c!r}", "--grid", "30", "30", "30"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    lines = captured.out.splitlines()
+    assert lines[:3] == [
+        f"c                        {c!r}",
+        "grid                     (30, 30, 30)",
+        "points scanned           27000",
+    ]
+    assert lines[3:3 + len(tail)] == tail
+
+
+def test_sweep_builds_the_tube_modes_once_per_command(monkeypatch):
+    """A sweep does the radius-independent set-up of its tube germs once
+    and classifies each radius once."""
+    calls = {"modes": 0, "classify": 0}
+    modes, classify = tubes._tube_modes, cli.classify
+
+    def counted_modes(*args, **kwargs):
+        calls["modes"] += 1
+        return modes(*args, **kwargs)
+
+    def counted_classify(*args, **kwargs):
+        calls["classify"] += 1
+        return classify(*args, **kwargs)
+
+    monkeypatch.setattr(tubes, "_tube_modes", counted_modes)
+    monkeypatch.setattr(cli, "classify", counted_classify)
+    for count in (1, 3, 7):
+        calls.update(modes=0, classify=0)
+        assert main([
+            "sweep", "--n", "3", "--c", "-4", "--k", "2",
+            "--r-min", "0.2", "--r-max", "1.4", "--count", str(count),
+            "--output", os.devnull,
+        ]) == 0
+        assert calls == {"modes": 1, "classify": count}
 
 
 def test_parser_built_once_and_options_do_not_leak(tmp_path, capsys, monkeypatch):

@@ -20,9 +20,18 @@ from chgeom import (
     tube_shape_operator,
     tube_spectrum_closed,
 )
-from chgeom.jacobi import jacobi_closed_propagator
+from chgeom.jacobi import (
+    _mode_matrix,
+    f_derivative,
+    f_function,
+    focal_determinant_matrix,
+    focal_determinant_matrix_derivative,
+    g_derivative,
+    g_function,
+    jacobi_closed_propagator,
+)
 from chgeom.model import rate
-from chgeom.tubes import MAX_RADIUS, MAX_RATE_RADIUS, tube_germ
+from chgeom.tubes import MAX_RADIUS, MAX_RATE_RADIUS, tube_germ, tube_germs
 
 CLOSED_VS_ODE_TOLERANCE = 1e-8
 SPECTRUM_RELATIVE_TOLERANCE = 1e-12
@@ -218,3 +227,111 @@ def test_non_totally_real_tubes_stay_unclassified(n, k, phi):
     for r in (0.3, 0.7, 1.5):
         res = classify(tube_germ(spec, spec.normal_basis[0], r))
         assert (res.model, res.reason, res.h) == ("unclassified", "h=3", 3)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@seed(26)
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(2, 6),
+    c=st.floats(-100.0, -0.01),
+    data=st.data(),
+)
+def test_tube_germs_equal_the_one_radius_calls(n, c, data):
+    """The grid route gives every radius the bits of ``tube_germ`` at that
+    radius, at random unit normals, with r = 0 in the grid for k = 1."""
+    k = data.draw(st.integers(1, n - 1), label="k")
+    coeffs = data.draw(
+        st.lists(st.floats(-1.0, 1.0), min_size=k, max_size=k).filter(
+            lambda v: np.linalg.norm(v) > 0.1
+        ),
+        label="eta coefficients",
+    )
+    top = min(MAX_RADIUS, MAX_RATE_RADIUS / rate(c))
+    radii = data.draw(
+        st.lists(st.floats(1e-6, top), min_size=1, max_size=5), label="radii"
+    )
+    if k == 1:
+        radii.insert(data.draw(st.integers(0, len(radii)), label="r = 0 at"), 0.0)
+    spec = build_submanifold(ModelParams(n=n, c=c), k, math.pi / 2)
+    eta = _unit_normal(spec, coeffs)
+    germs = tube_germs(spec, eta, radii)
+    assert len(germs) == len(radii)
+    for r, germ in zip(radii, germs):
+        one = tube_germ(spec, eta, r)
+        for field in ("normal", "tangent_basis", "shape"):
+            assert _same_bits(getattr(germ, field), getattr(one, field)), (r, field)
+
+
+@seed(27)
+@settings(deadline=None, max_examples=40)
+@given(
+    n=st.integers(2, 6),
+    modes=st.integers(1, 4),
+    c=st.floats(-100.0, -0.01),
+    times=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6),
+    data=st.data(),
+)
+def test_propagator_over_times_equals_the_scalar_calls(n, modes, c, times, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    d = 2 * n
+    w = rng.normal(size=d)
+    w /= np.linalg.norm(w)
+    zeta0, zp0 = rng.normal(size=(2, modes, d))
+    zeta, zp = jacobi_closed_propagator(zeta0, zp0, w, c, times)
+    assert zeta.shape == zp.shape == (len(times), modes, d)
+    for i, t in enumerate(times):
+        one, one_p = jacobi_closed_propagator(zeta0, zp0, w, c, t)
+        assert _same_bits(zeta[i], one) and _same_bits(zp[i], one_p), t
+
+
+def _error_of(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("k, bad", [
+    (2, 10.5),  # past MAX_RADIUS
+    (2, 1.01 * MAX_RATE_RADIUS / rate(-100.0)),  # s*r past MAX_RATE_RADIUS
+    (2, 0.0),  # focal for k > 1
+    (3, 0.0),
+])
+@pytest.mark.parametrize("at", [0, 1, 3])
+def test_tube_germs_raise_the_error_of_their_first_bad_radius(k, bad, at):
+    spec = build_submanifold(ModelParams(n=4, c=-100.0), k, math.pi / 2)
+    eta = spec.normal_basis[0]
+    radii = [0.05, 0.1, 0.15]
+    radii.insert(at, bad)
+    want = _error_of(lambda: tube_germ(spec, eta, bad))
+    assert _error_of(lambda: tube_germs(spec, eta, radii)) == want
+    # a second bad radius after it does not change the error
+    assert _error_of(lambda: tube_germs(spec, eta, radii + [11.0])) == want
+
+
+def test_tube_germs_of_no_radius():
+    spec = build_submanifold(ModelParams(n=3, c=-4.0), 2, math.pi / 2)
+    assert tube_germs(spec, spec.normal_basis[0], []) == []
+
+
+@pytest.mark.parametrize("lam", [-3.0, -0.4, 0.0, 0.3, 0.999, 5.0])
+@pytest.mark.parametrize("c", [-100.0, -4.0, -1.0, -0.01])
+def test_focal_determinant_matrix_equals_its_profiles(lam, c):
+    """D(t) and D'(t) share cosh and sinh between the profiles and keep
+    the bits of f, g and their derivatives taken one by one."""
+    t = np.array([0.0, 1e-3, 0.3, 0.7, 1.5, 4.0, 9.0])
+    lam2, b1, b2 = 2.0 * lam + 0.5, 0.6, 0.8
+    want = _mode_matrix(
+        f_function(lam, c, t), f_function(lam2, c, t),
+        g_function(lam, c, t), g_function(lam2, c, t), b1, b2,
+    )
+    want_p = _mode_matrix(
+        f_derivative(lam, c, t), f_derivative(lam2, c, t),
+        g_derivative(lam, c, t), g_derivative(lam2, c, t), b1, b2,
+    )
+    assert _same_bits(focal_determinant_matrix(lam, lam2, b1, b2, c, t), want)
+    assert _same_bits(focal_determinant_matrix_derivative(lam, lam2, b1, b2, c, t), want_p)
