@@ -126,17 +126,8 @@ def _cmd_sweep(args) -> int:
         raise ValueError("--jobs must be >= 1")
     check_positive("--ode-step", args.ode_step)
     radii = [float(r) for r in np.linspace(args.r_min, args.r_max, args.count)]
-    eta = spec.normal_basis[0]
-    entries = []
-    for r in radii:
-        try:
-            entries.append(spectral.catalog_at_radius(r, params.c, params.n, spec.k))
-        except ValueError:
-            # the first bad radius names the error, and at one radius the
-            # catalog entry is checked before the tube germ
-            tubes.tube_germs(spec, eta, radii[: len(entries)])
-            raise
-    germs = tubes.tube_germs(spec, eta, radii)
+    germs = tubes.tube_germs(spec, spec.normal_basis[0], radii)
+    entries = [spectral.catalog_at_radius(r, params.c, params.n, spec.k) for r in radii]
     rows = [
         _sweep_row(params, r, es, germ) for r, es, germ in zip(radii, entries, germs)
     ]

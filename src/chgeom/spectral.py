@@ -47,6 +47,12 @@ CATALOG_QUADRATIC_TOLERANCE = 1e-10
 # the normal double range, read once
 _TINY = float(np.finfo(float).tiny)
 _HUGE = float(np.finfo(float).max)
+# the |c| range of the feasibility scan.  On its box the b^2 numerators
+# 4 (l_j - 2 l_3)(l_i - l_3)^2 reach 4 * 3 * 2.25^2 |c|^(3/2) =
+# 60.75 |c|^(3/2), and the denominators c (l_i - l_j) and the catalog's
+# 2 c root scale like |c|^(3/2): both stay normal doubles in between.
+_SCAN_MIN_ABS_C = _TINY ** (2.0 / 3.0)  # 7.91e-206
+_SCAN_MAX_ABS_C = (_HUGE / 60.75) ** (2.0 / 3.0)  # 2.06e204
 
 
 class NoRealSolution(ValueError):
@@ -816,11 +822,11 @@ def _band_cells(l1, l2, l3, c, reach, gap, cap):
 def nonexistence_scan(
     c: float,
     grid_shape: tuple = (100, 100, 100),
-    lambda_bound: float | None = None,
     sum_band: float = 0.1,
 ) -> ScanReport:
     """Grid scan of (lambda_1, lambda_2, lambda_3), lambda_1 < lambda_2,
-    for solutions of the catalog equations with b_1^2, b_2^2 in (0, 1).
+    for solutions of the catalog equations with b_1^2, b_2^2 in (0, 1),
+    on the box [-1.5 sqrt|c|, 1.5 sqrt|c|]^2 x [0, 0.75 sqrt|c|].
 
     A cell is feasible when the sign conditions hold exactly (both b^2
     formulas in the open interval (0,1)) and the equalities hold up to
@@ -832,10 +838,9 @@ def nonexistence_scan(
     is reported alongside.  For c < 0, feasible cells are refined onto the
     exact catalog curve and the refined residuals (quadratic,
     b-formulas, normalization) are reported.  c must be finite and
-    nonzero, every grid axis needs at least 2 samples, and a given
-    lambda_bound must be positive and finite.  The b^2 formulas must stay
-    finite on the whole box, else ValueError: at the default
-    lambda_bound, |c| up to about 2.06e204.
+    nonzero, and every grid axis needs at least 2 samples.  |c| must lie
+    in [7.91e-206, 2.06e204], where the b^2 numerators stay finite on the
+    box and their denominators stay normal doubles, else ValueError.
 
     The formulas are evaluated only on the ordered cells that can pass
     the quadratic: for fixed (lambda_1, lambda_3) it is affine in
@@ -854,45 +859,36 @@ def nonexistence_scan(
         raise ValueError(
             f"every grid axis needs >= 2 samples, got {tuple(grid_shape)}"
         )
-    scale = math.sqrt(abs(c))
-    if lambda_bound is None:
-        lambda_bound = 1.5 * scale
-    check_positive("lambda_bound", lambda_bound)
-    # the largest magnitudes the b^2 formulas reach on the box, lambda_3
-    # up to 0.75 scale: the numerator 4 (l_j - 2 l_3)(l_i - l_3)^2 and the
-    # denominator c (l_i - l_j)
-    lam3_top = 0.75 * scale
-    spread = lambda_bound + lam3_top
-    peak = max(
-        4.0 * (spread + lam3_top) * spread * spread,
-        2.0 * abs(c) * lambda_bound,
-    )
-    if not peak <= _HUGE:
+    if not _SCAN_MIN_ABS_C <= abs(c) <= _SCAN_MAX_ABS_C:
         raise ValueError(
-            f"c = {c!r} is out of range: the scan's b^2 products overflow "
-            "on its box (|c| <= 2.06e204 at the default lambda_bound)"
+            f"c = {c!r} is out of range: the scan's b^2 formulas leave the "
+            "normal double range unless 7.91e-206 <= |c| <= 2.06e204"
         )
+    scale = math.sqrt(abs(c))
+    bound = 1.5 * scale
     n1, n2, n3 = grid_shape
-    l1 = np.linspace(-lambda_bound, lambda_bound, n1)
-    l2 = np.linspace(-lambda_bound, lambda_bound, n2)
+    l1 = np.linspace(-bound, bound, n1)
+    l2 = np.linspace(-bound, bound, n2)
     l3 = np.linspace(0.0, 0.75 * scale, n3)
     spacing = max(l1[1] - l1[0], l2[1] - l2[0], l3[1] - l3[0])
     # one cell of slack: |grad quadratic| <= 12(L + L3) on the box
-    quad_tol = 12.0 * (lambda_bound + 0.75 * scale) * spacing
+    quad_tol = 12.0 * (bound + 0.75 * scale) * spacing
 
     # The bands are widened by a rounding margin, 1e-9 of the largest
     # magnitude (``size``) the quadratic's terms reach on the box, far
     # above its float error, so they hold every cell that passes.  The
     # candidates then meet the elementwise quadratic, b^2 and sum_band
     # tests (the ordering test is each band's start), so every cell gets
-    # the same verdict as on the full grid.  A batch holds at most max(n2*n3/8, n2, 2048) cells, across
-    # lambda_1 rows: its temporaries stay below one lambda_1 row's worth
-    # of the full quadratic on large rows, a few thousand cells on small
-    # ones, and do not grow with n1.
-    size = abs(c) + 12.0 * (lambda_bound + l3[-1]) ** 2
-    reach = quad_tol + 1e-9 * (1.0 + size)
+    # the same verdict as on the full grid.  A batch holds at most
+    # max(n2*n3/8, n2, 2048) cells, across lambda_1 rows: its temporaries
+    # stay below one lambda_1 row's worth of the full quadratic on large
+    # rows, a few thousand cells on small ones, and do not grow with n1.
+    # Both margins are relative to the box, so a small |c| keeps its bands
+    # narrow and its feasible cells.
+    size = abs(c) + 12.0 * (bound + l3[-1]) ** 2
+    reach = quad_tol + 1e-9 * size
     cap = max(n2 * n3 // 8, n2, 2048)
-    gap = 1e-12 * (1.0 + scale)
+    gap = 1e-12 * scale  # the ordering margin: lambda_1 < lambda_2 - gap
     count = 0
     lam3_feasible = np.zeros(n3, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -209,6 +209,21 @@ def test_sweep_at_strong_curvature(tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_sweep_names_the_tube_error_of_its_first_bad_radius(capsys):
+    """At a radius that both the tube germ and the catalog reject, the tube
+    germ's error is the one printed."""
+    code = main([
+        "sweep", "--n", "3", "--c=-1e6", "--k", "2",
+        "--r-min", "1", "--r-max", "2", "--count", "2",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        "error: s*r = 500.0 exceeds 20.0 (s = sqrt(-c)/2): "
+        "the tube's Jacobi modes are too ill-conditioned there\n"
+    )
+
+
 def test_sweep_rejects_bad_range(capsys):
     code = main([
         "sweep", "--n", "3", "--c", "-4", "--k", "2",
@@ -693,10 +708,15 @@ def test_nonexistence_rejects_degenerate_curvature(capsys):
         assert "error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("c", [-1e210, 1e210, -1e250, 1e250, -1e300, 1e300])
-def test_nonexistence_rejects_a_curvature_whose_products_overflow(c, capsys):
-    """Past |c| ~ 2.06e204 the b^2 products overflow on the default box:
-    one error line and exit 2, with no numpy warning on the way."""
+@pytest.mark.parametrize("c", [
+    -1e210, 1e210, -1e250, 1e250, -1e300, 1e300, -2.1e204, 2.1e204,
+    -7e-206, 7e-206, -1e-250, 1e-250, -5e-324, 5e-324,
+])
+def test_nonexistence_rejects_a_curvature_outside_its_range(c, capsys):
+    """Outside 7.91e-206 <= |c| <= 2.06e204 the scan's b^2 formulas leave
+    the normal doubles on its box (the numerators overflow above, the
+    denominators are subnormal below): one error line and exit 2 for both
+    signs, with no numpy warning on the way."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(["nonexistence", f"--c={c!r}", "--grid", "30", "30", "30"])
@@ -705,7 +725,20 @@ def test_nonexistence_rejects_a_curvature_whose_products_overflow(c, capsys):
     assert captured.out == ""
     assert captured.err.startswith(f"error: c = {c!r} is out of range")
     assert len(captured.err.splitlines()) == 1
-    assert "Warning" not in captured.err
+    assert "Warning" not in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("c", [-1e-30, -1e-100, -1e-200])
+def test_nonexistence_finds_the_curve_at_small_curvature(c, capsys):
+    """The scan's ordering margin is relative to sqrt|c|: at small |c| it
+    still leaves the feasible cells."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["nonexistence", f"--c={c!r}", "--grid", "30", "30", "30"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    samples = [ln for ln in captured.out.splitlines() if ln.startswith("curve samples")]
+    assert len(samples) == 1 and int(samples[0].split()[-1]) > 0
 
 
 @pytest.mark.parametrize("c, tail", [

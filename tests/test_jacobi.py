@@ -280,13 +280,11 @@ def test_focal_rank_accounting():
 def test_focal_shape_identities():
     params = ModelParams(n=3, c=-4.0)
     spec = build_submanifold(params, 2, math.pi / 2)
-    rep = focal_shape_check(spec, spec.normal_basis[0], 0.7, step=1e-3)
-    assert list(rep) == ["eta_return", "ju_pair", "bja_pair", "complement", "distance"]
-    assert rep["eta_return"] < FOCAL_TOLERANCE
+    rep = focal_shape_check(spec, spec.normal_basis[0], 0.7)
+    assert list(rep) == ["ju_pair", "bja_pair", "complement"]
     assert rep["ju_pair"] < FOCAL_TOLERANCE
     assert rep["bja_pair"] < FOCAL_TOLERANCE
     assert rep["complement"] < FOCAL_TOLERANCE
-    assert rep["distance"] < FOCAL_TOLERANCE
 
 
 def test_rate_requires_negative_curvature():

@@ -8,8 +8,11 @@ horosphere field has h = 1, so it has no frame suites.
 The bit-for-bit values also pin the floating-point build: numpy 2.4 on
 x86-64 with OpenBLAS 0.3.31 (DYNAMIC_ARCH) running its SkylakeX
 (AVX-512) kernels.  With the Haswell kernels (``OPENBLAS_CORETYPE=
-Haswell`` or ``=Zen``, or a CPU without AVX-512) every case below fails
-on a last-bit difference in ``gauss``; see ``test_classify_golden.py``.
+Haswell`` or ``=Zen``, or a CPU without AVX-512) every case below fails,
+and not on a last bit: the central differences magnify the kernels'
+rounding, so ``gauss`` moves by about 4e-9 relative (crit9 at h = 1e-3:
+7.556435684e-05 -> 7.556435715e-05) and 74 of the 93 values below leave
+their bounds; see ``test_classify_golden.py``.
 """
 
 import numpy as np

@@ -420,12 +420,11 @@ def test_catalog_at_radius_rejects_bad_radii():
         spectral.catalog_at_radius(0.0, -4.0, 3, 2)  # focal for k = 2
 
 
-def _whole_grid_scan(c, grid_shape, quad_tol, sum_band=0.1, bound=None):
+def _whole_grid_scan(c, grid_shape, quad_tol, sum_band=0.1):
     """Reference for nonexistence_scan: the whole grid at once, then one
     refinement per lambda_3 value that has a feasible cell."""
     scale = math.sqrt(abs(c))
-    if bound is None:
-        bound = 1.5 * scale
+    bound = 1.5 * scale
     n1, n2, n3 = grid_shape
     l1 = np.linspace(-bound, bound, n1)[:, None, None]
     l2 = np.linspace(-bound, bound, n2)[None, :, None]
@@ -435,7 +434,7 @@ def _whole_grid_scan(c, grid_shape, quad_tol, sum_band=0.1, bound=None):
         b1sq, b2sq = spectral.hopf_projection_squares(l1, l2, lam3, c)
         quad = catalog_quadratic(l1, l2, lam3, c)
     feasible = (
-        (l1 < l2 - 1e-12 * (1.0 + scale))
+        (l1 < l2 - 1e-12 * scale)
         & (b1sq > 0.0) & (b1sq < 1.0) & (b2sq > 0.0) & (b2sq < 1.0)
         & (np.abs(quad) <= quad_tol)
         & (np.abs(b1sq + b2sq - 1.0) <= sum_band)
@@ -467,18 +466,6 @@ def test_slab_scan_matches_whole_grid(c, grid):
     if c > 0:
         assert rep.curve_points is None
     else:
-        assert np.array_equal(rep.curve_points, curve)
-
-
-@pytest.mark.parametrize("c", [3.1, -3.1])
-@pytest.mark.parametrize("bound_frac", [0.2, 4.0])
-def test_scan_with_lambda_bound_matches_whole_grid(c, bound_frac):
-    bound = bound_frac * math.sqrt(abs(c))
-    grid = (41, 37, 23)
-    rep = nonexistence_scan(c, grid_shape=grid, lambda_bound=bound)
-    count, curve = _whole_grid_scan(c, grid, rep.quad_tol, bound=bound)
-    assert rep.feasible_count == count
-    if c < 0:
         assert np.array_equal(rep.curve_points, curve)
 
 
@@ -543,7 +530,7 @@ def test_band_scan_passes_every_quadratic_cell_to_the_b_squares(c, grid, monkeyp
         np.linspace(0.0, 0.75 * scale, n3),
         indexing="ij",
     )
-    passing = (l1 < l2 - 1e-12 * (1.0 + scale)) & (
+    passing = (l1 < l2 - 1e-12 * scale) & (
         np.abs(catalog_quadratic(l1, l2, l3, c)) <= rep.quad_tol
     )
     b2sq = original(l2[passing], l1[passing], l3[passing], c)
@@ -611,15 +598,13 @@ _scan_shapes = st.one_of(
 @given(
     sign=st.sampled_from([1.0, -1.0]),
     c_exp=st.floats(-2.0, 4.0),
-    bound_frac=st.one_of(st.none(), st.floats(0.05, 5.0)),
     sum_band=st.floats(1e-6, 10.0),
     grid=_scan_shapes,
 )
-def test_scan_matches_whole_grid_on_random_boxes(sign, c_exp, bound_frac, sum_band, grid):
+def test_scan_matches_whole_grid_on_random_boxes(sign, c_exp, sum_band, grid):
     c = sign * 10.0**c_exp
-    bound = None if bound_frac is None else bound_frac * math.sqrt(abs(c))
-    rep = nonexistence_scan(c, grid_shape=grid, lambda_bound=bound, sum_band=sum_band)
-    count, curve = _whole_grid_scan(c, grid, rep.quad_tol, sum_band=sum_band, bound=bound)
+    rep = nonexistence_scan(c, grid_shape=grid, sum_band=sum_band)
+    count, curve = _whole_grid_scan(c, grid, rep.quad_tol, sum_band=sum_band)
     assert rep.feasible_count == count
     if c > 0:
         assert rep.curve_points is None
@@ -627,10 +612,39 @@ def test_scan_matches_whole_grid_on_random_boxes(sign, c_exp, bound_frac, sum_ba
         assert np.array_equal(rep.curve_points, curve)
 
 
-@pytest.mark.parametrize("bound", [0.0, -1.0, math.nan, math.inf])
-def test_scan_rejects_bad_lambda_bound(bound):
-    with pytest.raises(ValueError, match="lambda_bound"):
-        nonexistence_scan(-4.0, grid_shape=(5, 5, 5), lambda_bound=bound)
+SCAN_RESIDUAL_TOLERANCE = 2e-14  # relative to 1 + |c|
+
+
+def _assert_scan_decides(c):
+    """c < 0 finds the catalog curve, refined onto it to a residual
+    relative to 1 + |c| (the absolute one grows with |c|), and c > 0 has
+    no feasible cell, with no numpy warning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = nonexistence_scan(c, grid_shape=(30, 30, 30))
+    if c > 0:
+        assert rep.feasible_count == 0 and rep.certificate
+    else:
+        assert rep.feasible_count > 0 and len(rep.curve_points) > 0
+        assert rep.max_refined_residual <= SCAN_RESIDUAL_TOLERANCE * (1.0 + abs(c))
+
+
+@seed(20261027)
+@settings(deadline=None, max_examples=120)
+@given(
+    sign=st.sampled_from([1.0, -1.0]),
+    # log-uniform inside the range [7.91e-206, 2.06e204]
+    c_exp=st.floats(math.log10(7.92e-206), math.log10(2.06e204)),
+)
+@example(sign=-1.0, c_exp=-30.0)
+def test_scan_decides_across_the_range_of_c(sign, c_exp):
+    _assert_scan_decides(sign * 10.0**c_exp)
+
+
+@pytest.mark.parametrize("edge", ["_SCAN_MIN_ABS_C", "_SCAN_MAX_ABS_C"])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_scan_decides_at_the_ends_of_its_range(edge, sign):
+    _assert_scan_decides(sign * getattr(spectral, edge))
 
 
 _finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)

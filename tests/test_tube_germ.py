@@ -13,9 +13,12 @@ from chgeom import (
     ModelParams,
     build_submanifold,
     classify,
+    focal_shape_check,
+    hopf_frame_extract,
     j_action,
     jacobi_closed,
     jacobi_ode_oracle,
+    principal_decomposition,
     special_radius,
     tube_shape_operator,
     tube_spectrum_closed,
@@ -37,6 +40,11 @@ CLOSED_VS_ODE_TOLERANCE = 1e-8
 SPECTRUM_RELATIVE_TOLERANCE = 1e-12
 ROUNDTRIP_RADIUS_TOLERANCE = 1e-6
 RK4_SPECTRUM_RELATIVE_TOLERANCE = 1e-10
+# focal residuals over s = sqrt(-c)/2: about 15x the worst of 6000 random
+# cases (1.3e-10 at s*r near 5, where b_1 ~ 8 e^(-3sr) magnifies the
+# rounding of the Hopf vector A)
+FOCAL_RESIDUAL_TOLERANCE = 2e-9
+HOPF_VECTOR_TOLERANCE = 1e-9
 
 
 def _random_modes(n, seed):
@@ -138,6 +146,51 @@ def test_spectrum_is_constant_over_the_unit_normal_sphere(n, c, sr, data):
     res = classify(germ)
     assert (res.model, res.k) == ("tube" if k >= 2 else "equidistant", k)
     assert abs(res.r - r) < ROUNDTRIP_RADIUS_TOLERANCE
+
+
+@seed(28)
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(2, 6),
+    c=st.sampled_from([-1.0, -4.0, -100.0]),
+    sr=st.floats(1e-3, 5.0),
+    data=st.data(),
+)
+def test_focal_identities_hold_over_the_unit_normal_sphere(n, c, sr, data):
+    """The closed focal check holds at every unit normal, every k and
+    s*r up to 5, each residual within a fixed multiple of s."""
+    k = data.draw(st.integers(1, n - 1), label="k")
+    coeffs = data.draw(
+        st.lists(st.floats(-1.0, 1.0), min_size=k, max_size=k).filter(
+            lambda v: np.linalg.norm(v) > 0.1
+        ),
+        label="eta coefficients",
+    )
+    s = rate(c)
+    spec = build_submanifold(ModelParams(n=n, c=c), k, math.pi / 2)
+    rep = focal_shape_check(spec, _unit_normal(spec, coeffs), sr / s)
+    assert list(rep) == ["ju_pair", "bja_pair", "complement"]
+    for name, value in rep.items():
+        assert value <= FOCAL_RESIDUAL_TOLERANCE * s, (n, k, sr, name, value)
+
+
+def _hopf_vector(germ):
+    return hopf_frame_extract(principal_decomposition(germ))[2]
+
+
+@pytest.mark.parametrize(
+    "n, k, c, r", [(3, 2, -4.0, 0.7), (3, 2, -100.0, 0.07), (4, 3, -1.0, 1.2)]
+)
+def test_integrated_hopf_vector_matches_the_closed_germ(n, k, c, r):
+    """The second route of the focal identities: the Hopf vector A of the
+    RK4 tube germ, transported back to the base point, is the closed
+    germ's A, so S^r J A = -s J eta^r holds on either."""
+    spec = build_submanifold(ModelParams(n=n, c=c), k, math.pi / 2)
+    eta = _unit_normal(spec, np.random.default_rng(n + k).normal(size=k))
+    tube = tube_shape_operator(spec, eta, r, step=1e-3)
+    pulled = tube.transport.T @ _hopf_vector(tube.germ)
+    closed = _hopf_vector(tube_germ(spec, eta, r))
+    assert np.linalg.norm(pulled - closed) <= HOPF_VECTOR_TOLERANCE
 
 
 def test_integrated_spectrum_at_a_random_normal():
