@@ -499,10 +499,11 @@ class SolvableModel:
         big_r = w / den
         y = z0 * big_r
         theta = 2.0 * np.arctan(y)
-        i1 = big_r * _atanc(y) / a
+        atanc = _atanc(y)
+        i1 = big_r * atanc / a
         half = 0.5 / (1.0 + y * y)
         i2 = (
-            0.5 * big_r * _atanc(y) + half * big_r
+            0.5 * big_r * atanc + half * big_r
             + 2.0 * b0 * half * big_r * big_r
             + (b0 * b0 - 1.0) * 0.5 * big_r**3 * _atan_defect(y)
         ) / a

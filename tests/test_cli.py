@@ -185,6 +185,26 @@ def test_sweep_special_radius_row(tmp_path):
     assert abs(float(row["detD"]) - float(row["detD_expected"])) < 1e-10
 
 
+def test_special_radius_test_is_relative_to_the_rate(tmp_path):
+    """At c = -1e-100 (s = 5e-51) a radius of 0.5 is far from r* ~ 1.3e50:
+    its row is G4, with lambda_4 and no nan cell.  At r* itself the
+    catalog reads G3_KBIG across the scales of c."""
+    out = tmp_path / "s.csv"
+    code = main([
+        "sweep", "--n", "3", "--c=-1e-100", "--k", "2",
+        "--r-min", "0.5", "--r-max", "0.5", "--count", "1", "--output", str(out),
+    ])
+    assert code == 0
+    header, line = out.read_text().splitlines()
+    row = dict(zip(header.split(","), line.split(",")))
+    assert "nan" not in row.values()
+    assert float(row["lambda4"]) == 2.0
+    assert [row[f"mult{i}"] for i in range(1, 5)] == ["1", "1", "2", "1"]
+    for c in (-0.02, -1.0, -4.0, -100.0, -1e4):
+        es = spectral.catalog_at_radius(special_radius(c), c, 3, 2)
+        assert es.branch == "G3_KBIG", c
+
+
 def test_sweep_at_strong_curvature(tmp_path, capsys):
     """At c = -100, tanh(s r) rounds to 1 from s*r ~ 19; the sweep keys
     the catalog by r, so every row up to s*r = 20 has finite cells."""

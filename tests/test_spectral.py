@@ -471,21 +471,27 @@ def test_slab_scan_matches_whole_grid(c, grid):
 
 @pytest.mark.parametrize("c", [3.1, -3.1])
 def test_scan_computes_b_squares_only_where_the_quadratic_holds(c, monkeypatch):
-    seen = []
+    seen = {"b1": [], "b2": []}
     original = spectral.hopf_projection_square
 
     def counting(lam_i, lam_j, lam3, c):
         bsq = original(lam_i, lam_j, lam3, c)
         if np.ndim(bsq):  # the scan's cells, not the refinement's scalars
-            seen.append(bsq.size)
+            # b_2^2 is f(lambda_2, lambda_1), and every cell has lambda_1 < lambda_2
+            seen["b1" if np.all(lam_i < lam_j) else "b2"].append(bsq.size)
         return bsq
 
     monkeypatch.setattr(spectral, "hopf_projection_square", counting)
     grid = (165, 165, 165)
     rep = nonexistence_scan(c, grid_shape=grid)
     assert (rep.feasible_count > 0) == (c < 0)
-    assert sum(seen) > 0
-    assert sum(seen) <= 0.15 * math.prod(grid)
+    total = sum(seen["b1"]) + sum(seen["b2"])
+    assert total > 0
+    assert total <= 0.15 * math.prod(grid)
+    # the sign filter leaves b_2^2 about 1 % of the grid at c > 0 (4.4 %
+    # without it)
+    if c > 0:
+        assert sum(seen["b2"]) <= 0.02 * math.prod(grid)
 
 
 @pytest.mark.parametrize("c", [3.1, -3.1, -100.0])
@@ -505,9 +511,12 @@ def test_band_scan_matches_whole_grid_across_sum_bands(c, sum_band, grid):
 @pytest.mark.parametrize("c", [3.1, -3.1, -100.0])
 @pytest.mark.parametrize("grid", [(61, 40, 40), (33, 33, 17), (60, 60, 60)])
 def test_band_scan_passes_every_quadratic_cell_to_the_b_squares(c, grid, monkeypatch):
-    """The lambda_2 bands lose no cell: b_2^2 is computed on exactly the
-    ordered cells of the whole grid with |quadratic| <= quad_tol, and
-    b_1^2 on exactly those of them where b_2^2 lies in (0, 1)."""
+    """The lambda_2 bands lose no cell that can be feasible: b_2^2 is
+    computed on exactly the ordered cells of the whole grid with
+    |quadratic| <= quad_tol and sign(c) (lambda_1 - 2 lambda_3) > 0, every
+    ordered quadratic cell the sign filter drops has b_2^2 outside (0, 1),
+    and b_1^2 is computed on exactly the ordered quadratic cells where
+    b_2^2 lies in (0, 1)."""
     seen = {"b1": [], "b2": []}
     original = spectral.hopf_projection_square
 
@@ -533,10 +542,13 @@ def test_band_scan_passes_every_quadratic_cell_to_the_b_squares(c, grid, monkeyp
     passing = (l1 < l2 - 1e-12 * scale) & (
         np.abs(catalog_quadratic(l1, l2, l3, c)) <= rep.quad_tol
     )
+    factor = l1 - 2.0 * l3
+    signed = (factor > 0.0 if c > 0 else factor < 0.0)[passing]
+    cells = np.stack([l1[passing], l2[passing], l3[passing]], axis=-1)
     b2sq = original(l2[passing], l1[passing], l3[passing], c)
     b2_open = (b2sq > 0.0) & (b2sq < 1.0)
-    want = {"b2": np.stack([l1[passing], l2[passing], l3[passing]], axis=-1)}
-    want["b1"] = want["b2"][b2_open]
+    assert not b2_open[~signed].any()
+    want = {"b2": cells[signed], "b1": cells[b2_open]}
     assert seen["b2"] and (seen["b1"] or not b2_open.any())
     for key, cells in want.items():
         got = np.concatenate(seen[key]) if seen[key] else np.empty((0, 3))
@@ -645,6 +657,24 @@ def test_scan_decides_across_the_range_of_c(sign, c_exp):
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_scan_decides_at_the_ends_of_its_range(edge, sign):
     _assert_scan_decides(sign * getattr(spectral, edge))
+
+
+@pytest.mark.parametrize(
+    # where c (lambda_2 - lambda_1) can underflow or the b^2 numerators
+    # come near the largest double
+    "c_abs", [spectral._SCAN_MIN_ABS_C, 1e-100, 1e100, spectral._SCAN_MAX_ABS_C]
+)
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("grid", [(30, 30, 30), (41, 37, 23), (7, 300, 11)])
+def test_scan_matches_whole_grid_at_the_ends_of_its_range(c_abs, sign, grid):
+    c = sign * c_abs
+    rep = nonexistence_scan(c, grid_shape=grid)
+    count, curve = _whole_grid_scan(c, grid, rep.quad_tol)
+    assert rep.feasible_count == count
+    if c > 0:
+        assert rep.curve_points is None
+    else:
+        assert np.array_equal(rep.curve_points, curve)
 
 
 _finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
