@@ -180,27 +180,34 @@ class _BilinearTable:
     table's nonzero terms instead of d^3 per row.  That einsum adds the
     terms (x_i y_j) table[i, j, k] to 0.0 one by one, in the row-major
     order of (i, j), and a zero term changes no such sum.  Here the
-    nonzero terms of each output k stand in that order in row k of a
-    (d, width) plan, padded with zero terms, and a running sum along the
-    rows adds them in turn; the final + 0.0 turns the -0.0 that a run
-    of -0.0 terms leaves into einsum's 0.0.
+    nonzero terms of each output k stand in that order in column k of a
+    (width, d) plan, padded with zero terms (width <= d), and the plan's
+    rows are added in turn, each as one whole-array add over every output
+    of every input row.  These are the left-to-right sums a running sum
+    along each column gives, but ``np.cumsum`` on so short an axis runs
+    one short inner loop per output, and the width - 1 adds run one long
+    loop each.  The final + 0.0 turns the -0.0 that a run of -0.0 terms
+    leaves into einsum's 0.0.
     """
 
     def __init__(self, table: np.ndarray):
         k, i, j = np.nonzero(table.transpose(2, 0, 1))  # by k, then (i, j)
         slot = np.arange(k.size) - np.searchsorted(k, k)
-        shape = (table.shape[2], int(slot.max()) + 1)
+        shape = (int(slot.max()) + 1, table.shape[2])
         self.i, self.j = np.zeros(shape, dtype=int), np.zeros(shape, dtype=int)
         self.values = np.zeros(shape)
-        self.i[k, slot], self.j[k, slot], self.values[k, slot] = i, j, table[i, j, k]
+        self.i[slot, k], self.j[slot, k], self.values[slot, k] = i, j, table[i, j, k]
 
     def __call__(self, x, y) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         terms = (x[..., self.i] * y[..., self.j]) * self.values
+        acc = terms[..., 0, :]
+        for w in range(1, terms.shape[-2]):
+            acc = acc + terms[..., w, :]
         # a C-ordered result, as einsum gives: later row-wise products
         # (matmul) may round differently on other layouts
-        return np.add(np.cumsum(terms, axis=-1)[..., -1], 0.0, order="C")
+        return np.add(acc, 0.0, order="C")
 
 
 def ambient_curvature(x, y, z, c: float) -> np.ndarray:

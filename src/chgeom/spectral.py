@@ -760,10 +760,12 @@ class ScanReport:
     max_refined_residual: float | None
 
 
-def _lambda2_bands(lam1, l2, l3, c, reach, gap):
+def _lambda2_bands(lam1, l2, lam3, c, reach, gap):
     """First lambda_2 index and length of the band of each (lambda_1,
-    lambda_3) pair, for lam1 (rows) x l3: the ascending l2 samples where
-    |catalog quadratic| <= reach, among those with lambda_1 < lambda_2 - gap.
+    lambda_3) pair, given as flat arrays lam1 and lam3: the ascending l2
+    samples where |catalog quadratic| <= reach, among those with
+    lambda_1 < lambda_2 - gap.  ``_band_cells`` passes only the signed
+    pairs of ``_signed_pairs``.
 
     That ordering test is the scan's own: ``l2 - gap`` is the float it
     compares, and it is non-decreasing, so the cells that pass it are the
@@ -775,9 +777,8 @@ def _lambda2_bands(lam1, l2, l3, c, reach, gap):
     is undefined (0/0 at a zero slope, or an overflowing box) the band is
     the whole row, which is never too small.
     """
-    lam1 = lam1[:, None]
-    base = c + 8.0 * lam1 * l3 - 12.0 * l3**2
-    slope = 8.0 * l3 - 4.0 * lam1
+    base = c + 8.0 * lam1 * lam3 - 12.0 * lam3**2
+    slope = 8.0 * lam3 - 4.0 * lam1
     with np.errstate(divide="ignore", invalid="ignore"):
         lo = (-reach - base) / slope
         hi = (reach - base) / slope
@@ -785,46 +786,69 @@ def _lambda2_bands(lam1, l2, l3, c, reach, gap):
     undefined = np.isnan(lo)
     lo[undefined], hi[undefined] = -np.inf, np.inf
     above = np.searchsorted(l2 - gap, lam1, side="right")
-    first = np.maximum(np.searchsorted(l2, lo, side="left"), above).ravel()
-    return first, np.maximum(np.searchsorted(l2, hi, side="right").ravel() - first, 0)
+    first = np.maximum(np.searchsorted(l2, lo, side="left"), above)
+    return first, np.maximum(np.searchsorted(l2, hi, side="right") - first, 0)
+
+
+def _runs(counts, first, cap):
+    """Greedy batches of whole runs: item p owns the ``counts[p]``
+    consecutive indices from ``first[p]`` on.  Yield (batch, j): a slice
+    of items holding at most ``cap`` indices (or one item alone, if it
+    holds more) and the concatenation of their indices; batches with no
+    index are skipped."""
+    ends = np.cumsum(counts)
+    p0 = 0
+    while p0 < counts.size:
+        start = int(ends[p0] - counts[p0])
+        p1 = max(int(np.searchsorted(ends, start + cap, side="right")), p0 + 1)
+        if ends[p1 - 1] > start:
+            batch = slice(p0, p1)
+            cnt = counts[batch]
+            # per item: its first index less its position in the batch
+            j = np.repeat(first[batch] - (ends[batch] - cnt), cnt)
+            j += np.arange(start, ends[p1 - 1])
+            yield batch, j
+        p0 = p1
+
+
+def _signed_pairs(l1, l3, c, cap):
+    """Yield the (lambda_1, lambda_3) pairs of l1 x l3 whose b_2^2
+    numerator factor lambda_1 - 2 lambda_3 has the sign of c, row by row,
+    as flat arrays of at most max(cap, n3) pairs.
+
+    Every band cell has lambda_2 - lambda_1 > 0 and the float difference
+    carries the exact sign, so each cell of another pair gets b_2^2 <= 0
+    or NaN and fails 0 < b_2^2 < 1: dropping them changes no verdict.
+    2 lambda_3 is exact and fl(lambda_1 - 2 lambda_3) is 0 only where
+    lambda_1 = 2 lambda_3, so in each lambda_1 row the signed pairs are
+    the lambda_3 < lambda_1 / 2 (a prefix of l3) for c > 0 and the
+    lambda_3 > lambda_1 / 2 (a suffix) for c < 0, which one searchsorted
+    call finds.  Rows are counted ``cap`` at a time, so no array grows
+    with the number of lambda_1 samples."""
+    twice = 2.0 * l3
+    for r0 in range(0, l1.size, cap):
+        rows = l1[r0:r0 + cap]
+        if c > 0:
+            first = np.broadcast_to(0, rows.shape)
+            counts = np.searchsorted(twice, rows, side="left")
+        else:
+            first = np.searchsorted(twice, rows, side="right")
+            counts = l3.size - first
+        for batch, j in _runs(counts, first, cap):
+            yield np.repeat(rows[batch], counts[batch]), l3[j]
 
 
 def _band_cells(l1, l2, l3, c, reach, gap, cap):
-    """Yield the cells of the ``_lambda2_bands`` bands as (lambda_1,
-    lambda_2, lambda_3) arrays of at most ``cap`` >= n2 cells, gathered
-    across lambda_1 rows.  The bands are computed for
-    ``cap // n3`` rows at a time, so no array grows with the number of
-    lambda_1 samples.
-
-    A pair whose b_2^2 numerator factor lambda_1 - 2 lambda_3 does not
-    have the sign of c gets an empty band.  Every band cell has
-    lambda_2 - lambda_1 > 0 and the float difference carries the exact
-    sign, so each cell of such a pair gets b_2^2 <= 0 or NaN and fails
-    0 < b_2^2 < 1: dropping them changes no verdict."""
-    n3 = l3.size
-    step = max(1, cap // n3)
-    for i0 in range(0, l1.size, step):
-        lam1 = l1[i0:i0 + step]
-        first, counts = _lambda2_bands(lam1, l2, l3, c, reach, gap)
-        factor = (lam1[:, None] - 2.0 * l3).ravel()
-        counts[~(factor > 0.0 if c > 0 else factor < 0.0)] = 0
-        ends = np.cumsum(counts)
-        starts = ends - counts
-        # per pair: lambda_1, lambda_3, and the lambda_2 index of its
-        # band's cell q (numbered across the pairs) less q
-        pair_lam1 = np.repeat(lam1, n3)
-        pair_lam3 = np.tile(l3, lam1.size)
-        offset = first - starts
-        # greedy batches of whole bands, each band at most n2 <= cap cells
-        p0 = 0
-        while p0 < counts.size:
-            p1 = max(int(np.searchsorted(ends, starts[p0] + cap, side="right")), p0 + 1)
-            if ends[p1 - 1] > starts[p0]:
-                cnt = counts[p0:p1]
-                j = np.repeat(offset[p0:p1], cnt)
-                j += np.arange(starts[p0], ends[p1 - 1])
-                yield np.repeat(pair_lam1[p0:p1], cnt), l2[j], np.repeat(pair_lam3[p0:p1], cnt)
-            p0 = p1
+    """Yield the cells of the ``_lambda2_bands`` bands of the signed
+    pairs as (lambda_1, lambda_2, lambda_3) arrays of at most ``cap`` >=
+    n2 cells.  The bands are computed on flat chunks of at most
+    max(cap, n3) signed pairs, and each batch gathers whole bands across
+    pairs, so no array grows with the number of lambda_1 samples."""
+    for lam1, lam3 in _signed_pairs(l1, l3, c, cap):
+        first, counts = _lambda2_bands(lam1, l2, lam3, c, reach, gap)
+        for batch, j in _runs(counts, first, cap):
+            cnt = counts[batch]
+            yield np.repeat(lam1[batch], cnt), l2[j], np.repeat(lam3[batch], cnt)
 
 
 def nonexistence_scan(
@@ -854,11 +878,13 @@ def nonexistence_scan(
     the quadratic and b_2^2 > 0.  For fixed (lambda_1, lambda_3) the
     quadratic is affine in lambda_2, so those cells form one lambda_2
     band per pair (``_lambda2_bands``, which also starts each band at
-    the ordering test).  The sign filter in ``_band_cells`` empties the
-    band of each pair whose b_2^2 factor lambda_1 - 2 lambda_3 does not
-    have the sign of c, since there b_2^2 <= 0 or NaN on every ordered
-    cell.  Every other cell fails the quadratic, the ordering or b_2^2 >
-    0, so the count and the refined curve are those of the whole grid.
+    the ordering test).  Bands are computed only for the signed pairs
+    of ``_signed_pairs``, whose b_2^2 factor lambda_1 - 2 lambda_3 has
+    the sign of c: any other pair has b_2^2 <= 0 or NaN on every ordered
+    cell.  On a 165^3 grid they are 25 % of the (lambda_1, lambda_3)
+    pairs at c = 3.1 and 75 % at c = -3.1.  Every other cell fails the
+    quadratic, the ordering or b_2^2 > 0, so the count and the refined
+    curve are those of the whole grid.
     The sign of b_1^2 (that of c (2 lambda_3 - lambda_2)) drops no cell:
     for c > 0 the two sign conditions together leave none, and the scan
     would only restate the certificate it checks.  On a 165^3 grid the

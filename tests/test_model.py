@@ -249,6 +249,47 @@ def test_curvature_row_stacks_match_single_vectors(n):
         assert np.all(np.abs(np.subtract(got, want)) <= 1e-15)
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("c", [-2.7, -1e-3, -400.0])
+def test_verify_curvature_matches_one_sectional_call_per_plane_family(n, c):
+    """verify_curvature gives, bit for bit, the report of one
+    sectional_curvature call per plane family on the same draws."""
+    m = model(n=n, c=c)
+
+    def row_dot(a, b):
+        return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+    for s in range(3):
+        rng = np.random.default_rng(s)
+        x, y, z = np.moveaxis(rng.standard_normal((200, 3, 2 * n)), 1, 0)
+        curvature = float(np.max(np.abs(
+            m.curvature_from_koszul(x, y, z) - ambient_curvature(x, y, z, c)
+        )))
+        x, y, w = np.moveaxis(rng.standard_normal((200, 3, 2 * n)), 1, 0)
+        x = x / np.sqrt(row_dot(x, x))[:, None]
+        jx = j_action(x)
+        holo = np.max(np.abs(m.sectional_curvature(x, jx) - c))
+        y = y - (row_dot(y, x)[:, None] * x + row_dot(y, jx)[:, None] * jx)
+        y = y / np.sqrt(row_dot(y, y))[:, None]
+        real = np.max(np.abs(m.sectional_curvature(x, y) - c / 4.0))
+        w = w - row_dot(w, x)[:, None] * x
+        w = w / np.sqrt(row_dot(w, w))[:, None]
+        k = m.sectional_curvature(x, w)
+        pinch = max(np.max(c - k), np.max(k - c / 4.0), 0.0)
+        want = {
+            "curvature": curvature,
+            "holomorphic": float(holo),
+            "totally_real": float(real),
+            "pinching": float(pinch),
+        }
+        got = m.verify_curvature(samples=200, seed=s)
+        assert list(got) == list(want)
+        assert np.array_equal(
+            np.array(list(got.values())).view(np.uint64),
+            np.array(list(want.values())).view(np.uint64),
+        ), (n, c, s)
+
+
 def test_sectional_pinching():
     # all sectional curvatures lie in [c, c/4]
     m = model(n=3, c=-4.0)
@@ -408,7 +449,9 @@ def test_transport_of_velocity_is_velocity():
 @given(
     n=st.integers(2, 8),
     c=st.floats(0.01, 100.0),
-    layout=st.sampled_from(["vector", "rows", "pairs", "stacked-pairs", "one-to-many"]),
+    layout=st.sampled_from([
+        "vector", "rows", "pairs", "stacked-pairs", "one-to-many", "germ-ball", "verify-rows",
+    ]),
     scale=st.integers(-6, 6),
     zeros=st.booleans(),
     data=st.data(),
@@ -426,6 +469,9 @@ def test_bilinear_tables_match_the_einsum_bit_for_bit(n, c, layout, scale, zeros
         "pairs": ((5, 1, d), (1, 5, d)),
         "stacked-pairs": ((3, 4, 1, d), (3, 1, 4, d)),
         "one-to-many": ((6, 4, d), (6, 1, d)),
+        # the GermField ball, and three of verify_curvature's 200-row stacks
+        "germ-ball": ((61, 5, d), (61, 1, d)),
+        "verify-rows": ((600, d), (600, d)),
     }[layout]
     seed_ = data.draw(st.integers(0, 2**31))
     rng = np.random.default_rng(seed_)

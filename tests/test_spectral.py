@@ -588,6 +588,33 @@ def test_scan_batches_skinny_grids_in_cells(c, monkeypatch):
     assert 0 < len(calls) < 100
 
 
+@pytest.mark.parametrize("c, signed", [(3.1, 6807), (-3.1, 20400)])
+def test_bands_are_computed_for_the_signed_pairs_only(c, signed, monkeypatch):
+    """_lambda2_bands receives each (lambda_1, lambda_3) pair whose b_2^2
+    factor lambda_1 - 2 lambda_3 has the sign of c once, and no other
+    pair: 6,807 of the 27,225 pairs at c = 3.1, 20,400 at c = -3.1."""
+    seen = []
+    original = spectral._lambda2_bands
+
+    def recording(lam1, l2, lam3, c, reach, gap):
+        seen.append(np.stack(np.broadcast_arrays(lam1, lam3), axis=-1))
+        return original(lam1, l2, lam3, c, reach, gap)
+
+    monkeypatch.setattr(spectral, "_lambda2_bands", recording)
+    nonexistence_scan(c, grid_shape=(165, 165, 165))
+    scale = math.sqrt(abs(c))
+    l1, l3 = np.meshgrid(
+        np.linspace(-1.5 * scale, 1.5 * scale, 165),
+        np.linspace(0.0, 0.75 * scale, 165),
+        indexing="ij",
+    )
+    factor = l1 - 2.0 * l3
+    want = np.stack([l1, l3], axis=-1)[factor > 0.0 if c > 0 else factor < 0.0]
+    got = np.concatenate(seen)
+    assert len(got) == len(want) == signed
+    assert np.array_equal(got[np.lexsort(got.T)], want[np.lexsort(want.T)])
+
+
 def test_band_start_is_the_scans_ordering_test():
     """Each band starts at the first lambda_2 with lambda_1 < lambda_2 - gap,
     the scan's ordering test, also where lambda_1 equals lambda_2 - gap."""
@@ -799,15 +826,19 @@ def test_slab_scan_memory_does_not_grow_with_lambda1_samples():
 
 
 def test_skinny_scan_memory_does_not_grow_with_lambda1_samples():
-    def peak(grid):
+    """Past the first row windows, the peak grows by the lambda_1 array
+    alone: 8 B per added sample, with a 10 % allowance."""
+    def peak(grid, c):
         tracemalloc.start()
         try:
-            nonexistence_scan(-1.0, grid_shape=grid)
+            nonexistence_scan(c, grid_shape=grid)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    assert peak((20000, 2, 2)) <= 1.5 * peak((2000, 2, 2))
+    for c in (-1.0, 3.1):
+        growth = peak((200000, 2, 2), c) - peak((20000, 2, 2), c)
+        assert growth <= 1.1 * 8 * 180000, c
 
 
 @seed(411)
