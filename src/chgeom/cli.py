@@ -42,13 +42,6 @@ SWEEP_COLUMNS = (
     "b1sq,b2sq,g,h,detD,detD_expected,classify_status"
 )
 
-# the residuals suites in the order they run; the last four read the
-# frame-field table
-RESIDUAL_SUITES = (
-    "gauss", "codazzi", "real_eigenspace",
-    "graded_connection", "graded_curvature", "unit_pair_gauss", "frame_connection",
-)
-
 
 def _fmt(x) -> str:
     return repr(float(x))
@@ -161,32 +154,19 @@ def _cmd_residuals(args) -> int:
     chart = numlab.tube_chart(spec, args.r)
     x0 = np.zeros(chart.domain_dim)
     field = numlab.GermField(chart, x0, fd_step=args.fd_step)
-    values = {}
-    indeterminate = None
-    try:
-        values.update(numlab.gauss_codazzi_residuals(field))
-        values["real_eigenspace"] = numlab.real_eigenspace_residual(field)
-        values["graded_connection"] = numlab.graded_connection_residuals(field)
-        values["graded_curvature"] = numlab.graded_curvature_residuals(field)
-        values["unit_pair_gauss"] = numlab.unit_pair_gauss_residual(field)
-        for name, val in numlab.frame_connection_residuals(field).items():
-            values[f"frame_{name}"] = val
-    except (numlab.DegenerateChart, numlab.FrameFieldsUnavailable) as exc:
-        indeterminate = str(exc)
+    values, skipped, reason = numlab.residual_suites(field)
     ok = True
     for name, val in values.items():
         good = val < args.tolerance
         ok = ok and good
         print(f"{name:20s} {val:.3e}  {'PASS' if good else 'FAIL'}")
-    if indeterminate is None:
+    if not skipped:
         return 0 if ok else 1
     # a valid input on which some suites cannot run: neither a pass nor
-    # malformed input.  frame_connection is last and stores its values
-    # under frame_* names, so it never ran here.
-    for name in RESIDUAL_SUITES:
-        if name not in values:
-            print(f"{name:20s} {'-':9s}  INDETERMINATE")
-    print(f"indeterminate: {indeterminate}")
+    # malformed input
+    for name in skipped:
+        print(f"{name:20s} {'-':9s}  INDETERMINATE")
+    print(f"indeterminate: {reason}")
     return 1
 
 

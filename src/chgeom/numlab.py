@@ -48,7 +48,7 @@ from .spectral import (
     principal_decomposition,
     totally_real_check,
 )
-from .tubes import MAX_RADIUS
+from .tubes import MAX_RADIUS, check_rate_radius
 
 DEFAULT_FD_STEP = 1e-3
 NUMERIC_GROUPING_TOLERANCE = 1e-4
@@ -57,23 +57,24 @@ NUMERIC_GROUPING_TOLERANCE = 1e-4
 LATTICE_RADIUS = 3
 
 
-class FrameFieldsUnavailable(ValueError):
-    """The center germ's spectrum has no canonical frame at the numeric
-    grouping tolerance, so the frame suites cannot run (a valid input,
-    such as a large tube radius, not a malformed one)."""
+# the residual suites in the order ``residual_suites`` runs them; the
+# last four read the frame-field table
+RESIDUAL_SUITES = (
+    "gauss", "codazzi", "real_eigenspace",
+    "graded_connection", "graded_curvature", "unit_pair_gauss", "frame_connection",
+)
 
 
-class DegenerateChart(ValueError):
-    """The chart's coordinate tangents are linearly dependent on the
-    stencil at this radius and step (their metric is singular), so no
-    suite can run (a valid input, such as a tiny radius or step)."""
+class Indeterminate(ValueError):
+    """A valid input on which suites cannot run: a singular chart metric
+    (no suite runs) or a germ with no canonical frame (no frame suite)."""
 
 
 @dataclass
 class ChartImmersion:
-    """Batched immersion of a parameter box into group coordinates."""
+    """Batched immersion of a parameter box into its model's coordinates."""
 
-    params: ModelParams
+    model: SolvableModel
     domain_dim: int
     mapper: Callable[[np.ndarray], np.ndarray]  # (N, dom) -> (N, 2n)
 
@@ -90,7 +91,7 @@ def horosphere_chart(params: ModelParams) -> ChartImmersion:
         out[:, 2:] = x[:, 1:]
         return out
 
-    return ChartImmersion(params=params, domain_dim=d - 1, mapper=mapper)
+    return ChartImmersion(model=SolvableModel(params), domain_dim=d - 1, mapper=mapper)
 
 
 def _sphere_direction(spec: SubmanifoldSpec, theta: np.ndarray) -> np.ndarray:
@@ -106,9 +107,9 @@ def _sphere_direction(spec: SubmanifoldSpec, theta: np.ndarray) -> np.ndarray:
 
 
 def tube_chart(spec: SubmanifoldSpec, r: float) -> ChartImmersion:
-    """Radius-r tube around the orbit, 0 < r <= MAX_RADIUS: parameters
-    are (base subgroup coordinates (t, z, w_1..w_{2n-2-k}), normal sphere
-    angles (k-1)).
+    """Radius-r tube around the orbit, 0 < r <= MAX_RADIUS and s*r <=
+    MAX_RATE_RADIUS: parameters are (base subgroup coordinates (t, z,
+    w_1..w_{2n-2-k}), normal sphere angles (k-1)).
 
     Base points are exact group elements of the orbit subgroup; each
     chart value is the endpoint of one normal geodesic of length r, in
@@ -116,6 +117,7 @@ def tube_chart(spec: SubmanifoldSpec, r: float) -> ChartImmersion:
     """
     if not (0.0 < r <= MAX_RADIUS):
         raise ValueError(f"tube charts need 0 < r <= {MAX_RADIUS}, got {r!r}")
+    check_rate_radius(spec.params.c, r)
     params = spec.params
     model = SolvableModel(params)
     d = params.dim
@@ -136,7 +138,7 @@ def tube_chart(spec: SubmanifoldSpec, r: float) -> ChartImmersion:
         coords, _ = model.geodesic_closed(base, eta, r)
         return coords
 
-    return ChartImmersion(params=params, domain_dim=dom, mapper=mapper)
+    return ChartImmersion(model=model, domain_dim=dom, mapper=mapper)
 
 
 @dataclass
@@ -145,7 +147,7 @@ class NumericGeometry:
 
     coords: np.ndarray  # (2n,) global coordinates of the image point
     tangents: np.ndarray  # (dom, 2n) frame components of coordinate tangents
-    normal: np.ndarray  # (2n,) unit, oriented so that trace S >= 0 at center
+    normal: np.ndarray  # (2n,) unit, oriented so that trace <S d_i, d_j> >= 0 at center
     metric: np.ndarray  # (dom, dom)
     shape_coord: np.ndarray  # S in the coordinate basis, S(d_i) = S^j_i d_j
     second_fundamental: np.ndarray  # <S d_i, d_j>
@@ -238,8 +240,8 @@ class GermField:
     ):
         check_positive("fd_step", fd_step)
         self.chart = chart
-        self.params = chart.params
-        self.model = SolvableModel(chart.params)
+        self.model = chart.model
+        self.params = chart.model.params
         self.x0 = np.asarray(x0, dtype=float)
         if self.x0.shape != (chart.domain_dim,):
             raise ValueError("center point has wrong dimension")
@@ -267,9 +269,9 @@ class GermField:
         return self._tangents[self._center]
 
     def normal(self) -> np.ndarray:
-        """Unit normal: the SVD normal, times the one sign that makes
-        trace S >= 0 (see ``_normals``)."""
-        return self._normals[self._center]
+        """Unit normal: the SVD normal, times the one sign that makes the
+        trace of <S d_i, d_j> >= 0 (see ``_shape``)."""
+        return self._shape["normals"][self._center]
 
     def germ(self) -> HypersurfaceGerm:
         """Orthonormalized germ (QR of the tangents)."""
@@ -295,43 +297,34 @@ class GermField:
         )
 
     @cached_property
-    def _normals(self) -> np.ndarray:
-        """(B2, 2n) unit normals on the L1 <= 2 ball: SVD normals aligned
-        with the center one, times the one sign that makes trace S >= 0 at
-        the center."""
-        nrm = np.linalg.svd(self._tangents, full_matrices=True)[2][:, -1]
-        center = self._center
-        nrm = np.where((nrm @ nrm[center] < 0)[:, None], -nrm, nrm)
-        s_amb = self._s_ambient(nrm, stop=1)[0]
-        ii = s_amb @ self._tangents[center].T
-        return -nrm if np.trace(ii) < 0 else nrm
-
-    def _s_ambient(self, normals: np.ndarray, stop=None) -> np.ndarray:
-        """Rows S(d_i) = -(nabla-bar_{d_i} normal) at the stencil rows
-        before ``stop`` (None: all), for normals on the L1 <= 2 ball."""
-        rows = self._stencil[:stop]
-        dn = self._difference(normals, self._stencil_nbr[:stop])
-        t = self._tangents[rows]
-        return -(dn + self.model.koszul_connection(t, normals[rows][:, None, :]))
-
-    @cached_property
     def _shape(self) -> dict:
-        """Stencil stacks of the ambient images S(d_i), the scalar form
+        """Unit normals on the L1 <= 2 ball, and stencil stacks of the
+        ambient images S(d_i) = -(nabla-bar_{d_i} normal), the scalar form
         <S d_i, d_j>, the metric, its inverse and the coordinate matrix of
-        S (C[i, j]: S(d_i) = C[i,j] d_j)."""
+        S (C[i, j]: S(d_i) = C[i,j] d_j).  The normals are the SVD normals
+        aligned with the center one; they and the S stacks (linear in the
+        normal) are negated together when the trace of the matrix
+        <S d_i, d_j> at the center is negative (trace S only in an
+        orthonormal coordinate frame)."""
+        nrm = np.linalg.svd(self._tangents, full_matrices=True)[2][:, -1]
+        nrm = np.where((nrm @ nrm[self._center] < 0)[:, None], -nrm, nrm)
         t = self._tangents[self._stencil]
         tt = np.swapaxes(t, 1, 2)
-        s_amb = self._s_ambient(self._normals)
+        dn = self._difference(nrm, self._stencil_nbr)
+        s_amb = -(dn + self.model.koszul_connection(t, nrm[self._stencil][:, None, :]))
         ii = s_amb @ tt
+        if np.trace(ii[0]) < 0:
+            nrm, s_amb, ii = -nrm, -s_amb, -ii
         g = t @ tt
         try:
             ginv = np.linalg.inv(g)
         except np.linalg.LinAlgError as exc:
-            raise DegenerateChart(
+            raise Indeterminate(
                 "no suite can run: the chart's coordinate tangents are "
                 f"linearly dependent at fd-step {self.h:g} (singular metric)"
             ) from exc
         return {
+            "normals": nrm,
             "s_ambient": s_amb,
             "second_fundamental": ii,
             "metric": g,
@@ -354,7 +347,7 @@ class GermField:
         return tuple(
             HypersurfaceGerm(
                 params=self.params,
-                normal=self._normals[row],
+                normal=self._shape["normals"][row],
                 tangent_basis=qs.T,
                 shape=shape,
             )
@@ -464,14 +457,14 @@ class GermField:
                 else f"h = {decomp.h} projected eigenspaces, not 2"
             )
             groups = ", ".join(f"{v:.6g}" for v in lam)
-            raise FrameFieldsUnavailable(
+            raise Indeterminate(
                 "the frame suites cannot run: at grouping tolerance "
                 f"{NUMERIC_GROUPING_TOLERANCE:g} the center germ has {lack} "
                 f"({decomp.g} eigenvalue groups: {groups})"
             )
         off = [d.h for d in decomps if d.h != 2]
         if off:
-            raise FrameFieldsUnavailable(
+            raise Indeterminate(
                 "the frame suites cannot run: at grouping tolerance "
                 f"{NUMERIC_GROUPING_TOLERANCE:g} a stencil neighbour of the "
                 f"center germ has h = {off[0]} projected eigenspaces, not 2"
@@ -532,15 +525,14 @@ class GermField:
 # residual suites
 
 
-def gauss_codazzi_residuals(field: GermField, shape_scale: float = 1.0) -> dict:
+def gauss_codazzi_residuals(field: GermField) -> dict:
     """Max-norm residuals of the Gauss and Codazzi equations on the
-    coordinate frame; shape_scale != 1 fakes a miscalibrated shape
-    operator (the residuals must then jump, linearly in the offset)."""
+    coordinate frame."""
     rbar_t = field.ambient_curvature_tangent()
     rbar_n = field.ambient_curvature_normal()
     r_int = field.intrinsic_curvature()
     sd = field._shape
-    ii = shape_scale * sd["second_fundamental"][0]
+    ii = sd["second_fundamental"][0]
 
     gauss = rbar_t - (
         r_int
@@ -549,7 +541,7 @@ def gauss_codazzi_residuals(field: GermField, shape_scale: float = 1.0) -> dict:
     )
 
     gam = field.christoffels()
-    coeff = shape_scale * sd["coeff"]
+    coeff = sd["coeff"]
     dco = field._difference(coeff, field._center_nbr)
     # (nabla_i S)(d_j) = d_i(C[j,:]) + C[j,m] G[i,m,:] - G[i,j,m] C[m,:]
     nab_s = (
@@ -630,7 +622,7 @@ def unit_pair_gauss_residual(field: GermField) -> float:
     a, b = np.nonzero(~close)
     alpha, beta = lam[a], lam[b]
     jfields = j_action(ff.fields)
-    jxi = j_action(field._normals[field._stencil])
+    jxi = j_action(field._shape["normals"][field._stencil])
     # stencil values of <JX, Y>, <X, J xi> and <Y, J xi>
     jxy = _row_dot(jfields[a], ff.fields[b])
     fjxi = _row_dot(ff.fields, jxi)
@@ -701,6 +693,27 @@ def frame_connection_residuals(field: GermField) -> dict:
         res[f"a_{ui}"] = float(np.linalg.norm(nab[2, i] - coeff * u0[j]))
     res["a_a"] = float(np.linalg.norm(nab[2, 2]))
     return res
+
+
+def residual_suites(field: GermField) -> tuple:
+    """Run the suites in ``RESIDUAL_SUITES`` order: (values of those that
+    ran, frame_connection's under frame_* names; names of those that did
+    not; the ``Indeterminate`` message that stopped them, or None)."""
+    values = {}
+    try:
+        values.update(gauss_codazzi_residuals(field))
+        values["real_eigenspace"] = real_eigenspace_residual(field)
+        values["graded_connection"] = graded_connection_residuals(field)
+        values["graded_curvature"] = graded_curvature_residuals(field)
+        values["unit_pair_gauss"] = unit_pair_gauss_residual(field)
+        for name, val in frame_connection_residuals(field).items():
+            values[f"frame_{name}"] = val
+    except Indeterminate as exc:
+        # frame_connection is last and stores its values under frame_*
+        # names, so it never ran here
+        skipped = tuple(name for name in RESIDUAL_SUITES if name not in values)
+        return values, skipped, str(exc)
+    return values, (), None
 
 
 def convergence_order(make_residual, steps=(1e-3, 5e-4)) -> float:

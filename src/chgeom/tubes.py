@@ -80,6 +80,16 @@ class TubeResult:
     velocity_drift: float  # |transported eta - gamma'(r)|
 
 
+def check_rate_radius(c: float, r: float) -> None:
+    """Reject a radius r with s*r > MAX_RATE_RADIUS (s = sqrt(-c)/2)."""
+    s = rate(c)
+    if s * r > MAX_RATE_RADIUS:
+        raise ValueError(
+            f"s*r = {s * r!r} exceeds {MAX_RATE_RADIUS} (s = sqrt(-c)/2): "
+            "the tube's Jacobi modes are too ill-conditioned there"
+        )
+
+
 def _tube_modes(spec: SubmanifoldSpec, eta: np.ndarray, radii):
     """Checked arguments and the initial Jacobi data of the tube germs of
     a grid of radii.
@@ -89,7 +99,6 @@ def _tube_modes(spec: SubmanifoldSpec, eta: np.ndarray, radii):
     rows, then the normal complement of eta); the modes start at
     (v, -S^W_eta v) for its tangent rows and at (0, w) for its normal rows.
     """
-    s = rate(spec.params.c)
     d = spec.params.dim
     eta = np.asarray(eta, dtype=float)
     # sqrt(v . v) is np.linalg.norm's own formula, without its overhead
@@ -102,11 +111,7 @@ def _tube_modes(spec: SubmanifoldSpec, eta: np.ndarray, radii):
     for r in radii:
         if not (0.0 <= r <= MAX_RADIUS):
             raise ValueError(f"radius must lie in [0, {MAX_RADIUS}], got {r!r}")
-        if s * r > MAX_RATE_RADIUS:
-            raise ValueError(
-                f"s*r = {s * r!r} exceeds {MAX_RATE_RADIUS} (s = sqrt(-c)/2): "
-                "the tube's Jacobi modes are too ill-conditioned there"
-            )
+        check_rate_radius(spec.params.c, r)
         if r == 0.0 and spec.k != 1:
             raise ValueError("r = 0 is a focal singularity unless k = 1")
 

@@ -8,7 +8,10 @@ import warnings
 import numpy as np
 import pytest
 
-from chgeom import ModelParams, SubmanifoldSpec, catalog_germ, cli, model, numlab, spectral, tubes
+from chgeom import (
+    ModelParams, SubmanifoldSpec, build_submanifold, catalog_germ, cli, model, numlab,
+    spectral, tubes,
+)
 from chgeom.cli import SWEEP_COLUMNS, main
 from chgeom.jacobi import special_radius
 
@@ -94,12 +97,13 @@ def test_construct_fails_on_a_nan_shape_form(monkeypatch, capsys):
       "--r-min", "0.2", "--r-max", "1.4", "--count", "7"], 0),
     (["classify"], 0),
     (["construct", "--n", "4", "--c", "-4", "--k", "2", "--phi", "1.0"], 1),
-    (["residuals", "--n", "3", "--c", "-4", "--k", "2", "--r", "0.7"], 2),
+    (["residuals", "--n", "3", "--c", "-4", "--k", "2", "--r", "0.7"], 1),
 ], ids=["sweep", "classify", "construct", "residuals"])
 def test_solvable_model_builds_per_command(command, builds, monkeypatch, tmp_path, capsys):
     """sweep and classify read closed forms only and build no Lie-algebra
     table; construct builds one, for the Koszul route it compares with the
-    closed-form II, and residuals two, in the finite-difference lab."""
+    closed-form II, and residuals one, the tube chart's, which its
+    finite-difference field shares."""
     if command == ["classify"]:
         path = tmp_path / "germ.json"
         path.write_text(catalog_germ(ModelParams(n=3, c=-4.0), 2, r=0.7).to_json())
@@ -449,7 +453,7 @@ def test_residuals_suite(capsys):
     # ... which at r = 6 falls below the projection threshold
     ("6.0", "h = 1 projected eigenspaces, not 2", "0.999988, 2"),
 ])
-def test_residuals_without_frame_fields_exit_2(r, lack, groups, capsys):
+def test_residuals_without_frame_fields_are_indeterminate(r, lack, groups, capsys):
     """A valid large radius whose frame suites cannot run is indeterminate
     (exit 1), not malformed input: the suites that ran are printed, then
     one INDETERMINATE line per frame suite and the reason."""
@@ -488,7 +492,7 @@ def test_residuals_singular_inputs_are_indeterminate(extra, capsys):
     assert captured.err == ""
     lines = captured.out.splitlines()
     assert lines[:-1] == [
-        f"{name:20s} -          INDETERMINATE" for name in cli.RESIDUAL_SUITES
+        f"{name:20s} -          INDETERMINATE" for name in numlab.RESIDUAL_SUITES
     ]
     assert lines[-1].startswith(
         "indeterminate: no suite can run: the chart's coordinate tangents "
@@ -508,10 +512,65 @@ def test_residuals_degenerate_stencil_neighbour_is_indeterminate(capsys):
         "gauss", "codazzi", "real_eigenspace",
     ]
     assert lines[3:-1] == [
-        f"{name:20s} -          INDETERMINATE" for name in cli.RESIDUAL_SUITES[3:]
+        f"{name:20s} -          INDETERMINATE" for name in numlab.RESIDUAL_SUITES[3:]
     ]
     assert lines[-1].startswith("indeterminate: the frame suites cannot run: ")
     assert "a stencil neighbour of the center germ has h = 1" in lines[-1]
+
+
+@pytest.mark.parametrize("extra, ran", [
+    (["--c", "-4", "--r", "0.5", "--fd-step", "1e-300"], 0),
+    (["--c", "-400", "--r", "2.0"], 0),
+    (["--c", "-4", "--r", "1e-300"], 0),
+    (["--c", "-4", "--r", "1e-100"], 3),
+    (["--c", "-4", "--r", "5.0"], 3),
+])
+def test_residual_suites_return_what_residuals_prints(extra, ran, capsys):
+    """The runner's partial values, skipped suites and reason are the
+    lines of the indeterminate command."""
+    argv = ["residuals", "--n", "3", "--k", "2", *extra]
+    args = cli.build_parser().parse_args(argv)
+    spec = build_submanifold(ModelParams(n=3, c=args.c), 2, math.pi / 2.0)
+    chart = numlab.tube_chart(spec, args.r)
+    field = numlab.GermField(chart, np.zeros(chart.domain_dim), fd_step=args.fd_step)
+    values, skipped, reason = numlab.residual_suites(field)
+    assert list(values) == ["gauss", "codazzi", "real_eigenspace"][:ran]
+    assert skipped == numlab.RESIDUAL_SUITES[ran:]
+    assert main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:ran] == [
+        f"{name:20s} {val:.3e}  {'PASS' if val < args.tolerance else 'FAIL'}"
+        for name, val in values.items()
+    ]
+    assert lines[ran:-1] == [f"{name:20s} -          INDETERMINATE" for name in skipped]
+    assert lines[-1] == f"indeterminate: {reason}"
+
+
+def test_residuals_stays_in_the_tube_domain(capsys):
+    """Over |c| from 1e-10 to 1e10 and r from 1e-8 to 10, residuals exits
+    0, 1 or 2 with no warning or traceback, and exits 2, with one error
+    line, exactly where s*r exceeds the tube layer's bound."""
+    cells = [
+        (c, r) for c in ("-1e-10", "-4", "-1e4", "-1e10")
+        for r in ("1e-8", "1e-3", "0.7", "10")
+    ]
+    refused = []
+    for c, r in cells:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["residuals", "--n", "3", f"--c={c}", "--k", "2", "--r", r])
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2) and not caught, (c, r)
+        assert "Traceback" not in captured.out + captured.err, (c, r)
+        if code == 2:
+            refused.append((c, r))
+            assert captured.err.startswith("error: s*r = ")
+            assert len(captured.err.splitlines()) == 1
+    assert refused == [
+        (c, r) for c, r in cells
+        if model.rate(float(c)) * float(r) > tubes.MAX_RATE_RADIUS
+    ]
+    assert len(refused) == 5
 
 
 def test_nonexistence_positive(capsys):

@@ -108,11 +108,21 @@ def test_tube_gauss_codazzi_residuals(tube_field):
     assert res["codazzi"] < CODAZZI_TOLERANCE
 
 
+def _miscalibrated_residuals(field, scale):
+    """Gauss/Codazzi residuals of a fresh copy of a field whose shape
+    stacks (<S d_i, d_j> and S's coordinate matrix) are scaled."""
+    fresh = GermField(field.chart, field.x0, fd_step=field.h)
+    shape = fresh._shape
+    for key in ("second_fundamental", "coeff"):
+        shape[key] = scale * shape[key]
+    return gauss_codazzi_residuals(fresh)
+
+
 def test_perturbed_shape_is_detected(tube_field):
-    res1 = gauss_codazzi_residuals(tube_field, shape_scale=1.01)
+    res1 = _miscalibrated_residuals(tube_field, 1.01)
     assert res1["gauss"] > DETECTOR_FLOOR
     assert res1["codazzi"] > DETECTOR_FLOOR
-    res2 = gauss_codazzi_residuals(tube_field, shape_scale=1.02)
+    res2 = _miscalibrated_residuals(tube_field, 1.02)
     # leading order in the scale offset: doubling it doubles the residual
     for key in ("gauss", "codazzi"):
         ratio = res2[key] / res1[key]
@@ -170,7 +180,7 @@ def test_convergence_order_helper():
 
 def test_germ_field_caches_offsets(tube_field):
     center = tube_field.germ()
-    neighbor = tube_field._normals[tube_field._stencil[1]]  # +e_0
+    neighbor = tube_field._shape["normals"][tube_field._stencil[1]]  # +e_0
     # neighbor normals stay aligned with the center orientation
     assert float(neighbor @ center.normal) > 0.9
     # the cached lattice covers the L1 <= 3 ball needed by second derivatives
@@ -281,20 +291,42 @@ def test_lattice_rows_and_neighbours_agree_with_offsets():
     "n, k, r, flipped", [(2, 1, 0.3, False), (3, 2, 0.7, True)]
 )
 def test_normal_orientation(n, k, r, flipped):
-    """trace S >= 0 at the center and every L1 <= 1 neighbour normal is
-    aligned with the center one, whether or not the first SVD normal
-    had to be turned around (at x0 = 0 it must be on the n=3 k=2 tube,
-    and not on the n=2 k=1 one)."""
+    """trace S and the trace of <S d_i, d_j> are >= 0 at the center and
+    every L1 <= 1 neighbour normal is aligned with the center one, whether
+    or not the first SVD normal had to be turned around (at x0 = 0 it must
+    be on the n=3 k=2 tube, and not on the n=2 k=1 one).  The one pass
+    gives the normals and shape stacks of the two-pass route: orient from
+    the center's S, then build the stencil's S from the oriented normals."""
     spec = build_submanifold(ModelParams(n=n, c=-4.0), k=k, phi=np.pi / 2)
     chart = tube_chart(spec, r=r)
     field = GermField(chart, np.zeros(chart.domain_dim))
     center = field.normal()
+    shape = field._shape
     assert np.trace(field.center_geometry().shape_coord) >= 0
-    for neighbor in field._normals[field._stencil[1:]]:
+    assert np.trace(shape["second_fundamental"][0]) >= 0
+    for neighbor in shape["normals"][field._stencil[1:]]:
         assert float(neighbor @ center) > 0
     # the orientation branch: the SVD normal at the center, turned or not
     _, _, vt = np.linalg.svd(field.tangents(), full_matrices=True)
     assert (float(vt[-1] @ center) < 0) == flipped
+
+    def s_ambient(normals, stop=None):
+        rows = field._stencil[:stop]
+        dn = field._difference(normals, field._stencil_nbr[:stop])
+        t = field._tangents[rows]
+        return -(dn + field.model.koszul_connection(t, normals[rows][:, None, :]))
+
+    nrm = np.linalg.svd(field._tangents, full_matrices=True)[2][:, -1]
+    nrm = np.where((nrm @ nrm[field._center] < 0)[:, None], -nrm, nrm)
+    if np.trace(s_ambient(nrm, stop=1)[0] @ field.tangents().T) < 0:
+        nrm = -nrm
+    s_amb = s_ambient(nrm)
+    ii = s_amb @ np.swapaxes(field._tangents[field._stencil], 1, 2)
+    # == counts -0.0 and 0.0 as equal
+    assert (shape["normals"] == nrm).all()
+    assert (shape["s_ambient"] == s_amb).all()
+    assert (shape["second_fundamental"] == ii).all()
+    assert (shape["coeff"] == ii @ shape["inv_metric"]).all()
 
 
 def test_numeric_geometry_wrapper():

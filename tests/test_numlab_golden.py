@@ -30,7 +30,7 @@ from chgeom import (
     tube_chart,
     unit_pair_gauss_residual,
 )
-from chgeom.numlab import GermField
+from chgeom.numlab import RESIDUAL_SUITES, GermField, Indeterminate, residual_suites
 
 BIT_EXACT = ("gauss", "codazzi")
 OTHER_TOLERANCE = 1e-12
@@ -164,15 +164,50 @@ def _field(name, h):
 
 
 def _suite_values(field, frames):
-    values = dict(gauss_codazzi_residuals(field))
-    values["real_eigenspace"] = real_eigenspace_residual(field)
-    if frames:
-        values["graded_connection"] = graded_connection_residuals(field)
-        values["graded_curvature"] = graded_curvature_residuals(field)
-        values["unit_pair_gauss"] = unit_pair_gauss_residual(field)
-        for key, val in frame_connection_residuals(field).items():
-            values[f"frame_{key}"] = val
+    """The values ``chgeom residuals`` prints: the runner's; a field
+    without frames (h = 1) skips exactly the four frame suites."""
+    values, skipped, _ = residual_suites(field)
+    assert skipped == (() if frames else RESIDUAL_SUITES[3:])
     return values
+
+
+def _one_by_one(field):
+    """The six suites called one by one, each on a fresh copy of the
+    field: their values under the runner's names, and the suites that
+    raise ``Indeterminate``."""
+    suites = {
+        "gauss_codazzi": gauss_codazzi_residuals,
+        "real_eigenspace": real_eigenspace_residual,
+        "graded_connection": graded_connection_residuals,
+        "graded_curvature": graded_curvature_residuals,
+        "unit_pair_gauss": unit_pair_gauss_residual,
+        "frame_connection": frame_connection_residuals,
+    }
+    values, skipped = {}, []
+    for name, suite in suites.items():
+        try:
+            value = suite(GermField(field.chart, field.x0, fd_step=field.h))
+        except Indeterminate:
+            skipped.append(name)
+            continue
+        if name == "frame_connection":
+            values.update({f"frame_{key}": val for key, val in value.items()})
+        elif isinstance(value, dict):
+            values.update(value)
+        else:
+            values[name] = value
+    return values, tuple(skipped)
+
+
+@pytest.mark.parametrize("name, h", list(GOLDEN))
+def test_runner_matches_the_suites_called_one_by_one(name, h):
+    values, skipped, reason = residual_suites(_field(name, h))
+    want, want_skipped = _one_by_one(_field(name, h))
+    assert [(k, repr(v)) for k, v in values.items()] == [
+        (k, repr(v)) for k, v in want.items()
+    ]
+    assert skipped == want_skipped
+    assert (reason is None) == (not skipped)
 
 
 @pytest.mark.parametrize("name, h", list(GOLDEN))

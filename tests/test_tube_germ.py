@@ -20,6 +20,7 @@ from chgeom import (
     jacobi_ode_oracle,
     principal_decomposition,
     special_radius,
+    tube_chart,
     tube_shape_operator,
     tube_spectrum_closed,
 )
@@ -254,7 +255,8 @@ def test_closed_forms_reject_non_finite_curvature(c):
 def test_tube_routes_reject_large_rate_radius():
     """Past s*r = MAX_RATE_RADIUS the modes lose their conditioning
     (at c = -100 the spectrum error grows from 2e-16 at s*r = 20 to 11
-    at 40), so both routes refuse instead of returning a wrong germ."""
+    at 40), so both routes, and the finite-difference tube chart, refuse
+    instead of returning a wrong germ."""
     c = -100.0
     s = rate(c)
     spec = build_submanifold(ModelParams(n=3, c=c), 2, math.pi / 2)
@@ -265,7 +267,12 @@ def test_tube_routes_reject_large_rate_radius():
     assert np.max(np.abs(got - want)) <= SPECTRUM_RELATIVE_TOLERANCE * np.max(np.abs(want))
     r_bad = 1.01 * r_ok
     assert r_bad <= MAX_RADIUS
-    for route in (tube_germ, tube_shape_operator):
+    tube_chart(spec, r_ok)  # the bound itself is accepted
+
+    def chart_route(spec, eta, r):
+        return tube_chart(spec, r)
+
+    for route in (tube_germ, tube_shape_operator, chart_route):
         with pytest.raises(ValueError, match=f"exceeds {MAX_RATE_RADIUS}"):
             route(spec, eta, r_bad)
 
