@@ -138,7 +138,8 @@ def _cmd_classify(args) -> int:
         with open(args.input) as fh:
             payload = json.load(fh)
         germ = HypersurfaceGerm.from_json_dict(payload)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
+        # RecursionError: json gives up on arrays nested past the limit
         raise ValueError(f"malformed germ input: {exc}") from exc
     result = classify(
         germ, tol=args.tolerance, grouping_tol=args.grouping_tol
@@ -205,6 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
         "hyperbolic space modeled on a solvable Lie group.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = sub.choices  # name -> subcommand parser, for main
 
     p = sub.add_parser("verify-model", help="dual-route curvature check")
     p.add_argument("--n", type=int, required=True)
@@ -268,17 +270,36 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER: argparse.ArgumentParser | None = None
 
 
-def main(argv=None) -> int:
-    """Run one command; may be called repeatedly in one process.
+def _parse(argv: list) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, from a parser built on the
+    first call and reused.
 
-    The parser is built on the first call and reused: ``parse_args``
-    returns a fresh namespace each time, so no option carries over.
+    A subcommand's arguments are parsed by that subcommand's parser
+    alone, which is what the full parser hands them to.  The full parser
+    runs only where its own level answers: no subcommand, ``-h``, an
+    unknown name, or an argument the subcommand leaves unrecognized; so
+    every help text, usage error and exit code is its own.  The namespace
+    lacks only ``command``, which no subcommand reads.
     """
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
+    sub = _PARSER.subcommands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extra = sub.parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return _PARSER.parse_args(argv)
+
+
+def main(argv=None) -> int:
+    """Run one command; may be called repeatedly in one process.
+
+    Parsing returns a fresh namespace each time, so no option carries
+    over from one call to the next.
+    """
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         # argparse exits with 2 on usage errors already
         return int(exc.code or 0)

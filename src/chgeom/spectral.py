@@ -275,13 +275,18 @@ def _check_array(name: str, arr: np.ndarray, shape: tuple, n: int) -> None:
 def check_germ_frame(params: ModelParams, normal, tangent_basis, tol: float) -> None:
     """Check a germ's unit normal (2n,) and tangent rows (2n-1, 2n): the
     shape and finiteness of each, in that order, then that together they
-    are orthonormal to tol."""
+    are orthonormal to tol.  A frame that passes takes one test,
+    frame frame^T = I, which any non-finite entry fails (its row's norm
+    is not finite); the ordered checks run only to word the error."""
     d = params.dim
+    if normal.shape == (d,) and tangent_basis.shape == (d - 1, d):
+        frame = np.concatenate((normal[None], tangent_basis))
+        with np.errstate(all="ignore"):  # inf, nan and overflow fail silently
+            if _allclose(frame @ frame.T, np.eye(d), tol):
+                return
     _check_array("normal", normal, (d,), params.n)
     _check_array("tangent_basis", tangent_basis, (d - 1, d), params.n)
-    frame = np.concatenate((normal[None], tangent_basis))
-    if not _allclose(frame @ frame.T, np.eye(d), tol):
-        raise ValueError("normal + tangent basis is not orthonormal")
+    raise ValueError("normal + tangent basis is not orthonormal")
 
 
 def check_germ_shape(params: ModelParams, shape, tol: float) -> None:
@@ -450,7 +455,8 @@ def principal_decomposition(
     over their count, as ``np.mean`` rounds it."""
     check_positive("tol", tol)
     shape = germ.shape
-    evals, evecs = np.linalg.eigh(0.5 * (shape + shape.T))
+    half = 0.5 * shape  # halved first: shape + shape.T could overflow
+    evals, evecs = np.linalg.eigh(half + half.T)
     ambient = evecs.T @ germ.tangent_basis  # rows: ambient eigenvectors
     coeffs = ambient @ j_action(germ.normal)
     values = evals.tolist()
@@ -479,20 +485,27 @@ def principal_decomposition(
     )
 
 
+def _hopf_frame(decomp: PrincipalDecomposition) -> tuple:
+    """(b_1, b_2, rows): the frame's projection norms and its (4, 2n) rows
+    (xi, U_1, U_2, A), as ``hopf_frame_extract`` defines them."""
+    if decomp.h != 2:
+        raise ValueError(f"Hopf frame needs h = 2, got h = {decomp.h}")
+    i1, i2 = decomp.hopf_indices  # ascending eigenvalues: lambda1 < lambda2
+    b = decomp.jxi_components.tolist()
+    b1, b2 = b[i1], b[i2]
+    u1 = decomp.jxi_coefficients[i1] @ decomp.spaces[i1] / b1
+    u2 = decomp.jxi_coefficients[i2] @ decomp.spaces[i2] / b2
+    a_vec = -(j_action(u1) + b1 * decomp.normal) / b2
+    return b1, b2, np.array((decomp.normal, u1, u2, a_vec))
+
+
 def hopf_frame_extract(decomp: PrincipalDecomposition) -> np.ndarray:
     """The (3, 2n) rows (U_1, U_2, A) of the decomposition's two-projection
     frame; requires h = 2.  With b_i the decomposition's projection norms,
     U_i = P_i(J xi) / b_i is built from the coefficients of J xi that it
     stores on the rows of each space (J xi is not projected again), and
     A = -(J U_1 + b_1 xi) / b_2."""
-    if decomp.h != 2:
-        raise ValueError(f"Hopf frame needs h = 2, got h = {decomp.h}")
-    i1, i2 = decomp.hopf_indices  # ascending eigenvalues: lambda1 < lambda2
-    b = decomp.jxi_components.tolist()
-    u1 = decomp.jxi_coefficients[i1] @ decomp.spaces[i1] / b[i1]
-    u2 = decomp.jxi_coefficients[i2] @ decomp.spaces[i2] / b[i2]
-    a_vec = -(j_action(u1) + b[i1] * decomp.normal) / b[i2]
-    return np.array((u1, u2, a_vec))
+    return _hopf_frame(decomp)[2][1:]
 
 
 def frame_identity_residuals(decomp: PrincipalDecomposition) -> dict:
@@ -502,10 +515,9 @@ def frame_identity_residuals(decomp: PrincipalDecomposition) -> dict:
 
     J is applied once, to the stacked (xi, U1, U2, A), and the vector
     defects are normed in one row-wise reduction."""
-    b1, b2 = decomp.jxi_components[decomp.hopf_indices].tolist()
-    rows = np.concatenate((decomp.normal[None], hopf_frame_extract(decomp)))
-    u2, a_vec = rows[2], rows[3]
+    b1, b2, rows = _hopf_frame(decomp)
     j_rows = j_action(rows)
+    u2, a_vec = rows[2], rows[3]
     # rows 0, 2, 3: J xi - (b1 U1 + b2 U2), J U2 - (b1 A - b2 xi) and
     # J A - (b2 U1 - b1 U2); row 1 is J U1, which is tested on its own
     mix = np.array(

@@ -3,12 +3,13 @@ up attributes in module and class dictionaries and reading call
 arguments by name.  A renamed function or parameter would crash the
 benchmark; these tests run traced calls to catch that."""
 
+import json
 import math
 from pathlib import Path
 
 import pytest
 
-from chgeom import ModelParams, cli, spectral, tubes
+from chgeom import ModelParams, catalog_germ, cli, spectral, tubes
 from chgeom.construction import build_submanifold
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -43,6 +44,21 @@ def test_instrumentation_traces_a_sweep(tmp_path, traced):
     assert "model.integrate_transport" not in totals
     assert "jacobi.jacobi_ode_oracle" not in totals
     assert "tubes.tube_shape_operator" not in totals
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_instrumentation_traces_a_classify_command(flip, tmp_path, traced, capsys):
+    """The benchmark wraps cli.classify and spectral.principal_decomposition
+    by name; a classify command calls through each once, also on a germ
+    that classify reads in the opposite co-orientation."""
+    germ = catalog_germ(ModelParams(n=3, c=-4.0), 2, r=0.7)
+    path = tmp_path / "germ.json"
+    path.write_text((germ.flipped() if flip else germ).to_json())
+    assert cli.main(["classify", "--input", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["model"] == "tube"
+    totals = traced.totals()
+    assert totals["spectral.classify"]["calls"] == 1
+    assert totals["spectral.principal_decomposition"]["calls"] == 1
 
 
 def test_instrumentation_traces_a_residuals_suite(traced, capsys):

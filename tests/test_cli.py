@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import sys
 import warnings
 
 import numpy as np
@@ -306,6 +307,19 @@ def test_classify_malformed_input(tmp_path, capsys):
     assert main(["classify", "--input", str(tmp_path / "missing.json")]) == 2
 
 
+def test_classify_rejects_json_nested_past_the_recursion_limit(tmp_path, capsys):
+    """json gives up on arrays nested past the recursion limit with a
+    RecursionError; that is malformed input, not a traceback."""
+    depth = sys.getrecursionlimit() + 100
+    path = tmp_path / "deep.json"
+    path.write_text("[" * depth + "]" * depth)
+    assert main(["classify", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed germ input: ")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("n_text", ["2.5", "1e400"])
 def test_classify_rejects_malformed_dimension(n_text, tmp_path, capsys):
     """A non-integral n is not truncated, and one that overflows int() is
@@ -370,6 +384,45 @@ def test_classify_rejects_non_finite_entries(field, value, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "non-finite" in captured.err
     assert captured.out == ""
+
+
+def test_classify_rejects_an_opposite_infinite_pair(tmp_path, capsys):
+    """S_01 = inf and S_10 = -inf pass |S - S^T| <= tol + 1e-5 |S^T|
+    (inf <= inf), so the shape is rejected by its finiteness check."""
+    data = catalog_germ(ModelParams(n=3, c=-4.0), 2, r=0.7).to_json_dict()
+    data["shape"][0][1], data["shape"][1][0] = math.inf, -math.inf
+    code, captured = _classify_record(data, tmp_path, capsys)
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: malformed germ input: germ shape has a non-finite entry\n"
+
+
+def test_classify_rejects_a_huge_normal_without_a_warning(tmp_path, capsys):
+    """A finite normal of length 1e200 overflows frame frame^T: the germ is
+    not orthonormal, and stderr has that one error line, no warning."""
+    data = catalog_germ(ModelParams(n=3, c=-4.0), 2, r=0.7).to_json_dict()
+    data["normal"] = [1e200 * x for x in data["normal"]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, captured = _classify_record(data, tmp_path, capsys)
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        "error: malformed germ input: normal + tangent basis is not orthonormal\n"
+    )
+
+
+def test_classify_a_huge_finite_shape_prints_no_warning(tmp_path, capsys):
+    """The shape scaled by 1e308 stays finite and symmetric, and its
+    symmetrization must not overflow: no warning on stderr, and the
+    decomposition still sees g = 4 and h = 2."""
+    data = catalog_germ(ModelParams(n=3, c=-4.0), 2, r=0.7).to_json_dict()
+    data["shape"] = [[1e308 * x for x in row] for row in data["shape"]]
+    assert np.isfinite(data["shape"]).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, captured = _classify_record(data, tmp_path, capsys)
+    assert code == 0 and captured.err == ""
+    payload = json.loads(captured.out)
+    assert (payload["g"], payload["h"]) == (4, 2)
 
 
 def _classify_record(data, tmp_path, capsys):
@@ -637,6 +690,54 @@ def test_no_command_exits_2():
 
 def test_unknown_command_exits_2():
     assert main(["frobnicate"]) == 2
+
+
+# one valid argv per subcommand; its last option is a required one
+_VALID_ARGV = {
+    "verify-model": ["--n", "2", "--c", "-4"],
+    "construct": ["--n", "3", "--c", "-4", "--k", "2"],
+    "sweep": ["--n", "2", "--c", "-4", "--k", "1", "--r-min", "0.5", "--r-max", "0.5", "--count", "1"],
+    "classify": ["--input", "germ.json"],
+    "residuals": ["--n", "2", "--c", "-4", "--k", "1", "--r", "0.3"],
+    "nonexistence": ["--c", "4"],
+}
+
+
+def _usage_argvs():
+    """Help, a missing required option, a bad type and an unknown option
+    for each subcommand; no arguments, top-level help, an unknown name."""
+    cases = [[], ["-h"], ["bogus"]]
+    for name, argv in _VALID_ARGV.items():
+        bad_type = ["--tolerance", "x"] if name == "classify" else [argv[0], "x"]
+        cases += [
+            [name, "-h"],
+            [name, *argv[:-2]],
+            [name, *argv, *bad_type],
+            [name, *argv, "--bogus"],
+        ]
+    return cases
+
+
+@pytest.mark.parametrize("argv", _usage_argvs(), ids=lambda argv: " ".join(argv) or "none")
+def test_dispatch_matches_the_full_parser(argv, capsys):
+    """main gives the help, usage errors and exit codes of the full
+    parser's own parse_args."""
+    code = main(argv)
+    got = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    want = capsys.readouterr()
+    assert (code, got.out, got.err) == (int(exc.value.code or 0), want.out, want.err)
+
+
+@pytest.mark.parametrize("name", sorted(_VALID_ARGV))
+def test_dispatch_parses_what_the_full_parser_does(name):
+    """A subcommand's own parser gives the full parser's namespace, but
+    for the subcommand name the full parser records."""
+    argv = [name, *_VALID_ARGV[name]]
+    full = vars(cli.build_parser().parse_args(argv))
+    assert full.pop("command") == name
+    assert vars(cli._parse(argv)) == full
 
 
 def test_sweep_rejects_zero_jobs(capsys):
