@@ -172,11 +172,7 @@ def _cmd_residuals(args) -> int:
 
 
 def _cmd_nonexistence(args) -> int:
-    report = spectral.nonexistence_scan(
-        args.c,
-        grid_shape=tuple(args.grid),
-        sum_band=args.sum_band,
-    )
+    report = spectral.nonexistence_scan(args.c, grid_shape=tuple(args.grid))
     print(f"c                        {args.c!r}")
     print(f"grid                     {report.grid_shape}")
     print(f"points scanned           {report.total_points}")
@@ -260,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nonexistence", help="eigenvalue feasibility scan")
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--grid", type=int, nargs=3, default=[100, 100, 100])
-    p.add_argument("--sum-band", type=float, default=0.1)
     p.add_argument("--output", type=str, default=None)
     p.set_defaults(func=_cmd_nonexistence)
 

@@ -594,7 +594,14 @@ class ClassificationResult:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+        """Strict JSON: a residual that overflowed (inf or NaN) is null."""
+        data = self.to_json_dict()
+        try:
+            return json.dumps(data, allow_nan=False)
+        except ValueError:
+            res = self.residuals
+            data["residuals"] = {k: v if math.isfinite(v) else None for k, v in res.items()}
+            return json.dumps(data)
 
 
 def _unclassified(g, h, residuals, reason) -> ClassificationResult:
@@ -765,29 +772,29 @@ class ScanReport:
     total_points: int
     feasible_count: int
     quad_tol: float
-    sum_band: float
+    trace_tol: float
     certificate: str | None
     max_discriminant: float | None
-    curve_points: np.ndarray | None
+    curve_points: np.ndarray | None  # rows (l3, l1, l2, b1^2, b2^2)
     max_refined_residual: float | None
 
 
-def _lambda2_bands(lam1, l2, lam3, c, reach, gap):
+def _lambda2_bands(lam1, l2, lam3, c, reach, gap, trace_reach=math.inf):
     """First lambda_2 index and length of the band of each (lambda_1,
     lambda_3) pair, given as flat arrays lam1 and lam3: the ascending l2
-    samples where |catalog quadratic| <= reach, among those with
-    lambda_1 < lambda_2 - gap.  ``_band_cells`` passes only the signed
-    pairs of ``_signed_pairs``.
+    samples where |catalog quadratic| <= reach and |lambda_1 + lambda_2 -
+    3 lambda_3| <= trace_reach, among those with lambda_1 < lambda_2 - gap.
 
-    That ordering test is the scan's own: ``l2 - gap`` is the float it
+    For fixed (lambda_1, lambda_3) both equations are affine in lambda_2:
+    the quadratic is ``(c + 8 l1 l3 - 12 l3^2) + (8 l3 - 4 l1) l2`` and
+    the trace window is centred on 3 l3 - l1.  So the band is one index
+    interval, whose ends two searchsorted calls give.  Where the
+    quadratic's ends are undefined (0/0 at a zero slope, or an
+    overflowing box) its band is the whole row, which is never too small.
+
+    The ordering test is the scan's own: ``l2 - gap`` is the float it
     compares, and it is non-decreasing, so the cells that pass it are the
     suffix of the row that one searchsorted call finds.
-
-    For fixed (lambda_1, lambda_3) the quadratic is affine in lambda_2,
-    ``(c + 8 l1 l3 - 12 l3^2) + (8 l3 - 4 l1) l2``, so the band is one
-    index interval, whose ends two searchsorted calls give.  Where an end
-    is undefined (0/0 at a zero slope, or an overflowing box) the band is
-    the whole row, which is never too small.
     """
     base = c + 8.0 * lam1 * lam3 - 12.0 * lam3**2
     slope = 8.0 * lam3 - 4.0 * lam1
@@ -797,6 +804,9 @@ def _lambda2_bands(lam1, l2, lam3, c, reach, gap):
     lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
     undefined = np.isnan(lo)
     lo[undefined], hi[undefined] = -np.inf, np.inf
+    centre = 3.0 * lam3 - lam1
+    lo = np.maximum(lo, centre - trace_reach)
+    hi = np.minimum(hi, centre + trace_reach)
     above = np.searchsorted(l2 - gap, lam1, side="right")
     first = np.maximum(np.searchsorted(l2, lo, side="left"), above)
     return first, np.maximum(np.searchsorted(l2, hi, side="right") - first, 0)
@@ -823,90 +833,62 @@ def _runs(counts, first, cap):
         p0 = p1
 
 
-def _signed_pairs(l1, l3, c, cap):
-    """Yield the (lambda_1, lambda_3) pairs of l1 x l3 whose b_2^2
-    numerator factor lambda_1 - 2 lambda_3 has the sign of c, row by row,
-    as flat arrays of at most max(cap, n3) pairs.
+def _newton_curve(lam1, lam2, lam3, c):
+    """Newton's method on the catalog quadratic and l1 + l2 = 3 l3 in
+    (lambda_1, lambda_2) at fixed lambda_3, from all starts at once.
 
-    Every band cell has lambda_2 - lambda_1 > 0 and the float difference
-    carries the exact sign, so each cell of another pair gets b_2^2 <= 0
-    or NaN and fails 0 < b_2^2 < 1: dropping them changes no verdict.
-    2 lambda_3 is exact and fl(lambda_1 - 2 lambda_3) is 0 only where
-    lambda_1 = 2 lambda_3, so in each lambda_1 row the signed pairs are
-    the lambda_3 < lambda_1 / 2 (a prefix of l3) for c > 0 and the
-    lambda_3 > lambda_1 / 2 (a suffix) for c < 0, which one searchsorted
-    call finds.  Rows are counted ``cap`` at a time, so no array grows
-    with the number of lambda_1 samples."""
-    twice = 2.0 * l3
-    for r0 in range(0, l1.size, cap):
-        rows = l1[r0:r0 + cap]
-        if c > 0:
-            first = np.broadcast_to(0, rows.shape)
-            counts = np.searchsorted(twice, rows, side="left")
-        else:
-            first = np.searchsorted(twice, rows, side="right")
-            counts = l3.size - first
-        for batch, j in _runs(counts, first, cap):
-            yield np.repeat(rows[batch], counts[batch]), l3[j]
-
-
-def _band_cells(l1, l2, l3, c, reach, gap, cap):
-    """Yield the cells of the ``_lambda2_bands`` bands of the signed
-    pairs as (lambda_1, lambda_2, lambda_3) arrays of at most ``cap`` >=
-    n2 cells.  The bands are computed on flat chunks of at most
-    max(cap, n3) signed pairs, and each batch gathers whole bands across
-    pairs, so no array grows with the number of lambda_1 samples."""
-    for lam1, lam3 in _signed_pairs(l1, l3, c, cap):
-        first, counts = _lambda2_bands(lam1, l2, lam3, c, reach, gap)
-        for batch, j in _runs(counts, first, cap):
-            cnt = counts[batch]
-            yield np.repeat(lam1[batch], cnt), l2[j], np.repeat(lam3[batch], cnt)
+    The Jacobian determinant 4 (l1 - l2) is nonzero on every ordered
+    start, but a start may land on the swapped root, so the roots are
+    returned sorted, lambda_1 <= lambda_2.  The steps are elementwise
+    float operations (no BLAS kernel changes the roots) and stop once
+    none exceeds 1e-14 sqrt|c|, or after 64 steps.
+    """
+    tol = 1e-14 * math.sqrt(abs(c))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(64):
+            quad = catalog_quadratic(lam1, lam2, lam3, c)
+            trace = lam1 + lam2 - 3.0 * lam3
+            det = 4.0 * (lam1 - lam2)
+            d1 = ((8.0 * lam3 - 4.0 * lam1) * trace - quad) / det
+            d2 = (quad - (8.0 * lam3 - 4.0 * lam2) * trace) / det
+            lam1, lam2 = lam1 + d1, lam2 + d2
+            if not (np.abs(d1) + np.abs(d2) > tol).any():
+                break
+    return np.minimum(lam1, lam2), np.maximum(lam1, lam2)
 
 
 def nonexistence_scan(
     c: float,
     grid_shape: tuple = (100, 100, 100),
-    sum_band: float = 0.1,
 ) -> ScanReport:
     """Grid scan of (lambda_1, lambda_2, lambda_3), lambda_1 < lambda_2,
     for solutions of the catalog equations with b_1^2, b_2^2 in (0, 1),
     on the box [-1.5 sqrt|c|, 1.5 sqrt|c|]^2 x [0, 0.75 sqrt|c|].
 
-    A cell is feasible when the sign conditions hold exactly (both b^2
-    formulas in the open interval (0,1)) and the equalities hold up to
-    one-cell slack: |quadratic| <= quad_tol (the grid spacing times a
-    gradient bound, reported) and |b1^2+b2^2-1| <= sum_band.  For c > 0
-    the count is zero for *any* slack: positivity of the b^2 formulas
-    forces lambda_2 < 2 lambda_3 < lambda_1, contradicting the ordering;
-    the certificate -c - 3 lambda_3^2 <= -c < 0 (no real catalog roots)
-    is reported alongside.  For c < 0, feasible cells are refined onto the
-    exact catalog curve and the refined residuals (quadratic,
-    b-formulas, normalization) are reported.  c must be finite and
-    nonzero, and every grid axis needs at least 2 samples.  |c| must lie
-    in [7.91e-206, 2.06e204], where the b^2 numerators stay finite on the
-    box and their denominators stay normal doubles, else ValueError.
+    The catalog (arXiv:0911.3624) solves the quadratic Q = 0 and the
+    trace relation l1 + l2 = 3 l3 (b1^2 + b2^2 - 1 = -Q/c adds nothing).
+    A cell is feasible when both b^2 formulas lie in (0, 1) and both
+    equations hold to one cell of slack: |Q| <= quad_tol (the spacing
+    times a gradient bound) and |l1 + l2 - 3 l3| <= trace_tol = 5 spacing
+    (the trace's gradient has l1 norm 5).  For c > 0 the count is zero
+    for *any* slack: positivity of the b^2 formulas forces lambda_2 <
+    2 lambda_3 < lambda_1, contradicting the ordering; the certificate
+    -c - 3 lambda_3^2 <= -c < 0 (no real catalog roots) is reported
+    alongside.  For c < 0 each lambda_3 sample in [0, s), s = sqrt(-c)/2,
+    with a feasible cell gives one curve point: ``_newton_curve`` from
+    its first feasible cell, kept where lambda_1 < lambda_3 < lambda_2
+    and both b^2 lie in (0, 1).  The refined residual is the largest
+    |Q|/|c| or |l1 + l2 - 3 l3|/s on the curve.  c must be finite and
+    nonzero with |c| in [7.91e-206, 2.06e204] (where the b^2 numerators
+    stay finite on the box and their denominators normal doubles), and
+    every grid axis needs 2 samples, else ValueError.
 
-    The formulas are evaluated only on the ordered cells that can pass
-    the quadratic and b_2^2 > 0.  For fixed (lambda_1, lambda_3) the
-    quadratic is affine in lambda_2, so those cells form one lambda_2
-    band per pair (``_lambda2_bands``, which also starts each band at
-    the ordering test).  Bands are computed only for the signed pairs
-    of ``_signed_pairs``, whose b_2^2 factor lambda_1 - 2 lambda_3 has
-    the sign of c: any other pair has b_2^2 <= 0 or NaN on every ordered
-    cell.  On a 165^3 grid they are 25 % of the (lambda_1, lambda_3)
-    pairs at c = 3.1 and 75 % at c = -3.1.  Every other cell fails the
-    quadratic, the ordering or b_2^2 > 0, so the count and the refined
-    curve are those of the whole grid.
-    The sign of b_1^2 (that of c (2 lambda_3 - lambda_2)) drops no cell:
-    for c > 0 the two sign conditions together leave none, and the scan
-    would only restate the certificate it checks.  On a 165^3 grid the
-    quadratic and b_2^2 run on 1.0 % of the cells at c = 3.1 and 6.7 %
-    at c = -3.1 (4.4 % and 6.9 % without the sign filter), and b_1^2
-    only where b_2^2 lies in (0, 1): 7 % and 64 % of those cells.
+    Both equations are affine in lambda_2 for fixed (lambda_1,
+    lambda_3), so only one lambda_2 band of cells per pair is evaluated
+    (``_lambda2_bands``).
     """
     if c == 0 or not math.isfinite(c):
         raise ValueError(f"the scan needs a finite nonzero c, got c={c!r}")
-    check_positive("sum_band", sum_band)
     if min(grid_shape) < 2:
         raise ValueError(
             f"every grid axis needs >= 2 samples, got {tuple(grid_shape)}"
@@ -923,44 +905,55 @@ def nonexistence_scan(
     l2 = np.linspace(-bound, bound, n2)
     l3 = np.linspace(0.0, 0.75 * scale, n3)
     spacing = max(l1[1] - l1[0], l2[1] - l2[0], l3[1] - l3[0])
-    # one cell of slack: |grad quadratic| <= 12(L + L3) on the box
+    # one cell of slack: |grad quadratic| <= 12(L + L3) on the box, and
+    # the trace's gradient (1, 1, -3) has l1 norm 5
     quad_tol = 12.0 * (bound + 0.75 * scale) * spacing
+    trace_tol = 5.0 * spacing
 
     # The bands are widened by a rounding margin, 1e-9 of the largest
-    # magnitude (``size``) the quadratic's terms reach on the box, far
-    # above its float error, so they hold every cell that passes.  The
-    # candidates then meet the elementwise quadratic, b^2 and sum_band
-    # tests (the ordering test is each band's start), so every cell gets
-    # the same verdict as on the full grid.  A batch holds at most
-    # max(n2*n3/8, n2, 2048) cells, across lambda_1 rows: its temporaries
-    # stay below one lambda_1 row's worth of the full quadratic on large
-    # rows, a few thousand cells on small ones, and do not grow with n1.
-    # Both margins are relative to the box, so a small |c| keeps its bands
-    # narrow and its feasible cells.
+    # magnitude each equation's terms reach on the box (``size`` for the
+    # quadratic), far above their float error, so they hold every cell
+    # that passes.  The candidates then meet the elementwise quadratic,
+    # trace and b^2 tests (the ordering test is each band's start), so
+    # every cell gets the same verdict as on the full grid.  The pairs
+    # are taken a window of lambda_1 rows at a time, at most max(cap, n3)
+    # pairs, and a batch gathers whole bands across pairs, at most cap =
+    # max(n2*n3/8, n2, 2048) cells: no array grows with n1.  Both margins
+    # are relative to the box, so a small |c| keeps its feasible cells.
     size = abs(c) + 12.0 * (bound + l3[-1]) ** 2
     reach = quad_tol + 1e-9 * size
+    trace_reach = trace_tol + 1e-9 * (2.0 * bound + 3.0 * l3[-1])
     cap = max(n2 * n3 // 8, n2, 2048)
+    rows = max(cap // n3, 1)
     gap = 1e-12 * scale  # the ordering margin: lambda_1 < lambda_2 - gap
     count = 0
-    lam3_feasible = np.zeros(n3, dtype=bool)
+    # each lambda_3 sample's first feasible (lambda_1, lambda_2)
+    starts = np.full((n3, 2), np.nan)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for lam1, lam2, lam3 in _band_cells(l1, l2, l3, c, reach, gap, cap):
-            ok = np.abs(catalog_quadratic(lam1, lam2, lam3, c)) <= quad_tol
-            if not ok.all():
-                lam1, lam2, lam3 = lam1[ok], lam2[ok], lam3[ok]
-            b2sq = hopf_projection_square(lam2, lam1, lam3, c)
-            keep = np.flatnonzero((b2sq > 0.0) & (b2sq < 1.0))
-            if keep.size == 0:
-                continue
-            b1sq = hopf_projection_square(lam1[keep], lam2[keep], lam3[keep], c)
-            feasible = (
-                (b1sq > 0.0)
-                & (b1sq < 1.0)
-                & (np.abs(b1sq + b2sq[keep] - 1.0) <= sum_band)
-            )
-            count += int(np.count_nonzero(feasible))
-            # l3 is strictly increasing, so this finds each sample's index
-            lam3_feasible[np.searchsorted(l3, lam3[keep[feasible]])] = True
+        for r0 in range(0, n1, rows):
+            pair1 = np.repeat(l1[r0:r0 + rows], n3)
+            pair3 = np.tile(l3, pair1.size // n3)
+            first, counts = _lambda2_bands(pair1, l2, pair3, c, reach, gap, trace_reach)
+            for batch, j in _runs(counts, first, cap):
+                cnt = counts[batch]
+                lam1, lam2 = np.repeat(pair1[batch], cnt), l2[j]
+                lam3 = np.repeat(pair3[batch], cnt)
+                ok = (np.abs(catalog_quadratic(lam1, lam2, lam3, c)) <= quad_tol) & (
+                    np.abs(lam1 + lam2 - 3.0 * lam3) <= trace_tol
+                )
+                if not ok.all():
+                    lam1, lam2, lam3 = lam1[ok], lam2[ok], lam3[ok]
+                b2sq = hopf_projection_square(lam2, lam1, lam3, c)
+                keep = np.flatnonzero((b2sq > 0.0) & (b2sq < 1.0))
+                if keep.size == 0:
+                    continue
+                b1sq = hopf_projection_square(lam1[keep], lam2[keep], lam3[keep], c)
+                hit = keep[(b1sq > 0.0) & (b1sq < 1.0)]
+                count += int(hit.size)
+                # l3 is strictly increasing, so this finds each sample's index
+                m, at = np.unique(np.searchsorted(l3, lam3[hit]), return_index=True)
+                new = np.isnan(starts[m, 0])
+                starts[m[new]] = np.column_stack((lam1[hit], lam2[hit]))[at[new]]
     total = int(n1) * int(n2) * int(n3)
 
     certificate = max_disc = curve = max_res = None
@@ -973,27 +966,30 @@ def nonexistence_scan(
         )
         max_disc = float(np.max(-c - 3.0 * l3**2))
     else:
-        # refine feasible cells onto the exact catalog curve (one
-        # refinement per distinct lambda_3 grid value)
-        refined = []
-        worst = 0.0
         s = rate(c)
-        for m in np.flatnonzero(lam3_feasible):
-            lam3_val = float(l3[m])
-            if not (0.0 <= lam3_val < s):
-                continue
-            es = eigen_structure_from_lambda3(lam3_val, c)
-            worst = max(worst, max(constraint_residuals(es).values()))
-            refined.append((es.lambda3, es.lambda1, es.lambda2, es.b1sq, es.b2sq))
-        curve = np.asarray(refined) if refined else np.empty((0, 5))
-        max_res = worst if refined else None
+        m = np.flatnonzero(~np.isnan(starts[:, 0]) & (l3 < s))
+        lam3 = l3[m]
+        lam1, lam2 = _newton_curve(starts[m, 0], starts[m, 1], lam3, c)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            b1sq, b2sq = hopf_projection_squares(lam1, lam2, lam3, c)
+        on = (
+            (lam1 < lam3) & (lam3 < lam2)
+            & (b1sq > 0.0) & (b1sq < 1.0) & (b2sq > 0.0) & (b2sq < 1.0)
+        )
+        curve = np.column_stack((lam3, lam1, lam2, b1sq, b2sq))[on]
+        if on.any():
+            lam1, lam2, lam3 = lam1[on], lam2[on], lam3[on]
+            max_res = max(
+                float(np.max(np.abs(catalog_quadratic(lam1, lam2, lam3, c)))) / -c,
+                float(np.max(np.abs(lam1 + lam2 - 3.0 * lam3))) / s,
+            )
     return ScanReport(
         c=c,
         grid_shape=tuple(grid_shape),
         total_points=total,
         feasible_count=count,
         quad_tol=quad_tol,
-        sum_band=sum_band,
+        trace_tol=trace_tol,
         certificate=certificate,
         max_discriminant=max_disc,
         curve_points=curve,

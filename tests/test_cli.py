@@ -421,8 +421,14 @@ def test_classify_a_huge_finite_shape_prints_no_warning(tmp_path, capsys):
         warnings.simplefilter("error")
         code, captured = _classify_record(data, tmp_path, capsys)
     assert code == 0 and captured.err == ""
-    payload = json.loads(captured.out)
+    payload = json.loads(captured.out, parse_constant=_reject_constant)
     assert (payload["g"], payload["h"]) == (4, 2)
+    # the catalog quadratic overflows to inf - inf on this shape
+    assert payload["residuals"]["quadratic"] is None
+
+
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
 
 
 def _classify_record(data, tmp_path, capsys):
@@ -852,14 +858,14 @@ def test_residuals_rejects_bad_fd_step(step, capsys):
     assert "SVD" not in err
 
 
-@pytest.mark.parametrize("band", BAD_POSITIVE_VALUES)
-def test_nonexistence_rejects_bad_sum_band(band, capsys):
-    code = main([
-        "nonexistence", "--c", "-4", "--grid", "5", "5", "5",
-        f"--sum-band={band}",
-    ])
+def test_nonexistence_has_no_sum_band(capsys):
+    """The scan imposes the trace relation, not a second band on the
+    quadratic: --sum-band is an unrecognized option."""
+    code = main(["nonexistence", "--c", "-4", "--grid", "5", "5", "5", "--sum-band", "0.1"])
+    err = capsys.readouterr().err
     assert code == 2
-    assert "sum_band must be positive and finite" in capsys.readouterr().err
+    assert "unrecognized arguments: --sum-band 0.1" in err
+    assert "Traceback" not in err
 
 
 def test_nonexistence_rejects_small_grid(capsys):
@@ -923,9 +929,9 @@ def test_nonexistence_finds_the_curve_at_small_curvature(c, capsys):
 
 @pytest.mark.parametrize("c, tail", [
     (-1e200, [
-        "feasible points          220",
+        "feasible points          643",
         "curve samples            20",
-        "max refined residual     6.799e+184",
+        "max refined residual     3.885e-16",
     ]),
     (1e200, ["feasible points          0"]),
 ])

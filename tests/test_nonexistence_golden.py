@@ -2,16 +2,18 @@
 
 ``data/nonexistence_golden.json`` holds, for each curvature and grid
 below, the stdout, the exit code and (for c < 0) the bytes of the
-``--output`` JSON that the feasibility scan gave before its inner loop
-tested b2^2 first and folded the ordering test into the band start.
-Every case must keep them byte for byte.  The c > 0 cases run without
-``--output``, whose file was added later and is tested in
-``test_cli.py``.
+``--output`` JSON of the feasibility scan.  The c > 0 cases are those
+the scan gave before its inner loop tested b2^2 first and folded the
+ordering test into the band start; the c < 0 cases were re-recorded
+when the scan began to impose the trace relation l1 + l2 = 3 l3 and to
+refine its curve by Newton's method.  Every case must keep them byte
+for byte.  The c > 0 cases run without ``--output``, whose file was
+added later and is tested in ``test_cli.py``.
 
-The counts are integers and the curve points come from scalar ``math``
-(``eigen_structure_from_lambda3``), so the file does not depend on a
-BLAS kernel.  The scan's ``--output`` path appears in stdout; it is
-written as ``OUTPUT`` here.
+The counts are integers and the curve points come from the scan's
+elementwise Newton solve (``spectral._newton_curve``), which calls no
+BLAS routine, so the file does not depend on a BLAS kernel.  The scan's
+``--output`` path appears in stdout; it is written as ``OUTPUT`` here.
 
 ``PYTHONPATH=src python tests/test_nonexistence_golden.py`` rewrites the
 data file from the code it runs against: do that only on a commit whose

@@ -420,36 +420,77 @@ def test_catalog_at_radius_rejects_bad_radii():
         spectral.catalog_at_radius(0.0, -4.0, 3, 2)  # focal for k = 2
 
 
-def _whole_grid_scan(c, grid_shape, quad_tol, sum_band=0.1):
-    """Reference for nonexistence_scan: the whole grid at once, then one
-    refinement per lambda_3 value that has a feasible cell."""
+def _whole_grid_scan(c, grid_shape, rep):
+    """Reference for nonexistence_scan: the feasible cells of the whole
+    grid at once, with the report's two slacks, as (lambda_1, lambda_2,
+    lambda_3) rows."""
     scale = math.sqrt(abs(c))
     bound = 1.5 * scale
     n1, n2, n3 = grid_shape
     l1 = np.linspace(-bound, bound, n1)[:, None, None]
     l2 = np.linspace(-bound, bound, n2)[None, :, None]
-    l3 = np.linspace(0.0, 0.75 * scale, n3)
-    lam3 = l3[None, None, :]
+    l3 = np.linspace(0.0, 0.75 * scale, n3)[None, None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        b1sq, b2sq = spectral.hopf_projection_squares(l1, l2, lam3, c)
-        quad = catalog_quadratic(l1, l2, lam3, c)
+        b1sq, b2sq = spectral.hopf_projection_squares(l1, l2, l3, c)
+        quad = catalog_quadratic(l1, l2, l3, c)
     feasible = (
         (l1 < l2 - 1e-12 * scale)
         & (b1sq > 0.0) & (b1sq < 1.0) & (b2sq > 0.0) & (b2sq < 1.0)
-        & (np.abs(quad) <= quad_tol)
-        & (np.abs(b1sq + b2sq - 1.0) <= sum_band)
+        & (np.abs(quad) <= rep.quad_tol)
+        & (np.abs(l1 + l2 - 3.0 * l3) <= rep.trace_tol)
     )
-    count = int(np.count_nonzero(feasible))
-    if c > 0:
-        return count, None
-    refined = []
-    for m in np.unique(np.argwhere(feasible)[:, 2]):
-        lam3_val = float(l3[m])
-        if not 0.0 <= lam3_val < math.sqrt(-c) / 2.0:
+    return np.stack(
+        [np.broadcast_to(a, feasible.shape)[feasible] for a in (l1, l2, l3)], axis=-1
+    )
+
+
+CURVE_TOLERANCE = 1e-13  # relative to s = sqrt(-c)/2
+
+
+def _assert_curve(rep, c, cells):
+    """The curve has a point only at lambda_3 samples below s with a
+    feasible cell, and one at every sample <= s - 3 spacing; each point is
+    the catalog's closed form to 1e-13 s (b^2 to 1e-13), and Newton from
+    every feasible cell below s converges there too."""
+    s = math.sqrt(-c) / 2.0
+    curve = rep.curve_points
+    assert np.all(np.diff(curve[:, 0]) > 0.0)
+    below = cells[cells[:, 2] < s]
+    assert set(curve[:, 0]) <= set(below[:, 2])
+    l3 = np.linspace(0.0, 0.75 * math.sqrt(-c), rep.grid_shape[2])
+    spacing = rep.trace_tol / 5.0
+    assert set(l3[l3 <= s - 3.0 * spacing]) <= set(curve[:, 0])
+    want = {}
+    for lam3 in set(below[:, 2]):
+        try:
+            es = eigen_structure_from_lambda3(lam3, c)
+        except AssertionError:  # lambda_1 rounds to lambda_3 at the catalog's end
             continue
-        es = eigen_structure_from_lambda3(lam3_val, c)
-        refined.append((es.lambda3, es.lambda1, es.lambda2, es.b1sq, es.b2sq))
-    return count, np.asarray(refined) if refined else np.empty((0, 5))
+        want[lam3] = (es.lambda1, es.lambda2, es.b1sq, es.b2sq)
+    for lam3, *row in curve:
+        lam1, lam2, b1sq, b2sq = want[lam3]
+        assert lam1 < lam3 < lam2
+        assert abs(row[0] - lam1) <= CURVE_TOLERANCE * s
+        assert abs(row[1] - lam2) <= CURVE_TOLERANCE * s
+        assert abs(row[2] - b1sq) <= CURVE_TOLERANCE
+        assert abs(row[3] - b2sq) <= CURVE_TOLERANCE
+    lam1, lam2 = spectral._newton_curve(below[:, 0], below[:, 1], below[:, 2], c)
+    for got1, got2, lam3 in zip(lam1, lam2, below[:, 2]):
+        if lam3 in want:
+            assert abs(got1 - want[lam3][0]) <= CURVE_TOLERANCE * s
+            assert abs(got2 - want[lam3][1]) <= CURVE_TOLERANCE * s
+
+
+def _assert_scan_matches_whole_grid(c, grid):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = nonexistence_scan(c, grid_shape=grid)
+    cells = _whole_grid_scan(c, grid, rep)
+    assert rep.feasible_count == len(cells)
+    if c > 0:
+        assert rep.curve_points is None
+    else:
+        _assert_curve(rep, c, cells)
 
 
 @pytest.mark.parametrize(
@@ -460,13 +501,36 @@ def _whole_grid_scan(c, grid_shape, quad_tol, sum_band=0.1):
     "grid", [(2, 2, 2), (7, 300, 11), (61, 40, 40), (60, 60, 60), (33, 33, 17)]
 )
 def test_slab_scan_matches_whole_grid(c, grid):
+    _assert_scan_matches_whole_grid(c, grid)
+
+
+def test_scan_rejects_a_point_of_the_quadratic_off_the_trace(monkeypatch):
+    """(0.2, 1.9375, 0.5) at c = -4 is a grid point of 61 x 97 x 61 that
+    solves the quadratic (and so b1^2 + b2^2 = 1) with both b^2 in (0, 1),
+    but l1 + l2 - 3 l3 = 0.6375 > trace_tol: no b^2 is computed there."""
+    c, grid = -4.0, (61, 97, 61)
+    l1 = np.linspace(-3.0, 3.0, grid[0])[32]
+    l2 = np.linspace(-3.0, 3.0, grid[1])[79]
+    l3 = np.linspace(0.0, 1.5, grid[2])[20]
+    assert np.allclose([l1, l2, l3], [0.2, 1.9375, 0.5], rtol=0.0, atol=1e-15)
+    b1sq, b2sq = spectral.hopf_projection_squares(l1, l2, l3, c)
+    assert 0.0 < b1sq < 1.0 and 0.0 < b2sq < 1.0
+    assert abs(catalog_quadratic(l1, l2, l3, c)) <= 1e-14
+    assert abs(b1sq + b2sq - 1.0) <= 1e-14
+    seen = []
+    original = spectral.hopf_projection_square
+
+    def recording(lam_i, lam_j, lam3, c):
+        seen.append(np.stack(np.broadcast_arrays(lam_i, lam_j, lam3), axis=-1))
+        return original(lam_i, lam_j, lam3, c)
+
+    monkeypatch.setattr(spectral, "hopf_projection_square", recording)
     rep = nonexistence_scan(c, grid_shape=grid)
-    count, curve = _whole_grid_scan(c, grid, rep.quad_tol)
-    assert rep.feasible_count == count
-    if c > 0:
-        assert rep.curve_points is None
-    else:
-        assert np.array_equal(rep.curve_points, curve)
+    assert abs(l1 + l2 - 3.0 * l3 - 0.6375) <= 1e-14
+    assert rep.trace_tol < 0.6375 and rep.feasible_count > 0
+    cells = np.concatenate(seen)
+    for cell in ([l1, l2, l3], [l2, l1, l3]):
+        assert not np.any(np.all(cells == cell, axis=-1))
 
 
 @pytest.mark.parametrize("c", [3.1, -3.1])
@@ -476,9 +540,8 @@ def test_scan_computes_b_squares_only_where_the_quadratic_holds(c, monkeypatch):
 
     def counting(lam_i, lam_j, lam3, c):
         bsq = original(lam_i, lam_j, lam3, c)
-        if np.ndim(bsq):  # the scan's cells, not the refinement's scalars
-            # b_2^2 is f(lambda_2, lambda_1), and every cell has lambda_1 < lambda_2
-            seen["b1" if np.all(lam_i < lam_j) else "b2"].append(bsq.size)
+        # b_2^2 is f(lambda_2, lambda_1), and every cell has lambda_1 < lambda_2
+        seen["b1" if np.all(lam_i < lam_j) else "b2"].append(bsq.size)
         return bsq
 
     monkeypatch.setattr(spectral, "hopf_projection_square", counting)
@@ -486,42 +549,30 @@ def test_scan_computes_b_squares_only_where_the_quadratic_holds(c, monkeypatch):
     rep = nonexistence_scan(c, grid_shape=grid)
     assert (rep.feasible_count > 0) == (c < 0)
     total = sum(seen["b1"]) + sum(seen["b2"])
-    assert total > 0
+    # at c > 0 no cell of this grid passes both equations
+    assert (total > 0) == (c < 0)
     assert total <= 0.15 * math.prod(grid)
-    # the sign filter leaves b_2^2 about 1 % of the grid at c > 0 (4.4 %
-    # without it)
-    if c > 0:
-        assert sum(seen["b2"]) <= 0.02 * math.prod(grid)
 
 
 @pytest.mark.parametrize("c", [3.1, -3.1, -100.0])
-@pytest.mark.parametrize("sum_band", [1e-6, 10.0])
 # the slope 8 lambda_3 - 4 lambda_1 of the quadratic in lambda_2 is zero
 # on grid points in each grid: an odd n1 gives lambda_1 = 0 = 2 l3[0],
 # and the corner gives lambda_1 = 1.5 sqrt|c| = 2 l3[-1]
 @pytest.mark.parametrize("grid", [(61, 40, 40), (33, 33, 17), (60, 60, 60)])
-def test_band_scan_matches_whole_grid_across_sum_bands(c, sum_band, grid):
-    rep = nonexistence_scan(c, grid_shape=grid, sum_band=sum_band)
-    count, curve = _whole_grid_scan(c, grid, rep.quad_tol, sum_band=sum_band)
-    assert rep.feasible_count == count
-    if c < 0:
-        assert np.array_equal(rep.curve_points, curve)
-
-
-@pytest.mark.parametrize("c", [3.1, -3.1, -100.0])
-@pytest.mark.parametrize("grid", [(61, 40, 40), (33, 33, 17), (60, 60, 60)])
 def test_band_scan_passes_every_quadratic_cell_to_the_b_squares(c, grid, monkeypatch):
     """The lambda_2 bands lose no cell that can be feasible: b_2^2 is
     computed on exactly the ordered cells of the whole grid with
-    |quadratic| <= quad_tol and sign(c) (lambda_1 - 2 lambda_3) > 0, every
-    ordered quadratic cell the sign filter drops has b_2^2 outside (0, 1),
-    and b_1^2 is computed on exactly the ordered quadratic cells where
-    b_2^2 lies in (0, 1)."""
+    |quadratic| <= quad_tol and |l1 + l2 - 3 l3| <= trace_tol, and b_1^2
+    on exactly those where b_2^2 lies in (0, 1).  The calls that follow
+    the Newton solve are on the curve points, not on grid cells."""
+    _assert_scan_matches_whole_grid(c, grid)
     seen = {"b1": [], "b2": []}
+    refining = []
     original = spectral.hopf_projection_square
+    newton = spectral._newton_curve
 
     def recording(lam_i, lam_j, lam3, c):
-        if np.ndim(lam_j):  # the scan's cells, not the refinement's scalars
+        if not refining:
             # b_1^2 is f(lambda_1, lambda_2), b_2^2 is f(lambda_2, lambda_1),
             # and every scanned cell has lambda_1 < lambda_2
             first = bool(np.all(lam_i < lam_j))
@@ -529,8 +580,14 @@ def test_band_scan_passes_every_quadratic_cell_to_the_b_squares(c, grid, monkeyp
             seen["b1" if first else "b2"].append(np.stack([*cells, lam3], axis=-1))
         return original(lam_i, lam_j, lam3, c)
 
+    def recording_newton(*args):
+        refining.append(True)
+        return newton(*args)
+
     monkeypatch.setattr(spectral, "hopf_projection_square", recording)
+    monkeypatch.setattr(spectral, "_newton_curve", recording_newton)
     rep = nonexistence_scan(c, grid_shape=grid)
+    assert bool(refining) == (c < 0)
     scale = math.sqrt(abs(c))
     n1, n2, n3 = grid
     l1, l2, l3 = np.meshgrid(
@@ -539,17 +596,15 @@ def test_band_scan_passes_every_quadratic_cell_to_the_b_squares(c, grid, monkeyp
         np.linspace(0.0, 0.75 * scale, n3),
         indexing="ij",
     )
-    passing = (l1 < l2 - 1e-12 * scale) & (
-        np.abs(catalog_quadratic(l1, l2, l3, c)) <= rep.quad_tol
+    passing = (
+        (l1 < l2 - 1e-12 * scale)
+        & (np.abs(catalog_quadratic(l1, l2, l3, c)) <= rep.quad_tol)
+        & (np.abs(l1 + l2 - 3.0 * l3) <= rep.trace_tol)
     )
-    factor = l1 - 2.0 * l3
-    signed = (factor > 0.0 if c > 0 else factor < 0.0)[passing]
     cells = np.stack([l1[passing], l2[passing], l3[passing]], axis=-1)
     b2sq = original(l2[passing], l1[passing], l3[passing], c)
-    b2_open = (b2sq > 0.0) & (b2sq < 1.0)
-    assert not b2_open[~signed].any()
-    want = {"b2": cells[signed], "b1": cells[b2_open]}
-    assert seen["b2"] and (seen["b1"] or not b2_open.any())
+    want = {"b2": cells, "b1": cells[(b2sq > 0.0) & (b2sq < 1.0)]}
+    assert len(want["b1"]) > 0 or c > 0
     for key, cells in want.items():
         got = np.concatenate(seen[key]) if seen[key] else np.empty((0, 3))
         assert np.array_equal(got[np.lexsort(got.T)], cells[np.lexsort(cells.T)]), key
@@ -588,33 +643,6 @@ def test_scan_batches_skinny_grids_in_cells(c, monkeypatch):
     assert 0 < len(calls) < 100
 
 
-@pytest.mark.parametrize("c, signed", [(3.1, 6807), (-3.1, 20400)])
-def test_bands_are_computed_for_the_signed_pairs_only(c, signed, monkeypatch):
-    """_lambda2_bands receives each (lambda_1, lambda_3) pair whose b_2^2
-    factor lambda_1 - 2 lambda_3 has the sign of c once, and no other
-    pair: 6,807 of the 27,225 pairs at c = 3.1, 20,400 at c = -3.1."""
-    seen = []
-    original = spectral._lambda2_bands
-
-    def recording(lam1, l2, lam3, c, reach, gap):
-        seen.append(np.stack(np.broadcast_arrays(lam1, lam3), axis=-1))
-        return original(lam1, l2, lam3, c, reach, gap)
-
-    monkeypatch.setattr(spectral, "_lambda2_bands", recording)
-    nonexistence_scan(c, grid_shape=(165, 165, 165))
-    scale = math.sqrt(abs(c))
-    l1, l3 = np.meshgrid(
-        np.linspace(-1.5 * scale, 1.5 * scale, 165),
-        np.linspace(0.0, 0.75 * scale, 165),
-        indexing="ij",
-    )
-    factor = l1 - 2.0 * l3
-    want = np.stack([l1, l3], axis=-1)[factor > 0.0 if c > 0 else factor < 0.0]
-    got = np.concatenate(seen)
-    assert len(got) == len(want) == signed
-    assert np.array_equal(got[np.lexsort(got.T)], want[np.lexsort(want.T)])
-
-
 def test_band_start_is_the_scans_ordering_test():
     """Each band starts at the first lambda_2 with lambda_1 < lambda_2 - gap,
     the scan's ordering test, also where lambda_1 equals lambda_2 - gap."""
@@ -637,27 +665,19 @@ _scan_shapes = st.one_of(
 @given(
     sign=st.sampled_from([1.0, -1.0]),
     c_exp=st.floats(-2.0, 4.0),
-    sum_band=st.floats(1e-6, 10.0),
     grid=_scan_shapes,
 )
-def test_scan_matches_whole_grid_on_random_boxes(sign, c_exp, sum_band, grid):
-    c = sign * 10.0**c_exp
-    rep = nonexistence_scan(c, grid_shape=grid, sum_band=sum_band)
-    count, curve = _whole_grid_scan(c, grid, rep.quad_tol, sum_band=sum_band)
-    assert rep.feasible_count == count
-    if c > 0:
-        assert rep.curve_points is None
-    else:
-        assert np.array_equal(rep.curve_points, curve)
+def test_scan_matches_whole_grid_on_random_boxes(sign, c_exp, grid):
+    _assert_scan_matches_whole_grid(sign * 10.0**c_exp, grid)
 
 
-SCAN_RESIDUAL_TOLERANCE = 2e-14  # relative to 1 + |c|
+SCAN_RESIDUAL_TOLERANCE = 2e-14  # the refined residual is relative
 
 
 def _assert_scan_decides(c):
-    """c < 0 finds the catalog curve, refined onto it to a residual
-    relative to 1 + |c| (the absolute one grows with |c|), and c > 0 has
-    no feasible cell, with no numpy warning on the way."""
+    """c < 0 finds the catalog curve, refined onto it to a scale-free
+    residual, and c > 0 has no feasible cell, with no numpy warning on
+    the way."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rep = nonexistence_scan(c, grid_shape=(30, 30, 30))
@@ -665,7 +685,7 @@ def _assert_scan_decides(c):
         assert rep.feasible_count == 0 and rep.certificate
     else:
         assert rep.feasible_count > 0 and len(rep.curve_points) > 0
-        assert rep.max_refined_residual <= SCAN_RESIDUAL_TOLERANCE * (1.0 + abs(c))
+        assert rep.max_refined_residual <= SCAN_RESIDUAL_TOLERANCE
 
 
 @seed(20261027)
@@ -694,14 +714,7 @@ def test_scan_decides_at_the_ends_of_its_range(edge, sign):
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 @pytest.mark.parametrize("grid", [(30, 30, 30), (41, 37, 23), (7, 300, 11)])
 def test_scan_matches_whole_grid_at_the_ends_of_its_range(c_abs, sign, grid):
-    c = sign * c_abs
-    rep = nonexistence_scan(c, grid_shape=grid)
-    count, curve = _whole_grid_scan(c, grid, rep.quad_tol)
-    assert rep.feasible_count == count
-    if c > 0:
-        assert rep.curve_points is None
-    else:
-        assert np.array_equal(rep.curve_points, curve)
+    _assert_scan_matches_whole_grid(sign * c_abs, grid)
 
 
 _finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
