@@ -858,13 +858,14 @@ def test_residuals_rejects_bad_fd_step(step, capsys):
     assert "SVD" not in err
 
 
-def test_nonexistence_has_no_sum_band(capsys):
+@pytest.mark.parametrize("width", ["0.1", "-1", "0", "inf", "nan"])
+def test_nonexistence_has_no_sum_band(width, capsys):
     """The scan imposes the trace relation, not a second band on the
-    quadratic: --sum-band is an unrecognized option."""
-    code = main(["nonexistence", "--c", "-4", "--grid", "5", "5", "5", "--sum-band", "0.1"])
+    quadratic: --sum-band is an unrecognized option, whatever its width."""
+    code = main(["nonexistence", "--c", "-4", "--grid", "5", "5", "5", "--sum-band", width])
     err = capsys.readouterr().err
     assert code == 2
-    assert "unrecognized arguments: --sum-band 0.1" in err
+    assert f"unrecognized arguments: --sum-band {width}" in err
     assert "Traceback" not in err
 
 

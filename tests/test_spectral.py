@@ -345,6 +345,26 @@ def test_classification_result_json():
     assert payload["reason"] == "hopf"
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_classification_result_json_writes_non_finite_residuals_as_null(bad):
+    """A residual that overflowed is null in strict JSON; the finite
+    residuals and the other fields are written as they are."""
+    res = spectral.ClassificationResult(
+        model="tube", g=4, h=2, k=2, r=0.7, branch="G4",
+        residuals={"quadratic": bad, "trace": 1e-15},
+    )
+    payload = json.loads(res.to_json(), parse_constant=_reject_constant)
+    assert payload["residuals"] == {"quadratic": None, "trace": 1e-15}
+    assert {k: v for k, v in payload.items() if k != "residuals"} == {
+        "model": "tube", "g": 4, "h": 2, "k": 2, "r": 0.7, "branch": "G4",
+    }
+    assert res.residuals["quadratic"] is bad  # the result itself is left as it is
+
+
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
 def test_scan_positive_curvature_is_empty():
     rep = nonexistence_scan(1.0, grid_shape=(40, 40, 40))
     assert rep.total_points == 40**3
@@ -481,6 +501,73 @@ def _assert_curve(rep, c, cells):
             assert abs(got2 - want[lam3][1]) <= CURVE_TOLERANCE * s
 
 
+def _closed_form_curve(lam3, c):
+    """The catalog's (lambda_1, lambda_2) at each lambda_3, as arrays."""
+    rows = [eigen_structure_from_lambda3(x, c) for x in lam3]
+    return np.array([e.lambda1 for e in rows]), np.array([e.lambda2 for e in rows])
+
+
+def _assert_newton_reaches_closed_form(start1, start2, lam3, c):
+    s = math.sqrt(-c) / 2.0
+    want1, want2 = _closed_form_curve(lam3, c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got1, got2 = spectral._newton_curve(start1, start2, lam3, c)
+    assert np.all(np.abs(got1 - want1) <= CURVE_TOLERANCE * s)
+    assert np.all(np.abs(got2 - want2) <= CURVE_TOLERANCE * s)
+    assert np.all(np.abs(catalog_quadratic(got1, got2, lam3, c)) <= SCAN_RESIDUAL_TOLERANCE * -c)
+    assert np.all(np.abs(got1 + got2 - 3.0 * lam3) <= SCAN_RESIDUAL_TOLERANCE * s)
+
+
+@pytest.mark.parametrize(
+    "c",
+    [
+        -spectral._SCAN_MIN_ABS_C, -1e-100, -1e-3, -4.0, -1e3, -1e100,
+        -spectral._SCAN_MAX_ABS_C,
+    ],
+)
+def test_newton_curve_is_scale_free(c):
+    """From starts 2% of s off the closed form, in both directions, the
+    Newton solve lands on the catalog curve to 1e-13 s at every scale of
+    the scan's range of c, with no numpy warning."""
+    s = math.sqrt(-c) / 2.0
+    lam3 = np.linspace(0.0, 0.9, 10) * s
+    want1, want2 = _closed_form_curve(lam3, c)
+    for sign in (1.0, -1.0):
+        _assert_newton_reaches_closed_form(
+            want1 + sign * 0.02 * s, want2 - sign * 0.02 * s, lam3, c
+        )
+
+
+@pytest.mark.parametrize("c", [-1.0, -3.1, -4.0, -100.0])
+def test_newton_curve_sorts_a_swapped_root(c):
+    """On 300 x 7 x 11 some feasible cells converge to the swapped root
+    (lambda_2, lambda_1); so does every start with its pair reversed.
+    Both come back sorted, on the closed form."""
+    grid = (300, 7, 11)
+    rep = nonexistence_scan(c, grid_shape=grid)
+    cells = _whole_grid_scan(c, grid, rep)
+    cells = cells[cells[:, 2] < math.sqrt(-c) / 2.0]
+    assert len(cells) > 0
+    _assert_newton_reaches_closed_form(cells[:, 0], cells[:, 1], cells[:, 2], c)
+    _assert_newton_reaches_closed_form(cells[:, 1], cells[:, 0], cells[:, 2], c)
+
+
+@pytest.mark.parametrize("c", [-1.0, -4.0, -100.0])
+@pytest.mark.parametrize("grid", [(60, 60, 60), (33, 33, 17)])
+def test_newton_curve_converges_from_the_trace_vertex(c, grid):
+    """On these grids a feasible cell lies on lambda_1 = 1.5 lambda_3,
+    the vertex of the quadratic along l1 + l2 = 3 l3, where a 1-D Newton
+    step in lambda_1 divides by zero; the 2-D solve's Jacobian
+    determinant 4 (l1 - l2) is nonzero there and it converges."""
+    rep = nonexistence_scan(c, grid_shape=grid)
+    cells = _whole_grid_scan(c, grid, rep)
+    vertex = cells[(cells[:, 0] == 1.5 * cells[:, 2]) & (cells[:, 2] < math.sqrt(-c) / 2.0)]
+    assert len(vertex) > 0
+    assert np.all(vertex[:, 0] < vertex[:, 1])
+    _assert_newton_reaches_closed_form(vertex[:, 0], vertex[:, 1], vertex[:, 2], c)
+
+
 def _assert_scan_matches_whole_grid(c, grid):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -608,6 +695,41 @@ def test_band_scan_passes_every_quadratic_cell_to_the_b_squares(c, grid, monkeyp
     for key, cells in want.items():
         got = np.concatenate(seen[key]) if seen[key] else np.empty((0, 3))
         assert np.array_equal(got[np.lexsort(got.T)], cells[np.lexsort(cells.T)]), key
+
+
+@pytest.mark.parametrize("c", [3.1, -3.1, -100.0])
+@pytest.mark.parametrize("grid", [(61, 40, 40), (33, 33, 17), (60, 60, 60)])
+def test_scan_evaluates_the_quadratic_only_inside_the_trace_window(c, grid, monkeypatch):
+    """Every cell that reaches the quadratic lies in its pair's trace
+    window |l1 + l2 - 3 l3| <= trace_tol, widened by the 1e-9 rounding
+    margin, so a pair gathers at most 2 reach / (l2 spacing) + 1 cells."""
+    seen = []
+    refining = []
+    original = spectral.catalog_quadratic
+    newton = spectral._newton_curve
+
+    def recording(lam1, lam2, lam3, c):
+        if not refining:  # the Newton solve's iterates are not grid cells
+            seen.append(np.stack(np.broadcast_arrays(lam1, lam2, lam3), axis=-1))
+        return original(lam1, lam2, lam3, c)
+
+    def recording_newton(*args):
+        refining.append(True)
+        return newton(*args)
+
+    monkeypatch.setattr(spectral, "catalog_quadratic", recording)
+    monkeypatch.setattr(spectral, "_newton_curve", recording_newton)
+    rep = nonexistence_scan(c, grid_shape=grid)
+    monkeypatch.undo()
+    scale = math.sqrt(abs(c))
+    reach = rep.trace_tol + 1e-9 * (3.0 * scale + 2.25 * scale)
+    cells = np.concatenate(seen)
+    n1, n2, n3 = grid
+    trace = cells[:, 0] + cells[:, 1] - 3.0 * cells[:, 2]
+    assert np.all(np.abs(trace) <= reach)
+    per_pair = math.floor(2.0 * reach / (3.0 * scale / (n2 - 1))) + 1
+    assert len(cells) <= n1 * n3 * per_pair
+    assert rep.feasible_count == len(_whole_grid_scan(c, grid, rep))
 
 
 @pytest.mark.parametrize("c", [3.1, -3.1])
