@@ -2,6 +2,8 @@
 modeled on a solvable Lie group, and for its ruled minimal submanifolds,
 constant-principal-curvature hypersurfaces and focal-set analysis."""
 
+import importlib
+
 from .construction import (
     DimensionTooLarge,
     OddDimensionNonReal,
@@ -36,17 +38,6 @@ from .model import (
     j_action,
     standard_complex_structure,
 )
-from .numlab import (
-    convergence_order,
-    frame_connection_residuals,
-    gauss_codazzi_residuals,
-    graded_connection_residuals,
-    graded_curvature_residuals,
-    horosphere_chart,
-    real_eigenspace_residual,
-    tube_chart,
-    unit_pair_gauss_residual,
-)
 from .spectral import (
     HypersurfaceGerm,
     NoRealSolution,
@@ -62,14 +53,43 @@ from .spectral import (
     principal_decomposition,
     totally_real_check,
 )
-from .tubes import (
-    focal_rank,
-    focal_shape_check,
-    tube_shape_operator,
-    tube_spectrum_closed,
-)
 
 __version__ = "0.1.0"
+
+# The finite-difference lab and the tube germs load on first access
+# (PEP 562): only ``sweep`` and ``residuals`` run them, so the other
+# commands start without compiling them.  Name -> owning module; a
+# module's own name maps to itself.
+_LAZY = {
+    "numlab": "numlab",
+    "convergence_order": "numlab",
+    "frame_connection_residuals": "numlab",
+    "gauss_codazzi_residuals": "numlab",
+    "graded_connection_residuals": "numlab",
+    "graded_curvature_residuals": "numlab",
+    "horosphere_chart": "numlab",
+    "real_eigenspace_residual": "numlab",
+    "tube_chart": "numlab",
+    "unit_pair_gauss_residual": "numlab",
+    "tubes": "tubes",
+    "focal_rank": "tubes",
+    "focal_shape_check": "tubes",
+    "tube_shape_operator": "tubes",
+    "tube_spectrum_closed": "tubes",
+}
+
+
+def __getattr__(name: str):
+    owner = _LAZY.get(name)
+    if owner is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{owner}", __name__)
+    return module if name == owner else getattr(module, name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "DimensionTooLarge",

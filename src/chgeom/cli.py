@@ -13,6 +13,11 @@ Subcommands:
 Exit codes: 0 success, 1 verification failure or an indeterminate check
 (a valid input the check cannot decide), 2 usage or malformed input,
 including an ``--output`` path that cannot be written.
+
+Each subcommand loads only the modules it runs: ``sweep`` imports
+``tubes`` and ``residuals`` imports ``numlab`` when they start, so the
+other commands never compile either.  Both are looked up on the module
+at call time, which is where the benchmark's span recorder wraps them.
 """
 
 from __future__ import annotations
@@ -24,10 +29,11 @@ import sys
 
 import numpy as np
 
-from . import jacobi, numlab, spectral, tubes
+from . import jacobi, spectral
 from .construction import RIGIDITY_TOLERANCE, build_submanifold, rigidity_form_check
 from .model import (
     CURVATURE_TOLERANCE,
+    DEFAULT_FD_STEP,
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
     ModelParams,
@@ -108,6 +114,8 @@ def _sweep_row(params, r, es, germ) -> str:
 
 
 def _cmd_sweep(args) -> int:
+    from . import tubes
+
     params = ModelParams(n=args.n, c=args.c)
     for option, value in (("--r-min", args.r_min), ("--r-max", args.r_max)):
         if not math.isfinite(value):
@@ -135,8 +143,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_classify(args) -> int:
     try:
-        with open(args.input) as fh:
-            payload = json.load(fh)
+        # strict UTF-8: json.loads on raw bytes would also take UTF-16,
+        # a byte-order mark and encoded surrogates
+        with open(args.input, "rb") as fh:
+            payload = json.loads(fh.read().decode("utf-8"))
         germ = HypersurfaceGerm.from_json_dict(payload)
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         # RecursionError: json gives up on arrays nested past the limit
@@ -149,6 +159,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_residuals(args) -> int:
+    from . import numlab
+
     params = ModelParams(n=args.n, c=args.c)
     check_positive("--tolerance", args.tolerance)
     spec = build_submanifold(params, args.k, math.pi / 2.0)
@@ -249,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--r", type=float, required=True)
-    p.add_argument("--fd-step", type=float, default=numlab.DEFAULT_FD_STEP)
+    p.add_argument("--fd-step", type=float, default=DEFAULT_FD_STEP)
     p.add_argument("--tolerance", type=float, default=1e-3)
     p.set_defaults(func=_cmd_residuals)
 

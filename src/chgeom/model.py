@@ -30,6 +30,8 @@ Z_INDEX = 1
 GALPHA_START = 2
 
 DEFAULT_ODE_STEP = 1e-4
+# central-difference step of the finite-difference lab (numlab, `residuals`)
+DEFAULT_FD_STEP = 1e-3
 DEFAULT_SAMPLES = 200
 DEFAULT_SEED = 20260814
 CURVATURE_TOLERANCE = 1e-10

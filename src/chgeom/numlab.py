@@ -26,6 +26,11 @@ Christoffel symbols on the L1 <= 1 stencil, and one frame-field table
 (``FrameFields``: U_1, U_2, A, the aligned eigenspace complements and
 every nabla_{X_a} X_b at the center), which the four frame-identity
 suites read as vector expressions.  The accessors return center values.
+
+Only ``chgeom residuals`` runs this module, so neither the package root
+nor the CLI imports it until it is used.  Its default differencing step
+is ``model.DEFAULT_FD_STEP``, which the CLI's ``--fd-step`` reads
+without loading the lab.
 """
 
 from __future__ import annotations
@@ -39,8 +44,8 @@ import numpy as np
 
 from .construction import SubmanifoldSpec
 from .model import (
-    ModelParams, SolvableModel, _row_dot, ambient_curvature, check_positive,
-    j_action,
+    DEFAULT_FD_STEP, ModelParams, SolvableModel, _row_dot, ambient_curvature,
+    check_positive, j_action,
 )
 from .spectral import (
     HypersurfaceGerm,
@@ -50,7 +55,6 @@ from .spectral import (
 )
 from .tubes import MAX_RADIUS, check_rate_radius
 
-DEFAULT_FD_STEP = 1e-3
 NUMERIC_GROUPING_TOLERANCE = 1e-4
 # second derivatives of the chart (the normal's derivative, Christoffel
 # symbols' derivative) reach three steps from the center

@@ -23,6 +23,7 @@ classifier, and the curvature-sign nonexistence scan.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -53,6 +54,9 @@ _HUGE = float(np.finfo(float).max)
 # 2 c root scale like |c|^(3/2): both stay normal doubles in between.
 _SCAN_MIN_ABS_C = _TINY ** (2.0 / 3.0)  # 7.91e-206
 _SCAN_MAX_ABS_C = (_HUGE / 60.75) ** (2.0 / 3.0)  # 2.06e204
+# the encoder of ``ClassificationResult.to_json``, built once:
+# json.dumps(..., allow_nan=False) builds a new one per call
+_STRICT_JSON = json.JSONEncoder(allow_nan=False)
 
 
 class NoRealSolution(ValueError):
@@ -263,6 +267,14 @@ def _allclose(a, b, atol: float) -> bool:
     return bool((np.abs(a - b) <= atol + 1e-5 * np.abs(b)).all())
 
 
+@functools.lru_cache(maxsize=16)
+def _identity(d: int) -> np.ndarray:
+    """np.eye(d), built once per dimension and read-only."""
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye
+
+
 def _check_array(name: str, arr: np.ndarray, shape: tuple, n: int) -> None:
     if arr.shape != shape:
         raise ValueError(
@@ -282,7 +294,7 @@ def check_germ_frame(params: ModelParams, normal, tangent_basis, tol: float) -> 
     if normal.shape == (d,) and tangent_basis.shape == (d - 1, d):
         frame = np.concatenate((normal[None], tangent_basis))
         with np.errstate(all="ignore"):  # inf, nan and overflow fail silently
-            if _allclose(frame @ frame.T, np.eye(d), tol):
+            if _allclose(frame @ frame.T, _identity(d), tol):
                 return
     _check_array("normal", normal, (d,), params.n)
     _check_array("tangent_basis", tangent_basis, (d - 1, d), params.n)
@@ -597,7 +609,7 @@ class ClassificationResult:
         """Strict JSON: a residual that overflowed (inf or NaN) is null."""
         data = self.to_json_dict()
         try:
-            return json.dumps(data, allow_nan=False)
+            return _STRICT_JSON.encode(data)
         except ValueError:
             res = self.residuals
             data["residuals"] = {k: v if math.isfinite(v) else None for k, v in res.items()}

@@ -3,8 +3,11 @@
 import json
 import math
 import os
+import subprocess
 import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,7 +299,9 @@ def test_parser_defaults_are_the_library_constants():
         spectral.CLASSIFY_TOLERANCE, spectral.GROUPING_TOLERANCE
     )
     args = parse(["residuals", "--n", "3", "--c", "-4", "--k", "2", "--r", "0.7"])
-    assert args.fd_step == numlab.DEFAULT_FD_STEP
+    assert args.fd_step == model.DEFAULT_FD_STEP
+    # one definition: the lab reads the model's step
+    assert numlab.DEFAULT_FD_STEP is model.DEFAULT_FD_STEP
 
 
 def test_classify_malformed_input(tmp_path, capsys):
@@ -305,6 +310,25 @@ def test_classify_malformed_input(tmp_path, capsys):
     assert main(["classify", "--input", str(path)]) == 2
     assert "malformed" in capsys.readouterr().err
     assert main(["classify", "--input", str(tmp_path / "missing.json")]) == 2
+
+
+@pytest.mark.parametrize("raw", [
+    b"\xe9",  # a Latin-1 byte
+    b"\x80",  # a lone continuation byte
+    b"\xed\xa0\x80",  # an encoded surrogate, which surrogatepass would take
+])
+def test_classify_rejects_a_germ_file_that_is_not_utf8(raw, tmp_path, capsys):
+    """A valid germ with one invalid UTF-8 string in a field classify does
+    not read is malformed input: exit 2, one error line, no traceback."""
+    text = catalog_germ(ModelParams(n=3, c=-4.0), 2, r=0.7).to_json()
+    path = tmp_path / "germ.json"
+    path.write_bytes(text[:-1].encode() + b', "note": "' + raw + b'"}')
+    assert main(["classify", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed germ input: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 def test_classify_rejects_json_nested_past_the_recursion_limit(tmp_path, capsys):
@@ -603,6 +627,20 @@ def test_residual_suites_return_what_residuals_prints(extra, ran, capsys):
     ]
     assert lines[ran:-1] == [f"{name:20s} -          INDETERMINATE" for name in skipped]
     assert lines[-1] == f"indeterminate: {reason}"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 12: the absolute NUMERIC_GROUPING_TOLERANCE = 1e-4 "
+    "merges every principal curvature of order s = 5e-6, so real_eigenspace "
+    "reads 7.071e-01 FAIL on a true tube",
+)
+def test_residuals_at_a_small_curvature_prints_no_fail(capsys):
+    """A true tube at c = -1e-10 fails no suite: each prints PASS or
+    INDETERMINATE."""
+    main(["residuals", "--n", "3", "--c=-1e-10", "--k", "2", "--r", "0.7"])
+    lines = capsys.readouterr().out.splitlines()
+    assert not [line for line in lines if line.endswith("FAIL")]
 
 
 def test_residuals_stays_in_the_tube_domain(capsys):
@@ -1001,3 +1039,73 @@ def test_parser_built_once_and_options_do_not_leak(tmp_path, capsys, monkeypatch
     assert main(sweep) == 0
     assert capsys.readouterr().out == out_file.read_text()
     assert len(builds) == 1
+
+
+# Run in a fresh interpreter: print, after importing chgeom.cli and after
+# each command, which of the lazily loaded modules are in sys.modules.
+_IMPORT_GRAPH_SCRIPT = textwrap.dedent("""
+    import contextlib, io, json, sys
+    import chgeom.cli
+
+    germ, commands = sys.argv[1], json.loads(sys.argv[2])
+    lazy = ("chgeom.numlab", "chgeom.tubes")
+    seen = {"import": [m for m in lazy if m in sys.modules]}
+    for argv in commands:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = chgeom.cli.main([germ if a == "GERM" else a for a in argv])
+        seen[argv[0]] = [code, [m for m in lazy if m in sys.modules]]
+    print(json.dumps(seen))
+""")
+
+
+def test_commands_load_numlab_and_tubes_only_when_they_run_them(tmp_path):
+    """Importing chgeom.cli loads neither the finite-difference lab nor
+    the tube germs; verify-model, construct, classify and nonexistence
+    never load them, sweep loads tubes, and residuals loads both."""
+    germ = tmp_path / "germ.json"
+    germ.write_text(catalog_germ(ModelParams(n=3, c=-4.0), 2, r=0.7).to_json())
+    commands = [
+        ["verify-model", "--n", "2", "--c", "-4", "--samples", "5"],
+        ["construct", "--n", "3", "--c", "-4", "--k", "2"],
+        ["classify", "--input", "GERM"],
+        ["nonexistence", "--c", "4", "--grid", "10", "10", "10"],
+        ["sweep", "--n", "2", "--c", "-4", "--k", "1",
+         "--r-min", "0.5", "--r-max", "0.5", "--count", "1"],
+        ["residuals", "--n", "2", "--c", "-4", "--k", "1", "--r", "0.3"],
+    ]
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GRAPH_SCRIPT, str(germ), json.dumps(commands)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "import": [],
+        "verify-model": [0, []],
+        "construct": [0, []],
+        "classify": [0, []],
+        "nonexistence": [0, []],
+        "sweep": [0, ["chgeom.tubes"]],
+        "residuals": [0, ["chgeom.numlab", "chgeom.tubes"]],
+    }
+
+
+def test_every_public_name_resolves_and_star_import_binds_it():
+    """The package root resolves its numlab and tubes names on first
+    access: each name in __all__ is its owner's object, and
+    ``from chgeom import *`` binds every one."""
+    import chgeom
+
+    for name in chgeom.__all__:
+        value = getattr(chgeom, name)
+        owner = sys.modules[value.__module__]
+        assert getattr(owner, name) is value, name
+    namespace = {}
+    exec("from chgeom import *", namespace)
+    assert set(chgeom.__all__) <= set(namespace)
+    assert set(chgeom.__all__) <= set(dir(chgeom))
+    assert chgeom.numlab is numlab and chgeom.tubes is tubes
+    with pytest.raises(AttributeError):
+        chgeom.no_such_name
