@@ -18,7 +18,9 @@ eigenvalues) or by r (``catalog_at_radius``), and
 ``EigenStructure.blocks`` is its one block layout.  The module provides
 the catalog, eigen-decomposition and grouping of measured shape
 operators, the Hopf frame with its structural identities, the germ
-classifier, and the curvature-sign nonexistence scan.
+classifier, and the curvature-sign nonexistence scan.  A germ record
+is validated in one pass, and its decomposition is one record that the
+opposite co-orientation maps by index and the classifier reads.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -268,11 +270,13 @@ def _allclose(a, b, atol: float) -> bool:
 
 
 @functools.lru_cache(maxsize=16)
-def _identity(d: int) -> np.ndarray:
-    """np.eye(d), built once per dimension and read-only."""
+def _identity_bound(d: int, tol: float) -> tuple:
+    """np.eye(d) and the bound tol + 1e-5 |eye| that ``_allclose(x, eye,
+    tol)`` puts on |x - eye|, built once per (d, tol) and read-only."""
     eye = np.eye(d)
-    eye.flags.writeable = False
-    return eye
+    bound = tol + 1e-5 * np.abs(eye)
+    eye.flags.writeable = bound.flags.writeable = False
+    return eye, bound
 
 
 def _check_array(name: str, arr: np.ndarray, shape: tuple, n: int) -> None:
@@ -284,20 +288,26 @@ def _check_array(name: str, arr: np.ndarray, shape: tuple, n: int) -> None:
         raise ValueError(f"germ {name} has a non-finite entry")
 
 
+def _frame_fits(d: int, normal, tangent_basis, tol: float) -> bool:
+    """Shapes (d,) and (d-1, d) and frame frame^T = I to tol, which any
+    non-finite entry fails; run it under np.errstate(all="ignore")."""
+    if normal.shape != (d,) or tangent_basis.shape != (d - 1, d):
+        return False
+    frame = np.concatenate((normal[None], tangent_basis))
+    eye, bound = _identity_bound(d, tol)
+    return bool((np.abs(frame @ frame.T - eye) <= bound).all())
+
+
 def check_germ_frame(params: ModelParams, normal, tangent_basis, tol: float) -> None:
     """Check a germ's unit normal (2n,) and tangent rows (2n-1, 2n): the
     shape and finiteness of each, in that order, then that together they
-    are orthonormal to tol.  A frame that passes takes one test,
-    frame frame^T = I, which any non-finite entry fails (its row's norm
-    is not finite); the ordered checks run only to word the error."""
-    d = params.dim
-    if normal.shape == (d,) and tangent_basis.shape == (d - 1, d):
-        frame = np.concatenate((normal[None], tangent_basis))
-        with np.errstate(all="ignore"):  # inf, nan and overflow fail silently
-            if _allclose(frame @ frame.T, _identity(d), tol):
-                return
-    _check_array("normal", normal, (d,), params.n)
-    _check_array("tangent_basis", tangent_basis, (d - 1, d), params.n)
+    are orthonormal to tol.  A frame that passes takes the one test
+    ``_frame_fits``; the ordered checks run only to word the error."""
+    with np.errstate(all="ignore"):  # inf, nan and overflow fail silently
+        if _frame_fits(params.dim, normal, tangent_basis, tol):
+            return
+    _check_array("normal", normal, (params.dim,), params.n)
+    _check_array("tangent_basis", tangent_basis, (params.dim - 1, params.dim), params.n)
     raise ValueError("normal + tangent basis is not orthonormal")
 
 
@@ -361,9 +371,11 @@ class HypersurfaceGerm:
 
     @staticmethod
     def from_json_dict(data: dict) -> "HypersurfaceGerm":
-        """Inverse of ``to_json_dict``, validated to 1e-6.  A record may
-        still carry the complex structure as a matrix "J", as files
-        written by earlier versions do; it must be the model's."""
+        """Inverse of ``to_json_dict``, validated to 1e-6 in one test (array
+        shapes, orthonormal frame, finite symmetric shape, J); the ordered
+        checks of ``validate``, then of J, run only to word the error.  A
+        record may still carry the complex structure as a matrix "J", as
+        files written by earlier versions do; it must be the model's."""
         try:
             c = data["c"]
             if isinstance(c, bool) or not isinstance(c, (int, float)):
@@ -376,18 +388,22 @@ class HypersurfaceGerm:
                 shape=np.asarray(data["shape"], dtype=float),
             )
             given_j = np.asarray(data["J"], dtype=float) if "J" in data else None
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed germ record: {exc}") from exc
-        germ.validate(tol=1e-6)
-        if given_j is not None:
-            if not np.isfinite(given_j).all():
-                raise ValueError("germ J has a non-finite entry")
-            want = standard_complex_structure(params.n)
-            if given_j.shape != want.shape or not _allclose(given_j, want, 1e-6):
-                raise ValueError(
-                    f"germ J is not the model's complex structure for n={params.n}"
-                )
-        return germ
+        d, shape, tol = params.dim, germ.shape, 1e-6
+        want_j = None if given_j is None else standard_complex_structure(params.n)
+        with np.errstate(all="ignore"):  # inf, nan and overflow fail silently
+            if (  # isfinite: opposite infinities pass the symmetry test
+                _frame_fits(d, germ.normal, germ.tangent_basis, tol)
+                and shape.shape == (d - 1, d - 1) and np.isfinite(shape).all()
+                and _allclose(shape, shape.T, tol)
+                and (given_j is None or given_j.shape == (d, d) and _allclose(given_j, want_j, tol))
+            ):
+                return germ
+        germ.validate(tol=tol)  # a frame or shape defect comes first
+        if not np.isfinite(given_j).all():
+            raise ValueError("germ J has a non-finite entry")
+        raise ValueError(f"germ J is not the model's complex structure for n={params.n}")
 
 
 @dataclass
@@ -398,10 +414,12 @@ class PrincipalDecomposition:
     ascending; spaces[i]: (mult_i, 2n) orthonormal ambient rows spanning
     the i-th eigenspace (frame components, like the germ's tangent
     basis); jxi_coefficients[i]: (mult_i,) coefficients of the structure
-    vector J xi on the rows of spaces[i].  The rest is derived from these
-    at construction: jxi_components[i], the norm of jxi_coefficients[i]
-    (the length of J xi's projection onto the i-th space), and the Hopf
-    indices.
+    vector J xi on the rows of spaces[i]; jxi_components[i]: their norm
+    (the length of J xi's projection onto the i-th space); hopf_indices:
+    the ascending indices of the spaces whose projection norm is above
+    PROJECTION_TOLERANCE, and non_hopf_indices those of the others.
+    ``principal_decomposition`` computes the norms and indices once, and
+    ``flipped`` maps them by index.
     """
 
     normal: np.ndarray
@@ -409,20 +427,10 @@ class PrincipalDecomposition:
     multiplicities: tuple
     spaces: list
     jxi_coefficients: list
+    jxi_components: np.ndarray
+    hopf_indices: list
+    non_hopf_indices: list
     gap_warning: bool
-    jxi_components: np.ndarray = field(init=False)
-    # ascending indices of the spaces the structure vector projects onto
-    # (projection norm above PROJECTION_TOLERANCE), and of the others
-    hopf_indices: list = field(init=False)
-    non_hopf_indices: list = field(init=False)
-
-    def __post_init__(self):
-        # sqrt(v . v) is np.linalg.norm's own formula
-        norms = [math.sqrt(v.dot(v)) for v in self.jxi_coefficients]
-        self.jxi_components = np.array(norms)
-        carries = [b > PROJECTION_TOLERANCE for b in norms]
-        self.hopf_indices = [i for i, yes in enumerate(carries) if yes]
-        self.non_hopf_indices = [i for i, yes in enumerate(carries) if not yes]
 
     @property
     def g(self) -> int:
@@ -434,14 +442,19 @@ class PrincipalDecomposition:
 
     def flipped(self) -> "PrincipalDecomposition":
         """The decomposition of the flipped germ (``HypersurfaceGerm.flipped``):
-        its shape is -S, so the eigenvalues are negated and the groups,
-        still ascending, come in reverse order; xi and J xi change sign."""
+        its shape is -S, so group i becomes group g-1-i (still ascending):
+        the eigenvalues, xi and the J xi coefficients are negated, the
+        projection norms reversed and the indices mapped, not re-derived."""
+        last = len(self.eigenvalues) - 1
         return PrincipalDecomposition(
             normal=-self.normal,
             eigenvalues=-self.eigenvalues[::-1],
             multiplicities=self.multiplicities[::-1],
             spaces=self.spaces[::-1],
             jxi_coefficients=[-coeffs for coeffs in reversed(self.jxi_coefficients)],
+            jxi_components=self.jxi_components[::-1],
+            hopf_indices=[last - i for i in reversed(self.hopf_indices)],
+            non_hopf_indices=[last - i for i in reversed(self.non_hopf_indices)],
             gap_warning=self.gap_warning,
         )
 
@@ -481,18 +494,24 @@ def principal_decomposition(
         if gap > threshold:
             cuts.append(i)
         warn = warn or 0.5 * threshold < gap < 2.0 * threshold
-    groups = list(zip(cuts, cuts[1:] + [len(values)]))
-    return PrincipalDecomposition(
-        normal=germ.normal,
+    spaces, jxi, means, norms = [], [], [], []
+    for lo, hi in zip(cuts, cuts[1:] + [len(values)]):
+        v = coeffs[lo:hi]
+        spaces.append(ambient[lo:hi])
+        jxi.append(v)
+        norms.append(math.sqrt(v.dot(v)))  # np.linalg.norm's own formula
         # a group's sum over its count is np.mean's own formula, without
         # its per-call overhead; a single value is its own mean
-        eigenvalues=np.array([
-            values[lo] if hi - lo == 1 else float(evals[lo:hi].sum() / (hi - lo))
-            for lo, hi in groups
-        ]),
-        multiplicities=tuple(hi - lo for lo, hi in groups),
-        spaces=[ambient[lo:hi] for lo, hi in groups],
-        jxi_coefficients=[coeffs[lo:hi] for lo, hi in groups],
+        means.append(values[lo] if hi - lo == 1 else float(evals[lo:hi].sum() / (hi - lo)))
+    return PrincipalDecomposition(
+        normal=germ.normal,
+        eigenvalues=np.array(means),
+        multiplicities=tuple(len(space) for space in spaces),
+        spaces=spaces,
+        jxi_coefficients=jxi,
+        jxi_components=np.array(norms),
+        hopf_indices=[i for i, b in enumerate(norms) if b > PROJECTION_TOLERANCE],
+        non_hopf_indices=[i for i, b in enumerate(norms) if not b > PROJECTION_TOLERANCE],
         gap_warning=warn,
     )
 
@@ -500,15 +519,17 @@ def principal_decomposition(
 def _hopf_frame(decomp: PrincipalDecomposition) -> tuple:
     """(b_1, b_2, rows): the frame's projection norms and its (4, 2n) rows
     (xi, U_1, U_2, A), as ``hopf_frame_extract`` defines them."""
-    if decomp.h != 2:
-        raise ValueError(f"Hopf frame needs h = 2, got h = {decomp.h}")
-    i1, i2 = decomp.hopf_indices  # ascending eigenvalues: lambda1 < lambda2
+    hopf = decomp.hopf_indices
+    if len(hopf) != 2:
+        raise ValueError(f"Hopf frame needs h = 2, got h = {len(hopf)}")
+    i1, i2 = hopf  # ascending eigenvalues: lambda1 < lambda2
     b = decomp.jxi_components.tolist()
     b1, b2 = b[i1], b[i2]
-    u1 = decomp.jxi_coefficients[i1] @ decomp.spaces[i1] / b1
-    u2 = decomp.jxi_coefficients[i2] @ decomp.spaces[i2] / b2
-    a_vec = -(j_action(u1) + b1 * decomp.normal) / b2
-    return b1, b2, np.array((decomp.normal, u1, u2, a_vec))
+    coeffs, spaces, xi = decomp.jxi_coefficients, decomp.spaces, decomp.normal
+    u1 = coeffs[i1] @ spaces[i1] / b1
+    u2 = coeffs[i2] @ spaces[i2] / b2
+    a_vec = (j_action(u1) + b1 * xi) / -b2  # -(x / b2) bit for bit
+    return b1, b2, np.array((xi, u1, u2, a_vec))
 
 
 def hopf_frame_extract(decomp: PrincipalDecomposition) -> np.ndarray:
@@ -527,26 +548,27 @@ def frame_identity_residuals(decomp: PrincipalDecomposition) -> dict:
 
     J is applied once, to the stacked (xi, U1, U2, A), and the vector
     defects are normed in one row-wise reduction."""
-    b1, b2, rows = _hopf_frame(decomp)
+    return _frame_identities(decomp, *_hopf_frame(decomp))
+
+
+def _frame_identities(decomp, b1, b2, rows) -> dict:
+    """``frame_identity_residuals`` on the frame ``_hopf_frame`` gave."""
     j_rows = j_action(rows)
-    u2, a_vec = rows[2], rows[3]
     # rows 0, 2, 3: J xi - (b1 U1 + b2 U2), J U2 - (b1 A - b2 xi) and
     # J A - (b2 U1 - b1 U2); row 1 is J U1, which is tested on its own
-    mix = np.array(
-        ((0.0, b1, b2, 0.0), (0.0, 0.0, 0.0, 0.0), (-b2, 0.0, 0.0, b1), (0.0, b2, -b1, 0.0))
-    )
-    defects = j_rows - mix @ rows
+    mix = np.array((0.0, b1, b2, 0.0, 0.0, 0.0, 0.0, 0.0, -b2, 0.0, 0.0, b1, 0.0, b2, -b1, 0.0))
+    defects = j_rows - mix.reshape(4, 4) @ rows
     # distance from A to each non-Hopf eigenspace; the catalog puts A in
     # the lambda_3 space (the smallest non-Hopf eigenvalue); it takes
     # row 1, so one reduction norms every defect
     non_hopf = decomp.non_hopf_indices
     if non_hopf:
-        space = decomp.spaces[non_hopf[0]]
+        space, a_vec = decomp.spaces[non_hopf[0]], rows[3]
         defects[1] = a_vec - (space @ a_vec) @ space
-    norms = np.sqrt((defects * defects).sum(axis=1)).tolist()
+    norms = np.sqrt(np.add.reduce(defects * defects, 1)).tolist()  # ndarray.sum's reduction
     res = {
         "jxi_decomposition": norms[0],
-        "ju1_orthogonality": abs(float(j_rows[1] @ u2)),
+        "ju1_orthogonality": abs(float(j_rows[1] @ rows[2])),
         "ju2_identity": norms[2],
         "ja_identity": norms[3],
         "b_sum": abs(b1**2 + b2**2 - 1.0),
@@ -638,9 +660,9 @@ def classify(
 
     The germ needs h = 2 projected eigenspaces (else "hopf" or "h=N").
     Its decomposition is flipped when the smallest non-Hopf eigenvalue
-    is negative, so lambda_3 >= 0 (the flip negates the one
-    decomposition, xi with it, so h stays 2), and needs g = 3 or 4
-    groups (else "g=N").  At c > 0 the catalog has no real solution and
+    is negative, so lambda_3 >= 0 (``PrincipalDecomposition.flipped``
+    maps the one record by index, xi with it, so h stays 2), and needs
+    g = 3 or 4 groups (else "g=N").  At c > 0 the catalog has no real solution and
     the NoRealSolution message is the reason.
     The groups are read in catalog order lambda_1 < lambda_2 (the Hopf
     spaces), lambda_3 < lambda_4, and k = 2n - 2 - mult(lambda_3).  The
@@ -648,8 +670,8 @@ def classify(
     with the radius r* when g = 3 and k >= 2; a catalog error gives its
     message.  The germ's multiplicities must equal the entry's
     ``blocks`` and k <= n-1 (else "multiplicities"), and every catalog
-    and frame identity must hold to tol (else "residuals", with the
-    residuals reported).
+    and frame identity must hold to tol, which a NaN residual fails (else
+    "residuals", with the residuals reported).
     """
     check_positive("tol", tol)
     check_positive("grouping_tol", grouping_tol)
@@ -691,23 +713,20 @@ def classify(
         return _unclassified(g, h, {}, "multiplicities")
     r = jacobi.special_radius(c) if special else jacobi.focal_radius(lam3, c)
 
-    b1, b2 = decomp.jxi_components[decomp.hopf_indices].tolist()
-    residuals = frame_identity_residuals(decomp)
-    residuals.update(
-        {
-            "lambda1_catalog": abs(lam[0] - es.lambda1),
-            "lambda2_catalog": abs(lam[1] - es.lambda2),
-            "lambda3_catalog": abs(lam[2] - es.lambda3),
-            "b1_catalog": abs(b1**2 - es.b1sq),
-            "b2_catalog": abs(b2**2 - es.b2sq),
-            "quadratic": abs(catalog_quadratic(lam[0], lam[1], lam[2], c)),
-        }
-    )
+    b1, b2, rows = _hopf_frame(decomp)
+    residuals = _frame_identities(decomp, b1, b2, rows)
+    residuals["lambda1_catalog"] = abs(lam[0] - es.lambda1)
+    residuals["lambda2_catalog"] = abs(lam[1] - es.lambda2)
+    residuals["lambda3_catalog"] = abs(lam[2] - es.lambda3)
+    residuals["b1_catalog"] = abs(b1**2 - es.b1sq)
+    residuals["b2_catalog"] = abs(b2**2 - es.b2sq)
+    residuals["quadratic"] = abs(catalog_quadratic(lam[0], lam[1], lam[2], c))
     if es.g == 4:
         residuals["lambda4_catalog"] = abs(lam[3] - es.lambda4)
     residuals["totally_real"] = max(totally_real_check(decomp).values())
 
-    if max(residuals.values()) > tol:
+    # all(v <= tol), not max(...) > tol: a NaN residual must fail
+    if not all(v <= tol for v in residuals.values()):
         return _unclassified(g, h, residuals, "residuals")
     return ClassificationResult(
         model="tube" if k >= 2 else "equidistant",

@@ -518,6 +518,74 @@ def test_classify_reads_a_legacy_record_with_the_model_j(n, k, tmp_path, capsys)
     assert legacy[1].out == plain[1].out and legacy[1].err == plain[1].err == ""
 
 
+@pytest.mark.parametrize("field", ["c", "normal", "shape", "J"])
+def test_classify_rejects_an_integer_beyond_the_float_range(field, tmp_path, capsys):
+    """A JSON integer literal such as -1 followed by 400 zeros does not
+    convert to a float: malformed input, exit 2 and one error line."""
+    data = catalog_germ(ModelParams(n=3, c=-4.0), 2, r=0.7).to_json_dict()
+    if field == "J":
+        data["J"] = model.standard_complex_structure(3).tolist()
+    huge = -(10**400)
+    if field == "c":
+        data["c"] = huge
+    elif field == "normal":
+        data["normal"][0] = huge
+    else:
+        data[field][0][0] = huge
+    code, captured = _classify_record(data, tmp_path, capsys)
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        "error: malformed germ input: malformed germ record: "
+        "int too large to convert to float\n"
+    )
+
+
+def _two_defects(kind):
+    """A catalog germ record with two defects at once."""
+    data = catalog_germ(ModelParams(n=3, c=-4.0), 2, r=0.7).to_json_dict()
+    if kind == "frame, asymmetric shape":
+        data["normal"] = [2.0 * x for x in data["normal"]]
+        data["shape"][0][1] += 0.5
+    elif kind == "nan shape, tangent_basis shape":
+        data["shape"][1][1] = math.nan
+        data["tangent_basis"] = data["tangent_basis"][:-1]
+    else:  # a foreign J and a non-finite normal
+        jmat = model.standard_complex_structure(3)
+        jmat[0, 0] = 0.5
+        data["J"] = jmat.tolist()
+        data["normal"][0] = math.inf
+    return data
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("frame, asymmetric shape", "normal + tangent basis is not orthonormal"),
+    ("nan shape, tangent_basis shape",
+     "germ tangent_basis has shape (4, 6), expected (5, 6) for n=3"),
+    ("foreign J, inf normal", "germ normal has a non-finite entry"),
+])
+def test_classify_names_the_first_defect_of_a_record(kind, message, tmp_path, capsys):
+    """The reader tests a record in one pass and words a failure by the
+    ordered checks: the frame, then the shape matrix, then J.  The
+    messages are the ones the separate checks gave before the one-pass
+    test."""
+    code, captured = _classify_record(_two_defects(kind), tmp_path, capsys)
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: malformed germ input: {message}\n"
+
+
+def test_classify_fails_a_nan_residual(monkeypatch, tmp_path, capsys):
+    """A NaN residual never compares above the tolerance, so the rule is
+    all(v <= tol): the germ is unclassified for its residuals, and the
+    NaN is null in the JSON."""
+    monkeypatch.setattr(spectral, "catalog_quadratic", lambda *args: math.nan)
+    data = catalog_germ(ModelParams(n=3, c=-4.0), 2, r=0.7).to_json_dict()
+    code, captured = _classify_record(data, tmp_path, capsys)
+    assert code == 0 and captured.err == ""
+    res = json.loads(captured.out)
+    assert (res["model"], res["reason"], res["k"]) == ("unclassified", "residuals", None)
+    assert res["residuals"]["quadratic"] is None
+
+
 def test_residuals_suite(capsys):
     code = main([
         "residuals", "--n", "2", "--c", "-4", "--k", "1", "--r", "0.3",

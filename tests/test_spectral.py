@@ -268,6 +268,88 @@ def test_flipped_decomposition_gives_the_flipped_germs_frame_bit_for_bit():
         assert totally_real_check(negated) == totally_real_check(direct)
 
 
+def _public_record_classification(germ, tol=spectral.CLASSIFY_TOLERANCE):
+    """(model, k, r, residuals) of a germ with h = 2, built from the public
+    record calls: ``principal_decomposition``, ``.flipped()`` when
+    lambda_3 < 0, ``frame_identity_residuals``, the catalog residuals and
+    ``totally_real_check``, in the order ``classify`` reports them."""
+    n, c = germ.params.n, germ.params.c
+    decomp = principal_decomposition(germ)
+    assert decomp.h == 2
+    if decomp.eigenvalues[decomp.non_hopf_indices[0]] < 0.0:
+        decomp = decomp.flipped()
+    order = decomp.hopf_indices + decomp.non_hopf_indices
+    lam = [float(decomp.eigenvalues[i]) for i in order]
+    k = 2 * n - 2 - decomp.multiplicities[order[2]]
+    special = decomp.g == 3 and k >= 2
+    s = spectral.rate(c)
+    lam3 = s / math.sqrt(3.0) if special else min(max(lam[2], 0.0), s * (1.0 - 1e-15))
+    es = eigen_structure_from_lambda3(
+        lam3, c, branch_hint="G3_K1" if k == 1 else None, n=n, k=k
+    )
+    r = special_radius(c) if special else focal_radius(lam3, c)
+    b1, b2 = (float(decomp.jxi_components[i]) for i in decomp.hopf_indices)
+    residuals = frame_identity_residuals(decomp)
+    residuals["lambda1_catalog"] = abs(lam[0] - es.lambda1)
+    residuals["lambda2_catalog"] = abs(lam[1] - es.lambda2)
+    residuals["lambda3_catalog"] = abs(lam[2] - es.lambda3)
+    residuals["b1_catalog"] = abs(b1**2 - es.b1sq)
+    residuals["b2_catalog"] = abs(b2**2 - es.b2sq)
+    residuals["quadratic"] = abs(catalog_quadratic(lam[0], lam[1], lam[2], c))
+    if es.g == 4:
+        residuals["lambda4_catalog"] = abs(lam[3] - es.lambda4)
+    residuals["totally_real"] = max(totally_real_check(decomp).values())
+    ok = all(v <= tol for v in residuals.values())
+    return ("tube" if k >= 2 else "equidistant") if ok else "unclassified", k, r, residuals
+
+
+@seed(35)
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    kind=st.sampled_from(["catalog", "tube"]),
+    nk=st.integers(2, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+    c_exp=st.floats(-1.0, 2.0),
+    sr=st.floats(0.01, 4.0),
+    flip=st.booleans(),
+    frame_seed=st.integers(0, 2**32 - 1),
+)
+@example(kind="catalog", nk=(3, 2), c_exp=math.log10(4.0), sr=math.log(2.0 + math.sqrt(3.0)) / 2.0,
+         flip=True, frame_seed=1)
+def test_classify_equals_the_public_record_path_bit_for_bit(kind, nk, c_exp, sr, flip, frame_seed):
+    """``classify`` reads the decomposition record without rebuilding it:
+    its label, k, r and every residual bit equal those of the public
+    calls, and it places the germ at its catalog model, k and r.  Catalog
+    germs come in a rotated tangent frame; tube germs at a random unit
+    normal; both co-orientations."""
+    (n, k), c = nk, -(10.0**c_exp)
+    params, r = ModelParams(n=n, c=c), sr / spectral.rate(c)
+    rng = np.random.default_rng(frame_seed)
+    if kind == "catalog":
+        germ = catalog_germ(params, k, r=r)
+        q, _ = np.linalg.qr(rng.normal(size=(2 * n - 1, 2 * n - 1)))
+        germ = HypersurfaceGerm(
+            params=params,
+            normal=germ.normal,
+            tangent_basis=q.T @ germ.tangent_basis,
+            shape=q.T @ germ.shape @ q,
+        )
+    else:
+        spec = build_submanifold(params, k, math.pi / 2.0)
+        eta = rng.normal(size=k) @ spec.normal_basis
+        germ = tube_germ(spec, eta / np.linalg.norm(eta), r)
+    if flip:
+        germ = germ.flipped()
+    res = classify(germ)
+    model, want_k, want_r, residuals = _public_record_classification(germ)
+    assert res.model == model == ("tube" if k >= 2 else "equidistant")
+    assert res.k == want_k == k
+    assert res.r.hex() == want_r.hex()
+    assert abs(res.r - r) <= CLASSIFY_RADIUS_TOLERANCE * (1.0 + r)
+    assert [(key, v.hex()) for key, v in res.residuals.items()] == [
+        (key, v.hex()) for key, v in residuals.items()
+    ]
+
+
 def test_classify_basis_rotation_invariance():
     params = ModelParams(n=3, c=-4.0)
     germ = catalog_germ(params, 2, r=0.7)
