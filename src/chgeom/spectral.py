@@ -295,7 +295,7 @@ def _frame_fits(d: int, normal, tangent_basis, tol: float) -> bool:
         return False
     frame = np.concatenate((normal[None], tangent_basis))
     eye, bound = _identity_bound(d, tol)
-    return bool((np.abs(frame @ frame.T - eye) <= bound).all())
+    return bool((np.abs(frame.dot(frame.T) - eye) <= bound).all())
 
 
 def check_germ_frame(params: ModelParams, normal, tangent_basis, tol: float) -> None:
@@ -482,8 +482,10 @@ def principal_decomposition(
     shape = germ.shape
     half = 0.5 * shape  # halved first: shape + shape.T could overflow
     evals, evecs = np.linalg.eigh(half + half.T)
-    ambient = evecs.T @ germ.tangent_basis  # rows: ambient eigenvectors
-    coeffs = ambient @ j_action(germ.normal)
+    # ndarray.dot on these 1-D and 2-D operands makes the BLAS call that @
+    # makes, at about half of the matmul ufunc's per-call cost
+    ambient = evecs.T.dot(germ.tangent_basis)  # rows: ambient eigenvectors
+    coeffs = ambient.dot(j_action(germ.normal))
     values = evals.tolist()
     # group boundaries: 0, every gap above its threshold, and the end
     cuts, warn = [0], False
@@ -526,8 +528,8 @@ def _hopf_frame(decomp: PrincipalDecomposition) -> tuple:
     b = decomp.jxi_components.tolist()
     b1, b2 = b[i1], b[i2]
     coeffs, spaces, xi = decomp.jxi_coefficients, decomp.spaces, decomp.normal
-    u1 = coeffs[i1] @ spaces[i1] / b1
-    u2 = coeffs[i2] @ spaces[i2] / b2
+    u1 = coeffs[i1].dot(spaces[i1]) / b1
+    u2 = coeffs[i2].dot(spaces[i2]) / b2
     a_vec = (j_action(u1) + b1 * xi) / -b2  # -(x / b2) bit for bit
     return b1, b2, np.array((xi, u1, u2, a_vec))
 
@@ -557,18 +559,18 @@ def _frame_identities(decomp, b1, b2, rows) -> dict:
     # rows 0, 2, 3: J xi - (b1 U1 + b2 U2), J U2 - (b1 A - b2 xi) and
     # J A - (b2 U1 - b1 U2); row 1 is J U1, which is tested on its own
     mix = np.array((0.0, b1, b2, 0.0, 0.0, 0.0, 0.0, 0.0, -b2, 0.0, 0.0, b1, 0.0, b2, -b1, 0.0))
-    defects = j_rows - mix.reshape(4, 4) @ rows
+    defects = j_rows - mix.reshape(4, 4).dot(rows)
     # distance from A to each non-Hopf eigenspace; the catalog puts A in
     # the lambda_3 space (the smallest non-Hopf eigenvalue); it takes
     # row 1, so one reduction norms every defect
     non_hopf = decomp.non_hopf_indices
     if non_hopf:
         space, a_vec = decomp.spaces[non_hopf[0]], rows[3]
-        defects[1] = a_vec - (space @ a_vec) @ space
+        defects[1] = a_vec - space.dot(a_vec).dot(space)
     norms = np.sqrt(np.add.reduce(defects * defects, 1)).tolist()  # ndarray.sum's reduction
     res = {
         "jxi_decomposition": norms[0],
-        "ju1_orthogonality": abs(float(j_rows[1] @ rows[2])),
+        "ju1_orthogonality": abs(float(j_rows[1].dot(rows[2]))),
         "ju2_identity": norms[2],
         "ja_identity": norms[3],
         "b_sum": abs(b1**2 + b2**2 - 1.0),
@@ -586,7 +588,7 @@ def totally_real_check(decomp: PrincipalDecomposition) -> dict:
     if not hopf:
         return {}
     rows = np.concatenate([decomp.spaces[i] for i in hopf])
-    cross = np.abs(j_action(rows) @ rows.T)  # the spaces' blocks on its diagonal
+    cross = np.abs(j_action(rows).dot(rows.T))  # the spaces' blocks on its diagonal
     values = decomp.eigenvalues.tolist()
     out, start = {}, 0
     for i in hopf:

@@ -320,7 +320,10 @@ def test_classify_equals_the_public_record_path_bit_for_bit(kind, nk, c_exp, sr,
     its label, k, r and every residual bit equal those of the public
     calls, and it places the germ at its catalog model, k and r.  Catalog
     germs come in a rotated tangent frame; tube germs at a random unit
-    normal; both co-orientations."""
+    normal; both co-orientations.  s*r stays in [0.01, 4], where every
+    such germ is placed: the rotated-frame miss at s*r = 5e-5 is pinned
+    by ``test_classify_small_radius_germ_in_a_rotated_frame``, and past
+    s*r ~ 5.3 a germ reads "hopf"."""
     (n, k), c = nk, -(10.0**c_exp)
     params, r = ModelParams(n=n, c=c), sr / spectral.rate(c)
     rng = np.random.default_rng(frame_seed)
@@ -348,6 +351,25 @@ def test_classify_equals_the_public_record_path_bit_for_bit(kind, nk, c_exp, sr,
     assert [(key, v.hex()) for key, v in res.residuals.items()] == [
         (key, v.hex()) for key, v in residuals.items()
     ]
+
+
+def test_ndarray_dot_rounds_as_matmul_on_the_classify_shapes():
+    """``spectral`` multiplies its small arrays with ``ndarray.dot``: on
+    every operand layout it uses (a transposed eigenvector matrix, matrix
+    by vector, vector by matrix, vector by vector, a frame by its own
+    transpose) the bits equal those of ``@``, so the outputs do not
+    depend on the spelling."""
+    rng = np.random.default_rng(35)
+    for n in range(2, 9):
+        d = 2 * n
+        for _ in range(40):
+            t = rng.standard_normal((d - 1, d)) * 10.0 ** rng.uniform(-5, 5)
+            evecs = rng.standard_normal((d - 1, d - 1))
+            v, rows = rng.standard_normal(d), rng.standard_normal((4, d))
+            frame = np.concatenate((v[None], t))
+            for a, b in ((evecs.T, t), (t, v), (v[: d - 1], t), (rows[1], rows[2]),
+                         (rng.standard_normal((4, 4)), rows), (frame, frame.T)):
+                assert a.dot(b).tobytes() == (a @ b).tobytes()
 
 
 def test_classify_basis_rotation_invariance():
