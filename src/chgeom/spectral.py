@@ -20,7 +20,9 @@ the catalog, eigen-decomposition and grouping of measured shape
 operators, the Hopf frame with its structural identities, the germ
 classifier, and the curvature-sign nonexistence scan.  A germ record
 is validated in one pass, and its decomposition is one record that the
-opposite co-orientation maps by index and the classifier reads.
+opposite co-orientation maps by index and the classifier reads.  The
+germ path multiplies its small arrays with ``ndarray.dot``, which makes
+the BLAS call that ``@`` makes at about half of its per-call cost.
 """
 
 from __future__ import annotations
@@ -482,8 +484,6 @@ def principal_decomposition(
     shape = germ.shape
     half = 0.5 * shape  # halved first: shape + shape.T could overflow
     evals, evecs = np.linalg.eigh(half + half.T)
-    # ndarray.dot on these 1-D and 2-D operands makes the BLAS call that @
-    # makes, at about half of the matmul ufunc's per-call cost
     ambient = evecs.T.dot(germ.tangent_basis)  # rows: ambient eigenvectors
     coeffs = ambient.dot(j_action(germ.normal))
     values = evals.tolist()
