@@ -47,7 +47,7 @@ from .spectral import (
     constraint_residuals,
     eigen_structure_from_lambda3,
     frame_identity_residuals,
-    hopf_frame_extract,
+    hopf_frame,
     horosphere_germ,
     nonexistence_scan,
     principal_decomposition,
@@ -125,7 +125,7 @@ __all__ = [
     "gauss_codazzi_residuals",
     "graded_connection_residuals",
     "graded_curvature_residuals",
-    "hopf_frame_extract",
+    "hopf_frame",
     "horosphere_chart",
     "horosphere_germ",
     "j_action",

@@ -26,6 +26,9 @@ Christoffel symbols on the L1 <= 1 stencil, and one frame-field table
 (``FrameFields``: U_1, U_2, A, the aligned eigenspace complements and
 every nabla_{X_a} X_b at the center), which the four frame-identity
 suites read as vector expressions.  The accessors return center values.
+The chart values and stacks are computed with numpy's floating-point
+warnings off; a stack left non-finite by a step or scale past the
+double range raises ``Indeterminate`` (no suite runs).
 
 Only ``chgeom residuals`` runs this module, so neither the package root
 nor the CLI imports it until it is used.  Its default differencing step
@@ -49,7 +52,7 @@ from .model import (
 )
 from .spectral import (
     HypersurfaceGerm,
-    hopf_frame_extract,
+    hopf_frame,
     principal_decomposition,
     totally_real_check,
 )
@@ -256,12 +259,22 @@ class GermField:
             self._center_nbr,
         ) = _layout(self.dom)
         self._center = self._stencil[0]  # ball position of the center
-        self._coords = chart.mapper(self.x0[None, :] + self.h * _lattice(self.dom))
+        with np.errstate(all="ignore"):  # ``_tangents`` refuses a non-finite chart
+            self._coords = chart.mapper(self.x0[None, :] + self.h * _lattice(self.dom))
 
     def _difference(self, values: np.ndarray, nbr: np.ndarray) -> np.ndarray:
         """Central differences of a stack (its axis 0) at the rows whose
         +e_i and -e_i neighbours are nbr[..., i, 0] and nbr[..., i, 1]."""
         return (values[nbr[..., 0]] - values[nbr[..., 1]]) / (2.0 * self.h)
+
+    def _finite(self, what: str, *stacks) -> None:
+        """Raise ``Indeterminate`` (no suite runs) unless every stack is
+        finite, as at a step or scale past the double range."""
+        if not all(np.isfinite(stack).all() for stack in stacks):
+            raise Indeterminate(
+                f"no suite can run: the chart's {what} are not finite at "
+                f"fd-step {self.h:g}"
+            )
 
     # -- center values ---------------------------------------------------
 
@@ -295,10 +308,13 @@ class GermField:
     def _tangents(self) -> np.ndarray:
         """(B2, dom, 2n) coordinate tangents on the L1 <= 2 ball."""
         c = self._coords
-        rows = self._difference(c, self._nbr)
-        return self.model.coordinate_to_frame_velocity(
-            c[self._ball2][:, None, :], rows
-        )
+        with np.errstate(all="ignore"):
+            rows = self._difference(c, self._nbr)
+            tangents = self.model.coordinate_to_frame_velocity(
+                c[self._ball2][:, None, :], rows
+            )
+        self._finite("coordinate tangents", tangents)
+        return tangents
 
     @cached_property
     def _shape(self) -> dict:
@@ -309,31 +325,35 @@ class GermField:
         aligned with the center one; they and the S stacks (linear in the
         normal) are negated together when the trace of the matrix
         <S d_i, d_j> at the center is negative (trace S only in an
-        orthonormal coordinate frame)."""
+        orthonormal coordinate frame).  A singular metric, then a
+        non-finite stack, raises ``Indeterminate``."""
         nrm = np.linalg.svd(self._tangents, full_matrices=True)[2][:, -1]
         nrm = np.where((nrm @ nrm[self._center] < 0)[:, None], -nrm, nrm)
         t = self._tangents[self._stencil]
         tt = np.swapaxes(t, 1, 2)
-        dn = self._difference(nrm, self._stencil_nbr)
-        s_amb = -(dn + self.model.koszul_connection(t, nrm[self._stencil][:, None, :]))
-        ii = s_amb @ tt
-        if np.trace(ii[0]) < 0:
-            nrm, s_amb, ii = -nrm, -s_amb, -ii
-        g = t @ tt
-        try:
-            ginv = np.linalg.inv(g)
-        except np.linalg.LinAlgError as exc:
-            raise Indeterminate(
-                "no suite can run: the chart's coordinate tangents are "
-                f"linearly dependent at fd-step {self.h:g} (singular metric)"
-            ) from exc
+        with np.errstate(all="ignore"):
+            dn = self._difference(nrm, self._stencil_nbr)
+            s_amb = -(dn + self.model.koszul_connection(t, nrm[self._stencil][:, None, :]))
+            ii = s_amb @ tt
+            if np.trace(ii[0]) < 0:
+                nrm, s_amb, ii = -nrm, -s_amb, -ii
+            g = t @ tt
+            try:
+                ginv = np.linalg.inv(g)
+            except np.linalg.LinAlgError as exc:
+                raise Indeterminate(
+                    "no suite can run: the chart's coordinate tangents are "
+                    f"linearly dependent at fd-step {self.h:g} (singular metric)"
+                ) from exc
+            coeff = ii @ ginv
+        self._finite("shape data", s_amb, ii, g, ginv, coeff)
         return {
             "normals": nrm,
             "s_ambient": s_amb,
             "second_fundamental": ii,
             "metric": g,
             "inv_metric": ginv,
-            "coeff": ii @ ginv,
+            "coeff": coeff,
         }
 
     @cached_property
@@ -372,11 +392,14 @@ class GermField:
         """Gamma[s, i, j, k] at stencil row s, from the tangential part of
         the ambient derivative of the coordinate tangents."""
         t = self._tangents[self._stencil]
-        dt = self._difference(self._tangents, self._stencil_nbr)
-        nab = dt + self.model.koszul_connection(t[:, :, None], t[:, None, :])
         ginv = self._shape["inv_metric"][:, None, None]
-        gam = (ginv @ (t[:, None, None] @ nab[..., None]))[..., 0]
-        return 0.5 * (gam + np.swapaxes(gam, 1, 2))
+        with np.errstate(all="ignore"):
+            dt = self._difference(self._tangents, self._stencil_nbr)
+            nab = dt + self.model.koszul_connection(t[:, :, None], t[:, None, :])
+            gam = (ginv @ (t[:, None, None] @ nab[..., None]))[..., 0]
+            gam = 0.5 * (gam + np.swapaxes(gam, 1, 2))
+        self._finite("Christoffel symbols", gam)
+        return gam
 
     def center_geometry(self) -> NumericGeometry:
         sd = self._shape
@@ -474,7 +497,7 @@ class GermField:
                 f"center germ has h = {off[0]} projected eigenspaces, not 2"
             )
         # U_1, U_2 and A, each stacked over the stencil
-        fields = list(np.stack([hopf_frame_extract(d) for d in decomps], axis=1))
+        fields = list(np.stack([hopf_frame(d)[1:] for d in decomps], axis=1))
         a_vec = fields[2][0]
         i3 = rest[0]
         groups = [*decomp.hopf_indices, i3]

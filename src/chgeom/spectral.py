@@ -17,12 +17,13 @@ is keyed by lambda_3 (``eigen_structure_from_lambda3``, for measured
 eigenvalues) or by r (``catalog_at_radius``), and
 ``EigenStructure.blocks`` is its one block layout.  The module provides
 the catalog, eigen-decomposition and grouping of measured shape
-operators, the Hopf frame with its structural identities, the germ
-classifier, and the curvature-sign nonexistence scan.  A germ record
-is validated in one pass, and its decomposition is one record that the
-opposite co-orientation maps by index and the classifier reads.  The
-germ path multiplies its small arrays with ``ndarray.dot``, which makes
-the BLAS call that ``@`` makes at about half of its per-call cost.
+operators, the Hopf frame (``hopf_frame``) with its structural
+identities, the germ classifier, and the curvature-sign nonexistence
+scan.  A germ has one check, ``HypersurfaceGerm.validate``, and its
+decomposition is one record that the opposite co-orientation maps by
+index and the classifier reads.  The germ path multiplies its small
+arrays with ``ndarray.dot``, which makes the BLAS call that ``@`` makes
+at about half of its per-call cost.
 """
 
 from __future__ import annotations
@@ -300,28 +301,6 @@ def _frame_fits(d: int, normal, tangent_basis, tol: float) -> bool:
     return bool((np.abs(frame.dot(frame.T) - eye) <= bound).all())
 
 
-def check_germ_frame(params: ModelParams, normal, tangent_basis, tol: float) -> None:
-    """Check a germ's unit normal (2n,) and tangent rows (2n-1, 2n): the
-    shape and finiteness of each, in that order, then that together they
-    are orthonormal to tol.  A frame that passes takes the one test
-    ``_frame_fits``; the ordered checks run only to word the error."""
-    with np.errstate(all="ignore"):  # inf, nan and overflow fail silently
-        if _frame_fits(params.dim, normal, tangent_basis, tol):
-            return
-    _check_array("normal", normal, (params.dim,), params.n)
-    _check_array("tangent_basis", tangent_basis, (params.dim - 1, params.dim), params.n)
-    raise ValueError("normal + tangent basis is not orthonormal")
-
-
-def check_germ_shape(params: ModelParams, shape, tol: float) -> None:
-    """Check a germ's shape matrix (2n-1, 2n-1): its shape, finiteness and
-    symmetry to tol."""
-    d = params.dim
-    _check_array("shape", shape, (d - 1, d - 1), params.n)
-    if not _allclose(shape, shape.T, tol):
-        raise ValueError("shape operator matrix is not symmetric")
-
-
 @dataclass(frozen=True)
 class HypersurfaceGerm:
     """Pointwise hypersurface data in frame components.
@@ -344,11 +323,27 @@ class HypersurfaceGerm:
         object.__setattr__(self, "shape", np.asarray(self.shape, dtype=float))
 
     def validate(self, tol: float = 1e-8):
-        """Check the germ's frame (``check_germ_frame``) and then its shape
-        matrix (``check_germ_shape``), to tol; returns the germ."""
-        check_germ_frame(self.params, self.normal, self.tangent_basis, tol)
-        check_germ_shape(self.params, self.shape, tol)
-        return self
+        """The one germ check, to tol; returns the germ.  One test takes
+        the array shapes, the orthonormal frame and a finite, symmetric
+        shape matrix; only a germ that fails it runs the ordered checks
+        that word the error: the normal, the tangent basis (shape, then
+        finiteness, of each), their orthonormality, then the shape
+        matrix's shape, finiteness and symmetry."""
+        d, n, shape = self.params.dim, self.params.n, self.shape
+        with np.errstate(all="ignore"):  # inf, nan and overflow fail silently
+            frame_ok = _frame_fits(d, self.normal, self.tangent_basis, tol)
+            if (  # isfinite: opposite infinities pass the symmetry test
+                frame_ok
+                and shape.shape == (d - 1, d - 1) and np.isfinite(shape).all()
+                and _allclose(shape, shape.T, tol)
+            ):
+                return self
+            _check_array("normal", self.normal, (d,), n)
+            _check_array("tangent_basis", self.tangent_basis, (d - 1, d), n)
+            if not frame_ok:
+                raise ValueError("normal + tangent basis is not orthonormal")
+            _check_array("shape", shape, (d - 1, d - 1), n)
+            raise ValueError("shape operator matrix is not symmetric")
 
     def flipped(self) -> "HypersurfaceGerm":
         """Opposite co-orientation: negates the normal and the shape."""
@@ -373,11 +368,10 @@ class HypersurfaceGerm:
 
     @staticmethod
     def from_json_dict(data: dict) -> "HypersurfaceGerm":
-        """Inverse of ``to_json_dict``, validated to 1e-6 in one test (array
-        shapes, orthonormal frame, finite symmetric shape, J); the ordered
-        checks of ``validate``, then of J, run only to word the error.  A
+        """Inverse of ``to_json_dict``, checked by ``validate`` to 1e-6.  A
         record may still carry the complex structure as a matrix "J", as
-        files written by earlier versions do; it must be the model's."""
+        files written by earlier versions do; it must be the model's to
+        1e-6, and is checked after the frame and shape."""
         try:
             c = data["c"]
             if isinstance(c, bool) or not isinstance(c, (int, float)):
@@ -385,27 +379,21 @@ class HypersurfaceGerm:
             params = ModelParams(n=data["n"], c=float(c))
             germ = HypersurfaceGerm(
                 params=params,
-                normal=np.asarray(data["normal"], dtype=float),
-                tangent_basis=np.asarray(data["tangent_basis"], dtype=float),
-                shape=np.asarray(data["shape"], dtype=float),
+                normal=data["normal"],
+                tangent_basis=data["tangent_basis"],
+                shape=data["shape"],
             )
             given_j = np.asarray(data["J"], dtype=float) if "J" in data else None
         except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed germ record: {exc}") from exc
-        d, shape, tol = params.dim, germ.shape, 1e-6
-        want_j = None if given_j is None else standard_complex_structure(params.n)
-        with np.errstate(all="ignore"):  # inf, nan and overflow fail silently
-            if (  # isfinite: opposite infinities pass the symmetry test
-                _frame_fits(d, germ.normal, germ.tangent_basis, tol)
-                and shape.shape == (d - 1, d - 1) and np.isfinite(shape).all()
-                and _allclose(shape, shape.T, tol)
-                and (given_j is None or given_j.shape == (d, d) and _allclose(given_j, want_j, tol))
-            ):
-                return germ
-        germ.validate(tol=tol)  # a frame or shape defect comes first
-        if not np.isfinite(given_j).all():
-            raise ValueError("germ J has a non-finite entry")
-        raise ValueError(f"germ J is not the model's complex structure for n={params.n}")
+        germ.validate(1e-6)  # a frame or shape defect comes first
+        if given_j is not None:
+            if not np.isfinite(given_j).all():
+                raise ValueError("germ J has a non-finite entry")
+            want_j = standard_complex_structure(params.n)
+            if given_j.shape != want_j.shape or not _allclose(given_j, want_j, 1e-6):
+                raise ValueError(f"germ J is not the model's complex structure for n={params.n}")
+        return germ
 
 
 @dataclass
@@ -518,9 +506,12 @@ def principal_decomposition(
     )
 
 
-def _hopf_frame(decomp: PrincipalDecomposition) -> tuple:
-    """(b_1, b_2, rows): the frame's projection norms and its (4, 2n) rows
-    (xi, U_1, U_2, A), as ``hopf_frame_extract`` defines them."""
+def hopf_frame(decomp: PrincipalDecomposition) -> np.ndarray:
+    """The (4, 2n) rows (xi, U_1, U_2, A) of the decomposition's
+    two-projection frame; requires h = 2.  With b_i the decomposition's
+    projection norms, U_i = P_i(J xi) / b_i is built from the coefficients
+    of J xi that it stores on the rows of each space (J xi is not
+    projected again), and A = -(J U_1 + b_1 xi) / b_2."""
     hopf = decomp.hopf_indices
     if len(hopf) != 2:
         raise ValueError(f"Hopf frame needs h = 2, got h = {len(hopf)}")
@@ -531,16 +522,7 @@ def _hopf_frame(decomp: PrincipalDecomposition) -> tuple:
     u1 = coeffs[i1].dot(spaces[i1]) / b1
     u2 = coeffs[i2].dot(spaces[i2]) / b2
     a_vec = (j_action(u1) + b1 * xi) / -b2  # -(x / b2) bit for bit
-    return b1, b2, np.array((xi, u1, u2, a_vec))
-
-
-def hopf_frame_extract(decomp: PrincipalDecomposition) -> np.ndarray:
-    """The (3, 2n) rows (U_1, U_2, A) of the decomposition's two-projection
-    frame; requires h = 2.  With b_i the decomposition's projection norms,
-    U_i = P_i(J xi) / b_i is built from the coefficients of J xi that it
-    stores on the rows of each space (J xi is not projected again), and
-    A = -(J U_1 + b_1 xi) / b_2."""
-    return _hopf_frame(decomp)[2][1:]
+    return np.array((xi, u1, u2, a_vec))
 
 
 def frame_identity_residuals(decomp: PrincipalDecomposition) -> dict:
@@ -548,13 +530,10 @@ def frame_identity_residuals(decomp: PrincipalDecomposition) -> dict:
     J xi = b1 U1 + b2 U2, <J U1, U2> = 0, J U2 = b1 A - b2 xi,
     J A = b2 U1 - b1 U2, A in the lambda_3 eigenspace.
 
-    J is applied once, to the stacked (xi, U1, U2, A), and the vector
+    J is applied once, to the stacked ``hopf_frame`` rows, and the vector
     defects are normed in one row-wise reduction."""
-    return _frame_identities(decomp, *_hopf_frame(decomp))
-
-
-def _frame_identities(decomp, b1, b2, rows) -> dict:
-    """``frame_identity_residuals`` on the frame ``_hopf_frame`` gave."""
+    rows = hopf_frame(decomp)
+    b1, b2 = decomp.jxi_components[decomp.hopf_indices].tolist()
     j_rows = j_action(rows)
     # rows 0, 2, 3: J xi - (b1 U1 + b2 U2), J U2 - (b1 A - b2 xi) and
     # J A - (b2 U1 - b1 U2); row 1 is J U1, which is tested on its own
@@ -715,8 +694,8 @@ def classify(
         return _unclassified(g, h, {}, "multiplicities")
     r = jacobi.special_radius(c) if special else jacobi.focal_radius(lam3, c)
 
-    b1, b2, rows = _hopf_frame(decomp)
-    residuals = _frame_identities(decomp, b1, b2, rows)
+    residuals = frame_identity_residuals(decomp)
+    b1, b2 = decomp.jxi_components[decomp.hopf_indices].tolist()
     residuals["lambda1_catalog"] = abs(lam[0] - es.lambda1)
     residuals["lambda2_catalog"] = abs(lam[1] - es.lambda2)
     residuals["lambda3_catalog"] = abs(lam[2] - es.lambda3)

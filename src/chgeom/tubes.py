@@ -42,9 +42,7 @@ from .spectral import (
     EigenStructure,
     HypersurfaceGerm,
     catalog_at_radius,
-    check_germ_frame,
-    check_germ_shape,
-    hopf_frame_extract,
+    hopf_frame,
     principal_decomposition,
 )
 
@@ -144,13 +142,14 @@ def tube_germs(spec: SubmanifoldSpec, eta: np.ndarray, radii) -> list[Hypersurfa
 
     The work that does not depend on the radius is done once for the
     grid: the argument checks and initial modes of ``_tube_modes`` (S^W_eta
-    from the spec's closed-form second fundamental form), the Jw split of
-    the propagation, and the frame check of (-eta, m0).  Per radius come
-    the propagated modes, the symmetrised zeta' zeta^{-1} and its check
-    (finite, symmetric to 1e-6).  Parallel transport along the normal
-    geodesic is orthogonal and commutes with J, so each germ is given at
-    the base point (normal -eta, tangent basis m0) instead of at
-    exp_o(r eta): the two are congruent and have the same classification.
+    from the spec's closed-form second fundamental form) and the Jw split
+    of the propagation.  Per radius come the propagated modes, the
+    symmetrised zeta' zeta^{-1}, and the germ check ``validate`` to 1e-6
+    (orthonormal frame, finite symmetric shape).  Parallel transport
+    along the normal geodesic is orthogonal and commutes with J, so each
+    germ is given at the base point (normal -eta, tangent basis m0)
+    instead of at exp_o(r eta): the two are congruent and have the same
+    classification.
     The germs share one normal and one tangent-basis array.  A bad radius
     raises the error ``tube_germ`` raises at it.
     """
@@ -159,15 +158,10 @@ def tube_germs(spec: SubmanifoldSpec, eta: np.ndarray, radii) -> list[Hypersurfa
         zeta0, zprime0, eta, spec.params.c, radii
     )
     params, normal = spec.params, -eta
-    check_germ_frame(params, normal, m0, 1e-6)
-    germs = []
-    for zeta_r, zprime_r in zip(zetas, zprimes):
-        shape = _mode_shape(m0, zeta_r, zprime_r)[1]
-        check_germ_shape(params, shape, 1e-6)
-        germs.append(
-            HypersurfaceGerm(params=params, normal=normal, tangent_basis=m0, shape=shape)
-        )
-    return germs
+    return [
+        HypersurfaceGerm(params, normal, m0, _mode_shape(m0, zeta, zprime)[1]).validate(1e-6)
+        for zeta, zprime in zip(zetas, zprimes)
+    ]
 
 
 def tube_germ(spec: SubmanifoldSpec, eta: np.ndarray, r: float) -> HypersurfaceGerm:
@@ -272,7 +266,7 @@ def focal_shape_check(spec: SubmanifoldSpec, eta: np.ndarray, r: float) -> dict:
     if r <= 0.0:
         raise ValueError("the focal check needs r > 0")
     germ = tube_germ(spec, eta, r)
-    a_vec = hopf_frame_extract(principal_decomposition(germ))[2]
+    a_vec = hopf_frame(principal_decomposition(germ))[3]
     eta_r = germ.normal
     j_a, j_eta_r = j_action(a_vec), j_action(eta_r)
     s = rate(spec.params.c)

@@ -573,6 +573,71 @@ def test_classify_names_the_first_defect_of_a_record(kind, message, tmp_path, ca
     assert captured.err == f"error: malformed germ input: {message}\n"
 
 
+def test_classify_rejects_an_overflowing_asymmetric_shape_without_a_warning(
+    tmp_path, capsys
+):
+    """S_01 = 1e308 and S_10 = -1e308 are finite, but S - S^T overflows:
+    the symmetry check words the error under the same errstate as the one
+    test, so stderr has that one error line and no warning."""
+    data = catalog_germ(ModelParams(n=3, c=-4.0), 2, r=0.7).to_json_dict()
+    data["shape"][0][1], data["shape"][1][0] = 1e308, -1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, captured = _classify_record(data, tmp_path, capsys)
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        "error: malformed germ input: shape operator matrix is not symmetric\n"
+    )
+
+
+def _single_defect(kind):
+    """A catalog germ record (n = 3) with one defect, and the message that
+    names it."""
+    data = catalog_germ(ModelParams(n=3, c=-4.0), 2, r=0.7).to_json_dict()
+    field, _, defect = kind.partition(" ")
+    if defect == "misshapen":  # one row (or entry) short
+        data[field] = data[field][:-1]
+        want = {"normal": (6,), "tangent_basis": (5, 6), "shape": (5, 5)}[field]
+        return data, f"germ {field} has shape {np.shape(data[field])}, expected {want} for n=3"
+    if defect == "non-finite":
+        row = data[field] if field == "normal" else data[field][1]
+        row[1] = math.nan
+        return data, f"germ {field} has a non-finite entry"
+    if kind == "non-orthonormal frame":
+        data["normal"] = [2.0 * x for x in data["normal"]]
+        return data, "normal + tangent basis is not orthonormal"
+    data["shape"][0][1] += 0.5  # an asymmetric shape
+    return data, "shape operator matrix is not symmetric"
+
+
+@pytest.mark.parametrize("kind", [
+    "normal misshapen", "normal non-finite",
+    "tangent_basis misshapen", "tangent_basis non-finite",
+    "non-orthonormal frame",
+    "shape misshapen", "shape non-finite",
+    "asymmetric shape",
+])
+def test_validate_raises_the_readers_message(kind, tmp_path, capsys):
+    """``HypersurfaceGerm.validate`` is the one germ check: on each
+    single-defect record it raises the message that classify prints
+    after its ``malformed germ input: `` prefix, and no warning."""
+    data, message = _single_defect(kind)
+    germ = spectral.HypersurfaceGerm(
+        params=ModelParams(n=3, c=-4.0),
+        normal=data["normal"],
+        tangent_basis=data["tangent_basis"],
+        shape=data["shape"],
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as excinfo:
+            germ.validate(1e-6)
+        code, captured = _classify_record(data, tmp_path, capsys)
+    assert str(excinfo.value) == message
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: malformed germ input: {message}\n"
+
+
 def test_classify_fails_a_nan_residual(monkeypatch, tmp_path, capsys):
     """A NaN residual never compares above the tolerance, so the rule is
     all(v <= tol): the germ is unclassified for its residuals, and the
@@ -667,6 +732,29 @@ def test_residuals_degenerate_stencil_neighbour_is_indeterminate(capsys):
     ]
     assert lines[-1].startswith("indeterminate: the frame suites cannot run: ")
     assert "a stencil neighbour of the center germ has h = 1" in lines[-1]
+
+
+@pytest.mark.parametrize("extra", [
+    ["--c", "-4", "--r", "0.7", "--fd-step", "1e200"],
+    ["--c", "-4", "--r", "0.7", "--fd-step", "1e300"],
+    ["--c", "-4", "--r", "0.7", "--fd-step", "1.7e308"],
+    ["--c=-1e300", "--r", "1e-151"],
+])
+def test_residuals_past_the_double_range_are_indeterminate(extra, capsys):
+    """An --fd-step or a scale whose chart values or difference stacks
+    leave the double range runs no suite: one INDETERMINATE line per
+    suite, the reason, exit 1, and no numpy warning or error line."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["residuals", "--n", "3", "--k", "2", *extra])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert lines[:-1] == [
+        f"{name:20s} -          INDETERMINATE" for name in numlab.RESIDUAL_SUITES
+    ]
+    assert lines[-1].startswith("indeterminate: no suite can run: ")
 
 
 @pytest.mark.parametrize("extra, ran", [

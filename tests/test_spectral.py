@@ -23,7 +23,7 @@ from chgeom import (
     eigen_structure_from_lambda3,
     focal_radius,
     frame_identity_residuals,
-    hopf_frame_extract,
+    hopf_frame,
     horosphere_germ,
     nonexistence_scan,
     principal_decomposition,
@@ -263,7 +263,7 @@ def test_flipped_decomposition_gives_the_flipped_germs_frame_bit_for_bit():
     for germ in germs + [g.flipped() for g in germs]:
         negated = principal_decomposition(germ).flipped()
         direct = principal_decomposition(germ.flipped())
-        assert np.array_equal(hopf_frame_extract(negated), hopf_frame_extract(direct))
+        assert np.array_equal(hopf_frame(negated), hopf_frame(direct))
         assert frame_identity_residuals(negated) == frame_identity_residuals(direct)
         assert totally_real_check(negated) == totally_real_check(direct)
 

@@ -14,7 +14,7 @@ from chgeom import (
     build_submanifold,
     classify,
     focal_shape_check,
-    hopf_frame_extract,
+    hopf_frame,
     j_action,
     jacobi_closed,
     jacobi_ode_oracle,
@@ -176,7 +176,7 @@ def test_focal_identities_hold_over_the_unit_normal_sphere(n, c, sr, data):
 
 
 def _hopf_vector(germ):
-    return hopf_frame_extract(principal_decomposition(germ))[2]
+    return hopf_frame(principal_decomposition(germ))[3]
 
 
 @pytest.mark.parametrize(
@@ -371,6 +371,14 @@ def test_tube_germs_raise_the_error_of_their_first_bad_radius(k, bad, at):
     assert _error_of(lambda: tube_germs(spec, eta, radii)) == want
     # a second bad radius after it does not change the error
     assert _error_of(lambda: tube_germs(spec, eta, radii + [11.0])) == want
+
+
+def test_tube_germs_check_the_germ_of_every_radius():
+    """The shape at r = 5e-324 (a valid radius) is not finite: the germ
+    check runs on each radius's germ, not only the first one's."""
+    spec = build_submanifold(ModelParams(n=3, c=-4.0), 2, math.pi / 2.0)
+    with pytest.raises(ValueError, match="^germ shape has a non-finite entry$"):
+        tube_germs(spec, spec.normal_basis[0], [0.5, 5e-324])
 
 
 def test_tube_germs_of_no_radius():
