@@ -57,7 +57,10 @@ def _cmd_verify_model(args) -> int:
     check_positive("--tolerance", args.tolerance)
     params = ModelParams(n=args.n, c=args.c)
     model = SolvableModel(params)
-    report = model.verify_curvature(samples=args.samples, seed=args.seed)
+    # past the double range (|c| near its largest value) a residual is
+    # inf or nan and fails, with no numpy warning
+    with np.errstate(all="ignore"):
+        report = model.verify_curvature(samples=args.samples, seed=args.seed)
     print(f"max curvature residual   {report['curvature']:.3e}")
     print(f"holomorphic sectional    {report['holomorphic']:.3e}")
     print(f"totally real sectional   {report['totally_real']:.3e}")
@@ -148,7 +151,7 @@ def _cmd_classify(args) -> int:
         with open(args.input, "rb") as fh:
             payload = json.loads(fh.read().decode("utf-8"))
         germ = HypersurfaceGerm.from_json_dict(payload)
-    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
+    except (OSError, ValueError, TypeError, RecursionError) as exc:
         # RecursionError: json gives up on arrays nested past the limit
         raise ValueError(f"malformed germ input: {exc}") from exc
     result = classify(

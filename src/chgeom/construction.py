@@ -230,7 +230,10 @@ def orbit_second_fundamental_form(spec: SubmanifoldSpec) -> np.ndarray:
     # nab[i, j] = nabla_{t_i} t_j over every ordered pair of tangent rows
     nab = SolvableModel(spec.params).koszul_connection(t[:, None], t[None, :])
     mats = np.einsum("ijd,md->mij", nab, spec.normal_basis)
-    if np.max(np.abs(mats - np.swapaxes(mats, 1, 2))) > 1e-12:
+    # relative past 1: the entries scale with s = sqrt(-c)/2, and so
+    # does their rounding
+    scale = max(1.0, float(np.max(np.abs(mats))))
+    if np.max(np.abs(mats - np.swapaxes(mats, 1, 2))) > 1e-12 * scale:
         raise AssertionError("second fundamental form is not symmetric")
     return mats
 

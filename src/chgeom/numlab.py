@@ -725,22 +725,33 @@ def frame_connection_residuals(field: GermField) -> dict:
 def residual_suites(field: GermField) -> tuple:
     """Run the suites in ``RESIDUAL_SUITES`` order: (values of those that
     ran, frame_connection's under frame_* names; names of those that did
-    not; the ``Indeterminate`` message that stopped them, or None)."""
-    values = {}
-    try:
-        values.update(gauss_codazzi_residuals(field))
-        values["real_eigenspace"] = real_eigenspace_residual(field)
-        values["graded_connection"] = graded_connection_residuals(field)
-        values["graded_curvature"] = graded_curvature_residuals(field)
-        values["unit_pair_gauss"] = unit_pair_gauss_residual(field)
-        for name, val in frame_connection_residuals(field).items():
-            values[f"frame_{name}"] = val
-    except Indeterminate as exc:
-        # frame_connection is last and stores its values under frame_*
-        # names, so it never ran here
-        skipped = tuple(name for name in RESIDUAL_SUITES if name not in values)
-        return values, skipped, str(exc)
-    return values, (), None
+    not; the reason they did not, or None).  A suite raising
+    ``Indeterminate`` or ``LinAlgError`` stops the run; one whose value is
+    not finite (a scale or step past the double range) is dropped as not
+    run."""
+    values, reasons = {}, []
+    with np.errstate(all="ignore"):
+        try:
+            values.update(gauss_codazzi_residuals(field))
+            values["real_eigenspace"] = real_eigenspace_residual(field)
+            values["graded_connection"] = graded_connection_residuals(field)
+            values["graded_curvature"] = graded_curvature_residuals(field)
+            values["unit_pair_gauss"] = unit_pair_gauss_residual(field)
+            for name, val in frame_connection_residuals(field).items():
+                values[f"frame_{name}"] = val
+        except Indeterminate as exc:
+            reasons.append(str(exc))
+        except np.linalg.LinAlgError as exc:  # a decomposition of finite but extreme data
+            reasons.append(f"a suite's linear algebra failed: {exc}")
+    suite = {key: "frame_connection" if key.startswith("frame_") else key for key in values}
+    overflowed = {suite[key] for key, val in values.items() if not math.isfinite(val)}
+    if overflowed:
+        names = ", ".join(name for name in RESIDUAL_SUITES if name in overflowed)
+        reasons.insert(0, f"the values of {names} are not finite")
+        values = {key: val for key, val in values.items() if suite[key] not in overflowed}
+    ran = {suite[key] for key in values}
+    skipped = tuple(name for name in RESIDUAL_SUITES if name not in ran)
+    return values, skipped, "; ".join(reasons) or None
 
 
 def convergence_order(make_residual, steps=(1e-3, 5e-4)) -> float:

@@ -57,7 +57,7 @@ _HUGE = float(np.finfo(float).max)
 # 4 (l_j - 2 l_3)(l_i - l_3)^2 reach 4 * 3 * 2.25^2 |c|^(3/2) =
 # 60.75 |c|^(3/2), and the denominators c (l_i - l_j) and the catalog's
 # 2 c root scale like |c|^(3/2): both stay normal doubles in between.
-_SCAN_MIN_ABS_C = _TINY ** (2.0 / 3.0)  # 7.91e-206
+_SCAN_MIN_ABS_C = _TINY ** (2.0 / 3.0)  # 7.911e-206
 _SCAN_MAX_ABS_C = (_HUGE / 60.75) ** (2.0 / 3.0)  # 2.06e204
 # the encoder of ``ClassificationResult.to_json``, built once:
 # json.dumps(..., allow_nan=False) builds a new one per call
@@ -372,6 +372,11 @@ class HypersurfaceGerm:
         record may still carry the complex structure as a matrix "J", as
         files written by earlier versions do; it must be the model's to
         1e-6, and is checked after the frame and shape."""
+        if not isinstance(data, dict):
+            raise ValueError(f"germ record must be a JSON object, got {type(data).__name__}")
+        for field in ("c", "n", "normal", "tangent_basis", "shape"):
+            if field not in data:
+                raise ValueError(f"germ record has no field {field!r}")
         try:
             c = data["c"]
             if isinstance(c, bool) or not isinstance(c, (int, float)):
@@ -384,7 +389,7 @@ class HypersurfaceGerm:
                 shape=data["shape"],
             )
             given_j = np.asarray(data["J"], dtype=float) if "J" in data else None
-        except (KeyError, TypeError, OverflowError) as exc:
+        except (TypeError, OverflowError) as exc:
             raise ValueError(f"malformed germ record: {exc}") from exc
         germ.validate(1e-6)  # a frame or shape defect comes first
         if given_j is not None:
@@ -891,7 +896,7 @@ def nonexistence_scan(
     its first feasible cell, kept where lambda_1 < lambda_3 < lambda_2
     and both b^2 lie in (0, 1).  The refined residual is the largest
     |Q|/|c| or |l1 + l2 - 3 l3|/s on the curve.  c must be finite and
-    nonzero with |c| in [7.91e-206, 2.06e204] (where the b^2 numerators
+    nonzero with |c| in [7.92e-206, 2.06e204] (where the b^2 numerators
     stay finite on the box and their denominators normal doubles), and
     every grid axis needs 2 samples, else ValueError.
 
@@ -908,7 +913,7 @@ def nonexistence_scan(
     if not _SCAN_MIN_ABS_C <= abs(c) <= _SCAN_MAX_ABS_C:
         raise ValueError(
             f"c = {c!r} is out of range: the scan's b^2 formulas leave the "
-            "normal double range unless 7.91e-206 <= |c| <= 2.06e204"
+            "normal double range unless 7.92e-206 <= |c| <= 2.06e204"
         )
     scale = math.sqrt(abs(c))
     bound = 1.5 * scale

@@ -1,16 +1,32 @@
-"""Command-line interface tests, run in-process through main(argv)."""
+"""Command-line interface tests, run in-process through main(argv).
 
+The input contract of the CLI (README, "Command line") lives in two
+tests.  ``test_contract`` runs one row of ``CONTRACT`` per input: the
+argv, the exit code, and the stderr and stdout it must print.
+``test_walk`` draws inputs over the documented domain of every option in
+``DOMAINS``, pushes at most one option out of it, and checks the
+invariants that hold for every input.  A new malformed input is one more
+row; a new option needs a ``DOMAINS`` entry, or the walk fails.
+"""
+
+import contextlib
+import functools
+import io
 import json
 import math
+import operator
 import os
+import re
 import subprocess
 import sys
 import textwrap
 import warnings
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chgeom import (
     ModelParams, SubmanifoldSpec, build_submanifold, catalog_germ, cli, model, numlab,
@@ -18,13 +34,657 @@ from chgeom import (
 )
 from chgeom.cli import SWEEP_COLUMNS, main
 from chgeom.jacobi import special_radius
+from chgeom.tubes import MAX_RADIUS, MAX_RATE_RADIUS
 
 
-def test_verify_model(capsys):
-    code = main(["verify-model", "--n", "2", "--c", "-4", "--samples", "50"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert out.strip().endswith("PASS")
+def _match(pattern, text):
+    """Each line of pattern matches one line of text, "*" standing for any
+    run of characters within it; a pattern line "..." matches any run of
+    lines."""
+    regex = "".join(
+        r"(?:.*\n)*" if line == "..." else re.escape(line).replace(r"\*", ".*") + "\n"
+        for line in pattern.splitlines()
+    )
+    return re.fullmatch(regex, text) is not None
+
+
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def _contains(want, got):
+    """got holds want: a dict's items recursively, a string by _match."""
+    if isinstance(want, dict):
+        return isinstance(got, dict) and all(
+            key in got and _contains(value, got[key]) for key, value in want.items()
+        )
+    if isinstance(want, str):
+        return isinstance(got, str) and _match(want, got + "\n")
+    return want == got
+
+
+class _Record(NamedTuple):
+    """The content of a germ file; a row's argv holds it where the file's
+    path goes, as ``--input``."""
+
+    label: str
+    content: bytes
+
+
+def _germ(label, *edits, n=3, k=2, r=0.7):
+    """The catalog germ (n, k, r) at c = -4 as a record, after each edit
+    (path, value): a dotted path of fields and row indices, and the new
+    value or a function of the old one."""
+    data = catalog_germ(ModelParams(n=n, c=-4.0), k, r=r).to_json_dict()
+    for path, value in edits:
+        *head, last = [int(key) if key.isdigit() else key for key in path.split(".")]
+        parent = functools.reduce(operator.getitem, head, data)
+        parent[last] = value(parent[last]) if callable(value) else value
+    return _Record(label, json.dumps(data).encode())
+
+
+def _conjugated_complex_structure(n, kind):
+    """P J P^-1, which squares to -1 but is not the model's J: P a shear
+    (the result is not skew) or a random rotation."""
+    j = model.standard_complex_structure(n)
+    if kind == "non-skew":
+        p = np.eye(2 * n)
+        p[0, 2] = 0.5
+    else:
+        p, _ = np.linalg.qr(np.random.default_rng(n).normal(size=(2 * n, 2 * n)))
+    jmat = p @ j @ np.linalg.inv(p)
+    assert np.allclose(jmat @ jmat, -np.eye(2 * n), atol=1e-12)
+    return jmat.tolist()
+
+
+J3 = model.standard_complex_structure(3).tolist()
+# (edits, message) of the single-defect n = 3 records: the reader's
+# message, which ``HypersurfaceGerm.validate`` raises too
+SINGLE_DEFECTS = {
+    **{f"{field} misshapen": ([(field, lambda rows: rows[:-1])],
+                              f"germ {field} has shape {got}, expected {want} for n=3")
+       for field, got, want in (("normal", "(5,)", "(6,)"), ("tangent_basis", "(4, 6)", "(5, 6)"),
+                                ("shape", "(4, 5)", "(5, 5)"))},
+    **{f"{path.split('.')[0]} non-finite": ([(path, math.nan)],
+                                            f"germ {path.split('.')[0]} has a non-finite entry")
+       for path in ("normal.1", "tangent_basis.1.1", "shape.1.1")},
+    "non-orthonormal frame": (
+        [("normal", lambda v: [2.0 * x for x in v])], "normal + tangent basis is not orthonormal"),
+    "asymmetric shape": (
+        [("shape.0.1", lambda x: x + 0.5)], "shape operator matrix is not symmetric"),
+}
+SUITES = numlab.RESIDUAL_SUITES
+# argparse's usage lines, wrapped to the terminal's width
+USAGE = "usage: chgeom *\n...\n"
+NO_OUTPUT_DIR = "[Errno 2] No such file or directory: '{tmp}/missing/x.json'"
+# every suite passes: the frame suite prints one line per pair of U1, U2, A
+ALL_PASS = "\n".join([f"{name:20s} *  PASS" for name in SUITES[:-1]] + ["frame_* *  PASS"] * 9)
+
+
+def _residuals_out(verdicts, skipped, reason):
+    """residuals' stdout: a line per (suite, verdict) that ran, an
+    INDETERMINATE line per skipped suite, then the reason."""
+    return "\n".join(
+        [f"{name:20s} *  {verdict}" for name, verdict in verdicts]
+        + [f"{name:20s} -          INDETERMINATE" for name in skipped]
+        + [f"indeterminate: {reason}"]
+    )
+
+
+def _row(argv, code, err="", out="", xfail=None):
+    """One input: its argv, its exit code, and _match patterns for stderr
+    and stdout.  out may also be a dict, which classify's stdout must hold
+    as strict JSON, or None (not checked).  "{tmp}" stands for the test's
+    temporary directory.  xfail names the ROADMAP item of a known defect."""
+    name = " ".join(arg.label if isinstance(arg, _Record) else arg for arg in argv)
+    marks = [pytest.mark.xfail(strict=True, reason=xfail)] if xfail else []
+    return pytest.param(argv, code, err, out, id=name, marks=marks)
+
+
+VERIFY = ["verify-model", "--n", "2", "--c", "-4"]
+CONSTRUCT = ["construct", "--n", "3", "--c", "-4", "--k", "2"]
+SWEEP = ["sweep", "--n", "3", "--k", "2"]
+SWEEP_2 = ["sweep", "--n", "2", "--c", "-4", "--k", "1", "--r-min", "0.5", "--r-max", "0.5",
+           "--count", "1"]
+RESIDUALS = ["residuals", "--n", "3", "--k", "2"]
+RESIDUALS_2 = ["residuals", "--n", "2", "--c", "-4", "--k", "1", "--r", "0.3"]
+GRID_30 = ["--grid", "30", "30", "30"]
+# |c| too small or too large for 2 c sqrt(-c - 3 lambda3^2) to be a
+# normal double
+EXTREME_CURVATURES = (-1e-250, -1e-300, -1e-310, -5e-324, -1e250, -1e300)
+# the catalog germ off the catalog by 0.11: unclassified at the default
+# tolerance, and a NaN tolerance must not turn it into a tube label
+OFF_CATALOG = _germ("off-catalog", ("shape.0.0", lambda x: x + 0.05))
+MALFORMED = "error: malformed germ input:"
+TOO_WIDE = "exceeds 20.0 (s = sqrt(-c)/2): the tube's Jacobi modes are too ill-conditioned there"
+FRAMES_NEED = "the frame suites cannot run: at grouping tolerance 0.0001"
+NEIGHBOUR_H1 = "a stencil neighbour of the center germ has h = 1 projected eigenspaces, not 2"
+DEPTH = sys.getrecursionlimit() + 100
+
+
+def _with_j(path, value):
+    """Edits that set one entry of the record, giving it the legacy J first
+    where the entry is J's."""
+    return ([("J", J3)] if path.startswith("J.") else []) + [(path, value)]
+
+
+CONTRACT = [
+    # verify-model
+    _row([*VERIFY, "--samples", "50"], 0, out="...\nPASS"),
+    *[_row([*VERIFY, f"--samples={s}"], 2, f"error: samples must be >= 1, got {s}")
+      for s in ("0", "-3")],
+    *[_row([*VERIFY, "--samples", "5", f"--tolerance={v}"], 2,
+           f"error: --tolerance must be positive and finite, got {float(v)!r}")
+      for v in ("nan", "inf", "0", "-1")],
+    _row(["verify-model", "--n", "3", "--c=-1e300"], 0, out="...\nPASS",
+         xfail="ROADMAP item 12: totally real sectional 1.5e284 reads FAIL at c = -1e300"),
+    # the products overflow: a residual is inf or nan and fails (item 12
+    # owns the verdict), with no numpy warning
+    _row(["verify-model", "--n", "2", f"--c={-sys.float_info.max!r}", "--samples", "1"], 1,
+         out="...\nFAIL"),
+    # construct
+    _row(["construct", "--n", "3", "--c", "-4", "--k", "3"], 2, "error: k=3 exceeds n-1=2"),
+    *[_row([*CONSTRUCT, "--phi", phi], 0, out="...\nPASS") for phi in ("1e-6", "1e-8", "1e-9")],
+    # the Koszul form's rounding grows with s past the absolute
+    # RIGIDITY_TOLERANCE (item 12 owns the verdict), but its symmetry
+    # check is relative: FAIL, not a traceback
+    _row(["construct", "--n", "3", "--c=-1e300", "--k", "2", "--phi", "1.0"], 1, out="...\nFAIL"),
+    _row([*CONSTRUCT, "--output={tmp}/missing/x.json"], 2, f"error: {NO_OUTPUT_DIR}", out=None),
+    # sweep
+    *[_row([*SWEEP, f"--c={c!r}", "--count", "2", "--r-min", "0.5" if abs(c) < 1 else "1e-160",
+            "--r-max", "1" if abs(c) < 1 else "1e-155"], 2, f"error: c = {c!r} is out of range*")
+      for c in EXTREME_CURVATURES],
+    _row([*SWEEP, "--c", "-100", "--r-min", "0.5", "--r-max", "10", "--count", "8"], 2,
+         f"error: s*r = 22.857142857142854 {TOO_WIDE}"),
+    # a radius that both the tube germ and the catalog reject: the tube
+    # germ's error is the one printed
+    _row([*SWEEP, "--c=-1e6", "--r-min", "1", "--r-max", "2", "--count", "2"], 2,
+         f"error: s*r = 500.0 {TOO_WIDE}"),
+    _row([*SWEEP, "--c", "-4", "--r-min", "0.5", "--r-max", "0.2", "--count", "3"], 2,
+         "error: need 0 < r-min <= r-max and count >= 1"),
+    _row([*SWEEP_2, "--jobs", "0"], 2, "error: --jobs must be >= 1"),
+    *[_row([*SWEEP_2, f"--ode-step={v}"], 2,
+           f"error: --ode-step must be positive and finite, got {float(v)!r}")
+      for v in ("0", "-1e-3", "nan", "inf")],
+    *[_row([*SWEEP, "--c", "-4", "--count", "3", *[
+        f"{name}={value if name == option else default}"
+        for name, default in (("--r-min", "0.5"), ("--r-max", "1.0"))]], 2,
+        f"error: {option} must be a finite radius, got {float(value)!r}")
+      for option in ("--r-min", "--r-max") for value in ("nan", "inf", "-inf")],
+    # a k = 1 gap near the grouping tolerance: no Python warning
+    _row(["sweep", "--n", "2", "--c", "-100", "--k", "1", "--r-min", "0.001", "--r-max", "2.0",
+          "--count", "8"], 0, out=f"{SWEEP_COLUMNS}\n..."),
+    _row([*SWEEP, "--c", "-4", "--r-min", "0.2", "--r-max", "0.4", "--count", "2",
+          "--output={tmp}/missing/x.json"], 2, f"error: {NO_OUTPUT_DIR}"),
+    _row([*SWEEP, "--c=-1e-20", "--r-min", "0.5", "--r-max", "0.5", "--count", "1"], 0,
+         out=f"{SWEEP_COLUMNS}\n0.5,*,4,2,*,G4",
+         xfail="ROADMAP item 12: at c = -1e-20 the row reads g = 2, h = 1 and hopf, "
+         "where the same s*r at c = -4 reads G4"),
+    # classify: valid records exit 0 with strict JSON, whatever the label
+    _row(["classify", _germ("catalog")], 0,
+         out={"model": "tube", "k": 2, "r": pytest.approx(0.7, abs=1e-9)}),
+    _row(["classify", _germ("c=4", ("c", 4.0))], 0,
+         out={"model": "unclassified", "reason": "*no real roots for c > 0*"}),
+    *[_row(["classify", _germ(f"c={c!r}", ("c", c))], 0,
+           out={"model": "unclassified", "reason": f"c = {c!r} is out of range*"})
+      for c in EXTREME_CURVATURES],
+    # a small-r k = 2 germ whose lambda_1/lambda_3 gap sits near the
+    # spectrum-wide grouping tolerance: no Python warning
+    _row(["classify", _germ("r=1.5e-7", r=1.5e-7)], 0, out={}),
+    # the shape scaled by 1e308 stays finite and symmetric: g = 4, h = 2,
+    # and the catalog quadratic, which overflows to inf - inf, is null
+    _row(["classify", _germ("shape*1e308", ("shape", lambda s: [[1e308 * x for x in row]
+                                                               for row in s]))], 0,
+         out={"g": 4, "h": 2, "residuals": {"quadratic": None}}),
+    _row(["classify", OFF_CATALOG], 0, out={"model": "unclassified"}),
+    *[_row(["classify", OFF_CATALOG, f"{option}={v}"], 2,
+           f"error: {name} must be positive and finite, got {float(v)!r}")
+      for option, name in (("--tolerance", "tol"), ("--grouping-tol", "grouping_tol"))
+      for v in ("nan", "inf", "0", "-1")],
+    # classify: malformed records exit 2 with one error line
+    _row(["classify", "--input={tmp}/missing.json"], 2,
+         f"{MALFORMED} [Errno 2] No such file or directory: '{{tmp}}/missing.json'"),
+    *[_row(["classify", _Record(text, text.encode())], 2, f"{MALFORMED} {message}")
+      for text, message in (
+          ('{"bad": 1}', "germ record has no field 'c'"),
+          ('{"n": 3}', "germ record has no field 'c'"),
+          ("[1, 2]", "germ record must be a JSON object, got list"),
+          ("5", "germ record must be a JSON object, got int"))],
+    # one invalid UTF-8 string in a field classify does not read
+    *[_row(["classify", _Record(f"note {raw!r}",
+                                _germ("").content[:-1] + b', "note": "' + raw + b'"}')], 2,
+           f"{MALFORMED} 'utf-8' codec can't decode byte {raw[0]:#x} in *")
+      for raw in (b"\xe9", b"\x80", b"\xed\xa0\x80")],
+    _row(["classify", _Record("nested past the recursion limit", b"[" * DEPTH + b"]" * DEPTH)],
+         2, f"{MALFORMED} maximum recursion depth exceeded*"),
+    *[_row(["classify", _Record(f"n={n}", _germ("", n=2, k=1).content.replace(
+        b'"n": 2', f'"n": {n}'.encode(), 1))], 2,
+        f"{MALFORMED} n must be an integer >= 2, got {float(n)!r}") for n in ("2.5", "1e400")],
+    *[_row(["classify", _germ(f"c={c!r}", ("c", c))], 2,
+           f"{MALFORMED} germ c must be a JSON number, got {c!r}") for c in (True, "-4")],
+    *[_row(["classify", _germ(f"{path}={value}", *_with_j(path, value))], 2,
+           f"{MALFORMED} germ {path.split('.')[0]} has a non-finite entry")
+      for path in ("normal.0", "tangent_basis.0.0", "shape.0.0", "J.0.0")
+      for value in (math.nan, math.inf, -math.inf)],
+    # inf <= inf passes the symmetry test: the finiteness check rejects it
+    _row(["classify", _germ("opposite infinities", ("shape.0.1", math.inf),
+                            ("shape.1.0", -math.inf))], 2,
+         f"{MALFORMED} germ shape has a non-finite entry"),
+    # S - S^T overflows: worded under the check's errstate, no warning
+    _row(["classify", _germ("opposite 1e308", ("shape.0.1", 1e308), ("shape.1.0", -1e308))], 2,
+         f"{MALFORMED} shape operator matrix is not symmetric"),
+    # a finite normal of length 1e200 overflows frame frame^T
+    _row(["classify", _germ("normal*1e200", ("normal", lambda v: [1e200 * x for x in v]))], 2,
+         f"{MALFORMED} normal + tangent basis is not orthonormal"),
+    *[_row(["classify", _germ(f"shape={want}", ("shape", shape))], 2,
+           f"{MALFORMED} germ shape has shape {want}, expected (5, 5) for n=3")
+      for shape, want in ((np.eye(3).tolist(), "(3, 3)"), (1.0, "()"))],
+    *[_row(["classify", _germ(f"J {kind} n={n}", ("J", _conjugated_complex_structure(n, kind)),
+                              n=n, k=n - 1)], 2,
+           f"{MALFORMED} germ J is not the model's complex structure for n={n}")
+      for kind in ("non-skew", "rotated") for n in (2, 3, 4)],
+    # -1 followed by 400 zeros does not convert to a float
+    *[_row(["classify", _germ(f"{path}=-1e400", *_with_j(path, -(10**400)))], 2,
+           f"{MALFORMED} malformed germ record: int too large to convert to float")
+      for path in ("c", "normal.0", "shape.0.0", "J.0.0")],
+    # two defects: the first in the order frame, shape matrix, J is named
+    _row(["classify", _germ("frame, asymmetric shape", ("normal", lambda v: [2 * x for x in v]),
+                            ("shape.0.1", lambda x: x + 0.5))], 2,
+         f"{MALFORMED} normal + tangent basis is not orthonormal"),
+    _row(["classify", _germ("nan shape, tangent_basis shape", ("shape.1.1", math.nan),
+                            ("tangent_basis", lambda t: t[:-1]))], 2,
+         f"{MALFORMED} germ tangent_basis has shape (4, 6), expected (5, 6) for n=3"),
+    _row(["classify", _germ("foreign J, inf normal", ("J", J3), ("J.0.0", 0.5),
+                            ("normal.0", math.inf))], 2,
+         f"{MALFORMED} germ normal has a non-finite entry"),
+    *[_row(["classify", _germ(kind, *edits)], 2, f"{MALFORMED} {message}")
+      for kind, (edits, message) in SINGLE_DEFECTS.items()],
+    # residuals
+    _row(RESIDUALS_2, 0, out=ALL_PASS),
+    *[_row([*RESIDUALS_2[:-2], f"--r={r}"], 2,
+           f"error: tube charts need 0 < r <= 10.0, got {float(r)!r}") for r in ("nan", "inf", "30")],
+    *[_row([*RESIDUALS_2, f"--fd-step={v}"], 2,
+           f"error: fd_step must be positive and finite, got {v}") for v in ("nan", "inf")],
+    *[_row([*RESIDUALS_2, f"--tolerance={v}"], 2,
+           f"error: --tolerance must be positive and finite, got {float(v)!r}")
+      for v in ("nan", "inf", "0", "-1")],
+    # a large radius: lambda_1, lambda_3 and lambda_4 merge into one
+    # projected group, which at r = 6 falls below the projection threshold
+    _row([*RESIDUALS, "--c", "-4", "--r", "5.0"], 1, out=_residuals_out(
+        [("gauss", "FAIL"), ("codazzi", "FAIL"), ("real_eigenspace", "FAIL")], SUITES[3:],
+        f"{FRAMES_NEED} the center germ has no non-projected lambda_3 eigenspace "
+        "(2 eigenvalue groups: 0.999909, 2)")),
+    _row([*RESIDUALS, "--c", "-4", "--r", "6.0"], 1, out=_residuals_out(
+        [("gauss", "FAIL"), ("codazzi", "FAIL"), ("real_eigenspace", "PASS")], SUITES[3:],
+        f"{FRAMES_NEED} the center germ has h = 1 projected eigenspaces, not 2 "
+        "(2 eigenvalue groups: 0.999988, 2)")),
+    _row([*RESIDUALS, "--c", "-4", "--r", "1e-100"], 1, out=_residuals_out(
+        [("gauss", "PASS"), ("codazzi", "PASS"), ("real_eigenspace", "PASS")], SUITES[3:],
+        f"{FRAMES_NEED} {NEIGHBOUR_H1}")),
+    # a singular chart metric runs no suite
+    *[_row([*RESIDUALS, *extra], 1, out=_residuals_out([], SUITES, "no suite can run: the "
+                                                       "chart's coordinate tangents are linearly "
+                                                       "dependent at fd-step *"))
+      for extra in (["--c", "-4", "--r", "0.5", "--fd-step", "1e-300"],
+                    ["--c", "-400", "--r", "2.0"], ["--c", "-4", "--r", "1e-300"],
+                    ["--c=-1e300", "--r", "1e-151"])],
+    # chart values past the double range run no suite
+    *[_row([*RESIDUALS, "--c", "-4", "--r", "0.7", "--fd-step", step], 1,
+           out=_residuals_out([], SUITES, "no suite can run: the chart's coordinate tangents "
+                              f"are not finite at fd-step {float(step):g}"))
+      for step in ("1e200", "1e300", "1.7e308")],
+    # suite values past the double range read INDETERMINATE, not nan FAIL
+    _row([*RESIDUALS, "--c=-1e200", "--r", "1e-151", "--fd-step", "1e-100"], 1,
+         out=_residuals_out([("real_eigenspace", "PASS")], ("gauss", "codazzi", *SUITES[3:]),
+                            f"the values of gauss, codazzi are not finite; {FRAMES_NEED} "
+                            f"{NEIGHBOUR_H1}")),
+    _row([*RESIDUALS, "--c=-1e100", "--r", "1e-151", "--fd-step", "1e-100"], 1,
+         out="...\nunit_pair_gauss      -          INDETERMINATE\n"
+         "indeterminate: the values of unit_pair_gauss are not finite"),
+    # a decomposition that fails on finite stacks stops the run
+    _row(["residuals", "--n", "2", "--c=-1.0", "--k", "1", "--r=5e-324", "--fd-step=1e22"], 1,
+         out=_residuals_out([("gauss", "FAIL"), ("codazzi", "FAIL")], SUITES[2:],
+                            "a suite's linear algebra failed: Singular matrix")),
+    # (eigh's reply to a NaN matrix depends on the LAPACK build)
+    _row(["residuals", "--n", "2", "--c=-1e300", "--k", "1", "--r=1e-233", "--fd-step=1e-74"], 1,
+         out="...\nindeterminate: the values of gauss* not finite*"),
+    # |c| from 1e-10 to 1e10 and r from 1e-8 to 10: exit 2, with one error
+    # line, exactly where s*r exceeds the tube layer's bound
+    *[_row([*RESIDUALS, f"--c={c}", "--r", r], code,
+           f"error: s*r = * {TOO_WIDE}" if code == 2 else "", out="" if code == 2 else None)
+      for c, codes in (("-1e-10", "1111"), ("-4", "1101"), ("-1e4", "1122"), ("-1e10", "1222"))
+      for r, code in zip(("1e-8", "1e-3", "0.7", "10"), map(int, codes))],
+    _row([*RESIDUALS, "--c", "-4", "--r", "1e-3"], 0, out=ALL_PASS,
+         xfail="ROADMAP item 2: unit_pair_gauss reads 1.96e-3 FAIL on a true tube at r = 1e-3"),
+    _row([*RESIDUALS, "--c", "-4", "--r", "1.5"], 0, out=ALL_PASS,
+         xfail="ROADMAP item 2: gauss reads 4.9e-3 FAIL on a true tube at r = 1.5"),
+    _row([*RESIDUALS, "--c", "-100", "--r", "0.14"], 0, out=ALL_PASS,
+         xfail="ROADMAP item 12: gauss reads 4.727e-02 FAIL at c = -100, s*r = 0.7: the "
+         "absolute --tolerance 1e-3 does not scale with the curvature"),
+    # nonexistence
+    _row(["nonexistence", "--c", "4", *GRID_30], 0,
+         out="c                        4.0\ngrid                     (30, 30, 30)\n"
+         "points scanned           27000\nfeasible points          0\ncertificate              *"),
+    # the scan imposes the trace relation, not a second band on the
+    # quadratic: --sum-band is an unrecognized option, whatever its width
+    *[_row(["nonexistence", "--c", "-4", "--grid", "5", "5", "5", "--sum-band", width], 2,
+           f"{USAGE}chgeom: error: unrecognized arguments: --sum-band {width}")
+      for width in ("0.1", "-1", "0", "inf", "nan")],
+    *[_row(["nonexistence", "--c", "-4", "--grid", *grid], 2,
+           f"error: every grid axis needs >= 2 samples, got ({', '.join(grid)})")
+      for grid in (["1", "1", "1"], ["0", "5", "5"], ["5", "5", "1"])],
+    _row(["nonexistence", "--c", "-4", "--grid", "2", "2", "2", "--output={tmp}/curve.json"], 1,
+         out="...\ncurve samples            0\nmax refined residual     none"),
+    *[_row(["nonexistence", f"--c={c}", "--grid", "5", "5", "5"], 2,
+           f"error: the scan needs a finite nonzero c, got c={float(c)!r}")
+      for c in ("0", "nan", "inf", "-inf")],
+    # outside 7.92e-206 <= |c| <= 2.06e204 the b^2 formulas leave the
+    # normal doubles on the box
+    *[_row(["nonexistence", f"--c={c!r}", *GRID_30], 2, f"error: c = {c!r} is out of range*")
+      for c in (-1e210, 1e210, -1e250, 1e250, -1e300, 1e300, -2.1e204, 2.1e204,
+                -7e-206, 7e-206, -1e-250, 1e-250, -5e-324, 5e-324)],
+    # the ordering margin is relative to sqrt|c|
+    *[_row(["nonexistence", f"--c={c!r}", *GRID_30], 0,
+           out="...\ncurve samples            20\nmax refined residual     *")
+      for c in (-1e-30, -1e-100, -1e-200)],
+    *[_row(["nonexistence", f"--c={c!r}", *GRID_30], 0,
+           out=f"c                        {c!r}\ngrid                     (30, 30, 30)\n"
+           f"points scanned           27000\n{tail}")
+      for c, tail in ((-1e200, "feasible points          643\ncurve samples            20\n"
+                               "max refined residual     3.885e-16"),
+                      (1e200, "feasible points          0\ncertificate              *"))],
+    # with 160 lambda3 samples, sample 106 is sqrt(-c)/2 in exact
+    # arithmetic and rounds to a value where lambda1 == lambda3
+    _row(["nonexistence", "--c", "-3.4746401821558717", "--grid", "160", "160", "160"], 0,
+         out="...\ncurve samples            106\nmax refined residual     *"),
+    *[_row(["nonexistence", "--c", c, "--grid", grid, grid, grid,
+            "--output={tmp}/missing/x.json"], 2, f"error: {NO_OUTPUT_DIR}", out=None)
+      for c, grid in (("-4", "40"), ("4", "20"))],
+    # no subcommand, or an unknown one
+    _row([], 2, f"{USAGE}chgeom: error: the following arguments are required: command"),
+    _row(["frobnicate"], 2,
+         f"{USAGE}chgeom: error: argument command: invalid choice: 'frobnicate' *"),
+]
+
+
+@pytest.mark.parametrize("argv, code, err, out", CONTRACT)
+def test_contract(argv, code, err, out, tmp_path, capsys):
+    """Each input exits with its code and prints its stderr and stdout,
+    with no warning and no traceback."""
+    germ = tmp_path / "germ.json"
+    for arg in argv:
+        if isinstance(arg, _Record):
+            germ.write_bytes(arg.content)
+    argv = [
+        f"--input={germ}" if isinstance(arg, _Record) else arg.replace("{tmp}", str(tmp_path))
+        for arg in argv
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = main(argv)
+    captured = capsys.readouterr()
+    assert got == code
+    assert "Traceback" not in captured.err
+    assert _match(err.replace("{tmp}", str(tmp_path)), captured.err), captured.err
+    if isinstance(out, dict):
+        assert _contains(out, json.loads(captured.out, parse_constant=_reject_constant))
+    elif out is not None:
+        assert _match(out, captured.out), captured.out
+    if code:  # a command that fails writes no --output file
+        assert not [arg for arg in argv if arg.startswith("--output=")
+                    and Path(arg.split("=", 1)[1]).exists()]
+
+
+MAX_FLOAT = sys.float_info.max
+SUBNORMAL = 5e-324
+
+
+def _log_uniform(lo, hi, *edges):
+    """Floats spread log-uniformly over [lo, hi], and the edge values."""
+    spread = st.floats(math.log10(lo), math.log10(hi)).map(lambda e: min(max(10.0**e, lo), hi))
+    return st.one_of(spread, st.sampled_from(edges)) if edges else spread
+
+
+def _curvatures(lo, hi, *edges):
+    """c < 0 with |c| over [lo, hi] and its edges, or near 1."""
+    return st.one_of(_log_uniform(lo, hi, *edges), _log_uniform(1e-2, 1e2)).map(operator.neg)
+
+
+def _top_radius(c):
+    """The largest radius the tube layer takes at c: r <= 10 and s*r <= 20
+    (s = sqrt(-c)/2), as the floating-point test reads it."""
+    s = model.rate(c)
+    r = min(MAX_RADIUS, MAX_RATE_RADIUS / s)
+    while s * r > MAX_RATE_RADIUS:
+        r = math.nextafter(r, 0.0)
+    return r
+
+
+def _low_radius(c, k):
+    """The smallest radius sweep takes at c: for k >= 2, where r = 0 is
+    the focal set, r and lambda_3 ~ s^2 r stay at least 1e-300."""
+    return SUBNORMAL if k == 1 else max(1e-300, 1e-300 / model.rate(c) ** 2)
+
+
+def _radii(c, low=SUBNORMAL):
+    """Radii in [low, top] at c: log-uniform, log-uniform in s*r over
+    [1e-2, 1.2], and the edge values."""
+    s, top = model.rate(c), _top_radius(c)
+    edges = [r for r in (low, SUBNORMAL, 1e-300, special_radius(c), MAX_RADIUS, top)
+             if low <= r <= top]
+    near = st.floats(-2.0, math.log10(1.2)).map(lambda e: min(max(10.0**e / s, low), top))
+    return st.one_of(_log_uniform(low, top, *edges), near)
+
+
+SWEEP_CURVATURES = _curvatures(1e-205, 1e205, 1e-205, 1e205)
+
+
+@st.composite
+def _catalog_records(draw):
+    n = draw(st.integers(2, 6))
+    k, c = draw(st.integers(1, n - 1)), draw(SWEEP_CURVATURES)
+    r = draw(_radii(c, _low_radius(c, k)))
+    germ = catalog_germ(ModelParams(n=n, c=c), k, r=r)
+    germ = germ.flipped() if draw(st.booleans()) else germ  # either co-orientation
+    return _Record(f"catalog n={n} k={k} c={c!r} r={r!r}", germ.to_json().encode())
+
+
+class Domain(NamedTuple):
+    """An option's documented domain: a strategy of values in it, which
+    may be a function of the values drawn for the options before it, and
+    argument strings outside it, which may be a function of the values
+    drawn for every option."""
+
+    good: object
+    bad: object = ()
+
+
+def _n(cap):
+    return Domain(st.integers(2, cap), ["1", "0", "2.5", "x"])
+
+
+def _too_far(v, low="0", past_top=True):
+    """Radii out of the tube layer's domain at v's c."""
+    far = [low, "-1", "nan", "inf", "x"]
+    return far + [repr(_top_radius(v["--c"]) * (1 + 1e-9))] if past_top else far
+
+
+EDGES = (SUBNORMAL, 1e-300, 1e300, MAX_FLOAT)
+POSITIVE = Domain(_log_uniform(1e-323, 1e308, *EDGES), ["0", "-1", "nan", "inf", "-inf", "x"])
+CURVATURE = Domain(_curvatures(1e-323, 1e308, *EDGES), ["0", "4", "nan", "inf", "-inf", "x"])
+K = Domain(lambda v: st.integers(1, v["--n"] - 1), lambda v: [str(v["--n"]), "0", "x"])
+# an unwritable path is reported only when a command gets to write it:
+# its rows are in CONTRACT
+OUTPUT = Domain(st.just(os.devnull))
+MALFORMED_RECORDS = [
+    argv[1] for argv, code, *_ in (row.values for row in CONTRACT)
+    if code == 2 and len(argv) == 2 and isinstance(argv[1], _Record)
+]
+DOMAINS = {
+    "verify-model": {
+        "--n": _n(6), "--c": CURVATURE,
+        "--samples": Domain(st.integers(1, 20), ["0", "-3", "x"]),
+        "--seed": Domain(st.integers(0, 2**64), ["-1", "x"]),
+        "--tolerance": POSITIVE,
+    },
+    "construct": {
+        "--n": _n(8), "--c": CURVATURE, "--k": K,
+        # an odd k needs phi = pi/2
+        "--phi": Domain(
+            lambda v: st.just(math.pi / 2) if v["--k"] % 2 else st.one_of(
+                _log_uniform(1e-323, math.pi / 2, SUBNORMAL, 1e-9, math.pi / 2),
+                _log_uniform(1e-2, math.pi / 2)),
+            ["0", "-1", "nan", "inf", repr(math.pi / 2 + 0.01), "x"],
+        ),
+        "--output": OUTPUT,
+    },
+    "sweep": {
+        "--n": _n(6),
+        # the catalog's 2 c sqrt(-c - 3 lambda3^2) is a normal double
+        "--c": Domain(SWEEP_CURVATURES, ["-5e-324", "-1e-300", "-1e300", repr(-MAX_FLOAT),
+                                         "0", "4", "nan", "x"]),
+        "--k": K,
+        "--r-min": Domain(
+            lambda v: _radii(v["--c"], _low_radius(v["--c"], v["--k"])),
+            lambda v: _too_far(v) + ([repr(SUBNORMAL)] if v["--k"] > 1 else []),
+        ),
+        # the grid is r-min alone at count 1
+        "--r-max": Domain(
+            lambda v: _radii(v["--c"], v["--r-min"]),
+            lambda v: _too_far(v, repr(v["--r-min"] / 2), past_top=v["--count"] > 1),
+        ),
+        "--count": Domain(st.integers(1, 3), ["0", "-1", "1.5", "x"]),
+        "--ode-step": POSITIVE,
+        "--jobs": Domain(st.integers(1, 2**31), ["0", "-1", "x"]),
+        "--output": OUTPUT,
+    },
+    "classify": {
+        "--input": Domain(_catalog_records(), MALFORMED_RECORDS),
+        "--tolerance": POSITIVE, "--grouping-tol": POSITIVE,
+    },
+    "residuals": {
+        "--n": _n(4), "--c": CURVATURE, "--k": K,
+        "--r": Domain(lambda v: _radii(v["--c"]), _too_far),
+        "--fd-step": POSITIVE, "--tolerance": POSITIVE,
+    },
+    "nonexistence": {
+        # b^2 numerators below the overflow and denominators normal doubles
+        "--c": Domain(
+            st.one_of(*[_log_uniform(7.92e-206, 2.06e204, 7.92e-206, 2.06e204).map(sign)
+                        for sign in (operator.pos, operator.neg)]),
+            ["0", "nan", "inf", "-inf", "5e-324", "-1e-300", "1e300", repr(-MAX_FLOAT), "x"],
+        ),
+        "--grid": Domain(
+            st.tuples(*[st.integers(2, 20)] * 3),
+            [("1", "5", "5"), ("5", "0", "5"), ("5", "5", "-1"), ("x", "5", "5"), ("5", "5")],
+        ),
+        "--output": OUTPUT,
+    },
+}
+SUBCOMMANDS = cli.build_parser().subcommands
+NON_FINITE = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
+
+
+def _options(command):
+    return [action for action in SUBCOMMANDS[command]._actions if action.dest != "help"]
+
+
+def _given(spec, values):
+    return spec(values) if callable(spec) else spec
+
+
+def _arguments(option, value, tmp_path_factory):
+    if isinstance(value, _Record):
+        path = tmp_path_factory.getbasetemp() / "walk-germ.json"
+        path.write_bytes(value.content)
+        value = path
+    if isinstance(value, tuple):
+        return [option, *map(str, value)]
+    # "--opt=value": argparse reads a separate "-inf" as an option
+    return [f"{option}={value!r}" if isinstance(value, float) else f"{option}={value}"]
+
+
+def _finite_cells(command, out):
+    """stdout without the cells documented as nan: lambda4 of a sweep row
+    with mult4 = 0 (a g = 3 row)."""
+    if command != "sweep" or not out:
+        return out
+    rows = [dict(zip(SWEEP_COLUMNS.split(","), line.split(","))) for line in out.splitlines()[1:]]
+    return "\n".join(
+        ",".join(v for key, v in row.items() if key != "lambda4" or row["mult4"] != "0")
+        for row in rows
+    )
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_walk(data, tmp_path_factory):
+    """Inputs drawn over every option's domain, with at most one option
+    pushed out of it: exit 2, with one error line or argparse's usage,
+    exactly when one was; otherwise exit 0 or 1 and an empty stderr.
+    Never a traceback or a warning; classify prints strict JSON; exit 0
+    prints no nan or inf but the sweep's documented lambda4 cell; and
+    residuals fails no suite where it holds today (2 <= n <= 4, c in
+    [-4, -0.01], s*r in [1e-2, 1.2], default flags)."""
+    assert {name: set(domains) for name, domains in DOMAINS.items()} == {
+        name: {action.option_strings[0] for action in _options(name)} for name in SUBCOMMANDS
+    }
+    command = data.draw(st.sampled_from(sorted(DOMAINS)), label="command")
+    domains, values = DOMAINS[command], {}
+    for action in _options(command):
+        option = action.option_strings[0]
+        values[option] = data.draw(_given(domains[option].good, values), label=option)
+    pushed = None
+    if data.draw(st.integers(0, 3), label="push an option") == 0:  # one example in four
+        pushed = data.draw(st.sampled_from([o for o, d in domains.items() if d.bad]), label="out")
+    argv, passed = [command], set()
+    for action in _options(command):
+        option = action.option_strings[0]
+        value = values[option]
+        if option == pushed:
+            value = data.draw(st.sampled_from(_given(domains[option].bad, values)), label=option)
+        elif not action.required and data.draw(st.booleans(), label=f"omit {option}"):
+            continue
+        passed.add(option)
+        argv += _arguments(option, value, tmp_path_factory)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("error")
+        code = main(argv)
+    out, err = stdout.getvalue(), stderr.getvalue()
+    assert "Traceback" not in err and "Warning" not in err
+    assert code in (0, 1, 2)
+    assert (code == 2) == (pushed is not None), (code, err)
+    if code == 2:
+        assert re.fullmatch(r"error: .*\n|usage: chgeom (.*\n)*chgeom.*: error: .*\n", err), err
+        return
+    assert err == ""
+    if command == "classify":
+        json.loads(out, parse_constant=_reject_constant)
+    if code == 0:
+        assert not NON_FINITE.search(_finite_cells(command, out)), out
+    if command == "residuals" and not {"--fd-step", "--tolerance"} & passed:
+        c, r = values["--c"], values["--r"]
+        if -4.0 <= c <= -0.01 and 1e-2 <= model.rate(c) * r <= 1.2:
+            assert not [line for line in out.splitlines() if line.endswith("FAIL")], out
+
+
+@pytest.mark.parametrize("kind", sorted(SINGLE_DEFECTS))
+def test_validate_raises_the_readers_message(kind):
+    """``HypersurfaceGerm.validate`` is the one germ check: on each
+    single-defect record it raises, with no warning, the message that
+    classify prints after its ``malformed germ input: `` prefix (the
+    ``CONTRACT`` row of the record)."""
+    edits, message = SINGLE_DEFECTS[kind]
+    data = json.loads(_germ(kind, *edits).content)
+    arrays = {field: data[field] for field in ("normal", "tangent_basis", "shape")}
+    germ = spectral.HypersurfaceGerm(params=ModelParams(n=3, c=-4.0), **arrays)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as excinfo:
+            germ.validate(1e-6)
+    assert str(excinfo.value) == message
 
 
 def test_construct_writes_spec(tmp_path, capsys):
@@ -40,19 +700,6 @@ def test_construct_writes_spec(tmp_path, capsys):
     assert spec.tangent_basis.shape == (4, 6)
     out = capsys.readouterr().out
     assert "shape-form resid" in out and out.strip().endswith("PASS")
-
-
-def test_construct_rejects_large_k(capsys):
-    code = main(["construct", "--n", "3", "--c", "-4", "--k", "3"])
-    assert code == 2
-    assert "error" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("phi", ["1e-6", "1e-8", "1e-9"])
-def test_construct_accepts_a_small_kahler_angle(phi, capsys):
-    code = main(["construct", "--n", "3", "--c", "-4", "--k", "2", "--phi", phi])
-    assert code == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "PASS"
 
 
 @pytest.mark.parametrize("n,k", [(3, 2), (5, 4), (8, 6), (6, 2)])
@@ -73,25 +720,17 @@ def test_construct_passes_on_a_quarter_decade_angle_grid(n, k, tmp_path, capsys)
 CURVATURE_RESIDUALS = ("curvature", "holomorphic", "totally_real", "pinching")
 
 
-@pytest.mark.parametrize("key", CURVATURE_RESIDUALS)
-def test_verify_model_fails_on_a_nan_residual(key, monkeypatch, capsys):
-    # max(...) skips a NaN that is not first, so each residual is tried
-    def verify_curvature(self, samples, seed):
-        return {name: math.nan if name == key else 0.0 for name in CURVATURE_RESIDUALS}
-
-    monkeypatch.setattr(model.SolvableModel, "verify_curvature", verify_curvature)
-    code = main(["verify-model", "--n", "2", "--c", "-4"])
-    assert code == 1
-    assert capsys.readouterr().out.splitlines()[-1] == "FAIL"
-
-
-def test_construct_fails_on_a_nan_shape_form(monkeypatch, capsys):
-    def rigidity_form_check(spec):
-        return {"shape_form": math.nan, "trace": 0.0}
-
-    monkeypatch.setattr(cli, "rigidity_form_check", rigidity_form_check)
-    code = main(["construct", "--n", "3", "--c", "-4", "--k", "2"])
-    assert code == 1
+@pytest.mark.parametrize("key", [*CURVATURE_RESIDUALS, "shape_form"])
+def test_a_nan_residual_fails(key, monkeypatch, capsys):
+    """verify-model and construct pass on all(v < tol): max(...) skips a
+    NaN that is not first, so each residual is tried."""
+    if key == "shape_form":
+        monkeypatch.setattr(cli, "rigidity_form_check",
+                            lambda spec: {"shape_form": math.nan, "trace": 0.0})
+    else:
+        monkeypatch.setattr(model.SolvableModel, "verify_curvature", lambda self, samples, seed: {
+            name: math.nan if name == key else 0.0 for name in CURVATURE_RESIDUALS})
+    assert main(CONSTRUCT if key == "shape_form" else VERIFY) == 1
     assert capsys.readouterr().out.splitlines()[-1] == "FAIL"
 
 
@@ -122,36 +761,6 @@ def test_solvable_model_builds_per_command(command, builds, monkeypatch, tmp_pat
     monkeypatch.setattr(model.SolvableModel, "__init__", counted)
     assert main(command) == 0
     assert len(built) == builds
-
-
-# |c| too small or too large for 2 c sqrt(-c - 3 lambda3^2) to be a
-# normal double
-EXTREME_CURVATURES = (-1e-250, -1e-300, -1e-310, -5e-324, -1e250, -1e300)
-
-
-@pytest.mark.parametrize("c", EXTREME_CURVATURES)
-def test_sweep_rejects_a_curvature_out_of_range(c, capsys):
-    # radii with s r far below the catalog's bound at either end
-    r_min, r_max = ("0.5", "1") if abs(c) < 1.0 else ("1e-160", "1e-155")
-    code = main([
-        "sweep", "--n", "3", f"--c={c!r}", "--k", "2",
-        "--r-min", r_min, "--r-max", r_max, "--count", "2",
-    ])
-    assert code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: c = {c!r} is out of range")
-    assert len(captured.err.splitlines()) == 1
-
-
-@pytest.mark.parametrize("c", EXTREME_CURVATURES)
-def test_classify_names_a_curvature_out_of_range(c, tmp_path, capsys):
-    data = catalog_germ(ModelParams(n=3, c=-4.0), 2, r=0.7).to_json_dict()
-    code, captured = _classify_record({**data, "c": c}, tmp_path, capsys)
-    assert code == 0 and captured.err == ""
-    result = json.loads(captured.out)
-    assert result["model"] == "unclassified"
-    assert result["reason"].startswith(f"c = {c!r} is out of range")
 
 
 def test_sweep_deterministic(tmp_path):
@@ -230,62 +839,6 @@ def test_sweep_at_strong_curvature(tmp_path, capsys):
         for key in ("lambda1", "lambda2", "lambda3", "b1sq", "b2sq"):
             assert math.isfinite(row[key]), (key, line)
         assert row["lambda1"] <= row["lambda3"] < row["lambda2"]
-    # s*r = 50 at r = 10: past the tube germ's bound, an error and exit 2
-    capsys.readouterr()
-    assert main(base + ["--r-max", "10"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
-
-
-def test_sweep_names_the_tube_error_of_its_first_bad_radius(capsys):
-    """At a radius that both the tube germ and the catalog reject, the tube
-    germ's error is the one printed."""
-    code = main([
-        "sweep", "--n", "3", "--c=-1e6", "--k", "2",
-        "--r-min", "1", "--r-max", "2", "--count", "2",
-    ])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err == (
-        "error: s*r = 500.0 exceeds 20.0 (s = sqrt(-c)/2): "
-        "the tube's Jacobi modes are too ill-conditioned there\n"
-    )
-
-
-def test_sweep_rejects_bad_range(capsys):
-    code = main([
-        "sweep", "--n", "3", "--c", "-4", "--k", "2",
-        "--r-min", "0.5", "--r-max", "0.2", "--count", "3",
-    ])
-    assert code == 2
-    assert "error" in capsys.readouterr().err
-
-
-def test_classify_germ_file(tmp_path, capsys):
-    germ = catalog_germ(ModelParams(n=3, c=-4.0), 2, r=0.7)
-    path = tmp_path / "germ.json"
-    path.write_text(germ.to_json())
-    code = main(["classify", "--input", str(path)])
-    assert code == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["model"] == "tube"
-    assert payload["k"] == 2
-    assert abs(payload["r"] - 0.7) < 1e-9
-
-
-def test_classify_positive_curvature_germ(tmp_path, capsys):
-    """An h = 2 germ in CP^n(c), c > 0, is valid input: classify exits 0
-    and says why the catalog has no such hypersurface."""
-    data = catalog_germ(ModelParams(n=3, c=-4.0), 2, r=0.7).to_json_dict()
-    data["c"] = 4.0
-    path = tmp_path / "germ.json"
-    path.write_text(json.dumps(data))
-    assert main(["classify", "--input", str(path)]) == 0
-    captured = capsys.readouterr()
-    payload = json.loads(captured.out)
-    assert payload["model"] == "unclassified"
-    assert "no real roots for c > 0" in payload["reason"]
-    assert captured.err == ""
 
 
 def test_parser_defaults_are_the_library_constants():
@@ -304,206 +857,11 @@ def test_parser_defaults_are_the_library_constants():
     assert numlab.DEFAULT_FD_STEP is model.DEFAULT_FD_STEP
 
 
-def test_classify_malformed_input(tmp_path, capsys):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"bad": 1}))
-    assert main(["classify", "--input", str(path)]) == 2
-    assert "malformed" in capsys.readouterr().err
-    assert main(["classify", "--input", str(tmp_path / "missing.json")]) == 2
-
-
-@pytest.mark.parametrize("raw", [
-    b"\xe9",  # a Latin-1 byte
-    b"\x80",  # a lone continuation byte
-    b"\xed\xa0\x80",  # an encoded surrogate, which surrogatepass would take
-])
-def test_classify_rejects_a_germ_file_that_is_not_utf8(raw, tmp_path, capsys):
-    """A valid germ with one invalid UTF-8 string in a field classify does
-    not read is malformed input: exit 2, one error line, no traceback."""
-    text = catalog_germ(ModelParams(n=3, c=-4.0), 2, r=0.7).to_json()
-    path = tmp_path / "germ.json"
-    path.write_bytes(text[:-1].encode() + b', "note": "' + raw + b'"}')
-    assert main(["classify", "--input", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: malformed germ input: ")
-    assert captured.err.count("\n") == 1
-    assert "Traceback" not in captured.err
-
-
-def test_classify_rejects_json_nested_past_the_recursion_limit(tmp_path, capsys):
-    """json gives up on arrays nested past the recursion limit with a
-    RecursionError; that is malformed input, not a traceback."""
-    depth = sys.getrecursionlimit() + 100
-    path = tmp_path / "deep.json"
-    path.write_text("[" * depth + "]" * depth)
-    assert main(["classify", "--input", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: malformed germ input: ")
-    assert captured.err.count("\n") == 1
-
-
-@pytest.mark.parametrize("n_text", ["2.5", "1e400"])
-def test_classify_rejects_malformed_dimension(n_text, tmp_path, capsys):
-    """A non-integral n is not truncated, and one that overflows int() is
-    malformed input, not a traceback."""
-    text = catalog_germ(ModelParams(n=2, c=-4.0), 1, r=0.7).to_json()
-    path = tmp_path / "germ.json"
-    path.write_text(text.replace('"n": 2', f'"n": {n_text}', 1))
-    assert main(["classify", "--input", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: malformed germ input: ")
-    assert "n must be an integer >= 2" in captured.err
-    assert captured.out == ""
-
-
-@pytest.mark.parametrize("c_value", [True, "-4"])
-def test_classify_rejects_a_non_number_curvature(c_value, tmp_path, capsys):
-    """c must be a JSON number: a bool is not read as 1.0, nor a string
-    as -4."""
-    data = catalog_germ(ModelParams(n=3, c=-4.0), 2, r=0.7).to_json_dict()
-    data["c"] = c_value
-    code, captured = _classify_record(data, tmp_path, capsys)
-    assert code == 2 and captured.out == ""
-    assert captured.err == (
-        f"error: malformed germ input: germ c must be a JSON number, got {c_value!r}\n"
-    )
-
-
-@pytest.mark.parametrize("command, code", [
-    # a small-r k = 2 germ whose lambda_1/lambda_3 gap sat near the
-    # spectrum-wide grouping tolerance
-    (["classify"], 0),
-    (["residuals", "--n", "3", "--c", "-4", "--k", "2", "--r", "5.0"], 1),
-    (["sweep", "--n", "2", "--c", "-100", "--k", "1", "--r-min", "0.001",
-      "--r-max", "2.0", "--count", "8"], 0),
-])
-def test_near_tolerance_gaps_raise_no_warning(command, code, tmp_path, capsys):
-    """A spectral gap close to the grouping tolerance is reported in the
-    decomposition, never as a Python warning on stderr."""
-    if command == ["classify"]:
-        germ = catalog_germ(ModelParams(n=3, c=-4.0), 2, r=1.5e-7)
-        path = tmp_path / "germ.json"
-        path.write_text(germ.to_json())
-        command = ["classify", "--input", str(path)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(command) == code
-    err = capsys.readouterr().err
-    assert all(line.startswith("error: ") for line in err.splitlines())
-
-
-@pytest.mark.parametrize("field", ["normal", "tangent_basis", "shape", "J"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-def test_classify_rejects_non_finite_entries(field, value, tmp_path, capsys):
-    data = catalog_germ(ModelParams(n=3, c=-4.0), 2, r=0.7).to_json_dict()
-    if field == "J":  # a record in the older layout, which carried J
-        data["J"] = model.standard_complex_structure(3).tolist()
-    row = data[field][0] if field != "normal" else data[field]
-    row[0] = value
-    path = tmp_path / "germ.json"
-    path.write_text(json.dumps(data))  # written as NaN / Infinity
-    assert main(["classify", "--input", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert "non-finite" in captured.err
-    assert captured.out == ""
-
-
-def test_classify_rejects_an_opposite_infinite_pair(tmp_path, capsys):
-    """S_01 = inf and S_10 = -inf pass |S - S^T| <= tol + 1e-5 |S^T|
-    (inf <= inf), so the shape is rejected by its finiteness check."""
-    data = catalog_germ(ModelParams(n=3, c=-4.0), 2, r=0.7).to_json_dict()
-    data["shape"][0][1], data["shape"][1][0] = math.inf, -math.inf
-    code, captured = _classify_record(data, tmp_path, capsys)
-    assert code == 2 and captured.out == ""
-    assert captured.err == "error: malformed germ input: germ shape has a non-finite entry\n"
-
-
-def test_classify_rejects_a_huge_normal_without_a_warning(tmp_path, capsys):
-    """A finite normal of length 1e200 overflows frame frame^T: the germ is
-    not orthonormal, and stderr has that one error line, no warning."""
-    data = catalog_germ(ModelParams(n=3, c=-4.0), 2, r=0.7).to_json_dict()
-    data["normal"] = [1e200 * x for x in data["normal"]]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, captured = _classify_record(data, tmp_path, capsys)
-    assert code == 2 and captured.out == ""
-    assert captured.err == (
-        "error: malformed germ input: normal + tangent basis is not orthonormal\n"
-    )
-
-
-def test_classify_a_huge_finite_shape_prints_no_warning(tmp_path, capsys):
-    """The shape scaled by 1e308 stays finite and symmetric, and its
-    symmetrization must not overflow: no warning on stderr, and the
-    decomposition still sees g = 4 and h = 2."""
-    data = catalog_germ(ModelParams(n=3, c=-4.0), 2, r=0.7).to_json_dict()
-    data["shape"] = [[1e308 * x for x in row] for row in data["shape"]]
-    assert np.isfinite(data["shape"]).all()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, captured = _classify_record(data, tmp_path, capsys)
-    assert code == 0 and captured.err == ""
-    payload = json.loads(captured.out, parse_constant=_reject_constant)
-    assert (payload["g"], payload["h"]) == (4, 2)
-    # the catalog quadratic overflows to inf - inf on this shape
-    assert payload["residuals"]["quadratic"] is None
-
-
-def _reject_constant(name):
-    raise ValueError(f"not strict JSON: {name}")
-
-
 def _classify_record(data, tmp_path, capsys):
     path = tmp_path / "germ.json"
     path.write_text(json.dumps(data))
     code = main(["classify", "--input", str(path)])
     return code, capsys.readouterr()
-
-
-@pytest.mark.parametrize("shape, want", [
-    ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "(3, 3)"),
-    (1.0, "()"),
-])
-def test_classify_rejects_misshapen_shape(shape, want, tmp_path, capsys):
-    """An n=3 record needs a 5x5 shape; a valid 3x3 matrix or a scalar is
-    malformed input, reported with the field and both shapes."""
-    data = catalog_germ(ModelParams(n=3, c=-4.0), 2, r=0.7).to_json_dict()
-    data["shape"] = shape
-    code, captured = _classify_record(data, tmp_path, capsys)
-    assert code == 2 and captured.out == ""
-    assert captured.err == (
-        f"error: malformed germ input: germ shape has shape {want}, "
-        "expected (5, 5) for n=3\n"
-    )
-
-
-def _conjugated_complex_structure(n, kind):
-    """P J P^-1, which squares to -1 but is not the model's J: P a shear
-    (the result is not skew) or a random rotation."""
-    j = model.standard_complex_structure(n)
-    if kind == "non-skew":
-        p = np.eye(2 * n)
-        p[0, 2] = 0.5
-    else:
-        p, _ = np.linalg.qr(np.random.default_rng(n).normal(size=(2 * n, 2 * n)))
-    return p @ j @ np.linalg.inv(p)
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-@pytest.mark.parametrize("kind", ["non-skew", "rotated"])
-def test_classify_rejects_a_foreign_complex_structure(kind, n, tmp_path, capsys):
-    jmat = _conjugated_complex_structure(n, kind)
-    assert np.allclose(jmat @ jmat, -np.eye(2 * n), atol=1e-12)
-    data = catalog_germ(ModelParams(n=n, c=-4.0), n - 1, r=0.7).to_json_dict()
-    data["J"] = jmat.tolist()
-    code, captured = _classify_record(data, tmp_path, capsys)
-    assert code == 2 and captured.out == ""
-    assert captured.err == (
-        "error: malformed germ input: germ J is not the model's complex "
-        f"structure for n={n}\n"
-    )
 
 
 @pytest.mark.parametrize("n, k", [(2, 1), (3, 2), (4, 3)])
@@ -518,126 +876,6 @@ def test_classify_reads_a_legacy_record_with_the_model_j(n, k, tmp_path, capsys)
     assert legacy[1].out == plain[1].out and legacy[1].err == plain[1].err == ""
 
 
-@pytest.mark.parametrize("field", ["c", "normal", "shape", "J"])
-def test_classify_rejects_an_integer_beyond_the_float_range(field, tmp_path, capsys):
-    """A JSON integer literal such as -1 followed by 400 zeros does not
-    convert to a float: malformed input, exit 2 and one error line."""
-    data = catalog_germ(ModelParams(n=3, c=-4.0), 2, r=0.7).to_json_dict()
-    if field == "J":
-        data["J"] = model.standard_complex_structure(3).tolist()
-    huge = -(10**400)
-    if field == "c":
-        data["c"] = huge
-    elif field == "normal":
-        data["normal"][0] = huge
-    else:
-        data[field][0][0] = huge
-    code, captured = _classify_record(data, tmp_path, capsys)
-    assert code == 2 and captured.out == ""
-    assert captured.err == (
-        "error: malformed germ input: malformed germ record: "
-        "int too large to convert to float\n"
-    )
-
-
-def _two_defects(kind):
-    """A catalog germ record with two defects at once."""
-    data = catalog_germ(ModelParams(n=3, c=-4.0), 2, r=0.7).to_json_dict()
-    if kind == "frame, asymmetric shape":
-        data["normal"] = [2.0 * x for x in data["normal"]]
-        data["shape"][0][1] += 0.5
-    elif kind == "nan shape, tangent_basis shape":
-        data["shape"][1][1] = math.nan
-        data["tangent_basis"] = data["tangent_basis"][:-1]
-    else:  # a foreign J and a non-finite normal
-        jmat = model.standard_complex_structure(3)
-        jmat[0, 0] = 0.5
-        data["J"] = jmat.tolist()
-        data["normal"][0] = math.inf
-    return data
-
-
-@pytest.mark.parametrize("kind, message", [
-    ("frame, asymmetric shape", "normal + tangent basis is not orthonormal"),
-    ("nan shape, tangent_basis shape",
-     "germ tangent_basis has shape (4, 6), expected (5, 6) for n=3"),
-    ("foreign J, inf normal", "germ normal has a non-finite entry"),
-])
-def test_classify_names_the_first_defect_of_a_record(kind, message, tmp_path, capsys):
-    """The reader tests a record in one pass and words a failure by the
-    ordered checks: the frame, then the shape matrix, then J.  The
-    messages are the ones the separate checks gave before the one-pass
-    test."""
-    code, captured = _classify_record(_two_defects(kind), tmp_path, capsys)
-    assert code == 2 and captured.out == ""
-    assert captured.err == f"error: malformed germ input: {message}\n"
-
-
-def test_classify_rejects_an_overflowing_asymmetric_shape_without_a_warning(
-    tmp_path, capsys
-):
-    """S_01 = 1e308 and S_10 = -1e308 are finite, but S - S^T overflows:
-    the symmetry check words the error under the same errstate as the one
-    test, so stderr has that one error line and no warning."""
-    data = catalog_germ(ModelParams(n=3, c=-4.0), 2, r=0.7).to_json_dict()
-    data["shape"][0][1], data["shape"][1][0] = 1e308, -1e308
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, captured = _classify_record(data, tmp_path, capsys)
-    assert code == 2 and captured.out == ""
-    assert captured.err == (
-        "error: malformed germ input: shape operator matrix is not symmetric\n"
-    )
-
-
-def _single_defect(kind):
-    """A catalog germ record (n = 3) with one defect, and the message that
-    names it."""
-    data = catalog_germ(ModelParams(n=3, c=-4.0), 2, r=0.7).to_json_dict()
-    field, _, defect = kind.partition(" ")
-    if defect == "misshapen":  # one row (or entry) short
-        data[field] = data[field][:-1]
-        want = {"normal": (6,), "tangent_basis": (5, 6), "shape": (5, 5)}[field]
-        return data, f"germ {field} has shape {np.shape(data[field])}, expected {want} for n=3"
-    if defect == "non-finite":
-        row = data[field] if field == "normal" else data[field][1]
-        row[1] = math.nan
-        return data, f"germ {field} has a non-finite entry"
-    if kind == "non-orthonormal frame":
-        data["normal"] = [2.0 * x for x in data["normal"]]
-        return data, "normal + tangent basis is not orthonormal"
-    data["shape"][0][1] += 0.5  # an asymmetric shape
-    return data, "shape operator matrix is not symmetric"
-
-
-@pytest.mark.parametrize("kind", [
-    "normal misshapen", "normal non-finite",
-    "tangent_basis misshapen", "tangent_basis non-finite",
-    "non-orthonormal frame",
-    "shape misshapen", "shape non-finite",
-    "asymmetric shape",
-])
-def test_validate_raises_the_readers_message(kind, tmp_path, capsys):
-    """``HypersurfaceGerm.validate`` is the one germ check: on each
-    single-defect record it raises the message that classify prints
-    after its ``malformed germ input: `` prefix, and no warning."""
-    data, message = _single_defect(kind)
-    germ = spectral.HypersurfaceGerm(
-        params=ModelParams(n=3, c=-4.0),
-        normal=data["normal"],
-        tangent_basis=data["tangent_basis"],
-        shape=data["shape"],
-    )
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError) as excinfo:
-            germ.validate(1e-6)
-        code, captured = _classify_record(data, tmp_path, capsys)
-    assert str(excinfo.value) == message
-    assert code == 2 and captured.out == ""
-    assert captured.err == f"error: malformed germ input: {message}\n"
-
-
 def test_classify_fails_a_nan_residual(monkeypatch, tmp_path, capsys):
     """A NaN residual never compares above the tolerance, so the rule is
     all(v <= tol): the germ is unclassified for its residuals, and the
@@ -649,112 +887,6 @@ def test_classify_fails_a_nan_residual(monkeypatch, tmp_path, capsys):
     res = json.loads(captured.out)
     assert (res["model"], res["reason"], res["k"]) == ("unclassified", "residuals", None)
     assert res["residuals"]["quadratic"] is None
-
-
-def test_residuals_suite(capsys):
-    code = main([
-        "residuals", "--n", "2", "--c", "-4", "--k", "1", "--r", "0.3",
-    ])
-    out = capsys.readouterr().out
-    assert code == 0
-    lines = [l for l in out.strip().splitlines() if l]
-    assert all(l.endswith("PASS") for l in lines)
-    names = {l.split()[0] for l in lines}
-    assert {"gauss", "codazzi", "unit_pair_gauss"} <= names
-
-
-@pytest.mark.parametrize("r, lack, groups", [
-    # lambda_1, lambda_3 and lambda_4 merge into one projected group
-    ("5.0", "no non-projected lambda_3 eigenspace", "0.999909, 2"),
-    # ... which at r = 6 falls below the projection threshold
-    ("6.0", "h = 1 projected eigenspaces, not 2", "0.999988, 2"),
-])
-def test_residuals_without_frame_fields_are_indeterminate(r, lack, groups, capsys):
-    """A valid large radius whose frame suites cannot run is indeterminate
-    (exit 1), not malformed input: the suites that ran are printed, then
-    one INDETERMINATE line per frame suite and the reason."""
-    code = main(["residuals", "--n", "3", "--c", "-4", "--k", "2", "--r", r])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.err == ""
-    lines = captured.out.splitlines()
-    assert [line.split()[0] for line in lines[:3]] == [
-        "gauss", "codazzi", "real_eigenspace",
-    ]
-    assert all(line.split()[-1] in ("PASS", "FAIL") for line in lines[:3])
-    assert lines[3:-1] == [
-        f"{name:20s} -          INDETERMINATE"
-        for name in ("graded_connection", "graded_curvature",
-                     "unit_pair_gauss", "frame_connection")
-    ]
-    assert lines[-1] == (
-        "indeterminate: the frame suites cannot run: at grouping tolerance "
-        f"0.0001 the center germ has {lack} (2 eigenvalue groups: {groups})"
-    )
-
-
-@pytest.mark.parametrize("extra", [
-    ["--c", "-4", "--r", "0.5", "--fd-step", "1e-300"],  # degenerate tangents
-    ["--c", "-400", "--r", "2.0"],
-    ["--c", "-4", "--r", "1e-300"],
-])
-def test_residuals_singular_inputs_are_indeterminate(extra, capsys):
-    """A valid input whose chart metric is singular runs no suite: one
-    INDETERMINATE line per suite, the reason, exit 1 and no numpy
-    message."""
-    code = main(["residuals", "--n", "3", "--k", "2", *extra])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.err == ""
-    lines = captured.out.splitlines()
-    assert lines[:-1] == [
-        f"{name:20s} -          INDETERMINATE" for name in numlab.RESIDUAL_SUITES
-    ]
-    assert lines[-1].startswith(
-        "indeterminate: no suite can run: the chart's coordinate tangents "
-        "are linearly dependent"
-    )
-
-
-def test_residuals_degenerate_stencil_neighbour_is_indeterminate(capsys):
-    """At r = 1e-100 the center germ has two projected eigenspaces but a
-    stencil neighbour has one: the frame suites are indeterminate."""
-    code = main(["residuals", "--n", "3", "--c", "-4", "--k", "2", "--r", "1e-100"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.err == ""
-    lines = captured.out.splitlines()
-    assert [line.split()[0] for line in lines[:3]] == [
-        "gauss", "codazzi", "real_eigenspace",
-    ]
-    assert lines[3:-1] == [
-        f"{name:20s} -          INDETERMINATE" for name in numlab.RESIDUAL_SUITES[3:]
-    ]
-    assert lines[-1].startswith("indeterminate: the frame suites cannot run: ")
-    assert "a stencil neighbour of the center germ has h = 1" in lines[-1]
-
-
-@pytest.mark.parametrize("extra", [
-    ["--c", "-4", "--r", "0.7", "--fd-step", "1e200"],
-    ["--c", "-4", "--r", "0.7", "--fd-step", "1e300"],
-    ["--c", "-4", "--r", "0.7", "--fd-step", "1.7e308"],
-    ["--c=-1e300", "--r", "1e-151"],
-])
-def test_residuals_past_the_double_range_are_indeterminate(extra, capsys):
-    """An --fd-step or a scale whose chart values or difference stacks
-    leave the double range runs no suite: one INDETERMINATE line per
-    suite, the reason, exit 1, and no numpy warning or error line."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = main(["residuals", "--n", "3", "--k", "2", *extra])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.err == ""
-    lines = captured.out.splitlines()
-    assert lines[:-1] == [
-        f"{name:20s} -          INDETERMINATE" for name in numlab.RESIDUAL_SUITES
-    ]
-    assert lines[-1].startswith("indeterminate: no suite can run: ")
 
 
 @pytest.mark.parametrize("extra, ran", [
@@ -799,97 +931,17 @@ def test_residuals_at_a_small_curvature_prints_no_fail(capsys):
     assert not [line for line in lines if line.endswith("FAIL")]
 
 
-def test_residuals_stays_in_the_tube_domain(capsys):
-    """Over |c| from 1e-10 to 1e10 and r from 1e-8 to 10, residuals exits
-    0, 1 or 2 with no warning or traceback, and exits 2, with one error
-    line, exactly where s*r exceeds the tube layer's bound."""
-    cells = [
-        (c, r) for c in ("-1e-10", "-4", "-1e4", "-1e10")
-        for r in ("1e-8", "1e-3", "0.7", "10")
-    ]
-    refused = []
-    for c, r in cells:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main(["residuals", "--n", "3", f"--c={c}", "--k", "2", "--r", r])
-        captured = capsys.readouterr()
-        assert code in (0, 1, 2) and not caught, (c, r)
-        assert "Traceback" not in captured.out + captured.err, (c, r)
-        if code == 2:
-            refused.append((c, r))
-            assert captured.err.startswith("error: s*r = ")
-            assert len(captured.err.splitlines()) == 1
-    assert refused == [
-        (c, r) for c, r in cells
-        if model.rate(float(c)) * float(r) > tubes.MAX_RATE_RADIUS
-    ]
-    assert len(refused) == 5
-
-
-def test_nonexistence_positive(capsys):
-    code = main(["nonexistence", "--c", "4", "--grid", "30", "30", "30"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "feasible points          0" in out
-    assert "certificate" in out
-
-
-def test_nonexistence_positive_writes_empty_curve(tmp_path, capsys):
-    out_path = tmp_path / "curve.json"
-    code = main([
-        "nonexistence", "--c", "4", "--grid", "20", "20", "20",
-        "--output", str(out_path),
-    ])
-    assert code == 0
-    assert capsys.readouterr().out.endswith(f"wrote {out_path}\n")
-    assert json.loads(out_path.read_text()) == {"c": 4.0, "curve_points": []}
-
-
-def test_nonexistence_negative_writes_curve(tmp_path, capsys):
-    out_path = tmp_path / "curve.json"
-    code = main([
-        "nonexistence", "--c", "-4", "--grid", "40", "40", "40",
-        "--output", str(out_path),
-    ])
-    assert code == 0
-    payload = json.loads(out_path.read_text())
-    assert payload["c"] == -4.0
-    assert len(payload["curve_points"]) > 0
-    row = payload["curve_points"][0]
-    assert len(row) == 5 and all(math.isfinite(v) for v in row)
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["construct", "--n", "3", "--c", "-4", "--k", "2"],
-        ["sweep", "--n", "3", "--c", "-4", "--k", "2",
-         "--r-min", "0.2", "--r-max", "0.4", "--count", "2"],
-        ["nonexistence", "--c", "-4", "--grid", "40", "40", "40"],
-        pytest.param(
-            ["nonexistence", "--c", "4", "--grid", "20", "20", "20"],
-            id="nonexistence-positive",
-        ),
-    ],
-    ids=lambda argv: argv[0],
-)
-def test_unwritable_output_exits_2(tmp_path, capsys, argv):
-    """An --output path that cannot be written is bad input: one error
-    line and exit 2, not a traceback."""
-    path = tmp_path / "missing" / "x.json"
-    assert main(argv + ["--output", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert str(path) in err
-    assert not path.exists()
-
-
-def test_no_command_exits_2():
-    assert main([]) == 2
-
-
-def test_unknown_command_exits_2():
-    assert main(["frobnicate"]) == 2
+def test_nonexistence_writes_its_curve(tmp_path, capsys):
+    """--output holds c and the refined curve: no rows for c > 0, and rows
+    of five finite numbers for c < 0."""
+    path = tmp_path / "curve.json"
+    assert main(["nonexistence", "--c", "4", "--grid", "20", "20", "20", f"--output={path}"]) == 0
+    assert capsys.readouterr().out.endswith(f"wrote {path}\n")
+    assert json.loads(path.read_text()) == {"c": 4.0, "curve_points": []}
+    assert main(["nonexistence", "--c", "-4", "--grid", "40", "40", "40", f"--output={path}"]) == 0
+    payload = json.loads(path.read_text())
+    assert payload["c"] == -4.0 and payload["curve_points"]
+    assert all(len(row) == 5 and all(map(math.isfinite, row)) for row in payload["curve_points"])
 
 
 # one valid argv per subcommand; its last option is a required one
@@ -939,210 +991,6 @@ def test_dispatch_parses_what_the_full_parser_does(name):
     assert full.pop("command") == name
     assert vars(cli._parse(argv)) == full
 
-
-def test_sweep_rejects_zero_jobs(capsys):
-    code = main([
-        "sweep", "--n", "2", "--c", "-4", "--k", "1",
-        "--r-min", "0.5", "--r-max", "0.5", "--count", "1", "--jobs", "0",
-    ])
-    assert code == 2
-    assert "error" in capsys.readouterr().err
-
-
-def test_nonexistence_lambda3_sample_at_catalog_edge(tmp_path):
-    # with 160 lambda3 samples, sample 106 is sqrt(-c)/2 in exact
-    # arithmetic and rounds to a value where lambda1 == lambda3
-    out_path = tmp_path / "curve.json"
-    code = main([
-        "nonexistence", "--c", "-3.4746401821558717",
-        "--grid", "160", "160", "160", "--output", str(out_path),
-    ])
-    assert code == 0
-    assert len(json.loads(out_path.read_text())["curve_points"]) > 0
-
-
-def test_sweep_rejects_bad_ode_step(capsys):
-    for step in ("0", "-1e-3", "nan", "inf"):
-        code = main([
-            "sweep", "--n", "2", "--c", "-4", "--k", "1",
-            "--r-min", "0.5", "--r-max", "0.5", "--count", "1",
-            "--ode-step", step,
-        ])
-        assert code == 2
-        assert "--ode-step" in capsys.readouterr().err
-
-
-def test_residuals_rejects_bad_radius(capsys):
-    for r in ("nan", "inf", "30"):
-        code = main(["residuals", "--n", "2", "--c", "-4", "--k", "1", "--r", r])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "tube charts need 0 < r <= 10.0" in err and "Traceback" not in err
-
-
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize("option", ["--r-min", "--r-max"])
-def test_sweep_rejects_bad_radius(option, value, capsys):
-    radii = {"--r-min": "0.5", "--r-max": "1.0", option: value}
-    # "--r-min=-inf": argparse reads a separate "-inf" as an option
-    argv = ["sweep", "--n", "3", "--c", "-4", "--k", "2", "--count", "3"]
-    argv += [f"{name}={radius}" for name, radius in radii.items()]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = main(argv)
-    err = capsys.readouterr().err
-    assert code == 2 and not caught
-    assert f"{option} must be a finite radius" in err and "Traceback" not in err
-
-
-BAD_POSITIVE_VALUES = ("nan", "inf", "0", "-1")
-
-
-@pytest.mark.parametrize("samples", ["0", "-3"])
-def test_verify_model_rejects_empty_sample(samples, capsys):
-    code = main([
-        "verify-model", "--n", "2", "--c", "-4", "--samples", samples,
-    ])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "samples must be >= 1" in captured.err
-    assert "PASS" not in captured.out
-
-
-@pytest.mark.parametrize("value", BAD_POSITIVE_VALUES)
-@pytest.mark.parametrize("option", ["--tolerance", "--grouping-tol"])
-def test_classify_rejects_bad_tolerance(option, value, tmp_path, capsys):
-    # a catalog germ off the catalog by 0.11: unclassified at the default
-    # tolerance, and a NaN tolerance must not turn it into a tube label
-    germ = catalog_germ(ModelParams(n=3, c=-4.0), 2, r=0.7)
-    germ.shape[0][0] += 0.05
-    path = tmp_path / "germ.json"
-    path.write_text(germ.to_json())
-    assert main(["classify", "--input", str(path)]) == 0
-    assert json.loads(capsys.readouterr().out)["model"] == "unclassified"
-    code = main(["classify", "--input", str(path), f"{option}={value}"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "must be positive and finite" in captured.err
-    assert captured.out == ""
-
-
-@pytest.mark.parametrize("value", BAD_POSITIVE_VALUES)
-@pytest.mark.parametrize("command", [
-    ["residuals", "--n", "2", "--c", "-4", "--k", "1", "--r", "0.3"],
-    ["verify-model", "--n", "2", "--c", "-4", "--samples", "5"],
-])
-def test_tolerance_must_be_positive(command, value, capsys):
-    code = main(command + [f"--tolerance={value}"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "--tolerance must be positive and finite" in captured.err
-    assert "FAIL" not in captured.out
-
-
-@pytest.mark.parametrize("step", ["nan", "inf"])
-def test_residuals_rejects_bad_fd_step(step, capsys):
-    code = main([
-        "residuals", "--n", "2", "--c", "-4", "--k", "1", "--r", "0.3",
-        "--fd-step", step,
-    ])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "fd_step must be positive and finite" in err
-    assert "SVD" not in err
-
-
-@pytest.mark.parametrize("width", ["0.1", "-1", "0", "inf", "nan"])
-def test_nonexistence_has_no_sum_band(width, capsys):
-    """The scan imposes the trace relation, not a second band on the
-    quadratic: --sum-band is an unrecognized option, whatever its width."""
-    code = main(["nonexistence", "--c", "-4", "--grid", "5", "5", "5", "--sum-band", width])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert f"unrecognized arguments: --sum-band {width}" in err
-    assert "Traceback" not in err
-
-
-def test_nonexistence_rejects_small_grid(capsys):
-    for grid in (["1", "1", "1"], ["0", "5", "5"], ["5", "5", "1"]):
-        assert main(["nonexistence", "--c", "-4", "--grid", *grid]) == 2
-        err = capsys.readouterr().err
-        assert "error" in err and "Traceback" not in err
-
-
-def test_nonexistence_without_refined_samples_fails(tmp_path, capsys):
-    out_path = tmp_path / "curve.json"
-    code = main([
-        "nonexistence", "--c", "-4", "--grid", "2", "2", "2",
-        "--output", str(out_path),
-    ])
-    out = capsys.readouterr().out
-    assert code == 1
-    assert "curve samples            0" in out
-    assert "max refined residual     none" in out
-    assert not out_path.exists()
-
-
-def test_nonexistence_rejects_degenerate_curvature(capsys):
-    for c in ("0", "nan", "inf", "-inf"):
-        assert main(["nonexistence", f"--c={c}", "--grid", "5", "5", "5"]) == 2
-        assert "error" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("c", [
-    -1e210, 1e210, -1e250, 1e250, -1e300, 1e300, -2.1e204, 2.1e204,
-    -7e-206, 7e-206, -1e-250, 1e-250, -5e-324, 5e-324,
-])
-def test_nonexistence_rejects_a_curvature_outside_its_range(c, capsys):
-    """Outside 7.91e-206 <= |c| <= 2.06e204 the scan's b^2 formulas leave
-    the normal doubles on its box (the numerators overflow above, the
-    denominators are subnormal below): one error line and exit 2 for both
-    signs, with no numpy warning on the way."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = main(["nonexistence", f"--c={c!r}", "--grid", "30", "30", "30"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: c = {c!r} is out of range")
-    assert len(captured.err.splitlines()) == 1
-    assert "Warning" not in captured.err and "Traceback" not in captured.err
-
-
-@pytest.mark.parametrize("c", [-1e-30, -1e-100, -1e-200])
-def test_nonexistence_finds_the_curve_at_small_curvature(c, capsys):
-    """The scan's ordering margin is relative to sqrt|c|: at small |c| it
-    still leaves the feasible cells."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = main(["nonexistence", f"--c={c!r}", "--grid", "30", "30", "30"])
-    captured = capsys.readouterr()
-    assert code == 0 and captured.err == ""
-    samples = [ln for ln in captured.out.splitlines() if ln.startswith("curve samples")]
-    assert len(samples) == 1 and int(samples[0].split()[-1]) > 0
-
-
-@pytest.mark.parametrize("c, tail", [
-    (-1e200, [
-        "feasible points          643",
-        "curve samples            20",
-        "max refined residual     3.885e-16",
-    ]),
-    (1e200, ["feasible points          0"]),
-])
-def test_nonexistence_keeps_its_output_below_the_overflow(c, tail, capsys):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = main(["nonexistence", f"--c={c!r}", "--grid", "30", "30", "30"])
-    captured = capsys.readouterr()
-    assert code == 0 and captured.err == ""
-    lines = captured.out.splitlines()
-    assert lines[:3] == [
-        f"c                        {c!r}",
-        "grid                     (30, 30, 30)",
-        "points scanned           27000",
-    ]
-    assert lines[3:3 + len(tail)] == tail
 
 
 def test_sweep_builds_the_tube_modes_once_per_command(monkeypatch):

@@ -918,7 +918,7 @@ def _assert_scan_decides(c):
 @settings(deadline=None, max_examples=120)
 @given(
     sign=st.sampled_from([1.0, -1.0]),
-    # log-uniform inside the range [7.91e-206, 2.06e204]
+    # log-uniform inside the range [7.92e-206, 2.06e204]
     c_exp=st.floats(math.log10(7.92e-206), math.log10(2.06e204)),
 )
 @example(sign=-1.0, c_exp=-30.0)
