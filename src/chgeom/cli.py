@@ -12,7 +12,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure or an indeterminate check
 (a valid input the check cannot decide), 2 usage or malformed input,
-including an ``--output`` path that cannot be written.
+including an ``--output`` path that cannot be written: it is opened
+before the command runs, and a command that fails leaves no file there
+that was not there before.
 
 Each subcommand loads only the modules it runs: ``sweep`` imports
 ``tubes`` and ``residuals`` imports ``numlab`` when they start, so the
@@ -25,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -81,11 +84,11 @@ def _cmd_construct(args) -> int:
     print(f"normal dimension         {spec.normal_basis.shape[0]}")
     print(f"shape-form residual      {report['shape_form']:.3e}")
     print(f"mean-curvature norm      {report['trace']:.3e}")
-    if args.output:
+    ok = report["shape_form"] <= RIGIDITY_TOLERANCE
+    if args.output and ok:  # a failing command writes no file
         with open(args.output, "w") as fh:
             json.dump(spec.to_json_dict(), fh, indent=2, sort_keys=True)
         print(f"wrote {args.output}")
-    ok = report["shape_form"] <= RIGIDITY_TOLERANCE
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
 
@@ -313,12 +316,19 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits with 2 on usage errors already
         return int(exc.code or 0)
+    output = getattr(args, "output", None)
+    existed = not output or os.path.lexists(output)
     try:
-        return args.func(args)
+        if output:
+            open(output, "a").close()  # an unwritable path fails before any work
+        code = args.func(args)
     except (ValueError, OSError) as exc:
         # OSError: an --output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
+    if code and not existed and os.path.lexists(output):
+        os.remove(output)
+    return code
 
 
 if __name__ == "__main__":

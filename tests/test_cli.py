@@ -7,6 +7,8 @@ argv, the exit code, and the stderr and stdout it must print.
 ``DOMAINS``, pushes at most one option out of it, and checks the
 invariants that hold for every input.  A new malformed input is one more
 row; a new option needs a ``DOMAINS`` entry, or the walk fails.
+``test_console_script`` reruns one row per (subcommand, exit code) in a
+fresh interpreter, through the call the installed ``chgeom`` script makes.
 """
 
 import contextlib
@@ -71,11 +73,13 @@ class _Record(NamedTuple):
     content: bytes
 
 
-def _germ(label, *edits, n=3, k=2, r=0.7):
-    """The catalog germ (n, k, r) at c = -4 as a record, after each edit
-    (path, value): a dotted path of fields and row indices, and the new
-    value or a function of the old one."""
-    data = catalog_germ(ModelParams(n=n, c=-4.0), k, r=r).to_json_dict()
+def _germ(label, *edits, n=3, k=2, r=0.7, flip=False):
+    """The catalog germ (n, k, r) at c = -4 as a record, in the opposite
+    co-orientation if flip, after each edit (path, value): a dotted path
+    of fields and row indices, and the new value or a function of the old
+    one."""
+    germ = catalog_germ(ModelParams(n=n, c=-4.0), k, r=r)
+    data = (germ.flipped() if flip else germ).to_json_dict()
     for path, value in edits:
         *head, last = [int(key) if key.isdigit() else key for key in path.split(".")]
         parent = functools.reduce(operator.getitem, head, data)
@@ -149,6 +153,7 @@ SWEEP_2 = ["sweep", "--n", "2", "--c", "-4", "--k", "1", "--r-min", "0.5", "--r-
 RESIDUALS = ["residuals", "--n", "3", "--k", "2"]
 RESIDUALS_2 = ["residuals", "--n", "2", "--c", "-4", "--k", "1", "--r", "0.3"]
 GRID_30 = ["--grid", "30", "30", "30"]
+GRID_165 = ["--grid", "165", "165", "165"]
 # |c| too small or too large for 2 c sqrt(-c - 3 lambda3^2) to be a
 # normal double
 EXTREME_CURVATURES = (-1e-250, -1e-300, -1e-310, -5e-324, -1e250, -1e300)
@@ -171,6 +176,8 @@ def _with_j(path, value):
 CONTRACT = [
     # verify-model
     _row([*VERIFY, "--samples", "50"], 0, out="...\nPASS"),
+    # n = 8: the widest Lie tables the column-sum kernel sees
+    _row(["verify-model", "--n", "8", "--c=-2.7"], 0, out="...\nPASS"),
     *[_row([*VERIFY, f"--samples={s}"], 2, f"error: samples must be >= 1, got {s}")
       for s in ("0", "-3")],
     *[_row([*VERIFY, "--samples", "5", f"--tolerance={v}"], 2,
@@ -189,7 +196,8 @@ CONTRACT = [
     # RIGIDITY_TOLERANCE (item 12 owns the verdict), but its symmetry
     # check is relative: FAIL, not a traceback
     _row(["construct", "--n", "3", "--c=-1e300", "--k", "2", "--phi", "1.0"], 1, out="...\nFAIL"),
-    _row([*CONSTRUCT, "--output={tmp}/missing/x.json"], 2, f"error: {NO_OUTPUT_DIR}", out=None),
+    # --output is opened before the command runs: nothing is printed
+    _row([*CONSTRUCT, "--output={tmp}/missing/x.json"], 2, f"error: {NO_OUTPUT_DIR}"),
     # sweep
     *[_row([*SWEEP, f"--c={c!r}", "--count", "2", "--r-min", "0.5" if abs(c) < 1 else "1e-160",
             "--r-max", "1" if abs(c) < 1 else "1e-155"], 2, f"error: c = {c!r} is out of range*")
@@ -220,9 +228,15 @@ CONTRACT = [
          out=f"{SWEEP_COLUMNS}\n0.5,*,4,2,*,G4",
          xfail="ROADMAP item 12: at c = -1e-20 the row reads g = 2, h = 1 and hopf, "
          "where the same s*r at c = -4 reads G4"),
-    # classify: valid records exit 0 with strict JSON, whatever the label
-    _row(["classify", _germ("catalog")], 0,
-         out={"model": "tube", "k": 2, "r": pytest.approx(0.7, abs=1e-9)}),
+    # classify: valid records exit 0 with strict JSON, whatever the label;
+    # the catalog's branches in either co-orientation
+    *[_row(["classify", _germ(f"catalog k={k} r={r:.6g}" + " flipped" * flip, k=k, r=r,
+                              flip=flip)], 0,
+           out={"model": family, "branch": branch, "k": k, "r": pytest.approx(r, abs=1e-9)})
+      for k, r, family, branch in ((2, 0.7, "tube", "G4"),
+                                   (2, special_radius(-4.0), "tube", "G3_KBIG"),
+                                   (1, 0.7, "equidistant", "G3_K1"))
+      for flip in (False, True)],
     _row(["classify", _germ("c=4", ("c", 4.0))], 0,
          out={"model": "unclassified", "reason": "*no real roots for c > 0*"}),
     *[_row(["classify", _germ(f"c={c!r}", ("c", c))], 0,
@@ -301,6 +315,8 @@ CONTRACT = [
       for kind, (edits, message) in SINGLE_DEFECTS.items()],
     # residuals
     _row(RESIDUALS_2, 0, out=ALL_PASS),
+    # the benchmark's n = 4 configuration
+    _row(["residuals", "--n", "4", "--c", "-4", "--k", "3", "--r", "0.5"], 0, out=ALL_PASS),
     *[_row([*RESIDUALS_2[:-2], f"--r={r}"], 2,
            f"error: tube charts need 0 < r <= 10.0, got {float(r)!r}") for r in ("nan", "inf", "30")],
     *[_row([*RESIDUALS_2, f"--fd-step={v}"], 2,
@@ -365,6 +381,12 @@ CONTRACT = [
     _row(["nonexistence", "--c", "4", *GRID_30], 0,
          out="c                        4.0\ngrid                     (30, 30, 30)\n"
          "points scanned           27000\nfeasible points          0\ncertificate              *"),
+    # the catalog's c > 0 scan
+    _row(["nonexistence", "--c", "3.1", *GRID_165], 0,
+         out="...\nfeasible points          0\ncertificate              *"),
+    # a long lambda_3 axis
+    _row(["nonexistence", "--c", "-4", "--grid", "4000", "10", "10"], 0,
+         out="...\nmax refined residual     *"),
     # the scan imposes the trace relation, not a second band on the
     # quadratic: --sum-band is an unrecognized option, whatever its width
     *[_row(["nonexistence", "--c", "-4", "--grid", "5", "5", "5", "--sum-band", width], 2,
@@ -397,9 +419,13 @@ CONTRACT = [
     # arithmetic and rounds to a value where lambda1 == lambda3
     _row(["nonexistence", "--c", "-3.4746401821558717", "--grid", "160", "160", "160"], 0,
          out="...\ncurve samples            106\nmax refined residual     *"),
+    # an unwritable --output fails before the scan, also where the scan
+    # would exit 1 (no refined sample on a 2 x 2 x 2 grid)
     *[_row(["nonexistence", "--c", c, "--grid", grid, grid, grid,
-            "--output={tmp}/missing/x.json"], 2, f"error: {NO_OUTPUT_DIR}", out=None)
-      for c, grid in (("-4", "40"), ("4", "20"))],
+            "--output={tmp}/missing/x.json"], 2, f"error: {NO_OUTPUT_DIR}")
+      for c, grid in (("-4", "40"), ("4", "20"), ("-4", "2"))],
+    _row(["nonexistence", "--c", "4", *GRID_30, "--output={tmp}"], 2,
+         "error: [Errno 21] Is a directory: '{tmp}'"),
     # no subcommand, or an unknown one
     _row([], 2, f"{USAGE}chgeom: error: the following arguments are required: command"),
     _row(["frobnicate"], 2,
@@ -407,32 +433,93 @@ CONTRACT = [
 ]
 
 
+def _resolve(argv, tmp):
+    """argv as the command gets it: a _Record written to tmp/germ.json
+    and passed as --input, and "{tmp}" replaced by tmp."""
+    resolved = []
+    for arg in argv:
+        if isinstance(arg, _Record):
+            (tmp / "germ.json").write_bytes(arg.content)
+            arg = f"--input={tmp / 'germ.json'}"
+        resolved.append(arg.replace("{tmp}", str(tmp)))
+    return resolved
+
+
+def _check_row(run, argv, code, err, out, tmp):
+    """run(argv), which returns the exit code, stdout and stderr of the
+    row's command, gives the row's code and prints its stderr and stdout,
+    with no traceback; a command that fails leaves no --output file that
+    was not there before."""
+    argv = _resolve(argv, tmp)
+    outputs = [arg.split("=", 1)[1] for arg in argv if arg.startswith("--output=")]
+    fresh = [path for path in outputs if not os.path.lexists(path)]
+    got, stdout, stderr = run(argv)
+    assert got == code
+    assert "Traceback" not in stderr
+    assert _match(err.replace("{tmp}", str(tmp)), stderr), stderr
+    if isinstance(out, dict):
+        assert _contains(out, json.loads(stdout, parse_constant=_reject_constant))
+    elif out is not None:
+        assert _match(out, stdout), stdout
+    if code:
+        assert not [path for path in fresh if os.path.lexists(path)]
+
+
 @pytest.mark.parametrize("argv, code, err, out", CONTRACT)
 def test_contract(argv, code, err, out, tmp_path, capsys):
     """Each input exits with its code and prints its stderr and stdout,
     with no warning and no traceback."""
-    germ = tmp_path / "germ.json"
-    for arg in argv:
-        if isinstance(arg, _Record):
-            germ.write_bytes(arg.content)
-    argv = [
-        f"--input={germ}" if isinstance(arg, _Record) else arg.replace("{tmp}", str(tmp_path))
-        for arg in argv
-    ]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = main(argv)
-    captured = capsys.readouterr()
-    assert got == code
-    assert "Traceback" not in captured.err
-    assert _match(err.replace("{tmp}", str(tmp_path)), captured.err), captured.err
-    if isinstance(out, dict):
-        assert _contains(out, json.loads(captured.out, parse_constant=_reject_constant))
-    elif out is not None:
-        assert _match(out, captured.out), captured.out
-    if code:  # a command that fails writes no --output file
-        assert not [arg for arg in argv if arg.startswith("--output=")
-                    and Path(arg.split("=", 1)[1]).exists()]
+
+    def run(argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = main(argv)
+        captured = capsys.readouterr()
+        return got, captured.out, captured.err
+
+    _check_row(run, argv, code, err, out, tmp_path)
+
+
+def _src_env():
+    """The environment with the source tree first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+# what the installed chgeom script runs (pyproject.toml, [project.scripts])
+CONSOLE_SCRIPT = "import sys; from chgeom.cli import main; sys.exit(main())"
+
+
+def _console_rows():
+    """The first non-xfail CONTRACT row of each (subcommand, exit code)."""
+    rows = {}
+    for row in CONTRACT:
+        argv, code = row.values[:2]
+        if not row.marks:
+            rows.setdefault((argv[0] if argv else None, code), row)
+    return list(rows.values())
+
+
+@pytest.mark.parametrize("argv, code, err, out", _console_rows())
+def test_console_script(argv, code, err, out, tmp_path):
+    """The row's command in a fresh interpreter, through the installed
+    script's call: its exit code reaches the process, and the process's
+    stderr and stdout are the row's."""
+
+    def run(argv):
+        proc = subprocess.run([sys.executable, "-c", CONSOLE_SCRIPT, *argv], capture_output=True,
+                              text=True, env=_src_env(), timeout=120)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    _check_row(run, argv, code, err, out, tmp_path)
+
+
+def test_console_script_is_cli_main():
+    """The installed script calls cli.main, as CONSOLE_SCRIPT does."""
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    assert 'chgeom = "chgeom.cli:main"' in pyproject.read_text().splitlines()
 
 
 MAX_FLOAT = sys.float_info.max
@@ -486,7 +573,15 @@ def _catalog_records(draw):
     r = draw(_radii(c, _low_radius(c, k)))
     germ = catalog_germ(ModelParams(n=n, c=c), k, r=r)
     germ = germ.flipped() if draw(st.booleans()) else germ  # either co-orientation
-    return _Record(f"catalog n={n} k={k} c={c!r} r={r!r}", germ.to_json().encode())
+    data, label = germ.to_json_dict(), f"catalog n={n} k={k} c={c!r} r={r!r}"
+    if draw(st.booleans()):  # a rotated tangent frame: T -> Q T, S -> Q S Q^T
+        seed = draw(st.integers(0, 2**32 - 1))
+        q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(2 * n - 1,) * 2))
+        shape = q @ germ.shape @ q.T
+        data.update(tangent_basis=(q @ germ.tangent_basis).tolist(),
+                    shape=((shape + shape.T) / 2).tolist())
+        label += f" rotated by seed {seed}"
+    return _Record(label, json.dumps(data).encode())
 
 
 class Domain(NamedTuple):
@@ -513,9 +608,8 @@ EDGES = (SUBNORMAL, 1e-300, 1e300, MAX_FLOAT)
 POSITIVE = Domain(_log_uniform(1e-323, 1e308, *EDGES), ["0", "-1", "nan", "inf", "-inf", "x"])
 CURVATURE = Domain(_curvatures(1e-323, 1e308, *EDGES), ["0", "4", "nan", "inf", "-inf", "x"])
 K = Domain(lambda v: st.integers(1, v["--n"] - 1), lambda v: [str(v["--n"]), "0", "x"])
-# an unwritable path is reported only when a command gets to write it:
-# its rows are in CONTRACT
-OUTPUT = Domain(st.just(os.devnull))
+# a path under a missing directory, and a directory
+OUTPUT = Domain(st.just(os.devnull), ["{tmp}/missing/x.json", "{tmp}"])
 MALFORMED_RECORDS = [
     argv[1] for argv, code, *_ in (row.values for row in CONTRACT)
     if code == 2 and len(argv) == 2 and isinstance(argv[1], _Record)
@@ -593,11 +687,9 @@ def _given(spec, values):
     return spec(values) if callable(spec) else spec
 
 
-def _arguments(option, value, tmp_path_factory):
+def _arguments(option, value):
     if isinstance(value, _Record):
-        path = tmp_path_factory.getbasetemp() / "walk-germ.json"
-        path.write_bytes(value.content)
-        value = path
+        return [value]  # --input, by _resolve
     if isinstance(value, tuple):
         return [option, *map(str, value)]
     # "--opt=value": argparse reads a separate "-inf" as an option
@@ -646,7 +738,8 @@ def test_walk(data, tmp_path_factory):
         elif not action.required and data.draw(st.booleans(), label=f"omit {option}"):
             continue
         passed.add(option)
-        argv += _arguments(option, value, tmp_path_factory)
+        argv += _arguments(option, value)
+    argv = _resolve(argv, tmp_path_factory.getbasetemp())
     stdout, stderr = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
             contextlib.redirect_stderr(stderr):
@@ -687,17 +780,20 @@ def test_validate_raises_the_readers_message(kind):
     assert str(excinfo.value) == message
 
 
-def test_construct_writes_spec(tmp_path, capsys):
+@pytest.mark.parametrize("n, phi", [(3, None), (4, "1.0471975511965976")])
+def test_construct_writes_spec(n, phi, tmp_path, capsys):
+    """The spec file holds exactly the documented keys, and reads back."""
     out_path = tmp_path / "spec.json"
     code = main([
-        "construct", "--n", "3", "--c", "-4", "--k", "2",
+        "construct", "--n", str(n), "--c", "-4", "--k", "2", *(["--phi", phi] if phi else []),
         "--output", str(out_path),
     ])
     assert code == 0
     payload = json.loads(out_path.read_text())
+    assert set(payload) == {"n", "c", "k", "phi", "normal_basis", "tangent_basis", "pxi_unit"}
     spec = SubmanifoldSpec.from_json_dict(payload)
     assert spec.k == 2
-    assert spec.tangent_basis.shape == (4, 6)
+    assert spec.tangent_basis.shape == (2 * n - 2, 2 * n)
     out = capsys.readouterr().out
     assert "shape-form resid" in out and out.strip().endswith("PASS")
 
@@ -932,8 +1028,10 @@ def test_residuals_at_a_small_curvature_prints_no_fail(capsys):
 
 
 def test_nonexistence_writes_its_curve(tmp_path, capsys):
-    """--output holds c and the refined curve: no rows for c > 0, and rows
-    of five finite numbers for c < 0."""
+    """--output holds c and the refined curve: no rows for c > 0, and for
+    c < 0 rows (lambda3, lambda1, lambda2, b1^2, b2^2) of five finite
+    numbers, ordered lambda1 < lambda3 < lambda2 and on the trace relation
+    lambda1 + lambda2 = 3 lambda3."""
     path = tmp_path / "curve.json"
     assert main(["nonexistence", "--c", "4", "--grid", "20", "20", "20", f"--output={path}"]) == 0
     assert capsys.readouterr().out.endswith(f"wrote {path}\n")
@@ -942,6 +1040,17 @@ def test_nonexistence_writes_its_curve(tmp_path, capsys):
     payload = json.loads(path.read_text())
     assert payload["c"] == -4.0 and payload["curve_points"]
     assert all(len(row) == 5 and all(map(math.isfinite, row)) for row in payload["curve_points"])
+    assert all(l1 < l3 < l2 and abs(l1 + l2 - 3 * l3) <= 1e-12
+               for l3, l1, l2, _, _ in payload["curve_points"])
+
+
+def test_nonexistence_refines_the_catalog_scan(capsys):
+    """The catalog's c < 0 scan at 165^3 finds the curve and refines it to
+    1e-9."""
+    assert main(["nonexistence", "--c=-3.1", *GRID_165]) == 0
+    report = dict(line.rsplit(None, 1) for line in capsys.readouterr().out.splitlines())
+    assert int(report["curve samples"]) > 0
+    assert float(report["max refined residual"]) <= 1e-9
 
 
 # one valid argv per subcommand; its last option is a required one
@@ -1077,12 +1186,9 @@ def test_commands_load_numlab_and_tubes_only_when_they_run_them(tmp_path):
          "--r-min", "0.5", "--r-max", "0.5", "--count", "1"],
         ["residuals", "--n", "2", "--c", "-4", "--k", "1", "--r", "0.3"],
     ]
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_GRAPH_SCRIPT, str(germ), json.dumps(commands)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_src_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
