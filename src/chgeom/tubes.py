@@ -51,6 +51,9 @@ MAX_RADIUS = 10.0
 # bound on s*r (s = sqrt(-c)/2) for the Jacobi modes: past it the modes,
 # which grow like e^{2sr}, lose the conditioning of zeta'(r) zeta(r)^{-1}
 MAX_RATE_RADIUS = 20.0
+# for k >= 2, where r = 0 is the focal set: below this bound on r and on
+# s^2 r, lambda4 ~ 1/r or lambda3 ~ s^2 r leaves the normal doubles
+MIN_SCALE = 1e-300
 
 # Tube germs read the orbit's form from ``SubmanifoldSpec.second_
 # fundamental_form``; the name stays bound here because the benchmark's
@@ -88,6 +91,16 @@ def check_rate_radius(c: float, r: float) -> None:
         )
 
 
+def min_radius(c: float, k: int) -> float:
+    """The smallest radius of a tube germ at c: 0 for k = 1 (the orbit is
+    a hypersurface), otherwise the smallest r with r and s^2 r at least
+    MIN_SCALE (s = sqrt(-c)/2; inf where s^2 underflows)."""
+    if k == 1:
+        return 0.0
+    s2 = rate(c) ** 2
+    return max(MIN_SCALE, MIN_SCALE / s2) if s2 else math.inf
+
+
 def _tube_modes(spec: SubmanifoldSpec, eta: np.ndarray, radii):
     """Checked arguments and the initial Jacobi data of the tube germs of
     a grid of radii.
@@ -106,12 +119,17 @@ def _tube_modes(spec: SubmanifoldSpec, eta: np.ndarray, radii):
     off = eta - coeffs @ spec.normal_basis
     if math.sqrt(off @ off) > 1e-10:
         raise ValueError("eta must lie in the normal space of the orbit")
+    c = spec.params.c
+    low = min_radius(c, spec.k)
     for r in radii:
         if not (0.0 <= r <= MAX_RADIUS):
             raise ValueError(f"radius must lie in [0, {MAX_RADIUS}], got {r!r}")
-        check_rate_radius(spec.params.c, r)
-        if r == 0.0 and spec.k != 1:
-            raise ValueError("r = 0 is a focal singularity unless k = 1")
+        check_rate_radius(c, r)
+        if r < low:
+            raise ValueError(
+                f"r = {r!r} is below {low!r}, the smallest tube radius for k >= 2 at c = {c!r}: "
+                f"r and s^2*r stay at least {MIN_SCALE} (s = sqrt(-c)/2)"
+            )
 
     if spec.k > 1:
         _, sv, vt = np.linalg.svd(coeffs[None, :])

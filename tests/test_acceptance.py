@@ -9,39 +9,40 @@ import time
 
 import numpy as np
 
-from chgeom import (
-    ModelParams,
-    SolvableModel,
-    build_submanifold,
-    catalog_germ,
-    classify,
-    constraint_residuals,
-    convergence_order,
-    eigen_structure_from_lambda3,
+from chgeom import construction
+from chgeom.cli import main as cli_main
+from chgeom.construction import build_submanifold, rigidity_form_check
+from chgeom.jacobi import (
     f_function,
     focal_collapse_matrix_closed,
     focal_collapse_matrix_numeric,
     focal_determinant_matrix,
     focal_radius,
+    sech,
+    special_radius,
+)
+from chgeom.model import ModelParams, SolvableModel
+from chgeom.numlab import (
+    GermField,
+    convergence_order,
     frame_connection_residuals,
-    frame_identity_residuals,
     gauss_codazzi_residuals,
     graded_connection_residuals,
     graded_curvature_residuals,
-    nonexistence_scan,
-    principal_decomposition,
     real_eigenspace_residual,
-    rigidity_form_check,
-    sech,
-    special_radius,
     tube_chart,
-    tube_shape_operator,
-    tube_spectrum_closed,
     unit_pair_gauss_residual,
 )
-from chgeom import construction
-from chgeom.cli import main as cli_main
-from chgeom.numlab import GermField
+from chgeom.spectral import (
+    catalog_germ,
+    classify,
+    constraint_residuals,
+    eigen_structure_from_lambda3,
+    frame_identity_residuals,
+    nonexistence_scan,
+    principal_decomposition,
+)
+from chgeom.tubes import tube_shape_operator, tube_spectrum_closed
 
 CURVATURE_TOLERANCE = 1e-10
 RIGIDITY_TOLERANCE = 1e-12

@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from chgeom import ModelParams, catalog_germ, cli, spectral, tubes
+from chgeom import cli, spectral, tubes
 from chgeom.construction import build_submanifold
+from chgeom.model import ModelParams
+from chgeom.spectral import catalog_germ
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 

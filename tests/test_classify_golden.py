@@ -18,16 +18,24 @@ seeded random unit normals.
 The bit-for-bit assertions also pin the floating-point build the file
 was recorded with: numpy 2.4 on x86-64 with OpenBLAS 0.3.31
 (DYNAMIC_ARCH), whose runtime dispatch chose the SkylakeX (AVX-512)
-kernels.  On the same build forced to another core
-(``OPENBLAS_CORETYPE=Haswell`` or ``=Zen``, both of which run the
-Haswell kernels, as a CPU without AVX-512 does), ``eigh`` and
-``matmul`` round differently in the last bits:
-``test_classify_matches_golden`` and every
-``test_numlab_golden.py::test_residuals_match_golden_values`` case
-fail, while the sweep-bytes tests and the two coverage tests still
-pass.  A mismatch in r, an eigenvalue or a sweep digit with every label
-equal is then a platform difference to confirm (CI prints the core
-with ``OPENBLAS_VERBOSE=2``) before it is read as a regression.
+kernels, and numpy's own dispatch, which chose its X86_V4 (AVX-512)
+loops.  A CPU without AVX-512 changes both.
+- OpenBLAS forced to another core (``OPENBLAS_CORETYPE=Haswell`` or
+  ``=Zen``, both of which run the Haswell kernels): ``eigh`` and
+  ``matmul`` round differently in the last bits, and
+  ``test_classify_matches_golden``, every
+  ``test_numlab_golden.py::test_residuals_match_golden_values`` case and
+  the construction goldens fail (116 tests), while the sweep-bytes tests
+  and the two coverage tests still pass.
+- numpy without its X86_V4 loops
+  (``NPY_DISABLE_CPU_FEATURES=AVX512_SPR,AVX512_ICL,X86_V4``):
+  ``np.cosh`` and ``np.sinh`` in ``jacobi`` round differently, the
+  criterion-10 ``detD`` and ``detD_expected`` cells change in their last
+  digits at r = 0.2, 0.4 and 1.4, and both sweep-bytes tests fail.
+So such a CPU fails 118 tests.  A mismatch in r, an eigenvalue or a
+sweep digit with every label equal is then a platform difference to
+confirm (CI prints the OpenBLAS core and numpy's X86_V4 dispatch) before
+it is read as a regression.
 
 ``python tests/test_classify_golden.py`` rewrites the data file from
 the code it runs against: do that only on a commit whose outputs the
@@ -43,16 +51,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chgeom import (
-    ModelParams,
-    build_submanifold,
-    catalog_germ,
-    classify,
-    horosphere_germ,
-    principal_decomposition,
-    special_radius,
-)
 from chgeom.cli import main as cli_main
+from chgeom.construction import build_submanifold
+from chgeom.jacobi import special_radius
+from chgeom.model import ModelParams
+from chgeom.spectral import catalog_germ, classify, horosphere_germ, principal_decomposition
 from chgeom.tubes import MAX_RADIUS, tube_germ
 
 DATA = Path(__file__).resolve().parent / "data" / "classify_golden.json"

@@ -30,12 +30,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chgeom import (
-    ModelParams, SubmanifoldSpec, build_submanifold, catalog_germ, cli, model, numlab,
-    spectral, tubes,
-)
+from chgeom import cli, model, numlab, spectral, tubes
 from chgeom.cli import SWEEP_COLUMNS, main
+from chgeom.construction import SubmanifoldSpec, build_submanifold
 from chgeom.jacobi import special_radius
+from chgeom.model import ModelParams
+from chgeom.spectral import catalog_germ
 from chgeom.tubes import MAX_RADIUS, MAX_RATE_RADIUS
 
 
@@ -137,9 +137,10 @@ def _residuals_out(verdicts, skipped, reason):
 
 def _row(argv, code, err="", out="", xfail=None):
     """One input: its argv, its exit code, and _match patterns for stderr
-    and stdout.  out may also be a dict, which classify's stdout must hold
-    as strict JSON, or None (not checked).  "{tmp}" stands for the test's
-    temporary directory.  xfail names the ROADMAP item of a known defect."""
+    and stdout.  out may also be a tuple of patterns, one of which stdout
+    must match, a dict, which classify's stdout must hold as strict JSON,
+    or None (not checked).  "{tmp}" stands for the test's temporary
+    directory.  xfail names the ROADMAP item of a known defect."""
     name = " ".join(arg.label if isinstance(arg, _Record) else arg for arg in argv)
     marks = [pytest.mark.xfail(strict=True, reason=xfail)] if xfail else []
     return pytest.param(argv, code, err, out, id=name, marks=marks)
@@ -162,6 +163,8 @@ EXTREME_CURVATURES = (-1e-250, -1e-300, -1e-310, -5e-324, -1e250, -1e300)
 OFF_CATALOG = _germ("off-catalog", ("shape.0.0", lambda x: x + 0.05))
 MALFORMED = "error: malformed germ input:"
 TOO_WIDE = "exceeds 20.0 (s = sqrt(-c)/2): the tube's Jacobi modes are too ill-conditioned there"
+SMALLEST_RADIUS = "the smallest tube radius for k >= 2"
+MIN_SCALE = "r and s^2*r stay at least 1e-300 (s = sqrt(-c)/2)"
 FRAMES_NEED = "the frame suites cannot run: at grouping tolerance 0.0001"
 NEIGHBOUR_H1 = "a stencil neighbour of the center germ has h = 1 projected eigenspaces, not 2"
 DEPTH = sys.getrecursionlimit() + 100
@@ -201,7 +204,18 @@ CONTRACT = [
     # sweep
     *[_row([*SWEEP, f"--c={c!r}", "--count", "2", "--r-min", "0.5" if abs(c) < 1 else "1e-160",
             "--r-max", "1" if abs(c) < 1 else "1e-155"], 2, f"error: c = {c!r} is out of range*")
-      for c in EXTREME_CURVATURES],
+      for c in (-1e-250, -1e250, -1e300)],
+    # for k >= 2, r and s^2 r stay at least 1e-300 (tubes.min_radius): the
+    # tube germs are checked first, so below that bound their error is the
+    # one printed, also where the catalog rejects c
+    *[_row([*SWEEP, f"--c={c!r}", "--count", "2", "--r-min", "0.5", "--r-max", "1"], 2,
+           f"error: r = 0.5 is below {low}, {SMALLEST_RADIUS} at c = {c!r}: {MIN_SCALE}")
+      for c, low in ((-1e-300, "4.0"), (-1e-310, "39999999999.998146"), (-5e-324, "inf"))],
+    *[_row([*SWEEP, f"--c={c}", "--r-min", r, "--r-max", r, "--count", "1"], 2,
+           f"error: r = {float(r)!r} is below {low}, {SMALLEST_RADIUS} at c = {float(c)!r}: "
+           f"{MIN_SCALE}")
+      for c, r, low in (("-1", "1e-308", "4e-300"), ("-1", "5e-324", "4e-300"),
+                        ("-1e-205", "1e-300", "4e-95"))],
     _row([*SWEEP, "--c", "-100", "--r-min", "0.5", "--r-max", "10", "--count", "8"], 2,
          f"error: s*r = 22.857142857142854 {TOO_WIDE}"),
     # a radius that both the tube germ and the catalog reject: the tube
@@ -228,6 +242,12 @@ CONTRACT = [
          out=f"{SWEEP_COLUMNS}\n0.5,*,4,2,*,G4",
          xfail="ROADMAP item 12: at c = -1e-20 the row reads g = 2, h = 1 and hopf, "
          "where the same s*r at c = -4 reads G4"),
+    # below r = 1e-9 a catalog tube reads G4 or indeterminate (item 1's target)
+    *[_row(["sweep", "--n", n, "--c", "-4", "--k", k, "--r-min", r, "--r-max", r, "--count", "1"],
+           0, out=(f"{SWEEP_COLUMNS}\n{r},*,G4", f"{SWEEP_COLUMNS}\n{r},*,indeterminate*"),
+           xfail=f"ROADMAP item 1: at r = {r} the (n, k) = ({n}, {k}) tube reads {status}")
+      for n, k, r, status in (("4", "3", "1e-60", "residuals"),
+                              ("3", "2", "1e-300", "'branch G3_K1 requires k = 1'"))],
     # classify: valid records exit 0 with strict JSON, whatever the label;
     # the catalog's branches in either co-orientation
     *[_row(["classify", _germ(f"catalog k={k} r={r:.6g}" + " flipped" * flip, k=k, r=r,
@@ -459,6 +479,8 @@ def _check_row(run, argv, code, err, out, tmp):
     assert _match(err.replace("{tmp}", str(tmp)), stderr), stderr
     if isinstance(out, dict):
         assert _contains(out, json.loads(stdout, parse_constant=_reject_constant))
+    elif isinstance(out, tuple):
+        assert any(_match(pattern, stdout) for pattern in out), stdout
     elif out is not None:
         assert _match(out, stdout), stdout
     if code:
@@ -548,9 +570,10 @@ def _top_radius(c):
 
 
 def _low_radius(c, k):
-    """The smallest radius sweep takes at c: for k >= 2, where r = 0 is
-    the focal set, r and lambda_3 ~ s^2 r stay at least 1e-300."""
-    return SUBNORMAL if k == 1 else max(1e-300, 1e-300 / model.rate(c) ** 2)
+    """The smallest radius sweep takes at c: the tube layer's
+    ``min_radius`` (for k >= 2, where r = 0 is the focal set), and at
+    least the smallest double."""
+    return max(SUBNORMAL, tubes.min_radius(c, k))
 
 
 def _radii(c, low=SUBNORMAL):
@@ -640,7 +663,7 @@ DOMAINS = {
         "--k": K,
         "--r-min": Domain(
             lambda v: _radii(v["--c"], _low_radius(v["--c"], v["--k"])),
-            lambda v: _too_far(v) + ([repr(SUBNORMAL)] if v["--k"] > 1 else []),
+            lambda v: _too_far(v) + ([repr(SUBNORMAL), "1e-308"] if v["--k"] > 1 else []),
         ),
         # the grid is r-min alone at count 1
         "--r-max": Domain(
@@ -1154,15 +1177,19 @@ def test_parser_built_once_and_options_do_not_leak(tmp_path, capsys, monkeypatch
     assert len(builds) == 1
 
 
-# Run in a fresh interpreter: print, after importing chgeom.cli and after
-# each command, which of the lazily loaded modules are in sys.modules.
+# Run in a fresh interpreter: print which chgeom modules a bare
+# ``import chgeom`` loads, then, after importing chgeom.cli and after each
+# command, which of the lazily loaded modules are in sys.modules.
 _IMPORT_GRAPH_SCRIPT = textwrap.dedent("""
     import contextlib, io, json, sys
+    import chgeom
+
+    root = [m for m in sys.modules if m.startswith("chgeom.")]
     import chgeom.cli
 
     germ, commands = sys.argv[1], json.loads(sys.argv[2])
     lazy = ("chgeom.numlab", "chgeom.tubes")
-    seen = {"import": [m for m in lazy if m in sys.modules]}
+    seen = {"root": root, "import": [m for m in lazy if m in sys.modules]}
     for argv in commands:
         with contextlib.redirect_stdout(io.StringIO()):
             code = chgeom.cli.main([germ if a == "GERM" else a for a in argv])
@@ -1172,9 +1199,10 @@ _IMPORT_GRAPH_SCRIPT = textwrap.dedent("""
 
 
 def test_commands_load_numlab_and_tubes_only_when_they_run_them(tmp_path):
-    """Importing chgeom.cli loads neither the finite-difference lab nor
-    the tube germs; verify-model, construct, classify and nonexistence
-    never load them, sweep loads tubes, and residuals loads both."""
+    """Importing chgeom loads no submodule; importing chgeom.cli loads
+    neither the finite-difference lab nor the tube germs; verify-model,
+    construct, classify and nonexistence never load them, sweep loads
+    tubes, and residuals loads both."""
     germ = tmp_path / "germ.json"
     germ.write_text(catalog_germ(ModelParams(n=3, c=-4.0), 2, r=0.7).to_json())
     commands = [
@@ -1192,6 +1220,7 @@ def test_commands_load_numlab_and_tubes_only_when_they_run_them(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
+        "root": [],
         "import": [],
         "verify-model": [0, []],
         "construct": [0, []],
@@ -1200,22 +1229,3 @@ def test_commands_load_numlab_and_tubes_only_when_they_run_them(tmp_path):
         "sweep": [0, ["chgeom.tubes"]],
         "residuals": [0, ["chgeom.numlab", "chgeom.tubes"]],
     }
-
-
-def test_every_public_name_resolves_and_star_import_binds_it():
-    """The package root resolves its numlab and tubes names on first
-    access: each name in __all__ is its owner's object, and
-    ``from chgeom import *`` binds every one."""
-    import chgeom
-
-    for name in chgeom.__all__:
-        value = getattr(chgeom, name)
-        owner = sys.modules[value.__module__]
-        assert getattr(owner, name) is value, name
-    namespace = {}
-    exec("from chgeom import *", namespace)
-    assert set(chgeom.__all__) <= set(namespace)
-    assert set(chgeom.__all__) <= set(dir(chgeom))
-    assert chgeom.numlab is numlab and chgeom.tubes is tubes
-    with pytest.raises(AttributeError):
-        chgeom.no_such_name

@@ -9,22 +9,23 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from chgeom import (
+from chgeom import construction
+from chgeom.construction import (
+    RIGHT_ANGLE_TOLERANCE,
+    RIGIDITY_TOLERANCE,
     DimensionTooLarge,
-    ModelParams,
     OddDimensionNonReal,
     SubmanifoldSpec,
     build_submanifold,
     constant_kahler_angle_subspace,
-    focal_shape_check,
+    is_totally_real,
     kahler_angle,
     maximal_holomorphic_subspace,
     orbit_second_fundamental_form,
     rigidity_form_check,
 )
-from chgeom import construction
-from chgeom.construction import RIGHT_ANGLE_TOLERANCE, RIGIDITY_TOLERANCE, is_totally_real
-from chgeom.model import GALPHA_START, j_action
+from chgeom.model import GALPHA_START, ModelParams, j_action
+from chgeom.tubes import focal_shape_check
 
 ANGLE_TOLERANCE = 1e-12
 FORM_TOLERANCE = 1e-12
@@ -82,7 +83,7 @@ def test_right_angle_subspace_is_totally_real():
 
 
 def params_j(params):
-    from chgeom import standard_complex_structure
+    from chgeom.model import standard_complex_structure
 
     return standard_complex_structure(params.n)
 

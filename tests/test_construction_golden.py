@@ -40,8 +40,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chgeom import ModelParams, build_submanifold
 from chgeom.cli import main as cli_main
+from chgeom.construction import build_submanifold
+from chgeom.model import ModelParams
 from chgeom.tubes import tube_germ
 
 DATA = Path(__file__).resolve().parent / "data" / "construction_golden.json"

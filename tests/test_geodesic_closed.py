@@ -6,7 +6,7 @@ translation."""
 import numpy as np
 import pytest
 
-from chgeom import ModelParams, SolvableModel
+from chgeom.model import ModelParams, SolvableModel
 
 # errors are compared with the size of the coordinates: at speed 2.5 the
 # center coordinate reaches ~5e4, where 1e-8 absolute is round-off

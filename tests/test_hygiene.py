@@ -1,8 +1,8 @@
 """Source hygiene: no module in the package or the tests imports a name it
-never uses (an unused root import keeps a name in ``chgeom.__all__``), no
-package function takes a parameter it never reads, README's list of
-classifier reasons matches the reasons the code returns, and no package
-module passes or stores J as a matrix (``model.j_action`` applies it)."""
+never uses, no package function takes a parameter it never reads,
+README's list of classifier reasons matches the reasons the code returns,
+and no package module passes or stores J as a matrix (``model.j_action``
+applies it)."""
 
 import ast
 import re
@@ -15,8 +15,7 @@ SOURCES = sorted((ROOT / "src" / "chgeom").glob("*.py")) + sorted(
 
 
 def unused_imports(tree: ast.Module) -> list:
-    """Names bound by an import statement and never read in the module
-    (names listed in ``__all__`` count as read)."""
+    """Names bound by an import statement and never read in the module."""
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -31,11 +30,6 @@ def unused_imports(tree: ast.Module) -> list:
         for node in ast.walk(tree)
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
     }
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used |= {elt.value for elt in node.value.elts}
     return sorted(
         (line, name) for name, line in imported.items() if name not in used
     )
@@ -44,9 +38,9 @@ def unused_imports(tree: ast.Module) -> list:
 def test_unused_import_scan_flags_unused_names():
     tree = ast.parse(
         "import os\nimport numpy as np\nfrom math import pi, tau\n"
-        "from x import y as z\n__all__ = ['tau']\nprint(np.pi, pi)\n"
+        "from x import y as z\nprint(np.pi, pi)\n"
     )
-    assert unused_imports(tree) == [(1, "os"), (4, "z")]
+    assert unused_imports(tree) == [(1, "os"), (3, "tau"), (4, "z")]
 
 
 def test_no_unused_imports():

@@ -8,12 +8,10 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from chgeom import (
-    ModelParams,
+from chgeom import jacobi
+from chgeom.construction import build_submanifold
+from chgeom.jacobi import (
     OutOfRangeEigenvalue,
-    build_submanifold,
-    classify,
-    eigen_structure_from_lambda3,
     f_derivative,
     f_function,
     focal_collapse_matrix_closed,
@@ -21,19 +19,16 @@ from chgeom import (
     focal_determinant_matrix,
     focal_determinant_matrix_derivative,
     focal_radius,
-    focal_rank,
-    focal_shape_check,
     g_derivative,
     g_function,
-    j_action,
-    jacobi,
     jacobi_closed,
     jacobi_ode_oracle,
     sech,
     special_radius,
-    tube_shape_operator,
-    tube_spectrum_closed,
 )
+from chgeom.model import ModelParams, j_action
+from chgeom.spectral import classify, eigen_structure_from_lambda3
+from chgeom.tubes import focal_rank, focal_shape_check, tube_shape_operator, tube_spectrum_closed
 
 CLOSED_VS_ODE_TOLERANCE = 1e-8
 DETERMINANT_TOLERANCE = 1e-10

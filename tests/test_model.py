@@ -9,14 +9,14 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from chgeom import (
+from chgeom.model import (
+    GALPHA_START,
     ModelParams,
     SolvableModel,
     ambient_curvature,
     j_action,
     standard_complex_structure,
 )
-from chgeom.model import GALPHA_START
 
 CURVATURE_TOLERANCE = 1e-10
 ALGEBRA_TOLERANCE = 1e-13

@@ -8,11 +8,13 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from chgeom import (
-    ModelParams,
-    SolvableModel,
-    build_submanifold,
-    classify,
+from chgeom.construction import build_submanifold
+from chgeom.model import ModelParams, SolvableModel
+from chgeom.numlab import (
+    GermField,
+    _eigen_pairs,
+    _lattice,
+    _layout,
     convergence_order,
     frame_connection_residuals,
     gauss_codazzi_residuals,
@@ -21,10 +23,10 @@ from chgeom import (
     horosphere_chart,
     real_eigenspace_residual,
     tube_chart,
-    tube_spectrum_closed,
     unit_pair_gauss_residual,
 )
-from chgeom.numlab import GermField, _eigen_pairs, _layout, _lattice
+from chgeom.spectral import classify
+from chgeom.tubes import tube_spectrum_closed
 
 EXACT_CHART_TOLERANCE = 1e-10
 SPECTRUM_TOLERANCE = 1e-5

@@ -12,25 +12,29 @@ Haswell`` or ``=Zen``, or a CPU without AVX-512) every case below fails,
 and not on a last bit: the central differences magnify the kernels'
 rounding, so ``gauss`` moves by about 4e-9 relative (crit9 at h = 1e-3:
 7.556435684e-05 -> 7.556435715e-05) and 74 of the 93 values below leave
-their bounds; see ``test_classify_golden.py``.
+their bounds.  Such a CPU also lacks numpy's X86_V4 loops, which moves
+the sweep bytes as well; see ``test_classify_golden.py``.
 """
 
 import numpy as np
 import pytest
 
-from chgeom import (
-    ModelParams,
-    build_submanifold,
+from chgeom.construction import build_submanifold
+from chgeom.model import ModelParams
+from chgeom.numlab import (
+    RESIDUAL_SUITES,
+    GermField,
+    Indeterminate,
     frame_connection_residuals,
     gauss_codazzi_residuals,
     graded_connection_residuals,
     graded_curvature_residuals,
     horosphere_chart,
     real_eigenspace_residual,
+    residual_suites,
     tube_chart,
     unit_pair_gauss_residual,
 )
-from chgeom.numlab import RESIDUAL_SUITES, GermField, Indeterminate, residual_suites
 
 BIT_EXACT = ("gauss", "codazzi")
 OTHER_TOLERANCE = 1e-12

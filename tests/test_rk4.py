@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from chgeom import ModelParams, SolvableModel, jacobi_ode_oracle
-from chgeom.model import rk4
+from chgeom.jacobi import jacobi_ode_oracle
+from chgeom.model import ModelParams, SolvableModel, rk4
 
 MODEL = SolvableModel(ModelParams(n=2, c=-4.0))
 W = np.array([0.0, 0.0, 1.0, 0.0])

@@ -11,27 +11,25 @@ import pytest
 from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
-from chgeom import (
+from chgeom import spectral
+from chgeom.construction import build_submanifold
+from chgeom.jacobi import OutOfRangeEigenvalue, focal_radius, special_radius
+from chgeom.model import ModelParams
+from chgeom.spectral import (
     HypersurfaceGerm,
-    ModelParams,
     NoRealSolution,
-    OutOfRangeEigenvalue,
     catalog_germ,
     catalog_quadratic,
     classify,
     constraint_residuals,
     eigen_structure_from_lambda3,
-    focal_radius,
     frame_identity_residuals,
     hopf_frame,
     horosphere_germ,
     nonexistence_scan,
     principal_decomposition,
-    special_radius,
     totally_real_check,
 )
-from chgeom import spectral
-from chgeom.construction import build_submanifold
 from chgeom.tubes import tube_germ
 
 CATALOG_TOLERANCE = 1e-12

@@ -9,21 +9,8 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from chgeom import (
-    ModelParams,
-    build_submanifold,
-    classify,
-    focal_shape_check,
-    hopf_frame,
-    j_action,
-    jacobi_closed,
-    jacobi_ode_oracle,
-    principal_decomposition,
-    special_radius,
-    tube_chart,
-    tube_shape_operator,
-    tube_spectrum_closed,
-)
+from chgeom import tubes
+from chgeom.construction import build_submanifold
 from chgeom.jacobi import (
     _mode_matrix,
     f_derivative,
@@ -32,10 +19,23 @@ from chgeom.jacobi import (
     focal_determinant_matrix_derivative,
     g_derivative,
     g_function,
+    jacobi_closed,
     jacobi_closed_propagator,
+    jacobi_ode_oracle,
+    special_radius,
 )
-from chgeom.model import rate
-from chgeom.tubes import MAX_RADIUS, MAX_RATE_RADIUS, tube_germ, tube_germs
+from chgeom.model import ModelParams, j_action, rate
+from chgeom.numlab import tube_chart
+from chgeom.spectral import classify, hopf_frame, principal_decomposition
+from chgeom.tubes import (
+    MAX_RADIUS,
+    MAX_RATE_RADIUS,
+    focal_shape_check,
+    tube_germ,
+    tube_germs,
+    tube_shape_operator,
+    tube_spectrum_closed,
+)
 
 CLOSED_VS_ODE_TOLERANCE = 1e-8
 SPECTRUM_RELATIVE_TOLERANCE = 1e-12
@@ -231,6 +231,10 @@ def test_tube_germ_argument_checks():
     ):
         with pytest.raises(ValueError):
             bad()
+    # below the small-radius bound for k >= 2, both routes raise one error
+    for route in (tube_germ, tube_shape_operator):
+        with pytest.raises(ValueError, match="is below 1e-300, the smallest tube radius"):
+            route(spec, eta, 1e-308)
     # r = 0 is allowed for k = 1: the orbit itself
     spec1 = build_submanifold(ModelParams(n=3, c=-4.0), 1, math.pi / 2)
     germ = tube_germ(spec1, spec1.normal_basis[0], 0.0)
@@ -373,9 +377,11 @@ def test_tube_germs_raise_the_error_of_their_first_bad_radius(k, bad, at):
     assert _error_of(lambda: tube_germs(spec, eta, radii + [11.0])) == want
 
 
-def test_tube_germs_check_the_germ_of_every_radius():
-    """The shape at r = 5e-324 (a valid radius) is not finite: the germ
-    check runs on each radius's germ, not only the first one's."""
+def test_tube_germs_check_the_germ_of_every_radius(monkeypatch):
+    """With the small-radius bound lifted, the shape at r = 5e-324 is not
+    finite: the germ check runs on each radius's germ, not only the first
+    one's."""
+    monkeypatch.setattr(tubes, "min_radius", lambda c, k: 0.0)
     spec = build_submanifold(ModelParams(n=3, c=-4.0), 2, math.pi / 2.0)
     with pytest.raises(ValueError, match="^germ shape has a non-finite entry$"):
         tube_germs(spec, spec.normal_basis[0], [0.5, 5e-324])
