@@ -153,43 +153,6 @@ class SubmanifoldSpec:
             "pxi_unit": self.pxi_unit.tolist(),
         }
 
-    @staticmethod
-    def from_json_dict(data: dict) -> "SubmanifoldSpec":
-        """Inverse of ``to_json_dict``.  c and phi must be JSON numbers
-        (not bools), and n, c, k and phi must pass the ``ModelParams`` and
-        ``build_submanifold`` checks; each array must be the one
-        ``build_submanifold`` rebuilds from them: the same shape, and the
-        same entries to SPAN_TOLERANCE.  Otherwise ValueError, naming the
-        field."""
-        try:
-            for name in ("c", "phi"):
-                value = data[name]
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ValueError(f"spec {name} must be a JSON number, got {value!r}")
-            params = ModelParams(n=data["n"], c=float(data["c"]))
-            phi = float(data["phi"])
-            k = _validate_k_phi(params.n, data["k"], phi)
-            arrays = {
-                name: np.asarray(data[name], dtype=float)
-                for name in ("normal_basis", "tangent_basis", "pxi_unit")
-            }
-        except (KeyError, TypeError, OverflowError) as exc:
-            raise ValueError(f"malformed submanifold spec: {exc!r}") from exc
-        spec = build_submanifold(params, k, phi)
-        for name, given in arrays.items():
-            want = getattr(spec, name)
-            if given.shape != want.shape:
-                raise ValueError(
-                    f"{name} has shape {given.shape}, expected {want.shape} "
-                    f"for n={params.n}, k={k}"
-                )
-            if not np.all(np.abs(given - want) <= SPAN_TOLERANCE):
-                raise ValueError(
-                    f"{name} is not the {name} of the orbit with "
-                    f"n={params.n}, k={k}, phi={phi!r}"
-                )
-        return spec
-
 
 def build_submanifold(params: ModelParams, k: int, phi: float) -> SubmanifoldSpec:
     """Assemble the orbit data: the normal rows xi_m, then the tangent

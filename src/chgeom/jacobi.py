@@ -79,11 +79,6 @@ def g_derivative(lam, c: float, t):
     return _g_prime(np.asarray(lam, dtype=float), *_hyperbolic(c, t))
 
 
-def jacobi_closed(lam: float, jxi_component: float, c: float, t):
-    """Closed-form pair (f(t), <v,J xi> g(t)) for an eigen-mode."""
-    return f_function(lam, c, t), jxi_component * g_function(lam, c, t)
-
-
 def jacobi_ode_oracle(
     zeta0,
     zeta_prime0,

@@ -425,7 +425,6 @@ class PrincipalDecomposition:
     jxi_components: np.ndarray
     hopf_indices: list
     non_hopf_indices: list
-    gap_warning: bool
 
     @property
     def g(self) -> int:
@@ -450,7 +449,6 @@ class PrincipalDecomposition:
             jxi_components=self.jxi_components[::-1],
             hopf_indices=[last - i for i in reversed(self.hopf_indices)],
             non_hopf_indices=[last - i for i in reversed(self.non_hopf_indices)],
-            gap_warning=self.gap_warning,
         )
 
 
@@ -468,11 +466,9 @@ def principal_decomposition(
     Adjacent eigenvalues share a group when their gap is at most
     tol * (1 + max(|lambda_i|, |lambda_{i+1}|)), a threshold taken from
     the two values it separates, so a large eigenvalue elsewhere in the
-    spectrum does not merge the small ones.  ``gap_warning`` is set when
-    some gap lies within a factor of two of its threshold (the grouping
-    is then ambiguous).  The grouping runs over the eigenvalues as
-    Python floats; a group's value is numpy's sum of its eigenvalues
-    over their count, as ``np.mean`` rounds it."""
+    spectrum does not merge the small ones.  The grouping runs over the
+    eigenvalues as Python floats; a group's value is numpy's sum of its
+    eigenvalues over their count, as ``np.mean`` rounds it."""
     check_positive("tol", tol)
     shape = germ.shape
     half = 0.5 * shape  # halved first: shape + shape.T could overflow
@@ -481,14 +477,11 @@ def principal_decomposition(
     coeffs = ambient.dot(j_action(germ.normal))
     values = evals.tolist()
     # group boundaries: 0, every gap above its threshold, and the end
-    cuts, warn = [0], False
+    cuts = [0]
     for i in range(1, len(values)):
         lo, hi = values[i - 1], values[i]
-        gap = hi - lo
-        threshold = tol * (1.0 + max(abs(lo), abs(hi)))
-        if gap > threshold:
+        if hi - lo > tol * (1.0 + max(abs(lo), abs(hi))):
             cuts.append(i)
-        warn = warn or 0.5 * threshold < gap < 2.0 * threshold
     spaces, jxi, means, norms = [], [], [], []
     for lo, hi in zip(cuts, cuts[1:] + [len(values)]):
         v = coeffs[lo:hi]
@@ -507,7 +500,6 @@ def principal_decomposition(
         jxi_components=np.array(norms),
         hopf_indices=[i for i, b in enumerate(norms) if b > PROJECTION_TOLERANCE],
         non_hopf_indices=[i for i, b in enumerate(norms) if not b > PROJECTION_TOLERANCE],
-        gap_warning=warn,
     )
 
 
@@ -784,19 +776,17 @@ def horosphere_germ(params: ModelParams) -> HypersurfaceGerm:
 class ScanReport:
     """Result of the feasibility scan of the catalog equations."""
 
-    c: float
     grid_shape: tuple
     total_points: int
     feasible_count: int
     quad_tol: float
     trace_tol: float
     certificate: str | None
-    max_discriminant: float | None
     curve_points: np.ndarray | None  # rows (l3, l1, l2, b1^2, b2^2)
     max_refined_residual: float | None
 
 
-def _lambda2_bands(lam1, l2, lam3, c, reach, gap, trace_reach=math.inf):
+def _lambda2_bands(lam1, l2, lam3, c, reach, gap, trace_reach):
     """First lambda_2 index and length of the band of each (lambda_1,
     lambda_3) pair, given as flat arrays lam1 and lam3: the ascending l2
     samples where |catalog quadratic| <= reach and |lambda_1 + lambda_2 -
@@ -973,7 +963,7 @@ def nonexistence_scan(
                 starts[m[new]] = np.column_stack((lam1[hit], lam2[hit]))[at[new]]
     total = int(n1) * int(n2) * int(n3)
 
-    certificate = max_disc = curve = max_res = None
+    certificate = curve = max_res = None
     if c > 0:
         certificate = (
             "b1^2 > 0 needs lambda2 < 2*lambda3 and b2^2 > 0 needs "
@@ -981,7 +971,6 @@ def nonexistence_scan(
             f"also -c - 3*lambda3^2 <= {-c} < 0 leaves the catalog "
             "quadratic without real roots"
         )
-        max_disc = float(np.max(-c - 3.0 * l3**2))
     else:
         s = rate(c)
         m = np.flatnonzero(~np.isnan(starts[:, 0]) & (l3 < s))
@@ -1001,14 +990,12 @@ def nonexistence_scan(
                 float(np.max(np.abs(lam1 + lam2 - 3.0 * lam3))) / s,
             )
     return ScanReport(
-        c=c,
         grid_shape=tuple(grid_shape),
         total_points=total,
         feasible_count=count,
         quad_tol=quad_tol,
         trace_tol=trace_tol,
         certificate=certificate,
-        max_discriminant=max_disc,
         curve_points=curve,
         max_refined_residual=max_res,
     )

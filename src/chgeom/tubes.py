@@ -105,8 +105,9 @@ def _tube_modes(spec: SubmanifoldSpec, eta: np.ndarray, radii):
     """Checked arguments and the initial Jacobi data of the tube germs of
     a grid of radii.
 
-    Checks eta, then each radius in order.  Returns (eta, m0, zeta0,
-    zeta_prime0): m0 is an orthonormal basis of eta-perp (orbit tangent
+    Checks eta, then that c leaves a radius (for k >= 2 ``min_radius``
+    can exceed MAX_RADIUS), then each radius in order.  Returns (eta, m0,
+    zeta0, zeta_prime0): m0 is an orthonormal basis of eta-perp (orbit tangent
     rows, then the normal complement of eta); the modes start at
     (v, -S^W_eta v) for its tangent rows and at (0, w) for its normal rows.
     """
@@ -121,6 +122,11 @@ def _tube_modes(spec: SubmanifoldSpec, eta: np.ndarray, radii):
         raise ValueError("eta must lie in the normal space of the orbit")
     c = spec.params.c
     low = min_radius(c, spec.k)
+    if low > MAX_RADIUS:
+        raise ValueError(
+            f"c = {c!r} leaves no tube radius for k >= 2: the smallest, {low!r}, "
+            f"exceeds {MAX_RADIUS}, as r and s^2*r stay at least {MIN_SCALE} (s = sqrt(-c)/2)"
+        )
     for r in radii:
         if not (0.0 <= r <= MAX_RADIUS):
             raise ValueError(f"radius must lie in [0, {MAX_RADIUS}], got {r!r}")

@@ -32,7 +32,7 @@ from hypothesis import given, settings, strategies as st
 
 from chgeom import cli, model, numlab, spectral, tubes
 from chgeom.cli import SWEEP_COLUMNS, main
-from chgeom.construction import SubmanifoldSpec, build_submanifold
+from chgeom.construction import build_submanifold
 from chgeom.jacobi import special_radius
 from chgeom.model import ModelParams
 from chgeom.spectral import catalog_germ
@@ -85,6 +85,30 @@ def _germ(label, *edits, n=3, k=2, r=0.7, flip=False):
         parent = functools.reduce(operator.getitem, head, data)
         parent[last] = value(parent[last]) if callable(value) else value
     return _Record(label, json.dumps(data).encode())
+
+
+def _j_breaking_fake(n, k, c=-4.0, r=0.7, seed=0):
+    """The catalog germ (n, k, r) at c with its non-Hopf rows re-split
+    (ROADMAP item 13): W, the J-invariant complement of its (xi, U1, U2,
+    A), gives the lambda_3 rows A, a seeded unit v in W, Jv and seeded
+    further directions of W, and the lambda_4 rows its rest.  Spectrum,
+    multiplicities and b_i are the catalog's, but the lambda_3 space is
+    not totally real.  Needs k >= 2 and 2n - 2 - k >= 3."""
+    params, es = ModelParams(n=n, c=c), spectral.catalog_at_radius(r, c, n, k)
+    germ = catalog_germ(params, k, r=r)
+    xi, u1, u2 = germ.normal, *germ.tangent_basis[:2]
+    frame = np.array((xi, u1, u2, (model.j_action(u1) + es.b1 * xi) / -es.b2))
+    w = np.linalg.svd(frame)[2][4:]  # orthonormal rows spanning W
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=len(w)) @ w
+    v /= np.linalg.norm(v)
+    # in W's coordinates: v, Jv, then the further directions, orthonormalised
+    cols = np.column_stack((w @ v, w @ model.j_action(v), rng.normal(size=(len(w), len(w) - 2))))
+    split = np.linalg.qr(cols)[0].T @ w
+    lam4 = es.lambda4 if es.g == 4 else es.lambda2
+    values = [es.lambda1, es.lambda2] + [es.lambda3] * (2 * n - 2 - k) + [lam4] * (k - 1)
+    rows = np.vstack((frame[1:], split))
+    return spectral.HypersurfaceGerm(params, xi, rows, np.diag(values)).validate()
 
 
 def _conjugated_complex_structure(n, kind):
@@ -207,10 +231,14 @@ CONTRACT = [
       for c in (-1e-250, -1e250, -1e300)],
     # for k >= 2, r and s^2 r stay at least 1e-300 (tubes.min_radius): the
     # tube germs are checked first, so below that bound their error is the
-    # one printed, also where the catalog rejects c
+    # one printed, also where the catalog rejects c; where the bound
+    # exceeds MAX_RADIUS, the error names c
+    _row([*SWEEP, "--c=-1e-300", "--count", "2", "--r-min", "0.5", "--r-max", "1"], 2,
+         f"error: r = 0.5 is below 4.0, {SMALLEST_RADIUS} at c = -1e-300: {MIN_SCALE}"),
     *[_row([*SWEEP, f"--c={c!r}", "--count", "2", "--r-min", "0.5", "--r-max", "1"], 2,
-           f"error: r = 0.5 is below {low}, {SMALLEST_RADIUS} at c = {c!r}: {MIN_SCALE}")
-      for c, low in ((-1e-300, "4.0"), (-1e-310, "39999999999.998146"), (-5e-324, "inf"))],
+           f"error: c = {c!r} leaves no tube radius for k >= 2: the smallest, {low}, "
+           f"exceeds 10.0, as {MIN_SCALE}")
+      for c, low in ((-1e-310, "39999999999.998146"), (-5e-324, "inf"))],
     *[_row([*SWEEP, f"--c={c}", "--r-min", r, "--r-max", r, "--count", "1"], 2,
            f"error: r = {float(r)!r} is below {low}, {SMALLEST_RADIUS} at c = {float(c)!r}: "
            f"{MIN_SCALE}")
@@ -271,6 +299,13 @@ CONTRACT = [
                                                                for row in s]))], 0,
          out={"g": 4, "h": 2, "residuals": {"quadratic": None}}),
     _row(["classify", OFF_CATALOG], 0, out={"model": "unclassified"}),
+    # the catalog spectrum on a lambda_3 space that J does not keep
+    # totally real: no holomorphic isometry carries it to the catalog germ
+    *[_row(["classify", _Record(f"J-breaking fake n={n} k={k}",
+                                json.dumps(_j_breaking_fake(n, k).to_json_dict()).encode())], 0,
+           out={"model": "unclassified"},
+           xfail=f"ROADMAP item 13: classify labels the fake tube, k={k}, r=0.7")
+      for n, k in ((4, 3), (5, 4), (6, 5))],
     *[_row(["classify", OFF_CATALOG, f"{option}={v}"], 2,
            f"error: {name} must be positive and finite, got {float(v)!r}")
       for option, name in (("--tolerance", "tol"), ("--grouping-tol", "grouping_tol"))
@@ -594,9 +629,15 @@ def _catalog_records(draw):
     n = draw(st.integers(2, 6))
     k, c = draw(st.integers(1, n - 1)), draw(SWEEP_CURVATURES)
     r = draw(_radii(c, _low_radius(c, k)))
-    germ = catalog_germ(ModelParams(n=n, c=c), k, r=r)
+    label = f"catalog n={n} k={k} c={c!r} r={r!r}"
+    if k >= 2 and 2 * n - 2 - k >= 3 and draw(st.booleans()):  # an item 13 fake
+        seed = draw(st.integers(0, 2**32 - 1))
+        germ = _j_breaking_fake(n, k, c, r, seed)
+        label = f"J-breaking fake of the {label}, seed {seed}"
+    else:
+        germ = catalog_germ(ModelParams(n=n, c=c), k, r=r)
     germ = germ.flipped() if draw(st.booleans()) else germ  # either co-orientation
-    data, label = germ.to_json_dict(), f"catalog n={n} k={k} c={c!r} r={r!r}"
+    data = germ.to_json_dict()
     if draw(st.booleans()):  # a rotated tangent frame: T -> Q T, S -> Q S Q^T
         seed = draw(st.integers(0, 2**32 - 1))
         q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(2 * n - 1,) * 2))
@@ -805,7 +846,8 @@ def test_validate_raises_the_readers_message(kind):
 
 @pytest.mark.parametrize("n, phi", [(3, None), (4, "1.0471975511965976")])
 def test_construct_writes_spec(n, phi, tmp_path, capsys):
-    """The spec file holds exactly the documented keys, and reads back."""
+    """The spec file holds exactly the documented keys, and they are the
+    orbit's own arrays."""
     out_path = tmp_path / "spec.json"
     code = main([
         "construct", "--n", str(n), "--c", "-4", "--k", "2", *(["--phi", phi] if phi else []),
@@ -814,9 +856,8 @@ def test_construct_writes_spec(n, phi, tmp_path, capsys):
     assert code == 0
     payload = json.loads(out_path.read_text())
     assert set(payload) == {"n", "c", "k", "phi", "normal_basis", "tangent_basis", "pxi_unit"}
-    spec = SubmanifoldSpec.from_json_dict(payload)
-    assert spec.k == 2
-    assert spec.tangent_basis.shape == (2 * n - 2, 2 * n)
+    angle = float(phi) if phi else math.pi / 2
+    assert payload == build_submanifold(ModelParams(n=n, c=-4.0), 2, angle).to_json_dict()
     out = capsys.readouterr().out
     assert "shape-form resid" in out and out.strip().endswith("PASS")
 

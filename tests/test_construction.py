@@ -15,7 +15,6 @@ from chgeom.construction import (
     RIGIDITY_TOLERANCE,
     DimensionTooLarge,
     OddDimensionNonReal,
-    SubmanifoldSpec,
     build_submanifold,
     constant_kahler_angle_subspace,
     is_totally_real,
@@ -301,52 +300,3 @@ def test_ruled_by_holomorphic_subspace():
                 coeff = holo @ t.T  # holo rows in the tangent basis
                 for mat in form:
                     assert np.max(np.abs(coeff @ mat @ coeff.T)) < FORM_TOLERANCE
-
-
-def test_submanifold_spec_json_roundtrip():
-    params = ModelParams(n=3, c=-4.0)
-    spec = build_submanifold(params, 2, math.pi / 3)
-    data = spec.to_json_dict()
-    back = SubmanifoldSpec.from_json_dict(data)
-    assert back.params == spec.params
-    assert back.k == spec.k
-    assert abs(back.phi - spec.phi) < 1e-15
-    assert np.allclose(back.tangent_basis, spec.tangent_basis)
-    assert np.allclose(back.normal_basis, spec.normal_basis)
-    assert np.allclose(back.pxi_unit, spec.pxi_unit)
-
-
-def _spec_record(**changes) -> dict:
-    data = build_submanifold(ModelParams(n=3, c=-4.0), 2, math.pi / 2).to_json_dict()
-    return {**data, **changes}
-
-
-@pytest.mark.parametrize(
-    "changes,match",
-    [
-        ({"n": 3.7}, "n must be an integer"),
-        ({"k": 1.5}, "k must be a positive integer"),
-        ({"k": 0}, "k must be a positive integer"),
-        ({"k": 3}, "exceeds n-1"),
-        ({"k": None}, "malformed submanifold spec"),
-        ({"k": True}, "k must be a positive integer"),
-        ({"c": "-4"}, "spec c must be a JSON number"),
-        ({"c": True}, "spec c must be a JSON number"),
-        ({"phi": "1.5707963267948966"}, "spec phi must be a JSON number"),
-        ({"phi": True}, "spec phi must be a JSON number"),
-        ({"n": 4, "k": 2}, "normal_basis has shape"),
-        ({"tangent_basis": _spec_record()["tangent_basis"][:-1]}, "tangent_basis has shape"),
-        ({"pxi_unit": _spec_record()["pxi_unit"][:1]}, "pxi_unit has shape"),
-        ({"phi": 0.0}, "phi must lie"),
-        ({"normal_basis": (2.0 * np.array(_spec_record()["normal_basis"])).tolist()},
-         "normal_basis is not the normal_basis of the orbit"),
-        ({"phi": 1.0}, "normal_basis is not the normal_basis of the orbit"),
-    ],
-    ids=["n-not-integer", "k-not-integer", "k-zero", "k-too-large", "k-missing",
-         "k-bool", "c-string", "c-bool", "phi-string", "phi-bool",
-         "n-disagrees-with-arrays", "tangent-rows", "pxi-rows", "phi-zero",
-         "normal-rows-scaled", "phi-disagrees-with-arrays"],
-)
-def test_submanifold_spec_json_rejects_malformed_records(changes, match):
-    with pytest.raises(ValueError, match=match):
-        SubmanifoldSpec.from_json_dict(_spec_record(**changes))

@@ -21,7 +21,6 @@ from chgeom.jacobi import (
     focal_radius,
     g_derivative,
     g_function,
-    jacobi_closed,
     jacobi_ode_oracle,
     sech,
     special_radius,
@@ -84,12 +83,11 @@ def test_closed_profiles_match_ode_oracle():
             zeta0[1, 1] = 1.0  # center direction = J w
             zp0 = -lam * zeta0
             zt, zpt = jacobi_ode_oracle(zeta0, zp0, w, c, t, step=1e-4)
-            f, _ = jacobi_closed(lam, 0.0, c, t)
+            f = f_function(lam, c, t)
             assert abs(zt[0, 2] - f) < CLOSED_VS_ODE_TOLERANCE
             assert abs(zpt[0, 2] - f_derivative(lam, c, t)) < CLOSED_VS_ODE_TOLERANCE
             # mode along J w: rate doubles; closed form f + g
-            f_jw, g_jw = jacobi_closed(lam, 1.0, c, t)
-            assert abs(zt[1, 1] - (f_jw + g_jw)) < CLOSED_VS_ODE_TOLERANCE
+            assert abs(zt[1, 1] - (f + g_function(lam, c, t))) < CLOSED_VS_ODE_TOLERANCE
 
 
 def test_oracle_mixed_mode_decomposes():
@@ -105,7 +103,7 @@ def test_oracle_mixed_mode_decomposes():
     v = alpha * jw + math.sqrt(1 - alpha * alpha) * perp
     lam, t = 0.4, 1.2
     zt, _ = jacobi_ode_oracle(v[None, :], -lam * v[None, :], w, c, t, 1e-4)
-    f, ag = jacobi_closed(lam, alpha, c, t)
+    f, ag = f_function(lam, c, t), alpha * g_function(lam, c, t)
     expected = f * v + ag * jw
     assert np.max(np.abs(zt[0] - expected)) < CLOSED_VS_ODE_TOLERANCE
 

@@ -19,7 +19,6 @@ from chgeom.jacobi import (
     focal_determinant_matrix_derivative,
     g_derivative,
     g_function,
-    jacobi_closed,
     jacobi_closed_propagator,
     jacobi_ode_oracle,
     special_radius,
@@ -81,7 +80,7 @@ def test_propagator_reproduces_catalog_profiles():
     for lam in (-0.3, 0.2, 0.9):
         for t in (-0.4, 0.35, 1.4):
             zeta, _ = jacobi_closed_propagator(v, -lam * v, w, c, t)
-            f, ag = jacobi_closed(lam, float(v @ jw), c, t)
+            f, ag = f_function(lam, c, t), float(v @ jw) * g_function(lam, c, t)
             assert np.max(np.abs(zeta - (f * v + ag * jw))) < 1e-13
 
 
@@ -235,6 +234,12 @@ def test_tube_germ_argument_checks():
     for route in (tube_germ, tube_shape_operator):
         with pytest.raises(ValueError, match="is below 1e-300, the smallest tube radius"):
             route(spec, eta, 1e-308)
+    # where that bound exceeds MAX_RADIUS, no radius passes, and the error
+    # names c instead
+    tiny = build_submanifold(ModelParams(n=3, c=-1e-310), 2, math.pi / 2)
+    for route in (tube_germ, tube_shape_operator):
+        with pytest.raises(ValueError, match=r"^c = -1e-310 leaves no tube radius for k >= 2"):
+            route(tiny, tiny.normal_basis[0], 0.5)
     # r = 0 is allowed for k = 1: the orbit itself
     spec1 = build_submanifold(ModelParams(n=3, c=-4.0), 1, math.pi / 2)
     germ = tube_germ(spec1, spec1.normal_basis[0], 0.0)
