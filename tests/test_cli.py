@@ -218,6 +218,24 @@ CONTRACT = [
          out="...\nFAIL"),
     # construct
     _row(["construct", "--n", "3", "--c", "-4", "--k", "3"], 2, "error: k=3 exceeds n-1=2"),
+    # the checks on n, c, k and phi, which construct --output records
+    *[_row(["construct", "--n", "3", "--c", "-4", f"--k={k}"], 2,
+           f"error: k must be a positive integer, got {k}") for k in ("0", "-1")],
+    _row(["construct", "--n", "3", "--c", "-4", "--k", "1.5"], 2,
+         f"{USAGE}chgeom construct: error: argument --k: invalid int value: '1.5'"),
+    _row(["construct", "--n", "1", "--c", "-4", "--k", "1"], 2,
+         "error: n must be an integer >= 2, got 1"),
+    *[_row([*CONSTRUCT, f"--phi={phi}"], 2, f"error: phi must lie in (0, pi/2], got {float(phi)!r}")
+      for phi in ("0", "-1", "2", "nan", "inf")],
+    _row(["construct", "--n", "3", "--c", "-4", "--k", "1", "--phi", "1.0"], 2,
+         "error: k=1 odd requires phi = pi/2 (totally real normal space)"),
+    # within RIGHT_ANGLE_TOLERANCE of pi/2, phi is totally real
+    _row(["construct", "--n", "3", "--c", "-4", "--k", "1", "--phi", repr(math.pi / 2 + 5e-13)],
+         0, out="...\nPASS"),
+    *[_row(["construct", "--n", "3", f"--c={c}", "--k", "2"], 2,
+           f"error: c must be a nonzero finite real, got {float(c)!r}") for c in ("0", "nan", "inf")],
+    _row(["construct", "--n", "3", "--c", "4", "--k", "2"], 2,
+         "error: the solvable group model exists only for c < 0; use ambient_curvature for c > 0"),
     *[_row([*CONSTRUCT, "--phi", phi], 0, out="...\nPASS") for phi in ("1e-6", "1e-8", "1e-9")],
     # the Koszul form's rounding grows with s past the absolute
     # RIGIDITY_TOLERANCE (item 12 owns the verdict), but its symmetry
@@ -535,6 +553,25 @@ def test_contract(argv, code, err, out, tmp_path, capsys):
         return got, captured.out, captured.err
 
     _check_row(run, argv, code, err, out, tmp_path)
+
+
+@pytest.mark.parametrize("n, k", [(4, 3), (5, 4), (6, 5)])
+def test_j_breaking_fake_is_off_the_catalog_only_in_j(n, k):
+    """The item 13 fakes of the classify rows: the catalog germ's spectrum,
+    but J pairs v and Jv inside the lambda_3 space, which on the catalog
+    germ is totally real."""
+    es = spectral.catalog_at_radius(0.7, -4.0, n, k)
+    catalog, fake = catalog_germ(ModelParams(n=n, c=-4.0), k, r=0.7), _j_breaking_fake(n, k)
+
+    def lambda3_pairing(germ):
+        values, vectors = np.linalg.eigh(germ.shape)
+        rows = vectors[:, np.abs(values - es.lambda3) < 1e-9].T @ germ.tangent_basis
+        assert len(rows) == 2 * n - 2 - k
+        return np.linalg.svd(rows @ model.j_action(rows).T, compute_uv=False)
+
+    assert np.max(np.abs(np.linalg.eigvalsh(fake.shape) - np.linalg.eigvalsh(catalog.shape))) < 1e-12
+    assert np.max(lambda3_pairing(catalog)) < 1e-12
+    assert np.all(np.abs(lambda3_pairing(fake)[:2] - 1.0) < 1e-12)
 
 
 def _src_env():

@@ -1,6 +1,7 @@
 """Tests for constant-angle subspaces, the ruled minimal orbit
 construction and the closed-form second fundamental form."""
 
+import json
 import math
 import types
 
@@ -300,3 +301,16 @@ def test_ruled_by_holomorphic_subspace():
                 coeff = holo @ t.T  # holo rows in the tangent basis
                 for mat in form:
                     assert np.max(np.abs(coeff @ mat @ coeff.T)) < FORM_TOLERANCE
+
+
+def test_submanifold_spec_json_roundtrip():
+    """The spec record's scalars rebuild the orbit: the same record, array
+    for array, after a pass through JSON text."""
+    spec = build_submanifold(ModelParams(n=3, c=-4.0), 2, math.pi / 3)
+    data = json.loads(json.dumps(spec.to_json_dict()))
+    back = build_submanifold(ModelParams(n=data["n"], c=data["c"]), data["k"], data["phi"])
+    assert back.params == spec.params
+    assert back.k == spec.k and back.phi == spec.phi
+    for name in ("normal_basis", "tangent_basis", "pxi_unit"):
+        assert np.array_equal(getattr(back, name), getattr(spec, name))
+    assert back.to_json_dict() == data

@@ -35,6 +35,7 @@ from chgeom.tubes import tube_germ
 CATALOG_TOLERANCE = 1e-12
 FRAME_TOLERANCE = 1e-12
 CLASSIFY_RADIUS_TOLERANCE = 1e-9
+REFINED_TOLERANCE = 1e-9
 
 
 def test_catalog_flat_slice():
@@ -466,6 +467,25 @@ def test_classification_result_json_writes_non_finite_residuals_as_null(bad):
 
 def _reject_constant(name):
     raise ValueError(f"not strict JSON: {name}")
+
+
+def test_scan_positive_curvature_is_empty():
+    rep = nonexistence_scan(1.0, grid_shape=(40, 40, 40))
+    assert rep.total_points == 40**3
+    assert rep.feasible_count == 0
+    assert rep.curve_points is None and rep.max_refined_residual is None
+    # the certificate names the negative discriminant of the quadratic
+    assert "-c - 3*lambda3^2 <= -1.0 < 0" in rep.certificate
+
+
+def test_scan_negative_curvature_finds_curve():
+    rep = nonexistence_scan(-1.0, grid_shape=(60, 60, 60))
+    assert rep.feasible_count > 0
+    assert len(rep.curve_points) > 0
+    assert rep.max_refined_residual < REFINED_TOLERANCE
+    for lam3, lam1, lam2, b1sq, b2sq in rep.curve_points:
+        assert lam1 < lam3 < lam2
+        assert 0 < b1sq < 1 and 0 < b2sq < 1
 
 
 def test_horosphere_germ_spectrum():
