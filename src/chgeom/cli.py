@@ -76,10 +76,9 @@ def _cmd_verify_model(args) -> int:
 
 def _cmd_construct(args) -> int:
     params = ModelParams(n=args.n, c=args.c)
-    phi = args.phi if args.phi is not None else math.pi / 2.0
-    spec = build_submanifold(params, args.k, phi)
+    spec = build_submanifold(params, args.k, args.phi)
     report = rigidity_form_check(spec)
-    print(f"angle                    {phi!r}")
+    print(f"angle                    {args.phi!r}")
     print(f"submanifold dimension    {spec.tangent_basis.shape[0]}")
     print(f"normal dimension         {spec.normal_basis.shape[0]}")
     print(f"shape-form residual      {report['shape_form']:.3e}")
@@ -234,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--phi", type=float, default=None, help="radians")
+    p.add_argument("--phi", type=float, default=math.pi / 2, help="radians")
     p.add_argument("--output", type=str, default=None, help="JSON out")
     p.set_defaults(func=_cmd_construct)
 

@@ -212,11 +212,3 @@ def rigidity_form_check(spec: SubmanifoldSpec) -> dict:
         "trace": float(np.linalg.norm(np.einsum("mii->m", form))),
     }
 
-
-def maximal_holomorphic_subspace(spec: SubmanifoldSpec) -> np.ndarray:
-    """Orthonormal rows spanning T intersect JT at the base point (the
-    ruling directions: II vanishes on this subspace): the tangent rows B,
-    Z and the rest of the root space, which J maps pairwise to each other;
-    J u_m has a normal part of length sin(phi) > 0."""
-    t = spec.tangent_basis
-    return np.vstack([t[:2], t[2 + spec.k :]])

@@ -296,10 +296,6 @@ class SolvableModel:
         vectors or row stacks)."""
         return self._bracket(x, y)
 
-    def inner(self, x, y) -> float:
-        """Left-invariant metric on frame components (Euclidean dot)."""
-        return float(np.dot(x, y))
-
     def koszul_connection(self, x, y) -> np.ndarray:
         """nabla_x y for left-invariant fields, frame components (single
         vectors or row stacks)."""
@@ -394,27 +390,6 @@ class SolvableModel:
         out[..., GALPHA_START:] = s[..., None] * v1 + v2
         return out
 
-    def group_inverse(self, coords) -> np.ndarray:
-        """Group inverse of coordinate arrays, batched over leading axes."""
-        coords = np.asarray(coords, dtype=float)
-        t, z, v = self._split(coords)
-        e = np.exp(self.a * t)
-        out = np.empty(coords.shape)
-        out[..., 0] = -t
-        out[..., 1] = -e * e * z
-        out[..., GALPHA_START:] = -e[..., None] * v
-        return out
-
-    def frame_matrix(self, coords: np.ndarray) -> np.ndarray:
-        """Columns = coordinate components of the left-invariant frame:
-        ``frame_to_coordinate_velocity`` of each frame vector.
-
-        Supports batched coords of shape (..., 2n); returns (..., 2n, 2n).
-        """
-        coords = np.asarray(coords, dtype=float)[..., None, :]
-        rows = self.frame_to_coordinate_velocity(coords, np.eye(self.dim))
-        return np.swapaxes(rows, -1, -2)
-
     def frame_to_coordinate_velocity(self, coords, vel) -> np.ndarray:
         """Coordinate velocity of a curve with frame velocity ``vel``."""
         coords = np.asarray(coords, dtype=float)
@@ -443,11 +418,6 @@ class SolvableModel:
         jv = j_action(v)
         out[..., 1] = zd + 2.0 * a * td * z - a * np.sum(jv * u, axis=-1)
         return out
-
-    def metric_matrix(self, coords) -> np.ndarray:
-        """Coordinate components of the metric at a point."""
-        f = self.frame_matrix(np.asarray(coords, dtype=float))
-        return np.linalg.inv(f @ np.swapaxes(f, -1, -2))
 
     # -- geodesic flow ----------------------------------------------------
 

@@ -103,7 +103,8 @@ def horosphere_chart(params: ModelParams) -> ChartImmersion:
 
 def _sphere_direction(spec: SubmanifoldSpec, theta: np.ndarray) -> np.ndarray:
     """Exponential chart of the unit normal sphere around the first
-    normal direction; smooth through theta = 0."""
+    normal direction; smooth through theta = 0, and the first normal
+    itself when there are no angles (k = 1)."""
     theta = np.atleast_2d(np.asarray(theta, dtype=float))
     nrm = np.linalg.norm(theta, axis=1)
     # sin(|t|)/|t| is an entire function of |t|^2
@@ -139,26 +140,11 @@ def tube_chart(spec: SubmanifoldSpec, r: float) -> ChartImmersion:
         base[:, 0] = x[:, 0]
         base[:, 1] = x[:, 1]
         base[:, 2:] = x[:, 2 : 2 + n_w] @ w_rows[:, 2:]
-        eta = _sphere_direction(spec, x[:, 2 + n_w :]) if k > 1 else np.tile(
-            spec.normal_basis[0], (x.shape[0], 1)
-        )
+        eta = _sphere_direction(spec, x[:, 2 + n_w :])
         coords, _ = model.geodesic_closed(base, eta, r)
         return coords
 
     return ChartImmersion(model=model, domain_dim=dom, mapper=mapper)
-
-
-@dataclass
-class NumericGeometry:
-    """Induced data at one parameter point."""
-
-    coords: np.ndarray  # (2n,) global coordinates of the image point
-    tangents: np.ndarray  # (dom, 2n) frame components of coordinate tangents
-    normal: np.ndarray  # (2n,) unit, oriented so that trace <S d_i, d_j> >= 0 at center
-    metric: np.ndarray  # (dom, dom)
-    shape_coord: np.ndarray  # S in the coordinate basis, S(d_i) = S^j_i d_j
-    second_fundamental: np.ndarray  # <S d_i, d_j>
-    germ: HypersurfaceGerm
 
 
 @lru_cache(maxsize=None)
@@ -401,18 +387,6 @@ class GermField:
         self._finite("Christoffel symbols", gam)
         return gam
 
-    def center_geometry(self) -> NumericGeometry:
-        sd = self._shape
-        return NumericGeometry(
-            coords=self.coords(),
-            tangents=self.tangents(),
-            normal=self.normal(),
-            metric=sd["metric"][0],
-            shape_coord=sd["coeff"][0],
-            second_fundamental=sd["second_fundamental"][0],
-            germ=self.germ(),
-        )
-
     def intrinsic_curvature(self) -> np.ndarray:
         """R[i, j, k, m] = <R(d_i, d_j) d_k, d_m> at the center, from the
         Christoffel field of the induced metric."""
@@ -587,10 +561,7 @@ def gauss_codazzi_residuals(field: GermField) -> dict:
 def real_eigenspace_residual(field: GermField) -> float:
     """Projected eigenspaces must be totally real: max |<J v, w>| over
     pairs inside each eigenspace carrying structure-vector projection."""
-    return max(
-        totally_real_check(field.decomposition()).values(),
-        default=0.0,
-    )
+    return max(totally_real_check(field.decomposition()).values())
 
 
 def _worst(values) -> float:

@@ -559,10 +559,10 @@ def frame_identity_residuals(decomp: PrincipalDecomposition) -> dict:
 def totally_real_check(decomp: PrincipalDecomposition) -> dict:
     """max |<J v, w>| over pairs inside each eigenspace that carries a
     structure-vector projection (those spaces must be totally real); J
-    is applied once, to the stacked rows of those spaces."""
+    is applied once, to the stacked rows of those spaces.  Every germ with
+    an orthonormal frame has such a space (h >= 1): J xi is a unit tangent
+    vector, so its projections satisfy sum b_i^2 = 1."""
     hopf = decomp.hopf_indices
-    if not hopf:
-        return {}
     rows = np.concatenate([decomp.spaces[i] for i in hopf])
     cross = np.abs(j_action(rows).dot(rows.T))  # the spaces' blocks on its diagonal
     values = decomp.eigenvalues.tolist()

@@ -20,7 +20,6 @@ from chgeom.construction import (
     constant_kahler_angle_subspace,
     is_totally_real,
     kahler_angle,
-    maximal_holomorphic_subspace,
     orbit_second_fundamental_form,
     rigidity_form_check,
 )
@@ -285,13 +284,14 @@ def test_ruled_by_holomorphic_subspace():
                 if k % 2 == 1 and phi < math.pi / 2:
                     continue
                 spec = build_submanifold(params, k, phi)
-                holo = maximal_holomorphic_subspace(spec)
+                t = spec.tangent_basis
+                # the ruling rows: B, Z and the rest of the root space
+                holo = np.vstack([t[:2], t[2 + k :]])
                 assert holo.shape[0] == 2 * n - 2 * k
                 assert np.max(np.abs(holo @ holo.T - np.eye(holo.shape[0]))) < 1e-15
-                ref = _svd_holomorphic_span(spec.tangent_basis)
+                ref = _svd_holomorphic_span(t)
                 assert np.max(np.abs(holo.T @ holo - ref.T @ ref)) < 1e-12
                 # closed under J within the tangent span
-                t = spec.tangent_basis
                 for row in holo:
                     jrow = jmat @ row
                     recon = (jrow @ t.T) @ t

@@ -106,17 +106,14 @@ def test_group_product_and_inverse_batch_row_by_row():
     rng = np.random.default_rng(11)
     p, q = rng.normal(size=(2, 5, 6))
     batch = model.group_product(p, q)
-    inverses = model.group_inverse(p)
     for i in range(5):
         assert np.array_equal(batch[i], model.group_product(p[i], q[i]))
-        assert np.array_equal(inverses[i], model.group_inverse(p[i]))
     # one point against a batch broadcasts
     assert np.array_equal(
         model.group_product(p[0], q)[3], model.group_product(p[0], q[3])
     )
-    # associativity and inverses
+    # associativity
     r = rng.normal(size=(5, 6))
     left = model.group_product(model.group_product(p, q), r)
     right = model.group_product(p, model.group_product(q, r))
     assert np.max(np.abs(left - right)) < 1e-10 * (1.0 + np.max(np.abs(left)))
-    assert np.max(np.abs(model.group_product(p, inverses))) < 1e-12

@@ -155,9 +155,7 @@ def test_koszul_is_metric_and_torsion_free():
         )
         assert np.max(np.abs(torsion)) < 1e-12
         # metric: <nabla_x y, z> + <y, nabla_x z> = 0 for invariant fields
-        lhs = m.inner(m.koszul_connection(x, y), z) + m.inner(
-            y, m.koszul_connection(x, z)
-        )
+        lhs = m.koszul_connection(x, y) @ z + y @ m.koszul_connection(x, z)
         assert abs(lhs) < 1e-12
 
 
@@ -300,6 +298,18 @@ def test_sectional_pinching():
         assert m.c - 1e-9 <= k <= m.c / 4 + 1e-9
 
 
+def test_sectional_curvature_rejects_a_degenerate_plane():
+    """Parallel vectors, a zero vector, and one degenerate row of a stack
+    span no 2-plane."""
+    m = model(n=3, c=-4.0)
+    x = np.arange(1.0, 7.0)
+    rows, other = np.random.default_rng(6).normal(size=(2, 3, 6))
+    other[2] = -rows[2]
+    for a, b in ((x, 2.5 * x), (x, np.zeros(6)), (rows, other)):
+        with pytest.raises(ValueError, match="degenerate 2-plane"):
+            m.sectional_curvature(a, b)
+
+
 @seed(11)
 @settings(deadline=None, max_examples=30)
 @given(
@@ -314,21 +324,19 @@ def test_group_law(p, q, r):
     )
     scale = 1.0 + np.max(np.abs(p)) * np.max(np.abs(q)) * np.max(np.abs(r))
     assert np.max(np.abs(assoc)) < GROUP_TOLERANCE * 100 * scale
-    inv = m.group_inverse(p)
-    assert np.allclose(m.group_product(p, inv), 0.0, atol=GROUP_TOLERANCE * 10)
-    assert np.allclose(m.group_product(inv, p), 0.0, atol=GROUP_TOLERANCE * 10)
     ident = np.zeros(6)
     assert np.allclose(m.group_product(p, ident), p)
     assert np.allclose(m.group_product(ident, p), p)
 
 
-def test_frame_matrix_matches_translated_curves():
-    """Columns of the frame matrix are derivatives of left-translated
-    one-parameter coordinate lines (finite-difference oracle)."""
+def test_frame_velocities_match_translated_curves():
+    """The coordinate velocities of the frame vectors are derivatives of
+    left-translated one-parameter coordinate lines (finite-difference
+    oracle)."""
     m = model(n=3, c=-4.0)
     rng = np.random.default_rng(9)
     p = rng.normal(size=6) * 0.8
-    F = m.frame_matrix(p)
+    F = m.frame_to_coordinate_velocity(p[None, :], np.eye(6)).T
     h = 1e-5
     for i in range(6):
         step = np.zeros(6)
@@ -358,15 +366,16 @@ def test_frame_velocity_roundtrip():
 
 def test_metric_left_invariance():
     """Inner products of frame components are coordinate-independent:
-    the coordinate metric is the frame Gram pushed through the frame
-    matrix at every base point."""
+    the coordinate metric is the frame Gram pushed through the coordinate
+    velocities of the frame at every base point."""
     m = model(n=2, c=-4.0)
     rng = np.random.default_rng(31)
     v, w = rng.normal(size=(2, 4))
     base_value = float(v @ w)
     for _ in range(5):
         coords = rng.normal(size=4)
-        G = m.metric_matrix(coords)
+        F = m.frame_to_coordinate_velocity(coords[None, :], np.eye(4)).T
+        G = np.linalg.inv(F @ F.T)
         cv = m.frame_to_coordinate_velocity(coords, v)
         cw = m.frame_to_coordinate_velocity(coords, w)
         assert abs(cv @ G @ cw - base_value) < GROUP_TOLERANCE * 10

@@ -55,8 +55,7 @@ def horo_field():
 
 
 def test_horosphere_geometry_is_exact(horo_field):
-    geo = horo_field.center_geometry()
-    evals = np.sort(np.linalg.eigvalsh(geo.germ.shape))
+    evals = np.sort(np.linalg.eigvalsh(horo_field.germ().shape))
     assert np.allclose(evals, [1.0, 1.0, 2.0], atol=EXACT_CHART_TOLERANCE)
     res = gauss_codazzi_residuals(horo_field)
     assert res["gauss"] < EXACT_CHART_TOLERANCE
@@ -64,18 +63,19 @@ def test_horosphere_geometry_is_exact(horo_field):
 
 
 def test_numeric_geometry_invariants(tube_field):
-    geo = tube_field.center_geometry()
+    tangents, normal = tube_field.tangents(), tube_field.normal()
+    shape = tube_field._shape
     # induced metric equals the frame Gram matrix of the tangents
-    assert np.allclose(geo.metric, geo.tangents @ geo.tangents.T, atol=1e-12)
+    assert np.allclose(shape["metric"][0], tangents @ tangents.T, atol=1e-12)
     # unit normal orthogonal to every tangent
-    assert abs(np.linalg.norm(geo.normal) - 1.0) < 1e-12
-    assert np.max(np.abs(geo.tangents @ geo.normal)) < 1e-10
+    assert abs(np.linalg.norm(normal) - 1.0) < 1e-12
+    assert np.max(np.abs(tangents @ normal)) < 1e-10
     # second fundamental form is symmetric, trace-positive orientation
-    asym = geo.second_fundamental - geo.second_fundamental.T
-    assert np.max(np.abs(asym)) < 1e-9
-    assert np.trace(geo.shape_coord) >= 0
+    ii = shape["second_fundamental"][0]
+    assert np.max(np.abs(ii - ii.T)) < 1e-9
+    assert np.trace(shape["coeff"][0]) >= 0
     # germ basis is orthonormal in frame components
-    tb = geo.germ.tangent_basis
+    tb = tube_field.germ().tangent_basis
     assert np.allclose(tb @ tb.T, np.eye(tb.shape[0]), atol=1e-12)
 
 
@@ -304,7 +304,7 @@ def test_normal_orientation(n, k, r, flipped):
     field = GermField(chart, np.zeros(chart.domain_dim))
     center = field.normal()
     shape = field._shape
-    assert np.trace(field.center_geometry().shape_coord) >= 0
+    assert np.trace(shape["coeff"][0]) >= 0
     assert np.trace(shape["second_fundamental"][0]) >= 0
     for neighbor in shape["normals"][field._stencil[1:]]:
         assert float(neighbor @ center) > 0
@@ -331,14 +331,6 @@ def test_normal_orientation(n, k, r, flipped):
     assert (shape["coeff"] == ii @ shape["inv_metric"]).all()
 
 
-def test_numeric_geometry_wrapper():
-    # the induced geometry of a chart at a point, straight from GermField
-    chart = horosphere_chart(ModelParams(n=2, c=-4.0))
-    geo = GermField(chart, np.zeros(3)).center_geometry()
-    assert geo.tangents.shape == (3, 4)
-    assert geo.second_fundamental.shape == (3, 3)
-
-
 def test_field_derivative_helpers(tube_field):
     # scalar derivative of a coordinate function recovers the direction
     coords = tube_field._coords[tube_field._ball2[tube_field._stencil]]
@@ -356,14 +348,21 @@ def test_tube_chart_rejects_bad_radius():
         tube_chart(spec, r=0.0)
 
 
+def test_germ_field_rejects_a_center_of_the_wrong_dimension(tube_field):
+    dom = tube_field.chart.domain_dim
+    for x0 in (np.zeros(dom - 1), np.zeros(dom + 1), np.zeros((1, dom)), 0.0):
+        with pytest.raises(ValueError, match="center point has wrong dimension"):
+            GermField(tube_field.chart, x0)
+
 def test_distance_to_base_orbit(tube_field):
     """Walking the inward numeric normal for time r returns to the orbit
     (its z-coordinate pattern: the endpoint lies on the subgroup where
     the chart's base points live)."""
-    geo = tube_field.center_geometry()
     model = SolvableModel(tube_field.params)
     # trace(S) >= 0 orients the numeric normal inward, toward the orbit
-    back, _ = model.integrate_geodesic(geo.coords, geo.normal, 0.7, step=1e-4)
+    back, _ = model.integrate_geodesic(
+        tube_field.coords(), tube_field.normal(), 0.7, step=1e-4
+    )
     # the orbit through the identity: v-part confined to the base rows
     params = ModelParams(n=3, c=-4.0)
     spec = build_submanifold(params, k=2, phi=np.pi / 2)

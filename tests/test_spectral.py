@@ -153,6 +153,38 @@ def test_principal_decomposition_groups_a_gap_at_its_threshold():
     assert decomp.multiplicities == (2, 1)
 
 
+@seed(41)
+@settings(deadline=None, max_examples=100)
+@given(
+    n=st.integers(2, 8),
+    distinct=st.integers(1, 4),
+    frame_seed=st.integers(0, 2**32 - 1),
+)
+def test_every_orthonormal_germ_has_a_projected_eigenspace(n, distinct, frame_seed):
+    """J xi is a unit tangent vector, so on a germ with an orthonormal
+    frame its projections onto the eigenspaces satisfy sum b_i^2 = 1, and
+    some b_i >= 1/sqrt(2n - 1) > PROJECTION_TOLERANCE: h >= 1 for every
+    symmetric shape, repeated eigenvalues included."""
+    rng = np.random.default_rng(frame_seed)
+    d = 2 * n
+    frame = np.linalg.qr(rng.standard_normal((d, d)))[0].T
+    rotation = np.linalg.qr(rng.standard_normal((d - 1, d - 1)))[0]
+    # d - 1 eigenvalues drawn from `distinct` values: most of them repeat
+    evals = rng.choice(rng.standard_normal(distinct), size=d - 1)
+    shape = (rotation * evals) @ rotation.T
+    germ = HypersurfaceGerm(
+        params=ModelParams(n=n, c=-4.0),
+        normal=frame[0],
+        tangent_basis=frame[1:],
+        shape=0.5 * (shape + shape.T),
+    ).validate()
+    decomp = principal_decomposition(germ)
+    b = decomp.jxi_components
+    assert len(decomp.hopf_indices) >= 1
+    assert abs(float(b @ b) - 1.0) < 1e-12
+    assert b.max() >= 1.0 / math.sqrt(d - 1) - 1e-12 > spectral.PROJECTION_TOLERANCE
+
+
 def test_hopf_frame_identities_on_catalog_germs():
     rng = np.random.default_rng(14)
     for _ in range(10):

@@ -174,6 +174,30 @@ def test_focal_identities_hold_over_the_unit_normal_sphere(n, c, sr, data):
         assert value <= FOCAL_RESIDUAL_TOLERANCE * s, (n, k, sr, name, value)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=ValueError,
+    reason="ROADMAP item 1: past s*r ~ 5.3 principal_decomposition merges the "
+    "Hopf eigenvalue, and hopf_frame raises 'Hopf frame needs h = 2, got h = 1'",
+)
+@pytest.mark.parametrize("n, k, c", [(3, 2, -4.0), (5, 2, -100.0)])
+def test_focal_identities_hold_at_large_rate_radius(n, k, c):
+    """The focal check at s*r = 5.5, past the range of the property test
+    above, with the same bound on each residual."""
+    s = rate(c)
+    spec = build_submanifold(ModelParams(n=n, c=c), k, math.pi / 2)
+    rep = focal_shape_check(spec, spec.normal_basis[0], 5.5 / s)
+    for name, value in rep.items():
+        assert value <= FOCAL_RESIDUAL_TOLERANCE * s, (name, value)
+
+
+def test_focal_check_rejects_non_positive_radius():
+    spec = build_submanifold(ModelParams(n=3, c=-4.0), 2, math.pi / 2)
+    for r in (0.0, -0.5):
+        with pytest.raises(ValueError, match="needs r > 0"):
+            focal_shape_check(spec, spec.normal_basis[0], r)
+
+
 def _hopf_vector(germ):
     return hopf_frame(principal_decomposition(germ))[3]
 
