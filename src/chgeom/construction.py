@@ -32,7 +32,6 @@ from .model import (
 )
 
 RIGIDITY_TOLERANCE = 1e-10
-SPAN_TOLERANCE = 1e-9
 FRAME_TOLERANCE = 1e-12
 RIGHT_ANGLE_TOLERANCE = 1e-12
 
@@ -85,27 +84,6 @@ def constant_kahler_angle_subspace(params: ModelParams, k: int, phi: float) -> n
         rows[2 * pair + 1, 4 * pair + 3] = math.cos(phi)
         rows[2 * pair + 1, 4 * pair + 4] = math.sin(phi)
     return rows
-
-
-def kahler_angle(v, rows) -> float:
-    """Kaehler angle of a finite nonzero v, of any scale, inside the span
-    of the orthonormal rows: the angle between J v and that span, read as
-    atan2 of the parts of J v off and on the span (acos of the second
-    alone loses half the digits near 0).  Raises if v is not in the span."""
-    rows = np.asarray(rows, dtype=float)
-    v = np.asarray(v, dtype=float)
-    scale = np.max(np.abs(v))
-    if not 0.0 < scale < math.inf:
-        raise ValueError("cannot take the Kaehler angle of the zero vector or a non-finite one")
-    # the angle does not depend on scale; a largest entry of 1 keeps every norm finite
-    v = v / scale
-    norm = np.linalg.norm(v)
-    coeffs = rows @ v
-    if np.linalg.norm(v - rows.T @ coeffs) > SPAN_TOLERANCE * norm:
-        raise ValueError("vector does not lie in the given subspace")
-    jv = j_action(v)
-    proj = rows @ jv
-    return float(math.atan2(np.linalg.norm(jv - rows.T @ proj), np.linalg.norm(proj)))
 
 
 @dataclass(frozen=True)

@@ -38,19 +38,9 @@ def _f(lam, s, ch, sh):
     return ch - (lam / s) * sh
 
 
-def _f_prime(lam, s, ch, sh):
-    return s * sh - lam * ch
-
-
 def _g(lam, s, ch, sh):
     """g from s and the cosh(st), sinh(st) of its time."""
     return (ch - 1.0) * (1.0 + 2.0 * ch - (lam / s) * sh)
-
-
-def _g_prime(lam, s, ch, sh):
-    return s * sh * (1.0 + 2.0 * ch - (lam / s) * sh) + (ch - 1.0) * (
-        2.0 * s * sh - lam * ch
-    )
 
 
 def _hyperbolic(c: float, t):
@@ -58,25 +48,6 @@ def _hyperbolic(c: float, t):
     s = rate(c)
     st = s * np.asarray(t, dtype=float)
     return s, np.cosh(st), np.sinh(st)
-
-
-def f_function(lam, c: float, t):
-    """Parallel-component profile: f(t) = cosh(st) - (lam/s) sinh(st)."""
-    return _f(np.asarray(lam, dtype=float), *_hyperbolic(c, t))
-
-
-def f_derivative(lam, c: float, t):
-    return _f_prime(np.asarray(lam, dtype=float), *_hyperbolic(c, t))
-
-
-def g_function(lam, c: float, t):
-    """J gamma'-component profile:
-    g(t) = (cosh(st) - 1)(1 + 2 cosh(st) - (lam/s) sinh(st))."""
-    return _g(np.asarray(lam, dtype=float), *_hyperbolic(c, t))
-
-
-def g_derivative(lam, c: float, t):
-    return _g_prime(np.asarray(lam, dtype=float), *_hyperbolic(c, t))
 
 
 def jacobi_ode_oracle(
@@ -175,30 +146,6 @@ def focal_determinant_matrix(lam1, lam2, b1, b2, c: float, t):
     f1, f2 = _f(lam1, *hyp), _f(lam2, *hyp)
     g1, g2 = _g(lam1, *hyp), _g(lam2, *hyp)
     return _mode_matrix(f1, f2, g1, g2, b1, b2)
-
-
-def focal_determinant_matrix_derivative(lam1, lam2, b1, b2, c: float, t):
-    """Exact t-derivative of focal_determinant_matrix (no differencing)."""
-    hyp = _hyperbolic(c, t)
-    lam1, lam2 = np.asarray(lam1, dtype=float), np.asarray(lam2, dtype=float)
-    f1, f2 = _f_prime(lam1, *hyp), _f_prime(lam2, *hyp)
-    g1, g2 = _g_prime(lam1, *hyp), _g_prime(lam2, *hyp)
-    return _mode_matrix(f1, f2, g1, g2, b1, b2)
-
-
-def focal_collapse_matrix_numeric(lam1, lam2, b1, b2, c: float, r):
-    """C(r) = -D'(r) D(r)^{-1} with D' differentiated in closed form."""
-    d = focal_determinant_matrix(lam1, lam2, b1, b2, c, r)
-    dp = focal_determinant_matrix_derivative(lam1, lam2, b1, b2, c, r)
-    return -dp @ np.linalg.inv(d)
-
-
-def focal_collapse_matrix_closed(b1, b2, c: float):
-    """Closed form of C at the focal radius:
-    (sqrt(-c)/2) [[-2 b1 b2, b1^2-b2^2], [b1^2-b2^2, 2 b1 b2]]."""
-    s = rate(c)
-    off = b1 * b1 - b2 * b2
-    return s * np.array([[-2.0 * b1 * b2, off], [off, 2.0 * b1 * b2]])
 
 
 def sech(x):

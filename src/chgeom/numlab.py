@@ -47,7 +47,7 @@ import numpy as np
 
 from .construction import SubmanifoldSpec
 from .model import (
-    DEFAULT_FD_STEP, ModelParams, SolvableModel, _row_dot, ambient_curvature,
+    DEFAULT_FD_STEP, SolvableModel, _row_dot, ambient_curvature,
     check_positive, j_action,
 )
 from .spectral import (
@@ -84,21 +84,6 @@ class ChartImmersion:
     model: SolvableModel
     domain_dim: int
     mapper: Callable[[np.ndarray], np.ndarray]  # (N, dom) -> (N, 2n)
-
-
-def horosphere_chart(params: ModelParams) -> ChartImmersion:
-    """The nilpotent-factor orbit {abelian coordinate = 0}: parameters
-    are (center coordinate, root coordinates)."""
-    d = params.dim
-
-    def mapper(x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        out = np.zeros((x.shape[0], d))
-        out[:, 1] = x[:, 0]
-        out[:, 2:] = x[:, 1:]
-        return out
-
-    return ChartImmersion(model=SolvableModel(params), domain_dim=d - 1, mapper=mapper)
 
 
 def _sphere_direction(spec: SubmanifoldSpec, theta: np.ndarray) -> np.ndarray:
@@ -561,7 +546,7 @@ def gauss_codazzi_residuals(field: GermField) -> dict:
 def real_eigenspace_residual(field: GermField) -> float:
     """Projected eigenspaces must be totally real: max |<J v, w>| over
     pairs inside each eigenspace carrying structure-vector projection."""
-    return max(totally_real_check(field.decomposition()).values())
+    return totally_real_check(field.decomposition())
 
 
 def _worst(values) -> float:
@@ -723,12 +708,3 @@ def residual_suites(field: GermField) -> tuple:
     ran = {suite[key] for key in values}
     skipped = tuple(name for name in RESIDUAL_SUITES if name not in ran)
     return values, skipped, "; ".join(reasons) or None
-
-
-def convergence_order(make_residual, steps=(1e-3, 5e-4)) -> float:
-    """log2 residual ratio under halving; make_residual(h) -> float."""
-    r1 = make_residual(steps[0])
-    r2 = make_residual(steps[1])
-    if r2 == 0:
-        return float("inf")
-    return math.log2(r1 / r2) / math.log2(steps[0] / steps[1])

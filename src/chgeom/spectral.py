@@ -50,6 +50,8 @@ PROJECTION_TOLERANCE = 1e-6
 CLASSIFY_TOLERANCE = 1e-6
 CATALOG_SUM_TOLERANCE = 1e-12
 CATALOG_QUADRATIC_TOLERANCE = 1e-10
+# the frame and symmetry tolerance of ``HypersurfaceGerm.validate``
+GERM_TOLERANCE = 1e-6
 # the normal double range, read once
 _TINY = float(np.finfo(float).tiny)
 _HUGE = float(np.finfo(float).max)
@@ -244,23 +246,6 @@ def _catalog_entry(lambda3, gap, c, branch_hint, n, k) -> EigenStructure:
     return es
 
 
-def constraint_residuals(es: EigenStructure) -> dict:
-    """Residuals of every defining relation of a catalog entry."""
-    b1_alt, b2_alt = hopf_projection_squares(
-        es.lambda1, es.lambda2, es.lambda3, es.c
-    )
-    out = {
-        "quadratic": abs(catalog_quadratic(es.lambda1, es.lambda2, es.lambda3, es.c)),
-        "b1_formula": abs(es.b1sq - float(b1_alt)),
-        "b2_formula": abs(es.b2sq - float(b2_alt)),
-        "b_sum": abs(es.b1sq + es.b2sq - 1.0),
-        "trace_identity": abs(es.lambda1 + es.lambda2 - 3.0 * es.lambda3),
-    }
-    if es.lambda4 is not None:
-        out["lambda4_relation"] = abs(4.0 * es.lambda3 * es.lambda4 + es.c)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # germs
 
@@ -273,11 +258,12 @@ def _allclose(a, b, atol: float) -> bool:
 
 
 @functools.lru_cache(maxsize=16)
-def _identity_bound(d: int, tol: float) -> tuple:
-    """np.eye(d) and the bound tol + 1e-5 |eye| that ``_allclose(x, eye,
-    tol)`` puts on |x - eye|, built once per (d, tol) and read-only."""
+def _identity_bound(d: int) -> tuple:
+    """np.eye(d) and the bound GERM_TOLERANCE + 1e-5 |eye| that
+    ``_allclose(x, eye, GERM_TOLERANCE)`` puts on |x - eye|, built once
+    per d and read-only."""
     eye = np.eye(d)
-    bound = tol + 1e-5 * np.abs(eye)
+    bound = GERM_TOLERANCE + 1e-5 * np.abs(eye)
     eye.flags.writeable = bound.flags.writeable = False
     return eye, bound
 
@@ -291,13 +277,13 @@ def _check_array(name: str, arr: np.ndarray, shape: tuple, n: int) -> None:
         raise ValueError(f"germ {name} has a non-finite entry")
 
 
-def _frame_fits(d: int, normal, tangent_basis, tol: float) -> bool:
-    """Shapes (d,) and (d-1, d) and frame frame^T = I to tol, which any
-    non-finite entry fails; run it under np.errstate(all="ignore")."""
+def _frame_fits(d: int, normal, tangent_basis) -> bool:
+    """Shapes (d,) and (d-1, d) and frame frame^T = I to GERM_TOLERANCE,
+    which any non-finite entry fails; run under np.errstate(all="ignore")."""
     if normal.shape != (d,) or tangent_basis.shape != (d - 1, d):
         return False
     frame = np.concatenate((normal[None], tangent_basis))
-    eye, bound = _identity_bound(d, tol)
+    eye, bound = _identity_bound(d)
     return bool((np.abs(frame.dot(frame.T) - eye) <= bound).all())
 
 
@@ -322,20 +308,20 @@ class HypersurfaceGerm:
         )
         object.__setattr__(self, "shape", np.asarray(self.shape, dtype=float))
 
-    def validate(self, tol: float = 1e-8):
-        """The one germ check, to tol; returns the germ.  One test takes
-        the array shapes, the orthonormal frame and a finite, symmetric
-        shape matrix; only a germ that fails it runs the ordered checks
-        that word the error: the normal, the tangent basis (shape, then
-        finiteness, of each), their orthonormality, then the shape
-        matrix's shape, finiteness and symmetry."""
+    def validate(self):
+        """The one germ check, to GERM_TOLERANCE; returns the germ.  One
+        test takes the array shapes, the orthonormal frame and a finite,
+        symmetric shape matrix; only a germ that fails it runs the
+        ordered checks that word the error: the normal, the tangent basis
+        (shape, then finiteness, of each), their orthonormality, then the
+        shape matrix's shape, finiteness and symmetry."""
         d, n, shape = self.params.dim, self.params.n, self.shape
         with np.errstate(all="ignore"):  # inf, nan and overflow fail silently
-            frame_ok = _frame_fits(d, self.normal, self.tangent_basis, tol)
+            frame_ok = _frame_fits(d, self.normal, self.tangent_basis)
             if (  # isfinite: opposite infinities pass the symmetry test
                 frame_ok
                 and shape.shape == (d - 1, d - 1) and np.isfinite(shape).all()
-                and _allclose(shape, shape.T, tol)
+                and _allclose(shape, shape.T, GERM_TOLERANCE)
             ):
                 return self
             _check_array("normal", self.normal, (d,), n)
@@ -368,10 +354,10 @@ class HypersurfaceGerm:
 
     @staticmethod
     def from_json_dict(data: dict) -> "HypersurfaceGerm":
-        """Inverse of ``to_json_dict``, checked by ``validate`` to 1e-6.  A
-        record may still carry the complex structure as a matrix "J", as
-        files written by earlier versions do; it must be the model's to
-        1e-6, and is checked after the frame and shape."""
+        """Inverse of ``to_json_dict``, checked by ``validate``.  A record
+        may still carry the complex structure as a matrix "J", as files
+        written by earlier versions do; it must be the model's to
+        GERM_TOLERANCE, and is checked after the frame and shape."""
         if not isinstance(data, dict):
             raise ValueError(f"germ record must be a JSON object, got {type(data).__name__}")
         for field in ("c", "n", "normal", "tangent_basis", "shape"):
@@ -391,12 +377,12 @@ class HypersurfaceGerm:
             given_j = np.asarray(data["J"], dtype=float) if "J" in data else None
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"malformed germ record: {exc}") from exc
-        germ.validate(1e-6)  # a frame or shape defect comes first
+        germ.validate()  # a frame or shape defect comes first
         if given_j is not None:
             if not np.isfinite(given_j).all():
                 raise ValueError("germ J has a non-finite entry")
             want_j = standard_complex_structure(params.n)
-            if given_j.shape != want_j.shape or not _allclose(given_j, want_j, 1e-6):
+            if given_j.shape != want_j.shape or not _allclose(given_j, want_j, GERM_TOLERANCE):
                 raise ValueError(f"germ J is not the model's complex structure for n={params.n}")
         return germ
 
@@ -556,7 +542,7 @@ def frame_identity_residuals(decomp: PrincipalDecomposition) -> dict:
     return res
 
 
-def totally_real_check(decomp: PrincipalDecomposition) -> dict:
+def totally_real_check(decomp: PrincipalDecomposition) -> float:
     """max |<J v, w>| over pairs inside each eigenspace that carries a
     structure-vector projection (those spaces must be totally real); J
     is applied once, to the stacked rows of those spaces.  Every germ with
@@ -565,13 +551,12 @@ def totally_real_check(decomp: PrincipalDecomposition) -> dict:
     hopf = decomp.hopf_indices
     rows = np.concatenate([decomp.spaces[i] for i in hopf])
     cross = np.abs(j_action(rows).dot(rows.T))  # the spaces' blocks on its diagonal
-    values = decomp.eigenvalues.tolist()
-    out, start = {}, 0
+    worst, start = [], 0
     for i in hopf:
         stop = start + decomp.multiplicities[i]
-        out[values[i]] = float(cross[start:stop, start:stop].max())
+        worst.append(float(cross[start:stop, start:stop].max()))
         start = stop
-    return out
+    return max(worst)
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +686,7 @@ def classify(
     residuals["quadratic"] = abs(catalog_quadratic(lam[0], lam[1], lam[2], c))
     if es.g == 4:
         residuals["lambda4_catalog"] = abs(lam[3] - es.lambda4)
-    residuals["totally_real"] = max(totally_real_check(decomp).values())
+    residuals["totally_real"] = totally_real_check(decomp)
 
     # all(v <= tol), not max(...) > tol: a NaN residual must fail
     if not all(v <= tol for v in residuals.values()):
@@ -753,19 +738,6 @@ def catalog_germ(params: ModelParams, k: int, r: float) -> HypersurfaceGerm:
         shape=np.diag(np.repeat(values, mults)),
     )
     return germ.validate()
-
-
-def horosphere_germ(params: ModelParams) -> HypersurfaceGerm:
-    """Germ of the nilpotent-factor orbit: a Hopf hypersurface with
-    principal curvatures sqrt(-c)/2 (multiplicity 2n-2) and sqrt(-c),
-    normal along the abelian direction."""
-    a, frame = rate(params.c), np.eye(params.dim)
-    return HypersurfaceGerm(
-        params=params,
-        normal=frame[0],
-        tangent_basis=frame[1:],
-        shape=np.diag([2.0 * a] + [a] * (params.dim - 2)),
-    ).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -864,10 +836,7 @@ def _newton_curve(lam1, lam2, lam3, c):
     return np.minimum(lam1, lam2), np.maximum(lam1, lam2)
 
 
-def nonexistence_scan(
-    c: float,
-    grid_shape: tuple = (100, 100, 100),
-) -> ScanReport:
+def nonexistence_scan(c: float, grid_shape: tuple) -> ScanReport:
     """Grid scan of (lambda_1, lambda_2, lambda_3), lambda_1 < lambda_2,
     for solutions of the catalog equations with b_1^2, b_2^2 in (0, 1),
     on the box [-1.5 sqrt|c|, 1.5 sqrt|c|]^2 x [0, 0.75 sqrt|c|].

@@ -36,17 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import construction, jacobi
-from .construction import SubmanifoldSpec, is_totally_real
-from .model import DEFAULT_ODE_STEP, SolvableModel, j_action, rate
-from .spectral import (
-    EigenStructure,
-    HypersurfaceGerm,
-    catalog_at_radius,
-    hopf_frame,
-    principal_decomposition,
-)
+from .construction import SubmanifoldSpec
+from .model import DEFAULT_ODE_STEP, SolvableModel, rate
+from .spectral import HypersurfaceGerm, catalog_at_radius
 
-FOCAL_ZERO_TOLERANCE = 1e-9
 MAX_RADIUS = 10.0
 # bound on s*r (s = sqrt(-c)/2) for the Jacobi modes: past it the modes,
 # which grow like e^{2sr}, lose the conditioning of zeta'(r) zeta(r)^{-1}
@@ -168,7 +161,7 @@ def tube_germs(spec: SubmanifoldSpec, eta: np.ndarray, radii) -> list[Hypersurfa
     grid: the argument checks and initial modes of ``_tube_modes`` (S^W_eta
     from the spec's closed-form second fundamental form) and the Jw split
     of the propagation.  Per radius come the propagated modes, the
-    symmetrised zeta' zeta^{-1}, and the germ check ``validate`` to 1e-6
+    symmetrised zeta' zeta^{-1}, and the germ check ``validate``
     (orthonormal frame, finite symmetric shape).  Parallel transport
     along the normal geodesic is orthogonal and commutes with J, so each
     germ is given at the base point (normal -eta, tangent basis m0)
@@ -183,7 +176,7 @@ def tube_germs(spec: SubmanifoldSpec, eta: np.ndarray, radii) -> list[Hypersurfa
     )
     params, normal = spec.params, -eta
     return [
-        HypersurfaceGerm(params, normal, m0, _mode_shape(m0, zeta, zprime)[1]).validate(1e-6)
+        HypersurfaceGerm(params, normal, m0, _mode_shape(m0, zeta, zprime)[1]).validate()
         for zeta, zprime in zip(zetas, zprimes)
     ]
 
@@ -233,7 +226,7 @@ def tube_shape_operator(
         normal=-vel_r,
         tangent_basis=moved_m0,
         shape=shape,
-    ).validate(tol=1e-6)
+    ).validate()
     return TubeResult(
         germ=germ,
         transport=transport,
@@ -247,61 +240,3 @@ def tube_spectrum_closed(r: float, c: float, n: int, k: int) -> np.ndarray:
     the blocks of ``catalog_at_radius`` expanded."""
     values, mults = zip(*catalog_at_radius(r, c, n, k).blocks)
     return np.sort(np.repeat(values, mults))
-
-
-def focal_rank(es: EigenStructure, r: float):
-    """Rank of the focal map at radius r for a catalog germ.
-
-    The Hopf-projected 2x2 block never degenerates (its determinant is
-    f_3(r)^3 > 0); the remaining modes collapse exactly where their
-    profile f vanishes, which happens at the focal radius of lambda_3
-    and gives rank 2n - k there (2n - 1 elsewhere); f counts as zero
-    within FOCAL_ZERO_TOLERANCE."""
-    rank = 2  # the Hopf 2x2 block: one lambda_1 and one lambda_2 mode
-    kernel = []
-    for i, (lam, mult) in enumerate(es.blocks):
-        mult -= 1 if i < 2 else 0
-        if mult == 0:
-            continue
-        fval = float(jacobi.f_function(lam, es.c, r))
-        if abs(fval) <= FOCAL_ZERO_TOLERANCE:
-            kernel.append((lam, mult))
-        else:
-            rank += mult
-    return rank, kernel
-
-
-def focal_shape_check(spec: SubmanifoldSpec, eta: np.ndarray, r: float) -> dict:
-    """Verify the collapsed shape-operator identities of the tube of
-    radius r around the orbit:
-
-        S^r J eta^r = -(sqrt(-c)/2) J A,
-        S^r J A     = -(sqrt(-c)/2) J eta^r,
-
-    and zero on the orthogonal complement in the orbit tangent space,
-    where eta^r = -eta is the normal of ``tube_germ`` at the base point
-    (the arrival velocity of the geodesic back to the orbit), A the germ's
-    Hopf vector, and S^r the orbit's shape operator in the eta^r
-    direction.  Only totally real normal spaces qualify.  Returns the
-    residuals keyed ``ju_pair`` and ``bja_pair`` (the two identities) and
-    ``complement``."""
-    if not is_totally_real(spec.phi):
-        raise ValueError("focal identities need a totally real normal space")
-    if r <= 0.0:
-        raise ValueError("the focal check needs r > 0")
-    germ = tube_germ(spec, eta, r)
-    a_vec = hopf_frame(principal_decomposition(germ))[3]
-    eta_r = germ.normal
-    j_a, j_eta_r = j_action(a_vec), j_action(eta_r)
-    s = rate(spec.params.c)
-
-    s_r = submanifold_shape_operator(spec, eta_r)
-    # the complement of the pair inside the orbit tangent space
-    t = spec.tangent_basis
-    q, _ = np.linalg.qr(t @ np.vstack([j_eta_r, j_a]).T)
-    proj = np.eye(t.shape[0]) - q @ q.T
-    return {
-        "ju_pair": float(np.linalg.norm(s_r @ j_eta_r + s * j_a)),
-        "bja_pair": float(np.linalg.norm(s_r @ j_a + s * j_eta_r)),
-        "complement": float(np.max(np.abs(t @ s_r @ t.T @ proj))),
-    }

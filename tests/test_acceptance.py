@@ -12,19 +12,10 @@ import numpy as np
 from chgeom import construction
 from chgeom.cli import main as cli_main
 from chgeom.construction import build_submanifold, rigidity_form_check
-from chgeom.jacobi import (
-    f_function,
-    focal_collapse_matrix_closed,
-    focal_collapse_matrix_numeric,
-    focal_determinant_matrix,
-    focal_radius,
-    sech,
-    special_radius,
-)
+from chgeom.jacobi import focal_determinant_matrix, focal_radius, sech, special_radius
 from chgeom.model import ModelParams, SolvableModel
 from chgeom.numlab import (
     GermField,
-    convergence_order,
     frame_connection_residuals,
     gauss_codazzi_residuals,
     graded_connection_residuals,
@@ -33,10 +24,16 @@ from chgeom.numlab import (
     tube_chart,
     unit_pair_gauss_residual,
 )
+from chgeom.oracles import (
+    constraint_residuals,
+    convergence_order,
+    f_function,
+    focal_collapse_matrix_closed,
+    focal_collapse_matrix_numeric,
+)
 from chgeom.spectral import (
     catalog_germ,
     classify,
-    constraint_residuals,
     eigen_structure_from_lambda3,
     frame_identity_residuals,
     nonexistence_scan,

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from chgeom import jacobi
-from chgeom.jacobi import focal_collapse_matrix_closed
+from chgeom import jacobi, oracles
+from chgeom.oracles import focal_collapse_matrix_closed
 from chgeom.spectral import catalog_at_radius, hopf_projection_squares, nonexistence_scan
 
 RELATIVE_TOLERANCE = 1e-13
@@ -78,7 +78,7 @@ def test_focal_collapse_matrix_squares_symbolically(monkeypatch):
     (-c/4) I whenever b1^2 + b2^2 = 1, for every c = -4 s^2 < 0."""
     s, b1, b2 = sp.symbols("s b1 b2", positive=True)
     c = -4 * s**2
-    monkeypatch.setattr(jacobi, "rate", lambda c: sp.sqrt(-c) / 2)
+    monkeypatch.setattr(oracles, "rate", lambda c: sp.sqrt(-c) / 2)
     cmat = focal_collapse_matrix_closed(b1, b2, c)
     square = cmat @ cmat - (-c / 4) * np.eye(2, dtype=object)
     for entry in square.ravel():

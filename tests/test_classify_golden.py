@@ -37,7 +37,7 @@ sweep digit with every label equal is then a platform difference to
 confirm (CI prints the OpenBLAS core and numpy's X86_V4 dispatch) before
 it is read as a regression.
 
-``python tests/test_classify_golden.py`` rewrites the data file from
+``PYTHONPATH=src python tests/test_classify_golden.py`` rewrites the data file from
 the code it runs against: do that only on a commit whose outputs the
 file is meant to pin.
 """
@@ -55,7 +55,8 @@ from chgeom.cli import main as cli_main
 from chgeom.construction import build_submanifold
 from chgeom.jacobi import special_radius
 from chgeom.model import ModelParams
-from chgeom.spectral import catalog_germ, classify, horosphere_germ, principal_decomposition
+from chgeom.oracles import horosphere_germ
+from chgeom.spectral import catalog_germ, classify, principal_decomposition
 from chgeom.tubes import MAX_RADIUS, tube_germ
 
 DATA = Path(__file__).resolve().parent / "data" / "classify_golden.json"

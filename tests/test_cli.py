@@ -877,7 +877,7 @@ def test_validate_raises_the_readers_message(kind):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError) as excinfo:
-            germ.validate(1e-6)
+            germ.validate()
     assert str(excinfo.value) == message
 
 
@@ -1266,7 +1266,7 @@ _IMPORT_GRAPH_SCRIPT = textwrap.dedent("""
     import chgeom.cli
 
     germ, commands = sys.argv[1], json.loads(sys.argv[2])
-    lazy = ("chgeom.numlab", "chgeom.tubes")
+    lazy = ("chgeom.numlab", "chgeom.oracles", "chgeom.tubes")
     seen = {"root": root, "import": [m for m in lazy if m in sys.modules]}
     for argv in commands:
         with contextlib.redirect_stdout(io.StringIO()):
@@ -1280,7 +1280,7 @@ def test_commands_load_numlab_and_tubes_only_when_they_run_them(tmp_path):
     """Importing chgeom loads no submodule; importing chgeom.cli loads
     neither the finite-difference lab nor the tube germs; verify-model,
     construct, classify and nonexistence never load them, sweep loads
-    tubes, and residuals loads both."""
+    tubes, and residuals loads both; no command loads the oracles."""
     germ = tmp_path / "germ.json"
     germ.write_text(catalog_germ(ModelParams(n=3, c=-4.0), 2, r=0.7).to_json())
     commands = [

@@ -19,12 +19,11 @@ from chgeom.construction import (
     build_submanifold,
     constant_kahler_angle_subspace,
     is_totally_real,
-    kahler_angle,
     orbit_second_fundamental_form,
     rigidity_form_check,
 )
 from chgeom.model import GALPHA_START, ModelParams, j_action
-from chgeom.tubes import focal_shape_check
+from chgeom.oracles import focal_shape_check, kahler_angle
 
 ANGLE_TOLERANCE = 1e-12
 FORM_TOLERANCE = 1e-12

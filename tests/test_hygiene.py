@@ -1,17 +1,17 @@
 """Source hygiene: no module in the package or the tests imports a name it
-never uses, no package function takes a parameter it never reads,
-README's list of classifier reasons matches the reasons the code returns,
-and no package module passes or stores J as a matrix (``model.j_action``
-applies it)."""
+never uses, no package function takes a parameter it never reads, every
+module-level name of a production module is read in the package, no
+production module imports ``chgeom.oracles``, README's list of classifier
+reasons matches the reasons the code returns, and no package module
+passes or stores J as a matrix (``model.j_action`` applies it)."""
 
 import ast
 import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "chgeom").glob("*.py")) + sorted(
-    (ROOT / "tests").glob("*.py")
-)
+PACKAGE = ROOT / "src" / "chgeom"
+SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(tree: ast.Module) -> list:
@@ -97,10 +97,145 @@ def test_unused_parameter_scan_flags_unread_names():
 def test_no_unused_parameters():
     found = [
         f"{path.relative_to(ROOT)}:{line}: {func}({param})"
-        for path in sorted((ROOT / "src" / "chgeom").glob("*.py"))
+        for path in sorted(PACKAGE.glob("*.py"))
         for line, func, param in unused_parameters(ast.parse(path.read_text()))
     ]
     assert not found, "parameters never read:\n" + "\n".join(found)
+
+
+# production modules are every package module but the oracles
+PRODUCTION = tuple(path.stem for path in sorted(PACKAGE.glob("*.py")) if path.stem != "oracles")
+# oracles and fixtures that only perfbench/ reads or wraps by name; they
+# move to chgeom.oracles once the benchmark stops naming them (ROADMAP
+# item 24)
+FROZEN = {
+    "spectral.catalog_germ",
+    "tubes.orbit_second_fundamental_form",
+    "tubes.tube_shape_operator",
+    "tubes.tube_spectrum_closed",
+}
+
+
+def _module_names(tree: ast.Module) -> dict:
+    """Each module-level function, class and assigned name, with the
+    statement that defines it."""
+    defined = {}
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[stmt.name] = stmt
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name):
+                        defined[sub.id] = stmt
+    return defined
+
+
+def _package_bindings(tree: ast.Module) -> dict:
+    """What each name a module imports from its package stands for: a
+    module (``from . import jacobi``: "jacobi") or a module's name
+    (``from .jacobi import _f``: ("jacobi", "_f"))."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                target = (node.module, alias.name) if node.module else alias.name
+                bound[alias.asname or alias.name] = target
+    return bound
+
+
+def _names_read(stmt: ast.stmt, module: str, own: dict, bound: dict) -> set:
+    """(module, name) of every package name a statement reads: a name of
+    its own module, one imported from the package (the import counts as
+    a read), or an attribute of an imported package module."""
+    read = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            read.update((node.module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if isinstance(bound.get(node.value.id), str):
+                read.add((bound[node.value.id], node.attr))
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id in own:
+                read.add((module, node.id))
+            elif isinstance(bound.get(node.id), tuple):
+                read.add(bound[node.id])
+    return read
+
+
+def unread_names(trees: dict, production) -> list:
+    """(module, name) for every module-level name of a production module
+    that no statement of any module in ``trees`` reads, other than the
+    statement that defines it."""
+    reads = []
+    for module, tree in trees.items():
+        own, bound = _module_names(tree), _package_bindings(tree)
+        reads += [(stmt, _names_read(stmt, module, own, bound)) for stmt in tree.body]
+    return [
+        (module, name)
+        for module in production
+        for name, stmt in _module_names(trees[module]).items()
+        if not any((module, name) in read for other, read in reads if other is not stmt)
+    ]
+
+
+def test_unread_name_scan_flags_names_only_their_definition_reads():
+    trees = {
+        "a": ast.parse(
+            "X = 1\nY = X\nW: int = 3\nZ = 2\nV = 4\n"
+            "def f():\n    return f()\nclass C:\n    pass\n"
+        ),
+        "b": ast.parse(
+            "from . import a\nfrom .a import Y\nV = 5\n"
+            "def g():\n    from .a import C\n    return Y, C, a.Z, V\n"
+        ),
+        "oracles": ast.parse("from .b import g\ndef f():\n    return g(f, W)\n"),
+    }
+    assert unread_names(trees, ("a", "b")) == [("a", "W"), ("a", "V"), ("a", "f")]
+
+
+def test_production_modules_define_only_names_the_package_reads():
+    """Only tests call what ``chgeom.oracles`` holds; a production name
+    that the package does not read belongs there (or is dead)."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    unread = {f"{module}.{name}" for module, name in unread_names(trees, PRODUCTION)}
+    assert unread == FROZEN, (
+        f"never read in src/chgeom: {sorted(unread - FROZEN)}; "
+        f"frozen but read or gone: {sorted(FROZEN - unread)}"
+    )
+
+
+def oracle_imports(tree: ast.Module) -> list:
+    """Lines of the import statements that load ``chgeom.oracles``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            paths = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any("oracles" in path.split(".") for path in paths):
+            found.append(node.lineno)
+    return found
+
+
+def test_oracle_import_scan_finds_every_spelling():
+    tree = ast.parse(
+        "from .oracles import f\nfrom . import model, oracles\n"
+        "import chgeom.oracles\nfrom chgeom import oracles\nfrom .model import oracles_x\n"
+    )
+    assert oracle_imports(tree) == [1, 2, 3, 4]
+
+
+def test_no_production_module_imports_the_oracles():
+    found = [
+        f"src/chgeom/{module}.py:{line}"
+        for module in PRODUCTION
+        for line in oracle_imports(ast.parse((PACKAGE / f"{module}.py").read_text()))
+    ]
+    assert not found, "production modules import chgeom.oracles:\n" + "\n".join(found)
 
 
 def _string_literals(node: ast.AST) -> set:
@@ -154,7 +289,7 @@ def test_reason_scans_read_literals_and_readme_entries():
 
 
 def test_readme_lists_every_classify_reason():
-    spectral = ROOT / "src" / "chgeom" / "spectral.py"
+    spectral = PACKAGE / "spectral.py"
     code = unclassified_reasons(ast.parse(spectral.read_text()))
     docs = readme_reasons((ROOT / "README.md").read_text())
     assert code == docs, f"only in spectral.py: {code - docs}; only in README: {docs - code}"
@@ -191,7 +326,7 @@ def test_name_scan_finds_parameters_attributes_and_names():
 def test_no_module_carries_a_j_matrix():
     found = [
         f"{path.relative_to(ROOT)}:{line}"
-        for path in sorted((ROOT / "src" / "chgeom").glob("*.py"))
+        for path in sorted(PACKAGE.glob("*.py"))
         for line in names_called(ast.parse(path.read_text()), "jmat")
     ]
     assert not found, "apply J with model.j_action, not a matrix:\n" + "\n".join(found)

@@ -8,28 +8,29 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from chgeom import jacobi
 from chgeom.construction import build_submanifold
 from chgeom.jacobi import (
     OutOfRangeEigenvalue,
+    focal_determinant_matrix,
+    focal_radius,
+    sech,
+    special_radius,
+)
+from chgeom.model import ModelParams
+from chgeom.oracles import (
     f_derivative,
     f_function,
     focal_collapse_matrix_closed,
     focal_collapse_matrix_numeric,
-    focal_determinant_matrix,
     focal_determinant_matrix_derivative,
-    focal_radius,
+    focal_rank,
+    focal_shape_check,
     g_derivative,
     g_function,
-    jacobi_ode_oracle,
-    sech,
-    special_radius,
 )
-from chgeom.model import ModelParams, j_action
 from chgeom.spectral import classify, eigen_structure_from_lambda3
-from chgeom.tubes import focal_rank, focal_shape_check, tube_shape_operator, tube_spectrum_closed
+from chgeom.tubes import tube_shape_operator, tube_spectrum_closed
 
-CLOSED_VS_ODE_TOLERANCE = 1e-8
 DETERMINANT_TOLERANCE = 1e-10
 COLLAPSE_TOLERANCE = 1e-10
 TUBE_RELATIVE_TOLERANCE = 1e-9
@@ -69,43 +70,6 @@ def test_profile_satisfies_oscillator_equation(lam, c, t):
     # f' matches the difference quotient of f
     fp = (f_function(lam, c, t + h) - f_function(lam, c, t - h)) / (2 * h)
     assert abs(fp - f_derivative(lam, c, t)) < 1e-5
-
-
-def test_closed_profiles_match_ode_oracle():
-    n, c = 3, -4.0
-    w = np.zeros(2 * n)
-    w[0] = 1.0  # geodesic velocity: abelian direction; J w is the center
-    for lam in (-0.3, 0.2, 0.9):
-        for t in (0.35, 0.8, 1.4):
-            # mode orthogonal to J w: pure f-profile
-            zeta0 = np.zeros((2, 2 * n))
-            zeta0[0, 2] = 1.0  # root direction
-            zeta0[1, 1] = 1.0  # center direction = J w
-            zp0 = -lam * zeta0
-            zt, zpt = jacobi_ode_oracle(zeta0, zp0, w, c, t, step=1e-4)
-            f = f_function(lam, c, t)
-            assert abs(zt[0, 2] - f) < CLOSED_VS_ODE_TOLERANCE
-            assert abs(zpt[0, 2] - f_derivative(lam, c, t)) < CLOSED_VS_ODE_TOLERANCE
-            # mode along J w: rate doubles; closed form f + g
-            assert abs(zt[1, 1] - (f + g_function(lam, c, t))) < CLOSED_VS_ODE_TOLERANCE
-
-
-def test_oracle_mixed_mode_decomposes():
-    """A mode with partial J-velocity component splits into the f-profile
-    on the orthogonal part plus (f+g) on the J-velocity part."""
-    n, c = 2, -1.0
-    w = np.zeros(2 * n)
-    w[0] = 1.0
-    jw = j_action(w)
-    perp = np.zeros(2 * n)
-    perp[2] = 1.0
-    alpha = 0.6
-    v = alpha * jw + math.sqrt(1 - alpha * alpha) * perp
-    lam, t = 0.4, 1.2
-    zt, _ = jacobi_ode_oracle(v[None, :], -lam * v[None, :], w, c, t, 1e-4)
-    f, ag = f_function(lam, c, t), alpha * g_function(lam, c, t)
-    expected = f * v + ag * jw
-    assert np.max(np.abs(zt[0] - expected)) < CLOSED_VS_ODE_TOLERANCE
 
 
 def test_determinant_matrix_identity_at_zero():
@@ -282,4 +246,4 @@ def test_focal_shape_identities():
 
 def test_rate_requires_negative_curvature():
     with pytest.raises(ValueError):
-        jacobi.f_function(0.1, 1.0, 0.5)
+        f_function(0.1, 1.0, 0.5)

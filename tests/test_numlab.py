@@ -15,16 +15,15 @@ from chgeom.numlab import (
     _eigen_pairs,
     _lattice,
     _layout,
-    convergence_order,
     frame_connection_residuals,
     gauss_codazzi_residuals,
     graded_connection_residuals,
     graded_curvature_residuals,
-    horosphere_chart,
     real_eigenspace_residual,
     tube_chart,
     unit_pair_gauss_residual,
 )
+from chgeom.oracles import convergence_order, horosphere_chart
 from chgeom.spectral import classify
 from chgeom.tubes import tube_spectrum_closed
 

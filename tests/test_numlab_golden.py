@@ -29,12 +29,12 @@ from chgeom.numlab import (
     gauss_codazzi_residuals,
     graded_connection_residuals,
     graded_curvature_residuals,
-    horosphere_chart,
     real_eigenspace_residual,
     residual_suites,
     tube_chart,
     unit_pair_gauss_residual,
 )
+from chgeom.oracles import horosphere_chart
 
 BIT_EXACT = ("gauss", "codazzi")
 OTHER_TOLERANCE = 1e-12

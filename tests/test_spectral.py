@@ -15,17 +15,16 @@ from chgeom import spectral
 from chgeom.construction import build_submanifold
 from chgeom.jacobi import OutOfRangeEigenvalue, focal_radius, special_radius
 from chgeom.model import ModelParams
+from chgeom.oracles import constraint_residuals, horosphere_germ
 from chgeom.spectral import (
     HypersurfaceGerm,
     NoRealSolution,
     catalog_germ,
     catalog_quadratic,
     classify,
-    constraint_residuals,
     eigen_structure_from_lambda3,
     frame_identity_residuals,
     hopf_frame,
-    horosphere_germ,
     nonexistence_scan,
     principal_decomposition,
     totally_real_check,
@@ -195,8 +194,7 @@ def test_hopf_frame_identities_on_catalog_germs():
         decomp = principal_decomposition(germ)
         res = frame_identity_residuals(decomp)
         assert max(res.values()) < FRAME_TOLERANCE
-        real = totally_real_check(decomp)
-        assert max(real.values()) < FRAME_TOLERANCE
+        assert totally_real_check(decomp) < FRAME_TOLERANCE
 
 
 def test_classify_catalog_roundtrip():
@@ -330,7 +328,7 @@ def _public_record_classification(germ, tol=spectral.CLASSIFY_TOLERANCE):
     residuals["quadratic"] = abs(catalog_quadratic(lam[0], lam[1], lam[2], c))
     if es.g == 4:
         residuals["lambda4_catalog"] = abs(lam[3] - es.lambda4)
-    residuals["totally_real"] = max(totally_real_check(decomp).values())
+    residuals["totally_real"] = totally_real_check(decomp)
     ok = all(v <= tol for v in residuals.values())
     return ("tube" if k >= 2 else "equidistant") if ok else "unclassified", k, r, residuals
 

@@ -13,23 +13,25 @@ from chgeom import tubes
 from chgeom.construction import build_submanifold
 from chgeom.jacobi import (
     _mode_matrix,
-    f_derivative,
-    f_function,
     focal_determinant_matrix,
-    focal_determinant_matrix_derivative,
-    g_derivative,
-    g_function,
     jacobi_closed_propagator,
     jacobi_ode_oracle,
     special_radius,
 )
 from chgeom.model import ModelParams, j_action, rate
 from chgeom.numlab import tube_chart
+from chgeom.oracles import (
+    f_derivative,
+    f_function,
+    focal_determinant_matrix_derivative,
+    focal_shape_check,
+    g_derivative,
+    g_function,
+)
 from chgeom.spectral import classify, hopf_frame, principal_decomposition
 from chgeom.tubes import (
     MAX_RADIUS,
     MAX_RATE_RADIUS,
-    focal_shape_check,
     tube_germ,
     tube_germs,
     tube_shape_operator,
@@ -72,16 +74,21 @@ def test_propagator_matches_ode_oracle(n, c):
 
 def test_propagator_reproduces_catalog_profiles():
     """On eigen-mode data (v, -lam v) the propagator gives
-    f(t) v + <v, Jw> g(t) Jw, the closed profiles of the catalog."""
+    f(t) v + <v, Jw> g(t) Jw and its derivative f'(t) v + <v, Jw> g'(t) Jw,
+    the closed profiles of the catalog; with
+    ``test_propagator_matches_ode_oracle`` this ties the profiles to the
+    RK4 oracle."""
     n, c = 3, -4.0
     w, modes, _ = _random_modes(n, seed=7)
     v = modes[0, 0] / np.linalg.norm(modes[0, 0])
     jw = j_action(w)
     for lam in (-0.3, 0.2, 0.9):
         for t in (-0.4, 0.35, 1.4):
-            zeta, _ = jacobi_closed_propagator(v, -lam * v, w, c, t)
+            zeta, zeta_p = jacobi_closed_propagator(v, -lam * v, w, c, t)
             f, ag = f_function(lam, c, t), float(v @ jw) * g_function(lam, c, t)
             assert np.max(np.abs(zeta - (f * v + ag * jw))) < 1e-13
+            fp, agp = f_derivative(lam, c, t), float(v @ jw) * g_derivative(lam, c, t)
+            assert np.max(np.abs(zeta_p - (fp * v + agp * jw))) < 1e-13
 
 
 def test_propagator_rejects_bad_input():
