@@ -33,7 +33,9 @@ import sys
 import numpy as np
 
 from . import jacobi, spectral
-from .construction import RIGIDITY_TOLERANCE, build_submanifold, rigidity_form_check
+from .construction import (
+    RIGIDITY_TOLERANCE, build_submanifold, form_scale, rigidity_form_check,
+)
 from .model import (
     CURVATURE_TOLERANCE,
     DEFAULT_FD_STEP,
@@ -83,7 +85,8 @@ def _cmd_construct(args) -> int:
     print(f"normal dimension         {spec.normal_basis.shape[0]}")
     print(f"shape-form residual      {report['shape_form']:.3e}")
     print(f"mean-curvature norm      {report['trace']:.3e}")
-    ok = report["shape_form"] <= RIGIDITY_TOLERANCE
+    # relative to the form's scale past 1, as its rounding is
+    ok = report["shape_form"] <= RIGIDITY_TOLERANCE * form_scale(spec.second_fundamental_form)
     if args.output and ok:  # a failing command writes no file
         with open(args.output, "w") as fh:
             json.dump(spec.to_json_dict(), fh, indent=2, sort_keys=True)
@@ -126,8 +129,8 @@ def _cmd_sweep(args) -> int:
         if not math.isfinite(value):
             raise ValueError(f"{option} must be a finite radius, got {value!r}")
     spec = build_submanifold(params, args.k, math.pi / 2.0)
-    if args.r_min <= 0 or args.r_max < args.r_min or args.count < 1:
-        raise ValueError("need 0 < r-min <= r-max and count >= 1")
+    if args.r_max < args.r_min or args.count < 1:
+        raise ValueError("need r-min <= r-max and count >= 1")
     if args.jobs is not None and args.jobs < 1:
         raise ValueError("--jobs must be >= 1")
     check_positive("--ode-step", args.ode_step)

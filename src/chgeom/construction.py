@@ -171,12 +171,16 @@ def orbit_second_fundamental_form(spec: SubmanifoldSpec) -> np.ndarray:
     # nab[i, j] = nabla_{t_i} t_j over every ordered pair of tangent rows
     nab = SolvableModel(spec.params).koszul_connection(t[:, None], t[None, :])
     mats = np.einsum("ijd,md->mij", nab, spec.normal_basis)
-    # relative past 1: the entries scale with s = sqrt(-c)/2, and so
-    # does their rounding
-    scale = max(1.0, float(np.max(np.abs(mats))))
-    if np.max(np.abs(mats - np.swapaxes(mats, 1, 2))) > 1e-12 * scale:
+    if np.max(np.abs(mats - np.swapaxes(mats, 1, 2))) > 1e-12 * form_scale(mats):
         raise AssertionError("second fundamental form is not symmetric")
     return mats
+
+
+def form_scale(form: np.ndarray) -> float:
+    """The scale of a second fundamental form's rounding, which its
+    checks are relative to past 1: the largest |entry|, and at least 1
+    (the entries grow like sin(phi) s, s = sqrt(-c)/2)."""
+    return max(1.0, float(np.max(np.abs(form))))
 
 
 def rigidity_form_check(spec: SubmanifoldSpec) -> dict:

@@ -16,7 +16,8 @@ all of which converge at second order in the differencing step.
 
 Tube chart values are closed-form normal geodesics
 (``SolvableModel.geodesic_closed``), evaluated on the whole offset
-lattice in one batched call.  A GermField keeps that lattice as one
+lattice in one batched call; a chart takes the radii of the tube layer
+(``tubes.check_radii``).  A GermField keeps that lattice as one
 coordinate array in sorted offset order and reads it through one fixed
 layout per domain dimension (``_layout``: the L1 <= 2 rows, their +-e_i
 neighbours and the stencil).  Every central difference goes through one
@@ -56,7 +57,7 @@ from .spectral import (
     principal_decomposition,
     totally_real_check,
 )
-from .tubes import MAX_RADIUS, check_rate_radius
+from .tubes import check_radii
 
 NUMERIC_GROUPING_TOLERANCE = 1e-4
 # second derivatives of the chart (the normal's derivative, Christoffel
@@ -100,17 +101,15 @@ def _sphere_direction(spec: SubmanifoldSpec, theta: np.ndarray) -> np.ndarray:
 
 
 def tube_chart(spec: SubmanifoldSpec, r: float) -> ChartImmersion:
-    """Radius-r tube around the orbit, 0 < r <= MAX_RADIUS and s*r <=
-    MAX_RATE_RADIUS: parameters are (base subgroup coordinates (t, z,
-    w_1..w_{2n-2-k}), normal sphere angles (k-1)).
+    """Radius-r tube around the orbit, r in the tube layer's domain
+    (``tubes.check_radii``): parameters are (base subgroup coordinates (t,
+    z, w_1..w_{2n-2-k}), normal sphere angles (k-1)).
 
     Base points are exact group elements of the orbit subgroup; each
     chart value is the endpoint of one normal geodesic of length r, in
     closed form (``SolvableModel.geodesic_closed``), batched over requests.
     """
-    if not (0.0 < r <= MAX_RADIUS):
-        raise ValueError(f"tube charts need 0 < r <= {MAX_RADIUS}, got {r!r}")
-    check_rate_radius(spec.params.c, r)
+    check_radii(spec.params.c, spec.k, (r,))
     params = spec.params
     model = SolvableModel(params)
     d = params.dim

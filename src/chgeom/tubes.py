@@ -22,6 +22,9 @@ one-radius call.  ``tube_shape_operator`` is the oracle: it integrates
 the modes and the parallel transport by RK4 and returns the germ at the
 endpoint with the propagation data.
 
+Both, and the finite-difference tube chart, take a radius exactly when
+``check_radii`` does (r = 0 only for k = 1: the orbit itself).
+
 Both start from the orbit's shape operator S^W_eta, which they read off
 ``SubmanifoldSpec.second_fundamental_form``, the closed rigidity normal
 form II(Z, u_m) = sin(phi) (sqrt(-c)/2) xi_m: no Lie-algebra table is
@@ -74,16 +77,6 @@ class TubeResult:
     velocity_drift: float  # |transported eta - gamma'(r)|
 
 
-def check_rate_radius(c: float, r: float) -> None:
-    """Reject a radius r with s*r > MAX_RATE_RADIUS (s = sqrt(-c)/2)."""
-    s = rate(c)
-    if s * r > MAX_RATE_RADIUS:
-        raise ValueError(
-            f"s*r = {s * r!r} exceeds {MAX_RATE_RADIUS} (s = sqrt(-c)/2): "
-            "the tube's Jacobi modes are too ill-conditioned there"
-        )
-
-
 def min_radius(c: float, k: int) -> float:
     """The smallest radius of a tube germ at c: 0 for k = 1 (the orbit is
     a hypersurface), otherwise the smallest r with r and s^2 r at least
@@ -94,12 +87,37 @@ def min_radius(c: float, k: int) -> float:
     return max(MIN_SCALE, MIN_SCALE / s2) if s2 else math.inf
 
 
+def check_radii(c: float, k: int, radii) -> None:
+    """The one radius domain of the tube layer: raise ValueError unless c
+    leaves a radius and each of radii, in order, is one: 0 <= r <=
+    MAX_RADIUS, s*r <= MAX_RATE_RADIUS and r >= ``min_radius(c, k)``."""
+    low = min_radius(c, k)
+    if low > MAX_RADIUS:
+        raise ValueError(
+            f"c = {c!r} leaves no tube radius for k >= 2: the smallest, {low!r}, "
+            f"exceeds {MAX_RADIUS}, as r and s^2*r stay at least {MIN_SCALE} (s = sqrt(-c)/2)"
+        )
+    s = rate(c)
+    for r in radii:
+        if not (0.0 <= r <= MAX_RADIUS):
+            raise ValueError(f"radius must lie in [0, {MAX_RADIUS}], got {r!r}")
+        if s * r > MAX_RATE_RADIUS:
+            raise ValueError(
+                f"s*r = {s * r!r} exceeds {MAX_RATE_RADIUS} (s = sqrt(-c)/2): "
+                "the tube's Jacobi modes are too ill-conditioned there"
+            )
+        if r < low:
+            raise ValueError(
+                f"r = {r!r} is below {low!r}, the smallest tube radius for k >= 2 at c = {c!r}: "
+                f"r and s^2*r stay at least {MIN_SCALE} (s = sqrt(-c)/2)"
+            )
+
+
 def _tube_modes(spec: SubmanifoldSpec, eta: np.ndarray, radii):
     """Checked arguments and the initial Jacobi data of the tube germs of
     a grid of radii.
 
-    Checks eta, then that c leaves a radius (for k >= 2 ``min_radius``
-    can exceed MAX_RADIUS), then each radius in order.  Returns (eta, m0,
+    Checks eta, then the radii (``check_radii``).  Returns (eta, m0,
     zeta0, zeta_prime0): m0 is an orthonormal basis of eta-perp (orbit tangent
     rows, then the normal complement of eta); the modes start at
     (v, -S^W_eta v) for its tangent rows and at (0, w) for its normal rows.
@@ -113,22 +131,7 @@ def _tube_modes(spec: SubmanifoldSpec, eta: np.ndarray, radii):
     off = eta - coeffs @ spec.normal_basis
     if math.sqrt(off @ off) > 1e-10:
         raise ValueError("eta must lie in the normal space of the orbit")
-    c = spec.params.c
-    low = min_radius(c, spec.k)
-    if low > MAX_RADIUS:
-        raise ValueError(
-            f"c = {c!r} leaves no tube radius for k >= 2: the smallest, {low!r}, "
-            f"exceeds {MAX_RADIUS}, as r and s^2*r stay at least {MIN_SCALE} (s = sqrt(-c)/2)"
-        )
-    for r in radii:
-        if not (0.0 <= r <= MAX_RADIUS):
-            raise ValueError(f"radius must lie in [0, {MAX_RADIUS}], got {r!r}")
-        check_rate_radius(c, r)
-        if r < low:
-            raise ValueError(
-                f"r = {r!r} is below {low!r}, the smallest tube radius for k >= 2 at c = {c!r}: "
-                f"r and s^2*r stay at least {MIN_SCALE} (s = sqrt(-c)/2)"
-            )
+    check_radii(spec.params.c, spec.k, radii)
 
     if spec.k > 1:
         _, sv, vt = np.linalg.svd(coeffs[None, :])
@@ -200,9 +203,7 @@ def tube_shape_operator(
 
     Uses the Jacobi-mode ODE (oracle form) for the shape operator and
     parallel transport for the frame; the germ's normal is the inward
-    one, so the catalog eigenvalues come out positive.  r = 0 is allowed
-    only for k = 1 (the hypersurface itself); r must stay below
-    MAX_RADIUS to keep the exponential growth in double range.
+    one, so the catalog eigenvalues come out positive.
     """
     eta, m0, zeta0, zprime0 = _tube_modes(spec, eta, (r,))
     model = SolvableModel(spec.params)

@@ -11,6 +11,7 @@ row; a new option needs a ``DOMAINS`` entry, or the walk fails.
 fresh interpreter, through the call the installed ``chgeom`` script makes.
 """
 
+import ast
 import contextlib
 import functools
 import io
@@ -35,8 +36,10 @@ from chgeom.cli import SWEEP_COLUMNS, main
 from chgeom.construction import build_submanifold
 from chgeom.jacobi import special_radius
 from chgeom.model import ModelParams
+from chgeom.oracles import horosphere_germ
 from chgeom.spectral import catalog_germ
-from chgeom.tubes import MAX_RADIUS, MAX_RATE_RADIUS
+from chgeom.tubes import MAX_RADIUS, MAX_RATE_RADIUS, tube_germ
+from test_hygiene import unclassified_reasons
 
 
 def _match(pattern, text):
@@ -185,6 +188,10 @@ EXTREME_CURVATURES = (-1e-250, -1e-300, -1e-310, -5e-324, -1e250, -1e300)
 # the catalog germ off the catalog by 0.11: unclassified at the default
 # tolerance, and a NaN tolerance must not turn it into a tube label
 OFF_CATALOG = _germ("off-catalog", ("shape.0.0", lambda x: x + 0.05))
+# the spectrum of _germ's default record
+CATALOG_3_2 = spectral.catalog_at_radius(0.7, -4.0, 3, 2)
+# a k = 2 orbit of Kaehler angle phi = 1.0 < pi/2: its tubes have h = 3
+PHI_1_ORBIT = build_submanifold(ModelParams(n=4, c=-4.0), 2, 1.0)
 MALFORMED = "error: malformed germ input:"
 TOO_WIDE = "exceeds 20.0 (s = sqrt(-c)/2): the tube's Jacobi modes are too ill-conditioned there"
 SMALLEST_RADIUS = "the smallest tube radius for k >= 2"
@@ -237,10 +244,12 @@ CONTRACT = [
     _row(["construct", "--n", "3", "--c", "4", "--k", "2"], 2,
          "error: the solvable group model exists only for c < 0; use ambient_curvature for c > 0"),
     *[_row([*CONSTRUCT, "--phi", phi], 0, out="...\nPASS") for phi in ("1e-6", "1e-8", "1e-9")],
-    # the Koszul form's rounding grows with s past the absolute
-    # RIGIDITY_TOLERANCE (item 12 owns the verdict), but its symmetry
-    # check is relative: FAIL, not a traceback
-    _row(["construct", "--n", "3", "--c=-1e300", "--k", "2", "--phi", "1.0"], 1, out="...\nFAIL"),
+    # the Koszul form's rounding grows like sin(phi) s: the verdict, like
+    # the form's symmetry check, is relative to its largest entry past 1,
+    # while the printed residual stays absolute
+    *[_row(["construct", "--n", "3", f"--c={c}", "--k", "2", "--phi", "1.0"], 0,
+           out=f"...\nshape-form residual      {residual}\n...\nPASS")
+      for c, residual in (("-1e20", "4.768e-07"), ("-1e300", "4.543e+133"))],
     # --output is opened before the command runs: nothing is printed
     _row([*CONSTRUCT, "--output={tmp}/missing/x.json"], 2, f"error: {NO_OUTPUT_DIR}"),
     # sweep
@@ -269,7 +278,7 @@ CONTRACT = [
     _row([*SWEEP, "--c=-1e6", "--r-min", "1", "--r-max", "2", "--count", "2"], 2,
          f"error: s*r = 500.0 {TOO_WIDE}"),
     _row([*SWEEP, "--c", "-4", "--r-min", "0.5", "--r-max", "0.2", "--count", "3"], 2,
-         "error: need 0 < r-min <= r-max and count >= 1"),
+         "error: need r-min <= r-max and count >= 1"),
     _row([*SWEEP_2, "--jobs", "0"], 2, "error: --jobs must be >= 1"),
     *[_row([*SWEEP_2, f"--ode-step={v}"], 2,
            f"error: --ode-step must be positive and finite, got {float(v)!r}")
@@ -282,6 +291,9 @@ CONTRACT = [
     # a k = 1 gap near the grouping tolerance: no Python warning
     _row(["sweep", "--n", "2", "--c", "-100", "--k", "1", "--r-min", "0.001", "--r-max", "2.0",
           "--count", "8"], 0, out=f"{SWEEP_COLUMNS}\n..."),
+    # r = 0 at k = 1 is the ruled hypersurface itself
+    _row(["sweep", "--n", "3", "--c", "-4", "--k", "1", "--r-min", "0", "--r-max", "0.4",
+          "--count", "3"], 0, out=f"{SWEEP_COLUMNS}\n0.0,*,1.0,1.0,G3_K1\n..."),
     _row([*SWEEP, "--c", "-4", "--r-min", "0.2", "--r-max", "0.4", "--count", "2",
           "--output={tmp}/missing/x.json"], 2, f"error: {NO_OUTPUT_DIR}"),
     _row([*SWEEP, "--c=-1e-20", "--r-min", "0.5", "--r-max", "0.5", "--count", "1"], 0,
@@ -316,7 +328,21 @@ CONTRACT = [
     _row(["classify", _germ("shape*1e308", ("shape", lambda s: [[1e308 * x for x in row]
                                                                for row in s]))], 0,
          out={"g": 4, "h": 2, "residuals": {"quadratic": None}}),
-    _row(["classify", OFF_CATALOG], 0, out={"model": "unclassified"}),
+    # one row per fixed reason of an unclassified germ
+    _row(["classify", OFF_CATALOG], 0, out={"model": "unclassified", "reason": "residuals"}),
+    _row(["classify", _Record("horosphere", horosphere_germ(ModelParams(n=3, c=-4.0)).to_json()
+                              .encode())], 0,
+         out={"model": "unclassified", "g": 2, "h": 1, "reason": "hopf"}),
+    _row(["classify", _Record("tube of W^6_phi, phi=1.0, r=0.7", tube_germ(
+        PHI_1_ORBIT, PHI_1_ORBIT.normal_basis[0], 0.7).to_json().encode())], 0,
+         out={"model": "unclassified", "g": 4, "h": 3, "reason": "h=3"}),
+    # both Hopf spaces, lambda_3 and lambda_4 set to lambda_2
+    _row(["classify", _germ("two values", *[(f"shape.{i}.{i}", CATALOG_3_2.lambda2)
+                                            for i in (2, 3, 4)])], 0,
+         out={"model": "unclassified", "g": 2, "h": 2, "reason": "g=2"}),
+    # lambda_3 of multiplicity 1 reads as k = 3 >= n
+    _row(["classify", _germ("lambda_3 once", ("shape.3.3", CATALOG_3_2.lambda4))], 0,
+         out={"model": "unclassified", "g": 4, "h": 2, "reason": "multiplicities"}),
     # the catalog spectrum on a lambda_3 space that J does not keep
     # totally real: no holomorphic isometry carries it to the catalog germ
     *[_row(["classify", _Record(f"J-breaking fake n={n} k={k}",
@@ -390,8 +416,15 @@ CONTRACT = [
     _row(RESIDUALS_2, 0, out=ALL_PASS),
     # the benchmark's n = 4 configuration
     _row(["residuals", "--n", "4", "--c", "-4", "--k", "3", "--r", "0.5"], 0, out=ALL_PASS),
+    # the tube layer's radius domain, as sweep reads it
     *[_row([*RESIDUALS_2[:-2], f"--r={r}"], 2,
-           f"error: tube charts need 0 < r <= 10.0, got {float(r)!r}") for r in ("nan", "inf", "30")],
+           f"error: radius must lie in [0, 10.0], got {float(r)!r}") for r in ("nan", "inf", "30")],
+    _row(["residuals", "--n", "3", "--c", "-4", "--k", "1", "--r", "0"], 0, out=ALL_PASS),
+    _row([*RESIDUALS, "--c", "-4", "--r", "1e-308"], 2,
+         f"error: r = 1e-308 is below 1e-300, {SMALLEST_RADIUS} at c = -4.0: {MIN_SCALE}"),
+    _row([*RESIDUALS, "--c=-1e-310", "--r", "0.5"], 2,
+         "error: c = -1e-310 leaves no tube radius for k >= 2: the smallest, 39999999999.998146, "
+         f"exceeds 10.0, as {MIN_SCALE}"),
     *[_row([*RESIDUALS_2, f"--fd-step={v}"], 2,
            f"error: fd_step must be positive and finite, got {v}") for v in ("nan", "inf")],
     *[_row([*RESIDUALS_2, f"--tolerance={v}"], 2,
@@ -555,6 +588,18 @@ def test_contract(argv, code, err, out, tmp_path, capsys):
     _check_row(run, argv, code, err, out, tmp_path)
 
 
+def test_every_classify_reason_has_a_contract_row():
+    """Each fixed reason of ``spectral``'s unclassified germs (N standing
+    for digits) is the reason of a classify row."""
+    outs = [row.values[3] for row in CONTRACT if row.values[0][:1] == ["classify"]]
+    pinned = [out["reason"] for out in outs if isinstance(out, dict) and "reason" in out]
+    tree = ast.parse(Path(spectral.__file__).read_text())
+    missing = [reason for reason in sorted(unclassified_reasons(tree))
+               if not any(re.fullmatch(re.escape(reason).replace("N", r"\d+"), got)
+                          for got in pinned)]
+    assert not missing, f"no classify row gives reason {missing}"
+
+
 @pytest.mark.parametrize("n, k", [(4, 3), (5, 4), (6, 5)])
 def test_j_breaking_fake_is_off_the_catalog_only_in_j(n, k):
     """The item 13 fakes of the classify rows: the catalog germ's spectrum,
@@ -642,7 +687,7 @@ def _top_radius(c):
 
 
 def _low_radius(c, k):
-    """The smallest radius sweep takes at c: the tube layer's
+    """The smallest radius the walk draws at c: the tube layer's
     ``min_radius`` (for k >= 2, where r = 0 is the focal set), and at
     least the smallest double."""
     return max(SUBNORMAL, tubes.min_radius(c, k))
@@ -699,9 +744,13 @@ def _n(cap):
     return Domain(st.integers(2, cap), ["1", "0", "2.5", "x"])
 
 
-def _too_far(v, low="0", past_top=True):
-    """Radii out of the tube layer's domain at v's c."""
-    far = [low, "-1", "nan", "inf", "x"]
+def _too_far(v, low=None, past_top=True):
+    """Radii out of the tube layer's domain at v's c and k: low, or by
+    default those below ``min_radius`` (none at k = 1, where r = 0 is the
+    orbit itself), then negative, non-finite and past the top."""
+    if low is None:
+        low = ["0", repr(SUBNORMAL), "1e-308"] if v["--k"] > 1 else []
+    far = [*low, "-1", "nan", "inf", "x"]
     return far + [repr(_top_radius(v["--c"]) * (1 + 1e-9))] if past_top else far
 
 
@@ -709,6 +758,8 @@ EDGES = (SUBNORMAL, 1e-300, 1e300, MAX_FLOAT)
 POSITIVE = Domain(_log_uniform(1e-323, 1e308, *EDGES), ["0", "-1", "nan", "inf", "-inf", "x"])
 CURVATURE = Domain(_curvatures(1e-323, 1e308, *EDGES), ["0", "4", "nan", "inf", "-inf", "x"])
 K = Domain(lambda v: st.integers(1, v["--n"] - 1), lambda v: [str(v["--n"]), "0", "x"])
+# one tube radius, sweep's --r-min and residuals' --r
+TUBE_RADIUS = Domain(lambda v: _radii(v["--c"], _low_radius(v["--c"], v["--k"])), _too_far)
 # a path under a missing directory, and a directory
 OUTPUT = Domain(st.just(os.devnull), ["{tmp}/missing/x.json", "{tmp}"])
 MALFORMED_RECORDS = [
@@ -739,14 +790,11 @@ DOMAINS = {
         "--c": Domain(SWEEP_CURVATURES, ["-5e-324", "-1e-300", "-1e300", repr(-MAX_FLOAT),
                                          "0", "4", "nan", "x"]),
         "--k": K,
-        "--r-min": Domain(
-            lambda v: _radii(v["--c"], _low_radius(v["--c"], v["--k"])),
-            lambda v: _too_far(v) + ([repr(SUBNORMAL), "1e-308"] if v["--k"] > 1 else []),
-        ),
+        "--r-min": TUBE_RADIUS,
         # the grid is r-min alone at count 1
         "--r-max": Domain(
             lambda v: _radii(v["--c"], v["--r-min"]),
-            lambda v: _too_far(v, repr(v["--r-min"] / 2), past_top=v["--count"] > 1),
+            lambda v: _too_far(v, [repr(v["--r-min"] / 2)], past_top=v["--count"] > 1),
         ),
         "--count": Domain(st.integers(1, 3), ["0", "-1", "1.5", "x"]),
         "--ode-step": POSITIVE,
@@ -758,8 +806,11 @@ DOMAINS = {
         "--tolerance": POSITIVE, "--grouping-tol": POSITIVE,
     },
     "residuals": {
-        "--n": _n(4), "--c": CURVATURE, "--k": K,
-        "--r": Domain(lambda v: _radii(v["--c"]), _too_far),
+        # k = 1 where c leaves no tube radius for k >= 2
+        "--n": _n(4), "--c": CURVATURE,
+        "--k": K._replace(good=lambda v: st.integers(
+            1, v["--n"] - 1 if tubes.min_radius(v["--c"], 2) <= MAX_RADIUS else 1)),
+        "--r": TUBE_RADIUS,
         "--fd-step": POSITIVE, "--tolerance": POSITIVE,
     },
     "nonexistence": {
@@ -862,6 +913,39 @@ def test_walk(data, tmp_path_factory):
         c, r = values["--c"], values["--r"]
         if -4.0 <= c <= -0.01 and 1e-2 <= model.rate(c) * r <= 1.2:
             assert not [line for line in out.splitlines() if line.endswith("FAIL")], out
+
+
+def _finite_radii(c, k):
+    """Finite radii in and around the tube layer's domain at c and k: any
+    finite float, [-20, 20], the walk's radii and the domain's edges and
+    their neighbours."""
+    low, top = tubes.min_radius(c, k), _top_radius(c)
+    edges = [0.0, low, top, MAX_RADIUS, 1e-300, 1e-308, SUBNORMAL, -SUBNORMAL]
+    edges += [math.nextafter(r, side) for r in (low, top) for side in (-math.inf, math.inf)]
+    return st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(-20.0, 20.0),
+                     _radii(c, _low_radius(c, k)), st.sampled_from(edges))
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_sweep_and_residuals_share_the_tube_domain(data):
+    """One radius domain: over the catalog's |c| range, ``sweep`` at the
+    one radius r exits 2 exactly when ``residuals --r r`` does, and with
+    the same error line."""
+    n = data.draw(st.integers(2, 4), label="n")
+    k, c = data.draw(st.integers(1, n - 1), label="k"), data.draw(SWEEP_CURVATURES, label="c")
+    r = data.draw(_finite_radii(c, k), label="r")
+    common = [f"--n={n}", f"--c={c!r}", f"--k={k}"]
+    replies = []
+    for argv in (["sweep", *common, f"--r-min={r!r}", f"--r-max={r!r}", "--count=1"],
+                 ["residuals", *common, f"--r={r!r}"]):
+        stderr = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("error")
+            code = main(argv)
+        replies.append((code == 2, stderr.getvalue()))
+    assert replies[0] == replies[1], (r, replies)
 
 
 @pytest.mark.parametrize("kind", sorted(SINGLE_DEFECTS))

@@ -23,11 +23,10 @@ from chgeom.construction import (
     rigidity_form_check,
 )
 from chgeom.model import GALPHA_START, ModelParams, j_action
-from chgeom.oracles import focal_shape_check, kahler_angle
+from chgeom.oracles import SPAN_TOLERANCE, focal_shape_check, kahler_angle
 
 ANGLE_TOLERANCE = 1e-12
 FORM_TOLERANCE = 1e-12
-SPAN_TOLERANCE = 1e-9
 
 PHI_GRID = (math.pi / 2, math.pi / 3, 1.0, 0.3)
 

@@ -340,13 +340,6 @@ def test_field_derivative_helpers(tube_field):
     assert abs(d - dcoords) < 1e-9
 
 
-def test_tube_chart_rejects_bad_radius():
-    params = ModelParams(n=2, c=-4.0)
-    spec = build_submanifold(params, k=1, phi=np.pi / 2)
-    with pytest.raises(ValueError):
-        tube_chart(spec, r=0.0)
-
-
 def test_germ_field_rejects_a_center_of_the_wrong_dimension(tube_field):
     dom = tube_field.chart.domain_dim
     for x0 in (np.zeros(dom - 1), np.zeros(dom + 1), np.zeros((1, dom)), 0.0):

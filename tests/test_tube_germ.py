@@ -250,32 +250,49 @@ def test_tube_germ_classifies_like_integrated_germ():
         assert closed.model == "tube"
 
 
+def _chart_route(spec, eta, r):
+    """The finite-difference tube chart as a tube route: its radius is
+    checked by the tube layer too (it has no eta)."""
+    return tube_chart(spec, r)
+
+
+TUBE_ROUTES = (tube_germ, tube_shape_operator, _chart_route)
+
+
 def test_tube_germ_argument_checks():
     spec = build_submanifold(ModelParams(n=3, c=-4.0), 2, math.pi / 2)
     eta = spec.normal_basis[0]
     for bad in (
         lambda: tube_germ(spec, 2.0 * eta, 0.5),
         lambda: tube_germ(spec, spec.tangent_basis[0], 0.5),
-        lambda: tube_germ(spec, eta, 0.0),  # focal for k = 2
-        lambda: tube_germ(spec, eta, 10.5),
     ):
         with pytest.raises(ValueError):
             bad()
-    # below the small-radius bound for k >= 2, both routes raise one error
-    for route in (tube_germ, tube_shape_operator):
+    # each route raises the tube layer's error: r = 0 is focal for k = 2
+    for r, message in ((0.0, "is below 1e-300"), (10.5, r"^radius must lie in \[0, 10.0\]"),
+                       (-1.0, r"^radius must lie in \[0, 10.0\]"),
+                       (math.nan, r"^radius must lie in \[0, 10.0\], got nan$")):
+        for route in TUBE_ROUTES:
+            with pytest.raises(ValueError, match=message):
+                route(spec, eta, r)
+    # below the small-radius bound for k >= 2, every route raises one error
+    for route in TUBE_ROUTES:
         with pytest.raises(ValueError, match="is below 1e-300, the smallest tube radius"):
             route(spec, eta, 1e-308)
     # where that bound exceeds MAX_RADIUS, no radius passes, and the error
     # names c instead
     tiny = build_submanifold(ModelParams(n=3, c=-1e-310), 2, math.pi / 2)
-    for route in (tube_germ, tube_shape_operator):
+    for route in TUBE_ROUTES:
         with pytest.raises(ValueError, match=r"^c = -1e-310 leaves no tube radius for k >= 2"):
             route(tiny, tiny.normal_basis[0], 0.5)
-    # r = 0 is allowed for k = 1: the orbit itself
-    spec1 = build_submanifold(ModelParams(n=3, c=-4.0), 1, math.pi / 2)
-    germ = tube_germ(spec1, spec1.normal_basis[0], 0.0)
-    evals = np.sort(np.linalg.eigvalsh(germ.shape))
-    assert np.allclose(evals, [-1.0, 0.0, 0.0, 0.0, 1.0], atol=1e-12)
+    # r = 0 is allowed for k = 1: the orbit itself, on every route
+    for n in (2, 3):
+        spec1 = build_submanifold(ModelParams(n=n, c=-4.0), 1, math.pi / 2)
+        germ = tube_germ(spec1, spec1.normal_basis[0], 0.0)
+        evals = np.sort(np.linalg.eigvalsh(germ.shape))
+        assert np.allclose(evals, [-1.0] + [0.0] * (2 * n - 3) + [1.0], atol=1e-12)
+        tube_shape_operator(spec1, spec1.normal_basis[0], 0.0)
+        assert _chart_route(spec1, None, 0.0).domain_dim == 2 * n - 1
 
 
 @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
@@ -308,11 +325,7 @@ def test_tube_routes_reject_large_rate_radius():
     r_bad = 1.01 * r_ok
     assert r_bad <= MAX_RADIUS
     tube_chart(spec, r_ok)  # the bound itself is accepted
-
-    def chart_route(spec, eta, r):
-        return tube_chart(spec, r)
-
-    for route in (tube_germ, tube_shape_operator, chart_route):
+    for route in TUBE_ROUTES:
         with pytest.raises(ValueError, match=f"exceeds {MAX_RATE_RADIUS}"):
             route(spec, eta, r_bad)
 
