@@ -60,6 +60,10 @@ def _fmt(x) -> str:
 
 def _cmd_verify_model(args) -> int:
     check_positive("--tolerance", args.tolerance)
+    if args.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     params = ModelParams(n=args.n, c=args.c)
     model = SolvableModel(params)
     # past the double range (|c| near its largest value) a residual is
@@ -150,6 +154,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    check_positive("--tolerance", args.tolerance)
+    check_positive("--grouping-tol", args.grouping_tol)
     try:
         # strict UTF-8: json.loads on raw bytes would also take UTF-16,
         # a byte-order mark and encoded surrogates
@@ -171,6 +177,7 @@ def _cmd_residuals(args) -> int:
 
     params = ModelParams(n=args.n, c=args.c)
     check_positive("--tolerance", args.tolerance)
+    check_positive("--fd-step", args.fd_step)
     spec = build_submanifold(params, args.k, math.pi / 2.0)
     chart = numlab.tube_chart(spec, args.r)
     x0 = np.zeros(chart.domain_dim)

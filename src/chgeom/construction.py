@@ -36,15 +36,6 @@ FRAME_TOLERANCE = 1e-12
 RIGHT_ANGLE_TOLERANCE = 1e-12
 
 
-class OddDimensionNonReal(ValueError):
-    """Constant Kaehler angle < pi/2 is impossible on an odd-dimensional
-    subspace (the restricted form <J.,.> would be skew of full rank)."""
-
-
-class DimensionTooLarge(ValueError):
-    """The normal space must fit into the paired root space: k <= n-1."""
-
-
 def is_totally_real(phi: float) -> bool:
     """phi is pi/2 (a totally real subspace) to RIGHT_ANGLE_TOLERANCE."""
     return abs(phi - math.pi / 2.0) <= RIGHT_ANGLE_TOLERANCE
@@ -57,13 +48,12 @@ def _validate_k_phi(n: int, k, phi: float) -> int:
         raise ValueError(f"k must be a positive integer, got {k!r}")
     k = int(k)
     if k > n - 1:
-        raise DimensionTooLarge(f"k={k} exceeds n-1={n - 1}")
+        raise ValueError(f"k={k} exceeds n-1={n - 1}")
     if not (0.0 < phi <= math.pi / 2.0 or is_totally_real(phi)):
         raise ValueError(f"phi must lie in (0, pi/2], got {phi!r}")
+    # phi < pi/2 needs <J.,.> of full rank on the span, which a skew form on odd k never has
     if not is_totally_real(phi) and k % 2 == 1:
-        raise OddDimensionNonReal(
-            f"k={k} odd requires phi = pi/2 (totally real normal space)"
-        )
+        raise ValueError(f"k={k} odd requires phi = pi/2 (totally real normal space)")
     return k
 
 

@@ -29,10 +29,6 @@ import numpy as np
 from .model import DEFAULT_ODE_STEP, j_action, rate, rk4
 
 
-class OutOfRangeEigenvalue(ValueError):
-    """lambda_3 outside [0, sqrt(-c)/2) has no focal radius."""
-
-
 def _f(lam, s, ch, sh):
     """f from s and the cosh(st), sinh(st) of its time."""
     return ch - (lam / s) * sh
@@ -80,9 +76,10 @@ def jacobi_closed_propagator(
     zeta_prime0,
     velocity,
     c: float,
-    t,
+    times,
 ):
-    """Exact solution of the equation ``jacobi_ode_oracle`` integrates.
+    """Exact solution of the equation ``jacobi_ode_oracle`` integrates,
+    at each of a sequence of times.
 
     Off Jw the components grow at rate s = sqrt(-c)/2 and the Jw
     component at rate 2s, each by
@@ -90,19 +87,16 @@ def jacobi_closed_propagator(
         zeta(t) = cosh(rt) zeta(0) + (sinh(rt)/r) zeta'(0),
         zeta'(t) = r sinh(rt) zeta(0) + cosh(rt) zeta'(0).
 
-    Same arguments and return value as the oracle, without the step;
-    ``velocity`` must be a unit vector.  ``t`` may also be a sequence of
-    times: the initial data are split along Jw once, and the returned
-    arrays gain a leading time axis, each slice the bits of the call at
-    that one time.  The hyperbolic functions stay ``math.cosh`` and
-    ``math.sinh`` per time, since ``np.cosh`` over an array can differ
-    from them in the last bit.
+    Same arguments as the oracle, with ``times`` for its one time and
+    without the step; ``velocity`` must be a unit vector.  The initial
+    data are split along Jw once, and the returned (zeta, zeta') arrays
+    have a leading time axis.  The hyperbolic functions stay
+    ``math.cosh`` and ``math.sinh`` per time, since ``np.cosh`` over an
+    array can differ from them in the last bit.
     """
     w = np.asarray(velocity, dtype=float)
     if abs(np.linalg.norm(w) - 1.0) > 1e-10:
         raise ValueError("velocity must be a unit vector")
-    scalar = np.ndim(t) == 0
-    times = (t,) if scalar else t
     for time in times:
         if not math.isfinite(time):
             raise ValueError(f"time must be finite, got {time!r}")
@@ -121,8 +115,6 @@ def jacobi_closed_propagator(
         ap = (2.0 * s * sh2) * a0 + ch2 * ap0
         zeta.append(ch1 * perp0 + (sh1 / s) * perp_p0 + np.multiply.outer(a, jw))
         zeta_prime.append((s * sh1) * perp0 + ch1 * perp_p0 + np.multiply.outer(ap, jw))
-    if scalar:
-        return zeta[0], zeta_prime[0]
     shape = (len(times), *z0.shape)
     return np.reshape(zeta, shape), np.reshape(zeta_prime, shape)
 
@@ -156,13 +148,11 @@ def focal_radius(lambda3: float, c: float) -> float:
     """Radius r with lambda_3 = (sqrt(-c)/2) tanh(r sqrt(-c)/2).
 
     lambda_3 = 0 maps to r = 0; values outside [0, sqrt(-c)/2) raise
-    OutOfRangeEigenvalue.
+    ValueError.
     """
     s = rate(c)
     if not (0.0 <= lambda3 < s):
-        raise OutOfRangeEigenvalue(
-            f"lambda3={lambda3!r} outside [0, {s!r}) for c={c!r}"
-        )
+        raise ValueError(f"lambda3={lambda3!r} outside [0, {s!r}) for c={c!r}")
     return math.atanh(lambda3 / s) / s
 
 

@@ -66,11 +66,6 @@ _SCAN_MAX_ABS_C = (_HUGE / 60.75) ** (2.0 / 3.0)  # 2.06e204
 _STRICT_JSON = json.JSONEncoder(allow_nan=False)
 
 
-class NoRealSolution(ValueError):
-    """The catalog equations have no real solution (happens iff c > 0,
-    where -c - 3 lambda_3^2 <= -c < 0)."""
-
-
 # ---------------------------------------------------------------------------
 # catalog
 
@@ -144,7 +139,8 @@ def eigen_structure_from_lambda3(
     k: int | None = None,
 ) -> EigenStructure:
     """Closed-form catalog entry at lambda_3 (n and k, if given, fix
-    ``blocks``); c > 0 raises NoRealSolution.
+    ``blocks``); c > 0, where the catalog quadratic has no real roots,
+    raises ValueError.
 
     The branch follows from lambda_3: 0 -> G3_K1 (the ruled hypersurface
     itself); sqrt(-c)/(2 sqrt(3)) -> G3_KBIG (lambda_4 merges into
@@ -153,7 +149,7 @@ def eigen_structure_from_lambda3(
     have no lambda_4.  No other hint is accepted.
     """
     if c > 0:
-        raise NoRealSolution(
+        raise ValueError(
             f"-c - 3*lambda3^2 = {-c - 3 * lambda3 ** 2} <= {-c} < 0: "
             "the catalog quadratic has no real roots for c > 0"
         )
@@ -194,9 +190,7 @@ def _catalog_entry(lambda3, gap, c, branch_hint, n, k) -> EigenStructure:
     """
     s = rate(c)
     if not (0.0 <= lambda3 and gap > 0.0):
-        raise jacobi.OutOfRangeEigenvalue(
-            f"lambda3={lambda3!r} outside the catalog range [0, {s!r})"
-        )
+        raise ValueError(f"lambda3={lambda3!r} outside the catalog range [0, {s!r})")
     root = math.sqrt(-c - 3.0 * lambda3 * lambda3)
     denom = 2.0 * c * root
     if not _TINY <= abs(denom) <= _HUGE:
@@ -625,8 +619,8 @@ def classify(
     Its decomposition is flipped when the smallest non-Hopf eigenvalue
     is negative, so lambda_3 >= 0 (``PrincipalDecomposition.flipped``
     maps the one record by index, xi with it, so h stays 2), and needs
-    g = 3 or 4 groups (else "g=N").  At c > 0 the catalog has no real solution and
-    the NoRealSolution message is the reason.
+    g = 3 or 4 groups (else "g=N").  At c > 0 the catalog has no real
+    solution, and the catalog entry's message says so as the reason.
     The groups are read in catalog order lambda_1 < lambda_2 (the Hopf
     spaces), lambda_3 < lambda_4, and k = 2n - 2 - mult(lambda_3).  The
     catalog entry is built at (lambda_3, k), or at sqrt(-c)/(2 sqrt(3))
@@ -663,7 +657,7 @@ def classify(
     k = 2 * n - 2 - mults[2]
     special = g == 3 and k >= 2  # lambda_4 = lambda_2: the radius r*
     lam3 = lam[2]
-    if c < 0:  # for c > 0 the catalog entry raises NoRealSolution
+    if c < 0:  # for c > 0 the catalog entry raises its no-real-roots error
         s = rate(c)
         lam3 = s / math.sqrt(3.0) if special else min(max(lam3, 0.0), s * (1.0 - 1e-15))
     try:

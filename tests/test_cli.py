@@ -212,8 +212,9 @@ CONTRACT = [
     _row([*VERIFY, "--samples", "50"], 0, out="...\nPASS"),
     # n = 8: the widest Lie tables the column-sum kernel sees
     _row(["verify-model", "--n", "8", "--c=-2.7"], 0, out="...\nPASS"),
-    *[_row([*VERIFY, f"--samples={s}"], 2, f"error: samples must be >= 1, got {s}")
+    *[_row([*VERIFY, f"--samples={s}"], 2, f"error: --samples must be >= 1, got {s}")
       for s in ("0", "-3")],
+    _row([*VERIFY, "--seed=-1"], 2, "error: --seed must be a non-negative integer, got -1"),
     *[_row([*VERIFY, "--samples", "5", f"--tolerance={v}"], 2,
            f"error: --tolerance must be positive and finite, got {float(v)!r}")
       for v in ("nan", "inf", "0", "-1")],
@@ -351,9 +352,8 @@ CONTRACT = [
            xfail=f"ROADMAP item 13: classify labels the fake tube, k={k}, r=0.7")
       for n, k in ((4, 3), (5, 4), (6, 5))],
     *[_row(["classify", OFF_CATALOG, f"{option}={v}"], 2,
-           f"error: {name} must be positive and finite, got {float(v)!r}")
-      for option, name in (("--tolerance", "tol"), ("--grouping-tol", "grouping_tol"))
-      for v in ("nan", "inf", "0", "-1")],
+           f"error: {option} must be positive and finite, got {float(v)!r}")
+      for option in ("--tolerance", "--grouping-tol") for v in ("nan", "inf", "0", "-1")],
     # classify: malformed records exit 2 with one error line
     _row(["classify", "--input={tmp}/missing.json"], 2,
          f"{MALFORMED} [Errno 2] No such file or directory: '{{tmp}}/missing.json'"),
@@ -426,7 +426,8 @@ CONTRACT = [
          "error: c = -1e-310 leaves no tube radius for k >= 2: the smallest, 39999999999.998146, "
          f"exceeds 10.0, as {MIN_SCALE}"),
     *[_row([*RESIDUALS_2, f"--fd-step={v}"], 2,
-           f"error: fd_step must be positive and finite, got {v}") for v in ("nan", "inf")],
+           f"error: --fd-step must be positive and finite, got {float(v)!r}")
+      for v in ("nan", "inf", "0", "-1")],
     *[_row([*RESIDUALS_2, f"--tolerance={v}"], 2,
            f"error: --tolerance must be positive and finite, got {float(v)!r}")
       for v in ("nan", "inf", "0", "-1")],
@@ -827,6 +828,9 @@ DOMAINS = {
         "--output": OUTPUT,
     },
 }
+# flags whose out-of-domain values the CLI itself rejects, by the flag's name
+NAMED_FLAGS = {"--tolerance", "--grouping-tol", "--fd-step", "--ode-step", "--jobs", "--seed",
+               "--samples"}
 SUBCOMMANDS = cli.build_parser().subcommands
 NON_FINITE = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
 
@@ -866,7 +870,9 @@ def test_walk(data, tmp_path_factory):
     """Inputs drawn over every option's domain, with at most one option
     pushed out of it: exit 2, with one error line or argparse's usage,
     exactly when one was; otherwise exit 0 or 1 and an empty stderr.
-    Never a traceback or a warning; classify prints strict JSON; exit 0
+    Never a traceback or a warning; a value pushed out of a flag in
+    ``NAMED_FLAGS`` that parses is reported under that flag's name;
+    classify prints strict JSON; exit 0
     prints no nan or inf but the sweep's documented lambda4 cell; and
     residuals fails no suite where it holds today (2 <= n <= 4, c in
     [-4, -0.01], s*r in [1e-2, 1.2], default flags)."""
@@ -878,7 +884,7 @@ def test_walk(data, tmp_path_factory):
     for action in _options(command):
         option = action.option_strings[0]
         values[option] = data.draw(_given(domains[option].good, values), label=option)
-    pushed = None
+    pushed = bad = None
     if data.draw(st.integers(0, 3), label="push an option") == 0:  # one example in four
         pushed = data.draw(st.sampled_from([o for o, d in domains.items() if d.bad]), label="out")
     argv, passed = [command], set()
@@ -886,7 +892,8 @@ def test_walk(data, tmp_path_factory):
         option = action.option_strings[0]
         value = values[option]
         if option == pushed:
-            value = data.draw(st.sampled_from(_given(domains[option].bad, values)), label=option)
+            value = bad = data.draw(st.sampled_from(_given(domains[option].bad, values)),
+                                    label=option)
         elif not action.required and data.draw(st.booleans(), label=f"omit {option}"):
             continue
         passed.add(option)
@@ -903,6 +910,8 @@ def test_walk(data, tmp_path_factory):
     assert (code == 2) == (pushed is not None), (code, err)
     if code == 2:
         assert re.fullmatch(r"error: .*\n|usage: chgeom (.*\n)*chgeom.*: error: .*\n", err), err
+        if pushed in NAMED_FLAGS and bad != "x":
+            assert err.startswith(f"error: {pushed} "), err
         return
     assert err == ""
     if command == "classify":

@@ -14,8 +14,6 @@ from chgeom import construction
 from chgeom.construction import (
     RIGHT_ANGLE_TOLERANCE,
     RIGIDITY_TOLERANCE,
-    DimensionTooLarge,
-    OddDimensionNonReal,
     build_submanifold,
     constant_kahler_angle_subspace,
     is_totally_real,
@@ -42,7 +40,7 @@ def test_one_totally_real_predicate():
     assert not is_totally_real(above)
     right = build_submanifold(params, 1, math.pi / 2)
     assert np.array_equal(build_submanifold(params, 1, near).normal_basis, right.normal_basis)
-    with pytest.raises(OddDimensionNonReal):
+    with pytest.raises(ValueError, match="odd requires phi = pi/2"):
         build_submanifold(params, 1, below)
     with pytest.raises(ValueError, match="phi must lie"):
         build_submanifold(params, 1, above)
@@ -56,9 +54,9 @@ def test_one_totally_real_predicate():
 
 def test_subspace_validation_errors():
     params = ModelParams(n=3, c=-4.0)
-    with pytest.raises(DimensionTooLarge):
+    with pytest.raises(ValueError, match="k=3 exceeds n-1=2"):
         constant_kahler_angle_subspace(params, 3, math.pi / 2)
-    with pytest.raises(OddDimensionNonReal):
+    with pytest.raises(ValueError, match="k=1 odd requires phi = pi/2"):
         constant_kahler_angle_subspace(params, 1, math.pi / 3)
     with pytest.raises(ValueError):
         constant_kahler_angle_subspace(params, 2, 0.0)

@@ -1,11 +1,13 @@
 """Source hygiene: no module in the package or the tests imports a name it
 never uses, no package function takes a parameter it never reads, every
-module-level name of a production module is read in the package, no
-production module imports ``chgeom.oracles``, README's list of classifier
-reasons matches the reasons the code returns, and no package module
-passes or stores J as a matrix (``model.j_action`` applies it)."""
+module-level name of a production module is read in the package, every
+exception class of a production module is caught there, no production
+module imports ``chgeom.oracles``, README's list of classifier reasons
+matches the reasons the code returns, and no package module passes or
+stores J as a matrix (``model.j_action`` applies it)."""
 
 import ast
+import builtins
 import re
 from pathlib import Path
 
@@ -206,6 +208,68 @@ def test_production_modules_define_only_names_the_package_reads():
     )
 
 
+BUILTIN_EXCEPTIONS = {
+    name for name, value in vars(builtins).items()
+    if isinstance(value, type) and issubclass(value, BaseException)
+}
+
+
+def _last_name(node: ast.expr):
+    """``x`` of a name ``x`` or an attribute ``a.b.x``."""
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def uncaught_exceptions(trees: dict) -> list:
+    """(module, class) for every exception class a module of ``trees``
+    defines (one derived from a builtin exception or from another such
+    class) that no ``except`` clause of those modules names."""
+    names, classes, grown = set(BUILTIN_EXCEPTIONS), [], True
+    while grown:  # a class may derive from one defined further on
+        grown = False
+        for module, tree in trees.items():
+            for stmt in tree.body:
+                if isinstance(stmt, ast.ClassDef) and stmt.name not in names and any(
+                    _last_name(base) in names for base in stmt.bases
+                ):
+                    names.add(stmt.name)
+                    classes.append((module, stmt.name))
+                    grown = True
+    caught = {
+        _last_name(node)
+        for tree in trees.values()
+        for handler in ast.walk(tree)
+        if isinstance(handler, ast.ExceptHandler) and handler.type is not None
+        for node in ast.walk(handler.type)
+    }
+    return sorted(cls for cls in classes if cls[1] not in caught)
+
+
+def test_uncaught_exception_scan_flags_classes_no_except_names():
+    trees = {
+        "a": ast.parse(
+            "class Planted(Base):\n    pass\nclass Base(ValueError):\n    pass\n"
+            "class Plain:\n    pass\ntry:\n    pass\nexcept Base:\n    pass\n"
+        ),
+        "b": ast.parse(
+            "class Caught(a.Base):\n    pass\nclass Other(KeyError):\n    pass\n"
+            "try:\n    pass\nexcept (np.linalg.LinAlgError, a.Caught):\n    pass\n"
+        ),
+    }
+    assert uncaught_exceptions(trees) == [("a", "Planted"), ("b", "Other")]
+
+
+def test_production_modules_define_only_exceptions_they_catch():
+    """Bad input raises ``ValueError``; a subclass earns its place only
+    where an ``except`` clause of the package tells it apart (today
+    ``numlab.Indeterminate``, which ``residual_suites`` turns into an
+    indeterminate suite)."""
+    trees = {module: ast.parse((PACKAGE / f"{module}.py").read_text()) for module in PRODUCTION}
+    found = uncaught_exceptions(trees)
+    assert not found, "exception classes no except clause names: " + ", ".join(
+        f"{module}.{name}" for module, name in found
+    )
+
+
 def oracle_imports(tree: ast.Module) -> list:
     """Lines of the import statements that load ``chgeom.oracles``."""
     found = []
@@ -282,7 +346,7 @@ def test_reason_scans_read_literals_and_readme_entries():
     readme = (
         "How `classify` decides, with the `reason`:\n\n"
         "- Otherwise it gives reason `hopf` or reason `h=N`.\n"
-        "- The reason is the `NoRealSolution` message.\n\n"
+        "- The reason is the catalog's `c > 0` message.\n\n"
         "Later: reason `elsewhere`.\n"
     )
     assert readme_reasons(readme) == {"hopf", "h=N"}

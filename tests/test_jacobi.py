@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from chgeom.construction import build_submanifold
 from chgeom.jacobi import (
-    OutOfRangeEigenvalue,
     focal_determinant_matrix,
     focal_radius,
     sech,
@@ -155,9 +154,9 @@ def test_radius_functions():
         for r in (0.1, 0.6, 1.3):
             lam3 = s * math.tanh(s * r)
             assert abs(focal_radius(lam3, c) - r) < 1e-12
-        with pytest.raises(OutOfRangeEigenvalue):
+        with pytest.raises(ValueError, match=r"outside \[0, .*\) for c="):
             focal_radius(s, c)
-        with pytest.raises(OutOfRangeEigenvalue):
+        with pytest.raises(ValueError, match=r"outside \[0, .*\) for c="):
             focal_radius(-0.01, c)
         # at the special radius the two merged eigenvalues coincide
         rstar = special_radius(c)

@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 
 from chgeom import spectral
 from chgeom.construction import build_submanifold
-from chgeom.jacobi import OutOfRangeEigenvalue, focal_radius, special_radius
+from chgeom.jacobi import focal_radius, special_radius
 from chgeom.model import ModelParams
 from chgeom.oracles import constraint_residuals, horosphere_germ
 from chgeom.spectral import (
     HypersurfaceGerm,
-    NoRealSolution,
+    catalog_at_radius,
     catalog_germ,
     catalog_quadratic,
     classify,
@@ -67,13 +67,13 @@ def test_catalog_generic_slice():
 
 
 def test_catalog_rejects_bad_inputs():
-    with pytest.raises(NoRealSolution):
+    with pytest.raises(ValueError, match="the catalog quadratic has no real roots for c > 0"):
         eigen_structure_from_lambda3(0.5, 4.0)
-    with pytest.raises(NoRealSolution):
+    with pytest.raises(ValueError, match="the catalog quadratic has no real roots for c > 0"):
         eigen_structure_from_lambda3(0.0, 1.0)
-    with pytest.raises(OutOfRangeEigenvalue):
+    with pytest.raises(ValueError, match="outside the catalog range"):
         eigen_structure_from_lambda3(1.0, -4.0)  # lambda3 must stay below s
-    with pytest.raises(OutOfRangeEigenvalue):
+    with pytest.raises(ValueError, match="outside the catalog range"):
         eigen_structure_from_lambda3(-0.2, -4.0)
 
 
@@ -215,6 +215,27 @@ def test_classify_special_radius_merges():
     germ = catalog_germ(params, 3, r=rstar)
     res = classify(germ)
     assert res.g == 3 and res.branch == "G3_KBIG" and res.k == 3
+
+
+@pytest.mark.parametrize("c", [-1.0, -4.0, -100.0])
+@pytest.mark.parametrize("e", [
+    -12,
+    *[pytest.param(e, marks=pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: near r* the grouping merges lambda_2 and lambda_4 over a wider "
+        "window than the catalog's G3_KBIG one, so classify reads G3_KBIG at r = r* (or "
+        "'residuals') where the catalog entry is G4",
+    )) for e in (-11, -9, -8, -7)],
+    -6,
+])
+def test_classify_decides_germs_next_to_the_special_radius(c, e):
+    """The catalog germ (4, 2) at r = r* (1 + 10^e) classifies to the
+    catalog entry's branch at its own radius, or says indeterminate."""
+    r = special_radius(c) * (1.0 + 10.0**e)
+    res = classify(catalog_germ(ModelParams(n=4, c=c), 2, r=r))
+    if not (res.reason or "").startswith("indeterminate"):
+        assert res.branch == catalog_at_radius(r, c, 4, 2).branch, (res.branch, res.reason)
+        assert abs(res.r - r) <= 2e-12 * r
 
 
 def test_classify_orientation_flip_invariance():
@@ -1214,7 +1235,7 @@ def _at_positive_curvature(germ, c):
 
 
 def test_classify_positive_curvature():
-    """c > 0: an h = 2 germ is unclassified with the NoRealSolution
+    """c > 0: an h = 2 germ is unclassified with the catalog's c > 0
     message (no such hypersurface in CP^n); a Hopf germ stays "hopf"."""
     germ = _at_positive_curvature(catalog_germ(ModelParams(n=3, c=-4.0), 2, r=0.7), 4.0)
     res = classify(germ)
