@@ -49,8 +49,8 @@ def _validate_k_phi(n: int, k, phi: float) -> int:
     k = int(k)
     if k > n - 1:
         raise ValueError(f"k={k} exceeds n-1={n - 1}")
-    if not (0.0 < phi <= math.pi / 2.0 or is_totally_real(phi)):
-        raise ValueError(f"phi must lie in (0, pi/2], got {phi!r}")
+    if not (0.0 <= phi <= math.pi / 2.0 or is_totally_real(phi)):
+        raise ValueError(f"phi must lie in [0, pi/2], got {phi!r}")
     # phi < pi/2 needs <J.,.> of full rank on the span, which a skew form on odd k never has
     if not is_totally_real(phi) and k % 2 == 1:
         raise ValueError(f"k={k} odd requires phi = pi/2 (totally real normal space)")

@@ -385,35 +385,6 @@ class GermField:
         )
         return np.einsum("ijkl,lm->ijkm", rup, self._shape["metric"][0])
 
-    def ambient_curvature_tangent(self) -> np.ndarray:
-        """Rbar[i, j, k, m] = <Rbar(d_i, d_j) d_k, d_m> (exact closed form)."""
-        t = self.tangents()
-        g = t @ t.T
-        p = j_action(t) @ t.T  # p[i,j] = <J d_i, d_j>
-        c = self.params.c
-        return (c / 4.0) * (
-            np.einsum("jk,im->ijkm", g, g)
-            - np.einsum("ik,jm->ijkm", g, g)
-            + np.einsum("jk,im->ijkm", p, p)
-            - np.einsum("ik,jm->ijkm", p, p)
-            - 2.0 * np.einsum("ij,km->ijkm", p, p)
-        )
-
-    def ambient_curvature_normal(self) -> np.ndarray:
-        """Rbar[i, j, k] = <Rbar(d_i, d_j) d_k, normal> (exact)."""
-        t = self.tangents()
-        nrm = self.normal()
-        p = j_action(t) @ t.T
-        q = t @ j_action(nrm)  # q[i] = <d_i, J xi> = -<J d_i, xi>
-        c = self.params.c
-        # <Rbar(X,Y)Z, xi> = c/4 (<JY,Z>< JX,xi> - <JX,Z><JY,xi> - 2<JX,Y><JZ,xi>)
-        # and <J d_i, xi> = -q[i]
-        return (c / 4.0) * (
-            -np.einsum("jk,i->ijk", p, q)
-            + np.einsum("ik,j->ijk", p, q)
-            + 2.0 * np.einsum("ij,k->ijk", p, q)
-        )
-
     # -- eigenframe fields -------------------------------------------------
 
     def _aligned_space_field(self, center_rows, eigenvalue) -> np.ndarray:
@@ -512,9 +483,13 @@ class GermField:
 
 def gauss_codazzi_residuals(field: GermField) -> dict:
     """Max-norm residuals of the Gauss and Codazzi equations on the
-    coordinate frame."""
-    rbar_t = field.ambient_curvature_tangent()
-    rbar_n = field.ambient_curvature_normal()
+    coordinate frame, against ``model.ambient_curvature``: the tangential
+    components <Rbar(d_i, d_j) d_k, d_m> and the normal ones
+    <Rbar(d_i, d_j) d_k, xi>, read off one stack of Rbar(d_i, d_j) d_k."""
+    t = field.tangents()
+    rbar = ambient_curvature(t[:, None, None], t[None, :, None], t[None, None, :], field.params.c)
+    rbar_t = rbar @ t.T
+    rbar_n = rbar @ field.normal()
     r_int = field.intrinsic_curvature()
     sd = field._shape
     ii = sd["second_fundamental"][0]

@@ -15,9 +15,9 @@ import math
 
 import numpy as np
 
-from .construction import SubmanifoldSpec, is_totally_real
+from .construction import SubmanifoldSpec, is_totally_real, orbit_second_fundamental_form
 from .jacobi import _f, _g, _hyperbolic, _mode_matrix, focal_determinant_matrix
-from .model import ModelParams, SolvableModel, j_action, rate
+from .model import B_INDEX, GALPHA_START, Z_INDEX, ModelParams, SolvableModel, j_action, rate
 from .numlab import ChartImmersion
 from .spectral import (
     EigenStructure, HypersurfaceGerm, catalog_quadratic, hopf_frame,
@@ -153,6 +153,24 @@ def constraint_residuals(es: EigenStructure) -> dict:
     if es.lambda4 is not None:
         out["lambda4_relation"] = abs(4.0 * es.lambda3 * es.lambda4 + es.c)
     return out
+
+
+def w_orbit(params: ModelParams, wperp) -> SubmanifoldSpec:
+    """The orbit W_w for orthonormal root-space rows wperp (ROADMAP items
+    4 and 26): normal rows wperp, tangent rows B, Z and the root space's
+    complement of wperp.  Its Kaehler angle need not be constant (phi is
+    NaN), so the spec carries the Koszul second fundamental form."""
+    wperp = np.asarray(wperp, dtype=float)
+    k, d = wperp.shape
+    if np.any(wperp[:, :GALPHA_START]):
+        raise ValueError("wperp must lie in the root space")
+    tangent = np.zeros((d - k, d))
+    tangent[[0, 1], [B_INDEX, Z_INDEX]] = 1.0
+    tangent[2:, GALPHA_START:] = np.linalg.svd(wperp[:, GALPHA_START:])[2][k:]
+    spec = SubmanifoldSpec(params, k, math.nan, wperp, tangent)
+    # seeds the cached_property, whose closed form assumes a constant angle
+    spec.__dict__["second_fundamental_form"] = orbit_second_fundamental_form(spec)
+    return spec
 
 
 def horosphere_germ(params: ModelParams) -> HypersurfaceGerm:

@@ -244,6 +244,12 @@ def _catalog_entry(lambda3, gap, c, branch_hint, n, k) -> EigenStructure:
 # germs
 
 
+def _merged(a: float, b: float, tol: float) -> bool:
+    """The grouping rule: a and b share a group unless |a - b| exceeds
+    tol * (1 + max(|a|, |b|)), a threshold taken from the two values."""
+    return not abs(b - a) > tol * (1.0 + max(abs(a), abs(b)))
+
+
 def _allclose(a, b, atol: float) -> bool:
     """np.allclose(a, b, atol=atol) on finite input (its default rtol is
     1e-5), without its per-call overhead (the ``.all()`` method also
@@ -443,12 +449,11 @@ def principal_decomposition(
     coefficients of the eigenvectors; one product takes all eigenvectors
     to ambient rows (the one place where that happens), and one more
     gives the coefficients of J xi on them, which the Hopf frame reads.
-    Adjacent eigenvalues share a group when their gap is at most
-    tol * (1 + max(|lambda_i|, |lambda_{i+1}|)), a threshold taken from
-    the two values it separates, so a large eigenvalue elsewhere in the
-    spectrum does not merge the small ones.  The grouping runs over the
-    eigenvalues as Python floats; a group's value is numpy's sum of its
-    eigenvalues over their count, as ``np.mean`` rounds it."""
+    Adjacent eigenvalues share a group by ``_merged``, so a large
+    eigenvalue elsewhere in the spectrum does not merge the small ones.
+    The grouping runs over the eigenvalues as Python floats; a group's
+    value is numpy's sum of its eigenvalues over their count, as
+    ``np.mean`` rounds it."""
     check_positive("tol", tol)
     shape = germ.shape
     half = 0.5 * shape  # halved first: shape + shape.T could overflow
@@ -459,8 +464,7 @@ def principal_decomposition(
     # group boundaries: 0, every gap above its threshold, and the end
     cuts = [0]
     for i in range(1, len(values)):
-        lo, hi = values[i - 1], values[i]
-        if hi - lo > tol * (1.0 + max(abs(lo), abs(hi))):
+        if not _merged(values[i - 1], values[i], tol):
             cuts.append(i)
     spaces, jxi, means, norms = [], [], [], []
     for lo, hi in zip(cuts, cuts[1:] + [len(values)]):
@@ -623,11 +627,12 @@ def classify(
     solution, and the catalog entry's message says so as the reason.
     The groups are read in catalog order lambda_1 < lambda_2 (the Hopf
     spaces), lambda_3 < lambda_4, and k = 2n - 2 - mult(lambda_3).  The
-    catalog entry is built at (lambda_3, k), or at sqrt(-c)/(2 sqrt(3))
-    with the radius r* when g = 3 and k >= 2; a catalog error gives its
-    message.  The germ's multiplicities must equal the entry's
-    ``blocks`` and k <= n-1 (else "multiplicities"), and every catalog
-    and frame identity must hold to tol, which a NaN residual fails (else
+    catalog entry at (lambda_3 clamped to [0, s), k) alone names the
+    branch, and r* with G3_KBIG; a catalog error gives its message.  The
+    germ's multiplicities must equal the entry's ``blocks`` and k <= n-1
+    (else "multiplicities", or "indeterminate: ..." where the grouping
+    merged the entry's lambda_4 into lambda_2), and every catalog and
+    frame identity must hold to tol, which a NaN residual fails (else
     "residuals", with the residuals reported).
     """
     check_positive("tol", tol)
@@ -655,11 +660,9 @@ def classify(
     lam = [values[i] for i in order]
     mults = tuple(decomp.multiplicities[i] for i in order)
     k = 2 * n - 2 - mults[2]
-    special = g == 3 and k >= 2  # lambda_4 = lambda_2: the radius r*
     lam3 = lam[2]
     if c < 0:  # for c > 0 the catalog entry raises its no-real-roots error
-        s = rate(c)
-        lam3 = s / math.sqrt(3.0) if special else min(max(lam3, 0.0), s * (1.0 - 1e-15))
+        lam3 = min(max(lam3, 0.0), rate(c) * (1.0 - 1e-15))
     try:
         es = eigen_structure_from_lambda3(
             lam3, c, branch_hint="G3_K1" if k == 1 else None, n=n, k=k
@@ -667,8 +670,15 @@ def classify(
     except ValueError as exc:
         return _unclassified(g, h, {}, str(exc))
     if k >= n or mults != tuple(m for _, m in es.blocks):
+        # the G4 blocks with lambda_4 inside lambda_2: no double tells r* apart
+        if k < n and es.g == 4 and mults == (1, k, mults[2]) and _merged(
+            es.lambda2, es.lambda4, grouping_tol
+        ):
+            return _unclassified(
+                g, h, {}, "indeterminate: lambda_2 and lambda_4 closer than the grouping tolerance"
+            )
         return _unclassified(g, h, {}, "multiplicities")
-    r = jacobi.special_radius(c) if special else jacobi.focal_radius(lam3, c)
+    r = jacobi.special_radius(c) if es.branch == "G3_KBIG" else jacobi.focal_radius(lam3, c)
 
     residuals = frame_identity_residuals(decomp)
     b1, b2 = decomp.jxi_components[decomp.hopf_indices].tolist()

@@ -8,6 +8,11 @@ h, k, branch and reason and the same r bit for bit; the
 eigenvalues bit for bit and the same multiplicities; every residual must
 agree to 1e-12 absolute (the rule of ``test_numlab_golden.py``).  The
 criterion-10 CSV and a strong-curvature sweep must keep their bytes.
+The 80 germs at r* +- 1e-12 with k >= 2 and c in {-4, -100} were
+re-recorded line by line when ``classify`` began to build the catalog
+entry at the germ's own lambda_3: at c = -100 they read the
+"indeterminate" lambda_2-lambda_4 reason, and at c = -4 their catalog
+residuals moved by up to 1.3e-12.
 
 The germs are the catalog germs of n = 2..6, every k, c in {-1, -4,
 -100}, both co-orientations and radii from 1e-9 to MAX_RADIUS (r* and

@@ -15,6 +15,7 @@ import ast
 import contextlib
 import functools
 import io
+import itertools
 import json
 import math
 import operator
@@ -36,7 +37,7 @@ from chgeom.cli import SWEEP_COLUMNS, main
 from chgeom.construction import build_submanifold
 from chgeom.jacobi import special_radius
 from chgeom.model import ModelParams
-from chgeom.oracles import horosphere_germ
+from chgeom.oracles import horosphere_germ, w_orbit
 from chgeom.spectral import catalog_germ
 from chgeom.tubes import MAX_RADIUS, MAX_RATE_RADIUS, tube_germ
 from test_hygiene import unclassified_reasons
@@ -192,6 +193,9 @@ OFF_CATALOG = _germ("off-catalog", ("shape.0.0", lambda x: x + 0.05))
 CATALOG_3_2 = spectral.catalog_at_radius(0.7, -4.0, 3, 2)
 # a k = 2 orbit of Kaehler angle phi = 1.0 < pi/2: its tubes have h = 3
 PHI_1_ORBIT = build_submanifold(ModelParams(n=4, c=-4.0), 2, 1.0)
+# the orbit W_w of w^perp = span{e1, Je1, e2}, whose Kaehler angle is not
+# constant (ROADMAP item 26)
+MIXED_ORBIT = w_orbit(ModelParams(n=4, c=-4.0), np.eye(8)[[2, 3, 4]])
 MALFORMED = "error: malformed germ input:"
 TOO_WIDE = "exceeds 20.0 (s = sqrt(-c)/2): the tube's Jacobi modes are too ill-conditioned there"
 SMALLEST_RADIUS = "the smallest tube radius for k >= 2"
@@ -233,8 +237,8 @@ CONTRACT = [
          f"{USAGE}chgeom construct: error: argument --k: invalid int value: '1.5'"),
     _row(["construct", "--n", "1", "--c", "-4", "--k", "1"], 2,
          "error: n must be an integer >= 2, got 1"),
-    *[_row([*CONSTRUCT, f"--phi={phi}"], 2, f"error: phi must lie in (0, pi/2], got {float(phi)!r}")
-      for phi in ("0", "-1", "2", "nan", "inf")],
+    *[_row([*CONSTRUCT, f"--phi={phi}"], 2, f"error: phi must lie in [0, pi/2], got {float(phi)!r}")
+      for phi in ("-5e-324", "-1", "2", "nan", "inf")],
     _row(["construct", "--n", "3", "--c", "-4", "--k", "1", "--phi", "1.0"], 2,
          "error: k=1 odd requires phi = pi/2 (totally real normal space)"),
     # within RIGHT_ANGLE_TOLERANCE of pi/2, phi is totally real
@@ -244,6 +248,8 @@ CONTRACT = [
            f"error: c must be a nonzero finite real, got {float(c)!r}") for c in ("0", "nan", "inf")],
     _row(["construct", "--n", "3", "--c", "4", "--k", "2"], 2,
          "error: the solvable group model exists only for c < 0; use ambient_curvature for c > 0"),
+    # phi = 0: a complex normal space, the totally geodesic CH^{n-k/2}
+    _row([*CONSTRUCT, "--phi=0"], 0, out="...\nPASS"),
     *[_row([*CONSTRUCT, "--phi", phi], 0, out="...\nPASS") for phi in ("1e-6", "1e-8", "1e-9")],
     # the Koszul form's rounding grows like sin(phi) s: the verdict, like
     # the form's symmetry check, is relative to its largest entry past 1,
@@ -301,6 +307,14 @@ CONTRACT = [
          out=f"{SWEEP_COLUMNS}\n0.5,*,4,2,*,G4",
          xfail="ROADMAP item 12: at c = -1e-20 the row reads g = 2, h = 1 and hopf, "
          "where the same s*r at c = -4 reads G4"),
+    # at c = -1e10 the absolute CLASSIFY_TOLERANCE meets eigenvalues near
+    # 5e4: from s*r = 1 the rows miss by 3.8e-6 to 7.6e-6
+    _row(["sweep", "--n", "3", "--c=-1e10", "--k", "2", "--r-min", "1e-5", "--r-max", "6e-5",
+          "--count", "6"], 0,
+         out=tuple("\n".join([SWEEP_COLUMNS, *[f"*,{cell}" for cell in cells]])
+                   for cells in itertools.product(("G4", "indeterminate*"), repeat=6)),
+         xfail="ROADMAP item 12: at c = -1e10 the rows from s*r = 1 read residuals, "
+         "where the same s*r at c = -4 reads G4"),
     # below r = 1e-9 a catalog tube reads G4 or indeterminate (item 1's target)
     *[_row(["sweep", "--n", n, "--c", "-4", "--k", k, "--r-min", r, "--r-max", r, "--count", "1"],
            0, out=(f"{SWEEP_COLUMNS}\n{r},*,G4", f"{SWEEP_COLUMNS}\n{r},*,indeterminate*"),
@@ -351,6 +365,21 @@ CONTRACT = [
            out={"model": "unclassified"},
            xfail=f"ROADMAP item 13: classify labels the fake tube, k={k}, r=0.7")
       for n, k in ((4, 3), (5, 4), (6, 5))],
+    # a natural fake: the tube around the mixed-angle orbit W_w, w^perp =
+    # span{e1, Je1, e2}, at eta = e2 has the catalog germ's spectrum and
+    # b_i, but J keeps its lambda_4 space and its lambda_3 space holds a
+    # complex line
+    *[_row(["classify", _Record(f"mixed-angle W_w tube eta=e2 r={r}", tube_germ(
+        MIXED_ORBIT, MIXED_ORBIT.normal_basis[2], r).to_json().encode())], 0,
+           out={"model": "unclassified"},
+           xfail=f"ROADMAP item 13: classify labels the mixed-angle tube G4, k=3, r={r}")
+      for r in (0.3, 0.7, 1.2)],
+    # lambda_2 and lambda_4 of the entry at the germ's own lambda_3 lie
+    # closer than the grouping tolerance: no branch or radius is claimed
+    _row(["classify", _germ("n=4 k=2 r=r*(1+1e-9)", n=4, k=2,
+                            r=special_radius(-4.0) * (1 + 1e-9))], 0,
+         out={"model": "unclassified", "g": 3, "r": None, "residuals": {},
+                 "reason": "indeterminate: lambda_2 and lambda_4 closer than the grouping tolerance"}),
     *[_row(["classify", OFF_CATALOG, f"{option}={v}"], 2,
            f"error: {option} must be positive and finite, got {float(v)!r}")
       for option in ("--tolerance", "--grouping-tol") for v in ("nan", "inf", "0", "-1")],
@@ -776,12 +805,13 @@ DOMAINS = {
     },
     "construct": {
         "--n": _n(8), "--c": CURVATURE, "--k": K,
-        # an odd k needs phi = pi/2
+        # an odd k needs phi = pi/2; an even k takes any phi in [0, pi/2]
         "--phi": Domain(
             lambda v: st.just(math.pi / 2) if v["--k"] % 2 else st.one_of(
+                st.just(0.0),
                 _log_uniform(1e-323, math.pi / 2, SUBNORMAL, 1e-9, math.pi / 2),
                 _log_uniform(1e-2, math.pi / 2)),
-            ["0", "-1", "nan", "inf", repr(math.pi / 2 + 0.01), "x"],
+            ["-5e-324", "-1", "nan", "inf", repr(math.pi / 2 + 0.01), "x"],
         ),
         "--output": OUTPUT,
     },

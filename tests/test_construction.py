@@ -21,7 +21,7 @@ from chgeom.construction import (
     rigidity_form_check,
 )
 from chgeom.model import GALPHA_START, ModelParams, j_action
-from chgeom.oracles import SPAN_TOLERANCE, focal_shape_check, kahler_angle
+from chgeom.oracles import SPAN_TOLERANCE, focal_shape_check, kahler_angle, w_orbit
 
 ANGLE_TOLERANCE = 1e-12
 FORM_TOLERANCE = 1e-12
@@ -52,14 +52,40 @@ def test_one_totally_real_predicate():
     assert report["ju_pair"] < 1e-6
 
 
+def test_mixed_angle_orbit_is_minimal():
+    """The W_w fixture of ROADMAP item 26, w^perp = span{e1, Je1, e2} at
+    n = 4: its frame is orthonormal and its Koszul form is trace-free,
+    though the Kaehler angle of w^perp is not constant."""
+    params = ModelParams(n=4, c=-4.0)
+    spec = w_orbit(params, np.eye(8)[[2, 3, 4]])
+    frame = np.vstack([spec.normal_basis, spec.tangent_basis])
+    assert np.max(np.abs(frame @ frame.T - np.eye(8))) <= 1e-15
+    assert np.linalg.norm(np.einsum("mii->m", spec.second_fundamental_form)) <= 1e-12
+    assert spec.second_fundamental_form.any()
+
+
+def test_w_orbit_of_a_totally_real_subspace_is_the_built_orbit():
+    """On a constant-angle w^perp the fixture's Koszul form is the closed
+    form of ``build_submanifold``, read as ambient matrices (the two take
+    different tangent bases)."""
+    for n in range(3, 6):
+        for k in range(1, n):
+            params = ModelParams(n=n, c=-4.0)
+            built = build_submanifold(params, k, math.pi / 2)
+            spec = w_orbit(params, built.normal_basis)
+            forms = [s.tangent_basis.T @ s.second_fundamental_form @ s.tangent_basis
+                     for s in (built, spec)]
+            assert np.max(np.abs(forms[0] - forms[1])) <= 1e-14
+
+
 def test_subspace_validation_errors():
     params = ModelParams(n=3, c=-4.0)
     with pytest.raises(ValueError, match="k=3 exceeds n-1=2"):
         constant_kahler_angle_subspace(params, 3, math.pi / 2)
     with pytest.raises(ValueError, match="k=1 odd requires phi = pi/2"):
         constant_kahler_angle_subspace(params, 1, math.pi / 3)
-    with pytest.raises(ValueError):
-        constant_kahler_angle_subspace(params, 2, 0.0)
+    with pytest.raises(ValueError, match=r"phi must lie in \[0, pi/2\]"):
+        constant_kahler_angle_subspace(params, 2, -5e-324)
     with pytest.raises(ValueError):
         constant_kahler_angle_subspace(params, 2, math.pi / 2 + 0.1)
     with pytest.raises(ValueError):

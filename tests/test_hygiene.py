@@ -4,12 +4,17 @@ module-level name of a production module is read in the package, every
 exception class of a production module is caught there, no production
 module imports ``chgeom.oracles``, README's list of classifier reasons
 matches the reasons the code returns, and no package module passes or
-stores J as a matrix (``model.j_action`` applies it)."""
+stores J as a matrix (``model.j_action`` applies it), and every xfail
+mark of the suite is strict and names its ROADMAP item."""
 
 import ast
 import builtins
+import importlib
 import re
+import types
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "chgeom"
@@ -394,3 +399,62 @@ def test_no_module_carries_a_j_matrix():
         for line in names_called(ast.parse(path.read_text()), "jmat")
     ]
     assert not found, "apply J with model.j_action, not a matrix:\n" + "\n".join(found)
+
+
+def xfail_defects(module) -> list:
+    """(test, reason) of each xfail mark on a module's test functions, or
+    on their parametrize cases, that is not strict=True or whose reason
+    names no ``ROADMAP item N``."""
+    found = []
+    for name, fn in vars(module).items():
+        if not name.startswith("test_") or not callable(fn):
+            continue
+        marks = list(getattr(fn, "pytestmark", []))
+        for mark in [m for m in marks if m.name == "parametrize"]:
+            values = mark.args[1] if len(mark.args) > 1 else mark.kwargs["argvalues"]
+            marks += [m for value in values for m in getattr(value, "marks", ())]
+        found += [
+            (name, mark.kwargs.get("reason"))
+            for mark in marks
+            if mark.name == "xfail" and not (
+                mark.kwargs.get("strict") is True
+                and re.search(r"ROADMAP item \d+", mark.kwargs.get("reason", ""))
+            )
+        ]
+    return found
+
+
+def test_xfail_scan_flags_loose_and_unnamed_marks():
+    def mark(*decorators):
+        def test(v=None):
+            return v
+        for decorator in decorators:
+            test = decorator(test)
+        return test
+
+    module = types.SimpleNamespace(
+        test_named=mark(pytest.mark.xfail(strict=True, reason="ROADMAP item 7: x")),
+        test_loose=mark(pytest.mark.xfail(reason="ROADMAP item 7: x")),
+        test_unnamed=mark(pytest.mark.xfail(strict=True, reason="a known miss")),
+        test_cases=mark(pytest.mark.parametrize("v", [
+            1,
+            pytest.param(2, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 3")),
+            pytest.param(3, marks=pytest.mark.xfail(strict=True, reason="item 3")),
+        ])),
+        helper=mark(pytest.mark.xfail(reason="not a test")),
+    )
+    assert xfail_defects(module) == [
+        ("test_loose", "ROADMAP item 7: x"), ("test_unnamed", "a known miss"),
+        ("test_cases", "item 3"),
+    ]
+
+
+def test_every_xfail_is_strict_and_names_its_roadmap_item():
+    """README's convention: a known defect is a strict xfail whose reason
+    names the ROADMAP item that owns it, so it fails once fixed."""
+    found = [
+        f"{path.name}::{test}: {reason!r}"
+        for path in sorted((ROOT / "tests").glob("test_*.py"))
+        for test, reason in xfail_defects(importlib.import_module(path.stem))
+    ]
+    assert not found, "xfail marks that are not strict or name no ROADMAP item:\n" + "\n".join(found)

@@ -218,21 +218,16 @@ def test_classify_special_radius_merges():
 
 
 @pytest.mark.parametrize("c", [-1.0, -4.0, -100.0])
-@pytest.mark.parametrize("e", [
-    -12,
-    *[pytest.param(e, marks=pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 1: near r* the grouping merges lambda_2 and lambda_4 over a wider "
-        "window than the catalog's G3_KBIG one, so classify reads G3_KBIG at r = r* (or "
-        "'residuals') where the catalog entry is G4",
-    )) for e in (-11, -9, -8, -7)],
-    -6,
-])
-def test_classify_decides_germs_next_to_the_special_radius(c, e):
-    """The catalog germ (4, 2) at r = r* (1 + 10^e) classifies to the
-    catalog entry's branch at its own radius, or says indeterminate."""
-    r = special_radius(c) * (1.0 + 10.0**e)
-    res = classify(catalog_germ(ModelParams(n=4, c=c), 2, r=r))
+@pytest.mark.parametrize("e", range(-12, -5))
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+@pytest.mark.parametrize("flip", [False, True])
+def test_classify_decides_germs_next_to_the_special_radius(c, e, side, flip):
+    """The catalog germ (4, 2) at r = r* (1 +- 10^e), in either
+    co-orientation, classifies to the catalog entry's branch at its own
+    radius, or says indeterminate."""
+    r = special_radius(c) * (1.0 + side * 10.0**e)
+    germ = catalog_germ(ModelParams(n=4, c=c), 2, r=r)
+    res = classify(germ.flipped() if flip else germ)
     if not (res.reason or "").startswith("indeterminate"):
         assert res.branch == catalog_at_radius(r, c, 4, 2).branch, (res.branch, res.reason)
         assert abs(res.r - r) <= 2e-12 * r
@@ -332,13 +327,11 @@ def _public_record_classification(germ, tol=spectral.CLASSIFY_TOLERANCE):
     order = decomp.hopf_indices + decomp.non_hopf_indices
     lam = [float(decomp.eigenvalues[i]) for i in order]
     k = 2 * n - 2 - decomp.multiplicities[order[2]]
-    special = decomp.g == 3 and k >= 2
-    s = spectral.rate(c)
-    lam3 = s / math.sqrt(3.0) if special else min(max(lam[2], 0.0), s * (1.0 - 1e-15))
+    lam3 = min(max(lam[2], 0.0), spectral.rate(c) * (1.0 - 1e-15))
     es = eigen_structure_from_lambda3(
         lam3, c, branch_hint="G3_K1" if k == 1 else None, n=n, k=k
     )
-    r = special_radius(c) if special else focal_radius(lam3, c)
+    r = special_radius(c) if es.branch == "G3_KBIG" else focal_radius(lam3, c)
     b1, b2 = (float(decomp.jxi_components[i]) for i in decomp.hopf_indices)
     residuals = frame_identity_residuals(decomp)
     residuals["lambda1_catalog"] = abs(lam[0] - es.lambda1)
@@ -1079,7 +1072,7 @@ def test_classify_does_not_depend_on_the_tangent_frame(case, data):
         1e-3,
         pytest.param(1e-4, marks=pytest.mark.xfail(
             strict=True,
-            reason="lambda_4 = -c/(4 lambda_3) magnifies eigh's absolute "
+            reason="ROADMAP item 1: lambda_4 = -c/(4 lambda_3) magnifies eigh's absolute "
             "error in lambda_3 (~eps/r) to ~eps/r^3, past the absolute "
             "classify tolerance: every frame reads 'residuals'",
         )),
