@@ -109,14 +109,14 @@ def _sweep_row(params, r, es, germ) -> str:
     det_d = float(np.linalg.det(dmat))
     det_expected = float(jacobi.sech(s * r) ** 3)
     outcome = classify(germ)
-    status = outcome.branch if outcome.branch else (outcome.reason or "unknown")
+    status = outcome.branch or outcome.reason  # a label carries its branch
     cells = [
         _fmt(r),
         *map(_fmt, values),
         *map(str, mults),
         _fmt(es.b1sq),
         _fmt(es.b2sq),
-        str(outcome.g if outcome.g else es.g),
+        str(outcome.g),
         str(outcome.h),
         _fmt(det_d),
         _fmt(det_expected),

@@ -256,8 +256,8 @@ class GermField:
         return self._tangents[self._center]
 
     def normal(self) -> np.ndarray:
-        """Unit normal: the SVD normal, times the one sign that makes the
-        trace of <S d_i, d_j> >= 0 (see ``_shape``)."""
+        """Unit normal: the SVD normal, times the one sign that makes
+        trace S >= 0 (see ``_shape``)."""
         return self._shape["normals"][self._center]
 
     def germ(self) -> HypersurfaceGerm:
@@ -293,10 +293,10 @@ class GermField:
         <S d_i, d_j>, the metric, its inverse and the coordinate matrix of
         S (C[i, j]: S(d_i) = C[i,j] d_j).  The normals are the SVD normals
         aligned with the center one; they and the S stacks (linear in the
-        normal) are negated together when the trace of the matrix
-        <S d_i, d_j> at the center is negative (trace S only in an
-        orthonormal coordinate frame).  A singular metric, then a
-        non-finite stack, raises ``Indeterminate``."""
+        normal) are negated together when trace S, the trace of C at the
+        center, is negative: the co-orientation ``classify`` reads.  A
+        singular metric, then a non-finite stack, raises
+        ``Indeterminate``."""
         nrm = np.linalg.svd(self._tangents, full_matrices=True)[2][:, -1]
         nrm = np.where((nrm @ nrm[self._center] < 0)[:, None], -nrm, nrm)
         t = self._tangents[self._stencil]
@@ -305,8 +305,6 @@ class GermField:
             dn = self._difference(nrm, self._stencil_nbr)
             s_amb = -(dn + self.model.koszul_connection(t, nrm[self._stencil][:, None, :]))
             ii = s_amb @ tt
-            if np.trace(ii[0]) < 0:
-                nrm, s_amb, ii = -nrm, -s_amb, -ii
             g = t @ tt
             try:
                 ginv = np.linalg.inv(g)
@@ -316,6 +314,8 @@ class GermField:
                     f"linearly dependent at fd-step {self.h:g} (singular metric)"
                 ) from exc
             coeff = ii @ ginv
+            if np.trace(coeff[0]) < 0:  # trace S: the mean curvature
+                nrm, s_amb, ii, coeff = -nrm, -s_amb, -ii, -coeff
         self._finite("shape data", s_amb, ii, g, ginv, coeff)
         return {
             "normals": nrm,

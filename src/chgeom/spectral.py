@@ -19,11 +19,12 @@ eigenvalues) or by r (``catalog_at_radius``), and
 the catalog, eigen-decomposition and grouping of measured shape
 operators, the Hopf frame (``hopf_frame``) with its structural
 identities, the germ classifier, and the curvature-sign nonexistence
-scan.  A germ has one check, ``HypersurfaceGerm.validate``, and its
-decomposition is one record that the opposite co-orientation maps by
-index and the classifier reads.  The germ path multiplies its small
-arrays with ``ndarray.dot``, which makes the BLAS call that ``@`` makes
-at about half of its per-call cost.
+scan.  A germ has one check, ``HypersurfaceGerm.validate``, and one
+co-orientation rule: the classifier reads every germ with trace S >= 0,
+turning it with ``HypersurfaceGerm.flipped`` (the one flip) before its
+one decomposition.  The germ path multiplies its small arrays with
+``ndarray.dot``, which makes the BLAS call that ``@`` makes at about
+half of its per-call cost.
 """
 
 from __future__ import annotations
@@ -399,8 +400,8 @@ class PrincipalDecomposition:
     (the length of J xi's projection onto the i-th space); hopf_indices:
     the ascending indices of the spaces whose projection norm is above
     PROJECTION_TOLERANCE, and non_hopf_indices those of the others.
-    ``principal_decomposition`` computes the norms and indices once, and
-    ``flipped`` maps them by index.
+    ``principal_decomposition`` computes the norms and indices, the one
+    place that selects the Hopf spaces.
     """
 
     normal: np.ndarray
@@ -419,23 +420,6 @@ class PrincipalDecomposition:
     @property
     def h(self) -> int:
         return len(self.hopf_indices)
-
-    def flipped(self) -> "PrincipalDecomposition":
-        """The decomposition of the flipped germ (``HypersurfaceGerm.flipped``):
-        its shape is -S, so group i becomes group g-1-i (still ascending):
-        the eigenvalues, xi and the J xi coefficients are negated, the
-        projection norms reversed and the indices mapped, not re-derived."""
-        last = len(self.eigenvalues) - 1
-        return PrincipalDecomposition(
-            normal=-self.normal,
-            eigenvalues=-self.eigenvalues[::-1],
-            multiplicities=self.multiplicities[::-1],
-            spaces=self.spaces[::-1],
-            jxi_coefficients=[-coeffs for coeffs in reversed(self.jxi_coefficients)],
-            jxi_components=self.jxi_components[::-1],
-            hopf_indices=[last - i for i in reversed(self.hopf_indices)],
-            non_hopf_indices=[last - i for i in reversed(self.non_hopf_indices)],
-        )
 
 
 def principal_decomposition(
@@ -619,12 +603,13 @@ def classify(
 ) -> ClassificationResult:
     """Match a germ against the constant-principal-curvature catalog.
 
-    The germ needs h = 2 projected eigenspaces (else "hopf" or "h=N").
-    Its decomposition is flipped when the smallest non-Hopf eigenvalue
-    is negative, so lambda_3 >= 0 (``PrincipalDecomposition.flipped``
-    maps the one record by index, xi with it, so h stays 2), and needs
-    g = 3 or 4 groups (else "g=N").  At c > 0 the catalog has no real
-    solution, and the catalog entry's message says so as the reason.
+    A germ with trace S < 0 is read in the opposite co-orientation
+    (``HypersurfaceGerm.flipped``), so a germ and its flip classify to
+    the same bits; a trace of exactly 0 flips nothing.  The one
+    decomposition needs h = 2 projected eigenspaces (else "hopf" or
+    "h=N") and g = 3 or 4 groups (else "g=N").  At c > 0 the catalog
+    has no real solution, and the catalog entry's message says so as
+    the reason.
     The groups are read in catalog order lambda_1 < lambda_2 (the Hopf
     spaces), lambda_3 < lambda_4, and k = 2n - 2 - mult(lambda_3).  The
     catalog entry at (lambda_3 clamped to [0, s), k) alone names the
@@ -639,17 +624,13 @@ def classify(
     check_positive("grouping_tol", grouping_tol)
     n, c = germ.params.n, germ.params.c
 
+    # one co-orientation: trace S >= 0 (a Python sum: no overflow warning)
+    if sum(germ.shape.diagonal().tolist()) < 0.0:
+        germ = germ.flipped()
     decomp = principal_decomposition(germ, tol=grouping_tol)
-    if decomp.h != 2:
-        return _unclassified(
-            decomp.g, decomp.h, {}, "hopf" if decomp.h <= 1 else f"h={decomp.h}"
-        )
-
-    rest = decomp.non_hopf_indices  # ascending: rest[0] is lambda_3
-    if rest and decomp.eigenvalues[rest[0]] < 0.0:
-        decomp = decomp.flipped()
-
     g, h = decomp.g, decomp.h
+    if h != 2:
+        return _unclassified(g, h, {}, "hopf" if h <= 1 else f"h={h}")
     if g not in (3, 4):
         return _unclassified(g, h, {}, f"g={g}")
 

@@ -73,6 +73,7 @@ def test_numeric_geometry_invariants(tube_field):
     ii = shape["second_fundamental"][0]
     assert np.max(np.abs(ii - ii.T)) < 1e-9
     assert np.trace(shape["coeff"][0]) >= 0
+    assert np.trace(tube_field.germ().shape) >= 0  # the co-orientation classify reads
     # germ basis is orthonormal in frame components
     tb = tube_field.germ().tangent_basis
     assert np.allclose(tb @ tb.T, np.eye(tb.shape[0]), atol=1e-12)
@@ -292,18 +293,20 @@ def test_lattice_rows_and_neighbours_agree_with_offsets():
     "n, k, r, flipped", [(2, 1, 0.3, False), (3, 2, 0.7, True)]
 )
 def test_normal_orientation(n, k, r, flipped):
-    """trace S and the trace of <S d_i, d_j> are >= 0 at the center and
-    every L1 <= 1 neighbour normal is aligned with the center one, whether
-    or not the first SVD normal had to be turned around (at x0 = 0 it must
-    be on the n=3 k=2 tube, and not on the n=2 k=1 one).  The one pass
-    gives the normals and shape stacks of the two-pass route: orient from
-    the center's S, then build the stencil's S from the oriented normals."""
+    """trace S (of C and of the germ) and the trace of <S d_i, d_j> are
+    >= 0 at the center and every L1 <= 1 neighbour normal is aligned with
+    the center one, whether or not the first SVD normal had to be turned
+    around (at x0 = 0 it must be on the n=3 k=2 tube, and not on the n=2
+    k=1 one).  The one pass gives the normals and shape stacks of the
+    two-pass route: orient by trace S from the center's S, then build the
+    stencil's S from the oriented normals."""
     spec = build_submanifold(ModelParams(n=n, c=-4.0), k=k, phi=np.pi / 2)
     chart = tube_chart(spec, r=r)
     field = GermField(chart, np.zeros(chart.domain_dim))
     center = field.normal()
     shape = field._shape
     assert np.trace(shape["coeff"][0]) >= 0
+    assert np.trace(field.germ().shape) >= 0
     assert np.trace(shape["second_fundamental"][0]) >= 0
     for neighbor in shape["normals"][field._stencil[1:]]:
         assert float(neighbor @ center) > 0
@@ -319,8 +322,9 @@ def test_normal_orientation(n, k, r, flipped):
 
     nrm = np.linalg.svd(field._tangents, full_matrices=True)[2][:, -1]
     nrm = np.where((nrm @ nrm[field._center] < 0)[:, None], -nrm, nrm)
-    if np.trace(s_ambient(nrm, stop=1)[0] @ field.tangents().T) < 0:
-        nrm = -nrm
+    t0 = field.tangents()
+    if np.trace(s_ambient(nrm, stop=1)[0] @ t0.T @ np.linalg.inv(t0 @ t0.T)) < 0:
+        nrm = -nrm  # trace S < 0
     s_amb = s_ambient(nrm)
     ii = s_amb @ np.swapaxes(field._tangents[field._stencil], 1, 2)
     # == counts -0.0 and 0.0 as equal
