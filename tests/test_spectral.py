@@ -232,6 +232,16 @@ def test_classify_decides_germs_next_to_the_special_radius(c, e, side, flip):
         assert abs(res.r - r) <= 2e-12 * r
 
 
+def test_classify_orientation_flip_invariance():
+    params = ModelParams(n=3, c=-4.0)
+    germ = catalog_germ(params, 2, r=0.7)
+    res = classify(germ)
+    flipped = germ.flipped()
+    res_f = classify(flipped)
+    assert res_f.k == res.k and abs(res_f.r - res.r) < 1e-12
+    assert res_f.branch == res.branch
+
+
 def _is_tube_radius(c, k, r):
     try:
         check_radii(c, k, (r,))
