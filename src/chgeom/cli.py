@@ -99,16 +99,9 @@ def _cmd_construct(args) -> int:
     return 0 if ok else 1
 
 
-def _sweep_row(params, r, es, germ) -> str:
-    s = rate(params.c)
+def _sweep_row(r, es, outcome, det_d, det_expected) -> str:
     # a g = 3 row has no lambda_4 block: nan with multiplicity 0
     values, mults = zip(*es.blocks, *[(float("nan"), 0)] * (4 - es.g))
-    dmat = jacobi.focal_determinant_matrix(
-        es.lambda1, es.lambda2, es.b1, es.b2, params.c, r
-    )
-    det_d = float(np.linalg.det(dmat))
-    det_expected = float(jacobi.sech(s * r) ** 3)
-    outcome = classify(germ)
     status = outcome.branch or outcome.reason  # a label carries its branch
     cells = [
         _fmt(r),
@@ -141,8 +134,16 @@ def _cmd_sweep(args) -> int:
     radii = [float(r) for r in np.linspace(args.r_min, args.r_max, args.count)]
     germs = tubes.tube_germs(spec, spec.normal_basis[0], radii)
     entries = [spectral.catalog_at_radius(r, params.c, params.n, spec.k) for r in radii]
+    outcomes = spectral.classify_batch(germs)
+    lam1, lam2, b1, b2 = np.array([(es.lambda1, es.lambda2, es.b1, es.b2) for es in entries]).T
+    dets = np.linalg.det(
+        jacobi.focal_determinant_matrix(lam1, lam2, b1, b2, params.c, radii)
+    ).tolist()
+    # sech^3 per element: a scalar's ** 3 keeps bits that the array's moves
+    sech = jacobi.sech(rate(params.c) * np.array(radii))
     rows = [
-        _sweep_row(params, r, es, germ) for r, es, germ in zip(radii, entries, germs)
+        _sweep_row(r, es, outcome, det_d, float(x**3))
+        for r, es, outcome, det_d, x in zip(radii, entries, outcomes, dets, sech)
     ]
     text = "\n".join([SWEEP_COLUMNS] + rows) + "\n"
     if args.output:

@@ -126,9 +126,13 @@ def j_action(x) -> np.ndarray:
     """The complex structure J on the last axis of frame components,
     batched: (Jx)[2m] = -x[2m+1], (Jx)[2m+1] = x[2m] (JB = Z, Je_i paired);
     GALPHA_START is even, so root-space slices follow the same rule.  J is
-    a signed permutation, so the result is exact."""
+    a signed permutation, so the result is exact.  One- and two-axis
+    operands take ``ndarray.dot``, which makes the BLAS call that ``@``
+    makes at about half of its per-call cost; ``dot`` is not ``@`` on
+    more axes, which keep ``@``."""
     x = np.asarray(x, dtype=float)
-    return x @ _j_transpose(x.shape[-1])
+    jt = _j_transpose(x.shape[-1])
+    return x.dot(jt) if x.ndim <= 2 else x @ jt
 
 
 def standard_complex_structure(n: int) -> np.ndarray:

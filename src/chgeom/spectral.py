@@ -22,9 +22,12 @@ identities, the germ classifier, and the curvature-sign nonexistence
 scan.  A germ has one check, ``HypersurfaceGerm.validate``, and one
 co-orientation rule: the classifier reads every germ with trace S >= 0,
 turning it with ``HypersurfaceGerm.flipped`` (the one flip) before its
-one decomposition.  The germ path multiplies its small arrays with
-``ndarray.dot``, which makes the BLAS call that ``@`` makes at about
-half of its per-call cost.
+one decomposition.  Germs of one n decompose as a batch:
+``principal_decompositions`` runs one stacked ``eigh`` over them, and
+``classify_batch`` gives each germ ``classify``'s result, bit for bit,
+from one such call, so a sweep classifies its radii in one kernel call.
+The germ path multiplies its small arrays with ``ndarray.dot``, which
+makes the BLAS call that ``@`` makes at about half of its per-call cost.
 """
 
 from __future__ import annotations
@@ -400,7 +403,7 @@ class PrincipalDecomposition:
     (the length of J xi's projection onto the i-th space); hopf_indices:
     the ascending indices of the spaces whose projection norm is above
     PROJECTION_TOLERANCE, and non_hopf_indices those of the others.
-    ``principal_decomposition`` computes the norms and indices, the one
+    ``principal_decompositions`` computes the norms and indices, the one
     place that selects the Hopf spaces.
     """
 
@@ -422,26 +425,49 @@ class PrincipalDecomposition:
         return len(self.hopf_indices)
 
 
+def principal_decompositions(
+    germs,
+    tol: float = GROUPING_TOLERANCE,
+) -> list[PrincipalDecomposition]:
+    """Eigen-decompose the shape operators of germs of one n and group
+    nearby eigenvalues, in one pass per germ after one stacked ``eigh``.
+
+    The stacked ``eigh`` gives every germ's eigenvalues and the
+    tangent-basis coefficients of its eigenvectors, each germ's with the
+    bits of its own one-matrix call; per germ, one product takes all
+    eigenvectors to ambient rows (the one place where that happens), and
+    one more gives the coefficients of J xi on them, which the Hopf frame
+    reads.  Adjacent eigenvalues share a group by ``_merged``, so a large
+    eigenvalue elsewhere in the spectrum does not merge the small ones.
+    The grouping runs over the eigenvalues as Python floats; a group's
+    value is numpy's sum of its eigenvalues over their count, as
+    ``np.mean`` rounds it.  Germs of two different n raise ValueError."""
+    check_positive("tol", tol)
+    if not germs:
+        return []
+    n = germs[0].params.n
+    for germ in germs:
+        if germ.params.n != n:
+            raise ValueError(
+                f"a batch takes germs of one n, got n = {n} and n = {germ.params.n}"
+            )
+    half = 0.5 * np.array([germ.shape for germ in germs])  # halved first: S + S^T could overflow
+    evals, evecs = np.linalg.eigh(half + half.swapaxes(-1, -2))
+    return [_grouped(germ, e, v, tol) for germ, e, v in zip(germs, evals, evecs)]
+
+
 def principal_decomposition(
     germ: HypersurfaceGerm,
     tol: float = GROUPING_TOLERANCE,
 ) -> PrincipalDecomposition:
-    """Eigen-decompose the shape operator and group nearby eigenvalues,
-    in one pass.
+    """The decomposition of one germ: ``principal_decompositions`` of
+    the batch of one."""
+    return principal_decompositions([germ], tol)[0]
 
-    One ``eigh`` gives the eigenvalues and the tangent-basis
-    coefficients of the eigenvectors; one product takes all eigenvectors
-    to ambient rows (the one place where that happens), and one more
-    gives the coefficients of J xi on them, which the Hopf frame reads.
-    Adjacent eigenvalues share a group by ``_merged``, so a large
-    eigenvalue elsewhere in the spectrum does not merge the small ones.
-    The grouping runs over the eigenvalues as Python floats; a group's
-    value is numpy's sum of its eigenvalues over their count, as
-    ``np.mean`` rounds it."""
-    check_positive("tol", tol)
-    shape = germ.shape
-    half = 0.5 * shape  # halved first: shape + shape.T could overflow
-    evals, evecs = np.linalg.eigh(half + half.T)
+
+def _grouped(germ: HypersurfaceGerm, evals, evecs, tol: float) -> PrincipalDecomposition:
+    """The germ's decomposition from the ascending eigenvalues and the
+    eigenvector columns of its symmetrised shape."""
     ambient = evecs.T.dot(germ.tangent_basis)  # rows: ambient eigenvectors
     coeffs = ambient.dot(j_action(germ.normal))
     values = evals.tolist()
@@ -622,12 +648,43 @@ def classify(
     """
     check_positive("tol", tol)
     check_positive("grouping_tol", grouping_tol)
-    n, c = germ.params.n, germ.params.c
-
-    # one co-orientation: trace S >= 0 (a Python sum: no overflow warning)
-    if sum(germ.shape.diagonal().tolist()) < 0.0:
-        germ = germ.flipped()
+    germ = _co_oriented(germ)
     decomp = principal_decomposition(germ, tol=grouping_tol)
+    return _decided(germ.params, decomp, tol, grouping_tol)
+
+
+def classify_batch(
+    germs,
+    tol: float = CLASSIFY_TOLERANCE,
+    grouping_tol: float = GROUPING_TOLERANCE,
+) -> list[ClassificationResult]:
+    """``classify`` of each of germs of one n, in order, with the bits of
+    its one-germ call: every germ is read with trace S >= 0, one
+    ``principal_decompositions`` call decomposes them all, and each
+    decomposition takes ``classify``'s decision.  Germs of two different
+    n raise ValueError."""
+    check_positive("tol", tol)
+    check_positive("grouping_tol", grouping_tol)
+    germs = [_co_oriented(germ) for germ in germs]
+    decomps = principal_decompositions(germs, tol=grouping_tol)
+    return [
+        _decided(germ.params, decomp, tol, grouping_tol)
+        for germ, decomp in zip(germs, decomps)
+    ]
+
+
+def _co_oriented(germ: HypersurfaceGerm) -> HypersurfaceGerm:
+    """The germ in the co-orientation with trace S >= 0 (a Python sum:
+    no overflow warning); a trace of exactly 0 flips nothing."""
+    return germ.flipped() if sum(germ.shape.diagonal().tolist()) < 0.0 else germ
+
+
+def _decided(
+    params: ModelParams, decomp: PrincipalDecomposition, tol: float, grouping_tol: float
+) -> ClassificationResult:
+    """``classify``'s decision on the decomposition of a germ read with
+    trace S >= 0."""
+    n, c = params.n, params.c
     g, h = decomp.g, decomp.h
     if h != 2:
         return _unclassified(g, h, {}, "hopf" if h <= 1 else f"h={h}")

@@ -17,10 +17,12 @@ Two routes compute it.  ``tube_germs`` is the production route: the
 Jacobi equation has constant coefficients in a parallel frame, so the
 modes come from the closed-form ``jacobi.jacobi_closed_propagator`` and
 the germ is stated at the base point, with no ODE.  It takes a grid of
-radii and does the radius-independent work once; ``tube_germ`` is its
-one-radius call.  ``tube_shape_operator`` is the oracle: it integrates
-the modes and the parallel transport by RK4 and returns the germ at the
-endpoint with the propagation data.
+radii and does the radius-independent work once, then takes the shape
+operators of all its radii in one stacked pass (one product pair, one
+``inv``, one symmetrisation), so a sweep builds its germs in one call;
+``tube_germ`` is its one-radius call.  ``tube_shape_operator`` is the
+oracle: it integrates the modes and the parallel transport by RK4 and
+returns the germ at the endpoint with the propagation data.
 
 Both, and the finite-difference tube chart, take a radius exactly when
 ``check_radii`` does (r = 0 only for k = 1: the orbit itself).
@@ -146,14 +148,15 @@ def _tube_modes(spec: SubmanifoldSpec, eta: np.ndarray, radii):
     return eta, m0, zeta0, zprime0
 
 
-def _mode_shape(m0, zeta_r, zprime_r):
-    """Symmetry defect and symmetric part (the shape operator) of
-    zeta' zeta^{-1}, the modes taken in the frame m0."""
-    cm = m0 @ zeta_r.T  # (basis, modes) in the parallel frame
-    cpm = m0 @ zprime_r.T
+def _mode_shape(m0, zetas, zprimes):
+    """zeta' zeta^{-1} and its symmetric part (the shape operator) over a
+    stack of radii, the modes taken in the frame m0: one product pair,
+    one stacked ``inv`` and one symmetrisation, each radius's matrix with
+    the bits of its own one-radius call."""
+    cm = m0 @ zetas.swapaxes(-1, -2)  # (radius, basis, modes) in the parallel frame
+    cpm = m0 @ zprimes.swapaxes(-1, -2)
     s_par = cpm @ np.linalg.inv(cm)
-    asym = float(np.max(np.abs(s_par - s_par.T)))
-    return asym, 0.5 * (s_par + s_par.T)
+    return s_par, 0.5 * (s_par + s_par.swapaxes(-1, -2))
 
 
 def tube_germs(spec: SubmanifoldSpec, eta: np.ndarray, radii) -> list[HypersurfaceGerm]:
@@ -163,13 +166,14 @@ def tube_germs(spec: SubmanifoldSpec, eta: np.ndarray, radii) -> list[Hypersurfa
     The work that does not depend on the radius is done once for the
     grid: the argument checks and initial modes of ``_tube_modes`` (S^W_eta
     from the spec's closed-form second fundamental form) and the Jw split
-    of the propagation.  Per radius come the propagated modes, the
-    symmetrised zeta' zeta^{-1}, and the germ check ``validate``
-    (orthonormal frame, finite symmetric shape).  Parallel transport
-    along the normal geodesic is orthogonal and commutes with J, so each
-    germ is given at the base point (normal -eta, tangent basis m0)
-    instead of at exp_o(r eta): the two are congruent and have the same
-    classification.
+    of the propagation.  The symmetrised zeta' zeta^{-1} of every radius
+    comes from one stacked ``_mode_shape``, each with the bits of its
+    one-radius call; per radius comes the germ check ``validate``
+    (orthonormal frame, finite symmetric shape), in the order of
+    ``radii``.  Parallel transport along the normal geodesic is
+    orthogonal and commutes with J, so each germ is given at the base
+    point (normal -eta, tangent basis m0) instead of at exp_o(r eta): the
+    two are congruent and have the same classification.
     The germs share one normal and one tangent-basis array.  A bad radius
     raises the error ``tube_germ`` raises at it.
     """
@@ -178,10 +182,8 @@ def tube_germs(spec: SubmanifoldSpec, eta: np.ndarray, radii) -> list[Hypersurfa
         zeta0, zprime0, eta, spec.params.c, radii
     )
     params, normal = spec.params, -eta
-    return [
-        HypersurfaceGerm(params, normal, m0, _mode_shape(m0, zeta, zprime)[1]).validate()
-        for zeta, zprime in zip(zetas, zprimes)
-    ]
+    _, shapes = _mode_shape(m0, zetas, zprimes)
+    return [HypersurfaceGerm(params, normal, m0, shape).validate() for shape in shapes]
 
 
 def tube_germ(spec: SubmanifoldSpec, eta: np.ndarray, r: float) -> HypersurfaceGerm:
@@ -219,7 +221,7 @@ def tube_shape_operator(
     moved_m0 = moved[: m0.shape[0]]
     transport = moved[m0.shape[0] :].T  # columns = transported basis vectors
 
-    asym, shape = _mode_shape(m0, zeta_r, zprime_r)
+    (s_par,), (shape,) = _mode_shape(m0, zeta_r[None], zprime_r[None])
 
     drift = float(np.linalg.norm(transport @ eta - vel_r))
     germ = HypersurfaceGerm(
@@ -231,7 +233,7 @@ def tube_shape_operator(
     return TubeResult(
         germ=germ,
         transport=transport,
-        asymmetry=asym,
+        asymmetry=float(np.max(np.abs(s_par - s_par.T))),
         velocity_drift=drift,
     )
 

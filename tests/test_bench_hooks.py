@@ -34,14 +34,19 @@ def traced(monkeypatch):
 
 
 def test_instrumentation_traces_a_sweep(tmp_path, traced):
+    """A sweep classifies its radii in one ``classify_batch`` call and
+    takes their focal determinants in one call: no ``classify`` or
+    one-germ decomposition span, one determinant span per sweep."""
     code = cli.main([
         "sweep", "--n", "2", "--c", "-4", "--k", "1",
-        "--r-min", "0.5", "--r-max", "0.5", "--count", "1",
+        "--r-min", "0.3", "--r-max", "0.9", "--count", "3",
         "--output", str(tmp_path / "sweep.csv"),
     ])
     assert code == 0
     totals = traced.totals()
-    assert totals["spectral.classify"]["calls"] == 1
+    assert "spectral.classify" not in totals
+    assert "spectral.principal_decomposition" not in totals
+    assert totals["jacobi.focal_determinant_matrix"]["calls"] == 1
     # sweep rows use the closed-form tube germ: no RK4 integration
     assert "model.integrate_transport" not in totals
     assert "jacobi.jacobi_ode_oracle" not in totals
@@ -61,6 +66,15 @@ def test_instrumentation_traces_a_classify_command(flip, tmp_path, traced, capsy
     totals = traced.totals()
     assert totals["spectral.classify"]["calls"] == 1
     assert totals["spectral.principal_decomposition"]["calls"] == 1
+
+
+def test_benchmark_patch_sites_stay_bound():
+    """perfbench/spans.py wraps ``cli.classify`` as ``spectral.classify``
+    and ``numlab.principal_decomposition`` by name."""
+    from chgeom import numlab
+
+    assert cli.classify is spectral.classify
+    assert numlab.principal_decomposition is spectral.principal_decomposition
 
 
 def test_instrumentation_traces_a_residuals_suite(traced, capsys):

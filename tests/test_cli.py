@@ -1328,28 +1328,60 @@ def test_dispatch_parses_what_the_full_parser_does(name):
 
 def test_sweep_builds_the_tube_modes_once_per_command(monkeypatch):
     """A sweep does the radius-independent set-up of its tube germs once
-    and classifies each radius once."""
-    calls = {"modes": 0, "classify": 0}
-    modes, classify = tubes._tube_modes, cli.classify
+    and classifies all its radii in one ``classify_batch`` call, never
+    through the one-germ ``classify``."""
+    calls = {"modes": 0, "batches": [], "classify": 0}
+    modes, batch, classify = tubes._tube_modes, spectral.classify_batch, cli.classify
 
     def counted_modes(*args, **kwargs):
         calls["modes"] += 1
         return modes(*args, **kwargs)
+
+    def counted_batch(germs, *args, **kwargs):
+        calls["batches"].append(len(germs))
+        return batch(germs, *args, **kwargs)
 
     def counted_classify(*args, **kwargs):
         calls["classify"] += 1
         return classify(*args, **kwargs)
 
     monkeypatch.setattr(tubes, "_tube_modes", counted_modes)
+    monkeypatch.setattr(spectral, "classify_batch", counted_batch)
     monkeypatch.setattr(cli, "classify", counted_classify)
     for count in (1, 3, 7):
-        calls.update(modes=0, classify=0)
+        calls.update(modes=0, batches=[], classify=0)
         assert main([
             "sweep", "--n", "3", "--c", "-4", "--k", "2",
             "--r-min", "0.2", "--r-max", "1.4", "--count", str(count),
             "--output", os.devnull,
         ]) == 0
-        assert calls == {"modes": 1, "classify": count}
+        assert calls == {"modes": 1, "batches": [count], "classify": 0}
+
+
+@pytest.mark.parametrize(
+    "n, c, k, r_min, r_max, count",
+    [
+        (2, "-4", 1, "0.0", "3.0", 7),
+        (3, "-4", 2, "0.1", "1.4", 9),
+        (4, "-1", 3, "0.05", "6.0", 6),
+        (3, "-100", 2, "0.01", "3.9", 8),
+        (5, "-9", 2, "0.2", "2.0", 5),
+    ],
+)
+def test_sweep_rows_equal_one_radius_sweeps(n, c, k, r_min, r_max, count, capsys):
+    """The rows of an m-radius sweep are, byte for byte, the rows of m
+    one-radius sweeps at its radii: the batch leaks nothing across radii.
+    Each grid runs past r* at its c."""
+    base = ["sweep", "--n", str(n), f"--c={c}", "--k", str(k)]
+    assert main(base + ["--r-min", r_min, "--r-max", r_max, "--count", str(count)]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == SWEEP_COLUMNS and len(rows) == count
+    radii = np.linspace(float(r_min), float(r_max), count)
+    assert float(r_max) > special_radius(float(c))
+    for r, row in zip(radii, rows):
+        one = [*base, "--r-min", repr(float(r)), "--r-max", repr(float(r)), "--count", "1"]
+        assert main(one) == 0
+        assert capsys.readouterr().out.splitlines() == [SWEEP_COLUMNS, row]
 
 
 def test_parser_built_once_and_options_do_not_leak(tmp_path, capsys, monkeypatch):

@@ -22,10 +22,12 @@ from chgeom.spectral import (
     catalog_germ,
     catalog_quadratic,
     classify,
+    classify_batch,
     eigen_structure_from_lambda3,
     frame_identity_residuals,
     nonexistence_scan,
     principal_decomposition,
+    principal_decompositions,
     totally_real_check,
 )
 from chgeom.tubes import check_radii, tube_germ, tube_germs
@@ -332,6 +334,96 @@ def test_classify_decomposes_a_flipped_germ_once(monkeypatch):
         res = classify(germ)
         assert res.k == k and abs(res.r - 0.7) < CLASSIFY_RADIUS_TOLERANCE
         assert len(calls) == 1
+
+
+def _decomposition_bits(decomp):
+    """Every field of a decomposition, its arrays as shapes and bytes."""
+    arrays = [
+        decomp.normal, decomp.eigenvalues, decomp.jxi_components,
+        *decomp.spaces, *decomp.jxi_coefficients,
+    ]
+    return (
+        [(a.dtype, a.shape, a.tobytes()) for a in arrays],
+        decomp.multiplicities, decomp.hopf_indices, decomp.non_hopf_indices,
+    )
+
+
+@seed(48)
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    nk=st.integers(2, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+    c=st.sampled_from([-1.0, -4.0, -100.0]),
+    srs=st.lists(st.floats(0.01, 7.0), min_size=1, max_size=4),
+    flips=st.lists(st.booleans(), min_size=1, max_size=9),
+    frame_seed=st.integers(0, 2**32 - 1),
+)
+def test_classify_batch_equals_classify_germ_by_germ(nk, c, srs, flips, frame_seed):
+    """One batch of germs of one n mixes tube germs at a random unit
+    normal, catalog germs at r* -/+ 1e-12, a rotated catalog germ
+    perturbed by 1e-7 and Hopf germs (horospheres at every c), in both
+    co-orientations.  ``classify_batch`` gives each germ the JSON of its
+    ``classify``, and ``principal_decompositions`` gives it every field
+    of its ``principal_decomposition`` bit for bit: the stacked ``eigh``
+    keeps the bits of the one-matrix call."""
+    n, k = nk
+    params, s = ModelParams(n=n, c=c), spectral.rate(c)
+    rng = np.random.default_rng(frame_seed)
+    spec = build_submanifold(params, k, math.pi / 2.0)
+    eta = rng.normal(size=k) @ spec.normal_basis
+    radii = [sr / s for sr in srs if _is_tube_radius(c, k, sr / s)]
+    germs = tube_germs(spec, eta / np.linalg.norm(eta), radii)
+    r_star = special_radius(c)
+    germs += [catalog_germ(params, k, r=r_star + dr) for dr in (-1e-12, 1e-12)]
+    base = catalog_germ(params, k, r=srs[0] / s)
+    q, _ = np.linalg.qr(rng.normal(size=(2 * n - 1, 2 * n - 1)))
+    noise = rng.normal(size=base.shape.shape) * 1e-7
+    germs.append(HypersurfaceGerm(
+        params=params,
+        normal=base.normal,
+        tangent_basis=q.T @ base.tangent_basis,
+        shape=q.T @ base.shape @ q + (noise + noise.T),
+    ))
+    germs += [horosphere_germ(ModelParams(n=n, c=other)) for other in (-1.0, -4.0, -100.0)]
+    germs = [
+        germ.flipped() if flip else germ
+        for germ, flip in zip(germs, flips * len(germs))
+    ]
+    assert [res.to_json() for res in classify_batch(germs)] == [
+        classify(germ).to_json() for germ in germs
+    ]
+    assert [_decomposition_bits(d) for d in principal_decompositions(germs)] == [
+        _decomposition_bits(principal_decomposition(germ)) for germ in germs
+    ]
+
+
+def test_classify_batch_of_no_germ():
+    assert classify_batch([]) == []
+    assert principal_decompositions([]) == []
+
+
+def test_a_batch_takes_germs_of_one_n():
+    """Germs of two different n raise ValueError naming both n; at one n
+    the batch may mix values of c."""
+    germs = [
+        catalog_germ(ModelParams(n=3, c=-4.0), 2, r=0.7),
+        horosphere_germ(ModelParams(n=2, c=-4.0)),
+    ]
+    for batch in (classify_batch, principal_decompositions):
+        with pytest.raises(ValueError, match="^a batch takes germs of one n, got n = 3 and n = 2$"):
+            batch(germs)
+    germs[1] = horosphere_germ(ModelParams(n=3, c=-1.0))
+    labels = [(res.model, res.reason) for res in classify_batch(germs)]
+    assert labels == [("tube", None), ("unclassified", "hopf")]
+
+
+def test_classify_batch_checks_its_tolerances():
+    germ = catalog_germ(ModelParams(n=3, c=-4.0), 2, r=0.7)
+    for kwargs in ({"tol": 0.0}, {"grouping_tol": -1.0}):
+        with pytest.raises(ValueError) as batch_error:
+            classify_batch([germ], **kwargs)
+        with pytest.raises(ValueError) as one_error:
+            classify(germ, **kwargs)
+        assert str(batch_error.value) == str(one_error.value)
 
 
 def _public_record_classification(germ, tol=spectral.CLASSIFY_TOLERANCE):
