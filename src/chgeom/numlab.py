@@ -23,10 +23,14 @@ layout per domain dimension (``_layout``: the L1 <= 2 rows, their +-e_i
 neighbours and the stencil).  Every central difference goes through one
 rule, and every derived quantity is a stacked array built in one numpy
 pass: tangents and normals on the L1 <= 2 ball, shape data and
-Christoffel symbols on the L1 <= 1 stencil, and one frame-field table
-(``FrameFields``: U_1, U_2, A, the aligned eigenspace complements and
-every nabla_{X_a} X_b at the center), which the four frame-identity
-suites read as vector expressions.  The accessors return center values.
+Christoffel symbols on the L1 <= 1 stencil, the stencil germs' eigen-data
+(one stacked pass over the stencil: one ``eigh``, with every row's
+eigenvalue groups, J xi projections and Hopf check as array expressions;
+only the center germ gets a ``principal_decomposition``), and one
+frame-field table (``FrameFields``: U_1, U_2, A, the aligned eigenspace
+complements and every nabla_{X_a} X_b at the center), which the four
+frame-identity suites read as vector expressions.  The accessors return
+center values.
 The chart values and stacks are computed with numpy's floating-point
 warnings off; a stack left non-finite by a step or scale past the
 double range raises ``Indeterminate`` (no suite runs).
@@ -52,8 +56,8 @@ from .model import (
     check_positive, j_action,
 )
 from .spectral import (
+    PROJECTION_TOLERANCE,
     HypersurfaceGerm,
-    hopf_frame,
     principal_decomposition,
     totally_real_check,
 )
@@ -176,6 +180,15 @@ def _layout(dim: int) -> tuple:
     return tables
 
 
+def _by_size(start: np.ndarray, size: np.ndarray):
+    """For each distinct group size m (ascending): the positions of the
+    groups of that size and the (count, m) flat indices of their
+    members, for groups given by first flat index and size."""
+    for m in sorted(set(size.tolist())):
+        sel = np.flatnonzero(size == m)
+        yield sel, start[sel, None] + np.arange(m)
+
+
 @dataclass(frozen=True)
 class FrameFields:
     """Principal-curvature frame fields around the center of a GermField.
@@ -206,7 +219,13 @@ class GermField:
     stencil (rows: center, +e_0, -e_0, +e_1, ...).  Each stack, and (when
     the center germ has two projected eigenvalues) the principal-curvature
     frame fields with their connection table, is built in one batched
-    pass on first use.  The accessors return the center values.
+    pass on first use.  The stencil germs are decomposed in one stacked
+    pass: one ``eigh`` over their shapes, then each row's eigenvalue
+    groups, the J xi projections, the Hopf check at the neighbours, U_1,
+    U_2, A and the aligned eigenspace fields as array expressions, each
+    row with the bits of a one-germ ``principal_decomposition``.  Only the
+    center keeps a ``HypersurfaceGerm`` and a ``PrincipalDecomposition``.
+    The accessors return the center values.
     """
 
     def __init__(
@@ -262,7 +281,7 @@ class GermField:
 
     def germ(self) -> HypersurfaceGerm:
         """Orthonormalized germ (QR of the tangents)."""
-        return self._germs[0]
+        return self._spectra[0]
 
     def christoffels(self) -> np.ndarray:
         """Gamma[i, j, k]: nabla_{d_i} d_j = Gamma[i,j,k] d_k."""
@@ -270,7 +289,7 @@ class GermField:
 
     def decomposition(self):
         """Principal decomposition of the germ."""
-        return self._decompositions[0]
+        return self._spectra[1]
 
     # -- stacks ----------------------------------------------------------
 
@@ -327,8 +346,9 @@ class GermField:
         }
 
     @cached_property
-    def _germs(self) -> tuple:
-        """Orthonormalized germs on the stencil (QR of the tangents)."""
+    def _germ_stack(self) -> tuple:
+        """Orthonormalized germs on the stencil (QR of the tangents): the
+        (S, dom, 2n) tangent bases and the (S, dom, dom) symmetric shapes."""
         t = self._tangents[self._stencil]
         q, rmat = np.linalg.qr(np.swapaxes(t, 1, 2))
         signs = np.sign(np.diagonal(rmat, axis1=1, axis2=2)).copy()
@@ -338,22 +358,28 @@ class GermField:
         rinv = np.linalg.inv(rmat)
         s_orth = np.swapaxes(rinv, 1, 2) @ (self._shape["s_ambient"] @ q)
         s_orth = 0.5 * (s_orth + np.swapaxes(s_orth, 1, 2))
-        return tuple(
-            HypersurfaceGerm(
-                params=self.params,
-                normal=self._shape["normals"][row],
-                tangent_basis=qs.T,
-                shape=shape,
-            )
-            for row, qs, shape in zip(self._stencil, q, s_orth)
-        )
+        return np.swapaxes(q, 1, 2), s_orth
 
     @cached_property
-    def _decompositions(self) -> list:
-        return [
-            principal_decomposition(g, tol=NUMERIC_GROUPING_TOLERANCE)
-            for g in self._germs
-        ]
+    def _spectra(self) -> tuple:
+        """The center germ, its decomposition (``principal_decomposition``)
+        and the stencil's eigen-data from one stacked ``eigh``, each row
+        with the bits of its one-germ call: the ascending eigenvalues
+        (S, dom), the ambient eigenvector rows (S, dom, 2n) and the
+        coefficients of J xi on them (S, dom).  Built together, so an
+        ``eigh`` that fails at any row stops the run at the first suite
+        that reads the decomposition."""
+        basis, shape = self._germ_stack
+        normals = self._shape["normals"][self._stencil]
+        germ = HypersurfaceGerm(
+            params=self.params, normal=normals[0], tangent_basis=basis[0], shape=shape[0]
+        )
+        decomp = principal_decomposition(germ, tol=NUMERIC_GROUPING_TOLERANCE)
+        half = 0.5 * shape  # halved first, as ``principal_decompositions`` does
+        evals, evecs = np.linalg.eigh(half + np.swapaxes(half, 1, 2))
+        ambient = np.swapaxes(evecs, 1, 2) @ basis
+        coeffs = (ambient @ j_action(normals)[..., None])[..., 0]
+        return germ, decomp, evals, ambient, coeffs
 
     # -- connection and curvature ----------------------------------------
 
@@ -387,24 +413,71 @@ class GermField:
 
     # -- eigenframe fields -------------------------------------------------
 
+    @cached_property
+    def _groups(self) -> dict:
+        """Every stencil row's eigenvalue groups, as
+        ``principal_decompositions`` forms them at the lab's grouping
+        tolerance, listed row after row in ascending order (G groups):
+
+          start  (G,) flat index of the group's first eigenvalue
+          size   (G,) its multiplicity
+          row    (G,) its stencil row
+          rank   (G,) its index within its row
+          mean   (G,) its eigenvalue
+          b      (G,) the norm of J xi's projection onto it
+          jxi    (G, 2n) that projection
+          first  (S,) each stencil row's first group
+
+        Groups of one size are stacked together, which gives each sum and
+        product the bits of its one-group call."""
+        _, _, evals, ambient, coeffs = self._spectra
+        rows, dom = evals.shape
+        tol = NUMERIC_GROUPING_TOLERANCE
+        opens = np.ones(evals.shape, dtype=bool)
+        with np.errstate(all="ignore"):
+            lo, hi = evals[:, :-1], evals[:, 1:]
+            # a new group wherever ``spectral._merged`` keeps neighbours apart
+            opens[:, 1:] = np.abs(hi - lo) > tol * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
+            start = np.flatnonzero(opens)
+            size = np.append(start[1:], evals.size) - start
+            row = start // dom
+            first = np.searchsorted(row, np.arange(rows))
+            mean = np.empty(len(start))
+            sq = np.empty(len(start))
+            jxi = np.empty((len(start), ambient.shape[-1]))
+            for sel, idx in _by_size(start, size):
+                mean[sel] = evals.reshape(-1)[idx].sum(axis=1) / idx.shape[1]
+                v = coeffs.reshape(-1)[idx][:, None]
+                sq[sel] = (v @ np.swapaxes(v, 1, 2))[:, 0, 0]
+                jxi[sel] = (v @ ambient.reshape(evals.size, -1)[idx])[:, 0]
+        return {
+            "start": start, "size": size, "row": row,
+            "rank": np.arange(len(start)) - first[row], "first": first,
+            "mean": mean, "b": np.sqrt(sq), "jxi": jxi,
+        }
+
     def _aligned_space_field(self, center_rows, eigenvalue) -> np.ndarray:
         """Orthonormal bases tracking center_rows, stacked over the
         stencil: at each row, the projection onto the eigenspace nearest
         the given eigenvalue, re-orthonormalized (Loewdin)."""
-        proj = []
-        for decomp in self._decompositions:
-            i = int(np.argmin(np.abs(decomp.eigenvalues - eigenvalue)))
-            space = decomp.spaces[i]
-            proj.append(center_rows @ space.T @ space)
-        u, _, vt = np.linalg.svd(np.stack(proj), full_matrices=False)
+        grp = self._groups
+        ambient = self._spectra[3]
+        # distances to each row's groups, padded with inf past its last
+        dist = np.full((len(grp["first"]), grp["rank"].max() + 1), np.inf)
+        dist[grp["row"], grp["rank"]] = np.abs(grp["mean"] - eigenvalue)
+        pick = grp["first"] + np.argmin(dist, axis=1)
+        proj = np.empty((len(pick), *center_rows.shape))
+        for sel, idx in _by_size(grp["start"][pick], grp["size"][pick]):
+            space = ambient.reshape(-1, ambient.shape[-1])[idx]
+            proj[sel] = center_rows @ np.swapaxes(space, 1, 2) @ space
+        u, _, vt = np.linalg.svd(proj, full_matrices=False)
         return u @ vt
 
     @cached_property
     def frame_fields(self) -> FrameFields:
         """U_1, U_2, A and the aligned eigenspace complements, with the
         table of their tangential derivatives at the center."""
-        decomps = self._decompositions
-        decomp = decomps[0]
+        decomp = self.decomposition()
         lam = [float(v) for v in decomp.eigenvalues]
         rest = decomp.non_hopf_indices
         if decomp.h != 2 or not rest:
@@ -418,15 +491,23 @@ class GermField:
                 f"{NUMERIC_GROUPING_TOLERANCE:g} the center germ has {lack} "
                 f"({decomp.g} eigenvalue groups: {groups})"
             )
-        off = [d.h for d in decomps if d.h != 2]
-        if off:
+        grp = self._groups
+        hopf = grp["b"] > PROJECTION_TOLERANCE  # as ``principal_decompositions`` selects
+        h = np.bincount(grp["row"][hopf], minlength=len(self._stencil))
+        off = h[h != 2]
+        if len(off):
             raise Indeterminate(
                 "the frame suites cannot run: at grouping tolerance "
                 f"{NUMERIC_GROUPING_TOLERANCE:g} a stencil neighbour of the "
                 f"center germ has h = {off[0]} projected eigenspaces, not 2"
             )
-        # U_1, U_2 and A, each stacked over the stencil
-        fields = list(np.stack([hopf_frame(d)[1:] for d in decomps], axis=1))
+        # U_1, U_2 and A, each stacked over the stencil, by the formulas
+        # of ``spectral.hopf_frame``
+        pair = np.flatnonzero(hopf).reshape(-1, 2)
+        b1, b2 = grp["b"][pair.T, None]
+        u1 = grp["jxi"][pair[:, 0]] / b1
+        xi = self._shape["normals"][self._stencil]
+        fields = [u1, grp["jxi"][pair[:, 1]] / b2, (j_action(u1) + b1 * xi) / -b2]
         a_vec = fields[2][0]
         i3 = rest[0]
         groups = [*decomp.hopf_indices, i3]

@@ -18,7 +18,7 @@ import numpy as np
 from .construction import SubmanifoldSpec, is_totally_real, orbit_second_fundamental_form
 from .jacobi import _f, _g, _hyperbolic, _mode_matrix, focal_determinant_matrix
 from .model import B_INDEX, GALPHA_START, Z_INDEX, ModelParams, SolvableModel, j_action, rate
-from .numlab import ChartImmersion
+from .numlab import NUMERIC_GROUPING_TOLERANCE, ChartImmersion, FrameFields, GermField, Indeterminate
 from .spectral import (
     EigenStructure, HypersurfaceGerm, catalog_quadratic, hopf_frame,
     hopf_projection_squares, principal_decomposition,
@@ -229,3 +229,82 @@ def convergence_order(make_residual, steps=(1e-3, 5e-4)) -> float:
     if r2 == 0:
         return float("inf")
     return math.log2(r1 / r2) / math.log2(steps[0] / steps[1])
+
+
+def stencil_decompositions(field: GermField) -> list:
+    """The per-row reference of a GermField's stacked stencil pass: one
+    germ and one ``principal_decomposition`` per L1 <= 1 stencil row, at
+    the lab's grouping tolerance."""
+    basis, shape = field._germ_stack
+    normals = field._shape["normals"][field._stencil]
+    return [
+        principal_decomposition(
+            HypersurfaceGerm(params=field.params, normal=nrm, tangent_basis=tb, shape=sh),
+            tol=NUMERIC_GROUPING_TOLERANCE,
+        )
+        for nrm, tb, sh in zip(normals, basis, shape)
+    ]
+
+
+def _aligned_space_field_per_row(decomps, center_rows, eigenvalue) -> np.ndarray:
+    """Orthonormal bases tracking center_rows, stacked over the stencil:
+    at each row, the projection onto the eigenspace nearest the given
+    eigenvalue, re-orthonormalized (Loewdin)."""
+    proj = []
+    for decomp in decomps:
+        i = int(np.argmin(np.abs(decomp.eigenvalues - eigenvalue)))
+        space = decomp.spaces[i]
+        proj.append(center_rows @ space.T @ space)
+    u, _, vt = np.linalg.svd(np.stack(proj), full_matrices=False)
+    return u @ vt
+
+
+def frame_fields_per_row(field: GermField) -> FrameFields:
+    """``GermField.frame_fields`` one stencil row at a time: a
+    decomposition, a ``hopf_frame`` and one projection per aligned space
+    for each row, raising the same ``Indeterminate``."""
+    decomps = stencil_decompositions(field)
+    decomp = decomps[0]
+    lam = [float(v) for v in decomp.eigenvalues]
+    rest = decomp.non_hopf_indices
+    if decomp.h != 2 or not rest:
+        lack = (
+            "no non-projected lambda_3 eigenspace" if decomp.h == 2
+            else f"h = {decomp.h} projected eigenspaces, not 2"
+        )
+        groups = ", ".join(f"{v:.6g}" for v in lam)
+        raise Indeterminate(
+            "the frame suites cannot run: at grouping tolerance "
+            f"{NUMERIC_GROUPING_TOLERANCE:g} the center germ has {lack} "
+            f"({decomp.g} eigenvalue groups: {groups})"
+        )
+    off = [d.h for d in decomps if d.h != 2]
+    if off:
+        raise Indeterminate(
+            "the frame suites cannot run: at grouping tolerance "
+            f"{NUMERIC_GROUPING_TOLERANCE:g} a stencil neighbour of the "
+            f"center germ has h = {off[0]} projected eigenspaces, not 2"
+        )
+    # U_1, U_2 and A, each stacked over the stencil
+    fields = list(np.stack([hopf_frame(d)[1:] for d in decomps], axis=1))
+    a_vec = fields[2][0]
+    i3 = rest[0]
+    groups = [*decomp.hopf_indices, i3]
+    # the lambda_3-space minus A, then the other non-projected spaces
+    amb3 = decomp.spaces[i3]
+    raw3 = amb3 - np.outer(amb3 @ a_vec, a_vec)
+    _, sv, vt = np.linalg.svd(raw3, full_matrices=False)
+    spaces = [(i3, vt[sv > 0.5])]
+    spaces += [(i, decomp.spaces[i]) for i in rest if i != i3]
+    for i, rows in spaces:
+        if rows.shape[0]:
+            aligned = _aligned_space_field_per_row(decomps, rows, lam[i])
+            fields.extend(np.swapaxes(aligned, 0, 1))
+            groups += [i] * rows.shape[0]
+    fields = np.stack(fields)
+    return FrameFields(
+        fields=fields,
+        eigenvalues=tuple(lam[i] for i in groups),
+        groups=tuple(groups),
+        nabla=field._nabla_table(fields),
+    )

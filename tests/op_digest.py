@@ -2,7 +2,7 @@
 
 Usage (from the repository root):
 
-    PYTHONPATH=src python tests/op_digest.py --seeds 401 402 403 [--dump]
+    PYTHONPATH=src python tests/op_digest.py --seeds 401 402 403 [--workloads NAME ...] [--dump]
 
 Builds the workloads of ``perfbench/workloads.py`` at each seed with the
 core count fixed at 2, so the operation lists do not depend on the host,
@@ -11,7 +11,9 @@ Each operation's record is its argv, exit code, stdout and stderr, with
 the temporary input directory masked; an exception reads as its type and
 message.  Prints the operation count and one SHA-256 per workload and
 over all of them; ``--dump`` prints one JSON line per operation first,
-for diffing two trees.  Reads ``perfbench/`` and writes nothing there.
+for diffing two trees.  ``--workloads`` digests only the named ones; the
+default, every workload, keeps the ``all`` digest comparable between
+runs.  Reads ``perfbench/`` and writes nothing there.
 """
 
 from __future__ import annotations
@@ -70,11 +72,14 @@ def records(name: str, seed: int):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--workloads", nargs="+", choices=sorted(workloads.WORKLOADS),
+                        default=sorted(workloads.WORKLOADS), metavar="NAME",
+                        help="the workloads to digest (default: all)")
     parser.add_argument("--dump", action="store_true", help="print one line per operation")
     args = parser.parse_args(argv)
     total, count = hashlib.sha256(), 0
     summary = []
-    for name in sorted(workloads.WORKLOADS):
+    for name in sorted(set(args.workloads)):
         digest, ops = hashlib.sha256(), 0
         for seed in args.seeds:
             for line in records(name, seed):

@@ -90,6 +90,9 @@ def test_instrumentation_traces_a_residuals_suite(traced, capsys):
     assert totals["numlab.GermField.init"]["lattice_points"] == 63
     # the benchmark patches these by name: each must still be one call
     assert totals["numlab.tube_chart"]["calls"] == 1
+    # only the center germ is decomposed one germ at a time; the stencil
+    # takes one stacked pass
+    assert totals["spectral.principal_decomposition"]["calls"] == 1
     for suite in (
         "gauss_codazzi_residuals",
         "real_eigenspace_residual",

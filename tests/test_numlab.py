@@ -12,6 +12,7 @@ from chgeom.construction import build_submanifold
 from chgeom.model import ModelParams, SolvableModel
 from chgeom.numlab import (
     GermField,
+    Indeterminate,
     _eigen_pairs,
     _lattice,
     _layout,
@@ -23,7 +24,9 @@ from chgeom.numlab import (
     tube_chart,
     unit_pair_gauss_residual,
 )
-from chgeom.oracles import convergence_order, horosphere_chart
+from chgeom.oracles import (
+    convergence_order, frame_fields_per_row, horosphere_chart, stencil_decompositions,
+)
 from chgeom.spectral import classify
 from chgeom.tubes import tube_spectrum_closed
 
@@ -235,6 +238,65 @@ def test_frame_table_is_built_once(monkeypatch):
     # a second pass reads the same table
     assert [suite(field) for suite in FRAME_SUITES] == first
     assert len(tables) == 1
+
+
+# (n, c, k, r, fd-step, center, whether the stencil rows group alike):
+# every n = 2..5 and k at two centers, and the edge rows of test_cli's
+# CONTRACT where the rows group unlike the center or the frame suites do
+# not run: the center at r = 5 and r = 6, a neighbour with h = 1 at
+# r = 1e-100 and c = -1e200, and mixed groups with h = 2 at c = -1e100
+STENCIL_CASES = [
+    *[(n, -4.0, k, r, 1e-3, x0, True)
+      for n in range(2, 6) for k in range(1, n) for r, x0 in ((0.5, 0.0), (0.7, 0.04))],
+    (3, -4.0, 2, 5.0, 1e-3, 0.0, True),
+    (3, -4.0, 2, 6.0, 1e-3, 0.0, True),
+    (3, -4.0, 2, 1e-100, 1e-3, 0.0, False),
+    (3, -1e100, 2, 1e-151, 1e-100, 0.0, False),
+    (3, -1e200, 2, 1e-151, 1e-100, 0.0, False),
+]
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n, c, k, r, step, x0, alike", STENCIL_CASES)
+def test_stacked_stencil_matches_the_per_row_oracle(n, c, k, r, step, x0, alike):
+    """The stencil's one stacked pass gives the center decomposition,
+    the frame fields (fields, connection table, eigenvalues, groups) or
+    the Indeterminate reason of one decomposition, ``hopf_frame`` and
+    projection per stencil row, bit for bit, also where a neighbour
+    groups its eigenvalues unlike the center."""
+    chart = tube_chart(build_submanifold(ModelParams(n=n, c=c), k, np.pi / 2), r)
+    center = x0 * np.cos(np.arange(chart.domain_dim))
+    stacked, per_row = GermField(chart, center, step), GermField(chart, center, step)
+
+    def outcome(frames, field):
+        with np.errstate(all="ignore"):  # as residual_suites runs them
+            try:
+                return frames(field)
+            except Indeterminate as exc:
+                return str(exc)
+
+    decomps = stencil_decompositions(per_row)
+    assert (len({d.multiplicities for d in decomps}) == 1) == alike
+    want, got = decomps[0], stacked.decomposition()
+    for name in ("normal", "eigenvalues", "jxi_components"):
+        assert _same_bits(getattr(got, name), getattr(want, name)), name
+    for name in ("spaces", "jxi_coefficients"):
+        assert all(map(_same_bits, getattr(got, name), getattr(want, name))), name
+    assert (got.multiplicities, got.hopf_indices, got.non_hopf_indices) == (
+        want.multiplicities, want.hopf_indices, want.non_hopf_indices
+    )
+    ff = outcome(lambda field: field.frame_fields, stacked)
+    oracle = outcome(frame_fields_per_row, per_row)
+    if isinstance(oracle, str):
+        assert ff == oracle
+        return
+    assert (ff.eigenvalues, ff.groups) == (oracle.eigenvalues, oracle.groups)
+    assert _same_bits(ff.fields, oracle.fields)
+    assert _same_bits(ff.nabla, oracle.nabla)
 
 
 def test_christoffels_are_computed_once_per_offset(monkeypatch):
