@@ -156,7 +156,6 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_classify(args) -> int:
     check_positive("--tolerance", args.tolerance)
-    check_positive("--grouping-tol", args.grouping_tol)
     try:
         # strict UTF-8: json.loads on raw bytes would also take UTF-16,
         # a byte-order mark and encoded surrogates
@@ -166,10 +165,7 @@ def _cmd_classify(args) -> int:
     except (OSError, ValueError, TypeError, RecursionError) as exc:
         # RecursionError: json gives up on arrays nested past the limit
         raise ValueError(f"malformed germ input: {exc}") from exc
-    result = classify(
-        germ, tol=args.tolerance, grouping_tol=args.grouping_tol
-    )
-    print(result.to_json())
+    print(classify(germ, tol=args.tolerance).to_json())
     return 0
 
 
@@ -269,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classify a germ from JSON")
     p.add_argument("--input", type=str, required=True)
     p.add_argument("--tolerance", type=float, default=spectral.CLASSIFY_TOLERANCE)
-    p.add_argument("--grouping-tol", type=float, default=spectral.GROUPING_TOLERANCE)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("residuals", help="finite-difference identity suite")

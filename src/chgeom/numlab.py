@@ -24,8 +24,8 @@ neighbours and the stencil).  Every central difference goes through one
 rule, and every derived quantity is a stacked array built in one numpy
 pass: tangents and normals on the L1 <= 2 ball, shape data and
 Christoffel symbols on the L1 <= 1 stencil, the stencil germs' eigen-data
-(one stacked pass over the stencil: one ``eigh``, with every row's
-eigenvalue groups, J xi projections and Hopf check as array expressions;
+(one stacked pass over the stencil by ``spectral``'s own rules: its
+symmetrised ``eigh``, grouping, Hopf selection and Hopf-frame formulas;
 only the center germ gets a ``principal_decomposition``), and one
 frame-field table (``FrameFields``: U_1, U_2, A, the aligned eigenspace
 complements and every nabla_{X_a} X_b at the center), which the four
@@ -56,10 +56,8 @@ from .model import (
     check_positive, j_action,
 )
 from .spectral import (
-    PROJECTION_TOLERANCE,
-    HypersurfaceGerm,
-    principal_decomposition,
-    totally_real_check,
+    HypersurfaceGerm, _eigh, _group_starts, _hopf_vectors, _projected,
+    principal_decomposition, totally_real_check,
 )
 from .tubes import check_radii
 
@@ -220,9 +218,10 @@ class GermField:
     the center germ has two projected eigenvalues) the principal-curvature
     frame fields with their connection table, is built in one batched
     pass on first use.  The stencil germs are decomposed in one stacked
-    pass: one ``eigh`` over their shapes, then each row's eigenvalue
-    groups, the J xi projections, the Hopf check at the neighbours, U_1,
-    U_2, A and the aligned eigenspace fields as array expressions, each
+    pass: one ``spectral._eigh`` over their shapes, then each row's
+    eigenvalue groups (``spectral._group_starts``), the J xi projections,
+    the Hopf check at the neighbours (``spectral._projected``), U_1, U_2,
+    A (``spectral._hopf_vectors``) and the aligned eigenspace fields, each
     row with the bits of a one-germ ``principal_decomposition``.  Only the
     center keeps a ``HypersurfaceGerm`` and a ``PrincipalDecomposition``.
     The accessors return the center values.
@@ -375,8 +374,7 @@ class GermField:
             params=self.params, normal=normals[0], tangent_basis=basis[0], shape=shape[0]
         )
         decomp = principal_decomposition(germ, tol=NUMERIC_GROUPING_TOLERANCE)
-        half = 0.5 * shape  # halved first, as ``principal_decompositions`` does
-        evals, evecs = np.linalg.eigh(half + np.swapaxes(half, 1, 2))
+        evals, evecs = _eigh(shape)
         ambient = np.swapaxes(evecs, 1, 2) @ basis
         coeffs = (ambient @ j_action(normals)[..., None])[..., 0]
         return germ, decomp, evals, ambient, coeffs
@@ -415,9 +413,9 @@ class GermField:
 
     @cached_property
     def _groups(self) -> dict:
-        """Every stencil row's eigenvalue groups, as
-        ``principal_decompositions`` forms them at the lab's grouping
-        tolerance, listed row after row in ascending order (G groups):
+        """Every stencil row's eigenvalue groups, by
+        ``spectral._group_starts`` at the lab's grouping tolerance, listed
+        row after row in ascending order (G groups):
 
           start  (G,) flat index of the group's first eigenvalue
           size   (G,) its multiplicity
@@ -432,13 +430,11 @@ class GermField:
         product the bits of its one-group call."""
         _, _, evals, ambient, coeffs = self._spectra
         rows, dom = evals.shape
-        tol = NUMERIC_GROUPING_TOLERANCE
-        opens = np.ones(evals.shape, dtype=bool)
+        start = np.array([
+            row * dom + i for row, values in enumerate(evals.tolist())
+            for i in _group_starts(values, NUMERIC_GROUPING_TOLERANCE)
+        ])
         with np.errstate(all="ignore"):
-            lo, hi = evals[:, :-1], evals[:, 1:]
-            # a new group wherever ``spectral._merged`` keeps neighbours apart
-            opens[:, 1:] = np.abs(hi - lo) > tol * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
-            start = np.flatnonzero(opens)
             size = np.append(start[1:], evals.size) - start
             row = start // dom
             first = np.searchsorted(row, np.arange(rows))
@@ -492,7 +488,7 @@ class GermField:
                 f"({decomp.g} eigenvalue groups: {groups})"
             )
         grp = self._groups
-        hopf = grp["b"] > PROJECTION_TOLERANCE  # as ``principal_decompositions`` selects
+        hopf = _projected(grp["b"])
         h = np.bincount(grp["row"][hopf], minlength=len(self._stencil))
         off = h[h != 2]
         if len(off):
@@ -501,13 +497,12 @@ class GermField:
                 f"{NUMERIC_GROUPING_TOLERANCE:g} a stencil neighbour of the "
                 f"center germ has h = {off[0]} projected eigenspaces, not 2"
             )
-        # U_1, U_2 and A, each stacked over the stencil, by the formulas
-        # of ``spectral.hopf_frame``
-        pair = np.flatnonzero(hopf).reshape(-1, 2)
-        b1, b2 = grp["b"][pair.T, None]
-        u1 = grp["jxi"][pair[:, 0]] / b1
+        # U_1, U_2 and A, each stacked over the stencil; pair[i] holds
+        # every row's i-th Hopf group
+        pair = np.flatnonzero(hopf).reshape(-1, 2).T
+        b1, b2 = grp["b"][pair, None]
         xi = self._shape["normals"][self._stencil]
-        fields = [u1, grp["jxi"][pair[:, 1]] / b2, (j_action(u1) + b1 * xi) / -b2]
+        fields = list(_hopf_vectors(*grp["jxi"][pair], b1, b2, xi))
         a_vec = fields[2][0]
         i3 = rest[0]
         groups = [*decomp.hopf_indices, i3]

@@ -23,7 +23,7 @@ from .spectral import (
     EigenStructure, HypersurfaceGerm, catalog_quadratic, hopf_frame,
     hopf_projection_squares, principal_decomposition,
 )
-from .tubes import submanifold_shape_operator, tube_germ
+from .tubes import submanifold_shape_operator, tube_germs
 
 SPAN_TOLERANCE = 1e-9
 FOCAL_ZERO_TOLERANCE = 1e-9
@@ -102,6 +102,14 @@ def focal_rank(es: EigenStructure, r: float):
         else:
             rank += mult
     return rank, kernel
+
+
+def tube_germ(spec: SubmanifoldSpec, eta: np.ndarray, r: float) -> HypersurfaceGerm:
+    """Germ of the tube of radius r around the orbit: ``tubes.tube_germs``
+    at one radius.  Same arguments and checks as ``tube_shape_operator``,
+    whose germ this matches up to the congruence that moves it to the
+    base point."""
+    return tube_germs(spec, eta, (r,))[0]
 
 
 def focal_shape_check(spec: SubmanifoldSpec, eta: np.ndarray, r: float) -> dict:

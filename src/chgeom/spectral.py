@@ -19,10 +19,15 @@ eigenvalues) or by r (``catalog_at_radius``), and
 the catalog, eigen-decomposition and grouping of measured shape
 operators, the Hopf frame (``hopf_frame``) with its structural
 identities, the germ classifier, and the curvature-sign nonexistence
-scan.  A germ has one check, ``HypersurfaceGerm.validate``, and one
-co-orientation rule: the classifier reads every germ with trace S >= 0,
-turning it with ``HypersurfaceGerm.flipped`` (the one flip) before its
-one decomposition.  Germs of one n decompose as a batch:
+scan.  Each germ rule is stated once, and ``numlab``'s stacked stencil
+pass calls the same statement: the symmetrised ``eigh`` (``_eigh``),
+the grouping rule (``_group_starts``), the Hopf selection
+(``_projected``) and the Hopf-frame formulas (``_hopf_vectors``).
+``classify`` takes one tolerance, tol, and groups eigenvalues at tol /
+GROUPING_RATIO.  A germ has one check, ``HypersurfaceGerm.validate``,
+and one co-orientation rule: the classifier reads every germ with trace
+S >= 0, turning it with ``HypersurfaceGerm.flipped`` (the one flip)
+before its one decomposition.  Germs of one n decompose as a batch:
 ``principal_decompositions`` runs one stacked ``eigh`` over them, and
 ``classify_batch`` gives each germ ``classify``'s result, bit for bit,
 from one such call, so a sweep classifies its radii in one kernel call.
@@ -49,9 +54,11 @@ from .model import (
 )
 from .construction import build_submanifold
 
-GROUPING_TOLERANCE = 1e-7
 PROJECTION_TOLERANCE = 1e-6
 CLASSIFY_TOLERANCE = 1e-6
+# ``classify`` groups eigenvalues at its tolerance over this ratio
+GROUPING_RATIO = 10.0
+GROUPING_TOLERANCE = CLASSIFY_TOLERANCE / GROUPING_RATIO
 CATALOG_SUM_TOLERANCE = 1e-12
 CATALOG_QUADRATIC_TOLERANCE = 1e-10
 # the frame and symmetry tolerance of ``HypersurfaceGerm.validate``
@@ -248,10 +255,38 @@ def _catalog_entry(lambda3, gap, c, branch_hint, n, k) -> EigenStructure:
 # germs
 
 
-def _merged(a: float, b: float, tol: float) -> bool:
-    """The grouping rule: a and b share a group unless |a - b| exceeds
-    tol * (1 + max(|a|, |b|)), a threshold taken from the two values."""
-    return not abs(b - a) > tol * (1.0 + max(abs(a), abs(b)))
+def _group_starts(values: list, tol: float) -> list:
+    """The grouping rule: the indices where a group of the ascending
+    floats opens, 0 and every i where the neighbours a, b = values[i-1],
+    values[i] are more than tol * (1 + max(|a|, |b|)) apart, a threshold
+    taken from the two values; a tol of 0 merges equal values only."""
+    starts = [0]
+    for i in range(1, len(values)):
+        a, b = values[i - 1], values[i]
+        if abs(b - a) > tol * (1.0 + max(abs(a), abs(b))):
+            starts.append(i)
+    return starts
+
+
+def _projected(b):
+    """The Hopf selection, on floats or arrays: a space carries J xi when
+    the norm b of J xi's projection onto it exceeds PROJECTION_TOLERANCE."""
+    return b > PROJECTION_TOLERANCE
+
+
+def _eigh(shapes: np.ndarray) -> tuple:
+    """``eigh`` of the symmetrised shapes, stacked on the leading axes;
+    halved first: S + S^T could overflow."""
+    half = 0.5 * shapes
+    return np.linalg.eigh(half + half.swapaxes(-1, -2))
+
+
+def _hopf_vectors(p1, p2, b1, b2, xi) -> tuple:
+    """(U_1, U_2, A) from the projections P_i(J xi), their norms b_i and
+    xi, on rows or stacks of rows: U_i = P_i(J xi) / b_i and A = -(J U_1
+    + b_1 xi) / b_2."""
+    u1 = p1 / b1
+    return u1, p2 / b2, (j_action(u1) + b1 * xi) / -b2  # -(x / b2) bit for bit
 
 
 def _allclose(a, b, atol: float) -> bool:
@@ -401,10 +436,8 @@ class PrincipalDecomposition:
     basis); jxi_coefficients[i]: (mult_i,) coefficients of the structure
     vector J xi on the rows of spaces[i]; jxi_components[i]: their norm
     (the length of J xi's projection onto the i-th space); hopf_indices:
-    the ascending indices of the spaces whose projection norm is above
-    PROJECTION_TOLERANCE, and non_hopf_indices those of the others.
-    ``principal_decompositions`` computes the norms and indices, the one
-    place that selects the Hopf spaces.
+    the ascending indices of the spaces that ``_projected`` selects (the
+    Hopf selection), and non_hopf_indices those of the others.
     """
 
     normal: np.ndarray
@@ -432,17 +465,18 @@ def principal_decompositions(
     """Eigen-decompose the shape operators of germs of one n and group
     nearby eigenvalues, in one pass per germ after one stacked ``eigh``.
 
-    The stacked ``eigh`` gives every germ's eigenvalues and the
+    The stacked ``_eigh`` gives every germ's eigenvalues and the
     tangent-basis coefficients of its eigenvectors, each germ's with the
     bits of its own one-matrix call; per germ, one product takes all
-    eigenvectors to ambient rows (the one place where that happens), and
-    one more gives the coefficients of J xi on them, which the Hopf frame
-    reads.  Adjacent eigenvalues share a group by ``_merged``, so a large
-    eigenvalue elsewhere in the spectrum does not merge the small ones.
+    eigenvectors to ambient rows, and one more gives the coefficients of
+    J xi on them, which the Hopf frame reads.  Adjacent eigenvalues share
+    a group by ``_group_starts``, so a large eigenvalue elsewhere in the
+    spectrum does not merge the small ones; tol must be finite and >= 0.
     The grouping runs over the eigenvalues as Python floats; a group's
     value is numpy's sum of its eigenvalues over their count, as
     ``np.mean`` rounds it.  Germs of two different n raise ValueError."""
-    check_positive("tol", tol)
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be non-negative and finite, got {tol!r}")
     if not germs:
         return []
     n = germs[0].params.n
@@ -451,8 +485,7 @@ def principal_decompositions(
             raise ValueError(
                 f"a batch takes germs of one n, got n = {n} and n = {germ.params.n}"
             )
-    half = 0.5 * np.array([germ.shape for germ in germs])  # halved first: S + S^T could overflow
-    evals, evecs = np.linalg.eigh(half + half.swapaxes(-1, -2))
+    evals, evecs = _eigh(np.array([germ.shape for germ in germs]))
     return [_grouped(germ, e, v, tol) for germ, e, v in zip(germs, evals, evecs)]
 
 
@@ -471,17 +504,15 @@ def _grouped(germ: HypersurfaceGerm, evals, evecs, tol: float) -> PrincipalDecom
     ambient = evecs.T.dot(germ.tangent_basis)  # rows: ambient eigenvectors
     coeffs = ambient.dot(j_action(germ.normal))
     values = evals.tolist()
-    # group boundaries: 0, every gap above its threshold, and the end
-    cuts = [0]
-    for i in range(1, len(values)):
-        if not _merged(values[i - 1], values[i], tol):
-            cuts.append(i)
-    spaces, jxi, means, norms = [], [], [], []
-    for lo, hi in zip(cuts, cuts[1:] + [len(values)]):
+    cuts = _group_starts(values, tol)
+    spaces, jxi, means, norms, hopf, rest = [], [], [], [], [], []
+    for group, (lo, hi) in enumerate(zip(cuts, cuts[1:] + [len(values)])):
         v = coeffs[lo:hi]
+        b = math.sqrt(v.dot(v))  # np.linalg.norm's own formula
         spaces.append(ambient[lo:hi])
         jxi.append(v)
-        norms.append(math.sqrt(v.dot(v)))  # np.linalg.norm's own formula
+        norms.append(b)
+        (hopf if _projected(b) else rest).append(group)
         # a group's sum over its count is np.mean's own formula, without
         # its per-call overhead; a single value is its own mean
         means.append(values[lo] if hi - lo == 1 else float(evals[lo:hi].sum() / (hi - lo)))
@@ -492,28 +523,25 @@ def _grouped(germ: HypersurfaceGerm, evals, evecs, tol: float) -> PrincipalDecom
         spaces=spaces,
         jxi_coefficients=jxi,
         jxi_components=np.array(norms),
-        hopf_indices=[i for i, b in enumerate(norms) if b > PROJECTION_TOLERANCE],
-        non_hopf_indices=[i for i, b in enumerate(norms) if not b > PROJECTION_TOLERANCE],
+        hopf_indices=hopf,
+        non_hopf_indices=rest,
     )
 
 
 def hopf_frame(decomp: PrincipalDecomposition) -> np.ndarray:
     """The (4, 2n) rows (xi, U_1, U_2, A) of the decomposition's
-    two-projection frame; requires h = 2.  With b_i the decomposition's
-    projection norms, U_i = P_i(J xi) / b_i is built from the coefficients
-    of J xi that it stores on the rows of each space (J xi is not
-    projected again), and A = -(J U_1 + b_1 xi) / b_2."""
+    two-projection frame (``_hopf_vectors``); requires h = 2.  The
+    projections P_i(J xi) are built from the coefficients of J xi that
+    the decomposition stores on the rows of each space (J xi is not
+    projected again), and b_i are its projection norms."""
     hopf = decomp.hopf_indices
     if len(hopf) != 2:
         raise ValueError(f"Hopf frame needs h = 2, got h = {len(hopf)}")
     i1, i2 = hopf  # ascending eigenvalues: lambda1 < lambda2
     b = decomp.jxi_components.tolist()
-    b1, b2 = b[i1], b[i2]
     coeffs, spaces, xi = decomp.jxi_coefficients, decomp.spaces, decomp.normal
-    u1 = coeffs[i1].dot(spaces[i1]) / b1
-    u2 = coeffs[i2].dot(spaces[i2]) / b2
-    a_vec = (j_action(u1) + b1 * xi) / -b2  # -(x / b2) bit for bit
-    return np.array((xi, u1, u2, a_vec))
+    p1, p2 = coeffs[i1].dot(spaces[i1]), coeffs[i2].dot(spaces[i2])
+    return np.array((xi, *_hopf_vectors(p1, p2, b[i1], b[i2], xi)))
 
 
 def frame_identity_residuals(decomp: PrincipalDecomposition) -> dict:
@@ -622,11 +650,7 @@ def _unclassified(g, h, residuals, reason) -> ClassificationResult:
     )
 
 
-def classify(
-    germ: HypersurfaceGerm,
-    tol: float = CLASSIFY_TOLERANCE,
-    grouping_tol: float = GROUPING_TOLERANCE,
-) -> ClassificationResult:
+def classify(germ: HypersurfaceGerm, tol: float = CLASSIFY_TOLERANCE) -> ClassificationResult:
     """Match a germ against the constant-principal-curvature catalog.
 
     A germ with trace S < 0 is read in the opposite co-orientation
@@ -636,7 +660,9 @@ def classify(
     "h=N") and g = 3 or 4 groups (else "g=N").  At c > 0 the catalog
     has no real solution, and the catalog entry's message says so as
     the reason.
-    The groups are read in catalog order lambda_1 < lambda_2 (the Hopf
+    The decomposition groups eigenvalues at tol / GROUPING_RATIO (0 for
+    tol below 2.5e-323, which groups equal values only), and the
+    groups are read in catalog order lambda_1 < lambda_2 (the Hopf
     spaces), lambda_3 < lambda_4, and k = 2n - 2 - mult(lambda_3).  The
     catalog entry at (lambda_3 clamped to [0, s), k) alone names the
     branch, and r* with G3_KBIG; a catalog error gives its message.  The
@@ -647,30 +673,21 @@ def classify(
     "residuals", with the residuals reported).
     """
     check_positive("tol", tol)
-    check_positive("grouping_tol", grouping_tol)
     germ = _co_oriented(germ)
-    decomp = principal_decomposition(germ, tol=grouping_tol)
-    return _decided(germ.params, decomp, tol, grouping_tol)
+    decomp = principal_decomposition(germ, tol=tol / GROUPING_RATIO)
+    return _decided(germ.params, decomp, tol)
 
 
-def classify_batch(
-    germs,
-    tol: float = CLASSIFY_TOLERANCE,
-    grouping_tol: float = GROUPING_TOLERANCE,
-) -> list[ClassificationResult]:
+def classify_batch(germs, tol: float = CLASSIFY_TOLERANCE) -> list[ClassificationResult]:
     """``classify`` of each of germs of one n, in order, with the bits of
     its one-germ call: every germ is read with trace S >= 0, one
     ``principal_decompositions`` call decomposes them all, and each
     decomposition takes ``classify``'s decision.  Germs of two different
     n raise ValueError."""
     check_positive("tol", tol)
-    check_positive("grouping_tol", grouping_tol)
     germs = [_co_oriented(germ) for germ in germs]
-    decomps = principal_decompositions(germs, tol=grouping_tol)
-    return [
-        _decided(germ.params, decomp, tol, grouping_tol)
-        for germ, decomp in zip(germs, decomps)
-    ]
+    decomps = principal_decompositions(germs, tol=tol / GROUPING_RATIO)
+    return [_decided(germ.params, decomp, tol) for germ, decomp in zip(germs, decomps)]
 
 
 def _co_oriented(germ: HypersurfaceGerm) -> HypersurfaceGerm:
@@ -679,9 +696,7 @@ def _co_oriented(germ: HypersurfaceGerm) -> HypersurfaceGerm:
     return germ.flipped() if sum(germ.shape.diagonal().tolist()) < 0.0 else germ
 
 
-def _decided(
-    params: ModelParams, decomp: PrincipalDecomposition, tol: float, grouping_tol: float
-) -> ClassificationResult:
+def _decided(params: ModelParams, decomp: PrincipalDecomposition, tol: float):
     """``classify``'s decision on the decomposition of a germ read with
     trace S >= 0."""
     n, c = params.n, params.c
@@ -709,9 +724,9 @@ def _decided(
         return _unclassified(g, h, {}, str(exc))
     if k >= n or mults != tuple(m for _, m in es.blocks):
         # the G4 blocks with lambda_4 inside lambda_2: no double tells r* apart
-        if k < n and es.g == 4 and mults == (1, k, mults[2]) and _merged(
-            es.lambda2, es.lambda4, grouping_tol
-        ):
+        if k < n and es.g == 4 and mults == (1, k, mults[2]) and _group_starts(
+            [es.lambda2, es.lambda4], tol / GROUPING_RATIO
+        ) == [0]:
             return _unclassified(
                 g, h, {}, "indeterminate: lambda_2 and lambda_4 closer than the grouping tolerance"
             )

@@ -19,10 +19,10 @@ modes come from the closed-form ``jacobi.jacobi_closed_propagator`` and
 the germ is stated at the base point, with no ODE.  It takes a grid of
 radii and does the radius-independent work once, then takes the shape
 operators of all its radii in one stacked pass (one product pair, one
-``inv``, one symmetrisation), so a sweep builds its germs in one call;
-``tube_germ`` is its one-radius call.  ``tube_shape_operator`` is the
-oracle: it integrates the modes and the parallel transport by RK4 and
-returns the germ at the endpoint with the propagation data.
+``inv``, one symmetrisation), so a sweep builds its germs in one call.
+``tube_shape_operator`` is the oracle: it integrates the modes and the
+parallel transport by RK4 and returns the germ at the endpoint with the
+propagation data.
 
 Both, and the finite-difference tube chart, take a radius exactly when
 ``check_radii`` does (r = 0 only for k = 1: the orbit itself).
@@ -175,7 +175,7 @@ def tube_germs(spec: SubmanifoldSpec, eta: np.ndarray, radii) -> list[Hypersurfa
     point (normal -eta, tangent basis m0) instead of at exp_o(r eta): the
     two are congruent and have the same classification.
     The germs share one normal and one tangent-basis array.  A bad radius
-    raises the error ``tube_germ`` raises at it.
+    raises one error, the same in any grid.
     """
     eta, m0, zeta0, zprime0 = _tube_modes(spec, eta, radii)
     zetas, zprimes = jacobi.jacobi_closed_propagator(
@@ -186,14 +186,6 @@ def tube_germs(spec: SubmanifoldSpec, eta: np.ndarray, radii) -> list[Hypersurfa
     return [HypersurfaceGerm(params, normal, m0, shape).validate() for shape in shapes]
 
 
-def tube_germ(spec: SubmanifoldSpec, eta: np.ndarray, r: float) -> HypersurfaceGerm:
-    """Germ of the tube of radius r around the orbit: ``tube_germs`` at
-    one radius.  Same arguments and checks as ``tube_shape_operator``,
-    whose germ this matches up to the congruence that moves it to the
-    base point."""
-    return tube_germs(spec, eta, (r,))[0]
-
-
 def tube_shape_operator(
     spec: SubmanifoldSpec,
     eta: np.ndarray,
@@ -201,7 +193,7 @@ def tube_shape_operator(
     step: float = DEFAULT_ODE_STEP,
 ) -> TubeResult:
     """Germ of the tube of radius r around the orbit, at exp_o(r eta),
-    integrated by RK4 (the oracle of ``tube_germ``).
+    integrated by RK4 (the oracle of ``tube_germs``).
 
     Uses the Jacobi-mode ODE (oracle form) for the shape operator and
     parallel transport for the frame; the germ's normal is the inward

@@ -60,9 +60,9 @@ from chgeom.cli import main as cli_main
 from chgeom.construction import build_submanifold
 from chgeom.jacobi import special_radius
 from chgeom.model import ModelParams
-from chgeom.oracles import horosphere_germ
+from chgeom.oracles import horosphere_germ, tube_germ
 from chgeom.spectral import catalog_germ, classify, principal_decomposition
-from chgeom.tubes import MAX_RADIUS, tube_germ
+from chgeom.tubes import MAX_RADIUS
 
 DATA = Path(__file__).resolve().parent / "data" / "classify_golden.json"
 RESIDUAL_TOLERANCE = 1e-12

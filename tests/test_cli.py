@@ -37,9 +37,9 @@ from chgeom.cli import SWEEP_COLUMNS, main
 from chgeom.construction import build_submanifold
 from chgeom.jacobi import special_radius
 from chgeom.model import ModelParams
-from chgeom.oracles import horosphere_germ, w_orbit
+from chgeom.oracles import horosphere_germ, tube_germ, w_orbit
 from chgeom.spectral import catalog_germ
-from chgeom.tubes import MAX_RADIUS, MAX_RATE_RADIUS, tube_germ
+from chgeom.tubes import MAX_RADIUS, MAX_RATE_RADIUS
 from test_hygiene import unclassified_reasons
 
 
@@ -380,9 +380,20 @@ CONTRACT = [
                             r=special_radius(-4.0) * (1 + 1e-9))], 0,
          out={"model": "unclassified", "g": 3, "r": None, "residuals": {},
                  "reason": "indeterminate: lambda_2 and lambda_4 closer than the grouping tolerance"}),
-    *[_row(["classify", OFF_CATALOG, f"{option}={v}"], 2,
-           f"error: {option} must be positive and finite, got {float(v)!r}")
-      for option in ("--tolerance", "--grouping-tol") for v in ("nan", "inf", "0", "-1")],
+    *[_row(["classify", OFF_CATALOG, f"--tolerance={v}"], 2,
+           f"error: --tolerance must be positive and finite, got {float(v)!r}")
+      for v in ("nan", "inf", "0", "-1")],
+    # one tolerance: the decomposition groups at --tolerance/10, and
+    # there is no grouping option, whatever value it is given
+    _row(["classify", OFF_CATALOG, "--grouping-tol", "1e-7"], 2,
+         f"{USAGE}chgeom: error: unrecognized arguments: --grouping-tol 1e-7"),
+    *[_row(["classify", OFF_CATALOG, f"--grouping-tol={v}"], 2,
+           f"{USAGE}chgeom: error: unrecognized arguments: --grouping-tol={v}")
+      for v in ("nan", "inf", "0", "-1")],
+    # the smallest tolerance: its tenth, the grouping tolerance, is 0,
+    # which groups equal eigenvalues only
+    _row(["classify", _germ("catalog k=2 r=0.7 tol/10 = 0"), "--tolerance=5e-324"], 0,
+         out={"model": "unclassified", "g": 4, "h": 2, "reason": "residuals"}),
     # classify: malformed records exit 2 with one error line
     _row(["classify", "--input={tmp}/missing.json"], 2,
          f"{MALFORMED} [Errno 2] No such file or directory: '{{tmp}}/missing.json'"),
@@ -834,7 +845,7 @@ DOMAINS = {
     },
     "classify": {
         "--input": Domain(_catalog_records(), MALFORMED_RECORDS),
-        "--tolerance": POSITIVE, "--grouping-tol": POSITIVE,
+        "--tolerance": POSITIVE,
     },
     "residuals": {
         # k = 1 where c leaves no tube radius for k >= 2
@@ -859,8 +870,7 @@ DOMAINS = {
     },
 }
 # flags whose out-of-domain values the CLI itself rejects, by the flag's name
-NAMED_FLAGS = {"--tolerance", "--grouping-tol", "--fd-step", "--ode-step", "--jobs", "--seed",
-               "--samples"}
+NAMED_FLAGS = {"--tolerance", "--fd-step", "--ode-step", "--jobs", "--seed", "--samples"}
 SUBCOMMANDS = cli.build_parser().subcommands
 NON_FINITE = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
 
@@ -1168,9 +1178,8 @@ def test_parser_defaults_are_the_library_constants():
         model.DEFAULT_SAMPLES, model.DEFAULT_SEED, model.CURVATURE_TOLERANCE
     )
     args = parse(["classify", "--input", "germ.json"])
-    assert (args.tolerance, args.grouping_tol) == (
-        spectral.CLASSIFY_TOLERANCE, spectral.GROUPING_TOLERANCE
-    )
+    assert args.tolerance == spectral.CLASSIFY_TOLERANCE
+    assert not hasattr(args, "grouping_tol")
     args = parse(["residuals", "--n", "3", "--c", "-4", "--k", "2", "--r", "0.7"])
     assert args.fd_step == model.DEFAULT_FD_STEP
     # one definition: the lab reads the model's step

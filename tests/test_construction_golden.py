@@ -43,7 +43,7 @@ import pytest
 from chgeom.cli import main as cli_main
 from chgeom.construction import build_submanifold
 from chgeom.model import ModelParams
-from chgeom.tubes import tube_germ
+from chgeom.oracles import tube_germ
 
 DATA = Path(__file__).resolve().parent / "data" / "construction_golden.json"
 CURVATURES = (-1.0, -4.0, -100.0)

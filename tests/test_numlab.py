@@ -90,7 +90,7 @@ def test_tube_spectrum_matches_closed_form(tube_field):
 
 
 def test_numeric_germ_classifies(tube_field):
-    res = classify(tube_field.germ(), tol=1e-4, grouping_tol=1e-5)
+    res = classify(tube_field.germ(), tol=1e-4)
     assert res.model == "tube"
     assert res.k == 2
     assert abs(res.r - 0.7) < NUMERIC_CLASSIFY_TOLERANCE
@@ -101,7 +101,7 @@ def test_equidistant_chart_classifies():
     spec = build_submanifold(params, k=1, phi=np.pi / 2)
     chart = tube_chart(spec, r=0.3)
     field = GermField(chart, np.zeros(chart.domain_dim))
-    res = classify(field.germ(), tol=1e-4, grouping_tol=1e-5)
+    res = classify(field.germ(), tol=1e-4)
     assert res.model == "equidistant"
     assert res.k == 1
     assert abs(res.r - 0.3) < NUMERIC_CLASSIFY_TOLERANCE

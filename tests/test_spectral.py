@@ -15,7 +15,7 @@ from chgeom import spectral
 from chgeom.construction import build_submanifold
 from chgeom.jacobi import focal_radius, special_radius
 from chgeom.model import ModelParams
-from chgeom.oracles import constraint_residuals, horosphere_germ
+from chgeom.oracles import constraint_residuals, horosphere_germ, tube_germ
 from chgeom.spectral import (
     HypersurfaceGerm,
     catalog_at_radius,
@@ -30,7 +30,7 @@ from chgeom.spectral import (
     principal_decompositions,
     totally_real_check,
 )
-from chgeom.tubes import check_radii, tube_germ, tube_germs
+from chgeom.tubes import check_radii, tube_germs
 
 CATALOG_TOLERANCE = 1e-12
 FRAME_TOLERANCE = 1e-12
@@ -418,7 +418,7 @@ def test_a_batch_takes_germs_of_one_n():
 
 def test_classify_batch_checks_its_tolerances():
     germ = catalog_germ(ModelParams(n=3, c=-4.0), 2, r=0.7)
-    for kwargs in ({"tol": 0.0}, {"grouping_tol": -1.0}):
+    for kwargs in ({"tol": 0.0}, {"tol": -1.0}, {"tol": math.inf}):
         with pytest.raises(ValueError) as batch_error:
             classify_batch([germ], **kwargs)
         with pytest.raises(ValueError) as one_error:

@@ -27,12 +27,12 @@ from chgeom.oracles import (
     focal_shape_check,
     g_derivative,
     g_function,
+    tube_germ,
 )
 from chgeom.spectral import classify, hopf_frame, principal_decomposition
 from chgeom.tubes import (
     MAX_RADIUS,
     MAX_RATE_RADIUS,
-    tube_germ,
     tube_germs,
     tube_shape_operator,
     tube_spectrum_closed,
