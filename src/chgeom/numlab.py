@@ -22,7 +22,10 @@ coordinate array in sorted offset order and reads it through one fixed
 layout per domain dimension (``_layout``: the L1 <= 2 rows, their +-e_i
 neighbours and the stencil).  Every central difference goes through one
 rule, and every derived quantity is a stacked array built in one numpy
-pass: tangents and normals on the L1 <= 2 ball, shape data and
+pass: tangents on the L1 <= 2 ball and normals there (one vector, the
+center's SVD normal, projected off each point's tangents by one stacked
+solve over the ball metrics, so no point's normal carries noise of its
+own into the differences), shape data and
 Christoffel symbols on the L1 <= 1 stencil, the stencil germs' eigen-data
 (one stacked pass over the stencil by ``spectral``'s own rules: its
 symmetrised ``eigh``, grouping, Hopf selection and Hopf-frame formulas;
@@ -187,6 +190,34 @@ def _by_size(start: np.ndarray, size: np.ndarray):
         yield sel, start[sel, None] + np.arange(m)
 
 
+def check_frame_center(decomp) -> None:
+    """Raise ``Indeterminate`` unless the frame suites can run on the
+    center germ's decomposition: h = 2, a non-projected lambda_3
+    eigenspace, and eigenvalues the grouping rule resolves.  ``eigh``
+    moves each eigenvalue by up to eps times the largest |eigenvalue|
+    (Weyl), so the groups are read from the data only while that floor is
+    within the rule's threshold at the smallest |eigenvalue|."""
+    need = f"the frame suites cannot run: at grouping tolerance {NUMERIC_GROUPING_TOLERANCE:g}"
+    size = np.abs(decomp.eigenvalues)
+    floor = np.finfo(float).eps * size.max()
+    threshold = NUMERIC_GROUPING_TOLERANCE * (1.0 + size.min())
+    if floor > threshold:
+        raise Indeterminate(
+            f"{need} the center germ's eigenvalues are not resolved: eigh's "
+            f"rounding floor {floor:.3g} exceeds the grouping threshold "
+            f"{threshold:.3g} at the smallest |eigenvalue|"
+        )
+    if decomp.h != 2 or not decomp.non_hopf_indices:
+        lack = (
+            "no non-projected lambda_3 eigenspace" if decomp.h == 2
+            else f"h = {decomp.h} projected eigenspaces, not 2"
+        )
+        groups = ", ".join(f"{v:.6g}" for v in decomp.eigenvalues.tolist())
+        raise Indeterminate(
+            f"{need} the center germ has {lack} ({decomp.g} eigenvalue groups: {groups})"
+        )
+
+
 @dataclass(frozen=True)
 class FrameFields:
     """Principal-curvature frame fields around the center of a GermField.
@@ -212,8 +243,9 @@ class GermField:
 
     Evaluates the chart once on the L1 <= 3 offset lattice, kept as one
     (M, 2n) coordinate array in sorted offset order and read through the
-    index tables of ``_layout``.  Tangents and normals are stacked over
-    the L1 <= 2 ball; shape data, Christoffel symbols and germs over the
+    index tables of ``_layout``.  Tangents, metrics and normals (the
+    center's SVD normal projected off each point's tangents) are stacked
+    over the L1 <= 2 ball; shape data, Christoffel symbols and germs over the
     stencil (rows: center, +e_0, -e_0, +e_1, ...).  Each stack, and (when
     the center germ has two projected eigenvalues) the principal-curvature
     frame fields with their connection table, is built in one batched
@@ -274,8 +306,9 @@ class GermField:
         return self._tangents[self._center]
 
     def normal(self) -> np.ndarray:
-        """Unit normal: the SVD normal, times the one sign that makes
-        trace S >= 0 (see ``_shape``)."""
+        """Unit normal: the center tangents' SVD normal, less its rounding
+        along them, times the one sign that makes trace S >= 0 (see
+        ``_shape``)."""
         return self._shape["normals"][self._center]
 
     def germ(self) -> HypersurfaceGerm:
@@ -309,32 +342,41 @@ class GermField:
         """Unit normals on the L1 <= 2 ball, and stencil stacks of the
         ambient images S(d_i) = -(nabla-bar_{d_i} normal), the scalar form
         <S d_i, d_j>, the metric, its inverse and the coordinate matrix of
-        S (C[i, j]: S(d_i) = C[i,j] d_j).  The normals are the SVD normals
-        aligned with the center one; they and the S stacks (linear in the
-        normal) are negated together when trace S, the trace of C at the
-        center, is negative: the co-orientation ``classify`` reads.  A
-        singular metric, then a non-finite stack, raises
-        ``Indeterminate``."""
-        nrm = np.linalg.svd(self._tangents, full_matrices=True)[2][:, -1]
-        nrm = np.where((nrm @ nrm[self._center] < 0)[:, None], -nrm, nrm)
-        t = self._tangents[self._stencil]
-        tt = np.swapaxes(t, 1, 2)
+        S (C[i, j]: S(d_i) = C[i,j] d_j).  The normals are projections of
+        one vector, the center's SVD normal n0: at each ball point, n0
+        minus its part along the point's tangents (one stacked solve over
+        the ball metrics, of which the stencil's metric is a slice),
+        normalized.  They agree with one SVD per point
+        (``oracles.svd_normals``) to that SVD's rounding, without its
+        uncorrelated last bits, which the central differences magnify.
+        They and the S stacks (linear in the normal) are negated together
+        when trace S, the trace of C at the center, is negative: the
+        co-orientation ``classify`` reads.  A singular metric, then a
+        non-finite stack, raises ``Indeterminate``."""
+        tb = self._tangents
+        tbt = np.swapaxes(tb, 1, 2)
+        n0 = np.linalg.svd(tb[self._center], full_matrices=True)[2][-1]
+        t = tb[self._stencil]
         with np.errstate(all="ignore"):
-            dn = self._difference(nrm, self._stencil_nbr)
-            s_amb = -(dn + self.model.koszul_connection(t, nrm[self._stencil][:, None, :]))
-            ii = s_amb @ tt
-            g = t @ tt
+            g_ball = tb @ tbt
+            g = g_ball[self._stencil]
             try:
-                ginv = np.linalg.inv(g)
+                along = np.linalg.solve(g_ball, (tb @ n0)[..., None])
             except np.linalg.LinAlgError as exc:
                 raise Indeterminate(
                     "no suite can run: the chart's coordinate tangents are "
                     f"linearly dependent at fd-step {self.h:g} (singular metric)"
                 ) from exc
+            ginv = np.linalg.inv(g)  # g is a slice of g_ball: not singular
+            nrm = n0 - (tbt @ along)[..., 0]
+            nrm /= np.linalg.norm(nrm, axis=1)[:, None]
+            dn = self._difference(nrm, self._stencil_nbr)
+            s_amb = -(dn + self.model.koszul_connection(t, nrm[self._stencil][:, None, :]))
+            ii = s_amb @ np.swapaxes(t, 1, 2)
             coeff = ii @ ginv
             if np.trace(coeff[0]) < 0:  # trace S: the mean curvature
                 nrm, s_amb, ii, coeff = -nrm, -s_amb, -ii, -coeff
-        self._finite("shape data", s_amb, ii, g, ginv, coeff)
+        self._finite("shape data", nrm, s_amb, ii, g, ginv, coeff)
         return {
             "normals": nrm,
             "s_ambient": s_amb,
@@ -474,19 +516,9 @@ class GermField:
         """U_1, U_2, A and the aligned eigenspace complements, with the
         table of their tangential derivatives at the center."""
         decomp = self.decomposition()
+        check_frame_center(decomp)
         lam = [float(v) for v in decomp.eigenvalues]
         rest = decomp.non_hopf_indices
-        if decomp.h != 2 or not rest:
-            lack = (
-                "no non-projected lambda_3 eigenspace" if decomp.h == 2
-                else f"h = {decomp.h} projected eigenspaces, not 2"
-            )
-            groups = ", ".join(f"{v:.6g}" for v in lam)
-            raise Indeterminate(
-                "the frame suites cannot run: at grouping tolerance "
-                f"{NUMERIC_GROUPING_TOLERANCE:g} the center germ has {lack} "
-                f"({decomp.g} eigenvalue groups: {groups})"
-            )
         grp = self._groups
         hopf = _projected(grp["b"])
         h = np.bincount(grp["row"][hopf], minlength=len(self._stencil))

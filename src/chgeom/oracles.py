@@ -18,7 +18,10 @@ import numpy as np
 from .construction import SubmanifoldSpec, is_totally_real, orbit_second_fundamental_form
 from .jacobi import _f, _g, _hyperbolic, _mode_matrix, focal_determinant_matrix
 from .model import B_INDEX, GALPHA_START, Z_INDEX, ModelParams, SolvableModel, j_action, rate
-from .numlab import NUMERIC_GROUPING_TOLERANCE, ChartImmersion, FrameFields, GermField, Indeterminate
+from .numlab import (
+    NUMERIC_GROUPING_TOLERANCE, ChartImmersion, FrameFields, GermField, Indeterminate,
+    check_frame_center,
+)
 from .spectral import (
     EigenStructure, HypersurfaceGerm, catalog_quadratic, hopf_frame,
     hopf_projection_squares, principal_decomposition,
@@ -239,6 +242,14 @@ def convergence_order(make_residual, steps=(1e-3, 5e-4)) -> float:
     return math.log2(r1 / r2) / math.log2(steps[0] / steps[1])
 
 
+def svd_normals(tangents: np.ndarray, center: int) -> np.ndarray:
+    """The SVD route to a GermField's unit normals on its L1 <= 2 ball,
+    for (B2, dom, 2n) tangent stacks: each point's last right singular
+    vector, turned to agree with the one at ball position center."""
+    nrm = np.linalg.svd(tangents, full_matrices=True)[2][:, -1]
+    return np.where((nrm @ nrm[center] < 0)[:, None], -nrm, nrm)
+
+
 def stencil_decompositions(field: GermField) -> list:
     """The per-row reference of a GermField's stacked stencil pass: one
     germ and one ``principal_decomposition`` per L1 <= 1 stencil row, at
@@ -273,19 +284,9 @@ def frame_fields_per_row(field: GermField) -> FrameFields:
     for each row, raising the same ``Indeterminate``."""
     decomps = stencil_decompositions(field)
     decomp = decomps[0]
+    check_frame_center(decomp)
     lam = [float(v) for v in decomp.eigenvalues]
     rest = decomp.non_hopf_indices
-    if decomp.h != 2 or not rest:
-        lack = (
-            "no non-projected lambda_3 eigenspace" if decomp.h == 2
-            else f"h = {decomp.h} projected eigenspaces, not 2"
-        )
-        groups = ", ".join(f"{v:.6g}" for v in lam)
-        raise Indeterminate(
-            "the frame suites cannot run: at grouping tolerance "
-            f"{NUMERIC_GROUPING_TOLERANCE:g} the center germ has {lack} "
-            f"({decomp.g} eigenvalue groups: {groups})"
-        )
     off = [d.h for d in decomps if d.h != 2]
     if off:
         raise Indeterminate(

@@ -28,16 +28,16 @@ loops.  A CPU without AVX-512 changes both.
 - OpenBLAS forced to another core (``OPENBLAS_CORETYPE=Haswell`` or
   ``=Zen``, both of which run the Haswell kernels): ``eigh`` and
   ``matmul`` round differently in the last bits, and
-  ``test_classify_matches_golden``, every
-  ``test_numlab_golden.py::test_residuals_match_golden_values`` case and
-  the construction goldens fail (116 tests), while the sweep-bytes tests
+  ``test_classify_matches_golden``, every tube case of
+  ``test_numlab_golden.py::test_residuals_match_golden_values`` and
+  the construction goldens fail (115 tests), while the sweep-bytes tests
   and the two coverage tests still pass.
 - numpy without its X86_V4 loops
   (``NPY_DISABLE_CPU_FEATURES=AVX512_SPR,AVX512_ICL,X86_V4``):
   ``np.cosh`` and ``np.sinh`` in ``jacobi`` round differently, the
   criterion-10 ``detD`` and ``detD_expected`` cells change in their last
   digits at r = 0.2, 0.4 and 1.4, and both sweep-bytes tests fail.
-So such a CPU fails 118 tests.  A mismatch in r, an eigenvalue or a
+So such a CPU fails 117 tests.  A mismatch in r, an eigenvalue or a
 sweep digit with every label equal is then a platform difference to
 confirm (CI prints the OpenBLAS core and numpy's X86_V4 dispatch) before
 it is read as a regression.

@@ -7,6 +7,8 @@ from functools import cached_property
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chgeom.construction import build_submanifold
 from chgeom.model import ModelParams, SolvableModel
@@ -26,6 +28,7 @@ from chgeom.numlab import (
 )
 from chgeom.oracles import (
     convergence_order, frame_fields_per_row, horosphere_chart, stencil_decompositions,
+    svd_normals,
 )
 from chgeom.spectral import classify
 from chgeom.tubes import tube_spectrum_closed
@@ -241,18 +244,20 @@ def test_frame_table_is_built_once(monkeypatch):
 
 
 # (n, c, k, r, fd-step, center, whether the stencil rows group alike):
-# every n = 2..5 and k at two centers, and the edge rows of test_cli's
-# CONTRACT where the rows group unlike the center or the frame suites do
-# not run: the center at r = 5 and r = 6, a neighbour with h = 1 at
-# r = 1e-100 and c = -1e200, and mixed groups with h = 2 at c = -1e100
+# every n = 2..5 and k at two centers, the edge rows of test_cli's
+# CONTRACT where the frame suites do not run (the center at r = 5 and
+# r = 6; eigenvalues past the grouping rule's resolution at r = 1e-100
+# and c = -1e100, and at c = -1e200, whose rows group unlike the center),
+# and frames built over rows in three groupings at c = -1e-4, r = 0.002
 STENCIL_CASES = [
     *[(n, -4.0, k, r, 1e-3, x0, True)
       for n in range(2, 6) for k in range(1, n) for r, x0 in ((0.5, 0.0), (0.7, 0.04))],
     (3, -4.0, 2, 5.0, 1e-3, 0.0, True),
     (3, -4.0, 2, 6.0, 1e-3, 0.0, True),
-    (3, -4.0, 2, 1e-100, 1e-3, 0.0, False),
-    (3, -1e100, 2, 1e-151, 1e-100, 0.0, False),
+    (3, -4.0, 2, 1e-100, 1e-3, 0.0, True),
+    (3, -1e100, 2, 1e-151, 1e-100, 0.0, True),
     (3, -1e200, 2, 1e-151, 1e-100, 0.0, False),
+    (3, -1e-4, 2, 0.002, 1e-20, 0.0, False),
 ]
 
 
@@ -357,11 +362,12 @@ def test_lattice_rows_and_neighbours_agree_with_offsets():
 def test_normal_orientation(n, k, r, flipped):
     """trace S (of C and of the germ) and the trace of <S d_i, d_j> are
     >= 0 at the center and every L1 <= 1 neighbour normal is aligned with
-    the center one, whether or not the first SVD normal had to be turned
-    around (at x0 = 0 it must be on the n=3 k=2 tube, and not on the n=2
-    k=1 one).  The one pass gives the normals and shape stacks of the
-    two-pass route: orient by trace S from the center's S, then build the
-    stencil's S from the oriented normals."""
+    the center one, whether or not the center's SVD normal had to be
+    turned around (at x0 = 0 it must be on the n=3 k=2 tube, and not on
+    the n=2 k=1 one).  The one pass gives the normals and shape stacks of
+    the two-pass route: project the center's SVD normal off every ball
+    point's tangents, orient by trace S from the center's S, then build
+    the stencil's S from the oriented normals."""
     spec = build_submanifold(ModelParams(n=n, c=-4.0), k=k, phi=np.pi / 2)
     chart = tube_chart(spec, r=r)
     field = GermField(chart, np.zeros(chart.domain_dim))
@@ -382,8 +388,10 @@ def test_normal_orientation(n, k, r, flipped):
         t = field._tangents[rows]
         return -(dn + field.model.koszul_connection(t, normals[rows][:, None, :]))
 
-    nrm = np.linalg.svd(field._tangents, full_matrices=True)[2][:, -1]
-    nrm = np.where((nrm @ nrm[field._center] < 0)[:, None], -nrm, nrm)
+    tb = field._tangents
+    along = np.linalg.solve(tb @ np.swapaxes(tb, 1, 2), (tb @ vt[-1])[..., None])
+    nrm = vt[-1] - (np.swapaxes(tb, 1, 2) @ along)[..., 0]
+    nrm /= np.linalg.norm(nrm, axis=1)[:, None]
     t0 = field.tangents()
     if np.trace(s_ambient(nrm, stop=1)[0] @ t0.T @ np.linalg.inv(t0 @ t0.T)) < 0:
         nrm = -nrm  # trace S < 0
@@ -394,6 +402,43 @@ def test_normal_orientation(n, k, r, flipped):
     assert (shape["s_ambient"] == s_amb).all()
     assert (shape["second_fundamental"] == ii).all()
     assert (shape["coeff"] == ii @ shape["inv_metric"]).all()
+
+
+EPS = np.finfo(float).eps
+
+
+def _worst_tangent_cosine(tangents, normals) -> float:
+    """max |t . n| / |t| over the coordinate tangents t of every point."""
+    dots = np.abs(tangents @ normals[..., None])[..., 0]
+    return float(np.max(dots / np.linalg.norm(tangents, axis=-1)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(
+    nk=st.integers(2, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+    sr_exp=st.floats(-4.0, math.log10(1.2)),
+    step=st.sampled_from([1e-3, 5e-4]),
+    x0=st.sampled_from([0.0, 0.04]),
+)
+def test_projected_normals_match_the_svd_oracle(nk, sr_exp, step, x0):
+    """The ball normals, each the center's SVD normal minus its part
+    along the point's tangents, are unit vectors within 8 eps kappa of
+    the per-point SVD normals (``oracles.svd_normals``), and no further
+    from normal to the tangents than those: on tubes for n = 2..5, every
+    k, s*r in [1e-4, 1.2] (c = -4, s = 1) and the golden's two steps.
+    kappa is the condition number of the point's tangents: the SVD's own
+    null vector is good to about eps kappa (Wedin), which reaches 1e4 eps
+    at s*r = 1e-4, where the normal-sphere tangents are that short."""
+    (n, k), r = nk, min(10.0**sr_exp, 1.2)
+    chart = tube_chart(build_submanifold(ModelParams(n=n, c=-4.0), k, np.pi / 2), r)
+    field = GermField(chart, x0 * np.cos(np.arange(chart.domain_dim)), step)
+    normals, tangents = field._shape["normals"], field._tangents
+    oracle = svd_normals(tangents, field._center)
+    oracle *= np.sign(oracle[field._center] @ normals[field._center])  # the trace S turn
+    sv = np.linalg.svd(tangents, compute_uv=False)
+    assert np.max(np.abs(np.linalg.norm(normals, axis=1) - 1.0)) <= 2 * EPS
+    assert (np.linalg.norm(normals - oracle, axis=1) <= 8 * EPS * sv[:, 0] / sv[:, -1]).all()
+    assert _worst_tangent_cosine(tangents, normals) <= _worst_tangent_cosine(tangents, oracle)
 
 
 def test_field_derivative_helpers(tube_field):

@@ -8,15 +8,25 @@ when those suites began to take the ambient curvature from
 ``model.ambient_curvature`` instead of a formula of their own.  A
 horosphere field has h = 1, so it has no frame suites.
 
+Every value was re-recorded when the lab's normals became projections of
+the center's SVD normal (one stacked solve over the ball metrics) in
+place of one SVD per ball point, whose normals carried uncorrelated
+last-bit noise into the central differences.  Gauss and Codazzi moved by
+at most 1.6e-6 relative (codazzi, crit9 at h = 5e-4).  Every other value
+fell, most of the frame values by two to five orders (crit9 at h = 1e-3:
+frame_u1_u1 2.606e-10 -> 4.229e-13), except frame_a_a at n3k2 and n4k3,
+h = 1e-3, which read 0.0 and now read 5.55e-17 (2^-54, one rounding).
+
 The bit-for-bit values also pin the floating-point build: numpy 2.4 on
 x86-64 with OpenBLAS 0.3.31 (DYNAMIC_ARCH) running its SkylakeX
 (AVX-512) kernels.  With the Haswell kernels (``OPENBLAS_CORETYPE=
-Haswell`` or ``=Zen``, or a CPU without AVX-512) every case below fails,
-and not on a last bit: the central differences magnify the kernels'
-rounding, so ``gauss`` moves by about 4e-9 relative (crit9 at h = 1e-3:
-7.556435684e-05 -> 7.556435715e-05) and 74 of the 93 values below leave
-their bounds.  Such a CPU also lacks numpy's X86_V4 loops, which moves
-the sweep bytes as well; see ``test_classify_golden.py``.
+Haswell`` or ``=Zen``, or a CPU without AVX-512) every tube case below
+fails, and not on a last bit: the central differences magnify the
+kernels' rounding, so ``gauss`` moves by about 5e-9 relative (crit9 at
+h = 1e-3: 7.556435681e-05 -> 7.556435719e-05) and 11 of the 93 values
+below leave their bounds (74 with the per-point SVD normals).  Such a
+CPU also lacks numpy's X86_V4 loops, which moves the sweep bytes as
+well; see ``test_classify_golden.py``.
 """
 
 import numpy as np
@@ -51,110 +61,110 @@ TUBES = {
 
 GOLDEN = {
     ("crit9", 0.001): {
-        "gauss": 7.556435684108465e-05,
-        "codazzi": 3.137256828544821e-06,
-        "real_eigenspace": 1.7629421633583788e-30,
-        "graded_connection": 3.7427794083693576e-10,
-        "graded_curvature": 2.392227932491513e-10,
-        "unit_pair_gauss": 9.715619420094548e-10,
-        "frame_u1_u1": 2.605596267697301e-10,
-        "frame_u1_u2": 8.576800046665144e-11,
-        "frame_u1_a": 2.636324949102857e-10,
-        "frame_a_u1": 1.1471880578896188e-11,
-        "frame_u2_u2": 3.7432411311586945e-11,
-        "frame_u2_u1": 7.826395707184816e-11,
-        "frame_u2_a": 7.733076445745998e-11,
-        "frame_a_u2": 3.729579088330315e-12,
-        "frame_a_a": 1.2024436923075717e-11,
+        "gauss": 7.556435681088658e-05,
+        "codazzi": 3.137257499119528e-06,
+        "real_eigenspace": 2.9383399176157307e-32,
+        "graded_connection": 8.69310894054093e-12,
+        "graded_curvature": 1.0806359527399152e-12,
+        "unit_pair_gauss": 6.84194922939696e-11,
+        "frame_u1_u1": 4.2289115907671777e-13,
+        "frame_u1_u2": 7.197007695245689e-13,
+        "frame_u1_a": 5.717919486537696e-13,
+        "frame_a_u1": 6.040729231488529e-14,
+        "frame_u2_u2": 5.588292794921694e-14,
+        "frame_u2_u1": 9.287192900261037e-14,
+        "frame_u2_a": 5.69161011585542e-14,
+        "frame_a_u2": 9.387962609924059e-14,
+        "frame_a_a": 6.526698574975893e-14,
     },
     ("crit9", 0.0005): {
-        "gauss": 1.8891086881467345e-05,
-        "codazzi": 7.843157439069159e-07,
-        "real_eigenspace": 2.3417288696950085e-31,
-        "graded_connection": 2.0358966504107375e-09,
-        "graded_curvature": 9.18199810832244e-10,
-        "unit_pair_gauss": 2.582788553835875e-09,
-        "frame_u1_u1": 3.032911662052729e-10,
-        "frame_u1_u2": 1.88142424227336e-10,
-        "frame_u1_a": 3.184686888230938e-10,
-        "frame_a_u1": 6.865607615646423e-11,
-        "frame_u2_u2": 1.6645444755023172e-10,
-        "frame_u2_u1": 1.224704024859302e-10,
-        "frame_u2_a": 1.2856407392875179e-10,
-        "frame_a_u2": 6.24530034879152e-11,
-        "frame_a_a": 7.219530357210219e-11,
+        "gauss": 1.8891086465799845e-05,
+        "codazzi": 7.843144880226305e-07,
+        "real_eigenspace": 1.1148225164828692e-32,
+        "graded_connection": 8.093805971313217e-11,
+        "graded_curvature": 1.3100974047350364e-10,
+        "unit_pair_gauss": 1.4020593575025941e-09,
+        "frame_u1_u1": 2.991449736194139e-13,
+        "frame_u1_u2": 9.76555676325855e-13,
+        "frame_u1_a": 6.617440230732057e-13,
+        "frame_a_u1": 1.3016884040534657e-13,
+        "frame_u2_u2": 2.8317920637160934e-13,
+        "frame_u2_u1": 3.004047476310855e-13,
+        "frame_u2_a": 2.074938876752839e-13,
+        "frame_a_u2": 9.714243695878502e-14,
+        "frame_a_a": 1.3661819474839046e-13,
     },
     ("n3k2", 0.001): {
-        "gauss": 3.289352287794145e-05,
-        "codazzi": 1.2258293020650513e-06,
-        "real_eigenspace": 0.0,
-        "graded_connection": 4.4213741622874004e-10,
-        "graded_curvature": 3.281087022352196e-10,
-        "unit_pair_gauss": 2.821787248308283e-09,
-        "frame_u1_u1": 1.1894391959532506e-11,
-        "frame_u1_u2": 7.925854257771137e-13,
-        "frame_u1_a": 1.3122668463584241e-11,
-        "frame_a_u1": 8.872679170706506e-14,
-        "frame_u2_u2": 7.95905106185482e-12,
-        "frame_u2_u1": 1.0276400785420521e-12,
-        "frame_u2_a": 1.1927444106277576e-12,
-        "frame_a_u2": 6.698788480822048e-14,
-        "frame_a_a": 0.0,
-    },
-    ("n3k2", 0.0005): {
-        "gauss": 8.22338049033533e-06,
-        "codazzi": 3.064573834699047e-07,
-        "real_eigenspace": 0.0,
-        "graded_connection": 1.521834273371325e-09,
-        "graded_curvature": 7.479464010744717e-09,
-        "unit_pair_gauss": 6.074842584524731e-08,
-        "frame_u1_u1": 5.065534161490051e-10,
-        "frame_u1_u2": 8.093457111270828e-11,
-        "frame_u1_a": 5.579029078226107e-10,
-        "frame_a_u1": 7.914272255028382e-13,
-        "frame_u2_u2": 2.8585316318558148e-11,
-        "frame_u2_u1": 1.3837914481372778e-10,
-        "frame_u2_a": 1.5238035940614403e-10,
-        "frame_a_u2": 1.1329891241350763e-13,
-        "frame_a_a": 6.206335383118183e-17,
-    },
-    ("n4k3", 0.001): {
-        "gauss": 3.289352287794145e-05,
+        "gauss": 3.2893522829979815e-05,
         "codazzi": 1.2258293018430066e-06,
         "real_eigenspace": 0.0,
-        "graded_connection": 1.001624477784644e-10,
-        "graded_curvature": 1.3650891528271814e-10,
-        "unit_pair_gauss": 1.2752749967148702e-09,
-        "frame_u1_u1": 1.1013865052604336e-11,
-        "frame_u1_u2": 2.247504629145476e-12,
-        "frame_u1_a": 1.2109158599507645e-11,
-        "frame_a_u1": 8.844926378457183e-14,
-        "frame_u2_u2": 7.802901484656457e-12,
-        "frame_u2_u1": 3.4826644341790994e-12,
-        "frame_u2_a": 3.8872231519684405e-12,
-        "frame_a_u2": 6.671036287671376e-14,
-        "frame_a_a": 0.0,
+        "graded_connection": 1.3478680854276471e-11,
+        "graded_curvature": 7.892601114469087e-11,
+        "unit_pair_gauss": 6.776366134886302e-10,
+        "frame_u1_u1": 1.4432899320127035e-15,
+        "frame_u1_u2": 3.6018140020540235e-15,
+        "frame_u1_a": 6.268907512905593e-14,
+        "frame_a_u1": 2.0014830212433605e-16,
+        "frame_u2_u2": 1.1762602059271538e-15,
+        "frame_u2_u1": 5.551115123125783e-17,
+        "frame_u2_a": 4.8845089676229335e-14,
+        "frame_a_u2": 2.482534153247273e-16,
+        "frame_a_a": 5.551115123125783e-17,
+    },
+    ("n3k2", 0.0005): {
+        "gauss": 8.223380705274508e-06,
+        "codazzi": 3.064573828037709e-07,
+        "real_eigenspace": 0.0,
+        "graded_connection": 1.0752377065779461e-10,
+        "graded_curvature": 5.177937738807818e-11,
+        "unit_pair_gauss": 1.5621268723009507e-09,
+        "frame_u1_u1": 9.155133597044475e-16,
+        "frame_u1_u2": 2.458836977398138e-15,
+        "frame_u1_a": 4.40109267240385e-14,
+        "frame_a_u1": 2.0014830212433605e-16,
+        "frame_u2_u2": 6.866350197783356e-16,
+        "frame_u2_u1": 2.0014830212433605e-16,
+        "frame_u2_a": 3.4330180219277946e-14,
+        "frame_a_u2": 2.482534153247273e-16,
+        "frame_a_a": 5.551115123125783e-17,
+    },
+    ("n4k3", 0.001): {
+        "gauss": 3.2893522829979815e-05,
+        "codazzi": 1.2258293018430066e-06,
+        "real_eigenspace": 0.0,
+        "graded_connection": 1.3502116018894621e-11,
+        "graded_curvature": 7.892601114469086e-11,
+        "unit_pair_gauss": 6.778089201020521e-10,
+        "frame_u1_u1": 1.4432899320127035e-15,
+        "frame_u1_u2": 3.6018140020540235e-15,
+        "frame_u1_a": 6.268907512905593e-14,
+        "frame_a_u1": 1.2412670766236366e-16,
+        "frame_u2_u2": 1.319485001705613e-15,
+        "frame_u2_u1": 5.551115123125783e-17,
+        "frame_u2_a": 4.894321749572458e-14,
+        "frame_a_u2": 2.482534153247273e-16,
+        "frame_a_a": 5.551115123125783e-17,
     },
     ("n4k3", 0.0005): {
-        "gauss": 8.22338049033533e-06,
-        "codazzi": 3.064573832478601e-07,
+        "gauss": 8.223380705274508e-06,
+        "codazzi": 3.064573828037709e-07,
         "real_eigenspace": 0.0,
-        "graded_connection": 1.4230010755093386e-09,
-        "graded_curvature": 1.8503506962774572e-09,
-        "unit_pair_gauss": 1.5608397045083518e-08,
-        "frame_u1_u1": 5.065526714930283e-10,
-        "frame_u1_u2": 8.093432289404855e-11,
-        "frame_u1_a": 5.579023598949012e-10,
-        "frame_a_u1": 7.917047523508756e-13,
-        "frame_u2_u2": 2.8585042447473494e-11,
-        "frame_u2_u1": 1.38378250395761e-10,
-        "frame_u2_a": 1.5237934084139607e-10,
-        "frame_a_u2": 1.1282172739943052e-13,
-        "frame_a_a": 6.206335383118183e-17,
+        "graded_connection": 1.0754422719849831e-10,
+        "graded_curvature": 5.2474683137013825e-11,
+        "unit_pair_gauss": 1.5650987172932673e-09,
+        "frame_u1_u1": 9.155133597044475e-16,
+        "frame_u1_u2": 2.458836977398138e-15,
+        "frame_u1_a": 4.40109267240385e-14,
+        "frame_a_u1": 1.2412670766236366e-16,
+        "frame_u2_u2": 8.252325904466732e-16,
+        "frame_u2_u1": 2.0014830212433605e-16,
+        "frame_u2_a": 3.4427700933731855e-14,
+        "frame_a_u2": 2.482534153247273e-16,
+        "frame_a_a": 5.551115123125783e-17,
     },
     ("horosphere", 0.001): {
-        "gauss": 9.069966999675216e-13,
-        "codazzi": 3.197442310920451e-13,
+        "gauss": 8.881367863367018e-13,
+        "codazzi": 5.592748486549226e-14,
         "real_eigenspace": 0.0,
     },
 }
