@@ -32,8 +32,11 @@ symmetrised ``eigh``, grouping, Hopf selection and Hopf-frame formulas;
 only the center germ gets a ``principal_decomposition``), and one
 frame-field table (``FrameFields``: U_1, U_2, A, the aligned eigenspace
 complements and every nabla_{X_a} X_b at the center), which the four
-frame-identity suites read as vector expressions.  The accessors return
-center values.
+frame-identity suites read as vector expressions.  The hypersurfaces
+have constant principal curvatures, so the table is built only where
+every stencil row decomposes like the center (``check_like_center``);
+each eigenvalue group is then one column slice of the stencil's
+eigen-data.  The accessors return center values.
 The chart values and stacks are computed with numpy's floating-point
 warnings off; a stack left non-finite by a step or scale past the
 double range raises ``Indeterminate`` (no suite runs).
@@ -181,13 +184,11 @@ def _layout(dim: int) -> tuple:
     return tables
 
 
-def _by_size(start: np.ndarray, size: np.ndarray):
-    """For each distinct group size m (ascending): the positions of the
-    groups of that size and the (count, m) flat indices of their
-    members, for groups given by first flat index and size."""
-    for m in sorted(set(size.tolist())):
-        sel = np.flatnonzero(size == m)
-        yield sel, start[sel, None] + np.arange(m)
+def _frames_cannot_run(why: str) -> Indeterminate:
+    """The ``Indeterminate`` that stops the frame suites, for reason why."""
+    return Indeterminate(
+        f"the frame suites cannot run: at grouping tolerance {NUMERIC_GROUPING_TOLERANCE:g} {why}"
+    )
 
 
 def check_frame_center(decomp) -> None:
@@ -197,15 +198,14 @@ def check_frame_center(decomp) -> None:
     moves each eigenvalue by up to eps times the largest |eigenvalue|
     (Weyl), so the groups are read from the data only while that floor is
     within the rule's threshold at the smallest |eigenvalue|."""
-    need = f"the frame suites cannot run: at grouping tolerance {NUMERIC_GROUPING_TOLERANCE:g}"
     size = np.abs(decomp.eigenvalues)
     floor = np.finfo(float).eps * size.max()
     threshold = NUMERIC_GROUPING_TOLERANCE * (1.0 + size.min())
     if floor > threshold:
-        raise Indeterminate(
-            f"{need} the center germ's eigenvalues are not resolved: eigh's "
-            f"rounding floor {floor:.3g} exceeds the grouping threshold "
-            f"{threshold:.3g} at the smallest |eigenvalue|"
+        raise _frames_cannot_run(
+            "the center germ's eigenvalues are not resolved: eigh's rounding "
+            f"floor {floor:.3g} exceeds the grouping threshold {threshold:.3g} "
+            "at the smallest |eigenvalue|"
         )
     if decomp.h != 2 or not decomp.non_hopf_indices:
         lack = (
@@ -213,9 +213,24 @@ def check_frame_center(decomp) -> None:
             else f"h = {decomp.h} projected eigenspaces, not 2"
         )
         groups = ", ".join(f"{v:.6g}" for v in decomp.eigenvalues.tolist())
-        raise Indeterminate(
-            f"{need} the center germ has {lack} ({decomp.g} eigenvalue groups: {groups})"
+        raise _frames_cannot_run(
+            f"the center germ has {lack} ({decomp.g} eigenvalue groups: {groups})"
         )
+
+
+def check_like_center(what: str, rows: list) -> None:
+    """Raise ``Indeterminate`` unless every stencil row decomposes like
+    the center in what: rows[s] (a tuple of ints) in stencil order, the
+    center, +e_0, -e_0, +e_1, ...  The message names the first
+    neighbour that differs."""
+    for s, row in enumerate(rows):
+        if row != rows[0]:
+            axis, minus = divmod(s - 1, 2)
+            raise _frames_cannot_run(
+                f"the stencil neighbour {'-' if minus else '+'}e_{axis} of the center decomposes "
+                f"unlike it: {what} ({', '.join(map(str, row))}) where the center has "
+                f"({', '.join(map(str, rows[0]))})"
+            )
 
 
 @dataclass(frozen=True)
@@ -228,8 +243,9 @@ class FrameFields:
     to A) and span the other non-projected eigenspaces.  At the center
     (stencil row 0) X_a has principal curvature eigenvalues[a], so
     eigenvalues[:3] are (lambda_1, lambda_2, lambda_3); groups[a] is the
-    index of X_a's eigenspace in the center decomposition; nabla[a, b] =
-    nabla_{X_a} X_b there.
+    index of X_a's eigenspace in the center decomposition, and of the
+    eigenspace X_a is built from at every row, as every row groups its
+    eigenvalues alike; nabla[a, b] = nabla_{X_a} X_b at the center.
     """
 
     fields: np.ndarray  # (F, 2 dom + 1, 2n)
@@ -250,12 +266,14 @@ class GermField:
     the center germ has two projected eigenvalues) the principal-curvature
     frame fields with their connection table, is built in one batched
     pass on first use.  The stencil germs are decomposed in one stacked
-    pass: one ``spectral._eigh`` over their shapes, then each row's
-    eigenvalue groups (``spectral._group_starts``), the J xi projections,
-    the Hopf check at the neighbours (``spectral._projected``), U_1, U_2,
-    A (``spectral._hopf_vectors``) and the aligned eigenspace fields, each
-    row with the bits of a one-germ ``principal_decomposition``.  Only the
-    center keeps a ``HypersurfaceGerm`` and a ``PrincipalDecomposition``.
+    pass: one ``spectral._eigh`` over their shapes; the frame fields then
+    need every row's eigenvalue groups (``spectral._group_starts``) and
+    Hopf groups (``spectral._projected``) to be the center's, and read
+    each group as one column slice of all rows: its J xi projections,
+    U_1, U_2, A (``spectral._hopf_vectors``) and the aligned eigenspace
+    fields, each row with the bits of a one-germ
+    ``principal_decomposition``.  Only the center keeps a
+    ``HypersurfaceGerm`` and a ``PrincipalDecomposition``.
     The accessors return the center values.
     """
 
@@ -454,90 +472,42 @@ class GermField:
     # -- eigenframe fields -------------------------------------------------
 
     @cached_property
-    def _groups(self) -> dict:
-        """Every stencil row's eigenvalue groups, by
-        ``spectral._group_starts`` at the lab's grouping tolerance, listed
-        row after row in ascending order (G groups):
-
-          start  (G,) flat index of the group's first eigenvalue
-          size   (G,) its multiplicity
-          row    (G,) its stencil row
-          rank   (G,) its index within its row
-          mean   (G,) its eigenvalue
-          b      (G,) the norm of J xi's projection onto it
-          jxi    (G, 2n) that projection
-          first  (S,) each stencil row's first group
-
-        Groups of one size are stacked together, which gives each sum and
-        product the bits of its one-group call."""
-        _, _, evals, ambient, coeffs = self._spectra
-        rows, dom = evals.shape
-        start = np.array([
-            row * dom + i for row, values in enumerate(evals.tolist())
-            for i in _group_starts(values, NUMERIC_GROUPING_TOLERANCE)
-        ])
-        with np.errstate(all="ignore"):
-            size = np.append(start[1:], evals.size) - start
-            row = start // dom
-            first = np.searchsorted(row, np.arange(rows))
-            mean = np.empty(len(start))
-            sq = np.empty(len(start))
-            jxi = np.empty((len(start), ambient.shape[-1]))
-            for sel, idx in _by_size(start, size):
-                mean[sel] = evals.reshape(-1)[idx].sum(axis=1) / idx.shape[1]
-                v = coeffs.reshape(-1)[idx][:, None]
-                sq[sel] = (v @ np.swapaxes(v, 1, 2))[:, 0, 0]
-                jxi[sel] = (v @ ambient.reshape(evals.size, -1)[idx])[:, 0]
-        return {
-            "start": start, "size": size, "row": row,
-            "rank": np.arange(len(start)) - first[row], "first": first,
-            "mean": mean, "b": np.sqrt(sq), "jxi": jxi,
-        }
-
-    def _aligned_space_field(self, center_rows, eigenvalue) -> np.ndarray:
-        """Orthonormal bases tracking center_rows, stacked over the
-        stencil: at each row, the projection onto the eigenspace nearest
-        the given eigenvalue, re-orthonormalized (Loewdin)."""
-        grp = self._groups
-        ambient = self._spectra[3]
-        # distances to each row's groups, padded with inf past its last
-        dist = np.full((len(grp["first"]), grp["rank"].max() + 1), np.inf)
-        dist[grp["row"], grp["rank"]] = np.abs(grp["mean"] - eigenvalue)
-        pick = grp["first"] + np.argmin(dist, axis=1)
-        proj = np.empty((len(pick), *center_rows.shape))
-        for sel, idx in _by_size(grp["start"][pick], grp["size"][pick]):
-            space = ambient.reshape(-1, ambient.shape[-1])[idx]
-            proj[sel] = center_rows @ np.swapaxes(space, 1, 2) @ space
-        u, _, vt = np.linalg.svd(proj, full_matrices=False)
-        return u @ vt
-
-    @cached_property
     def frame_fields(self) -> FrameFields:
         """U_1, U_2, A and the aligned eigenspace complements, with the
-        table of their tangential derivatives at the center."""
+        table of their tangential derivatives at the center.  Their
+        differences across the stencil mean something only where every
+        row has the center's eigenvalue groups and Hopf groups
+        (``check_like_center``); each group is then one column slice
+        [lo, hi) of all rows' eigen-data, with the bits of a one-germ call."""
         decomp = self.decomposition()
         check_frame_center(decomp)
+        _, _, evals, ambient, coeffs = self._spectra
+        cuts = [
+            [*_group_starts(row, NUMERIC_GROUPING_TOLERANCE), self.dom] for row in evals.tolist()
+        ]
+        check_like_center("eigenvalue group sizes", [
+            tuple(hi - lo for lo, hi in zip(row, row[1:])) for row in cuts
+        ])
+        bounds = list(zip(cuts[0], cuts[0][1:]))
+        # per group: its coefficients of J xi (S, 1, m) and its eigenvector
+        # rows (S, m, 2n)
+        coef = [coeffs[:, None, lo:hi] for lo, hi in bounds]
+        space = [ambient[:, lo:hi] for lo, hi in bounds]
+        with np.errstate(all="ignore"):
+            b = np.sqrt(np.stack([(v @ np.swapaxes(v, 1, 2))[:, 0, 0] for v in coef], axis=1))
+            check_like_center("Hopf groups", [
+                tuple(i for i, hopf in enumerate(row) if hopf) for row in _projected(b).tolist()
+            ])
+            i1, i2 = decomp.hopf_indices
+            p1, p2 = ((coef[i] @ space[i])[:, 0] for i in (i1, i2))
+        # U_1, U_2 and A, each stacked over the stencil
+        xi = self._shape["normals"][self._stencil]
+        fields = list(_hopf_vectors(p1, p2, b[:, i1, None], b[:, i2, None], xi))
+        a_vec = fields[2][0]
         lam = [float(v) for v in decomp.eigenvalues]
         rest = decomp.non_hopf_indices
-        grp = self._groups
-        hopf = _projected(grp["b"])
-        h = np.bincount(grp["row"][hopf], minlength=len(self._stencil))
-        off = h[h != 2]
-        if len(off):
-            raise Indeterminate(
-                "the frame suites cannot run: at grouping tolerance "
-                f"{NUMERIC_GROUPING_TOLERANCE:g} a stencil neighbour of the "
-                f"center germ has h = {off[0]} projected eigenspaces, not 2"
-            )
-        # U_1, U_2 and A, each stacked over the stencil; pair[i] holds
-        # every row's i-th Hopf group
-        pair = np.flatnonzero(hopf).reshape(-1, 2).T
-        b1, b2 = grp["b"][pair, None]
-        xi = self._shape["normals"][self._stencil]
-        fields = list(_hopf_vectors(*grp["jxi"][pair], b1, b2, xi))
-        a_vec = fields[2][0]
         i3 = rest[0]
-        groups = [*decomp.hopf_indices, i3]
+        groups = [i1, i2, i3]
         # the lambda_3-space minus A, then the other non-projected spaces
         amb3 = decomp.spaces[i3]
         raw3 = amb3 - np.outer(amb3 @ a_vec, a_vec)
@@ -546,8 +516,11 @@ class GermField:
         spaces += [(i, decomp.spaces[i]) for i in rest if i != i3]
         for i, rows in spaces:
             if rows.shape[0]:
-                aligned = self._aligned_space_field(rows, lam[i])
-                fields.extend(np.swapaxes(aligned, 0, 1))
+                # the projection onto the same group at every row,
+                # re-orthonormalized (Loewdin)
+                proj = rows @ np.swapaxes(space[i], 1, 2) @ space[i]
+                u, _, vt = np.linalg.svd(proj, full_matrices=False)
+                fields.extend(np.swapaxes(u @ vt, 0, 1))
                 groups += [i] * rows.shape[0]
         fields = np.stack(fields)
         return FrameFields(

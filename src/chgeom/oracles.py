@@ -19,8 +19,8 @@ from .construction import SubmanifoldSpec, is_totally_real, orbit_second_fundame
 from .jacobi import _f, _g, _hyperbolic, _mode_matrix, focal_determinant_matrix
 from .model import B_INDEX, GALPHA_START, Z_INDEX, ModelParams, SolvableModel, j_action, rate
 from .numlab import (
-    NUMERIC_GROUPING_TOLERANCE, ChartImmersion, FrameFields, GermField, Indeterminate,
-    check_frame_center,
+    NUMERIC_GROUPING_TOLERANCE, ChartImmersion, FrameFields, GermField, check_frame_center,
+    check_like_center,
 )
 from .spectral import (
     EigenStructure, HypersurfaceGerm, catalog_quadratic, hopf_frame,
@@ -281,19 +281,16 @@ def _aligned_space_field_per_row(decomps, center_rows, eigenvalue) -> np.ndarray
 def frame_fields_per_row(field: GermField) -> FrameFields:
     """``GermField.frame_fields`` one stencil row at a time: a
     decomposition, a ``hopf_frame`` and one projection per aligned space
-    for each row, raising the same ``Indeterminate``."""
+    for each row, the space being the row's group nearest the center's
+    eigenvalue, not the group of the same index.  Raises the same
+    ``Indeterminate`` where a row decomposes unlike the center."""
     decomps = stencil_decompositions(field)
     decomp = decomps[0]
     check_frame_center(decomp)
     lam = [float(v) for v in decomp.eigenvalues]
     rest = decomp.non_hopf_indices
-    off = [d.h for d in decomps if d.h != 2]
-    if off:
-        raise Indeterminate(
-            "the frame suites cannot run: at grouping tolerance "
-            f"{NUMERIC_GROUPING_TOLERANCE:g} a stencil neighbour of the "
-            f"center germ has h = {off[0]} projected eigenspaces, not 2"
-        )
+    check_like_center("eigenvalue group sizes", [d.multiplicities for d in decomps])
+    check_like_center("Hopf groups", [tuple(d.hopf_indices) for d in decomps])
     # U_1, U_2 and A, each stacked over the stencil
     fields = list(np.stack([hopf_frame(d)[1:] for d in decomps], axis=1))
     a_vec = fields[2][0]

@@ -258,6 +258,7 @@ STENCIL_CASES = [
     (3, -1e100, 2, 1e-151, 1e-100, 0.0, True),
     (3, -1e200, 2, 1e-151, 1e-100, 0.0, False),
     (3, -1e-4, 2, 0.002, 1e-20, 0.0, False),
+    (4, -4.0, 2, 0.5, 1e-9, 0.04, False),
 ]
 
 
@@ -271,8 +272,10 @@ def test_stacked_stencil_matches_the_per_row_oracle(n, c, k, r, step, x0, alike)
     """The stencil's one stacked pass gives the center decomposition,
     the frame fields (fields, connection table, eigenvalues, groups) or
     the Indeterminate reason of one decomposition, ``hopf_frame`` and
-    projection per stencil row, bit for bit, also where a neighbour
-    groups its eigenvalues unlike the center."""
+    projection per stencil row, bit for bit, so that the stacked pass's
+    group of the same index is the oracle's group nearest the center's
+    eigenvalue; where a row groups its eigenvalues unlike the center
+    (alike False), both routes raise the same Indeterminate."""
     chart = tube_chart(build_submanifold(ModelParams(n=n, c=c), k, np.pi / 2), r)
     center = x0 * np.cos(np.arange(chart.domain_dim))
     stacked, per_row = GermField(chart, center, step), GermField(chart, center, step)
@@ -296,6 +299,7 @@ def test_stacked_stencil_matches_the_per_row_oracle(n, c, k, r, step, x0, alike)
     )
     ff = outcome(lambda field: field.frame_fields, stacked)
     oracle = outcome(frame_fields_per_row, per_row)
+    assert alike or isinstance(oracle, str), "frames built over rows that group unlike the center"
     if isinstance(oracle, str):
         assert ff == oracle
         return
