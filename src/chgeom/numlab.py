@@ -62,7 +62,7 @@ from .model import (
     check_positive, j_action,
 )
 from .spectral import (
-    HypersurfaceGerm, _eigh, _group_starts, _hopf_vectors, _projected,
+    HypersurfaceGerm, _eigh, _group_mean, _group_starts, _hopf_vectors, _projected,
     principal_decomposition, totally_real_check,
 )
 from .tubes import check_radii
@@ -233,6 +233,17 @@ def check_like_center(what: str, rows: list) -> None:
             )
 
 
+def check_nearest_groups(means: np.ndarray) -> None:
+    """``check_like_center`` on the group eigenvalues means (S, g) of the
+    stencil rows: each row's indices of its groups nearest the center's
+    eigenvalues means[0] (np.argmin of the distances, the per-row
+    oracle's alignment rule) must be the center's (0, ..., g-1), which a
+    row whose group has moved past half a gap breaks."""
+    dist = np.abs(means[:, None, :] - means[0][:, None])  # [s, center i, row j]
+    nearest = [tuple(row) for row in np.argmin(dist, axis=2).tolist()]
+    check_like_center("the groups nearest the center's eigenvalues", nearest)
+
+
 @dataclass(frozen=True)
 class FrameFields:
     """Principal-curvature frame fields around the center of a GermField.
@@ -267,8 +278,9 @@ class GermField:
     frame fields with their connection table, is built in one batched
     pass on first use.  The stencil germs are decomposed in one stacked
     pass: one ``spectral._eigh`` over their shapes; the frame fields then
-    need every row's eigenvalue groups (``spectral._group_starts``) and
-    Hopf groups (``spectral._projected``) to be the center's, and read
+    need every row's eigenvalue groups (``spectral._group_starts``), its
+    groups nearest the center's eigenvalues (``check_nearest_groups``)
+    and its Hopf groups (``spectral._projected``) to be the center's, and read
     each group as one column slice of all rows: its J xi projections,
     U_1, U_2, A (``spectral._hopf_vectors``) and the aligned eigenspace
     fields, each row with the bits of a one-germ
@@ -476,7 +488,8 @@ class GermField:
         """U_1, U_2, A and the aligned eigenspace complements, with the
         table of their tangential derivatives at the center.  Their
         differences across the stencil mean something only where every
-        row has the center's eigenvalue groups and Hopf groups
+        row has the center's eigenvalue groups, each nearest the center's
+        eigenvalue of its own index, and the center's Hopf groups
         (``check_like_center``); each group is then one column slice
         [lo, hi) of all rows' eigen-data, with the bits of a one-germ call."""
         decomp = self.decomposition()
@@ -489,6 +502,7 @@ class GermField:
             tuple(hi - lo for lo, hi in zip(row, row[1:])) for row in cuts
         ])
         bounds = list(zip(cuts[0], cuts[0][1:]))
+        check_nearest_groups(np.stack([_group_mean(evals, lo, hi) for lo, hi in bounds], axis=1))
         # per group: its coefficients of J xi (S, 1, m) and its eigenvector
         # rows (S, m, 2n)
         coef = [coeffs[:, None, lo:hi] for lo, hi in bounds]

@@ -20,7 +20,7 @@ from .jacobi import _f, _g, _hyperbolic, _mode_matrix, focal_determinant_matrix
 from .model import B_INDEX, GALPHA_START, Z_INDEX, ModelParams, SolvableModel, j_action, rate
 from .numlab import (
     NUMERIC_GROUPING_TOLERANCE, ChartImmersion, FrameFields, GermField, check_frame_center,
-    check_like_center,
+    check_like_center, check_nearest_groups,
 )
 from .spectral import (
     EigenStructure, HypersurfaceGerm, catalog_quadratic, hopf_frame,
@@ -290,6 +290,7 @@ def frame_fields_per_row(field: GermField) -> FrameFields:
     lam = [float(v) for v in decomp.eigenvalues]
     rest = decomp.non_hopf_indices
     check_like_center("eigenvalue group sizes", [d.multiplicities for d in decomps])
+    check_nearest_groups(np.array([d.eigenvalues for d in decomps]))
     check_like_center("Hopf groups", [tuple(d.hopf_indices) for d in decomps])
     # U_1, U_2 and A, each stacked over the stencil
     fields = list(np.stack([hopf_frame(d)[1:] for d in decomps], axis=1))

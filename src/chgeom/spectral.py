@@ -326,6 +326,18 @@ def _frame_fits(d: int, normal, tangent_basis) -> bool:
     return bool((np.abs(frame.dot(frame.T) - eye) <= bound).all())
 
 
+def _symmetric(shape: np.ndarray) -> bool:
+    """A finite square shape matrix, symmetric to GERM_TOLERANCE; run
+    under np.errstate(all="ignore").  S - S^T has no nonzero entry
+    exactly where S is finite and symmetric (inf - inf is NaN, which
+    counts as nonzero), so one subtraction passes such an S; any other
+    takes isfinite (opposite infinities pass the tolerance test) and the
+    tolerance test."""
+    return not (shape - shape.T).any() or (
+        bool(np.isfinite(shape).all()) and _allclose(shape, shape.T, GERM_TOLERANCE)
+    )
+
+
 @dataclass(frozen=True)
 class HypersurfaceGerm:
     """Pointwise hypersurface data in frame components.
@@ -357,11 +369,7 @@ class HypersurfaceGerm:
         d, n, shape = self.params.dim, self.params.n, self.shape
         with np.errstate(all="ignore"):  # inf, nan and overflow fail silently
             frame_ok = _frame_fits(d, self.normal, self.tangent_basis)
-            if (  # isfinite: opposite infinities pass the symmetry test
-                frame_ok
-                and shape.shape == (d - 1, d - 1) and np.isfinite(shape).all()
-                and _allclose(shape, shape.T, GERM_TOLERANCE)
-            ):
+            if frame_ok and shape.shape == (d - 1, d - 1) and _symmetric(shape):
                 return self
             _check_array("normal", self.normal, (d,), n)
             _check_array("tangent_basis", self.tangent_basis, (d - 1, d), n)
@@ -498,28 +506,40 @@ def principal_decomposition(
     return principal_decompositions([germ], tol)[0]
 
 
+def _group_mean(evals: np.ndarray, lo: int, hi: int):
+    """The value of the group [lo, hi) of the ascending eigenvalues on the
+    last axis of evals (one row or a stack of rows): a single value is
+    its own mean, and a group's sum (ndarray.sum's reduction) over its
+    count is np.mean's own formula, without its per-call overhead."""
+    if hi - lo == 1:
+        return evals[..., lo]
+    return np.add.reduce(evals[..., lo:hi], axis=-1) / (hi - lo)
+
+
 def _grouped(germ: HypersurfaceGerm, evals, evecs, tol: float) -> PrincipalDecomposition:
     """The germ's decomposition from the ascending eigenvalues and the
-    eigenvector columns of its symmetrised shape."""
+    eigenvector columns of its symmetrised shape.  The eigenvalues and
+    the coefficients of J xi are read into Python once; a one-row group
+    takes its mean and its norm from those lists."""
     ambient = evecs.T.dot(germ.tangent_basis)  # rows: ambient eigenvectors
     coeffs = ambient.dot(j_action(germ.normal))
-    values = evals.tolist()
+    values, coef = evals.tolist(), coeffs.tolist()
     cuts = _group_starts(values, tol)
-    spaces, jxi, means, norms, hopf, rest = [], [], [], [], [], []
+    spaces, jxi, mults, means, norms, hopf, rest = [], [], [], [], [], [], []
     for group, (lo, hi) in enumerate(zip(cuts, cuts[1:] + [len(values)])):
         v = coeffs[lo:hi]
-        b = math.sqrt(v.dot(v))  # np.linalg.norm's own formula
+        # np.linalg.norm's own formula; a one-term dot is the one product x * x
+        b = math.sqrt(coef[lo] * coef[lo] if hi - lo == 1 else v.dot(v))
         spaces.append(ambient[lo:hi])
         jxi.append(v)
+        mults.append(hi - lo)
         norms.append(b)
+        means.append(values[lo] if hi - lo == 1 else float(_group_mean(evals, lo, hi)))
         (hopf if _projected(b) else rest).append(group)
-        # a group's sum over its count is np.mean's own formula, without
-        # its per-call overhead; a single value is its own mean
-        means.append(values[lo] if hi - lo == 1 else float(evals[lo:hi].sum() / (hi - lo)))
     return PrincipalDecomposition(
         normal=germ.normal,
         eigenvalues=np.array(means),
-        multiplicities=tuple(len(space) for space in spaces),
+        multiplicities=tuple(mults),
         spaces=spaces,
         jxi_coefficients=jxi,
         jxi_components=np.array(norms),
@@ -552,12 +572,16 @@ def frame_identity_residuals(decomp: PrincipalDecomposition) -> dict:
     J is applied once, to the stacked ``hopf_frame`` rows, and the vector
     defects are normed in one row-wise reduction."""
     rows = hopf_frame(decomp)
-    b1, b2 = decomp.jxi_components[decomp.hopf_indices].tolist()
+    i1, i2 = decomp.hopf_indices
+    b = decomp.jxi_components.tolist()
+    b1, b2 = b[i1], b[i2]
     j_rows = j_action(rows)
     # rows 0, 2, 3: J xi - (b1 U1 + b2 U2), J U2 - (b1 A - b2 xi) and
     # J A - (b2 U1 - b1 U2); row 1 is J U1, which is tested on its own
-    mix = np.array((0.0, b1, b2, 0.0, 0.0, 0.0, 0.0, 0.0, -b2, 0.0, 0.0, b1, 0.0, b2, -b1, 0.0))
-    defects = j_rows - mix.reshape(4, 4).dot(rows)
+    mix = np.array((
+        (0.0, b1, b2, 0.0), (0.0, 0.0, 0.0, 0.0), (-b2, 0.0, 0.0, b1), (0.0, b2, -b1, 0.0)
+    ))
+    defects = j_rows - mix.dot(rows)
     # distance from A to each non-Hopf eigenspace; the catalog puts A in
     # the lambda_3 space (the smallest non-Hopf eigenvalue); it takes
     # row 1, so one reduction norms every defect
@@ -583,11 +607,14 @@ def totally_real_check(decomp: PrincipalDecomposition) -> float:
     structure-vector projection (those spaces must be totally real); J
     is applied once, to the stacked rows of those spaces.  Every germ with
     an orthonormal frame has such a space (h >= 1): J xi is a unit tangent
-    vector, so its projections satisfy sum b_i^2 = 1."""
+    vector, so its projections satisfy sum b_i^2 = 1.  Where every such
+    space has one row, their blocks are the cross product's diagonal."""
     hopf = decomp.hopf_indices
     rows = np.concatenate([decomp.spaces[i] for i in hopf])
-    cross = np.abs(j_action(rows).dot(rows.T))  # the spaces' blocks on its diagonal
-    worst, start = [], 0
+    cross = j_action(rows).dot(rows.T)  # the spaces' blocks on its diagonal
+    if len(rows) == len(hopf):
+        return max(abs(x) for x in cross.diagonal().tolist())
+    cross, worst, start = np.abs(cross), [], 0
     for i in hopf:
         stop = start + decomp.multiplicities[i]
         worst.append(float(cross[start:stop, start:stop].max()))
@@ -709,8 +736,9 @@ def _decided(params: ModelParams, decomp: PrincipalDecomposition, tol: float):
     # the measured groups in catalog order: the Hopf spaces lambda_1 <
     # lambda_2, then lambda_3 < lambda_4; k is read off lambda_3's block
     order = decomp.hopf_indices + decomp.non_hopf_indices
-    values = decomp.eigenvalues.tolist()
+    values, b = decomp.eigenvalues.tolist(), decomp.jxi_components.tolist()
     lam = [values[i] for i in order]
+    b1, b2 = b[order[0]], b[order[1]]
     mults = tuple(decomp.multiplicities[i] for i in order)
     k = 2 * n - 2 - mults[2]
     lam3 = lam[2]
@@ -734,7 +762,6 @@ def _decided(params: ModelParams, decomp: PrincipalDecomposition, tol: float):
     r = jacobi.special_radius(c) if es.branch == "G3_KBIG" else jacobi.focal_radius(lam3, c)
 
     residuals = frame_identity_residuals(decomp)
-    b1, b2 = decomp.jxi_components[decomp.hopf_indices].tolist()
     residuals["lambda1_catalog"] = abs(lam[0] - es.lambda1)
     residuals["lambda2_catalog"] = abs(lam[1] - es.lambda2)
     residuals["lambda3_catalog"] = abs(lam[2] - es.lambda3)

@@ -14,6 +14,13 @@ over all of them; ``--dump`` prints one JSON line per operation first,
 for diffing two trees.  ``--workloads`` digests only the named ones; the
 default, every workload, keeps the ``all`` digest comparable between
 runs.  Reads ``perfbench/`` and writes nothing there.
+
+A last line, ``classify-golden``, digests ``chgeom classify --input`` on
+each germ of ``test_classify_golden.cases()`` (n = 2..6, every k, r* and
+r* +- 1e-12, where a Hopf space has more than one row, horospheres and
+tube germs at random unit normals), which the benchmark's catalog draws
+never reach.  It takes no seed and stays outside ``all``, so ``all``
+digests of earlier trees stay comparable.
 """
 
 from __future__ import annotations
@@ -33,9 +40,11 @@ from pathlib import Path
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent / "perfbench"), str(HERE)]
 
 import numpy as np  # noqa: E402
+import test_classify_golden as classify_golden  # noqa: E402
 import workloads  # noqa: E402
 from chgeom import cli  # noqa: E402
 
@@ -69,6 +78,23 @@ def records(name: str, seed: int):
         shutil.rmtree(workdir, ignore_errors=True)
 
 
+def golden_records():
+    """The masked record of ``classify --input`` on each golden germ."""
+    workdir = tempfile.mkdtemp(prefix="op-digest-classify-golden-")
+    try:
+        for i, case in enumerate(classify_golden.cases()):
+            path = os.path.join(workdir, f"germ{i:04d}.json")  # one file each, as the workloads
+            with open(path, "w") as fh:
+                json.dump(classify_golden.germ_of(case).to_json_dict(), fh)
+            argv = ["classify", "--input", path]
+            rc, out, err = run_op(argv)
+            record = {"workload": "classify-golden", "op": i, "case": case, "argv": argv,
+                      "exit": rc, "stdout": out, "stderr": err}
+            yield json.dumps(record, sort_keys=True).replace(workdir, WORKDIR_MASK)
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
@@ -93,6 +119,13 @@ def main(argv=None) -> int:
         summary.append(f"{name:<10} {ops:5d} ops  {digest.hexdigest()}")
     print(*summary, sep="\n")
     print(f"{'all':<10} {count:5d} ops  {total.hexdigest()}")
+    golden, ops = hashlib.sha256(), 0
+    for line in golden_records():
+        if args.dump:
+            print(line)
+        golden.update((line + "\n").encode())
+        ops += 1
+    print(f"classify-golden {ops:5d} ops  {golden.hexdigest()}")
     return 0
 
 

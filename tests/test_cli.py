@@ -510,6 +510,14 @@ CONTRACT = [
          out=_residuals_out([("gauss", "FAIL"), ("codazzi", "PASS"), ("real_eigenspace", "PASS")],
                             SUITES[3:], _unlike("+e_0", "eigenvalue group sizes", "(1, 2, 1, 1)",
                                                 "(1, 3, 1)"))),
+    # a stencil row whose lambda_4 group has moved past half a gap, so that
+    # the center's lambda_4 lies nearer the row's lambda_2: no frame is
+    # differenced across it, which would read graded_connection 2.081e-02
+    # FAIL (gauss reads 1.384e-01, item 2's rounding floor at this step)
+    _row([*RESIDUALS, "--c=-0.01", "--r", "10", "--fd-step", "1e-8"], 1,
+         out=_residuals_out([("gauss", "FAIL"), ("codazzi", "PASS"), ("real_eigenspace", "PASS")],
+                            SUITES[3:], _unlike("+e_4", "the groups nearest the center's "
+                                                "eigenvalues", "(0, 1, 2, 2)", "(0, 1, 2, 3)"))),
     # a singular chart metric runs no suite
     *[_row([*RESIDUALS, *extra], 1, out=_residuals_out([], SUITES, "no suite can run: the "
                                                        "chart's coordinate tangents are linearly "

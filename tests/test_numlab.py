@@ -243,22 +243,26 @@ def test_frame_table_is_built_once(monkeypatch):
     assert len(tables) == 1
 
 
-# (n, c, k, r, fd-step, center, whether the stencil rows group alike):
-# every n = 2..5 and k at two centers, the edge rows of test_cli's
-# CONTRACT where the frame suites do not run (the center at r = 5 and
-# r = 6; eigenvalues past the grouping rule's resolution at r = 1e-100
-# and c = -1e100, and at c = -1e200, whose rows group unlike the center),
+# (n, c, k, r, fd-step, center, how the stencil rows decompose: "alike",
+# "sizes" where a row groups its eigenvalues unlike the center, or
+# "nearest" where a row's group has moved past half a gap, nearer another
+# center eigenvalue): every n = 2..5 and k at two centers, the edge rows
+# of test_cli's CONTRACT where the frame suites do not run (the center at
+# r = 5 and r = 6; eigenvalues past the grouping rule's resolution at r =
+# 1e-100 and c = -1e100, and at c = -1e200, whose rows group unlike the
+# center; the lambda_4 group of two rows at c = -0.01, r = 10, step 1e-8),
 # and frames built over rows in three groupings at c = -1e-4, r = 0.002
 STENCIL_CASES = [
-    *[(n, -4.0, k, r, 1e-3, x0, True)
+    *[(n, -4.0, k, r, 1e-3, x0, "alike")
       for n in range(2, 6) for k in range(1, n) for r, x0 in ((0.5, 0.0), (0.7, 0.04))],
-    (3, -4.0, 2, 5.0, 1e-3, 0.0, True),
-    (3, -4.0, 2, 6.0, 1e-3, 0.0, True),
-    (3, -4.0, 2, 1e-100, 1e-3, 0.0, True),
-    (3, -1e100, 2, 1e-151, 1e-100, 0.0, True),
-    (3, -1e200, 2, 1e-151, 1e-100, 0.0, False),
-    (3, -1e-4, 2, 0.002, 1e-20, 0.0, False),
-    (4, -4.0, 2, 0.5, 1e-9, 0.04, False),
+    (3, -4.0, 2, 5.0, 1e-3, 0.0, "alike"),
+    (3, -4.0, 2, 6.0, 1e-3, 0.0, "alike"),
+    (3, -4.0, 2, 1e-100, 1e-3, 0.0, "alike"),
+    (3, -1e100, 2, 1e-151, 1e-100, 0.0, "alike"),
+    (3, -1e200, 2, 1e-151, 1e-100, 0.0, "sizes"),
+    (3, -1e-4, 2, 0.002, 1e-20, 0.0, "sizes"),
+    (4, -4.0, 2, 0.5, 1e-9, 0.04, "sizes"),
+    (3, -0.01, 2, 10.0, 1e-8, 0.0, "nearest"),
 ]
 
 
@@ -267,15 +271,16 @@ def _same_bits(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("n, c, k, r, step, x0, alike", STENCIL_CASES)
-def test_stacked_stencil_matches_the_per_row_oracle(n, c, k, r, step, x0, alike):
+@pytest.mark.parametrize("n, c, k, r, step, x0, rows", STENCIL_CASES)
+def test_stacked_stencil_matches_the_per_row_oracle(n, c, k, r, step, x0, rows):
     """The stencil's one stacked pass gives the center decomposition,
     the frame fields (fields, connection table, eigenvalues, groups) or
     the Indeterminate reason of one decomposition, ``hopf_frame`` and
     projection per stencil row, bit for bit, so that the stacked pass's
     group of the same index is the oracle's group nearest the center's
     eigenvalue; where a row groups its eigenvalues unlike the center
-    (alike False), both routes raise the same Indeterminate."""
+    (rows "sizes") or a row's group lies nearer another center eigenvalue
+    (rows "nearest"), both routes raise the same Indeterminate."""
     chart = tube_chart(build_submanifold(ModelParams(n=n, c=c), k, np.pi / 2), r)
     center = x0 * np.cos(np.arange(chart.domain_dim))
     stacked, per_row = GermField(chart, center, step), GermField(chart, center, step)
@@ -288,7 +293,7 @@ def test_stacked_stencil_matches_the_per_row_oracle(n, c, k, r, step, x0, alike)
                 return str(exc)
 
     decomps = stencil_decompositions(per_row)
-    assert (len({d.multiplicities for d in decomps}) == 1) == alike
+    assert (len({d.multiplicities for d in decomps}) == 1) == (rows != "sizes")
     want, got = decomps[0], stacked.decomposition()
     for name in ("normal", "eigenvalues", "jxi_components"):
         assert _same_bits(getattr(got, name), getattr(want, name)), name
@@ -299,9 +304,10 @@ def test_stacked_stencil_matches_the_per_row_oracle(n, c, k, r, step, x0, alike)
     )
     ff = outcome(lambda field: field.frame_fields, stacked)
     oracle = outcome(frame_fields_per_row, per_row)
-    assert alike or isinstance(oracle, str), "frames built over rows that group unlike the center"
+    assert rows == "alike" or isinstance(oracle, str), "frames built over rows unlike the center"
     if isinstance(oracle, str):
         assert ff == oracle
+        assert ("the groups nearest the center's eigenvalues" in oracle) == (rows == "nearest")
         return
     assert (ff.eigenvalues, ff.groups) == (oracle.eigenvalues, oracle.groups)
     assert _same_bits(ff.fields, oracle.fields)
